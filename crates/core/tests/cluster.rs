@@ -402,3 +402,84 @@ fn cluster_restart_names_the_member_with_corrupt_checkpoints() {
         "the surviving member restarts byte-equal"
     );
 }
+
+/// The threaded runtime defers durability to `flush_durable`, so its
+/// members checkpoint at sweep boundaries where the sequential ones
+/// checkpoint mid-drain — different delta boundaries, possibly
+/// different rewrite points. None of that may show: after several
+/// sweeps under the default checkpoint policy and a machine crash,
+/// every member restarts from its base + delta chain (plus retained
+/// logs) to its pre-crash store, and the two runtimes agree.
+#[test]
+fn threaded_and_sequential_delta_chains_restart_to_the_same_stores() {
+    const MEMBERS: usize = 2;
+    const SWEEPS: usize = 6;
+    let run = |threaded: bool| {
+        let mut sys = SystemBuilder::new(CostModel::default())
+            .waldo_config(WaldoConfig {
+                // A few commits per sweep, a checkpoint every other
+                // commit: chains of several deltas on each member.
+                checkpoint_commits: 2,
+                ..test_cfg()
+            })
+            .plain_volume("/db")
+            .pass_volume("/v1", VolumeId(1))
+            .pass_volume("/v2", VolumeId(2))
+            .pass_volume("/v3", VolumeId(3))
+            .build();
+        let mut cluster = sys.spawn_cluster_durable(MEMBERS, "/db/cluster");
+        if threaded {
+            cluster.set_runtime(waldo::ClusterRuntime::Threaded);
+        }
+        let pid = sys.kernel.spawn_init("driver");
+        let volumes = sys.volumes.clone();
+        // The first sweep is the biggest, so its base leaves room for
+        // the later sweeps' deltas.
+        for sweep in 0..SWEEPS {
+            for f in 0..(if sweep == 0 { 24 } else { 4 }) {
+                for v in 1..=3 {
+                    sys.kernel
+                        .write_file(pid, &format!("/v{v}/s{sweep}-f{f}"), b"sweep payload")
+                        .unwrap();
+                }
+            }
+            let data = sys
+                .kernel
+                .read_file(pid, &format!("/v1/s{sweep}-f0"))
+                .unwrap();
+            sys.kernel
+                .write_file(pid, &format!("/v2/s{sweep}-copy"), &data)
+                .unwrap();
+            for (_, m, _) in &volumes {
+                sys.kernel.dpapi_at(*m).unwrap().force_log_rotation();
+            }
+            cluster.poll_volumes(&mut sys.kernel, &volumes);
+        }
+        let (deltas, checkpoints) = cluster.members().iter().fold((0, 0), |(d, c), m| {
+            let s = m.checkpoint_stats();
+            (d + s.deltas_written, c + s.checkpoints)
+        });
+        assert!(
+            checkpoints >= 4,
+            "threaded={threaded}: the policy must fire"
+        );
+        assert!(deltas >= 2, "threaded={threaded}: chains must form");
+        let images: Vec<_> = cluster
+            .members()
+            .iter()
+            .map(|m| m.db.segment_images())
+            .collect();
+        drop(cluster); // machine crash
+        let restarted = sys.restart_cluster(MEMBERS, "/db/cluster");
+        for (i, member) in restarted.members().iter().enumerate() {
+            assert_eq!(member.restart_report().unwrap().checkpoints_skipped, 0);
+            assert_eq!(
+                member.db.segment_images(),
+                images[i],
+                "threaded={threaded}: member {i} must restart to its pre-crash store"
+            );
+        }
+        images
+    };
+    assert_eq!(run(true), run(false));
+}

@@ -72,14 +72,18 @@ fn get_str(buf: &mut Bytes) -> Result<String> {
 /// front so a malformed record aborts a whole transaction before
 /// anything is logged.
 pub fn validate_record(rec: &ProvenanceRecord) -> Result<()> {
-    let name = rec.attribute.as_str();
+    validate_parts(&rec.attribute, &rec.value)
+}
+
+fn validate_parts(attribute: &Attribute, value: &Value) -> Result<()> {
+    let name = attribute.as_str();
     if name.len() > u16::MAX as usize {
         return Err(DpapiError::Malformed(format!(
             "attribute name of {} bytes exceeds the u16 wire limit",
             name.len()
         )));
     }
-    let payload_len = match &rec.value {
+    let payload_len = match value {
         Value::Str(s) => s.len(),
         Value::Bytes(b) => b.len(),
         Value::StrList(l) => {
@@ -107,11 +111,19 @@ pub fn validate_record(rec: &ProvenanceRecord) -> Result<()> {
 /// whose attribute name or payload cannot be represented (the name
 /// length is a `u16` on the wire; it used to be silently truncated).
 pub fn put_record(buf: &mut BytesMut, rec: &ProvenanceRecord) -> Result<()> {
-    validate_record(rec)?;
-    let name = rec.attribute.as_str();
+    put_record_parts(buf, &rec.attribute, &rec.value)
+}
+
+/// [`put_record`] from borrowed parts, for callers that store
+/// attribute and value apart and would otherwise clone both into a
+/// throw-away [`ProvenanceRecord`] just to encode it. Same bytes, same
+/// errors.
+pub fn put_record_parts(buf: &mut BytesMut, attribute: &Attribute, value: &Value) -> Result<()> {
+    validate_parts(attribute, value)?;
+    let name = attribute.as_str();
     buf.put_u16_le(name.len() as u16);
     buf.put_slice(name.as_bytes());
-    match &rec.value {
+    match value {
         Value::Int(i) => {
             buf.put_u8(TAG_INT);
             buf.put_i64_le(*i);

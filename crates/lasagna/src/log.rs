@@ -69,6 +69,15 @@ pub enum LogEntry {
 
 /// CRC-32 (IEEE 802.3), table-driven.
 pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(CRC_INIT, data)
+}
+
+const CRC_INIT: u32 = 0xFFFF_FFFF;
+
+/// Feeds `data` into a running CRC register (start from [`CRC_INIT`],
+/// complement at the end), so a frame's kind byte and payload can be
+/// summed where they lie instead of being copied side by side first.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let mut t = [0u32; 256];
@@ -85,31 +94,49 @@ pub fn crc32(data: &[u8]) -> u32 {
         }
         t
     });
-    let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
         crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
 }
 
-/// Writes one CRC-closed frame (`kind`, length, payload, CRC32).
-/// Errors — writing nothing — on a payload the `u32` length prefix
-/// cannot represent (the same silent-truncation class as the fixed
-/// `u16` attribute-name bug, one level up).
-fn put_frame(buf: &mut BytesMut, kind: u8, payload: &[u8]) -> Result<()> {
-    if payload.len() > u32::MAX as usize {
-        return Err(DpapiError::Malformed(format!(
-            "log frame payload of {} bytes exceeds the u32 prefix",
-            payload.len()
-        )));
-    }
+/// The CRC a frame carries: over its kind byte, then its payload.
+fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(CRC_INIT, &[kind]), payload)
+}
+
+/// Writes one CRC-closed frame (`kind`, length, payload, CRC32) whose
+/// payload `fill` appends in place. Errors — leaving `buf` as it was
+/// — when `fill` does, or on a payload the `u32` length prefix cannot
+/// represent (the same silent-truncation class as the fixed `u16`
+/// attribute-name bug, one level up).
+fn put_frame(
+    buf: &mut BytesMut,
+    kind: u8,
+    fill: impl FnOnce(&mut BytesMut) -> Result<()>,
+) -> Result<()> {
+    let start = buf.len();
     buf.put_u8(kind);
-    buf.put_u32_le(payload.len() as u32);
-    let mut crc_input = Vec::with_capacity(1 + payload.len());
-    crc_input.push(kind);
-    crc_input.extend_from_slice(payload);
-    buf.put_slice(payload);
-    buf.put_u32_le(crc32(&crc_input));
+    buf.put_u32_le(0);
+    let body = buf.len();
+    let filled = fill(buf).and_then(|()| {
+        u32::try_from(buf.len() - body).map_err(|_| {
+            DpapiError::Malformed(format!(
+                "log frame payload of {} bytes exceeds the u32 prefix",
+                buf.len() - body
+            ))
+        })
+    });
+    let len = match filled {
+        Ok(len) => len,
+        Err(e) => {
+            buf.truncate(start);
+            return Err(e);
+        }
+    };
+    buf[start + 1..body].copy_from_slice(&len.to_le_bytes());
+    let crc = frame_crc(kind, &buf[body..]);
+    buf.put_u32_le(crc);
     Ok(())
 }
 
@@ -119,35 +146,32 @@ fn put_frame(buf: &mut BytesMut, kind: u8, payload: &[u8]) -> Result<()> {
 /// represented — see [`wire::validate_record`]) `buf` is left
 /// untouched, so a failed encode can never emit a partial frame.
 pub fn encode_entry(buf: &mut BytesMut, entry: &LogEntry) -> Result<()> {
-    let mut payload = BytesMut::new();
-    let kind = match entry {
-        LogEntry::Prov { subject, record } => {
-            wire::put_object_ref(&mut payload, *subject);
-            wire::put_record(&mut payload, record)?;
-            KIND_PROV
-        }
+    match entry {
+        LogEntry::Prov { subject, record } => put_frame(buf, KIND_PROV, |payload| {
+            wire::put_object_ref(payload, *subject);
+            wire::put_record(payload, record)
+        }),
         LogEntry::DataWrite {
             subject,
             offset,
             len,
             digest,
-        } => {
-            wire::put_object_ref(&mut payload, *subject);
+        } => put_frame(buf, KIND_DATA, |payload| {
+            wire::put_object_ref(payload, *subject);
             payload.put_u64_le(*offset);
             payload.put_u32_le(*len);
             payload.put_slice(digest);
-            KIND_DATA
-        }
-        LogEntry::TxnBegin { id } => {
+            Ok(())
+        }),
+        LogEntry::TxnBegin { id } => put_frame(buf, KIND_TXN_BEGIN, |payload| {
             payload.put_u64_le(*id);
-            KIND_TXN_BEGIN
-        }
-        LogEntry::TxnEnd { id } => {
+            Ok(())
+        }),
+        LogEntry::TxnEnd { id } => put_frame(buf, KIND_TXN_END, |payload| {
             payload.put_u64_le(*id);
-            KIND_TXN_END
-        }
-    };
-    put_frame(buf, kind, &payload)
+            Ok(())
+        }),
+    }
 }
 
 /// Appends `entries` to `buf` as one *group frame*: a single
@@ -159,12 +183,10 @@ pub fn encode_entry(buf: &mut BytesMut, entry: &LogEntry) -> Result<()> {
 ///
 /// On error (an unrepresentable record) `buf` is left untouched.
 pub fn encode_group(buf: &mut BytesMut, entries: &[LogEntry]) -> Result<()> {
-    let mut payload = BytesMut::new();
-    payload.put_u32_le(entries.len() as u32);
-    for e in entries {
-        encode_entry(&mut payload, e)?;
-    }
-    put_frame(buf, KIND_GROUP, &payload)
+    put_frame(buf, KIND_GROUP, |payload| {
+        payload.put_u32_le(entries.len() as u32);
+        entries.iter().try_for_each(|e| encode_entry(payload, e))
+    })
 }
 
 /// Serialized size of an entry (header + payload + CRC). Errors on
@@ -249,10 +271,7 @@ fn parse_frames(data: &[u8], inside_group: bool) -> (Vec<LogEntry>, LogTail) {
             data[at + 5 + len + 2],
             data[at + 5 + len + 3],
         ]);
-        let mut crc_input = Vec::with_capacity(1 + len);
-        crc_input.push(kind);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != stored_crc {
+        if frame_crc(kind, payload) != stored_crc {
             return (entries, LogTail::Corrupt { at });
         }
         match decode_payload(kind, payload, inside_group, &mut entries) {
@@ -376,6 +395,41 @@ mod tests {
         assert_eq!(parsed, entries);
     }
 
+    /// The frame layout, byte for byte: the in-place writer must
+    /// produce exactly what the format comment promises — the CRC is
+    /// over the kind byte followed by the payload, skipping the
+    /// length between them.
+    #[test]
+    fn frame_layout_is_kind_len_payload_crc() {
+        let mut buf = BytesMut::new();
+        encode_entry(&mut buf, &LogEntry::TxnBegin { id: 7 }).unwrap();
+        let mut crc_input = vec![KIND_TXN_BEGIN];
+        crc_input.extend_from_slice(&7u64.to_le_bytes());
+        let mut expected = vec![KIND_TXN_BEGIN, 8, 0, 0, 0];
+        expected.extend_from_slice(&7u64.to_le_bytes());
+        expected.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+        assert_eq!(&buf[..], &expected[..]);
+    }
+
+    /// A record the wire format cannot represent leaves the buffer
+    /// exactly as it was, even though the frame is now built in place.
+    #[test]
+    fn failed_encode_leaves_the_buffer_untouched() {
+        let mut buf = BytesMut::new();
+        encode_entry(&mut buf, &LogEntry::TxnEnd { id: 1 }).unwrap();
+        let before = buf.clone();
+        let bad = LogEntry::Prov {
+            subject: subject(1),
+            record: ProvenanceRecord::new(
+                Attribute::Other("A".repeat(u16::MAX as usize + 1)),
+                Value::Int(0),
+            ),
+        };
+        assert!(encode_entry(&mut buf, &bad).is_err());
+        assert!(encode_group(&mut buf, &[LogEntry::TxnBegin { id: 2 }, bad]).is_err());
+        assert_eq!(buf, before);
+    }
+
     #[test]
     fn group_frame_flattens_to_member_entries() {
         let entries = sample_entries();
@@ -425,7 +479,11 @@ mod tests {
             encode_entry(&mut payload, e).unwrap();
         }
         let mut buf = BytesMut::new();
-        super::put_frame(&mut buf, 5, &payload).unwrap();
+        super::put_frame(&mut buf, 5, |b| {
+            b.put_slice(&payload);
+            Ok(())
+        })
+        .unwrap();
         let (parsed, tail) = parse_log(&buf);
         assert!(parsed.is_empty());
         assert_eq!(tail, LogTail::Corrupt { at: 0 });
@@ -441,7 +499,11 @@ mod tests {
         payload.put_u32_le(1);
         payload.put_slice(&inner);
         let mut buf = BytesMut::new();
-        super::put_frame(&mut buf, 5, &payload).unwrap();
+        super::put_frame(&mut buf, 5, |b| {
+            b.put_slice(&payload);
+            Ok(())
+        })
+        .unwrap();
         let (parsed, tail) = parse_log(&buf);
         assert!(parsed.is_empty());
         assert_eq!(tail, LogTail::Corrupt { at: 0 });

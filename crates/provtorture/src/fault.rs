@@ -2,8 +2,8 @@
 //!
 //! Each [`Fault`] is one *kind* of tamper or crash, aimed at one
 //! durable artifact of the stack: a rotated Lasagna log, a published
-//! checkpoint manifest, a checkpoint segment, the database WAL, or
-//! the checkpoint publication protocol itself. Where exactly the
+//! checkpoint manifest, a checkpoint base segment or delta segment,
+//! the database WAL, or the checkpoint publication protocol itself. Where exactly the
 //! fault lands (which log, which byte, which bit, which crash point)
 //! is drawn from the case's [`TortureRng`], so a fault kind names a
 //! *family* of injections and the seed picks the member — same seed,
@@ -48,6 +48,10 @@ pub enum Fault {
     TruncateManifest,
     /// Unlink the newest generation of a seeded checkpoint segment.
     DropSegment,
+    /// Flip one seeded bit of the newest checkpoint's delta segment.
+    FlipDeltaBit,
+    /// Unlink the newest checkpoint's delta segment.
+    DropDelta,
     /// Cut the database WAL mid-frame at a seeded offset.
     TruncateWal,
     /// Flip one seeded bit of the database WAL.
@@ -55,7 +59,7 @@ pub enum Fault {
 }
 
 /// Every fault kind, in matrix order.
-pub const ALL_FAULTS: [Fault; 10] = [
+pub const ALL_FAULTS: [Fault; 12] = [
     Fault::TruncateLog,
     Fault::FlipLogBit,
     Fault::ForgeBatchId,
@@ -64,6 +68,8 @@ pub const ALL_FAULTS: [Fault; 10] = [
     Fault::FlipManifestBit,
     Fault::TruncateManifest,
     Fault::DropSegment,
+    Fault::FlipDeltaBit,
+    Fault::DropDelta,
     Fault::TruncateWal,
     Fault::FlipWalBit,
 ];
@@ -80,6 +86,8 @@ impl Fault {
             Fault::FlipManifestBit => "flip-manifest-bit",
             Fault::TruncateManifest => "truncate-manifest",
             Fault::DropSegment => "drop-segment",
+            Fault::FlipDeltaBit => "flip-delta-bit",
+            Fault::DropDelta => "drop-delta",
             Fault::TruncateWal => "truncate-wal",
             Fault::FlipWalBit => "flip-wal-bit",
         }
@@ -101,9 +109,22 @@ impl Fault {
             Fault::FlipManifestBit
                 | Fault::TruncateManifest
                 | Fault::DropSegment
+                | Fault::FlipDeltaBit
+                | Fault::DropDelta
                 | Fault::TruncateWal
                 | Fault::FlipWalBit
         )
+    }
+
+    /// Should the run's *schedule* keep the final round light (the
+    /// disclosure transaction only, no workload pass)? True for the
+    /// delta faults: a checkpoint is a delta only while the chain is
+    /// smaller than its base, so a final round as heavy as the first
+    /// would rewrite the base and leave no delta to tamper with. Like
+    /// [`Fault::skips_final_checkpoint`] this is a property of the
+    /// fault kind, shared by both twins.
+    pub fn wants_light_final_round(&self) -> bool {
+        matches!(self, Fault::FlipDeltaBit | Fault::DropDelta)
     }
 
     /// Is this fault a crash of the checkpoint publish protocol?
@@ -260,6 +281,18 @@ impl Fault {
                 kernel.unlink(pid, victim).ok()?;
                 Some(format!("unlinked {victim}"))
             }
+            Fault::FlipDeltaBit => {
+                let path = newest_delta(kernel, pid, &ckpt_dir)?;
+                let mut data = kernel.read_file(pid, &path).ok()?;
+                let (pos, bit) = flip_random_bit(&mut data, rng);
+                kernel.write_file(pid, &path, &data).ok()?;
+                Some(format!("flipped bit {bit} of byte {pos} in {path}"))
+            }
+            Fault::DropDelta => {
+                let victim = newest_delta(kernel, pid, &ckpt_dir)?;
+                kernel.unlink(pid, &victim).ok()?;
+                Some(format!("unlinked {victim}"))
+            }
             Fault::TruncateWal => {
                 let path = format!("{db_dir}/wal");
                 let data = kernel.read_file(pid, &path).ok()?;
@@ -362,6 +395,20 @@ fn newest_manifest(kernel: &mut Kernel, pid: Pid, dir: &str) -> Option<String> {
         })
         .max()
         .map(|seq| format!("{dir}/manifest.{seq}"))
+}
+
+/// The `delta.{from}-{to}` path in `dir` reaching the highest
+/// sequence — the one only the newest manifest references — if any.
+fn newest_delta(kernel: &mut Kernel, pid: Pid, dir: &str) -> Option<String> {
+    let entries = kernel.readdir(pid, dir).ok()?;
+    entries
+        .iter()
+        .filter_map(|e| {
+            let (_, to) = e.name.strip_prefix("delta.")?.split_once('-')?;
+            Some((to.parse::<u64>().ok()?, &e.name))
+        })
+        .max()
+        .map(|(_, name)| format!("{dir}/{name}"))
 }
 
 /// Every `shard{i}.g{gen}.seg` in `dir` as `(shard, gen, path)`.

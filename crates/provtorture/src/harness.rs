@@ -186,6 +186,10 @@ struct Schedule {
     /// Skip the final per-member checkpoint, leaving the WAL
     /// populated (WAL-targeted faults need bytes to tamper with).
     skip_last_checkpoint: bool,
+    /// Run only the per-volume disclosure transaction in the final
+    /// round, so its checkpoint is a delta (delta-targeted faults
+    /// need one to tamper with).
+    light_last_round: bool,
 }
 
 struct RunOutput {
@@ -250,6 +254,7 @@ pub fn torture_with_recorder(
 ) -> CaseReport {
     let schedule = Schedule {
         skip_last_checkpoint: fault.skips_final_checkpoint(),
+        light_last_round: fault.wants_light_final_round(),
     };
     let mut fault_rng = TortureRng::for_case(seed, w.name(), topo.name(), fault.name());
     let faulted = execute(w, topo, Some(fault), schedule, &mut fault_rng, recorder);
@@ -282,6 +287,7 @@ pub fn run_clean(w: &dyn Workload, topo: Topology, seed: u64) -> CleanRun {
     let mut rng = TortureRng::for_case(seed, w.name(), topo.name(), "clean");
     let schedule = Schedule {
         skip_last_checkpoint: false,
+        light_last_round: false,
     };
     let out = execute(w, topo, None, schedule, &mut rng, None);
     assert!(
@@ -346,8 +352,10 @@ fn execute(
             sys.kernel
                 .mkdir_p(driver, &base)
                 .expect("workload base dir");
-            w.run(&mut sys.kernel, driver, &base)
-                .expect("workload run under the torture harness");
+            if !(last && schedule.light_last_round) {
+                w.run(&mut sys.kernel, driver, &base)
+                    .expect("workload run under the torture harness");
+            }
             // One disclosure transaction per volume per round: a
             // guaranteed KIND_GROUP batch, so every round has a
             // committed volume-salted batch id for the replay and

@@ -27,7 +27,7 @@ fn tiny_build() -> SelfIngest {
 ///   and harmless (byte-equal) everywhere;
 /// * a torn checkpoint publish must always be harmless — that is the
 ///   crash-consistency contract;
-/// * durable-state tampers (manifest, segment, WAL) are invisible to
+/// * durable-state tampers (manifest, segment, delta, WAL) are invisible to
 ///   a daemon that never restarts, so `SingleDaemon` expects
 ///   `Harmless` and the restart topologies demand detection.
 fn allowed(topo: Topology, fault: Fault) -> &'static [Verdict] {
@@ -39,6 +39,8 @@ fn allowed(topo: Topology, fault: Fault) -> &'static [Verdict] {
         Fault::FlipManifestBit
         | Fault::TruncateManifest
         | Fault::DropSegment
+        | Fault::FlipDeltaBit
+        | Fault::DropDelta
         | Fault::TruncateWal
         | Fault::FlipWalBit => {
             if topo == Topology::SingleDaemon {

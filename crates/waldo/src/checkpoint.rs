@@ -1,43 +1,64 @@
-//! The checkpoint subsystem: durable per-shard segments, an atomic
-//! manifest, WAL truncation and cold restart.
+//! The checkpoint subsystem: a durable base image plus a chain of
+//! delta segments, an atomic manifest, WAL truncation and cold
+//! restart.
 //!
 //! After PR 1 the store was durable in name only: every group commit
 //! fsynced an accounting frame to the db WAL, but shard contents lived
 //! in memory and fully-committed Lasagna logs were unlinked — a
 //! machine crash was unrecoverable and the WAL grew forever. This
-//! module adds the missing storage layer:
+//! module is the storage layer under that:
 //!
-//! * **segments** (`crate::segment`) — a versioned, checksummed
-//!   image of one shard, written only for shards whose generation
-//!   advanced since the last checkpoint (incremental);
+//! * **base segments** (`crate::segment`) — a versioned, checksummed
+//!   image of each shard. Writing the base costs O(store), so it
+//!   happens only when it must: there is no base yet, the store could
+//!   not record what changed since the last checkpoint
+//!   (`Store::take_delta` is `None`: a restore, a merge), or the delta
+//!   chain has grown to the size of the base;
+//! * **delta segments** (`crate::delta`) — what the group commits
+//!   since the previous checkpoint applied, one file per checkpoint,
+//!   O(change). Pnode-hash sharding spreads every commit over every
+//!   shard, so re-imaging "only the shards that changed" re-images
+//!   the store; the delta is what is actually incremental;
 //! * **manifest** (`crate::manifest`) — the atomic commit point:
 //!   written to a temporary name, fsynced, renamed into place
-//!   (`manifest.<seq>`), binding segment checksums to the commit
-//!   sequence plus the store-level replay state;
+//!   (`manifest.<seq>`), binding the base's and every delta's
+//!   checksum to the commit sequence plus the store-level replay
+//!   state;
 //! * **WAL truncation** — frames at or below the published sequence
 //!   are dropped (the checkpoint supersedes them), bounding the WAL
 //!   by the checkpoint policy in
 //!   [`crate::WaldoConfig`];
 //! * **cold restart** (`Waldo::restart`) — loads the newest *complete*
-//!   checkpoint (a damaged manifest or segment falls back to the
-//!   previous one), rehydrates shards, validates surviving WAL
-//!   frames, and replays retained Lasagna logs from the per-log
-//!   high-water marks.
+//!   checkpoint (a damaged manifest, segment or delta falls back to
+//!   the previous one): rehydrates shards from the base, replays the
+//!   delta chain through the ordinary commit path, validates
+//!   surviving WAL frames, and replays retained Lasagna logs from the
+//!   per-log high-water marks.
+//!
+//! The rewrite rule is a constant, not a knob: rewriting the base
+//! when the chain's bytes reach the base's bytes makes the base
+//! rewrites a doubling series, so total checkpoint bytes stay within
+//! a small constant of the final store size (O(N), where re-imaging
+//! every checkpoint is O(N²)), bounds restart replay by the base
+//! size, and bounds the directory at about twice the store. A larger
+//! ratio would trade restart time for write volume and a smaller one
+//! the reverse; no caller needs either.
 //!
 //! Correctness rests on log retention: the daemon unlinks a
 //! fully-committed log only once a **full complement** of
 //! `keep_checkpoints` manifests exists *and* the oldest of them
 //! covers the log's retirement sequence — so up to
 //! `keep_checkpoints - 1` damaged *manifests or per-checkpoint
-//! segments* are survivable with every commit past the surviving
+//! files* are survivable with every commit past the surviving
 //! checkpoint still replayable from logs. One caveat bounds the
-//! guarantee: incremental checkpoints **share** the segment file of
-//! a shard that did not advance between them, so corruption of a
-//! shared segment damages every retained checkpoint that references
-//! it at once (the classic LSM shared-file tradeoff; copying
-//! segments per checkpoint would restore full independence at the
-//! cost of the incremental write savings). WAL frames past the
-//! checkpoint are therefore redundant accounting — restart validates
+//! guarantee: consecutive checkpoints **share** files — the base, and
+//! every delta but the newest — so corruption of a shared file
+//! damages every retained checkpoint that references it at once (the
+//! classic LSM shared-file tradeoff; copying files per checkpoint
+//! would restore full independence at the cost of the incremental
+//! write savings). Only a checkpoint's own newest delta, or the
+//! segments of a base rewrite, are private to it. WAL frames past the
+//! checkpoint are redundant accounting — restart validates
 //! and counts them but takes replay state from the manifest, never
 //! from frames (frames record marks whose in-memory effects died with
 //! the crash).
@@ -46,10 +67,11 @@ use sim_os::fs::FsError;
 use sim_os::proc::Pid;
 use sim_os::syscall::{Kernel, OpenFlags};
 
-use crate::manifest::{decode_manifest, encode_manifest, Manifest, SegmentRef};
-use crate::segment::{decode_shard, encode_shard, segment_crc};
+use crate::delta::{decode_delta, encode_delta};
+use crate::manifest::{decode_manifest, encode_manifest, DeltaRef, Manifest, SegmentRef};
+use crate::segment::{closing_crc, decode_shard, encode_shard};
 use crate::shard::Shard;
-use crate::store::{Store, WaldoConfig};
+use crate::store::{PendingDelta, Store, WaldoConfig};
 use crate::wal::parse_wal;
 
 /// Operational counters for the checkpoint subsystem, surfaced
@@ -58,10 +80,13 @@ use crate::wal::parse_wal;
 pub struct CheckpointStats {
     /// Checkpoints published (manifest renamed into place).
     pub checkpoints: u64,
-    /// Segment files written (incremental: unchanged shards are
-    /// reused from the previous checkpoint).
+    /// Base segment files written (a base rewrite writes one per
+    /// shard that advanced since the previous base).
     pub segments_written: u64,
-    /// Bytes of segment data written.
+    /// Delta segment files written (one per checkpoint that extended
+    /// the chain instead of rewriting the base).
+    pub deltas_written: u64,
+    /// Bytes of segment data written, base and delta together.
     pub segment_bytes: u64,
     /// WAL frames dropped by truncation.
     pub frames_truncated: u64,
@@ -77,6 +102,7 @@ impl provscope::MetricSource for CheckpointStats {
     fn record(&self, out: &mut dyn FnMut(&str, u64)) {
         out("checkpoints", self.checkpoints);
         out("segments_written", self.segments_written);
+        out("deltas_written", self.deltas_written);
         out("segment_bytes", self.segment_bytes);
         out("frames_truncated", self.frames_truncated);
         out("logs_retired", self.logs_retired);
@@ -89,7 +115,8 @@ impl provscope::MetricSource for CheckpointStats {
 /// uncrashed store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckpointCrash {
-    /// Segments written; no manifest yet (checkpoint invisible).
+    /// Segments (base or delta) written; no manifest yet (checkpoint
+    /// invisible).
     AfterSegments,
     /// Temporary manifest written and fsynced, not yet renamed.
     AfterTempManifest,
@@ -109,8 +136,13 @@ pub struct RestartReport {
     /// (`None` = no loadable checkpoint, full-log replay).
     pub loaded_seq: Option<u64>,
     /// Damaged checkpoints skipped before one loaded (corrupt or torn
-    /// manifest, checksum-mismatched segment).
+    /// manifest, checksum-mismatched or missing segment or delta).
     pub checkpoints_skipped: usize,
+    /// Bytes of base segments the loaded checkpoint rehydrated.
+    pub base_bytes: u64,
+    /// Bytes of delta chain replayed over that base — bounded by
+    /// `base_bytes` plus one delta, by the rewrite rule.
+    pub chain_bytes: u64,
     /// Valid durability frames found in the surviving WAL.
     pub wal_frames: u64,
     /// Of those, frames past the loaded checkpoint — commits whose
@@ -139,8 +171,12 @@ fn manifest_path(dir: &str, seq: u64) -> String {
     format!("{dir}/manifest.{seq}")
 }
 
-fn segment_path(dir: &str, shard: usize, generation: u64) -> String {
-    format!("{dir}/shard{shard}.g{generation}.seg")
+fn segment_name(shard: usize, generation: u64) -> String {
+    format!("shard{shard}.g{generation}.seg")
+}
+
+fn delta_name(from_seq: u64, to_seq: u64) -> String {
+    format!("delta.{from_seq}-{to_seq}")
 }
 
 /// Writes `data` then fsyncs before closing — the discipline every
@@ -152,14 +188,12 @@ fn write_synced(kernel: &mut Kernel, pid: Pid, path: &str, data: &[u8]) -> Resul
     kernel.close(pid, fd)
 }
 
-/// Serializes and writes segment files for every shard whose
-/// generation advanced past the previous checkpoint, reusing the
-/// previous checkpoint's segments for unchanged shards. (Old-format
-/// segments never survive this reuse: `try_load` bumps the
-/// generation of every shard it rehydrated from a v1 image, so the
-/// next checkpoint rewrites them — to a *new* path, leaving the old
-/// checkpoint's files untouched for fallback.) Returns the new
-/// per-shard refs plus (files written, bytes written).
+/// The full-image writer: serializes and writes a base segment for
+/// every shard, reusing the previous base's file for a shard whose
+/// generation has not moved since (one that nothing was ever routed
+/// to again). A rewritten shard gets a *new* path, so the previous
+/// base stays intact for the older checkpoints that reference it.
+/// Returns the per-shard refs plus (files written, bytes written).
 pub(crate) fn write_segments(
     kernel: &mut Kernel,
     pid: Pid,
@@ -187,16 +221,42 @@ pub(crate) fn write_segments(
             }
         }
         let img = store.with_shard(i, |shard| encode_shard(i as u32, shard, gen));
-        write_synced(kernel, pid, &segment_path(dir, i, gen), &img)?;
+        write_synced(
+            kernel,
+            pid,
+            &format!("{dir}/{}", segment_name(i, gen)),
+            &img,
+        )?;
         refs.push(SegmentRef {
             generation: gen,
             len: img.len() as u64,
-            crc: segment_crc(&img),
+            crc: closing_crc(&img).expect("an encoded segment ends in its CRC"),
         });
         written += 1;
         bytes += img.len() as u64;
     }
     Ok((refs, written, bytes))
+}
+
+/// The delta writer: closes the store's applied-entry record, taken
+/// at commit sequence `to_seq`, into one CRC-closed, fsynced
+/// `delta.<from_seq>-<to_seq>` file.
+pub(crate) fn write_delta(
+    kernel: &mut Kernel,
+    pid: Pid,
+    dir: &str,
+    delta: &PendingDelta,
+    to_seq: u64,
+) -> Result<DeltaRef, FsError> {
+    let img = encode_delta(delta.from_seq, to_seq, &delta.groups);
+    let name = delta_name(delta.from_seq, to_seq);
+    write_synced(kernel, pid, &format!("{dir}/{name}"), &img)?;
+    Ok(DeltaRef {
+        from_seq: delta.from_seq,
+        to_seq,
+        len: img.len() as u64,
+        crc: closing_crc(&img).expect("an encoded delta ends in its CRC"),
+    })
 }
 
 /// Writes the manifest under its temporary name and fsyncs it.
@@ -264,13 +324,6 @@ pub(crate) fn rename_wal(kernel: &mut Kernel, pid: Pid, wal: &str) -> Result<(),
     kernel.rename(pid, &format!("{wal}.tmp"), wal)
 }
 
-/// Removes one manifest file (used by restart to discard manifests
-/// that failed to load; their segments are collected by the next
-/// checkpoint's GC).
-pub(crate) fn remove_manifest(kernel: &mut Kernel, pid: Pid, dir: &str, seq: u64) {
-    let _ = kernel.unlink(pid, &manifest_path(dir, seq));
-}
-
 /// Manifest sequence numbers present in `dir`, ascending.
 pub(crate) fn list_manifests(kernel: &mut Kernel, pid: Pid, dir: &str) -> Vec<u64> {
     let Ok(entries) = kernel.readdir(pid, dir) else {
@@ -288,44 +341,88 @@ pub(crate) fn list_manifests(kernel: &mut Kernel, pid: Pid, dir: &str) -> Vec<u6
     seqs
 }
 
-/// Garbage-collects the checkpoint directory: keeps the newest `keep`
-/// manifests, removes older ones plus every segment file none of the
-/// kept manifests references. Returns the retained sequence numbers,
-/// ascending — the oldest is the retention floor source logs are
-/// gated on.
-pub(crate) fn collect_garbage(kernel: &mut Kernel, pid: Pid, dir: &str, keep: usize) -> Vec<u64> {
-    let seqs = list_manifests(kernel, pid, dir);
-    let keep = keep.max(1);
-    let cut = seqs.len().saturating_sub(keep);
-    let (drop_seqs, kept) = seqs.split_at(cut);
-    let mut referenced: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for seq in kept {
-        let Ok(data) = kernel.read_file(pid, &manifest_path(dir, *seq)) else {
-            continue;
-        };
-        // A kept-but-damaged manifest contributes no references; its
-        // segments become collectable, which is fine — it could not
-        // have been restarted from anyway.
-        let Ok(m) = decode_manifest(&data) else {
-            continue;
-        };
-        for (i, seg) in m.segments.iter().enumerate() {
-            if !seg.is_empty() {
-                referenced.insert(format!("shard{i}.g{}.seg", seg.generation));
-            }
+/// A published checkpoint still on disk, with the data files its
+/// manifest names. The daemon keeps these beside its retention floor
+/// so steady-state garbage collection is unlinks only: it wrote the
+/// manifests itself and need not read them back.
+#[derive(Clone, Debug)]
+pub(crate) struct Retained {
+    pub seq: u64,
+    /// Base segment and delta file names (no directory).
+    files: Vec<String>,
+}
+
+impl Retained {
+    pub fn of(m: &Manifest) -> Retained {
+        let segments = m
+            .segments
+            .iter()
+            .enumerate()
+            .filter(|(_, seg)| !seg.is_empty())
+            .map(|(i, seg)| segment_name(i, seg.generation));
+        let deltas = m.deltas.iter().map(|d| delta_name(d.from_seq, d.to_seq));
+        Retained {
+            seq: m.seq,
+            files: segments.chain(deltas).collect(),
         }
     }
-    for seq in drop_seqs {
-        let _ = kernel.unlink(pid, &manifest_path(dir, *seq));
+}
+
+/// Takes stock of a checkpoint directory a daemon is attaching to —
+/// the one time retention state is rebuilt from disk. Manifests ahead
+/// of `seq_now` are deleted (see `Waldo::attach_db_dir` for why they
+/// must not merely be ignored); the rest are returned ascending with
+/// the files they reference, and every segment or delta file none of
+/// them references — the leavings of a crashed or failed checkpoint,
+/// or of the deleted manifests — is unlinked. A kept-but-damaged
+/// manifest contributes no references; its files become collectable,
+/// which is fine — it could not have been restarted from anyway.
+pub(crate) fn adopt_directory(
+    kernel: &mut Kernel,
+    pid: Pid,
+    dir: &str,
+    seq_now: u64,
+) -> Vec<Retained> {
+    let mut retained = Vec::new();
+    for seq in list_manifests(kernel, pid, dir) {
+        let path = manifest_path(dir, seq);
+        if seq > seq_now {
+            let _ = kernel.unlink(pid, &path);
+            continue;
+        }
+        let files = kernel
+            .read_file(pid, &path)
+            .ok()
+            .and_then(|data| decode_manifest(&data).ok())
+            .map_or_else(Vec::new, |m| Retained::of(&m).files);
+        retained.push(Retained { seq, files });
     }
     if let Ok(entries) = kernel.readdir(pid, dir) {
         for e in entries {
-            if e.name.ends_with(".seg") && !referenced.contains(&e.name) {
+            let data_file = e.name.ends_with(".seg") || e.name.starts_with("delta.");
+            if data_file && !retained.iter().any(|r| r.files.contains(&e.name)) {
                 let _ = kernel.unlink(pid, &format!("{dir}/{}", e.name));
             }
         }
     }
-    kept.to_vec()
+    retained
+}
+
+/// Removes a checkpoint that rotated out of retention: its manifest,
+/// and each of its files that no checkpoint in `kept` still shares.
+pub(crate) fn drop_checkpoint(
+    kernel: &mut Kernel,
+    pid: Pid,
+    dir: &str,
+    dropped: &Retained,
+    kept: &[Retained],
+) {
+    let _ = kernel.unlink(pid, &manifest_path(dir, dropped.seq));
+    for f in &dropped.files {
+        if !kept.iter().any(|k| k.files.contains(f)) {
+            let _ = kernel.unlink(pid, &format!("{dir}/{f}"));
+        }
+    }
 }
 
 /// A checkpoint successfully loaded from disk.
@@ -338,7 +435,7 @@ pub(crate) struct LoadedCheckpoint {
 
 /// Loads the newest complete checkpoint from `dir`: tries manifests
 /// newest-first, validating the manifest codec and every referenced
-/// segment's length, checksum and identity; a damaged checkpoint is
+/// file's length, checksum and identity; a damaged checkpoint is
 /// skipped in favor of its predecessor (which means a longer log
 /// replay for the caller).
 pub(crate) fn load_latest(
@@ -365,6 +462,14 @@ pub(crate) fn load_latest(
     None
 }
 
+/// Reads a checkpoint data file and checks it against the length and
+/// closing CRC its manifest recorded; the decoder then checks the body
+/// against that CRC.
+fn read_bound(kernel: &mut Kernel, pid: Pid, path: &str, len: u64, crc: u32) -> Option<Vec<u8>> {
+    let img = kernel.read_file(pid, path).ok()?;
+    (img.len() as u64 == len && closing_crc(&img) == Some(crc)).then_some(img)
+}
+
 fn try_load(
     kernel: &mut Kernel,
     pid: Pid,
@@ -383,28 +488,17 @@ fn try_load(
             shards.push(Shard::default());
             continue;
         }
-        let img = kernel
-            .read_file(pid, &segment_path(dir, i, seg.generation))
-            .ok()?;
-        if img.len() as u64 != seg.len || segment_crc(&img) != seg.crc {
-            return None;
-        }
-        let (idx, mut shard) = decode_shard(&img).ok()?;
+        let path = format!("{dir}/{}", segment_name(i, seg.generation));
+        let img = read_bound(kernel, pid, &path, seg.len, seg.crc)?;
+        let (idx, shard) = decode_shard(&img).ok()?;
         if idx as usize != i || shard.generation != seg.generation {
             return None;
         }
-        // An old-format image (v1: attribute index rebuilt at decode)
-        // must not be carried forward by incremental checkpoints, or
-        // every future restart repeats the rebuild. Bumping the
-        // generation makes the next checkpoint rewrite this shard in
-        // the current format — under a *new* path, so the loaded
-        // (old) checkpoint stays intact as a fallback until garbage
-        // collection rotates it out.
-        if crate::segment::image_format_version(&img) < crate::segment::SEGMENT_VERSION {
-            shard.generation += 1;
-        }
         shards.push(shard);
     }
+    // Replay state and the commit sequence are the manifest's (as of
+    // `seq`); shard contents are the base's (as of `base_seq`) until
+    // the chain below carries them forward.
     let store = Store::restore(
         cfg,
         shards,
@@ -415,127 +509,79 @@ fn try_load(
         m.batch_hw.clone(),
         m.replay_skip,
     );
+    for d in &m.deltas {
+        let path = format!("{dir}/{}", delta_name(d.from_seq, d.to_seq));
+        let img = read_bound(kernel, pid, &path, d.len, d.crc)?;
+        let delta = decode_delta(&img).ok()?;
+        if (delta.from_seq, delta.to_seq) != (d.from_seq, d.to_seq) {
+            return None;
+        }
+        for group in &delta.groups {
+            store.replay_group(group);
+        }
+    }
     Some((store, m))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaGroups;
+    use crate::Waldo;
     use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
     use lasagna::LogEntry;
     use sim_os::clock::Clock;
     use sim_os::cost::CostModel;
     use sim_os::fs::basefs::BaseFs;
 
-    /// A pre-upgrade (segment v1) checkpoint on disk: loading it
-    /// rebuilds the attribute index AND bumps the rehydrated shards'
-    /// generations, so the next incremental checkpoint rewrites every
-    /// v1 segment in the current format — at new paths, leaving the
-    /// old checkpoint intact for fallback. Without the bump, a
-    /// quiescent shard's v1 segment would be carried forward forever
-    /// and every restart would repeat the rebuild.
+    fn named(i: u64, name: &str) -> LogEntry {
+        LogEntry::Prov {
+            subject: ObjectRef::new(Pnode::new(VolumeId(1), i), Version(0)),
+            record: ProvenanceRecord::new(Attribute::Name, Value::str(name)),
+        }
+    }
+
+    /// The loader checks a file against what the manifest recorded
+    /// for it, not merely against itself: a delta swapped for another
+    /// well-formed one (an older incarnation's file under the same
+    /// name, say) makes the checkpoint unloadable instead of silently
+    /// loading a different store.
     #[test]
-    fn v1_segments_are_rewritten_by_the_next_checkpoint() {
+    fn a_valid_delta_the_manifest_did_not_bind_is_rejected() {
         let clock = Clock::new();
         let mut kernel = Kernel::new(clock.clone(), CostModel::default());
         kernel.mount("/", Box::new(BaseFs::new(clock, CostModel::default())));
         let pid = kernel.spawn_init("waldo");
-        let dir = "/db/checkpoints";
-        kernel.mkdir_p(pid, dir).unwrap();
-
-        // A store with an application attribute (so the index is
-        // non-trivial), checkpointed by hand in segment format v1.
         let cfg = WaldoConfig {
-            shards: 2,
-            ancestry_cache: 0,
+            checkpoint_commits: 0,
+            checkpoint_wal_bytes: 0,
             ..WaldoConfig::default()
         };
-        let store = Store::with_config(cfg);
-        let entries: Vec<LogEntry> = (1..6u64)
-            .map(|i| LogEntry::Prov {
-                subject: ObjectRef::new(Pnode::new(VolumeId(1), i), Version(0)),
-                record: ProvenanceRecord::new(
-                    Attribute::Other("PHASE".into()),
-                    Value::str("align"),
-                ),
-            })
-            .collect();
-        store.ingest(&entries);
-        let mut segments = Vec::new();
-        for i in 0..store.shard_count() {
-            let gen = store.shard_generation(i);
-            if gen == 0 {
-                segments.push(SegmentRef {
-                    generation: 0,
-                    len: 0,
-                    crc: 0,
-                });
-                continue;
-            }
-            let img = store.with_shard(i, |shard| {
-                crate::segment::encode_shard_versioned(i as u32, shard, gen, 1)
-            });
-            write_synced(&mut kernel, pid, &segment_path(dir, i, gen), &img).unwrap();
-            segments.push(SegmentRef {
-                generation: gen,
-                len: img.len() as u64,
-                crc: segment_crc(&img),
-            });
-        }
-        let manifest = Manifest {
-            seq: store.commit_seq(),
-            segments: segments.clone(),
-            txns: Vec::new(),
-            commit_txn: None,
-            sources: Vec::new(),
-            batch_hw: Vec::new(),
-            replay_skip: None,
-        };
-        write_temp_manifest(&mut kernel, pid, dir, &manifest).unwrap();
-        rename_manifest(&mut kernel, pid, dir, manifest.seq).unwrap();
+        let mut waldo = Waldo::with_config(pid, cfg);
+        waldo.attach_db_dir(&mut kernel, "/db").unwrap();
+        let base: Vec<LogEntry> = (1..40).map(|i| named(i, &format!("/base{i}"))).collect();
+        waldo.db.ingest(&base);
+        assert!(waldo.checkpoint(&mut kernel).unwrap());
+        let base_seq = waldo.db.commit_seq();
+        waldo.db.ingest(&[named(50, "/mine")]);
+        assert!(waldo.checkpoint(&mut kernel).unwrap());
+        assert_eq!(waldo.checkpoint_stats().deltas_written, 1);
+        let seq = waldo.db.commit_seq();
+        drop(waldo);
 
-        // Load: contents equal, index rebuilt, generations bumped for
-        // every shard that came from a v1 image.
+        let dir = "/db/checkpoints";
         let loaded = load_latest(&mut kernel, pid, dir, cfg).unwrap();
-        assert_eq!(loaded.store.segment_images(), store.segment_images());
-        assert_eq!(
-            loaded.store.find_by_attr("PHASE", "align").len(),
-            5,
-            "index rebuilt from v1 objects"
-        );
-        for (i, seg) in segments.iter().enumerate() {
-            if !seg.is_empty() {
-                assert_eq!(
-                    loaded.store.shard_generation(i),
-                    seg.generation + 1,
-                    "shard {i}"
-                );
-            }
-        }
+        assert_eq!((loaded.manifest.seq, loaded.skipped), (seq, 0));
 
-        // The next checkpoint rewrites every v1 shard (new paths),
-        // and the old checkpoint's files survive untouched.
-        let (refs, written, _) =
-            write_segments(&mut kernel, pid, &loaded.store, dir, Some(&loaded.manifest)).unwrap();
-        let live = segments.iter().filter(|s| !s.is_empty()).count() as u64;
-        assert_eq!(written, live, "every v1 segment must be rewritten");
-        for (i, r) in refs.iter().enumerate() {
-            if segments[i].is_empty() {
-                continue;
-            }
-            assert_eq!(r.generation, segments[i].generation + 1);
-            let new = kernel
-                .read_file(pid, &segment_path(dir, i, r.generation))
-                .unwrap();
-            assert_eq!(crate::segment::image_format_version(&new), 2);
-            let old = kernel
-                .read_file(pid, &segment_path(dir, i, segments[i].generation))
-                .unwrap();
-            assert_eq!(
-                segment_crc(&old),
-                segments[i].crc,
-                "the v1 checkpoint must stay intact for fallback"
-            );
-        }
+        let mut groups = DeltaGroups::default();
+        groups.push(&[&named(50, "/evil-twin")]);
+        let forged = encode_delta(base_seq, seq, &groups);
+        assert!(decode_delta(&forged).is_ok());
+        let path = format!("{dir}/{}", delta_name(base_seq, seq));
+        kernel.write_file(pid, &path, &forged).unwrap();
+
+        let loaded = load_latest(&mut kernel, pid, dir, cfg).unwrap();
+        assert_eq!((loaded.manifest.seq, loaded.skipped), (base_seq, 1));
+        assert!(loaded.store.find_by_name("/evil-twin").is_empty());
     }
 }

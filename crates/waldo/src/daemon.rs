@@ -26,18 +26,20 @@
 //! * every group commit appends its frame to `<dir>/wal` and fsyncs;
 //! * by the policy in [`WaldoConfig`] (commit count or WAL size) the
 //!   daemon publishes a **checkpoint** under `<dir>/checkpoints` —
-//!   incremental per-shard segments plus an atomically renamed
-//!   manifest (see [`crate::checkpoint`]) — then truncates WAL frames
-//!   at or below the manifest's sequence;
+//!   one delta segment holding what was applied since the last
+//!   checkpoint (or, when it must, a fresh base image of every shard)
+//!   plus an atomically renamed manifest (see [`crate::checkpoint`])
+//!   — then truncates WAL frames at or below the manifest's sequence;
 //! * a fully committed log is unlinked only once a full complement
 //!   of `keep_checkpoints` manifests exists and the **oldest** covers
 //!   its retirement, so even with `keep_checkpoints - 1` damaged
 //!   checkpoints everything stays replayable (caveat: a corrupt
-//!   segment *shared* by every retained checkpoint defeats this —
-//!   see `crate::checkpoint`);
+//!   file *shared* by every retained checkpoint — the base, an older
+//!   delta — defeats this; see `crate::checkpoint`);
 //! * [`Waldo::restart`] rebuilds the store after a machine crash:
-//!   newest complete checkpoint, surviving WAL frames (validated),
-//!   then replay of retained logs from the per-log marks.
+//!   newest complete checkpoint (base, then its delta chain),
+//!   surviving WAL frames (validated), then replay of retained logs
+//!   from the per-log marks.
 //!
 //! The legacy [`Waldo::attach_db_device`] keeps the PR 1 behavior (a
 //! WAL with no checkpoints) for comparison; without either, the store
@@ -48,7 +50,7 @@ use sim_os::fs::FsError;
 use sim_os::proc::{Fd, MountId, Pid};
 use sim_os::syscall::{Kernel, OpenFlags};
 
-use crate::checkpoint::{self, CheckpointCrash, CheckpointStats, RestartReport};
+use crate::checkpoint::{self, CheckpointCrash, CheckpointStats, RestartReport, Retained};
 use crate::db::{IngestStats, WaldoConfig};
 use crate::manifest::Manifest;
 use crate::store::Store;
@@ -200,15 +202,18 @@ pub struct Waldo {
     /// Group commits since the last published checkpoint (drives the
     /// `checkpoint_commits` trigger).
     commits_since_checkpoint: u64,
-    /// The newest published manifest; its segment refs make the next
-    /// checkpoint incremental.
+    /// The newest published manifest; the next checkpoint extends its
+    /// delta chain, or rewrites its base.
     last_manifest: Option<Manifest>,
-    /// Manifest sequences retained on disk, ascending. Once a full
-    /// complement of `keep_checkpoints` exists, the oldest of them is
-    /// the **retention floor** (see [`Waldo::checkpoint`] internals):
+    /// Checkpoints retained on disk, ascending by sequence, each with
+    /// the files its manifest names — rebuilt from disk only when a
+    /// directory is attached, kept current by the daemon's own
+    /// publications after that. Once a full complement of
+    /// `keep_checkpoints` exists, the oldest of them is the
+    /// **retention floor** (see [`Waldo::checkpoint`] internals):
     /// logs retired at or below it survive in every checkpoint a
     /// restart could fall back to. Until then nothing is unlinked.
-    retained: Vec<u64>,
+    retained: Vec<Retained>,
     /// Fully committed logs gated on the retention floor.
     retired_logs: Vec<RetiredLog>,
     /// Logs drained by [`Waldo::ingest_images_offline`] whose
@@ -351,6 +356,8 @@ impl Waldo {
         if let Some(loaded) = checkpoint::load_latest(kernel, pid, &dir, cfg) {
             report.loaded_seq = Some(loaded.manifest.seq);
             report.checkpoints_skipped = loaded.skipped;
+            report.base_bytes = loaded.manifest.base_bytes();
+            report.chain_bytes = loaded.manifest.chain_bytes();
             w.db = loaded.store;
             w.last_manifest = Some(loaded.manifest);
         } else {
@@ -382,9 +389,10 @@ impl Waldo {
         }
         // attach_db_dir below also deletes every manifest ahead of the
         // store's restored history — which here is exactly the set of
-        // damaged manifests load_latest tried and skipped. They can
-        // never load again, and left on disk they would inflate the
-        // retention floor and shadow fresh checkpoints in GC.
+        // damaged manifests load_latest tried and skipped — and the
+        // files only they referenced. They can never load again, and
+        // left on disk they would inflate the retention floor and
+        // shadow fresh checkpoints in GC.
         w.attach_db_dir(kernel, db_dir)?;
         // A manifest snapshots source marks *before* covered logs are
         // unlinked, so it can carry slots for files that no longer
@@ -455,19 +463,10 @@ impl Waldo {
         // `Waldo::restart` to *adopt* checkpoints) or were tried and
         // found damaged by a restart's loader. They must be deleted,
         // not merely ignored: counted into the retention floor they
-        // would unlink new, uncheckpointed logs; left on disk,
-        // garbage collection would later prefer their high sequences
-        // over this daemon's real checkpoints and a future restart
-        // would resurrect the stale store.
-        let mut retained = Vec::new();
-        for seq in checkpoint::list_manifests(kernel, self.pid, &ckpt) {
-            if seq <= seq_now {
-                retained.push(seq);
-            } else {
-                checkpoint::remove_manifest(kernel, self.pid, &ckpt, seq);
-            }
-        }
-        self.retained = retained;
+        // would unlink new, uncheckpointed logs; left on disk, a
+        // future restart would prefer their high sequences over this
+        // daemon's real checkpoints and resurrect the stale store.
+        self.retained = checkpoint::adopt_directory(kernel, self.pid, &ckpt, seq_now);
         self.db_dir = Some(db_dir.to_string());
         Ok(())
     }
@@ -583,7 +582,7 @@ impl Waldo {
     fn checkpoint_floor(&self) -> u64 {
         let keep = self.db.config().keep_checkpoints.max(1);
         if self.retained.len() >= keep {
-            self.retained[self.retained.len() - keep]
+            self.retained[self.retained.len() - keep].seq
         } else {
             0
         }
@@ -599,7 +598,7 @@ impl Waldo {
             || (cfg.checkpoint_wal_bytes > 0 && self.wal_len >= cfg.checkpoint_wal_bytes)
     }
 
-    /// Publishes a checkpoint now (segments for shards that advanced,
+    /// Publishes a checkpoint now (a delta segment or a base rewrite,
     /// manifest rename, WAL truncation, garbage collection, covered-
     /// log unlinking). Returns `Ok(true)` if one was published,
     /// `Ok(false)` if there was nothing new to checkpoint or no
@@ -653,15 +652,28 @@ impl Waldo {
             return Ok(false);
         }
         let dir = checkpoint::checkpoint_dir(&db_dir);
-        let (segments, written, bytes) = checkpoint::write_segments(
-            kernel,
-            self.pid,
-            &self.db,
-            &dir,
-            self.last_manifest.as_ref(),
-        )?;
-        self.ckpt_stats.segments_written += written;
-        self.ckpt_stats.segment_bytes += bytes;
+        // One delta writer, one full-image writer. The delta applies
+        // when the store recorded the commits since the last manifest;
+        // the store drops its record once the chain would outgrow the
+        // base (the budget armed below), so a missing record is also
+        // how "time to rewrite" arrives.
+        let (base_seq, segments, deltas) = match (&self.last_manifest, self.db.take_delta()) {
+            (Some(last), Some(delta)) if delta.from_seq == last.seq => {
+                let written = checkpoint::write_delta(kernel, self.pid, &dir, &delta, seq)?;
+                self.ckpt_stats.deltas_written += 1;
+                self.ckpt_stats.segment_bytes += written.len;
+                let mut deltas = last.deltas.clone();
+                deltas.push(written);
+                (last.base_seq, last.segments.clone(), deltas)
+            }
+            (last, _) => {
+                let (segments, written, bytes) =
+                    checkpoint::write_segments(kernel, self.pid, &self.db, &dir, last.as_ref())?;
+                self.ckpt_stats.segments_written += written;
+                self.ckpt_stats.segment_bytes += bytes;
+                (seq, segments, Vec::new())
+            }
+        };
         if crash == Some(CheckpointCrash::AfterSegments) {
             return Ok(false);
         }
@@ -669,7 +681,9 @@ impl Waldo {
         let (batch_hw, replay_skip) = self.db.batch_state();
         let manifest = Manifest {
             seq,
+            base_seq,
             segments,
+            deltas,
             txns,
             commit_txn,
             sources: self.db.source_state(),
@@ -682,6 +696,11 @@ impl Waldo {
         }
         checkpoint::rename_manifest(kernel, self.pid, &dir, seq)?;
         self.ckpt_stats.checkpoints += 1;
+        self.retained.push(Retained::of(&manifest));
+        // The chain may grow until its bytes reach the base's: past
+        // that the next checkpoint rewrites the base instead.
+        self.db
+            .track_delta(manifest.base_bytes().saturating_sub(manifest.chain_bytes()));
         self.last_manifest = Some(manifest);
         self.commits_since_checkpoint = 0;
         self.post_publish_pending = true;
@@ -733,8 +752,11 @@ impl Waldo {
         if crash == Some(CheckpointCrash::AfterWalTruncate) {
             return Ok(());
         }
-        self.retained =
-            checkpoint::collect_garbage(kernel, self.pid, &dir, self.db.config().keep_checkpoints);
+        let keep = self.db.config().keep_checkpoints.max(1);
+        while self.retained.len() > keep {
+            let dropped = self.retained.remove(0);
+            checkpoint::drop_checkpoint(kernel, self.pid, &dir, &dropped, &self.retained);
+        }
         self.unlink_covered(kernel);
         self.post_publish_pending = false;
         Ok(())
@@ -868,7 +890,9 @@ impl Waldo {
     /// [`Waldo::ingest_log_file`] of an unnamed, already-unlinked log:
     /// entries are staged without a replay source (the image cannot be
     /// re-read after a crash) and group-committed in the configured
-    /// batches.
+    /// batches, with the checkpoint policy run after every persisted
+    /// commit — a checkpoint is the only thing that carries these
+    /// entries across a machine crash.
     ///
     /// [`NfsServer::drain_provenance_logs`]: ../pa_nfs/struct.NfsServer.html#method.drain_provenance_logs
     pub fn ingest_log_image(&mut self, kernel: &mut Kernel, image: &[u8]) -> IngestStats {
@@ -910,11 +934,13 @@ impl Waldo {
                 }
             }
             self.db.stage(e, None);
-            if self.db.staged_len() >= batch {
-                self.commit_and_persist(kernel, &mut total);
+            if self.db.staged_len() >= batch && self.commit_and_persist(kernel, &mut total) {
+                self.maybe_checkpoint(kernel, &mut total);
             }
         }
-        self.commit_and_persist(kernel, &mut total);
+        if self.commit_and_persist(kernel, &mut total) {
+            self.maybe_checkpoint(kernel, &mut total);
+        }
         self.processed_logs += 1;
         for (_, h) in batch_spans {
             self.scope.close(h);

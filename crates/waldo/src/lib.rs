@@ -86,6 +86,7 @@ pub mod cluster;
 pub mod contention;
 pub mod daemon;
 pub mod db;
+pub(crate) mod delta;
 pub mod graph;
 pub(crate) mod manifest;
 pub(crate) mod segment;

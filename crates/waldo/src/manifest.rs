@@ -2,46 +2,51 @@
 //! checkpoint.
 //!
 //! A manifest binds, for one group-commit sequence number, the
-//! checksum of every shard's segment image to the store-level state a
-//! cold restart needs beyond shard contents: the open-transaction
-//! buffers (entries staged inside `TxnBegin`/`TxnEnd` pairs that had
-//! not closed at checkpoint time), the transaction the committed
-//! stream prefix was inside, and the per-source-log replay high-water
-//! marks — the points restart replays surviving Lasagna logs from.
+//! checksums of the files that hold the shard contents — a **base**
+//! (one segment image per shard, as of `base_seq`) plus the ordered
+//! chain of **delta** segments (`crate::delta`) that carry it from
+//! `base_seq` to `seq` — to the store-level state a cold restart needs
+//! beyond shard contents: the open-transaction buffers (entries staged
+//! inside `TxnBegin`/`TxnEnd` pairs that had not closed at checkpoint
+//! time), the transaction the committed stream prefix was inside, and
+//! the per-source-log replay high-water marks — the points restart
+//! replays surviving Lasagna logs from.
 //!
 //! ```text
-//! manifest := magic "WMAN", version u16, seq u64, shard_count u32,
+//! manifest := magic "WMAN", version u16, seq u64, base_seq u64,
+//!             shard_count u32,
 //!             shard_count × (generation u64, len u64, crc u32),
+//!             deltas u32, n × (from_seq u64, to_seq u64, len u64, crc u32),
 //!             commit_txn (u8 flag, u64),
 //!             txns u32, n × (id u64, entries u32, bytes u32, log image),
 //!             sources u32, n × (str path, mark u64),
-//!             [v3+] batch_hw u32, n × (volume u32, seq u64),
-//!             [v3+] replay_skip (u8 flag, u64),
+//!             batch_hw u32, n × (volume u32, seq u64),
+//!             replay_skip (u8 flag, u64),
 //!             crc32 u32
 //! ```
 //!
 //! `len == 0` marks an empty shard (generation 0, nothing ever
 //! committed): no segment file exists for it and the loader builds a
-//! fresh shard. The publisher writes the manifest to a temporary name,
-//! fsyncs, then renames — so a manifest either exists completely or
-//! not at all, and a torn image fails its CRC and is skipped in favor
-//! of the previous complete checkpoint.
+//! fresh shard. The chain is contiguous: the first delta starts at
+//! `base_seq`, each next one where its predecessor ended, the last
+//! ends at `seq` (and with no deltas `base_seq == seq`); the decoder
+//! rejects anything else. The publisher writes the manifest to a
+//! temporary name, fsyncs, then renames — so a manifest either exists
+//! completely or not at all, and a torn image fails its CRC and is
+//! skipped in favor of the previous complete checkpoint.
+//!
+//! Version 4 is the only version read or written: the decoder answers
+//! any other with [`DpapiError::Unsupported`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dpapi::{DpapiError, Result};
 use lasagna::{crc32, parse_log, LogEntry, LogTail};
 
 const MAGIC: &[u8; 4] = b"WMAN";
-/// Current manifest format version. v2 declares that the referenced
-/// segments carry the generalized attribute index (segment format
-/// v2) with the layout unchanged. v3 appends the per-volume batch
-/// replay high-water marks and the open replay-skip region after the
-/// source slots; pre-v3 manifests — which carry neither — decode
-/// with both empty, so a restart from an old checkpoint simply
-/// re-learns the marks as batches commit.
-pub const MANIFEST_VERSION: u16 = 3;
-/// Oldest manifest version the decoder accepts.
-pub const MANIFEST_MIN_VERSION: u16 = 1;
+/// The manifest format version, and the supported floor: v4 names a
+/// base plus a delta chain; older layouts (whole-store checkpoints
+/// only) are no longer decoded.
+pub const MANIFEST_VERSION: u16 = 4;
 
 /// One shard's segment as the manifest records it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,7 +56,7 @@ pub(crate) struct SegmentRef {
     pub generation: u64,
     /// Byte length of the segment file (0 = empty shard).
     pub len: u64,
-    /// CRC-32 of the whole segment file.
+    /// The segment file's closing CRC (`segment::closing_crc`).
     pub crc: u32,
 }
 
@@ -62,13 +67,30 @@ impl SegmentRef {
     }
 }
 
+/// One delta segment of the chain as the manifest records it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DeltaRef {
+    /// Commit sequence the delta extends.
+    pub from_seq: u64,
+    /// Commit sequence the delta reaches.
+    pub to_seq: u64,
+    /// Byte length of the delta file.
+    pub len: u64,
+    /// The delta file's closing CRC (`segment::closing_crc`).
+    pub crc: u32,
+}
+
 /// A decoded manifest.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Manifest {
     /// The group-commit sequence number the checkpoint captures.
     pub seq: u64,
-    /// Per-shard segment references (index = shard number).
+    /// The commit sequence the base segments were written at.
+    pub base_seq: u64,
+    /// The base: per-shard segment references (index = shard number).
     pub segments: Vec<SegmentRef>,
+    /// The delta chain from `base_seq` to `seq`, in replay order.
+    pub deltas: Vec<DeltaRef>,
     /// Open-transaction buffers at checkpoint time, sorted by id.
     pub txns: Vec<(u64, Vec<LogEntry>)>,
     /// The transaction the committed stream prefix was inside.
@@ -76,33 +98,44 @@ pub(crate) struct Manifest {
     /// Source-log replay slots: `(path, committed mark)`; an empty
     /// path is a free slot (kept to preserve handle indices).
     pub sources: Vec<(String, u64)>,
-    /// Per-volume batch replay high-water marks, sorted by volume
-    /// (v3+; empty when decoded from older manifests).
+    /// Per-volume batch replay high-water marks, sorted by volume.
     pub batch_hw: Vec<(u32, u64)>,
     /// The replayed batch the committed stream prefix was skipping
-    /// through, if a crash interrupted one (v3+).
+    /// through, if a crash interrupted one.
     pub replay_skip: Option<u64>,
 }
 
-/// Serializes a manifest at the current format version.
-pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    encode_manifest_versioned(m, MANIFEST_VERSION)
+impl Manifest {
+    /// Bytes of the base segment files.
+    pub fn base_bytes(&self) -> u64 {
+        self.segments.iter().map(|s| s.len).sum()
+    }
+
+    /// Bytes of the delta chain's files.
+    pub fn chain_bytes(&self) -> u64 {
+        self.deltas.iter().map(|d| d.len).sum()
+    }
 }
 
-/// Serializes a manifest at an explicit format version, omitting the
-/// sections that version did not define — so compatibility tests can
-/// produce byte-faithful old-format images instead of restamping the
-/// version field under a newer layout.
-pub(crate) fn encode_manifest_versioned(m: &Manifest, version: u16) -> Vec<u8> {
+/// Serializes a manifest.
+pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(256);
     buf.put_slice(MAGIC);
-    buf.put_u16_le(version);
+    buf.put_u16_le(MANIFEST_VERSION);
     buf.put_u64_le(m.seq);
+    buf.put_u64_le(m.base_seq);
     buf.put_u32_le(m.segments.len() as u32);
     for seg in &m.segments {
         buf.put_u64_le(seg.generation);
         buf.put_u64_le(seg.len);
         buf.put_u32_le(seg.crc);
+    }
+    buf.put_u32_le(m.deltas.len() as u32);
+    for d in &m.deltas {
+        buf.put_u64_le(d.from_seq);
+        buf.put_u64_le(d.to_seq);
+        buf.put_u64_le(d.len);
+        buf.put_u32_le(d.crc);
     }
     match m.commit_txn {
         Some(id) => {
@@ -134,21 +167,19 @@ pub(crate) fn encode_manifest_versioned(m: &Manifest, version: u16) -> Vec<u8> {
         buf.put_slice(path.as_bytes());
         buf.put_u64_le(*mark);
     }
-    if version >= 3 {
-        buf.put_u32_le(m.batch_hw.len() as u32);
-        for (volume, seq) in &m.batch_hw {
-            buf.put_u32_le(*volume);
-            buf.put_u64_le(*seq);
+    buf.put_u32_le(m.batch_hw.len() as u32);
+    for (volume, seq) in &m.batch_hw {
+        buf.put_u32_le(*volume);
+        buf.put_u64_le(*seq);
+    }
+    match m.replay_skip {
+        Some(id) => {
+            buf.put_u8(1);
+            buf.put_u64_le(id);
         }
-        match m.replay_skip {
-            Some(id) => {
-                buf.put_u8(1);
-                buf.put_u64_le(id);
-            }
-            None => {
-                buf.put_u8(0);
-                buf.put_u64_le(0);
-            }
+        None => {
+            buf.put_u8(0);
+            buf.put_u64_le(0);
         }
     }
     let crc = crc32(&buf);
@@ -165,7 +196,7 @@ fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
 
 /// Deserializes a manifest, validating magic, version and CRC.
 pub(crate) fn decode_manifest(data: &[u8]) -> Result<Manifest> {
-    if data.len() < 4 + 2 + 8 + 4 + 4 {
+    if data.len() < 4 + 2 + 8 + 8 + 4 + 4 {
         return Err(DpapiError::Malformed("manifest too short".into()));
     }
     let (body, crc_bytes) = data.split_at(data.len() - 4);
@@ -178,12 +209,11 @@ pub(crate) fn decode_manifest(data: &[u8]) -> Result<Manifest> {
         return Err(DpapiError::Malformed("bad manifest magic".into()));
     }
     let version = buf.get_u16_le();
-    if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
-        return Err(DpapiError::Malformed(format!(
-            "unsupported manifest version {version}"
-        )));
+    if version != MANIFEST_VERSION {
+        return Err(DpapiError::Unsupported("manifest format version"));
     }
     let seq = buf.get_u64_le();
+    let base_seq = buf.get_u64_le();
     need(&buf, 4, "shard count")?;
     let n_shards = buf.get_u32_le() as usize;
     if n_shards == 0 || n_shards > 64 {
@@ -199,6 +229,31 @@ pub(crate) fn decode_manifest(data: &[u8]) -> Result<Manifest> {
             len: buf.get_u64_le(),
             crc: buf.get_u32_le(),
         });
+    }
+    need(&buf, 4, "delta count")?;
+    let n_deltas = buf.get_u32_le() as usize;
+    let mut deltas = Vec::with_capacity(n_deltas.min(1024));
+    let mut reached = base_seq;
+    for _ in 0..n_deltas {
+        need(&buf, 28, "delta ref")?;
+        let d = DeltaRef {
+            from_seq: buf.get_u64_le(),
+            to_seq: buf.get_u64_le(),
+            len: buf.get_u64_le(),
+            crc: buf.get_u32_le(),
+        };
+        if d.from_seq != reached || d.to_seq < d.from_seq {
+            return Err(DpapiError::Malformed(
+                "delta chain is not contiguous".into(),
+            ));
+        }
+        reached = d.to_seq;
+        deltas.push(d);
+    }
+    if reached != seq {
+        return Err(DpapiError::Malformed(
+            "delta chain does not reach the manifest sequence".into(),
+        ));
     }
     need(&buf, 9, "commit txn")?;
     let flag = buf.get_u8();
@@ -236,29 +291,27 @@ pub(crate) fn decode_manifest(data: &[u8]) -> Result<Manifest> {
         };
         sources.push((path, mark));
     }
-    let mut batch_hw = Vec::new();
-    let mut replay_skip = None;
-    if version >= 3 {
-        need(&buf, 4, "batch high-water count")?;
-        let n_hw = buf.get_u32_le() as usize;
-        batch_hw.reserve(n_hw.min(1024));
-        for _ in 0..n_hw {
-            need(&buf, 12, "batch high-water entry")?;
-            let volume = buf.get_u32_le();
-            let seq = buf.get_u64_le();
-            batch_hw.push((volume, seq));
-        }
-        need(&buf, 9, "replay skip")?;
-        let flag = buf.get_u8();
-        let id = buf.get_u64_le();
-        replay_skip = (flag != 0).then_some(id);
+    need(&buf, 4, "batch high-water count")?;
+    let n_hw = buf.get_u32_le() as usize;
+    let mut batch_hw = Vec::with_capacity(n_hw.min(1024));
+    for _ in 0..n_hw {
+        need(&buf, 12, "batch high-water entry")?;
+        let volume = buf.get_u32_le();
+        let seq = buf.get_u64_le();
+        batch_hw.push((volume, seq));
     }
+    need(&buf, 9, "replay skip")?;
+    let flag = buf.get_u8();
+    let id = buf.get_u64_le();
+    let replay_skip = (flag != 0).then_some(id);
     if buf.has_remaining() {
         return Err(DpapiError::Malformed("trailing bytes in manifest".into()));
     }
     Ok(Manifest {
         seq,
+        base_seq,
         segments,
+        deltas,
         txns,
         commit_txn,
         sources,
@@ -276,6 +329,7 @@ mod tests {
         let sub = ObjectRef::new(Pnode::new(VolumeId(1), 5), Version(0));
         Manifest {
             seq: 42,
+            base_seq: 30,
             segments: vec![
                 SegmentRef {
                     generation: 3,
@@ -286,6 +340,20 @@ mod tests {
                     generation: 0,
                     len: 0,
                     crc: 0,
+                },
+            ],
+            deltas: vec![
+                DeltaRef {
+                    from_seq: 30,
+                    to_seq: 36,
+                    len: 640,
+                    crc: 0xd1,
+                },
+                DeltaRef {
+                    from_seq: 36,
+                    to_seq: 42,
+                    len: 30,
+                    crc: 0xd2,
                 },
             ],
             txns: vec![(
@@ -326,32 +394,41 @@ mod tests {
         }
     }
 
-    /// Old-format manifests still decode — v1/v2 images (no batch
-    /// replay section) come back with empty batch state — and a
-    /// future version is rejected. The old images are produced by the
-    /// versioned encoder, byte-faithful to what those releases wrote.
+    /// One format, stated floor: every version but the current one —
+    /// the whole-store layouts v1–v3 and anything from the future —
+    /// is a typed refusal, not a decode attempt.
     #[test]
-    fn old_manifest_version_accepted_future_rejected() {
-        let m = sample();
-        let pre_v3 = Manifest {
-            batch_hw: Vec::new(),
-            replay_skip: None,
-            ..m.clone()
-        };
-        for version in [1u16, 2] {
-            let enc = encode_manifest_versioned(&m, version);
+    fn other_manifest_versions_are_unsupported() {
+        for version in [1u8, 2, 3, 5] {
+            let mut img = encode_manifest(&sample());
+            img[4] = version;
+            let body = img.len() - 4;
+            let crc = crc32(&img[..body]).to_le_bytes();
+            img[body..].copy_from_slice(&crc);
             assert_eq!(
-                decode_manifest(&enc).unwrap(),
-                pre_v3,
-                "v{version} manifests must decode with empty batch state"
+                decode_manifest(&img),
+                Err(DpapiError::Unsupported("manifest format version")),
+                "v{version}"
             );
         }
-        let mut future = encode_manifest(&m);
-        future[4] = 4;
-        let body = future.len() - 4;
-        let crc = crc32(&future[..body]).to_le_bytes();
-        future[body..].copy_from_slice(&crc);
-        assert!(decode_manifest(&future).is_err());
+    }
+
+    /// A chain with a gap, an overlap or a short reach can only come
+    /// from tampering that re-closed the CRC; it is refused before any
+    /// file is read.
+    #[test]
+    fn broken_delta_chain_is_rejected() {
+        let mut gap = sample();
+        gap.deltas[1].from_seq = 37;
+        let mut short = sample();
+        short.deltas.pop();
+        let mut no_chain = sample();
+        no_chain.deltas.clear();
+        let mut backwards = sample();
+        backwards.deltas[0].to_seq = 29;
+        for bad in [gap, short, no_chain, backwards] {
+            assert!(decode_manifest(&encode_manifest(&bad)).is_err());
+        }
     }
 
     #[test]

@@ -162,34 +162,6 @@ impl Shard {
         self.size.index_bytes += index_bytes;
     }
 
-    /// Rebuilds the generalized attribute index from the object
-    /// table — the upgrade path for v1 checkpoint segments, which
-    /// predate it. Walks every version's attributes of every object
-    /// (the in-memory equivalent of the replay scan v2 segments make
-    /// unnecessary) and re-derives exactly what `apply_run` would
-    /// have maintained; footprint accounting is left untouched, as v1
-    /// images never charged for this index.
-    pub fn rebuild_attr_index(&mut self) {
-        self.attr_index.clear();
-        for (pnode, obj) in &self.objects {
-            for entry in obj.versions.values() {
-                for (attr, value) in &entry.attrs {
-                    if matches!(attr, Attribute::Name | Attribute::Type) {
-                        continue;
-                    }
-                    if let Value::Str(s) = value {
-                        self.attr_index
-                            .entry(attr.as_str().to_string())
-                            .or_default()
-                            .entry(s.clone())
-                            .or_default()
-                            .insert(*pnode);
-                    }
-                }
-            }
-        }
-    }
-
     /// Records a reverse ancestry edge whose ancestor is homed here.
     pub fn add_reverse_edge(&mut self, edge: ReverseEdge) {
         let (ancestor, descendant, attr, aversion) = edge;

@@ -75,6 +75,7 @@ use pql::EdgeLabel;
 use crate::cache::{CacheStats, ShardSnapshot, TraversalCache};
 use crate::contention::{Contention, ContentionStats};
 use crate::db::{DbSize, IngestStats, ObjectEntry};
+use crate::delta::DeltaGroups;
 use crate::shard::{ReverseEdge, Shard};
 
 /// Tuning knobs for the storage engine.
@@ -301,6 +302,25 @@ struct StoreMeta {
     commit_frame: Vec<u8>,
     /// Reusable scratch: per-shard buckets of apply-list indices.
     bucket_scratch: Vec<Vec<u32>>,
+    /// What the group commits since the last checkpoint applied, when
+    /// a durable daemon asked for it ([`Store::track_delta`]). `None`
+    /// means the next checkpoint must write a full base: tracking was
+    /// never started, the record outgrew its budget, or something
+    /// other than a group commit changed the shards ([`Store::merge`]).
+    delta: Option<PendingDelta>,
+}
+
+/// The applied-entry record between two checkpoints — what
+/// `Waldo::checkpoint` writes as one delta segment.
+#[derive(Debug)]
+pub(crate) struct PendingDelta {
+    /// Commit sequence tracking started at (the last checkpoint's).
+    pub from_seq: u64,
+    /// Group-section bytes beyond which the record is dropped — a
+    /// checkpoint would rewrite the base rather than write it.
+    budget: u64,
+    /// One group per commit that applied entries, already encoded.
+    pub groups: DeltaGroups,
 }
 
 impl StoreMeta {
@@ -405,6 +425,7 @@ impl Store {
                 free_sources: Vec::new(),
                 commit_frame: Vec::new(),
                 bucket_scratch: (0..n).map(|_| Vec::new()).collect(),
+                delta: None,
             }),
             ancestry_cache: Mutex::new(TraversalCache::new(cfg.ancestry_cache.max(1))),
             edge_cache: Mutex::new(TraversalCache::new(cfg.ancestry_cache.max(1))),
@@ -823,6 +844,12 @@ impl Store {
         if apply.is_empty() {
             return 0;
         }
+        if let Some(d) = &mut meta.delta {
+            d.groups.push(apply);
+            if d.groups.len() as u64 > d.budget {
+                meta.delta = None;
+            }
+        }
         let mut touched: u64 = 0;
         let mut reverse: Vec<ReverseEdge> = Vec::new();
         let mut buckets = std::mem::take(&mut meta.bucket_scratch);
@@ -916,6 +943,41 @@ impl Store {
     }
 
     // ---- checkpoint plumbing ----------------------------------------------
+
+    /// Starts recording what each group commit applies, from the
+    /// current commit sequence, until the record's group bytes exceed
+    /// `budget` — the daemon passes what the delta chain may still
+    /// grow by before a base rewrite is due, so a record that could
+    /// only be thrown away is not kept. Memory-only stores never call
+    /// this and pay nothing.
+    pub(crate) fn track_delta(&self, budget: u64) {
+        let meta = &mut *self.lock_meta();
+        meta.delta = Some(PendingDelta {
+            from_seq: self.commit_seq(),
+            budget,
+            groups: DeltaGroups::default(),
+        });
+    }
+
+    /// Hands over the applied-entry record and stops tracking; `None`
+    /// when the record cannot describe the store's change since
+    /// [`Store::track_delta`] (see `StoreMeta::delta`). Tracking stays
+    /// off until the caller re-arms it, so a checkpoint that fails
+    /// after taking the record is followed by a full base.
+    pub(crate) fn take_delta(&self) -> Option<PendingDelta> {
+        self.lock_meta().delta.take()
+    }
+
+    /// Re-applies one commit's entries from a delta segment — the
+    /// restart path (`checkpoint::try_load`). Goes through the same
+    /// `apply_group` as the original commit, so shard contents,
+    /// reverse edges and generations come out identical; the commit
+    /// sequence and replay state come from the manifest instead.
+    pub(crate) fn replay_group(&self, entries: &[LogEntry]) {
+        let meta = &mut *self.lock_meta();
+        let refs: Vec<&LogEntry> = entries.iter().collect();
+        self.apply_group(meta, &refs, &mut IngestStats::default());
+    }
 
     /// The canonical serialized image of every shard. Because the
     /// encoding is canonical (see `crate::segment`), two stores hold
@@ -1051,6 +1113,8 @@ impl Store {
             *hw = (*hw).max(*seq);
         }
         ours.replayed_batches += theirs.replayed_batches;
+        // Shards change below without passing through `apply_group`.
+        ours.delta = None;
         self.epoch.fetch_add(1, Ordering::AcqRel);
         let window_start = Instant::now();
         for i in 0..self.shards.len() {

@@ -1,8 +1,9 @@
-//! Checkpoint subsystem properties: the segment/manifest codec
+//! Checkpoint subsystem properties: a base plus its delta chain
 //! roundtrips arbitrary shard contents byte-exactly, damaged
-//! checkpoints are rejected in favor of the previous complete one
-//! (with a correspondingly longer log replay), and the WAL stays
-//! bounded by the truncation policy.
+//! checkpoints — manifest, base segment or delta — are rejected in
+//! favor of the previous complete one (with a correspondingly longer
+//! log replay), the chain is bounded by the base it extends, and the
+//! WAL stays bounded by the truncation policy.
 
 use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
 use lasagna::LogEntry;
@@ -85,21 +86,25 @@ fn stage_all(db: &mut waldo::Store, entries: &[LogEntry], batch: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Serialize → checkpoint → cold restart over arbitrary shard
-    /// contents reproduces the store byte-exactly (the canonical
-    /// segment images are the equality oracle), including open
-    /// transactions — and the restarted store behaves identically
-    /// under continued ingestion.
+    /// Serialize → checkpoint (a base, then whatever the size rule
+    /// picks for the next two: deltas or rewrites) → cold restart over
+    /// arbitrary shard contents reproduces the store byte-exactly (the
+    /// canonical segment images are the equality oracle), including
+    /// transactions open across checkpoints — and the restarted store
+    /// behaves identically under continued ingestion.
     #[test]
     fn checkpoint_roundtrips_arbitrary_stores(
         entries in proptest::collection::vec(arb_entry(), 1..120),
         batch in 1usize..24,
         shards in 1usize..16,
         split_at in 0usize..120,
+        cuts in proptest::collection::vec(0usize..120, 2..3),
     ) {
         // At least one committed entry, so there is something to
         // checkpoint.
         let split = split_at.max(1).min(entries.len());
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| *c % (split + 1)).collect();
+        cuts.sort_unstable();
         let cfg = WaldoConfig {
             shards,
             ingest_batch: batch,
@@ -113,8 +118,16 @@ proptest! {
         let mut waldo = Waldo::with_config(pid, cfg);
         waldo.attach_db_dir(&mut kernel, "/waldo-db").unwrap();
         waldo.db.begin_stream();
-        stage_all(&mut waldo.db, &entries[..split], batch);
-        prop_assert!(waldo.checkpoint(&mut kernel).unwrap());
+        let mut from = 0;
+        for cut in cuts {
+            stage_all(&mut waldo.db, &entries[from..cut], batch);
+            // Publishes unless the chunk was empty.
+            waldo.checkpoint(&mut kernel).unwrap();
+            from = cut;
+        }
+        stage_all(&mut waldo.db, &entries[from..split], batch);
+        waldo.checkpoint(&mut kernel).unwrap();
+        prop_assert!(waldo.checkpoint_stats().checkpoints >= 1);
 
         // Machine crash: only the kernel's disk survives.
         let mut original = waldo;
@@ -208,10 +221,23 @@ fn attribute_index_survives_cold_restart_without_replay() {
 
 // ---- corruption and fallback ------------------------------------------
 
+/// What the second checkpoint of [`three_wave_history`] is: the two
+/// writers `Waldo::checkpoint` chooses between.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Second {
+    /// A small second wave: one delta segment extends the base.
+    Delta,
+    /// A second wave larger than the first: the delta would outgrow
+    /// the base, so the base is rewritten.
+    Base,
+}
+
+const KINDS: [Second; 2] = [Second::Delta, Second::Base];
+
 /// Builds three waves of provenance through the full stack with a
 /// checkpoint after each of the first two waves; wave 3 stays in
 /// retained logs only. Returns the system and the uncrashed daemon.
-fn three_wave_history() -> (passv2::System, Waldo) {
+fn three_wave_history(second: Second) -> (passv2::System, Waldo) {
     let mut sys = passv2::System::single_volume();
     let cfg = WaldoConfig {
         shards: 8,
@@ -228,7 +254,12 @@ fn three_wave_history() -> (passv2::System, Waldo) {
     let (_, m, _) = sys.volumes[0];
     let worker = sys.spawn("sh");
     for wave in 0..3 {
-        for i in 0..6 {
+        let files = match (wave, second) {
+            (1, Second::Delta) => 2,
+            (1, Second::Base) => 24,
+            _ => 6,
+        };
+        for i in 0..files {
             sys.kernel
                 .write_file(worker, &format!("/w{wave}-f{i}"), b"wave data")
                 .unwrap();
@@ -239,15 +270,22 @@ fn three_wave_history() -> (passv2::System, Waldo) {
             assert!(waldo.checkpoint(&mut sys.kernel).unwrap());
         }
     }
+    let s = waldo.checkpoint_stats();
+    assert_eq!(s.checkpoints, 2);
+    assert_eq!(
+        s.deltas_written,
+        u64::from(second == Second::Delta),
+        "{second:?}: the waves are sized to pick this writer"
+    );
     (sys, waldo)
 }
 
 /// Restarts after damaging the newest checkpoint with `damage`;
 /// asserts the fallback loaded the older checkpoint, replayed more,
 /// and still equals the uncrashed store byte-for-byte.
-fn assert_fallback(damage: impl FnOnce(&mut passv2::System, sim_os::proc::Pid)) {
-    let (_, reference) = three_wave_history();
-    let (mut sys, crashed) = three_wave_history();
+fn assert_fallback(second: Second, damage: impl FnOnce(&mut passv2::System, sim_os::proc::Pid)) {
+    let (_, reference) = three_wave_history(second);
+    let (mut sys, crashed) = three_wave_history(second);
     let cfg = crashed.db.config();
     drop(crashed); // the machine crash
 
@@ -261,27 +299,29 @@ fn assert_fallback(damage: impl FnOnce(&mut passv2::System, sim_os::proc::Pid)) 
     let report = restarted.restart_report().unwrap();
     assert_eq!(
         report.checkpoints_skipped, 1,
-        "the damaged newest checkpoint must be skipped"
+        "{second:?}: the damaged newest checkpoint must be skipped"
     );
     assert!(
         report.replayed_entries > 0,
-        "fallback must replay the wave the lost checkpoint covered"
+        "{second:?}: fallback must replay the wave the lost checkpoint covered"
     );
     assert_eq!(
         restarted.db.segment_images(),
         reference.db.segment_images(),
-        "fallback restart must still equal the uncrashed store"
+        "{second:?}: fallback restart must still equal the uncrashed store"
     );
 }
 
-/// Paths of the checkpoint directory, via the kernel.
-fn checkpoint_files(sys: &mut passv2::System, pid: sim_os::proc::Pid) -> Vec<String> {
-    sys.kernel
+/// File names in the checkpoint directory, sorted.
+fn checkpoint_files(kernel: &mut Kernel, pid: sim_os::proc::Pid) -> Vec<String> {
+    let mut names: Vec<String> = kernel
         .readdir(pid, "/waldo-db/checkpoints")
         .unwrap()
         .into_iter()
         .map(|e| e.name)
-        .collect()
+        .collect();
+    names.sort();
+    names
 }
 
 fn newest_manifest(names: &[String]) -> String {
@@ -298,36 +338,80 @@ fn newest_manifest(names: &[String]) -> String {
 
 #[test]
 fn bitflipped_manifest_falls_back_to_previous_checkpoint() {
-    assert_fallback(|sys, pid| {
-        let names = checkpoint_files(sys, pid);
-        let path = format!("/waldo-db/checkpoints/{}", newest_manifest(&names));
-        let mut data = sys.kernel.read_file(pid, &path).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0x10;
-        sys.kernel.write_file(pid, &path, &data).unwrap();
-    });
+    for second in KINDS {
+        assert_fallback(second, |sys, pid| {
+            let names = checkpoint_files(&mut sys.kernel, pid);
+            let path = format!("/waldo-db/checkpoints/{}", newest_manifest(&names));
+            let mut data = sys.kernel.read_file(pid, &path).unwrap();
+            let mid = data.len() / 2;
+            data[mid] ^= 0x10;
+            sys.kernel.write_file(pid, &path, &data).unwrap();
+        });
+    }
 }
 
 #[test]
 fn torn_manifest_falls_back_to_previous_checkpoint() {
-    assert_fallback(|sys, pid| {
-        let names = checkpoint_files(sys, pid);
-        let path = format!("/waldo-db/checkpoints/{}", newest_manifest(&names));
+    for second in KINDS {
+        assert_fallback(second, |sys, pid| {
+            let names = checkpoint_files(&mut sys.kernel, pid);
+            let path = format!("/waldo-db/checkpoints/{}", newest_manifest(&names));
+            let data = sys.kernel.read_file(pid, &path).unwrap();
+            // A torn publish: only a prefix of the manifest made it.
+            sys.kernel
+                .write_file(pid, &path, &data[..data.len() / 2])
+                .unwrap();
+        });
+    }
+}
+
+/// The one delta file in the directory after a [`Second::Delta`]
+/// history — private to the newest checkpoint.
+fn only_delta(sys: &mut passv2::System, pid: sim_os::proc::Pid) -> String {
+    let deltas: Vec<String> = checkpoint_files(&mut sys.kernel, pid)
+        .into_iter()
+        .filter(|n| n.starts_with("delta."))
+        .collect();
+    assert_eq!(deltas.len(), 1, "one delta checkpoint was published");
+    format!("/waldo-db/checkpoints/{}", deltas[0])
+}
+
+/// A damaged, torn or missing delta makes its manifest unloadable —
+/// exactly like a damaged segment — and restart falls back to the
+/// checkpoint before it: reported, replayed from logs, never a panic.
+#[test]
+fn damaged_delta_falls_back_to_previous_checkpoint() {
+    assert_fallback(Second::Delta, |sys, pid| {
+        let path = only_delta(sys, pid);
+        let mut data = sys.kernel.read_file(pid, &path).unwrap();
+        let mid = data.len() / 2;
+        data[mid] ^= 0x01;
+        sys.kernel.write_file(pid, &path, &data).unwrap();
+    });
+    assert_fallback(Second::Delta, |sys, pid| {
+        let path = only_delta(sys, pid);
         let data = sys.kernel.read_file(pid, &path).unwrap();
-        // A torn publish: only a prefix of the manifest made it.
         sys.kernel
             .write_file(pid, &path, &data[..data.len() / 2])
             .unwrap();
+    });
+    assert_fallback(Second::Delta, |sys, pid| {
+        let path = only_delta(sys, pid);
+        sys.kernel.write_file(pid, &path, b"").unwrap();
+    });
+    assert_fallback(Second::Delta, |sys, pid| {
+        let path = only_delta(sys, pid);
+        sys.kernel.unlink(pid, &path).unwrap();
     });
 }
 
 #[test]
 fn bitflipped_segment_falls_back_to_previous_checkpoint() {
-    assert_fallback(|sys, pid| {
+    assert_fallback(Second::Base, |sys, pid| {
         // Find a shard with segments at two generations: the newer
         // belongs to the newest checkpoint only (shared segments would
         // damage both checkpoints, which retention does not protect).
-        let names = checkpoint_files(sys, pid);
+        let names = checkpoint_files(&mut sys.kernel, pid);
         let mut by_shard: std::collections::HashMap<&str, Vec<(u64, &String)>> =
             std::collections::HashMap::new();
         for n in &names {
@@ -397,4 +481,199 @@ fn wal_is_bounded_by_truncation_policy() {
     assert!(s.frames_truncated > 0, "truncation must drop frames");
     assert!(s.segments_written > 0);
     assert!(s.checkpoints as usize >= checkpoints);
+}
+
+// ---- the delta chain --------------------------------------------------
+
+/// One named, typed, written file: a few entries, a few hundred bytes.
+fn file_entries(volume: u32, i: u64) -> Vec<LogEntry> {
+    let s = ObjectRef::new(p(volume, i), Version(0));
+    let mut out = vec![
+        prov(s, Attribute::Name, Value::Str(format!("/v{volume}/f{i}"))),
+        prov(s, Attribute::Type, Value::str("FILE")),
+        LogEntry::DataWrite {
+            subject: s,
+            offset: 0,
+            len: 64,
+            digest: [5u8; 16],
+        },
+    ];
+    if i > 1 {
+        let parent = ObjectRef::new(p(volume, i - 1), Version(0));
+        out.push(prov(s, Attribute::Input, Value::Xref(parent)));
+    }
+    out
+}
+
+fn manual_cfg() -> WaldoConfig {
+    WaldoConfig {
+        shards: 4,
+        ingest_batch: 8,
+        ancestry_cache: 0,
+        checkpoint_commits: 0,
+        checkpoint_wal_bytes: 0,
+        ..WaldoConfig::default()
+    }
+}
+
+/// Forty equal commits, a checkpoint after each. Most are deltas; the
+/// base is rewritten each time the chain has grown to its size, so
+/// rewrites thin out as the store grows and everything written stays
+/// within a small constant of what is stored. Retention collects
+/// exactly what rotated out, a restart at any point rebuilds the
+/// store from base + chain with no log to replay, and the first
+/// checkpoint after a restart is a base (a restored store has no
+/// record of what changed).
+#[test]
+fn chain_is_bounded_by_its_base_and_restarts_byte_equal() {
+    let cfg = manual_cfg();
+    let mut kernel = bare_kernel();
+    let pid = kernel.spawn_init("waldo");
+    let mut waldo = Waldo::with_config(pid, cfg);
+    waldo.attach_db_dir(&mut kernel, "/waldo-db").unwrap();
+    waldo.db.begin_stream();
+    let mut rewrites = Vec::new();
+    let (mut deltas, mut bytes) = (0, 0);
+    let mut restored = false;
+    for round in 0..40u64 {
+        for i in 0..4 {
+            stage_all(&mut waldo.db, &file_entries(1, 1 + round * 4 + i), 8);
+        }
+        let before = waldo.checkpoint_stats();
+        assert!(waldo.checkpoint(&mut kernel).unwrap());
+        let after = waldo.checkpoint_stats();
+        let wrote_base = after.segments_written > before.segments_written;
+        let wrote_delta = after.deltas_written > before.deltas_written;
+        assert!(
+            wrote_base != wrote_delta,
+            "round {round}: exactly one writer runs"
+        );
+        assert!(
+            wrote_base || !restored,
+            "round {round}: a restored store's first checkpoint is a base"
+        );
+        if wrote_base && !restored {
+            rewrites.push(round);
+        }
+        restored = false;
+        deltas += u64::from(wrote_delta);
+        bytes += after.segment_bytes - before.segment_bytes;
+        let manifests = checkpoint_files(&mut kernel, pid)
+            .iter()
+            .filter(|n| n.starts_with("manifest."))
+            .count();
+        assert_eq!(manifests, (round as usize + 1).min(cfg.keep_checkpoints));
+
+        if round == 25 || round == 39 {
+            // Machine crash; carry on with the restarted daemon.
+            let images = waldo.db.segment_images();
+            drop(waldo);
+            let listed = checkpoint_files(&mut kernel, pid);
+            let pid2 = kernel.spawn_init("waldo-restarted");
+            waldo = Waldo::restart(pid2, &mut kernel, cfg, "/waldo-db", &[]).unwrap();
+            let report = waldo.restart_report().unwrap();
+            assert_eq!(report.checkpoints_skipped, 0);
+            assert_eq!(report.replayed_entries, 0);
+            assert_eq!(waldo.db.segment_images(), images, "round {round}");
+            // Attach sweeps unreferenced files: finding none means
+            // steady-state collection had left none.
+            assert_eq!(checkpoint_files(&mut kernel, pid), listed, "round {round}");
+            restored = true;
+        }
+    }
+    assert!(
+        deltas >= 25,
+        "most checkpoints must be deltas, got {deltas}"
+    );
+    // Rewrites the size rule chose (not the one the restart forced).
+    assert!(
+        rewrites.len() >= 4,
+        "the chain must have reached its base several times: {rewrites:?}"
+    );
+    assert!(
+        rewrites.windows(3).all(|w| w[2] - w[1] > w[1] - w[0]),
+        "rewrites must thin out as the base grows: {rewrites:?}"
+    );
+    let stored: usize = waldo.db.segment_images().iter().map(Vec::len).sum();
+    assert!(
+        bytes <= 4 * stored as u64,
+        "wrote {bytes} checkpoint bytes for a {stored}-byte store"
+    );
+}
+
+/// `Store::merge` changes shards behind the delta record's back, so
+/// the next checkpoint must not extend the chain: it rewrites the
+/// base, and a restart from it equals the merged store.
+#[test]
+fn merge_then_checkpoint_rewrites_the_base() {
+    let cfg = manual_cfg();
+    let mut kernel = bare_kernel();
+    let pid = kernel.spawn_init("waldo");
+    let mut waldo = Waldo::with_config(pid, cfg);
+    waldo.attach_db_dir(&mut kernel, "/waldo-db").unwrap();
+    waldo.db.begin_stream();
+    for i in 1..=12 {
+        stage_all(&mut waldo.db, &file_entries(1, i), 8);
+    }
+    assert!(waldo.checkpoint(&mut kernel).unwrap());
+    stage_all(&mut waldo.db, &file_entries(1, 13), 8);
+    assert!(waldo.checkpoint(&mut kernel).unwrap());
+    assert_eq!(waldo.checkpoint_stats().deltas_written, 1);
+
+    let other = waldo::Store::with_config(cfg);
+    other.ingest(&file_entries(2, 1));
+    waldo.db.merge(&other).unwrap();
+    stage_all(&mut waldo.db, &file_entries(1, 14), 8);
+    let before = waldo.checkpoint_stats();
+    assert!(waldo.checkpoint(&mut kernel).unwrap());
+    let after = waldo.checkpoint_stats();
+    assert_eq!(after.deltas_written, 1, "no delta may follow a merge");
+    assert!(after.segments_written > before.segments_written);
+
+    let images = waldo.db.segment_images();
+    drop(waldo);
+    let pid2 = kernel.spawn_init("waldo2");
+    let restarted = Waldo::restart(pid2, &mut kernel, cfg, "/waldo-db", &[]).unwrap();
+    assert_eq!(restarted.db.segment_images(), images);
+    assert!(!restarted.db.find_by_name("/v2/f1").is_empty());
+}
+
+/// A durable daemon fed only by-value log images (the PA-NFS server
+/// path) runs the checkpoint policy like the file path does: the WAL
+/// is truncated, and — since by-value entries have no log to replay —
+/// a machine crash loses nothing a checkpoint covered.
+#[test]
+fn by_value_ingest_checkpoints_by_policy_and_survives_a_crash() {
+    let cfg = WaldoConfig {
+        checkpoint_commits: 1,
+        ..manual_cfg()
+    };
+    let mut kernel = bare_kernel();
+    let pid = kernel.spawn_init("waldo");
+    let mut waldo = Waldo::with_config(pid, cfg);
+    waldo.attach_db_dir(&mut kernel, "/waldo-db").unwrap();
+    let reference = waldo::Store::with_config(cfg);
+    let mut checkpoints = 0;
+    for image in 0..3u64 {
+        let entries: Vec<LogEntry> = (1..=5)
+            .flat_map(|i| file_entries(1, image * 5 + i))
+            .collect();
+        let mut bytes = bytes::BytesMut::new();
+        for e in &entries {
+            lasagna::encode_entry(&mut bytes, e).unwrap();
+        }
+        checkpoints += waldo.ingest_log_image(&mut kernel, &bytes).checkpoints;
+        reference.ingest(&entries);
+    }
+    let s = waldo.checkpoint_stats();
+    assert!(checkpoints >= 3, "the policy must fire on by-value ingest");
+    assert_eq!(s.checkpoints as usize, checkpoints);
+    assert!(s.frames_truncated > 0, "checkpoints must truncate the WAL");
+    assert_eq!(kernel.stat(pid, "/waldo-db/wal").unwrap().size, 0);
+    assert_eq!(waldo.db.segment_images(), reference.segment_images());
+
+    drop(waldo); // machine crash
+    let pid2 = kernel.spawn_init("waldo2");
+    let restarted = Waldo::restart(pid2, &mut kernel, cfg, "/waldo-db", &[]).unwrap();
+    assert_eq!(restarted.db.segment_images(), reference.segment_images());
 }

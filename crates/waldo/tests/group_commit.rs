@@ -45,8 +45,7 @@ fn stream() -> Vec<LogEntry> {
         ));
         s.push(prov(r(i, 0), Attribute::Input, Value::Xref(r(i - 6, 0))));
         // An application attribute, so recovery equivalence also
-        // covers the generalized attribute index (manifest/segment
-        // format v2).
+        // covers the generalized attribute index.
         s.push(prov(
             r(i, 0),
             Attribute::Other("PHASE".into()),
@@ -269,12 +268,21 @@ fn assert_same_db_dyn(a: &Store, b: &Store) {
 
 // ---- machine-crash matrix ---------------------------------------------
 
+/// Which writer the crashing (second) checkpoint of
+/// [`durable_history`] runs: wave 2 is sized to fit the delta budget
+/// the first checkpoint's base allows, or to outgrow it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Second {
+    Delta,
+    BaseRewrite,
+}
+
 /// One scripted filesystem history shared by the reference run and
 /// every crash run: two waves of writes, with a full checkpoint
 /// between them. Returns the system and a durably-attached daemon
 /// that has ingested everything, with wave-2 logs committed and WAL-
 /// framed but not yet covered by a checkpoint.
-fn durable_history(crash: Option<waldo::CheckpointCrash>) -> (System, Waldo) {
+fn durable_history(second: Second, crash: Option<waldo::CheckpointCrash>) -> (System, Waldo) {
     let mut sys = System::single_volume();
     let cfg = WaldoConfig {
         shards: 8,
@@ -301,7 +309,11 @@ fn durable_history(crash: Option<waldo::CheckpointCrash>) -> (System, Waldo) {
     waldo.poll_volume(&mut sys.kernel, m, "/");
     assert!(waldo.checkpoint(&mut sys.kernel).unwrap());
     // Wave 2: committed and WAL-framed, but past the checkpoint.
-    for i in 0..8 {
+    let wave2 = match second {
+        Second::Delta => 2,
+        Second::BaseRewrite => 24,
+    };
+    for i in 0..wave2 {
         sys.kernel
             .write_file(worker, &format!("/wave2-{i}"), b"second wave")
             .unwrap();
@@ -312,6 +324,12 @@ fn durable_history(crash: Option<waldo::CheckpointCrash>) -> (System, Waldo) {
     // injected step; `None` crashes before any publication begins.
     if let Some(step) = crash {
         waldo.checkpoint_crashing_at(&mut sys.kernel, step).unwrap();
+        // Every crash point lies after the data files are written.
+        assert_eq!(
+            waldo.checkpoint_stats().deltas_written,
+            u64::from(second == Second::Delta),
+            "{second:?}: wave 2 is sized to pick this writer"
+        );
     }
     (sys, waldo)
 }
@@ -323,9 +341,6 @@ fn durable_history(crash: Option<waldo::CheckpointCrash>) -> (System, Waldo) {
 #[test]
 fn machine_crash_matrix_restarts_byte_equivalent() {
     use waldo::CheckpointCrash::*;
-    let (_, reference) = durable_history(None);
-    let reference_images = reference.db.segment_images();
-
     let matrix = [
         None, // crash with wave 2 only in WAL + logs
         Some(AfterSegments),
@@ -334,34 +349,39 @@ fn machine_crash_matrix_restarts_byte_equivalent() {
         Some(MidWalTruncate),
         Some(AfterWalTruncate),
     ];
-    for crash in matrix {
-        let (mut sys, crashed) = durable_history(crash);
-        let cfg = crashed.db.config();
-        // The machine dies: the daemon and its in-memory store are
-        // gone; only the kernel's disks survive.
-        drop(crashed);
-        let pid = sys.kernel.spawn_init("waldo-restarted");
-        sys.pass.exempt(pid);
-        let restarted = Waldo::restart(pid, &mut sys.kernel, cfg, "/waldo-db", &["/"]).unwrap();
-        let report = restarted.restart_report().unwrap().clone();
-        assert!(
-            report.loaded_seq.is_some(),
-            "{crash:?}: a complete checkpoint must load"
-        );
-        assert_eq!(
-            restarted.db.segment_images(),
-            reference_images,
-            "{crash:?}: cold restart must be byte-equivalent"
-        );
-        assert_same_db_dyn(&reference.db, &restarted.db);
-        // The published-checkpoint steps rehydrate everything and
-        // replay nothing; the earlier steps fall back to the wave-1
-        // checkpoint and must re-derive wave 2 from retained logs.
-        match crash {
-            Some(AfterPublish) | Some(MidWalTruncate) | Some(AfterWalTruncate) => {
-                assert_eq!(report.replayed_entries, 0, "{crash:?}");
+    for second in [Second::Delta, Second::BaseRewrite] {
+        let (_, reference) = durable_history(second, None);
+        let reference_images = reference.db.segment_images();
+        for crash in matrix {
+            let (mut sys, crashed) = durable_history(second, crash);
+            let cfg = crashed.db.config();
+            // The machine dies: the daemon and its in-memory store are
+            // gone; only the kernel's disks survive.
+            drop(crashed);
+            let pid = sys.kernel.spawn_init("waldo-restarted");
+            sys.pass.exempt(pid);
+            let restarted = Waldo::restart(pid, &mut sys.kernel, cfg, "/waldo-db", &["/"]).unwrap();
+            let report = restarted.restart_report().unwrap().clone();
+            assert!(
+                report.loaded_seq.is_some(),
+                "{second:?} {crash:?}: a complete checkpoint must load"
+            );
+            assert_eq!(report.checkpoints_skipped, 0, "{second:?} {crash:?}");
+            assert_eq!(
+                restarted.db.segment_images(),
+                reference_images,
+                "{second:?} {crash:?}: cold restart must be byte-equivalent"
+            );
+            assert_same_db_dyn(&reference.db, &restarted.db);
+            // The published-checkpoint steps rehydrate everything and
+            // replay nothing; the earlier steps fall back to the wave-1
+            // checkpoint and must re-derive wave 2 from retained logs.
+            match crash {
+                Some(AfterPublish) | Some(MidWalTruncate) | Some(AfterWalTruncate) => {
+                    assert_eq!(report.replayed_entries, 0, "{second:?} {crash:?}");
+                }
+                _ => assert!(report.replayed_entries > 0, "{second:?} {crash:?}"),
             }
-            _ => assert!(report.replayed_entries > 0, "{crash:?}"),
         }
     }
 }

@@ -198,3 +198,57 @@ fn machine_crash_with_checkpoint_cold_restarts_waldo() {
         "/a.out ancestry must reach /src.c after cold restart"
     );
 }
+
+#[test]
+fn durable_run_across_a_base_rewrite_restarts_equal_to_a_memory_reference() {
+    // The store-divergence tripwire of tier 1: a durable daemon under
+    // an eager checkpoint policy ingests a growing history — deltas
+    // most of the time, a base rewrite whenever the chain has caught
+    // up with the base — then the machine crashes. What restart
+    // rebuilds from base + chain + retained logs must equal,
+    // byte for byte, a memory-only store fed the same logs.
+    let cfg = waldo::WaldoConfig {
+        ingest_batch: 8,
+        checkpoint_commits: 2,
+        ancestry_cache: 0,
+        ..waldo::WaldoConfig::default()
+    };
+    let mut sys = passv2::SystemBuilder::new(CostModel::default())
+        .waldo_config(cfg)
+        .pass_volume("/", VolumeId(1))
+        .build();
+    let worker = sys.spawn("worker");
+    let mut waldo = sys.spawn_waldo_durable("/waldo-db");
+    let reference = waldo::Store::with_config(cfg);
+    for round in 0..12 {
+        for f in 0..3 {
+            let path = format!("/r{round}-f{f}");
+            sys.kernel.write_file(worker, &path, b"round data").unwrap();
+            let data = sys.kernel.read_file(worker, &path).unwrap();
+            sys.kernel
+                .write_file(worker, &format!("{path}.out"), &data)
+                .unwrap();
+        }
+        for (_, logs) in sys.rotate_all_logs() {
+            for log in logs {
+                let image = sys.kernel.read_file(waldo.pid(), &log).unwrap();
+                reference.ingest(&lasagna::parse_log(&image).0);
+                waldo.ingest_log_file(&mut sys.kernel, &log);
+            }
+        }
+    }
+    let s = waldo.checkpoint_stats();
+    assert!(s.deltas_written >= 4, "most checkpoints are deltas: {s:?}");
+    assert!(
+        s.checkpoints >= s.deltas_written + 2,
+        "the run must cross a base rewrite: {s:?}"
+    );
+    assert_eq!(waldo.db.segment_images(), reference.segment_images());
+    drop(waldo); // machine crash: daemon memory gone, disks survive
+
+    let restarted = sys.restart_waldo("/waldo-db");
+    let report = restarted.restart_report().expect("cold start ran");
+    assert!(report.loaded_seq.is_some(), "a checkpoint must load");
+    assert_eq!(report.checkpoints_skipped, 0);
+    assert_eq!(restarted.db.segment_images(), reference.segment_images());
+}
