@@ -41,10 +41,6 @@ fn cfg() -> WaldoConfig {
 /// A 4-volume machine with one Postmark run's provenance pending on
 /// every volume (rotated, ready to poll). Deterministic per call.
 fn built_system() -> System {
-    built_system_sized(60, 90)
-}
-
-fn built_system_sized(files: usize, transactions: usize) -> System {
     let mut b = SystemBuilder::new(CostModel::default()).waldo_config(cfg());
     for v in VOLS {
         b = b.pass_volume(&format!("/v{v}"), dpapi::VolumeId(v));
@@ -53,8 +49,8 @@ fn built_system_sized(files: usize, transactions: usize) -> System {
     let driver = sys.spawn("driver");
     let wl = MultiVolume {
         base: Postmark {
-            files,
-            transactions,
+            files: 60,
+            transactions: 90,
             subdirs: 3,
             min_size: 512,
             max_size: 2048,
@@ -223,185 +219,6 @@ fn bench_cluster(c: &mut Criterion) {
     group.finish();
 }
 
-// ---- wall-clock mode ------------------------------------------------------
-
-/// One measured fleet sweep on a chosen runtime: total coordinator
-/// wall time plus the per-member thread breakdown the threaded
-/// runtime reports.
-struct WallRun {
-    applied: usize,
-    wall_s: f64,
-    timings: Vec<waldo::MemberTiming>,
-    images: Vec<Vec<u8>>,
-}
-
-fn wall_fleet(members: usize, threaded: bool, size: (usize, usize)) -> WallRun {
-    let mut sys = built_system_sized(size.0, size.1);
-    let mut cluster = if threaded {
-        sys.spawn_cluster_threaded(members)
-    } else {
-        sys.spawn_cluster(members)
-    };
-    let volumes = sys.volumes.clone();
-    let t = Instant::now();
-    let report = cluster.poll_volumes_report(&mut sys.kernel, &volumes);
-    let wall_s = t.elapsed().as_secs_f64();
-    WallRun {
-        applied: report.total.applied,
-        wall_s,
-        timings: report.member_timings,
-        images: cluster.merged_store().segment_images(),
-    }
-}
-
-/// Best-of-N to shed scheduler noise; the store images (identical
-/// across repeats by the determinism contract) ride along from the
-/// fastest run.
-fn wall_best(members: usize, threaded: bool, runs: usize, size: (usize, usize)) -> WallRun {
-    (0..runs)
-        .map(|_| wall_fleet(members, threaded, size))
-        .min_by(|a, b| a.wall_s.total_cmp(&b.wall_s))
-        .expect("at least one run")
-}
-
-fn json_timings(timings: &[waldo::MemberTiming]) -> String {
-    let rows: Vec<String> = timings
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"member\": {}, \"volumes\": {}, \"images\": {}, \"wall_ns\": {}}}",
-                t.member, t.volumes, t.images, t.wall_ns
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(", "))
-}
-
-/// First-class wall-clock measurement: the threaded runtime at 1, 2
-/// and 4 members against the sequential single daemon, with the
-/// per-member thread breakdown, written machine-readably to
-/// `BENCH_cluster_ingest.json` at the repository root.
-///
-/// Two gates, both backed by the byte-equality differential (a fleet
-/// that diverges from the sequential store fails before any ratio is
-/// looked at):
-///
-/// * `smoke_members` (the `BENCH_WALL=n` CI smoke) — that fleet size
-///   must clear ≥1.2x sequential wall time (enforced only when the
-///   host has ≥n cores);
-/// * on hosts with ≥4 cores, the 4-member fleet must clear ≥1.4x —
-///   the paper-scale claim. Skipped (and recorded as unenforced in
-///   the JSON) on smaller hosts, where the threads time-share.
-fn wall_mode(smoke_members: Option<usize>) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let quick = std::env::var_os("BENCH_QUICK").is_some();
-    // The quick (CI) window keeps the criterion workload; a full run
-    // measures a 4x stream so per-member thread time dwarfs spawn
-    // and coordinator overhead — the scaling number, not the noise.
-    let (runs, size) = if quick {
-        (2, (60, 90))
-    } else {
-        (3, (120, 180))
-    };
-    let base = wall_best(1, false, runs, size);
-    let fleet_sizes = [1usize, 2, 4];
-    let fleets: Vec<(usize, WallRun)> = fleet_sizes
-        .iter()
-        .map(|&m| (m, wall_best(m, true, runs, size)))
-        .collect();
-
-    println!(
-        "cluster_ingest/wall: {} entries; sequential 1 member {:.2} ms ({cores} cores)",
-        base.applied,
-        base.wall_s * 1e3
-    );
-    let mut fleet_json = Vec::new();
-    for (m, run) in &fleets {
-        assert_eq!(
-            run.applied, base.applied,
-            "threaded fleet of {m} must ingest the same stream"
-        );
-        assert_eq!(
-            run.images, base.images,
-            "threaded fleet of {m}: merged store must be byte-equal to sequential"
-        );
-        let speedup = base.wall_s / run.wall_s;
-        println!(
-            "  threaded {m} member(s): {:.2} ms ({speedup:.2}x)",
-            run.wall_s * 1e3
-        );
-        for t in &run.timings {
-            println!(
-                "    member {}: {} volume(s), {} image(s), {:.2} ms on-thread",
-                t.member,
-                t.volumes,
-                t.images,
-                t.wall_ns as f64 / 1e6
-            );
-        }
-        fleet_json.push(format!(
-            "{{\"members\": {m}, \"runtime\": \"threaded\", \"wall_s\": {:.6}, \
-             \"speedup\": {speedup:.4}, \"member_timings\": {}}}",
-            run.wall_s,
-            json_timings(&run.timings)
-        ));
-    }
-
-    let speedup_of = |m: usize| {
-        fleets
-            .iter()
-            .find(|(n, _)| *n == m)
-            .map(|(_, r)| base.wall_s / r.wall_s)
-            .expect("fleet size measured")
-    };
-    // The paper-scale gate needs both the cores to actually run 4
-    // members and the full-size stream; the quick window records the
-    // number without enforcing (CI gates 2 members via BENCH_WALL).
-    let enforce4 = cores >= 4 && !quick;
-    let json = format!(
-        "{{\n  \"bench\": \"cluster_ingest\",\n  \"entries\": {},\n  \
-         \"host_parallelism\": {cores},\n  \"runs_per_point\": {runs},\n  \
-         \"baseline\": {{\"members\": 1, \"runtime\": \"sequential\", \"wall_s\": {:.6}}},\n  \
-         \"fleets\": [{}],\n  \
-         \"gates\": {{\"wall_4_members\": {{\"required\": 1.4, \"measured\": {:.4}, \
-         \"enforced\": {enforce4}}}, \"byte_equality\": true}}\n}}\n",
-        base.applied,
-        base.wall_s,
-        fleet_json.join(", "),
-        speedup_of(4),
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_cluster_ingest.json"
-    );
-    std::fs::write(path, &json).expect("write BENCH_cluster_ingest.json");
-    println!("  wrote {path}");
-
-    if let Some(m) = smoke_members {
-        let s = speedup_of(m);
-        if cores >= m {
-            assert!(
-                s >= 1.2,
-                "wall-clock smoke: threaded {m}-member fleet must clear 1.2x \
-                 sequential ingest, got {s:.2}x"
-            );
-        } else {
-            println!(
-                "  smoke gate skipped: {m} members on a {cores}-core host \
-                 time-share (measured {s:.2}x)"
-            );
-        }
-    }
-    if enforce4 {
-        let s = speedup_of(4);
-        assert!(
-            s >= 1.4,
-            "threaded 4-member fleet must clear 1.4x sequential wall-clock \
-             ingest on a {cores}-core host, got {s:.2}x"
-        );
-    }
-}
-
 /// `PROVSCOPE_TRACE=1` mode: one traced 4-member ingest sweep instead
 /// of the criterion timing loops — prints the per-layer latency
 /// attribution, the per-volume poll report, and the fleet's unified
@@ -440,18 +257,5 @@ fn main() {
         trace_mode();
         return;
     }
-    // `BENCH_WALL=n` is the CI wall-clock smoke: measure, emit the
-    // JSON, gate the n-member fleet at 1.2x, and skip the criterion
-    // loops. A full run measures wall-clock first (gating 4 members
-    // at 1.4x on capable hosts), then runs the timing loops.
-    if let Some(v) = std::env::var_os("BENCH_WALL") {
-        let m: usize = v
-            .to_str()
-            .and_then(|s| s.parse().ok())
-            .expect("BENCH_WALL must be a member count (e.g. 2)");
-        wall_mode(Some(m));
-        return;
-    }
-    wall_mode(None);
     benches();
 }

@@ -276,18 +276,6 @@ impl System {
         Cluster::new(members)
     }
 
-    /// [`System::spawn_cluster`] with the multi-core ingest runtime
-    /// selected: members run their kernel-free ingest on OS threads
-    /// (`waldo::ClusterRuntime::Threaded`) while the coordinator
-    /// keeps the single-threaded kernel. The member stores are
-    /// byte-identical to a sequential cluster's for the same sweep;
-    /// only wall-clock time and durability *timing* differ.
-    pub fn spawn_cluster_threaded(&mut self, n: usize) -> Cluster {
-        let mut cluster = self.spawn_cluster(n);
-        cluster.set_runtime(waldo::ClusterRuntime::Threaded);
-        cluster
-    }
-
     /// Spawns an `n`-member cluster with each member's durable home
     /// attached at `{base_dir}/member{i}` — per-member WAL, checkpoint
     /// policy and log retention, exactly the single-daemon PR 2

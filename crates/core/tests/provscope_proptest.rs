@@ -130,11 +130,10 @@ fn cluster_trace(
     for (_, m, _) in &volumes {
         sys.kernel.dpapi_at(*m).unwrap().force_log_rotation();
     }
-    let mut cluster = if threaded {
-        sys.spawn_cluster_threaded(2)
-    } else {
-        sys.spawn_cluster(2)
-    };
+    let mut cluster = sys.spawn_cluster(2);
+    if threaded {
+        cluster.set_runtime(waldo::ClusterRuntime::Threaded);
+    }
     cluster.set_scope(scope.clone());
     cluster.poll_volumes(&mut sys.kernel, &volumes);
     let images = cluster

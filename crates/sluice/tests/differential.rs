@@ -167,7 +167,8 @@ fn daemon_images(fx: &mut Fixture) -> Vec<Vec<u8>> {
 /// 2-member threaded-cluster ingest; returns the merged store images.
 fn cluster_images(fx: &mut Fixture) -> Vec<Vec<u8>> {
     fx.sys.rotate_all_logs();
-    let mut cluster = fx.sys.spawn_cluster_threaded(2);
+    let mut cluster = fx.sys.spawn_cluster(2);
+    cluster.set_runtime(waldo::ClusterRuntime::Threaded);
     let volumes = fx.sys.volumes.clone();
     cluster.poll_volumes(&mut fx.sys.kernel, &volumes);
     cluster.merged_store().segment_images()

@@ -439,107 +439,63 @@ impl Cluster {
         kernel: &mut Kernel,
         volumes: &[(String, MountId, VolumeId)],
     ) -> ClusterPollReport {
-        let n = self.members.len();
         // Phase 1: collect, in caller order.
-        let mut assignments: Vec<Vec<(usize, VolumeId, Vec<LogImage>)>> =
-            (0..n).map(|_| Vec::new()).collect();
+        let mut work: Vec<Vec<(usize, Vec<LogImage>)>> =
+            self.members.iter().map(|_| Vec::new()).collect();
         for (vi, (path, mount, volume)) in volumes.iter().enumerate() {
             let member = self.route(*volume);
-            let rotated = match kernel.dpapi_at(*mount) {
-                Some(d) => d.take_log_rotations(),
-                None => Vec::new(),
-            };
             let pid = self.members[member].pid();
-            let images: Vec<LogImage> = rotated
+            let images = Waldo::take_rotated_logs(kernel, *mount, path)
                 .into_iter()
-                .filter_map(|rel| {
-                    let abs = if path == "/" {
-                        format!("/{rel}")
-                    } else {
-                        format!("{path}/{rel}")
-                    };
-                    kernel
-                        .read_file(pid, &abs)
-                        .ok()
-                        .map(|bytes| LogImage { path: abs, bytes })
+                .filter_map(|log| {
+                    let bytes = kernel.read_file(pid, &log).ok()?;
+                    Some(LogImage { path: log, bytes })
                 })
                 .collect();
-            assignments[member].push((vi, *volume, images));
+            work[member].push((vi, images));
         }
         // Phase 2: parallel kernel-free ingest, one thread per member.
-        let mut per_volume: Vec<Option<VolumePoll>> = volumes.iter().map(|_| None).collect();
-        let mut member_timings: Vec<MemberTiming> = Vec::new();
-        let mut flush_members: Vec<usize> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .members
-                .iter_mut()
-                .zip(assignments)
-                .enumerate()
-                .filter(|(_, (_, assigned))| !assigned.is_empty())
-                .map(|(mi, (member, assigned))| {
-                    scope.spawn(move || {
-                        let started = std::time::Instant::now();
-                        let mut polls = Vec::with_capacity(assigned.len());
-                        let mut images_total = 0usize;
-                        for (vi, volume, images) in assigned {
-                            images_total += images.len();
-                            let stats = member.ingest_images_offline(&images);
-                            polls.push((vi, volume, stats));
-                        }
-                        let wall_ns = started.elapsed().as_nanos() as u64;
-                        (mi, polls, images_total, wall_ns)
-                    })
-                })
+        let ingested = on_member_threads(&mut self.members, work, |member, assigned| {
+            let started = std::time::Instant::now();
+            let polls: Vec<(usize, usize, IngestStats)> = assigned
+                .iter()
+                .map(|(vi, images)| (*vi, images.len(), member.ingest_images_offline(images)))
                 .collect();
-            for handle in handles {
-                let (mi, polls, images, wall_ns) = handle.join().expect("member ingest panicked");
-                member_timings.push(MemberTiming {
-                    member: mi,
-                    volumes: polls.len(),
-                    images,
-                    wall_ns,
-                });
-                for (vi, volume, stats) in polls {
-                    per_volume[vi] = Some(VolumePoll {
-                        member: mi,
-                        volume,
-                        stats,
-                        wal_errors: 0,
-                    });
-                }
-                flush_members.push(mi);
-            }
+            (polls, started.elapsed().as_nanos() as u64)
         });
         // Phase 3: per-member durability flush on the coordinator.
-        flush_members.sort_unstable();
-        for mi in flush_members {
-            let wal_before = self.members[mi].wal_errors();
-            let flush_stats = self.members[mi].flush_durable(kernel);
-            let wal_delta = self.members[mi].wal_errors() - wal_before;
-            // Attribute the flush to the member's last polled volume.
-            if let Some(poll) = per_volume
-                .iter_mut()
-                .rev()
-                .flatten()
-                .find(|p| p.member == mi)
-            {
-                poll.stats += flush_stats;
-                poll.wal_errors += wal_delta;
+        let mut per_volume: Vec<Option<VolumePoll>> = volumes.iter().map(|_| None).collect();
+        let mut report = ClusterPollReport::default();
+        for (member, done) in ingested.into_iter().enumerate() {
+            let Some((mut polls, wall_ns)) = done else {
+                continue;
+            };
+            report.member_timings.push(MemberTiming {
+                member,
+                volumes: polls.len(),
+                images: polls.iter().map(|(_, images, _)| images).sum(),
+                wall_ns,
+            });
+            self.member_wall[member].observe(wall_ns);
+            let wal_before = self.members[member].wal_errors();
+            let flushed = self.members[member].flush_durable(kernel);
+            let mut wal_errors = self.members[member].wal_errors() - wal_before;
+            // Attribute the flush to the member's last polled volume
+            // (walked last-first below, so it also takes the errors).
+            if let Some((_, _, last)) = polls.last_mut() {
+                *last += flushed;
+            }
+            for (vi, _, stats) in polls.into_iter().rev() {
+                report.total += stats;
+                per_volume[vi] = Some(VolumePoll {
+                    member,
+                    volume: volumes[vi].2,
+                    stats,
+                    wal_errors: std::mem::take(&mut wal_errors),
+                });
             }
         }
-        let mut report = ClusterPollReport {
-            member_timings,
-            ..ClusterPollReport::default()
-        };
-        for poll in per_volume.into_iter().flatten() {
-            report.total += poll.stats;
-            report.per_volume.push(poll);
-        }
-        report.member_timings.sort_unstable_by_key(|t| t.member);
-        for t in &report.member_timings {
-            self.member_wall[t.member].observe(t.wall_ns);
-        }
+        report.per_volume = per_volume.into_iter().flatten().collect();
         report
     }
 
@@ -653,28 +609,41 @@ impl Cluster {
 /// per-member ingest is deterministic, so the members' stores are
 /// byte-equal to a sequential run of the same per-member lists.
 pub fn ingest_images_threaded(members: &mut [Waldo], work: Vec<Vec<LogImage>>) -> Vec<IngestStats> {
+    on_member_threads(members, work, |member, images| {
+        member.ingest_images_offline(&images)
+    })
+    .into_iter()
+    .map(Option::unwrap_or_default)
+    .collect()
+}
+
+/// The one thread fan-out: runs `job` over `work[i]` on member `i`,
+/// one scoped OS thread per member whose list is not empty, and
+/// returns the results in member order (`None` for idle members).
+fn on_member_threads<W: Send, R: Send>(
+    members: &mut [Waldo],
+    work: Vec<Vec<W>>,
+    job: impl Fn(&mut Waldo, Vec<W>) -> R + Sync,
+) -> Vec<Option<R>> {
     assert_eq!(
         members.len(),
         work.len(),
-        "one image list per cluster member"
+        "one work list per cluster member"
     );
-    let mut out: Vec<IngestStats> = members.iter().map(|_| IngestStats::default()).collect();
+    let job = &job;
     std::thread::scope(|scope| {
         let handles: Vec<_> = members
             .iter_mut()
             .zip(work)
-            .enumerate()
-            .filter(|(_, (_, images))| !images.is_empty())
-            .map(|(i, (member, images))| {
-                scope.spawn(move || (i, member.ingest_images_offline(&images)))
+            .map(|(member, assigned)| {
+                (!assigned.is_empty()).then(|| scope.spawn(move || job(member, assigned)))
             })
             .collect();
-        for handle in handles {
-            let (i, stats) = handle.join().expect("member ingest panicked");
-            out[i] = stats;
-        }
-    });
-    out
+        handles
+            .into_iter()
+            .map(|h| h.map(|h| h.join().expect("member ingest panicked")))
+            .collect()
+    })
 }
 
 impl std::fmt::Debug for Cluster {

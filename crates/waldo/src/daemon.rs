@@ -41,10 +41,15 @@
 //!   surviving WAL frames (validated), then replay of retained logs
 //!   from the per-log marks.
 //!
-//! The legacy [`Waldo::attach_db_device`] keeps the PR 1 behavior (a
-//! WAL with no checkpoints) for comparison; without either, the store
-//! is memory-only and only daemon-crash recovery
-//! ([`Waldo::resume`] + [`Waldo::recover_volume`]) applies.
+//! Without a database directory the store is memory-only and only
+//! daemon-crash recovery ([`Waldo::resume`] +
+//! [`Waldo::recover_volume`]) applies.
+//!
+//! Every ingest entry point runs one per-log step and one commit
+//! helper, split at the kernel boundary: with a kernel at hand a
+//! group commit also persists, retires and checkpoints as above;
+//! without one (a cluster member's worker thread) it only commits,
+//! and the coordinator's [`Waldo::flush_durable`] settles the rest.
 
 use sim_os::fs::FsError;
 use sim_os::proc::{Fd, MountId, Pid};
@@ -193,8 +198,8 @@ pub struct Waldo {
     /// persisted; unlinking is blocked until a (re)persist succeeds.
     frame_dirty: bool,
     /// The durable home (`wal` + `checkpoints/`), when attached via
-    /// [`Waldo::attach_db_dir`]. `None` = legacy device or
-    /// memory-only; no checkpoints, no log retention.
+    /// [`Waldo::attach_db_dir`]. `None` = memory-only: no WAL, no
+    /// checkpoints, no log retention.
     db_dir: Option<String>,
     /// Bytes appended to the WAL since its last truncation (drives
     /// the `checkpoint_wal_bytes` trigger).
@@ -216,10 +221,10 @@ pub struct Waldo {
     retained: Vec<Retained>,
     /// Fully committed logs gated on the retention floor.
     retired_logs: Vec<RetiredLog>,
-    /// Logs drained by [`Waldo::ingest_images_offline`] whose
-    /// retirement (unlink / retention queueing) is deferred to the
-    /// next [`Waldo::flush_durable`] — offline ingest runs without a
-    /// kernel, so it cannot unlink. `(source handle, path, total
+    /// Drained logs awaiting retirement (unlink, or queueing in
+    /// `retired_logs`) at the next durably persisted commit that finds
+    /// them fully committed; a failed WAL persist leaves them queued
+    /// for the next one that succeeds. `(source handle, path, total
     /// entries)`, in drain order.
     pending_retire: Vec<(usize, String, usize)>,
     /// True from manifest publication until truncation, garbage
@@ -238,6 +243,10 @@ pub struct Waldo {
     /// Cumulative planner counters for queries served by this daemon.
     query_ops: QueryOps,
     scope: provscope::Scope,
+    /// The drain in progress's linked per-batch ingest spans, open
+    /// between a group frame's TxnBegin and its TxnEnd — joining the
+    /// trace of the disclosure transaction whose batch id frames it.
+    batch_spans: Vec<(u64, provscope::SpanHandle)>,
 }
 
 impl Waldo {
@@ -272,6 +281,7 @@ impl Waldo {
             log_tails_corrupt: 0,
             query_ops: QueryOps::default(),
             scope: provscope::Scope::default(),
+            batch_spans: Vec::new(),
         }
     }
 
@@ -418,16 +428,6 @@ impl Waldo {
         self.restart_report.as_ref()
     }
 
-    /// Attaches the legacy database durability device: `path` becomes
-    /// the WAL file every group commit appends its frame to (and
-    /// fsyncs). No checkpoints, no log retention — the PR 1 behavior,
-    /// kept for comparison. Prefer [`Waldo::attach_db_dir`].
-    pub fn attach_db_device(&mut self, kernel: &mut Kernel, path: &str) -> Result<(), FsError> {
-        let fd = kernel.open(self.pid, path, OpenFlags::WRONLY_CREATE)?;
-        self.db_fd = Some(fd);
-        Ok(())
-    }
-
     /// Attaches the daemon's durable home: `db_dir/wal` becomes the
     /// durability WAL (opened append, surviving restarts) and
     /// `db_dir/checkpoints` holds segments and manifests. Enables the
@@ -471,69 +471,83 @@ impl Waldo {
         Ok(())
     }
 
-    /// Persists the latest commit frame: one append plus one fsync on
-    /// the database device — the per-commit durability cost that group
-    /// commit amortizes. Returns false (and counts the failure) if
-    /// either operation errored; the caller must then keep the source
-    /// logs so the commit remains replayable.
-    fn persist_commit(&mut self, kernel: &mut Kernel) -> bool {
+    /// Persists the latest commit frame if it is not durable yet: one
+    /// append plus one fsync on the WAL — the per-commit durability
+    /// cost that group commit amortizes. A frame whose persist failed
+    /// earlier is retried here (each frame carries the complete
+    /// current marks, so persisting the latest one supersedes any
+    /// lost predecessor); on a write or fsync error the failure is
+    /// counted and `frame_dirty` stays set, which keeps the source
+    /// logs — and so the commit replayable — until a persist succeeds.
+    fn persist_commit(&mut self, kernel: &mut Kernel) {
+        if !self.frame_dirty {
+            return;
+        }
         let span = self.scope.open("waldo", "wal_persist");
-        let ok = self.persist_commit_inner(kernel);
-        self.scope.close(span);
-        ok
-    }
-
-    fn persist_commit_inner(&mut self, kernel: &mut Kernel) -> bool {
-        let Some(fd) = self.db_fd else {
+        let ok = match self.db_fd {
+            Some(fd) => {
+                let frame = self.db.last_commit_frame().to_vec();
+                let wrote = kernel.write(self.pid, fd, &frame).is_ok();
+                if wrote {
+                    // The bytes are in the file whether or not the
+                    // fsync succeeds — the size trigger must track
+                    // the file.
+                    self.wal_len += frame.len() as u64;
+                }
+                wrote && kernel.fsync(self.pid, fd).is_ok()
+            }
             // Memory-only daemons have nothing to persist; a durable
             // daemon without a WAL descriptor is an error state (a
             // failed truncation that could not reopen) and must not
             // report false durability.
-            if self.db_dir.is_some() {
-                self.wal_errors += 1;
-                return false;
-            }
-            return true;
+            None => self.db_dir.is_none(),
         };
-        let frame = self.db.last_commit_frame().to_vec();
-        let wrote = kernel.write(self.pid, fd, &frame).is_ok();
-        if wrote {
-            // The bytes are in the file whether or not the fsync
-            // below succeeds — the size trigger must track the file.
-            self.wal_len += frame.len() as u64;
-        }
-        let ok = wrote && kernel.fsync(self.pid, fd).is_ok();
         if !ok {
             self.wal_errors += 1;
         }
-        ok
-    }
-
-    /// Commits staged entries and persists the latest frame. Returns
-    /// true when it is safe to retire fully committed source logs —
-    /// i.e. the newest frame is durably on the WAL device. A frame
-    /// whose persist failed earlier is retried here (each frame
-    /// carries the complete current marks, so persisting the latest
-    /// one supersedes any lost predecessor); until a persist succeeds,
-    /// every call keeps returning false and no log is unlinked.
-    fn commit_and_persist(&mut self, kernel: &mut Kernel, stats: &mut IngestStats) -> bool {
-        let span = self.scope.open("waldo", "group_commit");
-        let r = self.commit_and_persist_inner(kernel, stats);
+        self.frame_dirty = !ok;
         self.scope.close(span);
-        r
     }
 
-    fn commit_and_persist_inner(&mut self, kernel: &mut Kernel, stats: &mut IngestStats) -> bool {
+    /// The one group commit. With a kernel: commit, persist the frame,
+    /// then [`Waldo::settle`]. Without one (a worker thread): commit
+    /// only — `frame_dirty` stays set for the coordinator's
+    /// [`Waldo::flush_durable`].
+    fn commit(&mut self, mut kernel: Option<&mut Kernel>, stats: &mut IngestStats) {
+        let span = self.scope.open("waldo", "group_commit");
         let before = self.db.commit_seq();
         self.db.commit_staged(stats);
         if self.db.commit_seq() != before {
             self.frame_dirty = true;
             self.commits_since_checkpoint += self.db.commit_seq() - before;
         }
-        if self.frame_dirty && self.persist_commit(kernel) {
-            self.frame_dirty = false;
+        if let Some(kernel) = kernel.as_deref_mut() {
+            self.persist_commit(kernel);
         }
-        !self.frame_dirty
+        self.scope.close(span);
+        if let Some(kernel) = kernel {
+            self.settle(kernel, stats);
+        }
+    }
+
+    /// Once the newest frame is durably on the WAL: retires the fully
+    /// committed logs in `pending_retire` and runs the checkpoint
+    /// policy. While a persist is failing this does nothing, so no log
+    /// is unlinked and everything stays queued.
+    fn settle(&mut self, kernel: &mut Kernel, stats: &mut IngestStats) {
+        if self.frame_dirty {
+            return;
+        }
+        self.retire_committed(kernel);
+        if self.should_checkpoint() {
+            match self.checkpoint(kernel) {
+                Ok(true) => stats.checkpoints += 1,
+                Ok(false) => {}
+                // A failed checkpoint must be visible: the WAL bound
+                // and log retirement silently stop holding otherwise.
+                Err(_) => self.ckpt_stats.failures += 1,
+            }
+        }
     }
 
     /// Commit frames that failed to persist. Nonzero means some fully
@@ -762,7 +776,31 @@ impl Waldo {
         Ok(())
     }
 
-    // ---- polling ----------------------------------------------------------
+    // ---- ingest -----------------------------------------------------------
+
+    /// `rel` under a volume's mount point (`"/"` or `"/mnt/x"`).
+    fn under_mount(mount_path: &str, rel: &str) -> String {
+        if mount_path == "/" {
+            format!("/{rel}")
+        } else {
+            format!("{mount_path}/{rel}")
+        }
+    }
+
+    /// Takes a volume's rotation queue (the inotify stand-in) as
+    /// absolute log paths, in rotation order — none when nothing
+    /// provenance-aware is mounted at `mount`.
+    pub(crate) fn take_rotated_logs(
+        kernel: &mut Kernel,
+        mount: MountId,
+        mount_path: &str,
+    ) -> Vec<String> {
+        let Some(volume) = kernel.dpapi_at(mount) else {
+            return Vec::new();
+        };
+        let abs = |rel: String| Waldo::under_mount(mount_path, &rel);
+        volume.take_log_rotations().into_iter().map(abs).collect()
+    }
 
     /// Polls one volume for rotated logs, ingesting (in group-commit
     /// batches that may span files) and removing each fully committed
@@ -774,20 +812,7 @@ impl Waldo {
         mount: MountId,
         mount_path: &str,
     ) -> IngestStats {
-        let rotated = match kernel.dpapi_at(mount) {
-            Some(d) => d.take_log_rotations(),
-            None => return IngestStats::default(),
-        };
-        let paths: Vec<String> = rotated
-            .into_iter()
-            .map(|rel| {
-                if mount_path == "/" {
-                    format!("/{rel}")
-                } else {
-                    format!("{mount_path}/{rel}")
-                }
-            })
-            .collect();
+        let paths = Waldo::take_rotated_logs(kernel, mount, mount_path);
         self.drain_logs(kernel, paths)
     }
 
@@ -799,88 +824,19 @@ impl Waldo {
         self.drain_logs(kernel, vec![path.to_string()])
     }
 
-    /// The shared ingestion loop: stages each log's entries (skipping
-    /// any prefix a pre-crash predecessor already committed),
-    /// group-commits every `ingest_batch` entries — batches may span
-    /// files — retires each log as soon as all of its entries have
-    /// committed, and publishes checkpoints as the policy fires.
+    /// One drain over log files, read through the kernel one at a
+    /// time: group commits may span files, each log retires as soon
+    /// as all of its entries have durably committed, and checkpoints
+    /// publish as the policy fires.
     fn drain_logs(&mut self, kernel: &mut Kernel, paths: Vec<String>) -> IngestStats {
         let drain_span = self.scope.open("waldo", "drain_logs");
         let mut total = IngestStats::default();
-        // (source handle, path, total entries) of each log read so
-        // far, for post-commit retirement.
-        let mut files: Vec<(usize, String, usize)> = Vec::new();
-        // Linked per-batch ingest spans, open between a group frame's
-        // TxnBegin and its TxnEnd — joining the trace of the
-        // disclosure transaction whose batch id frames the group.
-        let mut batch_spans: Vec<(u64, provscope::SpanHandle)> = Vec::new();
-        let batch = self.db.config().ingest_batch.max(1);
         for abs in paths {
-            let Ok(bytes) = kernel.read_file(self.pid, &abs) else {
-                continue;
-            };
-            let (entries, tail) = lasagna::parse_log(&bytes);
-            match tail {
-                lasagna::LogTail::Clean => {}
-                lasagna::LogTail::Truncated { .. } => {
-                    total.tails_truncated += 1;
-                    self.log_tails_truncated += 1;
-                }
-                lasagna::LogTail::Corrupt { .. } => {
-                    total.tails_corrupt += 1;
-                    self.log_tails_corrupt += 1;
-                }
+            if let Ok(bytes) = kernel.read_file(self.pid, &abs) {
+                self.ingest_log(Some(kernel), Some(&abs), &bytes, &mut total);
             }
-            let (src, mark) = self.db.register_source(&abs);
-            if mark == 0 {
-                // Fresh file: a new log image starts a new transaction
-                // scope. (A nonzero mark means we are resuming a
-                // partially committed file after a crash — the store's
-                // committed transaction context already sits exactly
-                // at the mark, so no reset.)
-                self.db.begin_stream();
-            }
-            let n = entries.len();
-            for e in entries.into_iter().skip(mark) {
-                if self.scope.is_enabled() {
-                    match &e {
-                        lasagna::LogEntry::TxnBegin { id } => {
-                            let h = self.scope.open_linked(
-                                "waldo",
-                                "ingest_batch",
-                                provscope::TraceId(*id),
-                            );
-                            batch_spans.push((*id, h));
-                        }
-                        lasagna::LogEntry::TxnEnd { id } => {
-                            if let Some(pos) = batch_spans.iter().rposition(|(b, _)| b == id) {
-                                let (_, h) = batch_spans.remove(pos);
-                                self.scope.close(h);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                self.db.stage(e, Some(src));
-                if self.db.staged_len() >= batch && self.commit_and_persist(kernel, &mut total) {
-                    self.retire_committed(kernel, &mut files);
-                    self.maybe_checkpoint(kernel, &mut total);
-                }
-            }
-            files.push((src, abs, n));
-            self.processed_logs += 1;
         }
-        if self.commit_and_persist(kernel, &mut total) {
-            self.retire_committed(kernel, &mut files);
-            self.maybe_checkpoint(kernel, &mut total);
-        }
-        // Frames torn before their TxnEnd leave their span open;
-        // close them so the trace stays well-formed.
-        for (_, h) in batch_spans {
-            self.scope.close(h);
-        }
-        self.scope.close(drain_span);
-        total
+        self.end_drain(Some(kernel), drain_span, total)
     }
 
     /// Ingests one raw Lasagna log image that arrives **by value**
@@ -898,9 +854,45 @@ impl Waldo {
     pub fn ingest_log_image(&mut self, kernel: &mut Kernel, image: &[u8]) -> IngestStats {
         let drain_span = self.scope.open("waldo", "drain_logs");
         let mut total = IngestStats::default();
-        let mut batch_spans: Vec<(u64, provscope::SpanHandle)> = Vec::new();
-        let batch = self.db.config().ingest_batch.max(1);
-        let (entries, tail) = lasagna::parse_log(image);
+        self.ingest_log(Some(kernel), None, image, &mut total);
+        self.end_drain(Some(kernel), drain_span, total)
+    }
+
+    /// A drain **without the kernel**, over pre-read log images, so it
+    /// can run on a worker thread while the coordinator keeps the
+    /// (single-threaded) kernel. It is the same loop as a file drain,
+    /// so over the same logs in the same order entries stage at the
+    /// same positions, commits fire at the same batch boundaries and
+    /// the store is byte-identical — only durability (WAL persist),
+    /// log retirement and checkpoints are deferred to the next
+    /// [`Waldo::flush_durable`] on the coordinator. Each commit frame
+    /// carries the complete current replay marks, so persisting only
+    /// the final frame supersedes the skipped ones; frames are
+    /// accounting, never recovery state.
+    pub fn ingest_images_offline(&mut self, images: &[LogImage]) -> IngestStats {
+        let drain_span = self.scope.open("waldo", "drain_logs");
+        let mut total = IngestStats::default();
+        for image in images {
+            self.ingest_log(None, Some(&image.path), &image.bytes, &mut total);
+        }
+        self.end_drain(None, drain_span, total)
+    }
+
+    /// The ingest step every entry point shares: parses one log,
+    /// stages its entries — skipping any prefix a pre-crash
+    /// predecessor already committed — and group-commits every
+    /// `ingest_batch` staged entries (batches may span logs). `path`
+    /// names the replay source the store keeps a committed mark for;
+    /// an unnamed (by-value) image has none and is never retired.
+    /// `kernel` decides how far each commit goes ([`Waldo::commit`]).
+    fn ingest_log(
+        &mut self,
+        mut kernel: Option<&mut Kernel>,
+        path: Option<&str>,
+        bytes: &[u8],
+        total: &mut IngestStats,
+    ) {
+        let (entries, tail) = lasagna::parse_log(bytes);
         match tail {
             lasagna::LogTail::Clean => {}
             lasagna::LogTail::Truncated { .. } => {
@@ -912,8 +904,19 @@ impl Waldo {
                 self.log_tails_corrupt += 1;
             }
         }
-        self.db.begin_stream();
-        for e in entries {
+        let (src, mark) = path.map(|p| self.db.register_source(p)).unzip();
+        let mark = mark.unwrap_or(0);
+        if mark == 0 {
+            // Fresh file: a new log image starts a new transaction
+            // scope. (A nonzero mark means we are resuming a
+            // partially committed file after a crash — the store's
+            // committed transaction context already sits exactly
+            // at the mark, so no reset.)
+            self.db.begin_stream();
+        }
+        let batch = self.db.config().ingest_batch.max(1);
+        let n = entries.len();
+        for e in entries.into_iter().skip(mark) {
             if self.scope.is_enabled() {
                 match &e {
                     lasagna::LogEntry::TxnBegin { id } => {
@@ -922,151 +925,58 @@ impl Waldo {
                             "ingest_batch",
                             provscope::TraceId(*id),
                         );
-                        batch_spans.push((*id, h));
+                        self.batch_spans.push((*id, h));
                     }
                     lasagna::LogEntry::TxnEnd { id } => {
-                        if let Some(pos) = batch_spans.iter().rposition(|(b, _)| b == id) {
-                            let (_, h) = batch_spans.remove(pos);
+                        if let Some(pos) = self.batch_spans.iter().rposition(|(b, _)| b == id) {
+                            let (_, h) = self.batch_spans.remove(pos);
                             self.scope.close(h);
                         }
                     }
                     _ => {}
                 }
             }
-            self.db.stage(e, None);
-            if self.db.staged_len() >= batch && self.commit_and_persist(kernel, &mut total) {
-                self.maybe_checkpoint(kernel, &mut total);
+            self.db.stage(e, src);
+            if self.db.staged_len() >= batch {
+                self.commit(kernel.as_deref_mut(), total);
             }
         }
-        if self.commit_and_persist(kernel, &mut total) {
-            self.maybe_checkpoint(kernel, &mut total);
+        if let (Some(src), Some(path)) = (src, path) {
+            self.pending_retire.push((src, path.to_string(), n));
         }
         self.processed_logs += 1;
-        for (_, h) in batch_spans {
+    }
+
+    /// Ends a drain: commits the tail batch and closes the spans —
+    /// frames torn before their TxnEnd leave theirs open, and the
+    /// trace must stay well-formed.
+    fn end_drain(
+        &mut self,
+        kernel: Option<&mut Kernel>,
+        drain_span: provscope::SpanHandle,
+        mut total: IngestStats,
+    ) -> IngestStats {
+        self.commit(kernel, &mut total);
+        for (_, h) in std::mem::take(&mut self.batch_spans) {
             self.scope.close(h);
         }
         self.scope.close(drain_span);
         total
     }
 
-    /// The kernel-free half of `Waldo::drain_logs`: stages and
-    /// group-commits pre-read log images **without touching the
-    /// kernel**, so it can run on a worker thread while the
-    /// coordinator keeps the (single-threaded) kernel. The store this
-    /// produces is byte-identical to `drain_logs` over the same files
-    /// in the same order — entries stage at the same positions and
-    /// commits fire at the same batch boundaries — only durability
-    /// (WAL persist), log retirement and checkpoints are deferred to
-    /// the next [`Waldo::flush_durable`] on the coordinator. Each
-    /// commit frame carries the complete current replay marks, so
-    /// persisting only the final frame supersedes the skipped ones;
-    /// frames are accounting, never recovery state.
-    pub fn ingest_images_offline(&mut self, images: &[LogImage]) -> IngestStats {
-        let drain_span = self.scope.open("waldo", "drain_logs");
-        let mut total = IngestStats::default();
-        let mut batch_spans: Vec<(u64, provscope::SpanHandle)> = Vec::new();
-        let batch = self.db.config().ingest_batch.max(1);
-        for image in images {
-            let (entries, tail) = lasagna::parse_log(&image.bytes);
-            match tail {
-                lasagna::LogTail::Clean => {}
-                lasagna::LogTail::Truncated { .. } => {
-                    total.tails_truncated += 1;
-                    self.log_tails_truncated += 1;
-                }
-                lasagna::LogTail::Corrupt { .. } => {
-                    total.tails_corrupt += 1;
-                    self.log_tails_corrupt += 1;
-                }
-            }
-            let (src, mark) = self.db.register_source(&image.path);
-            if mark == 0 {
-                self.db.begin_stream();
-            }
-            let n = entries.len();
-            for e in entries.into_iter().skip(mark) {
-                if self.scope.is_enabled() {
-                    match &e {
-                        lasagna::LogEntry::TxnBegin { id } => {
-                            let h = self.scope.open_linked(
-                                "waldo",
-                                "ingest_batch",
-                                provscope::TraceId(*id),
-                            );
-                            batch_spans.push((*id, h));
-                        }
-                        lasagna::LogEntry::TxnEnd { id } => {
-                            if let Some(pos) = batch_spans.iter().rposition(|(b, _)| b == id) {
-                                let (_, h) = batch_spans.remove(pos);
-                                self.scope.close(h);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                self.db.stage(e, Some(src));
-                if self.db.staged_len() >= batch {
-                    self.commit_offline(&mut total);
-                }
-            }
-            self.pending_retire.push((src, image.path.clone(), n));
-            self.processed_logs += 1;
-        }
-        self.commit_offline(&mut total);
-        for (_, h) in batch_spans {
-            self.scope.close(h);
-        }
-        self.scope.close(drain_span);
-        total
-    }
-
-    /// Commits staged entries without persisting — the worker-thread
-    /// half of [`Waldo::commit_and_persist`]. Leaves `frame_dirty`
-    /// set so the coordinator's [`Waldo::flush_durable`] persists the
-    /// (cumulative) latest frame.
-    fn commit_offline(&mut self, stats: &mut IngestStats) {
-        let span = self.scope.open("waldo", "group_commit");
-        let before = self.db.commit_seq();
-        self.db.commit_staged(stats);
-        if self.db.commit_seq() != before {
-            self.frame_dirty = true;
-            self.commits_since_checkpoint += self.db.commit_seq() - before;
-        }
-        self.scope.close(span);
-    }
-
-    /// The coordinator-side completion of offline ingest: persists
-    /// the latest commit frame (one append + fsync — the durability
-    /// cost the deferral amortized), retires the logs
-    /// [`Waldo::ingest_images_offline`] fully committed, and runs the
+    /// The coordinator-side completion of a kernel-free ingest:
+    /// persists the latest commit frame (one append + fsync — the
+    /// durability cost the deferral amortized), then settles exactly
+    /// as a commit with the kernel at hand does — retires the logs
+    /// [`Waldo::ingest_images_offline`] fully committed and runs the
     /// checkpoint policy. Returns the checkpoint counters the flush
-    /// produced. A persist failure leaves everything queued — no log
-    /// is unlinked until a later flush (or ordinary drain) succeeds,
-    /// exactly like the sequential path.
+    /// produced. A persist failure leaves everything queued: no log is
+    /// unlinked until a later flush (or file drain) persists.
     pub fn flush_durable(&mut self, kernel: &mut Kernel) -> IngestStats {
         let mut stats = IngestStats::default();
-        if self.frame_dirty && self.persist_commit(kernel) {
-            self.frame_dirty = false;
-        }
-        if !self.frame_dirty {
-            let mut files = std::mem::take(&mut self.pending_retire);
-            self.retire_committed(kernel, &mut files);
-            self.pending_retire = files;
-            self.maybe_checkpoint(kernel, &mut stats);
-        }
+        self.persist_commit(kernel);
+        self.settle(kernel, &mut stats);
         stats
-    }
-
-    fn maybe_checkpoint(&mut self, kernel: &mut Kernel, stats: &mut IngestStats) {
-        if self.should_checkpoint() {
-            match self.checkpoint(kernel) {
-                Ok(true) => stats.checkpoints += 1,
-                Ok(false) => {}
-                // A failed checkpoint must be visible: the WAL bound
-                // and log retirement silently stop holding otherwise.
-                Err(_) => self.ckpt_stats.failures += 1,
-            }
-        }
     }
 
     /// Rescans a volume's log directory after a restart and replays
@@ -1078,11 +988,7 @@ impl Waldo {
     /// recorded marks; partially committed ones resume from their
     /// high-water mark.
     pub fn recover_volume(&mut self, kernel: &mut Kernel, mount_path: &str) -> IngestStats {
-        let dir = if mount_path == "/" {
-            "/.pass".to_string()
-        } else {
-            format!("{mount_path}/.pass")
-        };
+        let dir = Waldo::under_mount(mount_path, ".pass");
         let Ok(entries) = kernel.readdir(self.pid, &dir) else {
             return IngestStats::default();
         };
@@ -1096,48 +1002,42 @@ impl Waldo {
         self.drain_logs(kernel, paths)
     }
 
-    /// Moves fully committed logs out of the working set: without a
-    /// database directory they are unlinked immediately (nothing more
-    /// durable than the in-memory store exists to cover them); with
-    /// one they enter the retirement queue until the retention floor
-    /// covers them — unlinking a log before a checkpoint captures its
-    /// effects would make a machine crash unrecoverable.
-    fn retire_committed(&mut self, kernel: &mut Kernel, files: &mut Vec<(usize, String, usize)>) {
+    /// Moves the fully committed logs in `pending_retire` out of the
+    /// working set: without a database directory they are unlinked
+    /// immediately (nothing more durable than the in-memory store
+    /// exists to cover them); with one they enter the retirement queue
+    /// until the retention floor covers them — unlinking a log before
+    /// a checkpoint captures its effects would make a machine crash
+    /// unrecoverable.
+    fn retire_committed(&mut self, kernel: &mut Kernel) {
         let durable = self.db_dir.is_some();
         let seq = self.db.commit_seq();
-        files.retain(|(src, path, total)| {
-            if self.db.source_fully_committed(*src, *total) {
-                if durable {
-                    // The same log can be drained twice while it
-                    // awaits coverage (a rotation-queue entry after a
-                    // restart already replayed it); queueing it twice
-                    // would unlink and forget it twice.
-                    if !self.retired_logs.iter().any(|l| l.src == *src) {
-                        self.retired_logs.push(RetiredLog {
-                            src: *src,
-                            path: path.clone(),
-                            retired_seq: seq,
-                        });
-                    }
-                } else if kernel.unlink(self.pid, path).is_ok() {
-                    self.db.forget_source(*src);
+        for (src, path, total) in std::mem::take(&mut self.pending_retire) {
+            if !self.db.source_fully_committed(src, total) {
+                self.pending_retire.push((src, path, total));
+            } else if !durable {
+                if kernel.unlink(self.pid, &path).is_ok() {
+                    self.db.forget_source(src);
                 }
-                false
-            } else {
-                true
+            } else if !self.retired_logs.iter().any(|l| l.src == src) {
+                // (The same log can be drained twice while it awaits
+                // coverage — a rotation-queue entry after a restart
+                // already replayed it; queueing it twice would unlink
+                // and forget it twice.)
+                self.retired_logs.push(RetiredLog {
+                    src,
+                    path,
+                    retired_seq: seq,
+                });
             }
-        });
+        }
         self.unlink_covered(kernel);
     }
 
     /// Unlinks retired logs the retention floor has covered.
     fn unlink_covered(&mut self, kernel: &mut Kernel) {
-        if self.db_dir.is_none() || self.retired_logs.is_empty() {
-            return;
-        }
         let floor = self.checkpoint_floor();
-        let retired = std::mem::take(&mut self.retired_logs);
-        for log in retired {
+        for log in std::mem::take(&mut self.retired_logs) {
             // Forget the replay mark only once the file is really
             // gone: forgetting a surviving log would replay it from
             // scratch on the next recovery, duplicating its records.

@@ -8,10 +8,16 @@
 //! the surviving logs from the recorded marks applies each entry
 //! exactly once.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
 use lasagna::LogEntry;
 use passv2::System;
-use waldo::{IngestStats, Store, Waldo, WaldoConfig};
+use sim_os::cost::CostModel;
+use sim_os::fs::basefs::BaseFs;
+use sim_os::fs::{DirEntry, FileAttr, FileSystem, FsError, FsResult, FsUsage, Ino};
+use waldo::{IngestStats, LogImage, Store, Waldo, WaldoConfig};
 
 fn r(n: u64, v: u32) -> ObjectRef {
     ObjectRef::new(Pnode::new(VolumeId(1), n), Version(v))
@@ -149,7 +155,338 @@ fn crash_mid_batch_recovers_exactly_once() {
         db.commit_staged(&mut stats);
         assert!(db.source_fully_committed(src2, total));
         assert_same_db(&reference, &db);
+
+        // The same crash one level up: a daemon adopts a store that
+        // died with this prefix of the first log committed, and every
+        // entry point that can name a replay source finishes it alike.
+        daemon_entry_points_agree(Some(committed_prefix));
     }
+    // No crash: the by-value entry point joins the comparison.
+    daemon_entry_points_agree(None);
+}
+
+fn encode(entries: &[LogEntry]) -> bytes::BytesMut {
+    let mut buf = bytes::BytesMut::new();
+    for e in entries {
+        lasagna::encode_entry(&mut buf, e).unwrap();
+    }
+    buf
+}
+
+/// Six named files on pnodes `base..base + 6`, clear of `stream()`'s.
+fn extra_files(base: u64) -> Vec<LogEntry> {
+    (base..base + 6)
+        .flat_map(|i| {
+            [
+                prov(r(i, 0), Attribute::Name, Value::str(format!("/extra{i}"))),
+                prov(r(i, 0), Attribute::Type, Value::str("FILE")),
+            ]
+        })
+        .collect()
+}
+
+/// The log set every daemon entry point must ingest alike, as `(path,
+/// image, entries that survive parsing)`: `stream()` with its
+/// transaction as one group frame (17 entries, so it spans several
+/// 4-entry batches), a clean log, a log cut inside its last frame, and
+/// a log with a bit flipped in its last frame.
+fn log_set() -> Vec<(&'static str, Vec<u8>, Vec<LogEntry>)> {
+    let s = stream();
+    let begin = s
+        .iter()
+        .position(|e| matches!(e, LogEntry::TxnBegin { .. }))
+        .unwrap();
+    let end = s
+        .iter()
+        .position(|e| matches!(e, LogEntry::TxnEnd { .. }))
+        .unwrap();
+    let mut grouped = encode(&s[..begin]);
+    lasagna::encode_group(&mut grouped, &s[begin..=end]).unwrap();
+    grouped.extend_from_slice(&encode(&s[end + 1..]));
+
+    let (clean, cut, flipped) = (extra_files(20), extra_files(30), extra_files(40));
+    let mut cut_image = encode(&cut).to_vec();
+    cut_image.truncate(cut_image.len() - 3);
+    let mut flipped_image = encode(&flipped).to_vec();
+    let last = flipped_image.len() - 6; // inside the last frame's payload
+    flipped_image[last] ^= 0x10;
+    vec![
+        ("/logs/grouped", grouped.to_vec(), s),
+        ("/logs/clean", encode(&clean).to_vec(), clean),
+        ("/logs/cut", cut_image, cut[..cut.len() - 1].to_vec()),
+        (
+            "/logs/flipped",
+            flipped_image,
+            flipped[..flipped.len() - 1].to_vec(),
+        ),
+    ]
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum EntryPoint {
+    /// `ingest_log_file`, one call per log.
+    Files,
+    /// `ingest_images_offline`, one call per log, then `flush_durable`.
+    Offline,
+    /// `ingest_log_image`, one call per log (no replay source).
+    ByValue,
+}
+
+/// What one run of the log set left behind.
+#[derive(Debug, PartialEq)]
+struct Ingested {
+    images: Vec<Vec<u8>>,
+    stats: IngestStats,
+    tail_errors: (u64, u64),
+    /// `(source handle, committed mark)` per log, before the
+    /// checkpoint unlinks them.
+    marks: Vec<(usize, usize)>,
+    logs_left: Vec<String>,
+    logs_retired: u64,
+}
+
+/// Ingests `log_set()` through one daemon entry point on a durable
+/// daemon, then checkpoints so covered logs are unlinked. With
+/// `resume`, the daemon adopts a store whose predecessor committed
+/// that many entries of the first log (in batches of 4), staged two
+/// more and crashed.
+fn ingest_log_set(entry: EntryPoint, resume: Option<usize>) -> (Ingested, Store) {
+    let cfg = WaldoConfig {
+        shards: 8,
+        ingest_batch: 4,
+        ancestry_cache: 0,
+        checkpoint_commits: 0, // the one manual checkpoint below
+        checkpoint_wal_bytes: 0,
+        keep_checkpoints: 1,
+    };
+    let logs = log_set();
+    let mut sys = System::baseline();
+    let pid = sys.kernel.spawn_init("waldo");
+    sys.kernel.mkdir_p(pid, "/logs").unwrap();
+    for (path, image, _) in &logs {
+        sys.kernel.write_file(pid, path, image).unwrap();
+    }
+
+    let db = Store::with_config(cfg);
+    if let Some(committed_prefix) = resume {
+        let (path, _, entries) = &logs[0];
+        let (src, _) = db.register_source(path);
+        db.begin_stream();
+        let mut stats = IngestStats::default();
+        for e in entries.iter().take(committed_prefix).cloned() {
+            db.stage(e, Some(src));
+            if db.staged_len() >= 4 {
+                db.commit_staged(&mut stats);
+            }
+        }
+        for e in entries.iter().skip(committed_prefix).take(2).cloned() {
+            db.stage(e, Some(src));
+        }
+    }
+    let mut waldo = Waldo::resume(pid, db); // drops the staged suffix
+    waldo.attach_db_dir(&mut sys.kernel, "/waldo-db").unwrap();
+
+    let mut stats = IngestStats::default();
+    for (path, image, _) in &logs {
+        stats += match entry {
+            EntryPoint::Files => waldo.ingest_log_file(&mut sys.kernel, path),
+            EntryPoint::Offline => waldo.ingest_images_offline(&[LogImage {
+                path: path.to_string(),
+                bytes: image.clone(),
+            }]),
+            EntryPoint::ByValue => waldo.ingest_log_image(&mut sys.kernel, image),
+        };
+    }
+    if entry == EntryPoint::Offline {
+        stats += waldo.flush_durable(&mut sys.kernel);
+    }
+    let marks = match entry {
+        EntryPoint::ByValue => Vec::new(),
+        _ => logs
+            .iter()
+            .map(|(path, _, _)| waldo.db.register_source(path))
+            .collect(),
+    };
+    assert!(waldo.checkpoint(&mut sys.kernel).unwrap());
+
+    let mut logs_left: Vec<String> = sys
+        .kernel
+        .readdir(pid, "/logs")
+        .unwrap()
+        .into_iter()
+        .map(|e| e.name)
+        .collect();
+    logs_left.sort();
+    let ingested = Ingested {
+        images: waldo.db.segment_images(),
+        stats,
+        tail_errors: waldo.log_tail_errors(),
+        marks,
+        logs_left,
+        logs_retired: waldo.checkpoint_stats().logs_retired,
+    };
+    (ingested, waldo.db)
+}
+
+/// Every daemon entry point is the same ingest loop: over one log set
+/// they leave byte-equal stores and equal counters, and the two that
+/// name a replay source (the file path and the kernel-free path
+/// settled by `flush_durable`) also leave equal source marks and
+/// unlink the same logs once a checkpoint covers them.
+fn daemon_entry_points_agree(resume: Option<usize>) {
+    let (files, db) = ingest_log_set(EntryPoint::Files, resume);
+    let parsed: Vec<Vec<LogEntry>> = log_set().into_iter().map(|(_, _, e)| e).collect();
+    assert_same_db(&reference_db(&parsed.concat()), &db);
+    assert_eq!(files.stats.txns_committed, 1, "resume {resume:?}");
+    assert_eq!(files.stats.tails_truncated, 1, "resume {resume:?}");
+    assert_eq!(files.stats.tails_corrupt, 1, "resume {resume:?}");
+    assert_eq!(files.tail_errors, (1, 1), "resume {resume:?}");
+    let marks: Vec<usize> = files.marks.iter().map(|(_, mark)| *mark).collect();
+    let parsed: Vec<usize> = parsed.iter().map(Vec::len).collect();
+    assert_eq!(marks, parsed, "every log commits to its last parsed entry");
+    assert_eq!(files.logs_left, Vec::<String>::new(), "resume {resume:?}");
+    assert_eq!(files.logs_retired, 4, "resume {resume:?}");
+
+    let (offline, _) = ingest_log_set(EntryPoint::Offline, resume);
+    assert_eq!(offline, files, "resume {resume:?}");
+
+    if resume.is_none() {
+        // Unnamed images: nothing to mark, retire or unlink — the
+        // store and the counters are the comparison.
+        let (by_value, _) = ingest_log_set(EntryPoint::ByValue, None);
+        assert_eq!(by_value.images, files.images);
+        assert_eq!(by_value.stats, files.stats);
+        assert_eq!(by_value.tail_errors, files.tail_errors);
+        assert_eq!(by_value.logs_left.len(), 4);
+    }
+}
+
+/// A plain file system whose `fsync` fails while `fail` is set — the
+/// database volume of the WAL-failure regression test below.
+struct FlakyFsync {
+    inner: BaseFs,
+    fail: Rc<Cell<bool>>,
+}
+
+impl FileSystem for FlakyFsync {
+    fn root(&self) -> Ino {
+        self.inner.root()
+    }
+    fn lookup(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+        self.inner.lookup(dir, name)
+    }
+    fn create(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+        self.inner.create(dir, name)
+    }
+    fn mkdir(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+        self.inner.mkdir(dir, name)
+    }
+    fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()> {
+        self.inner.unlink(dir, name)
+    }
+    fn rename(&mut self, from: Ino, name: &str, to: Ino, to_name: &str) -> FsResult<()> {
+        self.inner.rename(from, name, to, to_name)
+    }
+    fn read(&mut self, ino: Ino, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+        self.inner.read(ino, offset, len)
+    }
+    fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+        self.inner.write(ino, offset, data)
+    }
+    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
+        self.inner.truncate(ino, size)
+    }
+    fn getattr(&mut self, ino: Ino) -> FsResult<FileAttr> {
+        self.inner.getattr(ino)
+    }
+    fn readdir(&mut self, dir: Ino) -> FsResult<Vec<DirEntry>> {
+        self.inner.readdir(dir)
+    }
+    fn sync(&mut self) -> FsResult<()> {
+        self.inner.sync()
+    }
+    fn fsync(&mut self, ino: Ino) -> FsResult<()> {
+        if self.fail.get() {
+            return Err(FsError::NoSpace);
+        }
+        self.inner.fsync(ino)
+    }
+    fn close_hint(&mut self, ino: Ino) -> FsResult<()> {
+        self.inner.close_hint(ino)
+    }
+    fn usage(&self) -> FsUsage {
+        self.inner.usage()
+    }
+}
+
+/// Logs fully committed while the WAL could not persist stay queued
+/// for retirement: the next persist that succeeds retires them, and
+/// covering checkpoints unlink them. (They used to be forgotten when
+/// the failing poll returned, and leaked — with their source slots —
+/// until a machine restart.)
+#[test]
+fn logs_committed_under_a_failing_wal_retire_at_the_next_persist() {
+    let mut sys = System::single_volume();
+    let fail = Rc::new(Cell::new(false));
+    sys.kernel.mount(
+        "/db",
+        Box::new(FlakyFsync {
+            inner: BaseFs::new(sys.clock(), CostModel::default()),
+            fail: fail.clone(),
+        }),
+    );
+    let waldo_pid = sys.kernel.spawn_init("waldo");
+    sys.pass.exempt(waldo_pid);
+    let mut waldo = Waldo::with_config(
+        waldo_pid,
+        WaldoConfig {
+            ingest_batch: 5,
+            checkpoint_commits: 0, // manual checkpoints only
+            checkpoint_wal_bytes: 0,
+            keep_checkpoints: 1,
+            ..WaldoConfig::default()
+        },
+    );
+    waldo.attach_db_dir(&mut sys.kernel, "/db/waldo").unwrap();
+    let (_, m, _) = sys.volumes[0];
+    let worker = sys.spawn("sh");
+    let rotate_after_writes = |sys: &mut System, wave: usize| {
+        for i in 0..6 {
+            sys.kernel
+                .write_file(worker, &format!("/wave{wave}-{i}"), b"payload")
+                .unwrap();
+        }
+        sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
+    };
+    let closed_logs = |sys: &mut System| -> usize {
+        let names = sys.kernel.readdir(waldo_pid, "/.pass").unwrap();
+        // Every `log.N` but the active (highest-numbered) one.
+        names.iter().filter(|e| e.name.starts_with("log.")).count() - 1
+    };
+
+    // Poll with the WAL failing: everything commits, nothing persists,
+    // so nothing may be retired.
+    rotate_after_writes(&mut sys, 0);
+    fail.set(true);
+    let stats = waldo.poll_volume(&mut sys.kernel, m, "/");
+    assert!(stats.applied > 0);
+    assert!(waldo.wal_errors() > 0, "the injected failure must be seen");
+    assert_eq!(closed_logs(&mut sys), 1, "an unpersisted log must survive");
+
+    // Poll again, healthy: the persist succeeds and covers both waves.
+    fail.set(false);
+    let errors = waldo.wal_errors();
+    rotate_after_writes(&mut sys, 1);
+    waldo.poll_volume(&mut sys.kernel, m, "/");
+    assert_eq!(waldo.wal_errors(), errors);
+    assert_eq!(closed_logs(&mut sys), 2, "no checkpoint covers them yet");
+    assert!(waldo.checkpoint(&mut sys.kernel).unwrap());
+    assert_eq!(
+        closed_logs(&mut sys),
+        0,
+        "the log committed under the failing WAL must be unlinked too"
+    );
+    assert_eq!(waldo.checkpoint_stats().logs_retired, 2);
 }
 
 /// End-to-end daemon crash: a poll is interrupted mid-batch, the
