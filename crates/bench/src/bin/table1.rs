@@ -33,7 +33,7 @@ fn record_types(sys: &mut System, subject_types: &[&str]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for ty in subject_types {
         for p in w.db.find_by_type(ty) {
-            if let Some(obj) = w.db.object(p) {
+            w.db.with_object(p, |obj| {
                 for v in obj.versions.values() {
                     for (a, _) in &v.attrs {
                         out.insert(a.as_str().to_string());
@@ -42,7 +42,7 @@ fn record_types(sys: &mut System, subject_types: &[&str]) -> BTreeSet<String> {
                         out.insert(a.as_str().to_string());
                     }
                 }
-            }
+            });
         }
     }
     out
@@ -77,7 +77,7 @@ fn pa_links_types() -> BTreeSet<String> {
     subjects.extend(w.db.find_by_name("/home/graph.gif"));
     let mut out = BTreeSet::new();
     for p in subjects {
-        if let Some(obj) = w.db.object(p) {
+        w.db.with_object(p, |obj| {
             for v in obj.versions.values() {
                 for (a, _) in &v.attrs {
                     out.insert(a.as_str().to_string());
@@ -86,7 +86,7 @@ fn pa_links_types() -> BTreeSet<String> {
                     out.insert(a.as_str().to_string());
                 }
             }
-        }
+        });
     }
     out
 }

@@ -263,12 +263,11 @@ fn ops_report(w: &waldo::Waldo) -> WaldoOps {
     let planner = pnodes
         .iter()
         .find_map(|p| {
-            let obj = w.db.object(*p)?;
-            let name = obj.first_attr(&dpapi::Attribute::Name)?;
-            let dpapi::Value::Str(name) = name else {
-                return None;
-            };
-            let name = name.clone();
+            let name =
+                w.db.with_object(*p, |obj| match obj.first_attr(&dpapi::Attribute::Name) {
+                    Some(dpapi::Value::Str(name)) => Some(name.clone()),
+                    _ => None,
+                })??;
             if name.contains('\'') {
                 // No escape syntax in PQL string literals; pick
                 // another object rather than emit a broken query.

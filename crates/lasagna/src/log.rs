@@ -74,28 +74,65 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 const CRC_INIT: u32 = 0xFFFF_FFFF;
 
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables, built at compile time: `CRC_TABLES[0]` is the
+/// classic one-byte table, and `CRC_TABLES[k][b]` is the register
+/// after byte `b` and then `k` zero bytes — which lets eight input
+/// bytes fold into the register with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                CRC_POLY ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][b] = c;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
 /// Feeds `data` into a running CRC register (start from [`CRC_INIT`],
 /// complement at the end), so a frame's kind byte and payload can be
 /// summed where they lie instead of being copied side by side first.
+/// Eight bytes per step (slicing-by-8), then the tail bytewise; the
+/// register after any split of the input is the bytewise loop's.
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB88320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
-        }
-        t
-    });
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let t = &CRC_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
 }
@@ -543,6 +580,48 @@ mod tests {
     fn crc32_known_value() {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF43926);
+    }
+
+    /// The byte-at-a-time loop slicing-by-8 replaced, kept as the
+    /// reference the kernel must agree with register for register.
+    fn crc32_update_bytewise(mut crc: u32, data: &[u8]) -> u32 {
+        for &b in data {
+            crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Any buffer, starting at any offset into its allocation
+        /// (every alignment of the eight-byte steps), from any
+        /// register; and the same buffer summed in two calls split at
+        /// every point — the running-register contract `frame_crc`
+        /// (kind byte, then payload) relies on.
+        #[test]
+        fn crc_kernel_matches_the_bytewise_loop(
+            buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096 + 8),
+            seed in proptest::prelude::any::<u32>(),
+        ) {
+            for off in 0..buf.len().min(8) {
+                let data = &buf[off..];
+                proptest::prop_assert!(
+                    crc32_update(seed, data) == crc32_update_bytewise(seed, data),
+                    "differs from the bytewise loop at offset {off} of {} bytes",
+                    buf.len()
+                );
+            }
+            let whole = crc32_update_bytewise(seed, &buf);
+            for split in 0..=buf.len() {
+                let (head, tail) = buf.split_at(split);
+                proptest::prop_assert!(
+                    crc32_update(crc32_update(seed, head), tail) == whole,
+                    "two calls split at {split} of {} bytes differ from one",
+                    buf.len()
+                );
+            }
+        }
     }
 
     #[test]

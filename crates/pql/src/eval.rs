@@ -204,14 +204,25 @@ impl ResultSet {
     }
 }
 
-pub(crate) type Row = HashMap<String, ObjectRef>;
+/// The variable bindings of one candidate row, as slots: slot `i`
+/// holds the endpoint bound to the `i`-th name of the evaluating
+/// [`ExprCtx::vars`] (`None` while unbound). Which binding owns which
+/// slot is fixed before the first row exists — `from` order here,
+/// planned order in [`crate::plan`] — so binding and unbinding are
+/// indexed stores: no name is cloned or hashed per row.
+pub(crate) type Row = Vec<Option<ObjectRef>>;
 
-/// Deduplicates output rows without cloning them into a set: rows are
-/// hashed once, and the hash buckets index into the already-kept rows
-/// for the (rare) equality probes.
+/// Deduplicates output rows without cloning them into a set: a row is
+/// hashed once, and the hash maps to the index of the first kept row
+/// that produced it. Distinct rows sharing a 64-bit hash — all but
+/// never — chain through `overflow`, so a distinct row costs one map
+/// insert and no allocation of its own.
 #[derive(Default)]
 pub(crate) struct RowDedup {
-    buckets: HashMap<u64, Vec<usize>>,
+    first: HashMap<u64, usize>,
+    /// `(hash, kept index)` of rows whose hash an earlier, different
+    /// row already owned.
+    overflow: Vec<(u64, usize)>,
 }
 
 impl RowDedup {
@@ -220,12 +231,24 @@ impl RowDedup {
     pub(crate) fn is_new(&mut self, kept: &[Vec<OutValue>], row: &[OutValue]) -> bool {
         let mut h = DefaultHasher::new();
         row.hash(&mut h);
-        let bucket = self.buckets.entry(h.finish()).or_default();
-        if bucket.iter().any(|&i| kept[i] == row) {
-            return false;
+        self.is_new_hashed(kept, row, h.finish())
+    }
+
+    /// [`RowDedup::is_new`] with the row's hash supplied — the seam
+    /// the forced-collision test drives.
+    fn is_new_hashed(&mut self, kept: &[Vec<OutValue>], row: &[OutValue], hash: u64) -> bool {
+        let first = *self.first.entry(hash).or_insert(kept.len());
+        if first == kept.len() {
+            // Nobody owned this hash: it now maps to the slot `row`
+            // is about to take.
+            return true;
         }
-        bucket.push(kept.len());
-        true
+        let seen =
+            kept[first] == row || (self.overflow.iter()).any(|&(h, i)| h == hash && kept[i] == row);
+        if !seen {
+            self.overflow.push((hash, kept.len()));
+        }
+        !seen
     }
 }
 
@@ -249,8 +272,12 @@ pub(crate) fn column_names(query: &Query) -> Vec<String> {
 /// `from` expansion, then `where`, then projection. This is the
 /// reference evaluator; [`crate::execute`] plans instead.
 pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<ResultSet, PqlError> {
-    let ctx = ExprCtx { graph, stats: None };
-    let rows = bind_sources(query, graph)?;
+    let ctx = ExprCtx {
+        graph,
+        stats: None,
+        vars: query.from.iter().map(|s| s.binding.as_str()).collect(),
+    };
+    let rows = bind_sources(query, &ctx)?;
     let rows = match &query.where_clause {
         Some(cond) => {
             let mut kept = Vec::new();
@@ -275,7 +302,7 @@ pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<ResultSet, PqlE
     if has_aggregate {
         let mut row_out = Vec::new();
         for item in &query.select {
-            row_out.push(ctx.eval(&item.expr, &Row::new(), Some(&rows))?);
+            row_out.push(ctx.eval(&item.expr, &[], Some(&rows))?);
         }
         out_rows.push(row_out);
     } else {
@@ -295,26 +322,21 @@ pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<ResultSet, PqlE
     })
 }
 
-/// Expands the `from` clause left to right into bound rows.
-fn bind_sources(query: &Query, graph: &dyn GraphSource) -> Result<Vec<Row>, PqlError> {
-    let mut rows: Vec<Row> = vec![Row::new()];
-    for source in &query.from {
+/// Expands the `from` clause left to right into bound rows: source
+/// `i` binds slot `i`.
+fn bind_sources(query: &Query, ctx: &ExprCtx<'_>) -> Result<Vec<Row>, PqlError> {
+    let mut rows: Vec<Row> = vec![vec![None; query.from.len()]];
+    for (slot, source) in query.from.iter().enumerate() {
         let mut next: Vec<Row> = Vec::new();
         for row in &rows {
             let starts: Vec<ObjectRef> = match &source.root {
                 // Sorted by the `class_members` contract.
-                PathRoot::Class(c) => graph.class_members(c),
-                PathRoot::Var(v) => match row.get(v) {
-                    Some(r) => vec![*r],
-                    None => {
-                        return Err(PqlError::Eval(format!("unbound variable `{v}`")));
-                    }
-                },
+                PathRoot::Class(c) => ctx.graph.class_members(c),
+                PathRoot::Var(v) => vec![ctx.bound(row, v)?],
             };
-            let endpoints = walk_steps(&starts, &source.steps, graph);
-            for e in endpoints {
+            for e in walk_steps(&starts, &source.steps, ctx.graph) {
                 let mut r = row.clone();
-                r.insert(source.binding.clone(), e);
+                r[slot] = Some(e);
                 next.push(r);
             }
         }
@@ -444,6 +466,9 @@ pub(crate) fn truthy(v: &OutValue) -> bool {
 pub(crate) struct ExprCtx<'a> {
     pub graph: &'a dyn GraphSource,
     pub stats: Option<&'a std::cell::RefCell<PlanStats>>,
+    /// Binding names in slot order, borrowed from the query: what a
+    /// [`Row`]'s slots mean.
+    pub vars: Vec<&'a str>,
 }
 
 impl ExprCtx<'_> {
@@ -454,30 +479,38 @@ impl ExprCtx<'_> {
         }
     }
 
+    /// The node `var` is bound to in `row`. A repeated binding name
+    /// shadows the earlier one (only the naive evaluator runs such
+    /// queries), hence the search from the back.
+    pub(crate) fn bound(
+        &self,
+        row: &[Option<ObjectRef>],
+        var: &str,
+    ) -> Result<ObjectRef, PqlError> {
+        self.vars
+            .iter()
+            .zip(row)
+            .rev()
+            .find_map(|(name, slot)| slot.filter(|_| *name == var))
+            .ok_or_else(|| PqlError::Eval(format!("unbound variable `{var}`")))
+    }
+
     pub(crate) fn eval(
         &self,
         expr: &Expr,
-        row: &Row,
+        row: &[Option<ObjectRef>],
         all_rows: Option<&[Row]>,
     ) -> Result<OutValue, PqlError> {
         match expr {
             Expr::Lit(Literal::Str(s)) => Ok(OutValue::Val(Value::Str(s.clone()))),
             Expr::Lit(Literal::Int(i)) => Ok(OutValue::Val(Value::Int(*i))),
             Expr::Lit(Literal::Bool(b)) => Ok(OutValue::Val(Value::Bool(*b))),
-            Expr::Var(v) => row
-                .get(v)
-                .map(|r| OutValue::Node(*r))
-                .ok_or_else(|| PqlError::Eval(format!("unbound variable `{v}`"))),
-            Expr::Attr(v, attr) => {
-                let node = row
-                    .get(v)
-                    .ok_or_else(|| PqlError::Eval(format!("unbound variable `{v}`")))?;
-                Ok(self
-                    .graph
-                    .attr(*node, attr)
-                    .map(OutValue::Val)
-                    .unwrap_or(OutValue::Null))
-            }
+            Expr::Var(v) => self.bound(row, v).map(OutValue::Node),
+            Expr::Attr(v, attr) => Ok(self
+                .graph
+                .attr(self.bound(row, v)?, attr)
+                .map(OutValue::Val)
+                .unwrap_or(OutValue::Null)),
             Expr::Not(e) => {
                 let v = self.eval(e, row, all_rows)?;
                 Ok(OutValue::Val(Value::Bool(!truthy(&v))))
@@ -757,6 +790,25 @@ mod tests {
                       where F.name = 'in.dat'");
         let count = rs.nodes().iter().filter(|n| **n == r(3, 0)).count();
         assert_eq!(count, 1);
+    }
+
+    /// Rows that collide on the full 64-bit hash are still told
+    /// apart: the first owns the hash, the rest chain, and a repeat
+    /// of any of them — first or chained — is a duplicate.
+    #[test]
+    fn dedup_survives_a_forced_hash_collision() {
+        let row = |n: i64| vec![OutValue::Val(Value::Int(n))];
+        let mut dedup = RowDedup::default();
+        let mut kept: Vec<Vec<OutValue>> = Vec::new();
+        for n in [1, 2, 3, 2, 1, 3, 4] {
+            // Every row "hashes" to 7, except row 4.
+            let hash = if n == 4 { 8 } else { 7 };
+            if dedup.is_new_hashed(&kept, &row(n), hash) {
+                kept.push(row(n));
+            }
+        }
+        assert_eq!(kept, [row(1), row(2), row(3), row(4)]);
+        assert_eq!(dedup.overflow, [(7, 1), (7, 2)]);
     }
 
     #[test]

@@ -519,16 +519,17 @@ enum RootSlot {
     /// Class root, resolved on first use. Behind `Rc` so every
     /// subsequent parent row shares the list instead of cloning it.
     Cached(std::rc::Rc<Vec<ObjectRef>>),
-    /// Variable root: resolved per row in `descend`.
-    PerRow,
+    /// Variable root: walked per row in `descend`, from the node in
+    /// this slot of the row.
+    PerRow(usize),
 }
 
-struct Runner<'q, 'g> {
-    plan: &'q CompiledPlan<'q>,
-    query: &'q Query,
-    graph: &'g dyn GraphSource,
-    ctx: ExprCtx<'g>,
-    stats: &'g RefCell<PlanStats>,
+struct Runner<'a> {
+    plan: &'a CompiledPlan<'a>,
+    query: &'a Query,
+    graph: &'a dyn GraphSource,
+    ctx: ExprCtx<'a>,
+    stats: &'a RefCell<PlanStats>,
     root_cache: Vec<RootSlot>,
     has_aggregate: bool,
     out_rows: Vec<Vec<OutValue>>,
@@ -559,7 +560,12 @@ fn run(
         .iter()
         .map(|step| match &step.source.root {
             PathRoot::Class(_) => RootSlot::Lazy,
-            PathRoot::Var(_) => RootSlot::PerRow,
+            PathRoot::Var(v) => RootSlot::PerRow(
+                plan.steps
+                    .iter()
+                    .position(|s| s.source.binding == *v)
+                    .expect("compile() orders a variable-rooted source after its binder"),
+            ),
         })
         .collect();
     stats.borrow_mut().bindings_reordered |= plan.reordered;
@@ -568,9 +574,15 @@ fn run(
         plan,
         query,
         graph,
+        // Planned step `i` binds slot `i` of every row.
         ctx: ExprCtx {
             graph,
             stats: Some(stats),
+            vars: plan
+                .steps
+                .iter()
+                .map(|s| s.source.binding.as_str())
+                .collect(),
         },
         stats,
         root_cache,
@@ -582,7 +594,7 @@ fn run(
         scope: scope.clone(),
     };
 
-    let mut row = Row::new();
+    let mut row: Row = vec![None; plan.steps.len()];
     if plan.steps.is_empty() {
         // Zero sources: one empty row, filtered by every conjunct.
         let mut keep = true;
@@ -602,10 +614,7 @@ fn run(
         let mut row_out = Vec::new();
         let mut err = None;
         for item in &query.select {
-            match runner
-                .ctx
-                .eval(&item.expr, &Row::new(), Some(&runner.agg_rows))
-            {
+            match runner.ctx.eval(&item.expr, &[], Some(&runner.agg_rows)) {
                 Ok(v) => row_out.push(v),
                 Err(e) => {
                     err = Some(e);
@@ -626,7 +635,7 @@ fn run(
     Ok(ResultSet { columns, rows })
 }
 
-impl Runner<'_, '_> {
+impl Runner<'_> {
     /// Resolves a class-rooted step's candidates (pushed lookup or
     /// class scan, then its step walk), charging the planner counters
     /// once.
@@ -692,19 +701,13 @@ impl Runner<'_, '_> {
             // Shares the cached list (Rc clone), no per-row copy.
             RootSlot::Cached(cached) => cached.clone(),
             RootSlot::Lazy => unreachable!("resolved above"),
-            RootSlot::PerRow => {
-                let PathRoot::Var(v) = &step.source.root else {
-                    unreachable!("class roots are cached");
-                };
-                // Bound by construction: compile() orders a
-                // variable-rooted source after its binder.
-                let start = row[v.as_str()];
+            RootSlot::PerRow(root) => {
+                let start = row[*root].expect("an earlier step bound the root's slot");
                 std::rc::Rc::new(walk_steps(&[start], &step.source.steps, self.graph))
             }
         };
         for &endpoint in endpoints.iter() {
-            let prev = row.insert(step.source.binding.clone(), endpoint);
-            debug_assert!(prev.is_none(), "duplicate bindings fall back to naive");
+            row[i] = Some(endpoint);
             let mut keep = true;
             if !self.plan.filters_at[i].is_empty() {
                 let span = self.scope.open("pql", "filter");
@@ -735,12 +738,12 @@ impl Runner<'_, '_> {
                     self.descend(i + 1, row)?;
                 }
             }
-            row.remove(&step.source.binding);
         }
+        row[i] = None;
         Ok(())
     }
 
-    fn check(&self, filter: &Filter<'_>, row: &Row) -> Result<bool, PqlError> {
+    fn check(&self, filter: &Filter<'_>, row: &[Option<ObjectRef>]) -> Result<bool, PqlError> {
         if let Some(memo) = &filter.memo {
             if let Some(cached) = memo.borrow().as_ref() {
                 return cached.clone();
@@ -752,9 +755,9 @@ impl Runner<'_, '_> {
         Ok(truthy(&self.ctx.eval(filter.expr, row, None)?))
     }
 
-    fn emit(&mut self, row: &Row) -> Result<(), PqlError> {
+    fn emit(&mut self, row: &[Option<ObjectRef>]) -> Result<(), PqlError> {
         if self.has_aggregate {
-            self.agg_rows.push(row.clone());
+            self.agg_rows.push(row.to_vec());
             return Ok(());
         }
         let mut row_out = Vec::with_capacity(self.query.select.len());

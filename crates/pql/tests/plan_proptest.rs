@@ -12,29 +12,67 @@ use dpapi::{ObjectRef, Pnode, Value, Version, VolumeId};
 use pql::{AttrLookup, AttrPredicate, EdgeLabel, GraphSource, ResultSet};
 use proptest::prelude::*;
 
-/// A randomized acyclic graph: node `i` may have `input` edges only
-/// toward lower-numbered nodes (so closures terminate), alternating
-/// FILE/PROC types and names drawn from a tiny pool so predicates hit
-/// often.
+/// A randomized acyclic graph: node `i` may have `input` and
+/// application-defined `derived` edges only toward lower-numbered
+/// nodes (so closures terminate), one to three versions chained by
+/// implicit `version` edges, alternating FILE/PROC types and names
+/// drawn from a tiny pool so predicates hit often and projections
+/// repeat.
 #[derive(Clone, Debug)]
 struct GenGraph {
     types: Vec<&'static str>,
     names: Vec<String>,
-    /// `edges[i]` = input targets of node `i` (all `< i`).
-    edges: Vec<Vec<usize>>,
+    /// `versions[i]` = how many versions node `i` has.
+    versions: Vec<u32>,
+    /// `edges[i]` = `(kind, target)` of every edge leaving node `i`'s
+    /// last version, toward version 0 of a node `< i`.
+    edges: Vec<Vec<(Kind, usize)>>,
     /// When true, `lookup_attr` answers from a (scan-built) index and
     /// reports `indexed`, exercising the planner's index path.
     indexed: bool,
 }
 
-fn r(n: usize) -> ObjectRef {
-    ObjectRef::new(Pnode::new(VolumeId(1), n as u64 + 1), Version(0))
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Kind {
+    Input,
+    /// Reached only through `EdgeLabel::Named`, in any case.
+    Derived,
+    /// The implicit edge to the previous version; also an `input`.
+    Version,
+}
+
+impl Kind {
+    fn selected_by(self, label: &EdgeLabel) -> bool {
+        match label {
+            EdgeLabel::Any => true,
+            EdgeLabel::Input => self != Kind::Derived,
+            EdgeLabel::Version => self == Kind::Version,
+            EdgeLabel::Named(n) => self == Kind::Derived && n.eq_ignore_ascii_case("derived"),
+            _ => false,
+        }
+    }
+}
+
+fn r(n: usize, v: u32) -> ObjectRef {
+    ObjectRef::new(Pnode::new(VolumeId(1), n as u64 + 1), Version(v))
 }
 
 impl GenGraph {
     fn index_of(&self, node: ObjectRef) -> Option<usize> {
         let i = (node.pnode.number as usize).checked_sub(1)?;
-        (i < self.types.len() && node.version.0 == 0 && node.pnode.volume.0 == 1).then_some(i)
+        (i < self.types.len() && node.version.0 < self.versions[i] && node.pnode.volume.0 == 1)
+            .then_some(i)
+    }
+
+    /// Every edge as `(from, kind, to)`.
+    fn all_edges(&self) -> Vec<(ObjectRef, Kind, ObjectRef)> {
+        let mut out = Vec::new();
+        for (i, edges) in self.edges.iter().enumerate() {
+            let last = self.versions[i] - 1;
+            out.extend(edges.iter().map(|&(kind, j)| (r(i, last), kind, r(j, 0))));
+            out.extend((1..=last).map(|v| (r(i, v), Kind::Version, r(i, v - 1))));
+        }
+        out
     }
 }
 
@@ -43,7 +81,7 @@ impl GraphSource for GenGraph {
         let lower = class.to_ascii_lowercase();
         (0..self.types.len())
             .filter(|&i| lower == "obj" || self.types[i].eq_ignore_ascii_case(&lower))
-            .map(r)
+            .flat_map(|i| (0..self.versions[i]).map(move |v| r(i, v)))
             .collect() // ascending by construction
     }
     fn attr(&self, node: ObjectRef, name: &str) -> Option<Value> {
@@ -52,28 +90,19 @@ impl GraphSource for GenGraph {
             "name" => Some(Value::Str(self.names[i].clone())),
             "type" => Some(Value::str(self.types[i].to_ascii_uppercase())),
             "pnode" => Some(Value::Int(node.pnode.number as i64)),
+            "version" => Some(Value::Int(i64::from(node.version.0))),
             _ => None,
         }
     }
     fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
-        if !matches!(label, EdgeLabel::Input | EdgeLabel::Any) {
-            return vec![];
-        }
-        self.index_of(node)
-            .map(|i| self.edges[i].iter().map(|&j| r(j)).collect())
-            .unwrap_or_default()
+        let edges = self.all_edges().into_iter();
+        let leaving = edges.filter(|(from, kind, _)| *from == node && kind.selected_by(label));
+        leaving.map(|(_, _, to)| to).collect()
     }
     fn in_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
-        if !matches!(label, EdgeLabel::Input | EdgeLabel::Any) {
-            return vec![];
-        }
-        let Some(i) = self.index_of(node) else {
-            return vec![];
-        };
-        (0..self.types.len())
-            .filter(|&j| self.edges[j].contains(&i))
-            .map(r)
-            .collect()
+        let edges = self.all_edges().into_iter();
+        let entering = edges.filter(|(_, kind, to)| *to == node && kind.selected_by(label));
+        entering.map(|(from, _, _)| from).collect()
     }
     fn lookup_attr(&self, class: &str, attr: &str, pred: &AttrPredicate) -> AttrLookup {
         let nodes: Vec<ObjectRef> = self
@@ -106,6 +135,7 @@ fn arb_graph() -> impl Strategy<Value = GenGraph> {
         let mut graph = GenGraph {
             types: Vec::new(),
             names: Vec::new(),
+            versions: Vec::new(),
             edges: Vec::new(),
             indexed,
         };
@@ -116,10 +146,13 @@ fn arb_graph() -> impl Strategy<Value = GenGraph> {
             graph
                 .names
                 .push(names[(next() % names.len() as u64) as usize].to_string());
+            graph.versions.push(1 + (next() % 3) as u32);
             let mut targets = Vec::new();
             for j in 0..i {
-                if next() % 3 == 0 {
-                    targets.push(j);
+                match next() % 6 {
+                    0 | 1 => targets.push((Kind::Input, j)),
+                    2 => targets.push((Kind::Derived, j)),
+                    _ => {}
                 }
             }
             graph.edges.push(targets);
@@ -129,19 +162,30 @@ fn arb_graph() -> impl Strategy<Value = GenGraph> {
 }
 
 /// A random query from a small grammar: one class-rooted source, an
-/// optional dependent path source, and an optional conjunction of
-/// name/type predicates (equality, prefix-`like`, non-prefix `like`).
+/// optional dependent path source — over `input`, the implicit
+/// `version` edge walked forward and inverse, or the named `derived`
+/// label, spelled in any case — and an optional conjunction of
+/// name/type/version predicates (equality, prefix-`like`, non-prefix
+/// `like`), with attribute names in any case too. Several select
+/// lists project few distinct values, so deduplication is always at
+/// work.
 fn arb_query() -> impl Strategy<Value = String> {
     const CLASSES: [&str; 3] = ["file", "proc", "obj"];
-    const STEPS: [&str; 6] = [
+    const STEPS: [&str; 12] = [
         "",
         "F.input as A",
         "F.input* as A",
         "F.input+ as A",
         "F.input~* as A",
         "F.input? as A",
+        "F.version* as A",
+        "F.Version~ as A",
+        "F.DeRiVeD* as A",
+        "F.derived~ as A",
+        "F.(derived|version)+ as A",
+        "F.any~* as A",
     ];
-    const PREDS: [&str; 8] = [
+    const PREDS: [&str; 11] = [
         "",
         "F.name = '/a.gif'",
         "F.name = '/b.dat'",
@@ -150,9 +194,21 @@ fn arb_query() -> impl Strategy<Value = String> {
         "F.type = 'FILE'",
         "F.name != '/c'",
         "A.name = '/b.dat'",
+        "F.NAME = '/a.gif'",
+        "F.Version = 0",
+        "A.Pnode < 4",
     ];
-    const SELECTS: [&str; 5] = ["F", "A", "F.name", "A, F.name", "count(A)"];
-    (0usize..3, 0usize..6, 0usize..5, 0usize..8, 0usize..8).prop_map(
+    const SELECTS: [&str; 8] = [
+        "F",
+        "A",
+        "F.name",
+        "A, F.name",
+        "count(A)",
+        "A.NAME",
+        "F.Type, A.type",
+        "A.Version",
+    ];
+    (0usize..3, 0usize..12, 0usize..8, 0usize..11, 0usize..11).prop_map(
         |(class, step, select, p1, p2)| {
             let (class, step, select) = (CLASSES[class], STEPS[step], SELECTS[select]);
             let (p1, p2) = (PREDS[p1], PREDS[p2]);

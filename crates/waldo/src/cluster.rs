@@ -165,6 +165,10 @@ pub struct VolumePoll {
     /// (delta of [`Waldo::wal_errors`]) — ingest itself never fails,
     /// so this is the per-volume durability signal.
     pub wal_errors: u64,
+    /// Rotated logs the member could not read *during this poll*
+    /// (delta of [`Waldo::logs_unreadable`]); each is retried at the
+    /// head of the member's next drain.
+    pub logs_unreadable: u64,
 }
 
 /// The per-volume breakdown of a cluster ingest sweep.
@@ -190,15 +194,19 @@ pub struct ClusterPollReport {
 }
 
 impl ClusterPollReport {
-    /// The polls that hit trouble: a WAL persist failure, or a log
-    /// tail cut short by truncation or corruption. Fleet-level health
-    /// verdicts (rules over the metric snapshot, not tied to one
-    /// volume) are in [`ClusterPollReport::health`].
+    /// The polls that hit trouble: a WAL persist failure, a log that
+    /// could not be read, or a log tail cut short by truncation or
+    /// corruption. Fleet-level health verdicts (rules over the metric
+    /// snapshot, not tied to one volume) are in
+    /// [`ClusterPollReport::health`].
     pub fn issues(&self) -> Vec<&VolumePoll> {
         self.per_volume
             .iter()
             .filter(|p| {
-                p.wal_errors > 0 || p.stats.tails_truncated > 0 || p.stats.tails_corrupt > 0
+                p.wal_errors > 0
+                    || p.logs_unreadable > 0
+                    || p.stats.tails_truncated > 0
+                    || p.stats.tails_corrupt > 0
             })
             .collect()
     }
@@ -399,14 +407,16 @@ impl Cluster {
         let mut report = ClusterPollReport::default();
         for (path, mount, volume) in volumes {
             let member = self.route(*volume);
-            let wal_before = self.members[member].wal_errors();
-            let stats = self.members[member].poll_volume(kernel, *mount, path);
+            let daemon = &mut self.members[member];
+            let (wal_before, unreadable_before) = (daemon.wal_errors(), daemon.logs_unreadable());
+            let stats = daemon.poll_volume(kernel, *mount, path);
             report.total += stats;
             report.per_volume.push(VolumePoll {
                 member,
                 volume: *volume,
                 stats,
-                wal_errors: self.members[member].wal_errors() - wal_before,
+                wal_errors: daemon.wal_errors() - wal_before,
+                logs_unreadable: daemon.logs_unreadable() - unreadable_before,
             });
         }
         report
@@ -442,17 +452,17 @@ impl Cluster {
         // Phase 1: collect, in caller order.
         let mut work: Vec<Vec<(usize, Vec<LogImage>)>> =
             self.members.iter().map(|_| Vec::new()).collect();
+        let mut unreadable = Vec::with_capacity(volumes.len());
         for (vi, (path, mount, volume)) in volumes.iter().enumerate() {
             let member = self.route(*volume);
-            let pid = self.members[member].pid();
-            let images = Waldo::take_rotated_logs(kernel, *mount, path)
-                .into_iter()
-                .filter_map(|log| {
-                    let bytes = kernel.read_file(pid, &log).ok()?;
-                    Some(LogImage { path: log, bytes })
-                })
+            let daemon = &mut self.members[member];
+            let unreadable_before = daemon.logs_unreadable();
+            let fresh = Waldo::take_rotated_logs(kernel, *mount, path);
+            let images = (daemon.drain_queue(fresh).into_iter())
+                .filter_map(|log| daemon.read_log(kernel, log))
                 .collect();
             work[member].push((vi, images));
+            unreadable.push(daemon.logs_unreadable() - unreadable_before);
         }
         // Phase 2: parallel kernel-free ingest, one thread per member.
         let ingested = on_member_threads(&mut self.members, work, |member, assigned| {
@@ -492,6 +502,7 @@ impl Cluster {
                     volume: volumes[vi].2,
                     stats,
                     wal_errors: std::mem::take(&mut wal_errors),
+                    logs_unreadable: unreadable[vi],
                 });
             }
         }

@@ -108,6 +108,7 @@ impl provscope::MetricSource for Waldo {
         out("wal_errors", self.wal_errors);
         out("log_tails_truncated", self.log_tails_truncated);
         out("log_tails_corrupt", self.log_tails_corrupt);
+        out("logs_unreadable", self.logs_unreadable);
         provscope::MetricSource::record(&self.query_ops, &mut |k, v| out(&format!("query.{k}"), v));
         provscope::MetricSource::record(&self.ckpt_stats, &mut |k, v| out(&format!("ckpt.{k}"), v));
     }
@@ -240,6 +241,13 @@ pub struct Waldo {
     /// Logs whose parse stopped at a corrupt frame (CRC mismatch) —
     /// the detection counter for log bit-flip tampers.
     log_tails_corrupt: u64,
+    /// Rotated logs a drain could not read, in rotation order. Their
+    /// rotation-queue entry is already consumed, so this list is the
+    /// only thing that brings them back: the next drain retries them
+    /// first ([`Waldo::read_log`]).
+    unread_logs: Vec<String>,
+    /// Lifetime count of failed log reads (one per attempt).
+    logs_unreadable: u64,
     /// Cumulative planner counters for queries served by this daemon.
     query_ops: QueryOps,
     scope: provscope::Scope,
@@ -279,6 +287,8 @@ impl Waldo {
             restart_report: None,
             log_tails_truncated: 0,
             log_tails_corrupt: 0,
+            unread_logs: Vec::new(),
+            logs_unreadable: 0,
             query_ops: QueryOps::default(),
             scope: provscope::Scope::default(),
             batch_spans: Vec::new(),
@@ -824,6 +834,45 @@ impl Waldo {
         self.drain_logs(kernel, vec![path.to_string()])
     }
 
+    /// The logs one drain covers, in order: those an earlier drain
+    /// could not read, then `fresh`.
+    pub(crate) fn drain_queue(&mut self, fresh: Vec<String>) -> Vec<String> {
+        let mut queue = std::mem::take(&mut self.unread_logs);
+        queue.extend(fresh);
+        queue
+    }
+
+    /// Reads one rotated log for ingestion. A log that cannot be read
+    /// is counted and kept for the next drain, and so is — unread —
+    /// every later log of the same directory: one volume's logs must
+    /// be ingested in rotation order (the per-volume batch high-water
+    /// mark would take an overtaken log's groups for replays and skip
+    /// them), while other volumes' logs proceed. A log that no longer
+    /// exists has nothing left to ingest and is dropped.
+    pub(crate) fn read_log(&mut self, kernel: &mut Kernel, path: String) -> Option<LogImage> {
+        let dir = |p: &str| p.rfind('/').map_or(0, |slash| slash + 1);
+        let same_dir = |held: &String| held[..dir(held)] == path[..dir(&path)];
+        if self.unread_logs.iter().any(same_dir) {
+            self.unread_logs.push(path);
+            return None;
+        }
+        match kernel.read_file(self.pid, &path) {
+            Ok(bytes) => Some(LogImage { path, bytes }),
+            Err(FsError::NotFound(_)) => None,
+            Err(_) => {
+                self.logs_unreadable += 1;
+                self.unread_logs.push(path);
+                None
+            }
+        }
+    }
+
+    /// Lifetime count of rotated-log reads that failed. Each such log
+    /// stays queued and is retried at the head of the next drain.
+    pub fn logs_unreadable(&self) -> u64 {
+        self.logs_unreadable
+    }
+
     /// One drain over log files, read through the kernel one at a
     /// time: group commits may span files, each log retires as soon
     /// as all of its entries have durably committed, and checkpoints
@@ -831,9 +880,9 @@ impl Waldo {
     fn drain_logs(&mut self, kernel: &mut Kernel, paths: Vec<String>) -> IngestStats {
         let drain_span = self.scope.open("waldo", "drain_logs");
         let mut total = IngestStats::default();
-        for abs in paths {
-            if let Ok(bytes) = kernel.read_file(self.pid, &abs) {
-                self.ingest_log(Some(kernel), Some(&abs), &bytes, &mut total);
+        for path in self.drain_queue(paths) {
+            if let Some(log) = self.read_log(kernel, path) {
+                self.ingest_log(Some(kernel), Some(&log.path), &log.bytes, &mut total);
             }
         }
         self.end_drain(Some(kernel), drain_span, total)

@@ -15,109 +15,145 @@
 use dpapi::{Attribute, ObjectRef, Pnode, Value, Version};
 use pql::{AttrLookup, AttrPredicate, EdgeLabel, GraphSource};
 
-use crate::store::Store;
+use crate::db::ObjectEntry;
+use crate::store::{EdgeKind, Store};
 
-/// The attribute label of the implicit previous-version edge.
-fn version_edge() -> Attribute {
-    Attribute::Other("version".into())
-}
-
-fn edge_matches(label: &EdgeLabel, attr: &Attribute) -> bool {
-    match label {
-        EdgeLabel::Any => true,
-        EdgeLabel::Input => *attr == Attribute::Input || *attr == version_edge(),
-        EdgeLabel::Version => *attr == version_edge(),
-        EdgeLabel::VisitedUrl => *attr == Attribute::VisitedUrl,
-        EdgeLabel::FileUrl => *attr == Attribute::FileUrl,
-        EdgeLabel::CurrentUrl => *attr == Attribute::CurrentUrl,
-        EdgeLabel::Named(n) => match attr {
-            Attribute::Other(o) => o.eq_ignore_ascii_case(n),
-            other => other.as_str().eq_ignore_ascii_case(n),
-        },
+fn edge_matches(label: &EdgeLabel, edge: EdgeKind<'_>) -> bool {
+    use EdgeKind::{Recorded, Version};
+    match (label, edge) {
+        (EdgeLabel::Any, _) | (EdgeLabel::Input | EdgeLabel::Version, Version) => true,
+        (EdgeLabel::Input, Recorded(a)) => *a == Attribute::Input,
+        (EdgeLabel::VisitedUrl, Recorded(a)) => *a == Attribute::VisitedUrl,
+        (EdgeLabel::FileUrl, Recorded(a)) => *a == Attribute::FileUrl,
+        (EdgeLabel::CurrentUrl, Recorded(a)) => *a == Attribute::CurrentUrl,
+        (EdgeLabel::Named(n), Recorded(a)) => a.as_str().eq_ignore_ascii_case(n),
+        (EdgeLabel::Named(n), Version) => n.eq_ignore_ascii_case("version"),
+        (_, Version) | (EdgeLabel::Version, _) => false,
     }
 }
 
-fn attr_for_name(name: &str) -> Attribute {
-    match name.to_ascii_lowercase().as_str() {
-        "name" => Attribute::Name,
-        "type" => Attribute::Type,
-        "argv" => Attribute::Argv,
-        "env" => Attribute::Env,
-        "params" => Attribute::Params,
-        other => Attribute::Other(other.to_ascii_uppercase()),
+/// The pseudo-attributes every node answers from its own reference.
+fn pseudo_attr(node: ObjectRef, name: &str) -> Option<Value> {
+    let is = |pseudo: &str| name.eq_ignore_ascii_case(pseudo);
+    let n = if is("pnode") {
+        node.pnode.number as i64
+    } else if is("version") {
+        i64::from(node.version.0)
+    } else if is("volume") {
+        i64::from(node.pnode.volume.0)
+    } else {
+        return None;
+    };
+    Some(Value::Int(n))
+}
+
+/// Whether a record attribute is the one a query spells `name`,
+/// decided without allocating: the well-known attributes match in
+/// any case; any other name denotes an application attribute, stored
+/// (and indexed) under its canonical upper-case record name.
+fn attr_named(name: &str) -> impl Fn(&Attribute) -> bool + '_ {
+    use Attribute::{Argv, Env, Name, Other, Params, Type};
+    let known = [Name, Type, Argv, Env, Params]
+        .into_iter()
+        .find(|known| name.eq_ignore_ascii_case(known.as_str()));
+    move |attr| match (&known, attr) {
+        (Some(known), attr) => known == attr,
+        (None, Other(stored)) => {
+            let upper = name.bytes().map(|b| b.to_ascii_uppercase());
+            stored.len() == name.len() && stored.bytes().eq(upper)
+        }
+        (None, _) => false,
     }
+}
+
+/// What `node.name` evaluates to against the node's object, borrowed
+/// where it can be: a pseudo-attribute by value, else the value
+/// recorded at the node's exact version, else the first recorded at
+/// any version (names and types are usually recorded once, at
+/// version 0). This is the one copy of attribute semantics — `attr`
+/// and the index verification in `lookup_attr` both read through it.
+fn with_attr<R>(
+    obj: Option<&ObjectEntry>,
+    node: ObjectRef,
+    name: &str,
+    f: impl FnOnce(Option<&Value>) -> R,
+) -> R {
+    if let Some(pseudo) = pseudo_attr(node, name) {
+        return f(Some(&pseudo));
+    }
+    let named = attr_named(name);
+    f(obj.and_then(|obj| {
+        let exact = obj.attrs(node.version).iter();
+        let anywhere = obj.versions.values().flat_map(|v| &v.attrs);
+        let mut recorded = exact.chain(anywhere);
+        recorded.find(|(a, _)| named(a)).map(|(_, v)| v)
+    }))
+}
+
+impl Store {
+    /// Appends `node`'s neighbours over edges matching `label`,
+    /// filtered inside the shard borrow.
+    fn neighbours(
+        &self,
+        node: ObjectRef,
+        label: &EdgeLabel,
+        inverse: bool,
+        out: &mut Vec<ObjectRef>,
+    ) {
+        self.for_each_edge(node, inverse, |edge, to| {
+            if edge_matches(label, edge) {
+                out.push(to);
+            }
+        });
+    }
+
+    fn edges(&self, node: ObjectRef, label: &EdgeLabel, inverse: bool) -> Vec<ObjectRef> {
+        self.edges_cached(node, label, !inverse, || {
+            let mut out = Vec::new();
+            self.neighbours(node, label, inverse, &mut out);
+            out
+        })
+    }
+}
+
+fn version_refs(p: Pnode, obj: &ObjectEntry) -> impl Iterator<Item = ObjectRef> + '_ {
+    obj.versions
+        .keys()
+        .map(move |v| ObjectRef::new(p, Version(*v)))
 }
 
 impl GraphSource for Store {
     fn class_members(&self, class: &str) -> Vec<ObjectRef> {
-        let lower = class.to_ascii_lowercase();
-        let pnodes: Vec<dpapi::Pnode> = if lower == "obj" {
+        let pnodes = if class.eq_ignore_ascii_case("obj") {
             self.all_pnodes()
         } else {
-            self.find_by_type(&lower.to_ascii_uppercase())
+            self.find_by_type(&class.to_ascii_uppercase())
         };
         let mut out = Vec::new();
         for p in pnodes {
-            if let Some(obj) = self.object(p) {
-                for v in obj.versions.keys() {
-                    out.push(ObjectRef::new(p, Version(*v)));
-                }
-            }
+            self.with_object(p, |obj| out.extend(version_refs(p, obj)));
         }
         out.sort();
         out
     }
 
     fn attr(&self, node: ObjectRef, name: &str) -> Option<Value> {
-        match name.to_ascii_lowercase().as_str() {
-            "pnode" => return Some(Value::Int(node.pnode.number as i64)),
-            "version" => return Some(Value::Int(node.version.0 as i64)),
-            "volume" => return Some(Value::Int(node.pnode.volume.0 as i64)),
-            _ => {}
-        }
-        let attr = attr_for_name(name);
-        let obj = self.object(node.pnode)?;
-        // Prefer the value recorded at this exact version, then fall
-        // back to any version (names and types are usually recorded
-        // once, at version 0).
-        obj.attrs(node.version)
-            .iter()
-            .find(|(a, _)| *a == attr)
-            .map(|(_, v)| v.clone())
-            .or_else(|| obj.first_attr(&attr).cloned())
+        self.with_home(node.pnode, |shard| {
+            with_attr(shard.objects.get(&node.pnode), node, name, |v| v.cloned())
+        })
     }
 
     fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
-        self.edges_cached(node, label, true, || {
-            self.inputs_of(node)
-                .into_iter()
-                .filter(|(a, _)| edge_matches(label, a))
-                .map(|(_, r)| r)
-                .collect()
-        })
+        self.edges(node, label, false)
     }
 
     fn in_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
-        self.edges_cached(node, label, false, || {
-            self.outputs_of(node)
-                .into_iter()
-                .filter(|(a, _)| edge_matches(label, a))
-                .map(|(_, r)| r)
-                .collect()
-        })
+        self.edges(node, label, true)
     }
 
     fn closure(&self, node: ObjectRef, label: &EdgeLabel, inverse: bool) -> Vec<ObjectRef> {
-        self.closure_cached(node, label, inverse, |n| {
-            let raw = if inverse {
-                self.outputs_of(n)
-            } else {
-                self.inputs_of(n)
-            };
-            raw.into_iter()
-                .filter(|(a, _)| edge_matches(label, a))
-                .map(|(_, r)| r)
-                .collect()
+        self.closure_cached(node, label, inverse, |n, out| {
+            self.neighbours(n, label, inverse, out)
         })
     }
 
@@ -129,42 +165,37 @@ impl GraphSource for Store {
     /// predicate), so the result is identical to the default's —
     /// same refs, same sorted order — just without the scan.
     fn lookup_attr(&self, class: &str, attr: &str, pred: &AttrPredicate) -> AttrLookup {
-        let candidates: Option<Vec<Pnode>> = match (attr.to_ascii_lowercase().as_str(), pred) {
-            ("name", AttrPredicate::Eq(Value::Str(s))) => Some(self.find_by_name(s)),
-            ("name", AttrPredicate::LikePrefix(p)) => Some(self.find_by_name_prefix(p)),
-            ("type", AttrPredicate::Eq(Value::Str(s))) => Some(self.find_by_type(s)),
-            ("type", AttrPredicate::LikePrefix(p)) => Some(self.find_by_type_prefix(p)),
-            (lower, AttrPredicate::Eq(Value::Str(s))) => {
-                // Application attributes are stored (and indexed)
-                // under their canonical upper-case record name.
-                Some(self.find_by_attr(&lower.to_ascii_uppercase(), s))
-            }
-            (lower, AttrPredicate::LikePrefix(p)) => {
-                Some(self.find_by_attr_prefix(&lower.to_ascii_uppercase(), p))
-            }
+        let is = |known: &str| attr.eq_ignore_ascii_case(known);
+        // Application attributes are stored (and indexed) under their
+        // canonical upper-case record name.
+        let upper = || attr.to_ascii_uppercase();
+        let pnodes = match pred {
+            AttrPredicate::Eq(Value::Str(s)) if is("name") => self.find_by_name(s),
+            AttrPredicate::Eq(Value::Str(s)) if is("type") => self.find_by_type(s),
+            AttrPredicate::Eq(Value::Str(s)) => self.find_by_attr(&upper(), s),
+            AttrPredicate::LikePrefix(p) if is("name") => self.find_by_name_prefix(p),
+            AttrPredicate::LikePrefix(p) if is("type") => self.find_by_type_prefix(p),
+            AttrPredicate::LikePrefix(p) => self.find_by_attr_prefix(&upper(), p),
             // Non-string equality (pnode/version/volume pseudo-attrs,
-            // integer app attributes): no index covers it.
-            _ => None,
-        };
-        let Some(pnodes) = candidates else {
-            // Fall back to the trait's scan-based behavior (the one
-            // shared copy of the scan semantics).
-            return pql::plan::scan_lookup(self, class, attr, pred);
+            // integer app attributes): no index covers it, so fall
+            // back to the trait's scan-based behavior (the one shared
+            // copy of the scan semantics).
+            AttrPredicate::Eq(_) => return pql::plan::scan_lookup(self, class, attr, pred),
         };
         let class_upper = class.to_ascii_uppercase();
         let any_class = class.eq_ignore_ascii_case("obj");
         let mut nodes = Vec::new();
         for p in pnodes {
-            if !any_class && !self.has_type(p, &class_upper) {
-                continue;
-            }
-            let Some(obj) = self.object(p) else { continue };
-            for v in obj.versions.keys() {
-                let r = ObjectRef::new(p, Version(*v));
-                if pred.matches(GraphSource::attr(self, r, attr).as_ref()) {
-                    nodes.push(r);
-                }
-            }
+            self.with_home(p, |shard| {
+                let in_class = any_class
+                    || (shard.type_index.get(&class_upper)).is_some_and(|ps| ps.contains(&p));
+                let Some(obj) = shard.objects.get(&p).filter(|_| in_class) else {
+                    return;
+                };
+                let matching = version_refs(p, obj)
+                    .filter(|r| with_attr(Some(obj), *r, attr, |v| pred.matches(v)));
+                nodes.extend(matching);
+            });
         }
         nodes.sort();
         AttrLookup {

@@ -65,7 +65,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+use std::sync::{
+    LockResult, Mutex, MutexGuard, RwLock, RwLockWriteGuard, TryLockError, TryLockResult,
+};
 use std::time::Instant;
 
 use dpapi::{Attribute, ObjectRef, Pnode, Version};
@@ -73,7 +75,7 @@ use lasagna::LogEntry;
 use pql::EdgeLabel;
 
 use crate::cache::{CacheStats, ShardSnapshot, TraversalCache};
-use crate::contention::{Contention, ContentionStats};
+use crate::contention::{AtomicHist, Contention, ContentionStats};
 use crate::db::{DbSize, IngestStats, ObjectEntry};
 use crate::delta::DeltaGroups;
 use crate::shard::{ReverseEdge, Shard};
@@ -257,6 +259,15 @@ type AncestryKey = (Pnode, u32, bool);
 
 /// Cache key for memoized edge lists: (node, label, is_outgoing).
 type EdgeKey = (ObjectRef, EdgeLabel, bool);
+
+/// What labels one edge [`Store::for_each_edge`] visits.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum EdgeKind<'a> {
+    /// A recorded ancestry record's attribute, borrowed from the shard.
+    Recorded(&'a Attribute),
+    /// The implicit edge between consecutive versions of one object.
+    Version,
+}
 
 /// Writer-owned bookkeeping, all behind one mutex (level 1 of the
 /// lock hierarchy). One daemon owns one store, so writers contending
@@ -457,7 +468,7 @@ impl Store {
     /// Runs `f` against `p`'s home shard under its read lock. One
     /// lock acquisition sees one consistent shard, so single-shard
     /// reads need no epoch validation.
-    fn with_home<R>(&self, p: Pnode, f: impl FnOnce(&Shard) -> R) -> R {
+    pub(crate) fn with_home<R>(&self, p: Pnode, f: impl FnOnce(&Shard) -> R) -> R {
         f(&self.shards[self.shard_of(p)].read().unwrap())
     }
 
@@ -509,39 +520,36 @@ impl Store {
         f()
     }
 
-    /// Acquires the meta mutex (lock level 1), recording the
-    /// wall-clock wait into the contention profile.
+    /// Acquires the meta mutex (lock level 1), recording the wait
+    /// into the contention profile.
     fn lock_meta(&self) -> MutexGuard<'_, StoreMeta> {
-        let t = Instant::now();
-        let guard = self.meta.lock().unwrap();
-        self.contention
-            .meta_wait
-            .observe(t.elapsed().as_nanos() as u64);
-        guard
+        acquire(
+            &self.contention.meta_wait,
+            || self.meta.try_lock(),
+            || self.meta.lock(),
+        )
     }
 
     /// Acquires shard `i`'s write lock (lock level 2), recording the
-    /// wall-clock wait into the contention profile. Read locks are
-    /// deliberately untimed — the query hot path stays two loads and
-    /// an uncontended lock.
+    /// wait into the contention profile. Read locks are deliberately
+    /// unprofiled — the query hot path stays two loads and an
+    /// uncontended lock.
     fn shard_write(&self, i: usize) -> RwLockWriteGuard<'_, Shard> {
-        let t = Instant::now();
-        let guard = self.shards[i].write().unwrap();
-        self.contention
-            .shard_wait
-            .observe(t.elapsed().as_nanos() as u64);
-        guard
+        acquire(
+            &self.contention.shard_wait,
+            || self.shards[i].try_write(),
+            || self.shards[i].write(),
+        )
     }
 
     /// Acquires one of the query-cache mutexes (lock level 3),
-    /// recording the wall-clock wait into the contention profile.
+    /// recording the wait into the contention profile.
     fn lock_cache<'a, T>(&self, cache: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        let t = Instant::now();
-        let guard = cache.lock().unwrap();
-        self.contention
-            .cache_wait
-            .observe(t.elapsed().as_nanos() as u64);
-        guard
+        acquire(
+            &self.contention.cache_wait,
+            || cache.try_lock(),
+            || cache.lock(),
+        )
     }
 
     /// Deterministic seqlock counter snapshot — retries, fallbacks
@@ -1347,11 +1355,21 @@ impl Store {
         })
     }
 
-    /// The object entry for `p` (a snapshot — the store hands out
-    /// owned entries, never borrows into a shard, so readers hold no
-    /// lock after the call returns).
+    /// Runs `f` against the object entry for `p`, borrowed under its
+    /// home shard's read lock — the read path of every query, so
+    /// nothing is copied that `f` does not copy itself. `f` runs with
+    /// the shard lock held: it must not call back into the store (no
+    /// second shard lock, no cache lock, no `meta`).
+    pub fn with_object<R>(&self, p: Pnode, f: impl FnOnce(&ObjectEntry) -> R) -> Option<R> {
+        self.with_home(p, |sh| sh.objects.get(&p).map(f))
+    }
+
+    /// An owned copy of `p`'s entry, every version and attribute of
+    /// it — for tests and the example programs, which hold an entry
+    /// past the lock. No crate's own code calls this; read through
+    /// [`Store::with_object`] instead.
     pub fn object(&self, p: Pnode) -> Option<ObjectEntry> {
-        self.with_home(p, |sh| sh.objects.get(&p).cloned())
+        self.with_object(p, ObjectEntry::clone)
     }
 
     /// Every known pnode (unordered). The snapshot is
@@ -1547,60 +1565,64 @@ impl Store {
         })
     }
 
-    /// True if `p` is in the TYPE index under `ty` — the class
-    /// membership test index-backed lookups filter with.
-    pub fn has_type(&self, p: Pnode, ty: &str) -> bool {
-        self.with_home(p, |sh| {
-            sh.type_index
-                .get(ty)
-                .map(|ps| ps.contains(&p))
-                .unwrap_or(false)
+    /// Visits the direct edges of one version-ref under its home
+    /// shard's read lock, without copying them: ancestry inputs when
+    /// `inverse` is false, descendants (version-refs that recorded
+    /// `r` as an input) when true — in both directions including the
+    /// implicit edge between consecutive versions of one object. `f`
+    /// runs with the shard lock held (see [`Store::with_object`]).
+    pub(crate) fn for_each_edge(
+        &self,
+        r: ObjectRef,
+        inverse: bool,
+        mut f: impl FnMut(EdgeKind<'_>, ObjectRef),
+    ) {
+        self.with_home(r.pnode, |shard| {
+            let obj = shard.objects.get(&r.pnode);
+            if inverse {
+                for (d, a, av) in shard.reverse_index.get(&r.pnode).into_iter().flatten() {
+                    if *av == r.version {
+                        f(EdgeKind::Recorded(a), *d);
+                    }
+                }
+                let next = r.version.0 + 1;
+                if obj.is_some_and(|o| o.versions.contains_key(&next)) {
+                    f(EdgeKind::Version, ObjectRef::new(r.pnode, Version(next)));
+                }
+            } else if let Some(obj) = obj {
+                for (a, i) in obj.inputs(r.version) {
+                    f(EdgeKind::Recorded(a), *i);
+                }
+                if r.version.0 > 0 {
+                    let prev = Version(r.version.0 - 1);
+                    f(EdgeKind::Version, ObjectRef::new(r.pnode, prev));
+                }
+            }
         })
+    }
+
+    fn edges_of(&self, r: ObjectRef, inverse: bool) -> Vec<(Attribute, ObjectRef)> {
+        let mut out = Vec::new();
+        self.for_each_edge(r, inverse, |kind, to| {
+            let attr = match kind {
+                EdgeKind::Recorded(attr) => attr.clone(),
+                EdgeKind::Version => Attribute::Other("version".into()),
+            };
+            out.push((attr, to));
+        });
+        out
     }
 
     /// Direct ancestry edges of one version, including the implicit
     /// edge to the previous version of the same object.
     pub fn inputs_of(&self, r: ObjectRef) -> Vec<(Attribute, ObjectRef)> {
-        self.with_home(r.pnode, |shard| {
-            let mut out = Vec::new();
-            if let Some(obj) = shard.objects.get(&r.pnode) {
-                out.extend(obj.inputs(r.version).iter().cloned());
-                if r.version.0 > 0 {
-                    out.push((
-                        Attribute::Other("version".into()),
-                        ObjectRef::new(r.pnode, Version(r.version.0 - 1)),
-                    ));
-                }
-            }
-            out
-        })
+        self.edges_of(r, false)
     }
 
     /// Direct descendants: version-refs that recorded `p` (at the
-    /// given version) as an input.
+    /// given version) as an input, and the object's next version.
     pub fn outputs_of(&self, r: ObjectRef) -> Vec<(Attribute, ObjectRef)> {
-        self.with_home(r.pnode, |shard| {
-            let mut out: Vec<(Attribute, ObjectRef)> = shard
-                .reverse_index
-                .get(&r.pnode)
-                .map(|v| {
-                    v.iter()
-                        .filter(|(_, _, av)| *av == r.version)
-                        .map(|(d, a, _)| (a.clone(), *d))
-                        .collect()
-                })
-                .unwrap_or_default();
-            // Implicit: the next version of the object descends from r.
-            if let Some(obj) = shard.objects.get(&r.pnode) {
-                if obj.versions.contains_key(&(r.version.0 + 1)) {
-                    out.push((
-                        Attribute::Other("version".into()),
-                        ObjectRef::new(r.pnode, Version(r.version.0 + 1)),
-                    ));
-                }
-            }
-            out
-        })
+        self.edges_of(r, true)
     }
 
     /// Labelled edge expansion with memoization — the PQL hot path.
@@ -1637,10 +1659,10 @@ impl Store {
     }
 
     /// Memoized labelled reachability closure — what PQL's `label*`
-    /// and `label+` path steps call. `expand` yields one node's
-    /// matching edges; the BFS records every shard it reads so the
-    /// cached closure is invalidated only by commits that touched one
-    /// of them.
+    /// and `label+` path steps call. `expand` appends one node's
+    /// matching neighbours to a buffer the BFS reuses; the BFS records
+    /// every shard it reads so the cached closure is invalidated only
+    /// by commits that touched one of them.
     pub(crate) fn closure_cached<F>(
         &self,
         node: ObjectRef,
@@ -1649,7 +1671,7 @@ impl Store {
         expand: F,
     ) -> Vec<ObjectRef>
     where
-        F: Fn(ObjectRef) -> Vec<ObjectRef>,
+        F: Fn(ObjectRef, &mut Vec<ObjectRef>),
     {
         let cache_on = self.cfg.ancestry_cache > 0;
         let key: EdgeKey = (node, label.clone(), inverse);
@@ -1667,9 +1689,11 @@ impl Store {
             seen.insert(node);
             let mut out: Vec<ObjectRef> = Vec::new();
             let mut frontier = vec![node];
+            let mut next: Vec<ObjectRef> = Vec::new();
             while let Some(n) = frontier.pop() {
                 self.touch_snapshot(&mut snapshot, n.pnode);
-                for m in expand(n) {
+                expand(n, &mut next);
+                for m in next.drain(..) {
                     if seen.insert(m) {
                         out.push(m);
                         frontier.push(m);
@@ -1706,31 +1730,23 @@ impl Store {
             // every version of p some other object referenced as an
             // ancestor (objects only ever seen as ancestors have no
             // entry).
-            let mut roots: HashSet<ObjectRef> = self
-                .object(p)
-                .map(|o| {
-                    o.versions
-                        .keys()
-                        .map(|v| ObjectRef::new(p, Version(*v)))
-                        .collect()
-                })
-                .unwrap_or_default();
-            for av in self.with_home(p, |sh| {
-                sh.reverse_index
-                    .get(&p)
-                    .map(|refs| refs.iter().map(|(_, _, av)| *av).collect::<Vec<_>>())
-                    .unwrap_or_default()
-            }) {
-                roots.insert(ObjectRef::new(p, av));
-            }
+            let roots: HashSet<ObjectRef> = self.with_home(p, |sh| {
+                let recorded = sh.objects.get(&p).into_iter();
+                let recorded = recorded.flat_map(|o| o.versions.keys().map(|v| Version(*v)));
+                let referenced = sh.reverse_index.get(&p).into_iter().flatten();
+                recorded
+                    .chain(referenced.map(|(_, _, av)| *av))
+                    .map(|v| ObjectRef::new(p, v))
+                    .collect()
+            });
             let mut work: Vec<ObjectRef> = roots.iter().copied().collect();
             while let Some(r) = work.pop() {
                 self.touch_snapshot(&mut snapshot, r.pnode);
-                for (_, d) in self.outputs_of(r) {
+                self.for_each_edge(r, true, |_, d| {
                     if seen.insert(d) {
                         work.push(d);
                     }
-                }
+                });
             }
             let mut out: Vec<ObjectRef> = seen
                 .iter()
@@ -1765,11 +1781,11 @@ impl Store {
             let mut work = vec![r];
             while let Some(x) = work.pop() {
                 self.touch_snapshot(&mut snapshot, x.pnode);
-                for (_, a) in self.inputs_of(x) {
+                self.for_each_edge(x, false, |_, a| {
                     if seen.insert(a) {
                         work.push(a);
                     }
-                }
+                });
             }
             let mut out: Vec<ObjectRef> = seen.iter().copied().collect();
             out.sort();
@@ -1784,6 +1800,34 @@ impl Store {
     fn touch_snapshot(&self, snapshot: &mut ShardSnapshot, p: Pnode) {
         let i = self.shard_of(p);
         snapshot.touch(i, self.gens[i].load(Ordering::Acquire));
+    }
+}
+
+/// One profiled lock acquisition: every acquisition adds one
+/// observation to `waits`, but only a contended one reads the clock.
+/// `try_lock` succeeding *is* the measurement that nobody held the
+/// lock, so it is observed as a zero wait; a blocked acquisition
+/// observes its wall-clock wait (at least 1 ns, so the histogram
+/// always tells the two apart).
+fn acquire<G>(
+    waits: &AtomicHist,
+    try_lock: impl FnOnce() -> TryLockResult<G>,
+    lock: impl FnOnce() -> LockResult<G>,
+) -> G {
+    match try_lock() {
+        Ok(guard) => {
+            waits.observe(0);
+            guard
+        }
+        Err(TryLockError::WouldBlock) => {
+            let t = Instant::now();
+            let guard = lock().expect("a thread panicked while holding a store lock");
+            waits.observe((t.elapsed().as_nanos() as u64).max(1));
+            guard
+        }
+        Err(TryLockError::Poisoned(e)) => {
+            panic!("a thread panicked while holding a store lock: {e}")
+        }
     }
 }
 
@@ -1809,4 +1853,86 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 /// Stable 64-bit mix of a pnode (splitmix64 over volume and number).
 fn mix_pnode(p: Pnode) -> u64 {
     splitmix64(p.number ^ (u64::from(p.volume.0) << 32))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+
+    /// The exported `lock.*_wait_ns` histograms, as `(count, sum)`.
+    fn waits(store: &Store) -> [(u64, u64); 3] {
+        let mut reg = provscope::Registry::new();
+        store.export_contention("", &mut reg);
+        [
+            "lock.meta_wait_ns",
+            "lock.shard_wait_ns",
+            "lock.cache_wait_ns",
+        ]
+        .map(|name| {
+            let h = reg.histogram(name).expect("every lock level is exported");
+            (h.count(), h.sum())
+        })
+    }
+
+    /// The contention profile keeps its meaning without a clock read
+    /// per acquisition: every acquisition is one observation, and an
+    /// uncontended one is observed as a zero wait.
+    #[test]
+    fn uncontended_acquisitions_are_each_observed_as_a_zero_wait() {
+        let store = Store::new();
+        let [meta, shard, cache] = waits(&store);
+        for i in 0..7 {
+            drop(store.lock_meta());
+            drop(store.shard_write(i % store.shard_count()));
+            drop(store.lock_cache(&store.edge_cache));
+            drop(store.lock_cache(&store.closure_cache));
+        }
+        let after = waits(&store);
+        assert_eq!(after[0], (meta.0 + 7, 0));
+        assert_eq!(after[1], (shard.0 + 7, 0));
+        assert_eq!(after[2], (cache.0 + 14, 0));
+    }
+
+    /// A held lock is observed as a nonzero wait, at every level. The
+    /// holder lets go inside the blocking call itself, so the
+    /// interleaving is forced without a second thread.
+    #[test]
+    fn a_held_lock_is_observed_as_a_nonzero_wait() {
+        let store = Store::new();
+        let before = waits(&store);
+
+        let held = RefCell::new(Some(store.meta.lock().unwrap()));
+        drop(acquire(
+            &store.contention.meta_wait,
+            || store.meta.try_lock(),
+            || {
+                held.take();
+                store.meta.lock()
+            },
+        ));
+        let held = RefCell::new(Some(store.shards[0].read().unwrap()));
+        drop(acquire(
+            &store.contention.shard_wait,
+            || store.shards[0].try_write(),
+            || {
+                held.take();
+                store.shards[0].write()
+            },
+        ));
+        let held = RefCell::new(Some(store.edge_cache.lock().unwrap()));
+        drop(acquire(
+            &store.contention.cache_wait,
+            || store.edge_cache.try_lock(),
+            || {
+                held.take();
+                store.edge_cache.lock()
+            },
+        ));
+
+        for (level, (was, now)) in before.iter().zip(waits(&store)).enumerate() {
+            assert_eq!(now.0, was.0 + 1, "level {level}: one acquisition");
+            assert!(now.1 > was.1, "level {level}: a contended wait is nonzero");
+        }
+    }
 }

@@ -12,12 +12,12 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
-use lasagna::LogEntry;
+use lasagna::{Lasagna, LasagnaConfig, LogEntry};
 use passv2::System;
 use sim_os::cost::CostModel;
 use sim_os::fs::basefs::BaseFs;
 use sim_os::fs::{DirEntry, FileAttr, FileSystem, FsError, FsResult, FsUsage, Ino};
-use waldo::{IngestStats, LogImage, Store, Waldo, WaldoConfig};
+use waldo::{Cluster, ClusterRuntime, IngestStats, LogImage, Store, Waldo, WaldoConfig};
 
 fn r(n: u64, v: u32) -> ObjectRef {
     ObjectRef::new(Pnode::new(VolumeId(1), n), Version(v))
@@ -361,14 +361,17 @@ fn daemon_entry_points_agree(resume: Option<usize>) {
     }
 }
 
-/// A plain file system whose `fsync` fails while `fail` is set — the
-/// database volume of the WAL-failure regression test below.
-struct FlakyFsync {
+/// A plain file system that fails on demand: `fsync` while `fail` is
+/// set (the database volume of the WAL-failure regression test
+/// below), and the next `fail_reads` reads (the base under the PASS
+/// volume of the unreadable-log test).
+struct FlakyFs {
     inner: BaseFs,
     fail: Rc<Cell<bool>>,
+    fail_reads: Rc<Cell<u32>>,
 }
 
-impl FileSystem for FlakyFsync {
+impl FileSystem for FlakyFs {
     fn root(&self) -> Ino {
         self.inner.root()
     }
@@ -388,6 +391,10 @@ impl FileSystem for FlakyFsync {
         self.inner.rename(from, name, to, to_name)
     }
     fn read(&mut self, ino: Ino, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+        if self.fail_reads.get() > 0 {
+            self.fail_reads.set(self.fail_reads.get() - 1);
+            return Err(FsError::Invalid("injected read failure".into()));
+        }
         self.inner.read(ino, offset, len)
     }
     fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
@@ -430,9 +437,10 @@ fn logs_committed_under_a_failing_wal_retire_at_the_next_persist() {
     let fail = Rc::new(Cell::new(false));
     sys.kernel.mount(
         "/db",
-        Box::new(FlakyFsync {
+        Box::new(FlakyFs {
             inner: BaseFs::new(sys.clock(), CostModel::default()),
             fail: fail.clone(),
+            fail_reads: Rc::default(),
         }),
     );
     let waldo_pid = sys.kernel.spawn_init("waldo");
@@ -487,6 +495,115 @@ fn logs_committed_under_a_failing_wal_retire_at_the_next_persist() {
         "the log committed under the failing WAL must be unlinked too"
     );
     assert_eq!(waldo.checkpoint_stats().logs_retired, 2);
+}
+
+/// A rotated log whose read fails is not lost with its rotation-queue
+/// entry: it is counted, held — together with the later logs of its
+/// volume, which must not overtake it — and ingested by the next
+/// poll, leaving the store byte-equal to a run whose reads never
+/// failed. Checked on a single daemon and on both cluster runtimes,
+/// whose sweep report must name the volume.
+#[test]
+fn an_unreadable_rotated_log_is_retried_by_the_next_poll() {
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Via {
+        Daemon,
+        Cluster(ClusterRuntime),
+    }
+    let run = |via: Via, failing: bool| {
+        let mut sys = System::single_volume();
+        let fail_reads = Rc::new(Cell::new(0));
+        let base = FlakyFs {
+            inner: BaseFs::new(sys.clock(), CostModel::default()),
+            fail: Rc::default(),
+            fail_reads: fail_reads.clone(),
+        };
+        let volume = VolumeId(2);
+        let cfg = LasagnaConfig::new(volume);
+        let fs = Lasagna::new(Box::new(base), sys.clock(), CostModel::default(), cfg).unwrap();
+        let m = sys.kernel.mount("/vol", Box::new(fs));
+        let waldo_pid = sys.kernel.spawn_init("waldo");
+        sys.pass.exempt(waldo_pid);
+        let mut cluster = Cluster::new(vec![Waldo::new(waldo_pid)]);
+        if let Via::Cluster(runtime) = via {
+            cluster.set_runtime(runtime);
+        }
+        let worker = sys.spawn("sh");
+        // Two rotated logs that both describe the same file, so their
+        // order shows in the store.
+        for wave in 0..2 {
+            for i in 0..4 {
+                let path = format!("/vol/f{i}");
+                sys.kernel.write_file(worker, &path, &[wave; 64]).unwrap();
+            }
+            sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
+        }
+        let poll = |sys: &mut System, cluster: &mut Cluster| match via {
+            Via::Daemon => {
+                let stats = cluster
+                    .member_mut(0)
+                    .poll_volume(&mut sys.kernel, m, "/vol");
+                (stats, None)
+            }
+            Via::Cluster(_) => {
+                let volumes = [("/vol".to_string(), m, volume)];
+                let report = cluster.poll_volumes_report(&mut sys.kernel, &volumes);
+                (report.total, Some(report))
+            }
+        };
+        if failing {
+            // The first log's read fails; the second must wait for it.
+            fail_reads.set(1);
+            let (stats, report) = poll(&mut sys, &mut cluster);
+            assert_eq!(
+                fail_reads.get(),
+                0,
+                "{via:?}: the injected failure was not hit"
+            );
+            assert_eq!(
+                stats.applied, 0,
+                "{via:?}: a later log overtook the unreadable one"
+            );
+            assert_eq!(cluster.member(0).logs_unreadable(), 1, "{via:?}");
+            if let Some(report) = report {
+                let issues = report.issues();
+                assert_eq!(issues.len(), 1, "{via:?}: the sweep must report the volume");
+                assert_eq!((issues[0].volume, issues[0].logs_unreadable), (volume, 1));
+            }
+        }
+        let (stats, report) = poll(&mut sys, &mut cluster);
+        assert!(
+            stats.applied > 0,
+            "{via:?}: the next poll must ingest the held logs"
+        );
+        assert!(report.is_none_or(|r| r.issues().is_empty()), "{via:?}");
+        let daemon = cluster.member(0);
+        assert_eq!(daemon.logs_unreadable(), u64::from(failing), "{via:?}");
+        assert_eq!(
+            daemon.db.replayed_batches(),
+            0,
+            "{via:?}: logs ingested out of order"
+        );
+        let mut reg = provscope::Registry::new();
+        reg.absorb("waldo.", daemon);
+        assert_eq!(reg.counter("waldo.logs_unreadable"), u64::from(failing));
+        // Memory-only daemon: fully committed logs are unlinked.
+        let left = sys.kernel.readdir(waldo_pid, "/vol/.pass").unwrap();
+        assert_eq!(
+            left.len(),
+            1,
+            "{via:?}: only the active log may remain: {left:?}"
+        );
+        (daemon.db.segment_images(), stats.applied)
+    };
+    let reference = run(Via::Daemon, false);
+    for via in [
+        Via::Daemon,
+        Via::Cluster(ClusterRuntime::Sequential),
+        Via::Cluster(ClusterRuntime::Threaded),
+    ] {
+        assert_eq!(run(via, true), reference, "{via:?}");
+    }
 }
 
 /// End-to-end daemon crash: a poll is interrupted mid-batch, the

@@ -204,3 +204,109 @@ fn queries_are_deterministic() {
     let b = pql::query(q, &w.db).unwrap();
     assert_eq!(a.rows, b.rows);
 }
+
+/// A deep closure and its inverse, against what the scenario's
+/// generator knows the answer to be. A 60-stage pipeline: stage `i`
+/// reads stage `i - 1`'s file and writes its own. Beside it, a
+/// journal written by `/bin/writer-a` from `/secret-a`, read by
+/// `/bin/peek`, then overwritten by `/bin/writer-b` from `/secret-b` —
+/// a new version, since the old one has a reader — and read by the
+/// middle stage. `/secret-a` reaches the pipeline only across the
+/// journal's implicit version edge. The ancestry of the last file is
+/// every file and process of the chain plus both writers' sides (over
+/// 120 rows) but not the peeker; the descendants of `/secret-a` are
+/// its writer, the journal, the peeker and the chain from the middle
+/// stage on — not `/bin/writer-b`, and nothing upstream.
+#[test]
+fn deep_closures_match_the_generated_pipeline() {
+    use std::collections::BTreeSet;
+    const STAGES: usize = 60;
+    const MID: usize = STAGES / 2;
+    let mut sys = System::single_volume();
+    let run = |sys: &mut System, exe: &str, reads: &[String], writes: &str| {
+        let pid = sys.kernel.spawn_init(exe);
+        sys.kernel.execve(pid, exe, &[exe.to_string()], &[]).ok();
+        let mut data = exe.as_bytes().to_vec();
+        for path in reads {
+            data.extend(sys.kernel.read_file(pid, path).unwrap());
+        }
+        data.truncate(256);
+        sys.kernel.write_file(pid, writes, &data).unwrap();
+        sys.kernel.exit(pid);
+    };
+    run(&mut sys, "/bin/mk-a", &[], "/secret-a");
+    run(&mut sys, "/bin/mk-b", &[], "/secret-b");
+    run(&mut sys, "/bin/writer-a", &["/secret-a".into()], "/journal");
+    run(&mut sys, "/bin/peek", &["/journal".into()], "/peeked");
+    run(&mut sys, "/bin/writer-b", &["/secret-b".into()], "/journal");
+    for i in 0..STAGES {
+        let mut reads = Vec::new();
+        if i > 0 {
+            reads.push(format!("/chain{}", i - 1));
+        }
+        if i == MID {
+            reads.push("/journal".into());
+        }
+        run(
+            &mut sys,
+            &format!("/bin/stage{i}"),
+            &reads,
+            &format!("/chain{i}"),
+        );
+    }
+    let mut w = sys.spawn_waldo();
+    for (_, logs) in sys.rotate_all_logs() {
+        for log in logs {
+            w.ingest_log_file(&mut sys.kernel, &log);
+        }
+    }
+    let mut ask = |text: String| -> BTreeSet<String> {
+        let out = w.query(&text).unwrap();
+        assert_eq!(out.stats.index_hits, 1, "{:?}", out.stats);
+        let names = out
+            .result
+            .rows
+            .iter()
+            .map(|r| r[0].as_str().unwrap().to_string());
+        names.collect()
+    };
+    let set =
+        |names: &[&str]| -> BTreeSet<String> { names.iter().map(|n| n.to_string()).collect() };
+    let stages = |range: std::ops::Range<usize>| -> BTreeSet<String> {
+        range
+            .flat_map(|i| [format!("/chain{i}"), format!("/bin/stage{i}")])
+            .collect()
+    };
+
+    let ancestry = format!(
+        "select A.name from Provenance.file as F F.input* as A where F.name = '/chain{}'",
+        STAGES - 1
+    );
+    let mut upstream = stages(0..STAGES);
+    upstream.extend(set(&[
+        "/journal",
+        "/bin/writer-a",
+        "/bin/writer-b",
+        "/secret-a",
+        "/secret-b",
+        "/bin/mk-a",
+        "/bin/mk-b",
+    ]));
+    let answer = ask(ancestry.clone());
+    assert!(answer.len() >= 100, "a deep closure: {} rows", answer.len());
+    assert_eq!(answer, upstream);
+
+    let mut downstream = stages(MID..STAGES);
+    downstream.extend(set(&[
+        "/secret-a",
+        "/bin/writer-a",
+        "/journal",
+        "/bin/peek",
+        "/peeked",
+    ]));
+    let taint = "select D.name from Provenance.file as F F.input~* as D where F.name = '/secret-a'";
+    assert_eq!(ask(taint.to_string()), downstream);
+
+    // Asked again, the answer comes from the closure cache, unchanged.
+    assert_eq!(ask(ancestry), upstream);
+}
