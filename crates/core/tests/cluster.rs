@@ -16,10 +16,15 @@
 //! * cluster-wide durability: per-member checkpoint + machine crash +
 //!   `System::restart_cluster` round-trips every member's store.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use dpapi::{Attribute, Bundle, ProvenanceRecord, Value, VolumeId};
 use passv2::{System, SystemBuilder};
 use sim_os::cost::CostModel;
-use waldo::{IngestStats, WaldoConfig};
+use sim_os::fs::basefs::BaseFs;
+use sim_os::fs::{DirEntry, FileAttr, FileSystem, FsError, FsResult, FsUsage, Ino};
+use waldo::{Cluster, IngestStats, WaldoConfig};
 
 fn test_cfg() -> WaldoConfig {
     WaldoConfig {
@@ -403,83 +408,229 @@ fn cluster_restart_names_the_member_with_corrupt_checkpoints() {
     );
 }
 
-/// The threaded runtime defers durability to `flush_durable`, so its
-/// members checkpoint at sweep boundaries where the sequential ones
-/// checkpoint mid-drain — different delta boundaries, possibly
-/// different rewrite points. None of that may show: after several
-/// sweeps under the default checkpoint policy and a machine crash,
-/// every member restarts from its base + delta chain (plus retained
-/// logs) to its pre-crash store, and the two runtimes agree.
+/// Under the default checkpoint policy members checkpoint mid-drain,
+/// so several sweeps leave each with a base and a chain of deltas.
+/// None of that may show: after a machine crash every member restarts
+/// from its base + delta chain (plus retained logs) to its pre-crash
+/// store.
 #[test]
-fn threaded_and_sequential_delta_chains_restart_to_the_same_stores() {
+fn delta_chains_restart_to_the_pre_crash_stores() {
     const MEMBERS: usize = 2;
     const SWEEPS: usize = 6;
-    let run = |threaded: bool| {
-        let mut sys = SystemBuilder::new(CostModel::default())
-            .waldo_config(WaldoConfig {
-                // A few commits per sweep, a checkpoint every other
-                // commit: chains of several deltas on each member.
-                checkpoint_commits: 2,
-                ..test_cfg()
-            })
-            .plain_volume("/db")
-            .pass_volume("/v1", VolumeId(1))
-            .pass_volume("/v2", VolumeId(2))
-            .pass_volume("/v3", VolumeId(3))
-            .build();
-        let mut cluster = sys.spawn_cluster_durable(MEMBERS, "/db/cluster");
-        if threaded {
-            cluster.set_runtime(waldo::ClusterRuntime::Threaded);
-        }
-        let pid = sys.kernel.spawn_init("driver");
-        let volumes = sys.volumes.clone();
-        // The first sweep is the biggest, so its base leaves room for
-        // the later sweeps' deltas.
-        for sweep in 0..SWEEPS {
-            for f in 0..(if sweep == 0 { 24 } else { 4 }) {
-                for v in 1..=3 {
-                    sys.kernel
-                        .write_file(pid, &format!("/v{v}/s{sweep}-f{f}"), b"sweep payload")
-                        .unwrap();
-                }
+    let mut sys = SystemBuilder::new(CostModel::default())
+        .waldo_config(WaldoConfig {
+            // A few commits per sweep, a checkpoint every other
+            // commit: chains of several deltas on each member.
+            checkpoint_commits: 2,
+            ..test_cfg()
+        })
+        .plain_volume("/db")
+        .pass_volume("/v1", VolumeId(1))
+        .pass_volume("/v2", VolumeId(2))
+        .pass_volume("/v3", VolumeId(3))
+        .build();
+    let mut cluster = sys.spawn_cluster_durable(MEMBERS, "/db/cluster");
+    let pid = sys.kernel.spawn_init("driver");
+    let volumes = sys.volumes.clone();
+    // The first sweep is the biggest, so its base leaves room for
+    // the later sweeps' deltas.
+    for sweep in 0..SWEEPS {
+        for f in 0..(if sweep == 0 { 24 } else { 4 }) {
+            for v in 1..=3 {
+                sys.kernel
+                    .write_file(pid, &format!("/v{v}/s{sweep}-f{f}"), b"sweep payload")
+                    .unwrap();
             }
-            let data = sys
-                .kernel
-                .read_file(pid, &format!("/v1/s{sweep}-f0"))
-                .unwrap();
-            sys.kernel
-                .write_file(pid, &format!("/v2/s{sweep}-copy"), &data)
-                .unwrap();
-            for (_, m, _) in &volumes {
-                sys.kernel.dpapi_at(*m).unwrap().force_log_rotation();
-            }
-            cluster.poll_volumes(&mut sys.kernel, &volumes);
         }
-        let (deltas, checkpoints) = cluster.members().iter().fold((0, 0), |(d, c), m| {
-            let s = m.checkpoint_stats();
-            (d + s.deltas_written, c + s.checkpoints)
-        });
-        assert!(
-            checkpoints >= 4,
-            "threaded={threaded}: the policy must fire"
+        let data = sys
+            .kernel
+            .read_file(pid, &format!("/v1/s{sweep}-f0"))
+            .unwrap();
+        sys.kernel
+            .write_file(pid, &format!("/v2/s{sweep}-copy"), &data)
+            .unwrap();
+        for (_, m, _) in &volumes {
+            sys.kernel.dpapi_at(*m).unwrap().force_log_rotation();
+        }
+        cluster.poll_volumes(&mut sys.kernel, &volumes);
+    }
+    let (deltas, checkpoints) = cluster.members().iter().fold((0, 0), |(d, c), m| {
+        let s = m.checkpoint_stats();
+        (d + s.deltas_written, c + s.checkpoints)
+    });
+    assert!(checkpoints >= 4, "the policy must fire");
+    assert!(deltas >= 2, "chains must form");
+    let images: Vec<_> = cluster
+        .members()
+        .iter()
+        .map(|m| m.db.segment_images())
+        .collect();
+    drop(cluster); // machine crash
+    let restarted = sys.restart_cluster(MEMBERS, "/db/cluster");
+    for (i, member) in restarted.members().iter().enumerate() {
+        assert_eq!(member.restart_report().unwrap().checkpoints_skipped, 0);
+        assert_eq!(
+            member.db.segment_images(),
+            images[i],
+            "member {i} must restart to its pre-crash store"
         );
-        assert!(deltas >= 2, "threaded={threaded}: chains must form");
+    }
+}
+
+/// `Cluster::set_runtime` selects nothing: it and `ClusterRuntime`
+/// exist only because the frozen ledger names them. Pinned until they
+/// are deleted: a sweep after `set_runtime(Threaded)` reports what the
+/// default sweep reports and leaves byte-equal member stores.
+#[test]
+fn set_runtime_selects_nothing() {
+    const MEMBERS: usize = 2;
+    let run = |runtime: Option<waldo::ClusterRuntime>| {
+        let mut sys = multi_volume_system(4, 6);
+        let mut cluster = sys.spawn_cluster_durable(MEMBERS, "/db/cluster");
+        if let Some(runtime) = runtime {
+            cluster.set_runtime(runtime);
+        }
+        let volumes = sys.volumes.clone();
+        let report = cluster.poll_volumes_report(&mut sys.kernel, &volumes);
+        assert!(report.total.applied > 0 && report.healthy());
+        assert!(report.member_timings.is_empty());
         let images: Vec<_> = cluster
             .members()
             .iter()
             .map(|m| m.db.segment_images())
             .collect();
-        drop(cluster); // machine crash
-        let restarted = sys.restart_cluster(MEMBERS, "/db/cluster");
-        for (i, member) in restarted.members().iter().enumerate() {
-            assert_eq!(member.restart_report().unwrap().checkpoints_skipped, 0);
-            assert_eq!(
-                member.db.segment_images(),
-                images[i],
-                "threaded={threaded}: member {i} must restart to its pre-crash store"
-            );
+        (report.per_volume, report.total, images)
+    };
+    assert_eq!(run(Some(waldo::ClusterRuntime::Threaded)), run(None));
+}
+
+/// A plain file system whose `fsync` fails while `fail` is set.
+struct FlakyFsync {
+    inner: BaseFs,
+    fail: Rc<Cell<bool>>,
+}
+
+impl FileSystem for FlakyFsync {
+    fn root(&self) -> Ino {
+        self.inner.root()
+    }
+    fn lookup(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+        self.inner.lookup(dir, name)
+    }
+    fn create(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+        self.inner.create(dir, name)
+    }
+    fn mkdir(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+        self.inner.mkdir(dir, name)
+    }
+    fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()> {
+        self.inner.unlink(dir, name)
+    }
+    fn rename(&mut self, from: Ino, name: &str, to: Ino, to_name: &str) -> FsResult<()> {
+        self.inner.rename(from, name, to, to_name)
+    }
+    fn read(&mut self, ino: Ino, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+        self.inner.read(ino, offset, len)
+    }
+    fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+        self.inner.write(ino, offset, data)
+    }
+    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
+        self.inner.truncate(ino, size)
+    }
+    fn getattr(&mut self, ino: Ino) -> FsResult<FileAttr> {
+        self.inner.getattr(ino)
+    }
+    fn readdir(&mut self, dir: Ino) -> FsResult<Vec<DirEntry>> {
+        self.inner.readdir(dir)
+    }
+    fn sync(&mut self) -> FsResult<()> {
+        self.inner.sync()
+    }
+    fn fsync(&mut self, ino: Ino) -> FsResult<()> {
+        if self.fail.get() {
+            return Err(FsError::NoSpace);
         }
-        images
+        self.inner.fsync(ino)
+    }
+    fn close_hint(&mut self, ino: Ino) -> FsResult<()> {
+        self.inner.close_hint(ino)
+    }
+    fn usage(&self) -> FsUsage {
+        self.inner.usage()
+    }
+}
+
+/// One member's database disk fails `fsync` for a whole sweep: the
+/// report must blame *every* volume that member drained (each commit
+/// is persisted where it happens, so each poll sees its own failures)
+/// and no volume of the healthy member. Nothing is lost: one clean
+/// sweep later the persist succeeds, the logs committed under the
+/// failure retire with the rest, and the merged store is byte-equal to
+/// a twin whose disk never failed.
+#[test]
+fn a_failing_member_wal_is_blamed_on_every_volume_it_serves() {
+    const NVOL: u32 = 6;
+    let run = |failing: bool| {
+        let mut sys = multi_volume_system(NVOL, 6);
+        let fail = Rc::new(Cell::new(false));
+        sys.kernel.mount(
+            "/flaky",
+            Box::new(FlakyFsync {
+                inner: BaseFs::new(sys.clock(), CostModel::default()),
+                fail: fail.clone(),
+            }),
+        );
+        sys.waldo_cfg.keep_checkpoints = 1; // one manual checkpoint covers every log
+        let mut cluster = Cluster::new(vec![
+            sys.spawn_waldo_durable("/db/member0"),
+            sys.spawn_waldo_durable("/flaky/member1"),
+        ]);
+        let volumes = sys.volumes.clone();
+        let on_member_1: Vec<VolumeId> = (volumes.iter().map(|(_, _, v)| *v))
+            .filter(|v| cluster.route(*v) == 1)
+            .collect();
+        assert!(
+            (2..NVOL as usize).contains(&on_member_1.len()),
+            "the test needs both members busy, member 1 with several volumes: {on_member_1:?}"
+        );
+
+        fail.set(failing);
+        let report = cluster.poll_volumes_report(&mut sys.kernel, &volumes);
+        let blamed: Vec<VolumeId> = report.issues().iter().map(|p| p.volume).collect();
+        if failing {
+            assert_eq!(blamed, on_member_1, "exactly member 1's volumes");
+            assert!(report.issues().iter().all(|p| p.wal_errors >= 1));
+            assert!(!report.healthy());
+        } else {
+            assert!(blamed.is_empty(), "{blamed:?}");
+        }
+
+        // More work, then one clean sweep.
+        fail.set(false);
+        let pid = sys.kernel.spawn_init("driver2");
+        for (path, m, _) in &volumes {
+            sys.kernel
+                .write_file(pid, &format!("{path}/late.dat"), b"after the failure")
+                .unwrap();
+            sys.kernel.dpapi_at(*m).unwrap().force_log_rotation();
+        }
+        let errors_before = cluster.member(1).wal_errors();
+        let report = cluster.poll_volumes_report(&mut sys.kernel, &volumes);
+        assert!(report.issues().is_empty(), "{:?}", report.issues());
+        assert_eq!(cluster.member(1).wal_errors(), errors_before);
+
+        // Nothing is left to retire: a covering checkpoint unlinks
+        // every closed log, those committed under the failure too.
+        cluster.checkpoint_all(&mut sys.kernel).unwrap();
+        for (path, _, _) in &volumes {
+            let logs = sys.kernel.readdir(pid, &format!("{path}/.pass")).unwrap();
+            assert_eq!(logs.len(), 1, "{path}: only the active log: {logs:?}");
+        }
+        let retired: u64 = (cluster.members().iter())
+            .map(|m| m.checkpoint_stats().logs_retired)
+            .sum();
+        (cluster.merged_store().segment_images(), retired)
     };
     assert_eq!(run(true), run(false));
 }

@@ -69,9 +69,8 @@
 //!
 //! # Threads
 //!
-//! A scope is `Send + Sync` and may be shared across worker threads
-//! (the threaded cluster runtime ingests on one OS thread per
-//! member). Span storage, ids and trace roots are global to the
+//! A scope is `Send + Sync` and may be shared across worker
+//! threads. Span storage, ids and trace roots are global to the
 //! scope, but the *window* — the open-span stack and its pending
 //! trace binding — is per thread: each thread's synchronous call
 //! chain parents only its own spans, so concurrent windows cannot

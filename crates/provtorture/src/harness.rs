@@ -124,9 +124,9 @@ pub struct CaseReport {
     /// The volume-salted **batch** trace ids the faulted twin's scope
     /// retained, sorted. Batch ids are content-derived, so under a
     /// [`torture_with_recorder`] run with head sampling this set is
-    /// reproducible even on the threaded cluster runtime (where
-    /// synthetic trace ids depend on interleaving) — the smoke binary
-    /// asserts same-seed recorder runs retain identical sets.
+    /// the pure sampled subset of the unbounded run's — the smoke
+    /// binary asserts it, and that same-seed recorder runs retain
+    /// identical sets.
     pub sampled_traces: Vec<u64>,
 }
 
@@ -392,14 +392,6 @@ fn execute(
                 }
             }
         }
-        // The faulted cluster twin ingests on the real multi-core
-        // runtime; its reference twin (and the single-daemon cells)
-        // stay sequential. The two-sided byte-equality oracle then
-        // re-proves, on every cluster cell, that threaded ingest is
-        // store-byte-equal to sequential ingest — any threading
-        // divergence surfaces as SilentDivergence.
-        let threaded = topo == Topology::Cluster2 && fault.is_some();
-        let mut work: Vec<Vec<waldo::LogImage>> = (0..nmembers).map(|_| Vec::new()).collect();
         for (mount_id, logs) in &rotated {
             let vol = volumes
                 .iter()
@@ -407,27 +399,8 @@ fn execute(
                 .map(|(_, _, v)| *v)
                 .expect("rotated log from a known mount");
             let member = route_volume(vol, nmembers);
-            if threaded {
-                for log in logs {
-                    if let Ok(bytes) = sys.kernel.read_file(members[member].pid(), log) {
-                        work[member].push(waldo::LogImage {
-                            path: log.clone(),
-                            bytes,
-                        });
-                    }
-                }
-            } else {
-                for log in logs {
-                    stats += members[member].ingest_log_file(&mut sys.kernel, log);
-                }
-            }
-        }
-        if threaded {
-            for s in waldo::cluster::ingest_images_threaded(&mut members, work) {
-                stats += s;
-            }
-            for m in members.iter_mut() {
-                stats += m.flush_durable(&mut sys.kernel);
+            for log in logs {
+                stats += members[member].ingest_log_file(&mut sys.kernel, log);
             }
         }
         if !(last && schedule.skip_last_checkpoint) {

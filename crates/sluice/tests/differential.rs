@@ -5,7 +5,7 @@
 //! produce **byte-identical** provenance stores.
 //!
 //! Checked twice per case: single-daemon ingest, and a 2-member
-//! threaded-cluster ingest of a two-volume machine (the fan-in tier
+//! cluster ingest of a two-volume machine (the fan-in tier
 //! must see the same logs no matter how the front door framed them).
 
 use dpapi::{Attribute, Bundle, DpapiOp, Handle, ProvenanceRecord, Value, VolumeId};
@@ -164,11 +164,10 @@ fn daemon_images(fx: &mut Fixture) -> Vec<Vec<u8>> {
     waldo.db.segment_images()
 }
 
-/// 2-member threaded-cluster ingest; returns the merged store images.
+/// 2-member cluster ingest; returns the merged store images.
 fn cluster_images(fx: &mut Fixture) -> Vec<Vec<u8>> {
     fx.sys.rotate_all_logs();
     let mut cluster = fx.sys.spawn_cluster(2);
-    cluster.set_runtime(waldo::ClusterRuntime::Threaded);
     let volumes = fx.sys.volumes.clone();
     cluster.poll_volumes(&mut fx.sys.kernel, &volumes);
     cluster.merged_store().segment_images()
@@ -222,10 +221,10 @@ proptest! {
         prop_assert!(stats.frames <= stats.frame_txns);
     }
 
-    /// Cluster oracle: same equality when a 2-member threaded cluster
-    /// ingests a two-volume machine.
+    /// Cluster oracle: same equality when a 2-member cluster ingests a
+    /// two-volume machine.
     #[test]
-    fn pipelined_equals_sync_threaded_cluster(script in arb_script()) {
+    fn pipelined_equals_sync_cluster(script in arb_script()) {
         let mut sync_fx = run_sync(&script, 2);
         let (mut pipe_fx, _) = run_pipelined(&script, 2);
         prop_assert_eq!(cluster_images(&mut sync_fx), cluster_images(&mut pipe_fx));

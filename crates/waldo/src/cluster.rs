@@ -42,36 +42,28 @@ use sim_os::fs::FsError;
 use sim_os::proc::MountId;
 use sim_os::syscall::Kernel;
 
-use crate::daemon::{LogImage, QueryOps, Waldo};
+use crate::daemon::{QueryOps, Waldo};
 use crate::db::IngestStats;
 use crate::store::{MergeError, Store};
 
-/// How a [`Cluster`] executes an ingest sweep.
-///
-/// Both runtimes produce **byte-identical member stores** for the
-/// same sweep: the threaded runtime hands each member exactly the log
-/// images the sequential runtime would have drained, in the same
-/// order, and per-member ingest is deterministic. What differs is
-/// wall-clock time (members overlap on real cores) and durability
-/// *timing* (WAL persists, log retirement and checkpoints move to a
-/// per-member flush at the end of the sweep — each commit frame
-/// carries complete replay marks, so the final frame supersedes the
-/// skipped intermediates).
+/// Selects nothing: a [`Cluster`] has one ingest sweep (each volume's
+/// [`Waldo::poll_volume`] on its routed member, on the calling
+/// thread). The enum survives only because the frozen `ledger/`
+/// benchmark names both variants; it goes with the next `[benchmark]`
+/// PR.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ClusterRuntime {
-    /// Members drain their volumes one after another on the calling
-    /// thread — the virtual-clock reference mode, where fleet time is
-    /// modeled as `max(member time)`.
+    /// The one sweep.
     #[default]
     Sequential,
-    /// Members ingest on OS threads (one scoped thread per member
-    /// with work): the coordinator keeps the single-threaded kernel,
-    /// reads rotated logs up front, and the members' kernel-free
-    /// parse + stage + commit work overlaps on real cores.
+    /// Formerly a sweep on member threads, which the wall clock showed
+    /// losing to this one (DESIGN.md "Threading model"); now the same
+    /// sweep.
     Threaded,
 }
 
-/// One member's share of a threaded sweep, wall-clock attributed.
+/// Formerly one member's wall-clock share of a threaded sweep. Nothing
+/// constructs it any more; it goes with [`ClusterRuntime`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemberTiming {
     /// Member index.
@@ -80,9 +72,7 @@ pub struct MemberTiming {
     pub volumes: usize,
     /// Log images the member ingested this sweep.
     pub images: usize,
-    /// Wall-clock nanoseconds the member's ingest thread ran (parse +
-    /// stage + commit; excludes the coordinator's kernel reads and
-    /// the durability flush).
+    /// Wall-clock nanoseconds the member's ingest ran.
     pub wall_ns: u64,
 }
 
@@ -184,9 +174,8 @@ pub struct ClusterPollReport {
     pub total: IngestStats,
     /// One entry per polled volume, in the caller's volume order.
     pub per_volume: Vec<VolumePoll>,
-    /// Per-member wall-clock attribution — populated only by the
-    /// [`ClusterRuntime::Threaded`] runtime (the sequential runtime
-    /// shares one thread, so per-member wall time is not meaningful).
+    /// Always empty: the field the frozen `ledger/` benchmark reads,
+    /// kept until the next `[benchmark]` PR (see [`ClusterRuntime`]).
     pub member_timings: Vec<MemberTiming>,
     /// The health-rule verdicts for the fleet's metric snapshot taken
     /// right after this sweep (see [`Cluster::set_health_rules`]).
@@ -241,13 +230,9 @@ pub struct Cluster {
     /// single member).
     query_ops: QueryOps,
     scope: provscope::Scope,
-    runtime: ClusterRuntime,
     /// Rules every [`Cluster::poll_volumes_report`] sweep evaluates
     /// against the fleet's metric snapshot.
     health_rules: Vec<provscope::HealthRule>,
-    /// Per-member wall-clock ingest-thread time, accumulated across
-    /// threaded sweeps (`member<i>.poll_wall_ns` in the registry).
-    member_wall: Vec<provscope::Histogram>,
 }
 
 impl Cluster {
@@ -256,17 +241,11 @@ impl Cluster {
     /// wiring). Panics on an empty member list.
     pub fn new(members: Vec<Waldo>) -> Cluster {
         assert!(!members.is_empty(), "a cluster has at least one member");
-        let member_wall = members
-            .iter()
-            .map(|_| provscope::Histogram::default())
-            .collect();
         Cluster {
             members,
             query_ops: QueryOps::default(),
             scope: provscope::Scope::default(),
-            runtime: ClusterRuntime::default(),
             health_rules: provscope::health::standard_rules(),
-            member_wall,
         }
     }
 
@@ -282,17 +261,9 @@ impl Cluster {
         &self.health_rules
     }
 
-    /// Selects the ingest runtime. Both runtimes produce
-    /// byte-identical member stores (see [`ClusterRuntime`]); threaded
-    /// mode overlaps members' ingest on real cores.
-    pub fn set_runtime(&mut self, runtime: ClusterRuntime) {
-        self.runtime = runtime;
-    }
-
-    /// The active ingest runtime.
-    pub fn runtime(&self) -> ClusterRuntime {
-        self.runtime
-    }
+    /// Does nothing (see [`ClusterRuntime`]); kept for the frozen
+    /// `ledger/` benchmark, which calls it.
+    pub fn set_runtime(&mut self, _runtime: ClusterRuntime) {}
 
     /// Attaches a tracing scope to the cluster *and every member*, so
     /// one scope sees the whole fleet's ingest and query spans on the
@@ -385,25 +356,6 @@ impl Cluster {
         kernel: &mut Kernel,
         volumes: &[(String, MountId, VolumeId)],
     ) -> ClusterPollReport {
-        let mut report = match self.runtime {
-            ClusterRuntime::Sequential => self.poll_volumes_sequential(kernel, volumes),
-            ClusterRuntime::Threaded => self.poll_volumes_threaded(kernel, volumes),
-        };
-        // Evaluate the health rules over the post-sweep snapshot: the
-        // fleet's counters plus the tracing scope's flight-recorder
-        // gauges (spans shed, trees evicted).
-        let mut reg = provscope::Registry::new();
-        self.record_metrics(&mut reg);
-        self.scope.export_metrics(&mut reg);
-        report.health = provscope::health::evaluate(&self.health_rules, &reg);
-        report
-    }
-
-    fn poll_volumes_sequential(
-        &mut self,
-        kernel: &mut Kernel,
-        volumes: &[(String, MountId, VolumeId)],
-    ) -> ClusterPollReport {
         let mut report = ClusterPollReport::default();
         for (path, mount, volume) in volumes {
             let member = self.route(*volume);
@@ -419,94 +371,13 @@ impl Cluster {
                 logs_unreadable: daemon.logs_unreadable() - unreadable_before,
             });
         }
-        report
-    }
-
-    /// The multi-core sweep. Three phases:
-    ///
-    /// 1. **Collect** (coordinator): the kernel is single-threaded, so
-    ///    the coordinator takes every volume's rotated-log queue and
-    ///    reads the log bytes, in the caller's volume order — exactly
-    ///    the files, in exactly the order, the sequential runtime
-    ///    would drain.
-    /// 2. **Ingest** (parallel): one scoped OS thread per member with
-    ///    work runs the kernel-free [`Waldo::ingest_images_offline`]
-    ///    over that member's volumes (still in caller order).
-    ///    Members share nothing but the `Sync` stores' internals, so
-    ///    the threads are data-race-free by construction, and each
-    ///    member's ingest is deterministic — the merged store is
-    ///    byte-equal to the sequential sweep's.
-    /// 3. **Flush** (coordinator): per member, persist the final
-    ///    commit frame, retire fully committed logs, run the
-    ///    checkpoint policy ([`Waldo::flush_durable`]).
-    ///
-    /// Per-volume stats keep their sequential meaning; flush-side
-    /// effects (WAL errors, checkpoints) are attributed to the
-    /// member's *last* polled volume, since the deferred flush covers
-    /// the whole sweep.
-    fn poll_volumes_threaded(
-        &mut self,
-        kernel: &mut Kernel,
-        volumes: &[(String, MountId, VolumeId)],
-    ) -> ClusterPollReport {
-        // Phase 1: collect, in caller order.
-        let mut work: Vec<Vec<(usize, Vec<LogImage>)>> =
-            self.members.iter().map(|_| Vec::new()).collect();
-        let mut unreadable = Vec::with_capacity(volumes.len());
-        for (vi, (path, mount, volume)) in volumes.iter().enumerate() {
-            let member = self.route(*volume);
-            let daemon = &mut self.members[member];
-            let unreadable_before = daemon.logs_unreadable();
-            let fresh = Waldo::take_rotated_logs(kernel, *mount, path);
-            let images = (daemon.drain_queue(fresh).into_iter())
-                .filter_map(|log| daemon.read_log(kernel, log))
-                .collect();
-            work[member].push((vi, images));
-            unreadable.push(daemon.logs_unreadable() - unreadable_before);
-        }
-        // Phase 2: parallel kernel-free ingest, one thread per member.
-        let ingested = on_member_threads(&mut self.members, work, |member, assigned| {
-            let started = std::time::Instant::now();
-            let polls: Vec<(usize, usize, IngestStats)> = assigned
-                .iter()
-                .map(|(vi, images)| (*vi, images.len(), member.ingest_images_offline(images)))
-                .collect();
-            (polls, started.elapsed().as_nanos() as u64)
-        });
-        // Phase 3: per-member durability flush on the coordinator.
-        let mut per_volume: Vec<Option<VolumePoll>> = volumes.iter().map(|_| None).collect();
-        let mut report = ClusterPollReport::default();
-        for (member, done) in ingested.into_iter().enumerate() {
-            let Some((mut polls, wall_ns)) = done else {
-                continue;
-            };
-            report.member_timings.push(MemberTiming {
-                member,
-                volumes: polls.len(),
-                images: polls.iter().map(|(_, images, _)| images).sum(),
-                wall_ns,
-            });
-            self.member_wall[member].observe(wall_ns);
-            let wal_before = self.members[member].wal_errors();
-            let flushed = self.members[member].flush_durable(kernel);
-            let mut wal_errors = self.members[member].wal_errors() - wal_before;
-            // Attribute the flush to the member's last polled volume
-            // (walked last-first below, so it also takes the errors).
-            if let Some((_, _, last)) = polls.last_mut() {
-                *last += flushed;
-            }
-            for (vi, _, stats) in polls.into_iter().rev() {
-                report.total += stats;
-                per_volume[vi] = Some(VolumePoll {
-                    member,
-                    volume: volumes[vi].2,
-                    stats,
-                    wal_errors: std::mem::take(&mut wal_errors),
-                    logs_unreadable: unreadable[vi],
-                });
-            }
-        }
-        report.per_volume = per_volume.into_iter().flatten().collect();
+        // Evaluate the health rules over the post-sweep snapshot: the
+        // fleet's counters plus the tracing scope's flight-recorder
+        // gauges (spans shed, trees evicted).
+        let mut reg = provscope::Registry::new();
+        self.record_metrics(&mut reg);
+        self.scope.export_metrics(&mut reg);
+        report.health = provscope::health::evaluate(&self.health_rules, &reg);
         report
     }
 
@@ -600,61 +471,7 @@ impl Cluster {
         for (i, m) in self.members.iter().enumerate() {
             reg.absorb(&format!("member{i}."), m);
         }
-        // Wall-clock ingest-thread time per member — only once a
-        // threaded sweep has run, so sequential (virtual-time) runs
-        // keep a wall-clock-free registry.
-        for (i, h) in self.member_wall.iter().enumerate() {
-            if h.count() > 0 {
-                reg.absorb_histogram(&format!("member{i}.poll_wall_ns"), h);
-            }
-        }
     }
-}
-
-/// Ingests pre-read log images on every member concurrently — one
-/// scoped OS thread per member with work — and returns per-member
-/// stats, in member order. This is the bare parallel-ingest kernel of
-/// [`ClusterRuntime::Threaded`] without the kernel-bound collect and
-/// flush phases, for harnesses (the fault-injection twin runner) that
-/// already hold the log bytes. `work[i]` is member `i`'s image list;
-/// per-member ingest is deterministic, so the members' stores are
-/// byte-equal to a sequential run of the same per-member lists.
-pub fn ingest_images_threaded(members: &mut [Waldo], work: Vec<Vec<LogImage>>) -> Vec<IngestStats> {
-    on_member_threads(members, work, |member, images| {
-        member.ingest_images_offline(&images)
-    })
-    .into_iter()
-    .map(Option::unwrap_or_default)
-    .collect()
-}
-
-/// The one thread fan-out: runs `job` over `work[i]` on member `i`,
-/// one scoped OS thread per member whose list is not empty, and
-/// returns the results in member order (`None` for idle members).
-fn on_member_threads<W: Send, R: Send>(
-    members: &mut [Waldo],
-    work: Vec<Vec<W>>,
-    job: impl Fn(&mut Waldo, Vec<W>) -> R + Sync,
-) -> Vec<Option<R>> {
-    assert_eq!(
-        members.len(),
-        work.len(),
-        "one work list per cluster member"
-    );
-    let job = &job;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = members
-            .iter_mut()
-            .zip(work)
-            .map(|(member, assigned)| {
-                (!assigned.is_empty()).then(|| scope.spawn(move || job(member, assigned)))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.map(|h| h.join().expect("member ingest panicked")))
-            .collect()
-    })
 }
 
 impl std::fmt::Debug for Cluster {

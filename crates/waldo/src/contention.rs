@@ -1,12 +1,12 @@
 //! Lock-contention profiling for the sharded store.
 //!
-//! PR 8's threaded cluster runtime made [`crate::store::Store`]
-//! `Sync` behind a meta-mutex → per-shard-`RwLock` → cache-mutex
-//! hierarchy plus an epoch seqlock — and made every wait on those
-//! locks invisible. This module gives each level of the hierarchy a
-//! lock-free wait histogram and the seqlock its retry/fallback
-//! counters, so "readers stalled behind a commit storm" is a number
-//! in the registry instead of a guess.
+//! [`crate::store::Store`] is `Sync`, for concurrent readers, behind
+//! a meta-mutex → per-shard-`RwLock` → cache-mutex hierarchy plus an
+//! epoch seqlock — and every wait on those locks is invisible. This
+//! module gives each level of the hierarchy a lock-free wait
+//! histogram and the seqlock its retry/fallback counters, so "readers
+//! stalled behind a commit storm" is a number in the registry instead
+//! of a guess.
 //!
 //! Everything here is **wall-clock** (`std::time::Instant`), which is
 //! the whole point — virtual time never advances while a thread sits

@@ -46,10 +46,8 @@
 //! [`Waldo::recover_volume`]) applies.
 //!
 //! Every ingest entry point runs one per-log step and one commit
-//! helper, split at the kernel boundary: with a kernel at hand a
-//! group commit also persists, retires and checkpoints as above;
-//! without one (a cluster member's worker thread) it only commits,
-//! and the coordinator's [`Waldo::flush_durable`] settles the rest.
+//! helper: a group commit persists its frame, then retires logs and
+//! runs the checkpoint policy as above.
 
 use sim_os::fs::FsError;
 use sim_os::proc::{Fd, MountId, Pid};
@@ -109,6 +107,7 @@ impl provscope::MetricSource for Waldo {
         out("log_tails_truncated", self.log_tails_truncated);
         out("log_tails_corrupt", self.log_tails_corrupt);
         out("logs_unreadable", self.logs_unreadable);
+        out("logs_unlink_failed", self.logs_unlink_failed);
         provscope::MetricSource::record(&self.query_ops, &mut |k, v| out(&format!("query.{k}"), v));
         provscope::MetricSource::record(&self.ckpt_stats, &mut |k, v| out(&format!("ckpt.{k}"), v));
     }
@@ -160,28 +159,19 @@ impl From<FsError> for RestartError {
     }
 }
 
-/// One rotated log's raw bytes, read off the kernel ahead of time so
-/// a worker thread can ingest it without touching the
-/// (single-threaded) kernel — the unit of work the threaded cluster
-/// runtime hands to member threads.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LogImage {
-    /// Absolute path the image was read from (the replay-source
-    /// identity the store's per-file marks are keyed on).
-    pub path: String,
-    /// The raw Lasagna log bytes.
-    pub bytes: Vec<u8>,
-}
-
-/// A fully committed source log awaiting checkpoint coverage before
-/// it may be unlinked.
+/// A drained source log on its way to being unlinked.
 #[derive(Clone, Debug)]
-struct RetiredLog {
+struct RetiringLog {
     src: usize,
     path: String,
-    /// Commit sequence at which the log became fully committed; the
-    /// log is removable once the retention floor reaches it.
-    retired_seq: u64,
+    /// Entries the log parsed to: it is fully committed once the
+    /// store's mark for `src` reaches this.
+    total: usize,
+    /// `None` while the log awaits full commit. Then the commit
+    /// sequence at which a durably persisted commit found it fully
+    /// committed: the log is removable once the retention floor
+    /// reaches it (at once on a memory-only daemon).
+    retired_seq: Option<u64>,
 }
 
 /// The Waldo daemon state.
@@ -220,14 +210,15 @@ pub struct Waldo {
     /// logs retired at or below it survive in every checkpoint a
     /// restart could fall back to. Until then nothing is unlinked.
     retained: Vec<Retained>,
-    /// Fully committed logs gated on the retention floor.
-    retired_logs: Vec<RetiredLog>,
-    /// Drained logs awaiting retirement (unlink, or queueing in
-    /// `retired_logs`) at the next durably persisted commit that finds
-    /// them fully committed; a failed WAL persist leaves them queued
-    /// for the next one that succeeds. `(source handle, path, total
-    /// entries)`, in drain order.
-    pending_retire: Vec<(usize, String, usize)>,
+    /// The one retirement queue: drained logs, in drain order, each
+    /// at most once. An entry first awaits a durably persisted commit
+    /// that finds it fully committed (a failed WAL persist leaves it
+    /// waiting for the next one that succeeds), then the retention
+    /// floor, then a successful unlink ([`Waldo::retire_logs`]).
+    pending_retire: Vec<RetiringLog>,
+    /// Lifetime count of failed log unlinks (one per attempt); each
+    /// such log stays queued and is retried.
+    logs_unlink_failed: u64,
     /// True from manifest publication until truncation, garbage
     /// collection and covered-log unlinking complete — a failure in
     /// that window is retried by the next [`Waldo::checkpoint`] call
@@ -280,8 +271,8 @@ impl Waldo {
             commits_since_checkpoint: 0,
             last_manifest: None,
             retained: Vec::new(),
-            retired_logs: Vec::new(),
             pending_retire: Vec::new(),
+            logs_unlink_failed: 0,
             post_publish_pending: false,
             ckpt_stats: CheckpointStats::default(),
             restart_report: None,
@@ -519,11 +510,9 @@ impl Waldo {
         self.scope.close(span);
     }
 
-    /// The one group commit. With a kernel: commit, persist the frame,
-    /// then [`Waldo::settle`]. Without one (a worker thread): commit
-    /// only — `frame_dirty` stays set for the coordinator's
-    /// [`Waldo::flush_durable`].
-    fn commit(&mut self, mut kernel: Option<&mut Kernel>, stats: &mut IngestStats) {
+    /// The one group commit: commit, persist the frame, then
+    /// [`Waldo::settle`].
+    fn commit(&mut self, kernel: &mut Kernel, stats: &mut IngestStats) {
         let span = self.scope.open("waldo", "group_commit");
         let before = self.db.commit_seq();
         self.db.commit_staged(stats);
@@ -531,13 +520,9 @@ impl Waldo {
             self.frame_dirty = true;
             self.commits_since_checkpoint += self.db.commit_seq() - before;
         }
-        if let Some(kernel) = kernel.as_deref_mut() {
-            self.persist_commit(kernel);
-        }
+        self.persist_commit(kernel);
         self.scope.close(span);
-        if let Some(kernel) = kernel {
-            self.settle(kernel, stats);
-        }
+        self.settle(kernel, stats);
     }
 
     /// Once the newest frame is durably on the WAL: retires the fully
@@ -548,7 +533,7 @@ impl Waldo {
         if self.frame_dirty {
             return;
         }
-        self.retire_committed(kernel);
+        self.retire_logs(kernel);
         if self.should_checkpoint() {
             match self.checkpoint(kernel) {
                 Ok(true) => stats.checkpoints += 1,
@@ -781,7 +766,7 @@ impl Waldo {
             let dropped = self.retained.remove(0);
             checkpoint::drop_checkpoint(kernel, self.pid, &dir, &dropped, &self.retained);
         }
-        self.unlink_covered(kernel);
+        self.retire_logs(kernel);
         self.post_publish_pending = false;
         Ok(())
     }
@@ -800,11 +785,7 @@ impl Waldo {
     /// Takes a volume's rotation queue (the inotify stand-in) as
     /// absolute log paths, in rotation order — none when nothing
     /// provenance-aware is mounted at `mount`.
-    pub(crate) fn take_rotated_logs(
-        kernel: &mut Kernel,
-        mount: MountId,
-        mount_path: &str,
-    ) -> Vec<String> {
+    fn take_rotated_logs(kernel: &mut Kernel, mount: MountId, mount_path: &str) -> Vec<String> {
         let Some(volume) = kernel.dpapi_at(mount) else {
             return Vec::new();
         };
@@ -836,7 +817,7 @@ impl Waldo {
 
     /// The logs one drain covers, in order: those an earlier drain
     /// could not read, then `fresh`.
-    pub(crate) fn drain_queue(&mut self, fresh: Vec<String>) -> Vec<String> {
+    fn drain_queue(&mut self, fresh: Vec<String>) -> Vec<String> {
         let mut queue = std::mem::take(&mut self.unread_logs);
         queue.extend(fresh);
         queue
@@ -849,19 +830,19 @@ impl Waldo {
     /// mark would take an overtaken log's groups for replays and skip
     /// them), while other volumes' logs proceed. A log that no longer
     /// exists has nothing left to ingest and is dropped.
-    pub(crate) fn read_log(&mut self, kernel: &mut Kernel, path: String) -> Option<LogImage> {
+    fn read_log(&mut self, kernel: &mut Kernel, path: &str) -> Option<Vec<u8>> {
         let dir = |p: &str| p.rfind('/').map_or(0, |slash| slash + 1);
-        let same_dir = |held: &String| held[..dir(held)] == path[..dir(&path)];
+        let same_dir = |held: &String| held[..dir(held)] == path[..dir(path)];
         if self.unread_logs.iter().any(same_dir) {
-            self.unread_logs.push(path);
+            self.unread_logs.push(path.to_string());
             return None;
         }
-        match kernel.read_file(self.pid, &path) {
-            Ok(bytes) => Some(LogImage { path, bytes }),
+        match kernel.read_file(self.pid, path) {
+            Ok(bytes) => Some(bytes),
             Err(FsError::NotFound(_)) => None,
             Err(_) => {
                 self.logs_unreadable += 1;
-                self.unread_logs.push(path);
+                self.unread_logs.push(path.to_string());
                 None
             }
         }
@@ -881,11 +862,11 @@ impl Waldo {
         let drain_span = self.scope.open("waldo", "drain_logs");
         let mut total = IngestStats::default();
         for path in self.drain_queue(paths) {
-            if let Some(log) = self.read_log(kernel, path) {
-                self.ingest_log(Some(kernel), Some(&log.path), &log.bytes, &mut total);
+            if let Some(bytes) = self.read_log(kernel, &path) {
+                self.ingest_log(kernel, Some(&path), &bytes, &mut total);
             }
         }
-        self.end_drain(Some(kernel), drain_span, total)
+        self.end_drain(kernel, drain_span, total)
     }
 
     /// Ingests one raw Lasagna log image that arrives **by value**
@@ -903,28 +884,8 @@ impl Waldo {
     pub fn ingest_log_image(&mut self, kernel: &mut Kernel, image: &[u8]) -> IngestStats {
         let drain_span = self.scope.open("waldo", "drain_logs");
         let mut total = IngestStats::default();
-        self.ingest_log(Some(kernel), None, image, &mut total);
-        self.end_drain(Some(kernel), drain_span, total)
-    }
-
-    /// A drain **without the kernel**, over pre-read log images, so it
-    /// can run on a worker thread while the coordinator keeps the
-    /// (single-threaded) kernel. It is the same loop as a file drain,
-    /// so over the same logs in the same order entries stage at the
-    /// same positions, commits fire at the same batch boundaries and
-    /// the store is byte-identical — only durability (WAL persist),
-    /// log retirement and checkpoints are deferred to the next
-    /// [`Waldo::flush_durable`] on the coordinator. Each commit frame
-    /// carries the complete current replay marks, so persisting only
-    /// the final frame supersedes the skipped ones; frames are
-    /// accounting, never recovery state.
-    pub fn ingest_images_offline(&mut self, images: &[LogImage]) -> IngestStats {
-        let drain_span = self.scope.open("waldo", "drain_logs");
-        let mut total = IngestStats::default();
-        for image in images {
-            self.ingest_log(None, Some(&image.path), &image.bytes, &mut total);
-        }
-        self.end_drain(None, drain_span, total)
+        self.ingest_log(kernel, None, image, &mut total);
+        self.end_drain(kernel, drain_span, total)
     }
 
     /// The ingest step every entry point shares: parses one log,
@@ -933,10 +894,9 @@ impl Waldo {
     /// `ingest_batch` staged entries (batches may span logs). `path`
     /// names the replay source the store keeps a committed mark for;
     /// an unnamed (by-value) image has none and is never retired.
-    /// `kernel` decides how far each commit goes ([`Waldo::commit`]).
     fn ingest_log(
         &mut self,
-        mut kernel: Option<&mut Kernel>,
+        kernel: &mut Kernel,
         path: Option<&str>,
         bytes: &[u8],
         total: &mut IngestStats,
@@ -987,11 +947,22 @@ impl Waldo {
             }
             self.db.stage(e, src);
             if self.db.staged_len() >= batch {
-                self.commit(kernel.as_deref_mut(), total);
+                self.commit(kernel, total);
             }
         }
         if let (Some(src), Some(path)) = (src, path) {
-            self.pending_retire.push((src, path.to_string(), n));
+            // The same log can be drained twice while it awaits
+            // coverage (a rotation-queue entry after a restart already
+            // replayed it); queued twice it would be unlinked and
+            // forgotten twice.
+            if !self.pending_retire.iter().any(|l| l.src == src) {
+                self.pending_retire.push(RetiringLog {
+                    src,
+                    path: path.to_string(),
+                    total: n,
+                    retired_seq: None,
+                });
+            }
         }
         self.processed_logs += 1;
     }
@@ -1001,7 +972,7 @@ impl Waldo {
     /// trace must stay well-formed.
     fn end_drain(
         &mut self,
-        kernel: Option<&mut Kernel>,
+        kernel: &mut Kernel,
         drain_span: provscope::SpanHandle,
         mut total: IngestStats,
     ) -> IngestStats {
@@ -1011,21 +982,6 @@ impl Waldo {
         }
         self.scope.close(drain_span);
         total
-    }
-
-    /// The coordinator-side completion of a kernel-free ingest:
-    /// persists the latest commit frame (one append + fsync — the
-    /// durability cost the deferral amortized), then settles exactly
-    /// as a commit with the kernel at hand does — retires the logs
-    /// [`Waldo::ingest_images_offline`] fully committed and runs the
-    /// checkpoint policy. Returns the checkpoint counters the flush
-    /// produced. A persist failure leaves everything queued: no log is
-    /// unlinked until a later flush (or file drain) persists.
-    pub fn flush_durable(&mut self, kernel: &mut Kernel) -> IngestStats {
-        let mut stats = IngestStats::default();
-        self.persist_commit(kernel);
-        self.settle(kernel, &mut stats);
-        stats
     }
 
     /// Rescans a volume's log directory after a restart and replays
@@ -1051,52 +1007,48 @@ impl Waldo {
         self.drain_logs(kernel, paths)
     }
 
-    /// Moves the fully committed logs in `pending_retire` out of the
-    /// working set: without a database directory they are unlinked
-    /// immediately (nothing more durable than the in-memory store
-    /// exists to cover them); with one they enter the retirement queue
-    /// until the retention floor covers them — unlinking a log before
-    /// a checkpoint captures its effects would make a machine crash
-    /// unrecoverable.
-    fn retire_committed(&mut self, kernel: &mut Kernel) {
+    /// One pass over `pending_retire`. A log a durably persisted commit
+    /// finds fully committed stops awaiting commit; from then it is
+    /// unlinked as soon as the retention floor covers it — unlinking a
+    /// log before a checkpoint captures its effects would make a
+    /// machine crash unrecoverable — which on a memory-only daemon is
+    /// at once (nothing more durable than the in-memory store exists
+    /// to cover it). A log whose unlink fails stays queued for the
+    /// next pass; one that is already gone is done.
+    fn retire_logs(&mut self, kernel: &mut Kernel) {
         let durable = self.db_dir.is_some();
         let seq = self.db.commit_seq();
-        for (src, path, total) in std::mem::take(&mut self.pending_retire) {
-            if !self.db.source_fully_committed(src, total) {
-                self.pending_retire.push((src, path, total));
-            } else if !durable {
-                if kernel.unlink(self.pid, &path).is_ok() {
-                    self.db.forget_source(src);
-                }
-            } else if !self.retired_logs.iter().any(|l| l.src == src) {
-                // (The same log can be drained twice while it awaits
-                // coverage — a rotation-queue entry after a restart
-                // already replayed it; queueing it twice would unlink
-                // and forget it twice.)
-                self.retired_logs.push(RetiredLog {
-                    src,
-                    path,
-                    retired_seq: seq,
-                });
+        let floor = if durable {
+            self.checkpoint_floor()
+        } else {
+            u64::MAX
+        };
+        for mut log in std::mem::take(&mut self.pending_retire) {
+            if log.retired_seq.is_none()
+                && !self.frame_dirty
+                && self.db.source_fully_committed(log.src, log.total)
+            {
+                log.retired_seq = Some(seq);
             }
-        }
-        self.unlink_covered(kernel);
-    }
-
-    /// Unlinks retired logs the retention floor has covered.
-    fn unlink_covered(&mut self, kernel: &mut Kernel) {
-        let floor = self.checkpoint_floor();
-        for log in std::mem::take(&mut self.retired_logs) {
+            let covered = log.retired_seq.is_some_and(|s| s <= floor);
+            if !covered {
+                self.pending_retire.push(log);
+                continue;
+            }
             // Forget the replay mark only once the file is really
             // gone: forgetting a surviving log would replay it from
             // scratch on the next recovery, duplicating its records.
-            if log.retired_seq <= floor && kernel.unlink(self.pid, &log.path).is_ok() {
-                self.db.forget_source(log.src);
-                self.ckpt_stats.logs_retired += 1;
-            } else {
-                // Not yet covered — or covered but the unlink
-                // failed; either way, retry on a later sweep.
-                self.retired_logs.push(log);
+            match kernel.unlink(self.pid, &log.path) {
+                Ok(()) => {
+                    self.db.forget_source(log.src);
+                    // A checkpoint counter: logs a checkpoint released.
+                    self.ckpt_stats.logs_retired += u64::from(durable);
+                }
+                Err(FsError::NotFound(_)) => self.db.forget_source(log.src),
+                Err(_) => {
+                    self.logs_unlink_failed += 1;
+                    self.pending_retire.push(log);
+                }
             }
         }
     }

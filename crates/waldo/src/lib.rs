@@ -97,10 +97,10 @@ pub mod wal;
 pub use cache::CacheStats;
 pub use checkpoint::{CheckpointCrash, CheckpointStats, RestartReport};
 pub use cluster::{
-    ingest_images_threaded, route_volume, Cluster, ClusterCheckpointError, ClusterGraphSource,
-    ClusterMemberError, ClusterPollReport, ClusterRuntime, MemberTiming, VolumePoll,
+    route_volume, Cluster, ClusterCheckpointError, ClusterGraphSource, ClusterMemberError,
+    ClusterPollReport, ClusterRuntime, MemberTiming, VolumePoll,
 };
 pub use contention::{AtomicHist, Contention, ContentionStats};
-pub use daemon::{LogImage, QueryOps, RestartError, Waldo};
+pub use daemon::{QueryOps, RestartError, Waldo};
 pub use db::{DbSize, IngestStats, ObjectEntry, ProvDb, VersionEntry};
 pub use store::{MergeError, Store, WaldoConfig};

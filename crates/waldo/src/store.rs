@@ -29,9 +29,8 @@
 //! # Concurrency
 //!
 //! The store is `Sync`: every method takes `&self`, and internal
-//! locking is fine-grained so snapshot readers proceed *during*
-//! commits (the threaded cluster runtime queries members while their
-//! ingest threads commit). The lock hierarchy, outermost first:
+//! locking is fine-grained so snapshot readers on other threads
+//! proceed *during* commits. The lock hierarchy, outermost first:
 //!
 //! 1. **`meta` mutex** — all writer-owned bookkeeping (staging queue,
 //!    open transactions, replay marks, the durability frame, scratch).

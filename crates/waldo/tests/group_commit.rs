@@ -17,7 +17,7 @@ use passv2::System;
 use sim_os::cost::CostModel;
 use sim_os::fs::basefs::BaseFs;
 use sim_os::fs::{DirEntry, FileAttr, FileSystem, FsError, FsResult, FsUsage, Ino};
-use waldo::{Cluster, ClusterRuntime, IngestStats, LogImage, Store, Waldo, WaldoConfig};
+use waldo::{Cluster, IngestStats, Store, Waldo, WaldoConfig};
 
 fn r(n: u64, v: u32) -> ObjectRef {
     ObjectRef::new(Pnode::new(VolumeId(1), n), Version(v))
@@ -222,18 +222,16 @@ fn log_set() -> Vec<(&'static str, Vec<u8>, Vec<LogEntry>)> {
     ]
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 enum EntryPoint {
     /// `ingest_log_file`, one call per log.
     Files,
-    /// `ingest_images_offline`, one call per log, then `flush_durable`.
-    Offline,
     /// `ingest_log_image`, one call per log (no replay source).
     ByValue,
 }
 
 /// What one run of the log set left behind.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 struct Ingested {
     images: Vec<Vec<u8>>,
     stats: IngestStats,
@@ -290,19 +288,12 @@ fn ingest_log_set(entry: EntryPoint, resume: Option<usize>) -> (Ingested, Store)
     for (path, image, _) in &logs {
         stats += match entry {
             EntryPoint::Files => waldo.ingest_log_file(&mut sys.kernel, path),
-            EntryPoint::Offline => waldo.ingest_images_offline(&[LogImage {
-                path: path.to_string(),
-                bytes: image.clone(),
-            }]),
             EntryPoint::ByValue => waldo.ingest_log_image(&mut sys.kernel, image),
         };
     }
-    if entry == EntryPoint::Offline {
-        stats += waldo.flush_durable(&mut sys.kernel);
-    }
     let marks = match entry {
         EntryPoint::ByValue => Vec::new(),
-        _ => logs
+        EntryPoint::Files => logs
             .iter()
             .map(|(path, _, _)| waldo.db.register_source(path))
             .collect(),
@@ -329,10 +320,9 @@ fn ingest_log_set(entry: EntryPoint, resume: Option<usize>) -> (Ingested, Store)
 }
 
 /// Every daemon entry point is the same ingest loop: over one log set
-/// they leave byte-equal stores and equal counters, and the two that
-/// name a replay source (the file path and the kernel-free path
-/// settled by `flush_durable`) also leave equal source marks and
-/// unlink the same logs once a checkpoint covers them.
+/// they leave byte-equal stores and equal counters, and the one that
+/// names a replay source (the file path) also commits every log to its
+/// last parsed entry and unlinks it once a checkpoint covers it.
 fn daemon_entry_points_agree(resume: Option<usize>) {
     let (files, db) = ingest_log_set(EntryPoint::Files, resume);
     let parsed: Vec<Vec<LogEntry>> = log_set().into_iter().map(|(_, _, e)| e).collect();
@@ -347,9 +337,6 @@ fn daemon_entry_points_agree(resume: Option<usize>) {
     assert_eq!(files.logs_left, Vec::<String>::new(), "resume {resume:?}");
     assert_eq!(files.logs_retired, 4, "resume {resume:?}");
 
-    let (offline, _) = ingest_log_set(EntryPoint::Offline, resume);
-    assert_eq!(offline, files, "resume {resume:?}");
-
     if resume.is_none() {
         // Unnamed images: nothing to mark, retire or unlink — the
         // store and the counters are the comparison.
@@ -363,12 +350,14 @@ fn daemon_entry_points_agree(resume: Option<usize>) {
 
 /// A plain file system that fails on demand: `fsync` while `fail` is
 /// set (the database volume of the WAL-failure regression test
-/// below), and the next `fail_reads` reads (the base under the PASS
-/// volume of the unreadable-log test).
+/// below), and the next `fail_reads` reads / `fail_unlinks` unlinks
+/// (the base under the PASS volume of the unreadable-log and
+/// failed-unlink tests).
 struct FlakyFs {
     inner: BaseFs,
     fail: Rc<Cell<bool>>,
     fail_reads: Rc<Cell<u32>>,
+    fail_unlinks: Rc<Cell<u32>>,
 }
 
 impl FileSystem for FlakyFs {
@@ -385,6 +374,10 @@ impl FileSystem for FlakyFs {
         self.inner.mkdir(dir, name)
     }
     fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()> {
+        if self.fail_unlinks.get() > 0 {
+            self.fail_unlinks.set(self.fail_unlinks.get() - 1);
+            return Err(FsError::Invalid("injected unlink failure".into()));
+        }
         self.inner.unlink(dir, name)
     }
     fn rename(&mut self, from: Ino, name: &str, to: Ino, to_name: &str) -> FsResult<()> {
@@ -441,6 +434,7 @@ fn logs_committed_under_a_failing_wal_retire_at_the_next_persist() {
             inner: BaseFs::new(sys.clock(), CostModel::default()),
             fail: fail.clone(),
             fail_reads: Rc::default(),
+            fail_unlinks: Rc::default(),
         }),
     );
     let waldo_pid = sys.kernel.spawn_init("waldo");
@@ -501,14 +495,14 @@ fn logs_committed_under_a_failing_wal_retire_at_the_next_persist() {
 /// entry: it is counted, held — together with the later logs of its
 /// volume, which must not overtake it — and ingested by the next
 /// poll, leaving the store byte-equal to a run whose reads never
-/// failed. Checked on a single daemon and on both cluster runtimes,
-/// whose sweep report must name the volume.
+/// failed. Checked on a single daemon and through a cluster sweep,
+/// whose report must name the volume.
 #[test]
 fn an_unreadable_rotated_log_is_retried_by_the_next_poll() {
     #[derive(Clone, Copy, PartialEq, Debug)]
     enum Via {
         Daemon,
-        Cluster(ClusterRuntime),
+        Cluster,
     }
     let run = |via: Via, failing: bool| {
         let mut sys = System::single_volume();
@@ -517,6 +511,7 @@ fn an_unreadable_rotated_log_is_retried_by_the_next_poll() {
             inner: BaseFs::new(sys.clock(), CostModel::default()),
             fail: Rc::default(),
             fail_reads: fail_reads.clone(),
+            fail_unlinks: Rc::default(),
         };
         let volume = VolumeId(2);
         let cfg = LasagnaConfig::new(volume);
@@ -525,9 +520,6 @@ fn an_unreadable_rotated_log_is_retried_by_the_next_poll() {
         let waldo_pid = sys.kernel.spawn_init("waldo");
         sys.pass.exempt(waldo_pid);
         let mut cluster = Cluster::new(vec![Waldo::new(waldo_pid)]);
-        if let Via::Cluster(runtime) = via {
-            cluster.set_runtime(runtime);
-        }
         let worker = sys.spawn("sh");
         // Two rotated logs that both describe the same file, so their
         // order shows in the store.
@@ -545,7 +537,7 @@ fn an_unreadable_rotated_log_is_retried_by_the_next_poll() {
                     .poll_volume(&mut sys.kernel, m, "/vol");
                 (stats, None)
             }
-            Via::Cluster(_) => {
+            Via::Cluster => {
                 let volumes = [("/vol".to_string(), m, volume)];
                 let report = cluster.poll_volumes_report(&mut sys.kernel, &volumes);
                 (report.total, Some(report))
@@ -597,13 +589,67 @@ fn an_unreadable_rotated_log_is_retried_by_the_next_poll() {
         (daemon.db.segment_images(), stats.applied)
     };
     let reference = run(Via::Daemon, false);
-    for via in [
-        Via::Daemon,
-        Via::Cluster(ClusterRuntime::Sequential),
-        Via::Cluster(ClusterRuntime::Threaded),
-    ] {
+    for via in [Via::Daemon, Via::Cluster] {
         assert_eq!(run(via, true), reference, "{via:?}");
     }
+}
+
+/// On a memory-only daemon a fully committed log whose unlink fails
+/// is not dropped from the retirement queue: it is counted, and the
+/// next settled commit — here an empty poll's — retries it. (It used
+/// to leave the queue on the failed attempt, so the file and its
+/// source slot leaked until a `recover_volume`.)
+#[test]
+fn a_log_whose_unlink_fails_is_retried_by_the_next_poll() {
+    let run = |failing: bool| {
+        let mut sys = System::single_volume();
+        let fail_unlinks = Rc::new(Cell::new(0));
+        let base = FlakyFs {
+            inner: BaseFs::new(sys.clock(), CostModel::default()),
+            fail: Rc::default(),
+            fail_reads: Rc::default(),
+            fail_unlinks: fail_unlinks.clone(),
+        };
+        let cfg = LasagnaConfig::new(VolumeId(2));
+        let fs = Lasagna::new(Box::new(base), sys.clock(), CostModel::default(), cfg).unwrap();
+        let m = sys.kernel.mount("/vol", Box::new(fs));
+        let waldo_pid = sys.kernel.spawn_init("waldo");
+        sys.pass.exempt(waldo_pid);
+        let mut waldo = Waldo::new(waldo_pid);
+        let worker = sys.spawn("sh");
+        for i in 0..4 {
+            let path = format!("/vol/f{i}");
+            sys.kernel.write_file(worker, &path, b"payload").unwrap();
+        }
+        sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
+
+        fail_unlinks.set(u32::from(failing));
+        let stats = waldo.poll_volume(&mut sys.kernel, m, "/vol");
+        assert!(stats.applied > 0);
+        assert_eq!(fail_unlinks.get(), 0, "the injected failure was not hit");
+        let logs_left = |sys: &mut System| sys.kernel.readdir(waldo_pid, "/vol/.pass").unwrap();
+        assert_eq!(
+            logs_left(&mut sys).len(),
+            1 + usize::from(failing),
+            "the log whose unlink failed is still there, beside the active one"
+        );
+
+        let again = waldo.poll_volume(&mut sys.kernel, m, "/vol");
+        assert_eq!(again.applied, 0, "nothing is ingested twice");
+        let left = logs_left(&mut sys);
+        assert_eq!(left.len(), 1, "only the active log may remain: {left:?}");
+        let mut reg = provscope::Registry::new();
+        reg.absorb("waldo.", &waldo);
+        assert_eq!(reg.counter("waldo.logs_unlink_failed"), u64::from(failing));
+        let images = waldo.db.segment_images();
+        assert_eq!(
+            waldo.db.register_source("/vol/.pass/log.0").1,
+            0,
+            "the retired log's replay mark must be forgotten with it"
+        );
+        images
+    };
+    assert_eq!(run(true), run(false));
 }
 
 /// End-to-end daemon crash: a poll is interrupted mid-batch, the

@@ -1,14 +1,16 @@
 //! Compile-time pins for the thread-safety contract of the public
-//! surface. The multi-core ingest runtime depends on these bounds —
-//! scoped member threads take `&mut Waldo` (requires `Send`), and
-//! snapshot readers share `&Store` across threads (requires `Sync`).
-//! If a future change smuggles an `Rc`, `RefCell`, or raw pointer
-//! into any of these types, this file stops compiling instead of the
-//! cluster runtime silently losing its threading.
+//! surface. Ingest runs on the thread that holds the (`!Send`) kernel;
+//! these bounds are for everyone else: snapshot readers share `&Store`
+//! across threads while that thread commits (requires `Sync` —
+//! `concurrency_spike.rs` exercises it), and an embedder may hand a
+//! whole daemon or cluster to another thread (requires `Send`). If a
+//! future change smuggles an `Rc`, `RefCell`, or raw pointer into any
+//! of these types, this file stops compiling instead of a reader
+//! silently losing its store.
 
 use waldo::{
-    Cluster, ClusterGraphSource, ClusterPollReport, ClusterRuntime, IngestStats, LogImage,
-    MemberTiming, ProvDb, Store, VolumePoll, Waldo, WaldoConfig,
+    Cluster, ClusterGraphSource, ClusterPollReport, ClusterRuntime, IngestStats, MemberTiming,
+    ProvDb, Store, VolumePoll, Waldo, WaldoConfig,
 };
 
 fn assert_send<T: Send>() {}
@@ -26,12 +28,11 @@ fn storage_layer_is_send_and_sync() {
 
 #[test]
 fn daemon_and_cluster_move_across_threads() {
-    // Members are moved into (and mutated from) scoped worker
-    // threads; the parsed log images they consume travel with them.
+    // Daemons and clusters may be handed to another thread whole;
+    // their reports and plain-data types are freely shareable.
     assert_send::<Waldo>();
     assert_sync::<Waldo>();
     assert_send::<Cluster>();
-    assert_send_sync::<LogImage>();
     assert_send_sync::<ClusterRuntime>();
     assert_send_sync::<ClusterPollReport>();
     assert_send_sync::<MemberTiming>();
@@ -41,7 +42,7 @@ fn daemon_and_cluster_move_across_threads() {
 #[test]
 fn scatter_gather_reads_are_shareable() {
     // ClusterGraphSource borrows the member stores; concurrent PQL
-    // readers share it while ingest proceeds on other members.
+    // readers share it.
     assert_send_sync::<ClusterGraphSource<'_>>();
 }
 

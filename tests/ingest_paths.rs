@@ -2,15 +2,11 @@
 //! provtorture matrix, so the root suite (not only `--workspace`)
 //! trips when a store diverges.
 //!
-//! Every daemon entry point runs one ingest loop, split at the kernel
-//! boundary. The slice drives both sides of that split against each
-//! other: on `Cluster2` the faulted twin ingests kernel-free on member
-//! threads and settles with `flush_durable`, while its reference twin
-//! (like every single-daemon cell) ingests file by file with the
-//! kernel at hand — so a divergence between the two sides surfaces as
-//! `SilentDivergence`, and a cell that must be harmless fails unless
-//! the two sides left byte-equal stores. Log tampers land on that
-//! loop's tail accounting, so each must also raise its counter.
+//! Every daemon entry point runs one ingest loop. The slice drives it
+//! on all three topologies against a fault-free twin: a divergence
+//! surfaces as `SilentDivergence`, and a cell that must be harmless
+//! fails unless the twins left byte-equal stores. Log tampers land on
+//! that loop's tail accounting, so each must also raise its counter.
 
 use provtorture::{run_clean, torture, Fault, GraphShape, Verdict, ALL_TOPOLOGIES};
 use workloads::SelfIngest;
@@ -75,9 +71,7 @@ fn log_tampers_are_counted_and_never_diverge_silently() {
 }
 
 /// A literal replay of a committed group frame is skipped wholesale:
-/// detected, and the store byte-equal to the untampered twin's — which
-/// on `Cluster2` is also threaded kernel-free ingest against
-/// sequential file ingest, byte for byte.
+/// detected, and the store byte-equal to the untampered twin's.
 #[test]
 fn replayed_group_is_skipped_and_stores_stay_byte_equal() {
     let wl = tiny_build();
