@@ -14,6 +14,8 @@
 
 use std::collections::{HashMap, HashSet};
 
+use dpapi::{IdMap, IdSet};
+
 /// An analyzer-level object id. The observer assigns one per tracked
 /// object (file, process, pipe, or application object).
 pub type NodeId = u64;
@@ -38,7 +40,7 @@ struct NodeState {
     version: u32,
     /// Direct dependencies absorbed by the *current* version, for
     /// duplicate elimination within the version interval.
-    deps: HashSet<(NodeId, u32)>,
+    deps: IdSet<(NodeId, u32)>,
     /// Whether the current version has been observed (used as an
     /// input by anyone) since it was created. A write to an observed
     /// object must open a new version: the old one is already inside
@@ -60,7 +62,7 @@ pub struct AnalyzerStats {
 /// The cycle-avoidance analyzer used by PASSv2.
 #[derive(Debug, Default)]
 pub struct CycleAvoidance {
-    nodes: HashMap<NodeId, NodeState>,
+    nodes: IdMap<NodeId, NodeState>,
     stats: AnalyzerStats,
 }
 
@@ -110,15 +112,22 @@ impl CycleAvoidance {
     ///   impossible among `(object, version)` pairs.
     /// * **Duplicate elimination**: within one version interval, a
     ///   repeated `source@version` input is suppressed.
+    ///
+    /// This runs once per observed read, write, fork and exec, so it
+    /// probes the table as little as it can: the source once to read
+    /// its version, the target once for everything else, and the
+    /// source a second time only when this edge is the first to
+    /// observe its current version.
     pub fn add_dependency(&mut self, target: NodeId, source: NodeId) -> DepOutcome {
         self.stats.presented += 1;
-        let source_version = self.version(source);
+        let (source_version, source_observed) = match self.nodes.get(&source) {
+            Some(s) => (s.version, s.observed),
+            None => (0, false),
+        };
+        let t = self.nodes.entry(target).or_default();
         // Freeze first: writing to an observed (or self) object opens
         // a new version with a fresh dedup interval.
-        let must_freeze =
-            target == source || self.nodes.get(&target).map(|t| t.observed).unwrap_or(false);
-        let frozen = if must_freeze {
-            let t = self.nodes.entry(target).or_default();
+        let frozen = if target == source || t.observed {
             t.version += 1;
             t.observed = false;
             t.deps.clear();
@@ -127,29 +136,23 @@ impl CycleAvoidance {
         } else {
             None
         };
-        // Duplicate check within the (possibly fresh) interval.
-        if self
-            .nodes
-            .get(&target)
-            .map(|t| t.deps.contains(&(source, source_version)))
-            .unwrap_or(false)
-        {
+        // Duplicate check within the (possibly fresh) interval. A
+        // duplicate leaves the source as it was, absent or unobserved
+        // included: it may have been forgotten, or had its version
+        // forced back, since the edge was first recorded.
+        let duplicate = !t.deps.insert((source, source_version));
+        let target_version = t.version;
+        if duplicate {
             self.stats.duplicates += 1;
-            return DepOutcome {
-                duplicate: true,
-                frozen,
-                target_version: self.version(target),
-                source_version,
-            };
+        } else if target == source {
+            t.observed = true;
+        } else if !source_observed {
+            self.nodes.entry(source).or_default().observed = true;
         }
-        let t = self.nodes.entry(target).or_default();
-        t.deps.insert((source, source_version));
-        let s = self.nodes.entry(source).or_default();
-        s.observed = true;
         DepOutcome {
-            duplicate: false,
+            duplicate,
             frozen,
-            target_version: self.version(target),
+            target_version,
             source_version,
         }
     }

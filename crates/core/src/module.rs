@@ -11,11 +11,11 @@
 //! of a persistent object is the *distributor*.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
 use dpapi::{
-    wire, Attribute, Bundle, DpapiError, DpapiOp, Handle, ObjectRef, OpResult, Pnode,
+    wire, Attribute, Bundle, DpapiError, DpapiOp, Handle, IdMap, IdSet, ObjectRef, OpResult, Pnode,
     ProvenanceRecord, ReadResult, Txn, Value, Version, VolumeId, WriteResult,
 };
 use sim_os::events::{ExecImage, HookCtx, PassModule, ProvenanceKernel};
@@ -156,15 +156,30 @@ struct PendingBurst {
     bytes: usize,
 }
 
+/// The working sets of [`Inner::flush_nodes`], kept between calls so
+/// the distributor's flush — one per first write of a version —
+/// allocates nothing once they have grown.
+#[derive(Default)]
+struct FlushScratch {
+    closure: Vec<NodeId>,
+    seen: IdSet<NodeId>,
+    work: Vec<NodeId>,
+}
+
 struct Inner {
     analyzer: CycleAvoidance,
-    nodes: HashMap<ObjKey, NodeId>,
-    info: HashMap<NodeId, NodeInfo>,
-    pnode_to_node: HashMap<Pnode, NodeId>,
+    // Every table below is keyed by ids the kernel, a volume or this
+    // module allocated (inode numbers, pids, pipe ids, node ids,
+    // pnodes, handles), never by bytes from outside: see
+    // `dpapi::IdHasher`.
+    nodes: IdMap<ObjKey, NodeId>,
+    info: IdMap<NodeId, NodeInfo>,
+    pnode_to_node: IdMap<Pnode, NodeId>,
     next_node: NodeId,
-    uhandles: HashMap<u64, NodeId>,
+    uhandles: IdMap<u64, NodeId>,
     next_uhandle: u64,
-    exempt: HashSet<Pid>,
+    exempt: IdSet<Pid>,
+    flush_scratch: FlushScratch,
     stats: PassStats,
     scope: provscope::Scope,
     /// Observer-side batching policy; `None` means every intercepted
@@ -192,13 +207,14 @@ impl Pass {
         Pass {
             inner: RefCell::new(Inner {
                 analyzer: CycleAvoidance::new(),
-                nodes: HashMap::new(),
-                info: HashMap::new(),
-                pnode_to_node: HashMap::new(),
+                nodes: IdMap::default(),
+                info: IdMap::default(),
+                pnode_to_node: IdMap::default(),
                 next_node: 1,
-                uhandles: HashMap::new(),
+                uhandles: IdMap::default(),
                 next_uhandle: 1,
-                exempt: HashSet::new(),
+                exempt: IdSet::default(),
+                flush_scratch: FlushScratch::default(),
                 stats: PassStats::default(),
                 scope: provscope::Scope::default(),
                 observer_batch: None,
@@ -256,18 +272,21 @@ impl Inner {
         id
     }
 
-    fn node_for_key(&mut self, key: ObjKey) -> NodeId {
-        if let Some(&n) = self.nodes.get(&key) {
-            return n;
+    /// The node tracking `key`, and whether this call created it.
+    fn node_for_key(&mut self, key: ObjKey) -> (NodeId, bool) {
+        match self.nodes.entry(key) {
+            Entry::Occupied(e) => (*e.get(), false),
+            Entry::Vacant(e) => {
+                let id = self.next_node;
+                self.next_node += 1;
+                self.info.insert(id, NodeInfo::default());
+                (*e.insert(id), true)
+            }
         }
-        let n = self.new_node();
-        self.nodes.insert(key, n);
-        n
     }
 
     fn node_for_proc(&mut self, pid: Pid) -> NodeId {
-        let fresh = !self.nodes.contains_key(&ObjKey::Proc(pid));
-        let n = self.node_for_key(ObjKey::Proc(pid));
+        let (n, fresh) = self.node_for_key(ObjKey::Proc(pid));
         if fresh {
             self.cache_record(n, Attribute::Type, CachedValue::Plain(Value::str("PROC")));
         }
@@ -275,8 +294,7 @@ impl Inner {
     }
 
     fn node_for_pipe(&mut self, id: u64) -> NodeId {
-        let fresh = !self.nodes.contains_key(&ObjKey::Pipe(id));
-        let n = self.node_for_key(ObjKey::Pipe(id));
+        let (n, fresh) = self.node_for_key(ObjKey::Pipe(id));
         if fresh {
             self.cache_record(n, Attribute::Type, CachedValue::Plain(Value::str("PIPE")));
         }
@@ -286,7 +304,7 @@ impl Inner {
     /// Creates or finds the node for a file, binding volume identity
     /// if the file lives on a PASS volume.
     fn node_for_file(&mut self, ctx: &mut HookCtx<'_>, loc: FileLoc) -> NodeId {
-        let n = self.node_for_key(ObjKey::File(loc));
+        let (n, _) = self.node_for_key(ObjKey::File(loc));
         let info = self.info.get_mut(&n).expect("node info");
         if info.pnode.is_some() {
             return n;
@@ -332,10 +350,25 @@ impl Inner {
     /// records homed elsewhere are disclosed to their own volume
     /// immediately.
     fn flush_nodes(&mut self, ctx: &mut HookCtx<'_>, roots: &[NodeId], target: VolumeId) -> Bundle {
-        // Phase 0: closure over cached references.
-        let mut closure: Vec<NodeId> = Vec::new();
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        let mut work: Vec<NodeId> = roots.to_vec();
+        let mut scratch = std::mem::take(&mut self.flush_scratch);
+        self.close_over_cached_refs(roots, &mut scratch);
+        let ride_along = self.flush_closure(ctx, &scratch.closure, target);
+        self.flush_scratch = scratch;
+        ride_along
+    }
+
+    /// Phase 0 of the flush: `scratch.closure` becomes `roots` and
+    /// every node reachable from them through cached references.
+    fn close_over_cached_refs(&self, roots: &[NodeId], scratch: &mut FlushScratch) {
+        let FlushScratch {
+            closure,
+            seen,
+            work,
+        } = scratch;
+        closure.clear();
+        seen.clear();
+        work.clear();
+        work.extend_from_slice(roots);
         while let Some(n) = work.pop() {
             if !seen.insert(n) {
                 continue;
@@ -355,8 +388,17 @@ impl Inner {
                 }
             }
         }
+    }
+
+    /// Phases 1 and 2 of the flush, over the closure phase 0 found.
+    fn flush_closure(
+        &mut self,
+        ctx: &mut HookCtx<'_>,
+        closure: &[NodeId],
+        target: VolumeId,
+    ) -> Bundle {
         // Phase 1: assign pnodes to everything lacking one.
-        for &n in &closure {
+        for &n in closure {
             let (needs, hint) = {
                 let info = self.info.get(&n).expect("node info");
                 (info.pnode.is_none(), info.volume_hint)
@@ -384,7 +426,7 @@ impl Inner {
         }
         // Phase 2: resolve cached records and route them.
         let mut ride_along = Bundle::new();
-        for &n in &closure {
+        for &n in closure {
             let (cached, home, home_handle, pass_file) = {
                 let info = self.info.get_mut(&n).expect("node info");
                 if info.cached.is_empty() || info.pnode.is_none() {
@@ -422,9 +464,7 @@ impl Inner {
                     (None, None) => None,
                 };
                 if let Some(h) = h {
-                    for rec in resolved {
-                        ride_along.push(h, rec);
-                    }
+                    ride_along.push_all(h, resolved);
                 }
             } else if let Some(v) = ctx.find_volume(home) {
                 let h = match (home_handle, pass_file) {
@@ -434,9 +474,7 @@ impl Inner {
                 };
                 if let Some(h) = h {
                     let mut b = Bundle::new();
-                    for rec in resolved {
-                        b.push(h, rec);
-                    }
+                    b.push_all(h, resolved);
                     let _ = v.disclose(h, b);
                 }
             }
@@ -518,10 +556,8 @@ impl Inner {
                     );
                 }
                 // Any disclosed extras are cached for later flushing.
-                for (_, rec) in extra.iter() {
-                    self.cache_record(file_node, rec.attribute.clone(), {
-                        CachedValue::Plain(rec.value.clone())
-                    });
+                for (_, rec) in extra.into_records() {
+                    self.cache_record(file_node, rec.attribute, CachedValue::Plain(rec.value));
                 }
                 Ok(WriteResult {
                     written: n,
@@ -680,7 +716,9 @@ impl Inner {
     }
 
     fn default_volume(&self, ctx: &mut HookCtx<'_>) -> Option<VolumeId> {
-        ctx.pass_volumes().first().map(|(_, v)| *v)
+        ctx.mounts
+            .iter_mut()
+            .find_map(|m| m.fs.as_dpapi().map(|d| d.volume()))
     }
 
     /// Creates a provenance-only object (the `dp_mkobj` body, shared
@@ -743,16 +781,17 @@ impl Inner {
     /// Re-keys a user bundle from user handles onto module nodes,
     /// running every ancestry record through the analyzer and caching
     /// the survivors (the first half of `dp_write`, shared with
-    /// transaction commits). Returns the described nodes.
+    /// transaction commits). The bundle is the caller's to give: its
+    /// records move into the cache. Returns the described nodes.
     fn rekey_user_bundle(
         &mut self,
         subject: NodeId,
         pid: Pid,
-        bundle: &Bundle,
+        bundle: Bundle,
     ) -> dpapi::Result<Vec<NodeId>> {
         let proc_node = self.node_for_proc(pid);
         let mut described: Vec<NodeId> = vec![subject, proc_node];
-        for (uh, rec) in bundle.iter() {
+        for (uh, rec) in bundle.into_records() {
             let n = self.resolve_uhandle(uh)?;
             if !described.contains(&n) {
                 described.push(n);
@@ -769,11 +808,7 @@ impl Inner {
                 true
             };
             if keep {
-                self.cache_record(
-                    n,
-                    rec.attribute.clone(),
-                    CachedValue::Plain(rec.value.clone()),
-                );
+                self.cache_record(n, rec.attribute, CachedValue::Plain(rec.value));
             }
         }
         Ok(described)
@@ -910,7 +945,7 @@ impl Inner {
             } => {
                 let subject = self.resolve_uhandle(handle)?;
                 let proc_node = self.node_for_proc(pid);
-                let described = self.rekey_user_bundle(subject, pid, &bundle)?;
+                let described = self.rekey_user_bundle(subject, pid, bundle)?;
                 if let Some(loc) = self.info.get(&subject).and_then(|i| i.pass_file) {
                     // Writing to a real file: the deferred twin of
                     // `provenanced_write` — same analyzer work and
@@ -1329,7 +1364,7 @@ impl ProvenanceKernel for Pass {
 
         // Re-key the user bundle from user handles onto nodes, running
         // every ancestry record through the analyzer.
-        let described = inner.rekey_user_bundle(subject, pid, &bundle)?;
+        let described = inner.rekey_user_bundle(subject, pid, bundle)?;
 
         if let Some(loc) = inner.info.get(&subject).and_then(|i| i.pass_file) {
             // Writing to a real file: everything flushes now, riding

@@ -56,6 +56,6 @@ pub mod wire;
 
 pub use api::{run_op_single_shot, Dpapi, Handle, ObjectKind, ReadResult, WriteResult};
 pub use error::{DpapiError, RejectReason, Result};
-pub use id::{ObjectRef, Pnode, PnodeAllocator, Version, VolumeId};
+pub use id::{IdHasher, IdMap, IdSet, ObjectRef, Pnode, PnodeAllocator, Version, VolumeId};
 pub use record::{Attribute, Bundle, BundleEntry, ProvenanceRecord, Value};
 pub use txn::{DpapiOp, OpResult, Txn};

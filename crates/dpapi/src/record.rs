@@ -270,13 +270,35 @@ impl Bundle {
         }
     }
 
+    /// Appends `records` for `handle`, as [`Bundle::push`] would one
+    /// by one; where the handle is new to the bundle the vector is
+    /// moved in as it is.
+    pub fn push_all(&mut self, handle: Handle, records: Vec<ProvenanceRecord>) {
+        if records.is_empty() {
+            return;
+        }
+        match self.entries.iter_mut().find(|e| e.handle == handle) {
+            Some(e) => e.records.extend(records),
+            None => self.entries.push(BundleEntry { handle, records }),
+        }
+    }
+
     /// Appends every record of `other` into this bundle.
     pub fn merge(&mut self, other: Bundle) {
         for e in other.entries {
-            for r in e.records {
-                self.push(e.handle, r);
-            }
+            self.push_all(e.handle, e.records);
         }
+    }
+
+    /// Consumes the bundle into its `(handle, record)` pairs, in
+    /// insertion order. A layer is handed its bundle by value: this is
+    /// how it moves the records on, where iterating by reference
+    /// would have it clone each one.
+    pub fn into_records(self) -> impl Iterator<Item = (Handle, ProvenanceRecord)> {
+        self.entries.into_iter().flat_map(|e| {
+            let handle = e.handle;
+            e.records.into_iter().map(move |r| (handle, r))
+        })
     }
 
     /// The entries of the bundle, in insertion order.
@@ -389,6 +411,26 @@ mod tests {
         a.merge(b);
         assert_eq!(a.record_count(), 2);
         assert_eq!(a.entries().len(), 1);
+    }
+
+    #[test]
+    fn bundle_into_records_moves_every_record_in_iter_order() {
+        let (h1, h2) = (Handle::from_raw(1), Handle::from_raw(2));
+        let mut b = Bundle::new();
+        b.push(h1, ProvenanceRecord::input(xref(1)));
+        b.push(h2, ProvenanceRecord::input(xref(2)));
+        b.push(h1, ProvenanceRecord::input(xref(3)));
+        b.push_all(h2, vec![ProvenanceRecord::input(xref(4))]);
+        b.push_all(Handle::from_raw(3), Vec::new());
+        assert_eq!(b.entries().len(), 2, "an empty push_all adds no entry");
+        let borrowed: Vec<_> = b.iter().map(|(h, r)| (h, r.clone())).collect();
+        let moved: Vec<_> = b.into_records().collect();
+        assert_eq!(moved, borrowed);
+        let order: Vec<_> = moved
+            .iter()
+            .map(|(_, r)| r.value.as_xref().unwrap())
+            .collect();
+        assert_eq!(order, vec![xref(1), xref(3), xref(2), xref(4)]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!           | Xref: u32 volume, u64 pnode, u32 version
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
 use crate::error::{DpapiError, Result};
 use crate::id::{ObjectRef, Pnode, Version, VolumeId};
@@ -38,7 +38,7 @@ pub fn put_object_ref(buf: &mut BytesMut, r: ObjectRef) {
 }
 
 /// Decodes an [`ObjectRef`] from `buf`.
-pub fn get_object_ref(buf: &mut Bytes) -> Result<ObjectRef> {
+pub fn get_object_ref<B: Buf>(buf: &mut B) -> Result<ObjectRef> {
     if buf.remaining() < 16 {
         return Err(DpapiError::Malformed("truncated object ref".into()));
     }
@@ -53,17 +53,24 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String> {
+/// The next `len` bytes of `buf`, borrowed where they lie; the caller
+/// advances past them once it has copied out what it keeps.
+fn peek<'a, B: Buf>(buf: &'a B, len: usize, what: &'static str) -> Result<&'a [u8]> {
+    buf.chunk()
+        .get(..len)
+        .ok_or_else(|| DpapiError::Malformed(format!("truncated {what}")))
+}
+
+fn get_str<B: Buf>(buf: &mut B) -> Result<String> {
     if buf.remaining() < 4 {
         return Err(DpapiError::Malformed("truncated string length".into()));
     }
     let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(DpapiError::Malformed("truncated string body".into()));
-    }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec())
-        .map_err(|_| DpapiError::Malformed("invalid UTF-8 in record".into()))
+    let s = std::str::from_utf8(peek(buf, len, "string body")?)
+        .map_err(|_| DpapiError::Malformed("invalid UTF-8 in record".into()))?
+        .to_owned();
+    buf.advance(len);
+    Ok(s)
 }
 
 /// Checks that `rec` is representable in the wire encoding: the
@@ -156,19 +163,19 @@ pub fn put_record_parts(buf: &mut BytesMut, attribute: &Attribute, value: &Value
     Ok(())
 }
 
-/// Decodes one provenance record from `buf`.
-pub fn get_record(buf: &mut Bytes) -> Result<ProvenanceRecord> {
+/// Decodes one provenance record from `buf`: any cursor over
+/// contiguous bytes, a borrowed `&[u8]` included, which is parsed
+/// where it lies — each string is copied once, into the `String` the
+/// record owns.
+pub fn get_record<B: Buf>(buf: &mut B) -> Result<ProvenanceRecord> {
     if buf.remaining() < 2 {
         return Err(DpapiError::Malformed("truncated attribute length".into()));
     }
     let name_len = buf.get_u16_le() as usize;
-    if buf.remaining() < name_len {
-        return Err(DpapiError::Malformed("truncated attribute name".into()));
-    }
-    let name_raw = buf.split_to(name_len);
-    let name = std::str::from_utf8(&name_raw)
+    let name = std::str::from_utf8(peek(buf, name_len, "attribute name")?)
         .map_err(|_| DpapiError::Malformed("invalid UTF-8 attribute".into()))?;
     let attribute = Attribute::from_name(name);
+    buf.advance(name_len);
     if buf.remaining() < 1 {
         return Err(DpapiError::Malformed("truncated value tag".into()));
     }
@@ -191,10 +198,9 @@ pub fn get_record(buf: &mut Bytes) -> Result<ProvenanceRecord> {
                 return Err(DpapiError::Malformed("truncated bytes length".into()));
             }
             let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(DpapiError::Malformed("truncated bytes body".into()));
-            }
-            Value::Bytes(buf.split_to(len).to_vec())
+            let bytes = peek(buf, len, "bytes body")?.to_vec();
+            buf.advance(len);
+            Value::Bytes(bytes)
         }
         TAG_STRLIST => {
             if buf.remaining() < 4 {
@@ -239,7 +245,7 @@ pub fn encode_record(rec: &ProvenanceRecord) -> Result<Vec<u8>> {
 /// Decodes a record from a standalone byte slice, requiring the slice
 /// to be fully consumed.
 pub fn decode_record(data: &[u8]) -> Result<ProvenanceRecord> {
-    let mut buf = Bytes::copy_from_slice(data);
+    let mut buf = data;
     let rec = get_record(&mut buf)?;
     if buf.has_remaining() {
         return Err(DpapiError::Malformed("trailing bytes after record".into()));

@@ -15,18 +15,18 @@
 //! and rotations are reported through
 //! [`DpapiVolume::take_log_rotations`] for Waldo to ingest.
 
-use std::collections::HashMap;
+use std::sync::LazyLock;
 
 use bytes::BytesMut;
 use dpapi::{
-    wire, Bundle, Dpapi, DpapiError, DpapiOp, Handle, ObjectRef, OpResult, Pnode, PnodeAllocator,
-    ProvenanceRecord, ReadResult, Txn, Value, Version, VolumeId, WriteResult,
+    wire, Attribute, Bundle, Dpapi, DpapiError, DpapiOp, Handle, IdMap, ObjectRef, OpResult, Pnode,
+    PnodeAllocator, ProvenanceRecord, ReadResult, Txn, Value, Version, VolumeId, WriteResult,
 };
 use sim_os::clock::Clock;
 use sim_os::cost::CostModel;
 use sim_os::fs::{DirEntry, DpapiVolume, FileAttr, FileSystem, FsError, FsResult, FsUsage, Ino};
 
-use crate::log::{encode_entry, encode_group, LogEntry};
+use crate::log;
 use crate::md5::md5;
 
 /// Tag bit of the transaction-id space Lasagna allocates for its own
@@ -71,9 +71,14 @@ pub fn batch_txn_parts(id: u64) -> Option<(dpapi::VolumeId, u64)> {
 pub const PASS_DIR: &str = ".pass";
 
 /// The attribute used to persist the pnode→inode binding in the log,
-/// so recovery can re-associate provenance with file contents.
+/// so recovery can re-associate provenance with file contents. Built
+/// once: every created file logs a record under it.
+pub(crate) static INO_ATTRIBUTE: LazyLock<Attribute> =
+    LazyLock::new(|| Attribute::Other("INO".to_string()));
+
+/// An owned copy of the pnode→inode binding attribute.
 pub fn ino_attribute() -> dpapi::Attribute {
-    dpapi::Attribute::Other("INO".to_string())
+    INO_ATTRIBUTE.clone()
 }
 
 /// Configuration for a Lasagna volume.
@@ -127,6 +132,9 @@ pub struct LasagnaStats {
     pub batch_commits: u64,
     /// Operations carried by those transactions.
     pub batched_ops: u64,
+    /// Flushes of the log buffer the lower file system failed (or cut
+    /// short). The buffer is kept and written again by the next flush.
+    pub log_write_failures: u64,
 }
 
 impl provscope::MetricSource for LasagnaStats {
@@ -138,6 +146,7 @@ impl provscope::MetricSource for LasagnaStats {
         out("provenance_bytes", self.provenance_bytes);
         out("batch_commits", self.batch_commits);
         out("batched_ops", self.batched_ops);
+        out("log_write_failures", self.log_write_failures);
     }
 }
 
@@ -155,13 +164,15 @@ pub struct Lasagna {
     model: CostModel,
     alloc: PnodeAllocator,
 
-    pnode_of_ino: HashMap<u64, Pnode>,
-    ino_of_pnode: HashMap<u64, Ino>,
-    versions: HashMap<u64, Version>, // pnode number -> version
-    app_objects: HashMap<u64, Version>,
+    // Keyed by inode numbers, pnode numbers and handles this volume
+    // (or the file system under it) allocated: see `dpapi::IdHasher`.
+    pnode_of_ino: IdMap<u64, Pnode>,
+    ino_of_pnode: IdMap<u64, Ino>,
+    versions: IdMap<u64, Version>, // pnode number -> version
+    app_objects: IdMap<u64, Version>,
 
-    handles: HashMap<u64, Obj>,
-    handle_of_ino: HashMap<u64, Handle>,
+    handles: IdMap<u64, Obj>,
+    handle_of_ino: IdMap<u64, Handle>,
     next_handle: u64,
 
     log_dir: Ino,
@@ -169,6 +180,9 @@ pub struct Lasagna {
     log_index: u64,
     log_written: u64,
     log_buf: BytesMut,
+    /// Scratch of [`Lasagna::with_subjects`]: one subject per frame
+    /// being logged, reused from call to call.
+    subjects: Vec<ObjectRef>,
     rotated: Vec<String>,
     db_debt: f64,
     next_batch: u64,
@@ -202,18 +216,19 @@ impl Lasagna {
             clock,
             model,
             alloc: PnodeAllocator::new(cfg.volume),
-            pnode_of_ino: HashMap::new(),
-            ino_of_pnode: HashMap::new(),
-            versions: HashMap::new(),
-            app_objects: HashMap::new(),
-            handles: HashMap::new(),
-            handle_of_ino: HashMap::new(),
+            pnode_of_ino: IdMap::default(),
+            ino_of_pnode: IdMap::default(),
+            versions: IdMap::default(),
+            app_objects: IdMap::default(),
+            handles: IdMap::default(),
+            handle_of_ino: IdMap::default(),
             next_handle: 1,
             log_dir,
             log_file,
             log_index: 0,
             log_written: 0,
             log_buf: BytesMut::new(),
+            subjects: Vec::new(),
             rotated: Vec::new(),
             db_debt: 0.0,
             next_batch: 0,
@@ -242,12 +257,14 @@ impl Lasagna {
         self.pnode_of_ino.insert(ino.0, p);
         self.ino_of_pnode.insert(p.number, ino);
         self.versions.insert(p.number, Version::INITIAL);
-        // Persist the binding so recovery can find the file again.
-        let rec = ProvenanceRecord::new(ino_attribute(), Value::Int(ino.0 as i64));
-        self.append_entry(&LogEntry::Prov {
-            subject: ObjectRef::new(p, Version::INITIAL),
-            record: rec,
+        // Persist the binding so recovery can find the file again:
+        // logged at once, so ahead of every frame about the file.
+        let subject = ObjectRef::new(p, Version::INITIAL);
+        let logged = self.log_frame(false, |buf| {
+            log::put_prov(buf, subject, &INO_ATTRIBUTE, &Value::Int(ino.0 as i64))
         });
+        debug_assert!(logged.is_ok(), "an INO binding always encodes");
+        self.stats.records_logged += 1;
         p
     }
 
@@ -300,49 +317,34 @@ impl Lasagna {
 
     // ---- the log ------------------------------------------------------------
 
-    fn count_entry(&mut self, entry: &LogEntry) {
-        match entry {
-            LogEntry::DataWrite { .. } => self.stats.data_writes += 1,
-            LogEntry::Prov { .. } => self.stats.records_logged += 1,
-            _ => {}
-        }
-    }
-
-    fn append_entry(&mut self, entry: &LogEntry) {
+    /// Writes one frame at the end of the log buffer with `write` —
+    /// one of [`crate::log`]'s frame writers, which leave the buffer
+    /// as it was on error. A frame outside a group is accounted for,
+    /// and may trip the buffer threshold, at once; a group's members
+    /// are when [`Lasagna::log_group`] closes the group.
+    fn log_frame(
+        &mut self,
+        grouped: bool,
+        write: impl FnOnce(&mut BytesMut) -> dpapi::Result<()>,
+    ) -> dpapi::Result<()> {
         let before = self.log_buf.len();
-        // Entries reaching the log are pre-validated (bundles go
-        // through `wire::validate_record` at commit validation) or
-        // fixed-shape (INO bindings, data writes, txn markers), so
-        // encoding cannot fail; `encode_entry` leaves the buffer
-        // untouched on error, so even a bypassing caller cannot tear
-        // the frame stream.
-        if encode_entry(&mut self.log_buf, entry).is_err() {
-            debug_assert!(false, "unvalidated entry reached append_entry");
-            return;
-        }
-        let added = (self.log_buf.len() - before) as u64;
-        self.stats.provenance_bytes += added;
-        self.count_entry(entry);
-        if self.log_buf.len() >= self.cfg.log_buf_bytes {
-            self.flush_log_buf();
-        }
-    }
-
-    /// Appends a disclosure transaction's entries as one group frame —
-    /// the single length-prefixed record run that makes the batch
-    /// atomic in the log (a torn tail drops it wholesale).
-    fn append_group(&mut self, entries: &[LogEntry]) -> dpapi::Result<()> {
-        let before = self.log_buf.len();
-        encode_group(&mut self.log_buf, entries)?;
-        let added = (self.log_buf.len() - before) as u64;
-        self.stats.provenance_bytes += added;
-        for e in entries {
-            self.count_entry(e);
-        }
-        if self.log_buf.len() >= self.cfg.log_buf_bytes {
-            self.flush_log_buf();
+        write(&mut self.log_buf)?;
+        if !grouped {
+            self.frames_logged(before);
         }
         Ok(())
+    }
+
+    /// Accounts for the frame bytes appended since the buffer was
+    /// `before` long, and flushes the buffer once it has passed its
+    /// threshold. That flush is housekeeping, not a write-ahead point:
+    /// if it fails the buffer is kept, and the flush ahead of the next
+    /// data write retries it and reports.
+    fn frames_logged(&mut self, before: usize) {
+        self.stats.provenance_bytes += (self.log_buf.len() - before) as u64;
+        if self.log_buf.len() >= self.cfg.log_buf_bytes {
+            let _ = self.flush_log_buf();
+        }
     }
 
     fn alloc_batch_id(&mut self) -> u64 {
@@ -350,21 +352,41 @@ impl Lasagna {
         batch_txn_id(self.cfg.volume, self.next_batch)
     }
 
-    fn flush_log_buf(&mut self) {
+    /// Appends the buffered frames to the log file.
+    ///
+    /// This is the write-ahead step: a caller about to write data must
+    /// not go on unless it returns `Ok`. On a failed (or short) lower
+    /// write nothing moves — the buffer keeps every frame and the
+    /// offset stays — so the next flush writes the same bytes at the
+    /// same place and the log gets no hole and no frame twice.
+    fn flush_log_buf(&mut self) -> FsResult<()> {
         if self.log_buf.is_empty() {
-            return;
+            return Ok(());
         }
-        let buf = std::mem::take(&mut self.log_buf);
+        let len = self.log_buf.len();
         // Charge the copy into the lower layer's cache; the lower
         // write charges its own costs.
-        self.clock.advance(self.model.copy_cost(buf.len()));
-        let _ = self.lower.write(self.log_file, self.log_written, &buf);
-        self.log_written += buf.len() as u64;
+        self.clock.advance(self.model.copy_cost(len));
+        let written = self
+            .lower
+            .write(self.log_file, self.log_written, &self.log_buf)
+            .and_then(|n| match n == len {
+                true => Ok(()),
+                false => Err(FsError::Invalid(format!(
+                    "short provenance-log write: {n} of {len} bytes"
+                ))),
+            });
+        if let Err(e) = written {
+            self.stats.log_write_failures += 1;
+            return Err(e);
+        }
+        self.log_buf.clear();
+        self.log_written += len as u64;
         // The live Waldo daemon consumes the log concurrently and
         // writes the indexed database on the same disk. Accumulate a
         // byte debt and charge it in bursts (Waldo batches inserts),
         // as transfer time plus periodic index-update seeks.
-        self.db_debt += buf.len() as f64 * self.cfg.waldo_db_factor;
+        self.db_debt += len as f64 * self.cfg.waldo_db_factor;
         const DB_BURST: f64 = 262_144.0; // 256 KB
         if self.db_debt >= DB_BURST {
             let db_bytes = self.db_debt as u64;
@@ -378,6 +400,7 @@ impl Lasagna {
         if self.log_written >= self.cfg.log_max_bytes {
             self.rotate_log();
         }
+        Ok(())
     }
 
     fn current_log_name(&self) -> String {
@@ -405,46 +428,128 @@ impl Lasagna {
         }
     }
 
-    /// Translates a bundle into log entries (pushed onto `out`),
-    /// processing FREEZE records in-order (the PA-NFS requirement that
-    /// freezes be records, not operations, so ordering with writes is
-    /// preserved).
-    fn bundle_entries(&mut self, bundle: &Bundle, out: &mut Vec<LogEntry>) -> dpapi::Result<()> {
-        for (h, rec) in bundle.iter() {
-            // Transaction markers from PA-NFS become first-class log
-            // entries so Waldo can buffer chunked bundles and recovery
-            // can garbage-collect orphans.
-            if rec.attribute == dpapi::Attribute::BeginTxn {
-                if let Some(id) = rec.value.as_int() {
-                    out.push(LogEntry::TxnBegin { id: id as u64 });
+    /// Runs `f` with the volume's subject scratch, emptied: the hot
+    /// path stages in a vector that keeps its capacity between calls.
+    fn with_subjects<R>(&mut self, f: impl FnOnce(&mut Lasagna, &mut Vec<ObjectRef>) -> R) -> R {
+        let mut subjects = std::mem::take(&mut self.subjects);
+        subjects.clear();
+        let r = f(self, &mut subjects);
+        self.subjects = subjects;
+        r
+    }
+
+    /// Resolves the subject of every non-marker record of `bundle`,
+    /// in order, onto `subjects`, applying FREEZE records as it goes
+    /// (the PA-NFS requirement that freezes be records, not
+    /// operations, so ordering with writes is preserved).
+    ///
+    /// Resolving may bind a fresh inode, which logs its `INO` entry at
+    /// once. A call therefore resolves everything it will log *before*
+    /// it writes its first frame: the bindings stay ahead of the
+    /// frames that name them, and the frames can then be encoded
+    /// straight from the borrowed bundle ([`Lasagna::log_bundle`]).
+    fn resolve_bundle(
+        &mut self,
+        bundle: &Bundle,
+        subjects: &mut Vec<ObjectRef>,
+    ) -> dpapi::Result<()> {
+        for entry in bundle.entries() {
+            // One lookup serves every record of an entry, until a
+            // FREEZE among them moves the object on.
+            let mut current = None;
+            for rec in &entry.records {
+                if txn_marker(rec).is_some() {
                     continue;
                 }
-            }
-            if rec.attribute == dpapi::Attribute::EndTxn {
-                if let Some(id) = rec.value.as_int() {
-                    out.push(LogEntry::TxnEnd { id: id as u64 });
-                    continue;
-                }
-            }
-            let obj = self.resolve(h)?;
-            let subject = self.object_ref(obj);
-            out.push(LogEntry::Prov {
-                subject,
-                record: rec.clone(),
-            });
-            if rec.attribute == dpapi::Attribute::Freeze {
-                match obj {
-                    Obj::File(ino) => {
-                        let p = self.pnode_for_ino(ino);
-                        self.bump_version(p);
+                let subject = match current {
+                    Some(subject) => subject,
+                    None => {
+                        let obj = self.resolve(entry.handle)?;
+                        *current.insert(self.object_ref(obj))
                     }
-                    Obj::App(p) => {
-                        self.bump_version(p);
-                    }
+                };
+                subjects.push(subject);
+                if rec.attribute == Attribute::Freeze {
+                    self.bump_version(subject.pnode);
+                    current = None;
                 }
             }
         }
         Ok(())
+    }
+
+    /// Encodes `bundle`'s records into the log buffer, one frame each,
+    /// taking the subjects [`Lasagna::resolve_bundle`] resolved.
+    /// Transaction markers from PA-NFS become first-class log entries
+    /// so Waldo can buffer chunked bundles and recovery can
+    /// garbage-collect orphans.
+    fn log_bundle(
+        &mut self,
+        bundle: &Bundle,
+        subjects: &mut impl Iterator<Item = ObjectRef>,
+        grouped: bool,
+    ) -> dpapi::Result<()> {
+        for (_, rec) in bundle.iter() {
+            match txn_marker(rec) {
+                Some((begin, id)) => {
+                    self.log_frame(grouped, |buf| log::put_txn_marker(buf, begin, id))?
+                }
+                None => {
+                    let subject = subjects.next().expect("one resolved subject per record");
+                    self.log_frame(grouped, |buf| {
+                        log::put_prov(buf, subject, &rec.attribute, &rec.value)
+                    })?;
+                    self.stats.records_logged += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Resolves a write to `obj` onto `subjects`: the identity `obj`
+    /// will have once the bundle's freezes have applied (returned,
+    /// too), then the bundle's subjects.
+    fn resolve_write(
+        &mut self,
+        obj: Obj,
+        bundle: &Bundle,
+        subjects: &mut Vec<ObjectRef>,
+    ) -> dpapi::Result<ObjectRef> {
+        let slot = subjects.len();
+        subjects.push(ObjectRef::new(Pnode::NULL, Version::INITIAL));
+        self.resolve_bundle(bundle, subjects)?;
+        subjects[slot] = self.object_ref(obj);
+        Ok(subjects[slot])
+    }
+
+    /// Logs a write [`Lasagna::resolve_write`] resolved: the bundle's
+    /// frames, then — for data bound for a file — the write-ahead
+    /// digest of `data`. Returns the inode the caller must now write
+    /// `data` to, if any; write-ahead provenance has it flush the log
+    /// first.
+    fn log_write(
+        &mut self,
+        obj: Obj,
+        offset: u64,
+        data: &[u8],
+        bundle: &Bundle,
+        subjects: &mut impl Iterator<Item = ObjectRef>,
+        grouped: bool,
+    ) -> dpapi::Result<Option<Ino>> {
+        let identity = subjects.next().expect("the written object's identity");
+        self.log_bundle(bundle, subjects, grouped)?;
+        let Obj::File(ino) = obj else {
+            return Ok(None);
+        };
+        if data.is_empty() {
+            return Ok(None);
+        }
+        let digest = md5(data);
+        self.log_frame(grouped, |buf| {
+            log::put_data_write(buf, identity, offset, data.len() as u32, &digest)
+        })?;
+        self.stats.data_writes += 1;
+        Ok(Some(ino))
     }
 
     /// Checks a bundle's records against current state without
@@ -453,14 +558,14 @@ impl Lasagna {
     /// `validate_op` and the zero-copy `pass_write` override so the
     /// two paths cannot drift.
     fn validate_bundle(&self, bundle: &Bundle) -> dpapi::Result<()> {
-        for (h, rec) in bundle.iter() {
-            wire::validate_record(rec)?;
-            let is_marker = matches!(
-                rec.attribute,
-                dpapi::Attribute::BeginTxn | dpapi::Attribute::EndTxn
-            ) && rec.value.as_int().is_some();
-            if !is_marker {
-                self.resolve(h)?;
+        for entry in bundle.entries() {
+            let mut resolved = false;
+            for rec in &entry.records {
+                wire::validate_record(rec)?;
+                if !resolved && txn_marker(rec).is_none() {
+                    self.resolve(entry.handle)?;
+                    resolved = true;
+                }
             }
         }
         Ok(())
@@ -498,17 +603,83 @@ impl Lasagna {
         }
     }
 
-    /// Applies one validated op: pushes its log entries onto `out`,
-    /// queues its data write, and returns its result. State mutations
-    /// (version bumps, pnode allocation) happen in op order so
-    /// identities reflect everything earlier in the batch.
-    fn apply_op(
+    /// Applies one validated op to the volume's state and returns its
+    /// result; what the op will log is resolved onto `subjects` and
+    /// counted in `entries`, and written later by
+    /// [`Lasagna::log_op`]. State mutations (version bumps, pnode
+    /// allocation) happen in op order so identities reflect everything
+    /// earlier in the batch.
+    fn resolve_op(
         &mut self,
-        op: DpapiOp,
-        out: &mut Vec<LogEntry>,
-        data_writes: &mut Vec<(Ino, u64, Vec<u8>)>,
+        op: &DpapiOp,
+        subjects: &mut Vec<ObjectRef>,
+        entries: &mut usize,
         wants_sync: &mut bool,
     ) -> dpapi::Result<OpResult> {
+        match op {
+            DpapiOp::Write {
+                handle,
+                data,
+                bundle,
+                ..
+            } => {
+                let obj = self.resolve(*handle)?;
+                let identity = self.resolve_write(obj, bundle, subjects)?;
+                *entries += bundle.record_count();
+                if !data.is_empty() && matches!(obj, Obj::File(_)) {
+                    *entries += 1;
+                }
+                Ok(OpResult::Written(WriteResult {
+                    written: data.len(),
+                    identity,
+                }))
+            }
+            DpapiOp::Mkobj { .. } => {
+                let p = self.alloc.allocate();
+                self.app_objects.insert(p.number, Version::INITIAL);
+                Ok(OpResult::Made(self.new_handle(Obj::App(p))))
+            }
+            DpapiOp::Freeze { handle } => {
+                let obj = self.resolve(*handle)?;
+                let subject = self.object_ref(obj);
+                subjects.push(subject);
+                *entries += 1;
+                Ok(OpResult::Frozen(self.bump_version(subject.pnode)))
+            }
+            DpapiOp::Revive { pnode, version } => {
+                if pnode.volume != self.cfg.volume {
+                    return Err(DpapiError::UnknownPnode(*pnode));
+                }
+                if let Some(cur) = self.app_objects.get(&pnode.number) {
+                    if *version > *cur {
+                        return Err(DpapiError::UnknownVersion(*pnode, *version));
+                    }
+                    return Ok(OpResult::Revived(self.new_handle(Obj::App(*pnode))));
+                }
+                if let Some(ino) = self.ino_of_pnode.get(&pnode.number).copied() {
+                    return Ok(OpResult::Revived(self.new_handle(Obj::File(ino))));
+                }
+                Err(DpapiError::UnknownPnode(*pnode))
+            }
+            DpapiOp::Sync { handle } => {
+                self.resolve(*handle)?;
+                *wants_sync = true;
+                Ok(OpResult::Synced)
+            }
+        }
+    }
+
+    /// Writes the frames of one op [`Lasagna::resolve_op`] resolved —
+    /// its bundle, then the digest of its data — and queues its data
+    /// write. Write-ahead provenance: data writes are applied after
+    /// the whole batch's entries are logged.
+    fn log_op(
+        &mut self,
+        op: DpapiOp,
+        subjects: &mut impl Iterator<Item = ObjectRef>,
+        grouped: bool,
+        data_writes: &mut Vec<(Ino, u64, Vec<u8>)>,
+    ) -> dpapi::Result<()> {
         match op {
             DpapiOp::Write {
                 handle,
@@ -517,63 +688,61 @@ impl Lasagna {
                 bundle,
             } => {
                 let obj = self.resolve(handle)?;
-                // Write-ahead provenance: the bundle and the data
-                // digest reach the log before the data reaches the
-                // file (data writes are applied after the whole
-                // batch's entries are logged).
-                self.bundle_entries(&bundle, out)?;
-                let identity = self.object_ref(obj);
-                let written = data.len();
-                if !data.is_empty() {
-                    if let Obj::File(ino) = obj {
-                        out.push(LogEntry::DataWrite {
-                            subject: identity,
-                            offset,
-                            len: data.len() as u32,
-                            digest: md5(&data),
-                        });
-                        data_writes.push((ino, offset, data));
-                    }
+                if let Some(ino) = self.log_write(obj, offset, &data, &bundle, subjects, grouped)? {
+                    data_writes.push((ino, offset, data));
                 }
-                Ok(OpResult::Written(WriteResult { written, identity }))
+                Ok(())
             }
-            DpapiOp::Mkobj { .. } => {
-                let p = self.alloc.allocate();
-                self.app_objects.insert(p.number, Version::INITIAL);
-                Ok(OpResult::Made(self.new_handle(Obj::App(p))))
+            DpapiOp::Freeze { .. } => {
+                let subject = subjects.next().expect("the frozen object's identity");
+                let freeze = ProvenanceRecord::freeze(subject.version.next());
+                self.log_frame(grouped, |buf| {
+                    log::put_prov(buf, subject, &freeze.attribute, &freeze.value)
+                })?;
+                self.stats.records_logged += 1;
+                Ok(())
             }
-            DpapiOp::Freeze { handle } => {
-                let obj = self.resolve(handle)?;
-                let subject = self.object_ref(obj);
-                let new_version = subject.version.next();
-                out.push(LogEntry::Prov {
-                    subject,
-                    record: ProvenanceRecord::freeze(new_version),
-                });
-                Ok(OpResult::Frozen(self.bump_version(subject.pnode)))
-            }
-            DpapiOp::Revive { pnode, version } => {
-                if pnode.volume != self.cfg.volume {
-                    return Err(DpapiError::UnknownPnode(pnode));
-                }
-                if let Some(cur) = self.app_objects.get(&pnode.number) {
-                    if version > *cur {
-                        return Err(DpapiError::UnknownVersion(pnode, version));
-                    }
-                    return Ok(OpResult::Revived(self.new_handle(Obj::App(pnode))));
-                }
-                if let Some(ino) = self.ino_of_pnode.get(&pnode.number).copied() {
-                    return Ok(OpResult::Revived(self.new_handle(Obj::File(ino))));
-                }
-                Err(DpapiError::UnknownPnode(pnode))
-            }
-            DpapiOp::Sync { handle } => {
-                self.resolve(handle)?;
-                *wants_sync = true;
-                Ok(OpResult::Synced)
-            }
+            DpapiOp::Mkobj { .. } | DpapiOp::Revive { .. } | DpapiOp::Sync { .. } => Ok(()),
         }
     }
+
+    /// Logs a multi-op batch as one group frame — the single
+    /// length-prefixed record run that makes the batch atomic in the
+    /// log (a torn tail drops it wholesale) — bracketed by the batch's
+    /// transaction markers. `members` writes the `entries` frames in
+    /// between; if anything fails the buffer and the counters are left
+    /// as they were.
+    fn log_group(
+        &mut self,
+        id: u64,
+        entries: usize,
+        members: impl FnOnce(&mut Lasagna) -> dpapi::Result<()>,
+    ) -> dpapi::Result<()> {
+        let (before, stats) = (self.log_buf.len(), self.stats);
+        let group = log::open_group(&mut self.log_buf, entries as u32 + 2);
+        let filled = self
+            .log_frame(true, |buf| log::put_txn_marker(buf, true, id))
+            .and_then(|()| members(self))
+            .and_then(|()| self.log_frame(true, |buf| log::put_txn_marker(buf, false, id)));
+        if let Err(e) = log::close_frame(&mut self.log_buf, group, filled) {
+            self.stats = stats;
+            return Err(e);
+        }
+        self.frames_logged(before);
+        Ok(())
+    }
+}
+
+/// A PA-NFS transaction marker riding a bundle as a record: `(is
+/// BEGINTXN, transaction id)`. Markers describe no object, so their
+/// handle is not resolved.
+fn txn_marker(rec: &ProvenanceRecord) -> Option<(bool, u64)> {
+    let begin = match rec.attribute {
+        Attribute::BeginTxn => true,
+        Attribute::EndTxn => false,
+        _ => return None,
+    };
+    rec.value.as_int().map(|id| (begin, id as u64))
 }
 
 impl Dpapi for Lasagna {
@@ -613,26 +782,14 @@ impl Dpapi for Lasagna {
     ) -> dpapi::Result<WriteResult> {
         let obj = self.resolve(h)?;
         self.validate_bundle(&bundle)?;
-        let mut entries: Vec<LogEntry> = Vec::new();
-        self.bundle_entries(&bundle, &mut entries)?;
-        let identity = self.object_ref(obj);
-        let mut file_write = None;
-        if !data.is_empty() {
-            if let Obj::File(ino) = obj {
-                entries.push(LogEntry::DataWrite {
-                    subject: identity,
-                    offset,
-                    len: data.len() as u32,
-                    digest: md5(data),
-                });
-                file_write = Some(ino);
-            }
-        }
-        for e in &entries {
-            self.append_entry(e);
-        }
-        if let Some(ino) = file_write {
-            self.flush_log_buf();
+        let (identity, file) = self.with_subjects(|volume, subjects| {
+            let identity = volume.resolve_write(obj, &bundle, subjects)?;
+            let resolved = &mut subjects.iter().copied();
+            let file = volume.log_write(obj, offset, data, &bundle, resolved, false)?;
+            Ok::<_, DpapiError>((identity, file))
+        })?;
+        if let Some(ino) = file {
+            self.flush_log_buf()?;
             self.clock.advance(self.model.copy_cost(data.len()));
             self.lower
                 .write(ino, offset, data)
@@ -649,7 +806,7 @@ impl Dpapi for Lasagna {
     /// The whole batch is validated first (nothing is logged or
     /// written on a validation failure — the abort names the failing
     /// op). A multi-op batch's provenance is then framed as **one
-    /// group record** in the log ([`encode_group`]), bracketed by
+    /// group record** in the log ([`log::encode_group`]), bracketed by
     /// transaction markers so Waldo applies the members as one unit;
     /// a single-op commit logs plainly, byte-identical to the classic
     /// single-shot calls. Data writes follow write-ahead provenance:
@@ -683,40 +840,13 @@ impl Lasagna {
             self.validate_op(op)
                 .map_err(|e| DpapiError::aborted_at(i, e))?;
         }
-        let batched = ops.len() > 1;
-        let mut entries: Vec<LogEntry> = Vec::new();
         let mut data_writes: Vec<(Ino, u64, Vec<u8>)> = Vec::new();
         let mut wants_sync = false;
-        let mut results = Vec::with_capacity(ops.len());
-        for (i, op) in ops.into_iter().enumerate() {
-            let r = self
-                .apply_op(op, &mut entries, &mut data_writes, &mut wants_sync)
-                .map_err(|e| DpapiError::aborted_at(i, e))?;
-            results.push(r);
-        }
-        if batched && !entries.is_empty() {
-            let id = self.alloc_batch_id();
-            // The batch id is the transaction's identity across
-            // layers: bind the open trace window to it so the span
-            // tree and the asynchronous Waldo ingest of this group
-            // frame share one trace.
-            self.scope.bind_trace(provscope::TraceId(id));
-            let mut group = Vec::with_capacity(entries.len() + 2);
-            group.push(LogEntry::TxnBegin { id });
-            group.append(&mut entries);
-            group.push(LogEntry::TxnEnd { id });
-            self.append_group(&group)?;
-        } else {
-            for e in &entries {
-                self.append_entry(e);
-            }
-        }
-        if batched {
-            self.stats.batch_commits += 1;
-            self.stats.batched_ops += results.len() as u64;
-        }
+        let results = self.with_subjects(|volume, subjects| {
+            volume.log_ops(ops, subjects, &mut data_writes, &mut wants_sync)
+        })?;
         if !data_writes.is_empty() {
-            self.flush_log_buf();
+            self.flush_log_buf()?;
         }
         for (ino, offset, data) in data_writes {
             self.clock.advance(self.model.copy_cost(data.len()));
@@ -725,8 +855,52 @@ impl Lasagna {
                 .map_err(DpapiError::from)?;
         }
         if wants_sync {
-            self.flush_log_buf();
+            self.flush_log_buf()?;
             self.lower.fsync(self.log_file).map_err(DpapiError::from)?;
+        }
+        Ok(results)
+    }
+
+    /// The log half of a validated commit: applies every op to the
+    /// volume's state ([`Lasagna::resolve_op`]), then writes the
+    /// batch's frames ([`Lasagna::log_op`]) — one group for a multi-op
+    /// batch, plain frames for a single op.
+    fn log_ops(
+        &mut self,
+        ops: Vec<DpapiOp>,
+        subjects: &mut Vec<ObjectRef>,
+        data_writes: &mut Vec<(Ino, u64, Vec<u8>)>,
+        wants_sync: &mut bool,
+    ) -> dpapi::Result<Vec<OpResult>> {
+        let batched = ops.len() > 1;
+        let mut entries = 0usize;
+        let mut results = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            let r = self
+                .resolve_op(op, subjects, &mut entries, wants_sync)
+                .map_err(|e| DpapiError::aborted_at(i, e))?;
+            results.push(r);
+        }
+        let grouped = batched && entries > 0;
+        let mut subjects = subjects.iter().copied();
+        let members = |volume: &mut Lasagna| {
+            ops.into_iter()
+                .try_for_each(|op| volume.log_op(op, &mut subjects, grouped, data_writes))
+        };
+        if grouped {
+            let id = self.alloc_batch_id();
+            // The batch id is the transaction's identity across
+            // layers: bind the open trace window to it so the span
+            // tree and the asynchronous Waldo ingest of this group
+            // frame share one trace.
+            self.scope.bind_trace(provscope::TraceId(id));
+            self.log_group(id, entries, members)?;
+        } else {
+            members(self)?;
+        }
+        if batched {
+            self.stats.batch_commits += 1;
+            self.stats.batched_ops += results.len() as u64;
         }
         Ok(results)
     }
@@ -756,8 +930,9 @@ impl DpapiVolume for Lasagna {
     }
 
     fn force_log_rotation(&mut self) {
-        self.flush_log_buf();
-        if self.log_written > 0 {
+        // Frames the lower file system would not take stay buffered,
+        // and their log stays open, for the next attempt.
+        if self.flush_log_buf().is_ok() && self.log_written > 0 {
             self.rotate_log();
         }
     }
@@ -842,7 +1017,7 @@ impl FileSystem for Lasagna {
     }
 
     fn sync(&mut self) -> FsResult<()> {
-        self.flush_log_buf();
+        self.flush_log_buf()?;
         self.lower.sync()
     }
 
@@ -851,7 +1026,7 @@ impl FileSystem for Lasagna {
         // push buffered entries into the lower page cache (the elevator
         // writes the log region first within a batch), then flush the
         // file itself.
-        self.flush_log_buf();
+        self.flush_log_buf()?;
         self.lower.fsync(ino)
     }
 
@@ -875,8 +1050,7 @@ impl FileSystem for Lasagna {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{parse_log, LogTail};
-    use dpapi::Attribute;
+    use crate::log::{parse_log, LogEntry, LogTail};
     use sim_os::fs::basefs::BaseFs;
 
     fn volume() -> Lasagna {
@@ -893,7 +1067,7 @@ mod tests {
     }
 
     fn read_log(v: &mut Lasagna) -> Vec<LogEntry> {
-        v.flush_log_buf();
+        v.flush_log_buf().unwrap();
         let mut out = Vec::new();
         let root = v.lower.root();
         let dir = v.lower.lookup(root, PASS_DIR).unwrap();
@@ -1104,7 +1278,7 @@ mod tests {
     }
 
     fn raw_log(v: &mut Lasagna) -> Vec<u8> {
-        v.flush_log_buf();
+        v.flush_log_buf().unwrap();
         let mut out = Vec::new();
         let root = v.lower.root();
         let dir = v.lower.lookup(root, PASS_DIR).unwrap();
@@ -1207,6 +1381,133 @@ mod tests {
         assert_eq!(v.stats().provenance_bytes, bytes_before);
         // The freeze validated fine but must not have applied either.
         assert_eq!(v.identity_of_ino(ino).unwrap().version, Version(0));
+    }
+
+    /// A base file system whose next `budget` writes fail, as a full or
+    /// failing disk would make them; everything else passes through.
+    struct FlakyFs {
+        inner: BaseFs,
+        failing_writes: std::rc::Rc<std::cell::Cell<u32>>,
+    }
+
+    impl FileSystem for FlakyFs {
+        fn root(&self) -> Ino {
+            self.inner.root()
+        }
+        fn lookup(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+            self.inner.lookup(dir, name)
+        }
+        fn create(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+            self.inner.create(dir, name)
+        }
+        fn mkdir(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+            self.inner.mkdir(dir, name)
+        }
+        fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()> {
+            self.inner.unlink(dir, name)
+        }
+        fn rename(&mut self, from: Ino, name: &str, to: Ino, to_name: &str) -> FsResult<()> {
+            self.inner.rename(from, name, to, to_name)
+        }
+        fn read(&mut self, ino: Ino, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+            self.inner.read(ino, offset, len)
+        }
+        fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+            if self.failing_writes.get() > 0 {
+                self.failing_writes.set(self.failing_writes.get() - 1);
+                return Err(FsError::NoSpace);
+            }
+            self.inner.write(ino, offset, data)
+        }
+        fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
+            self.inner.truncate(ino, size)
+        }
+        fn getattr(&mut self, ino: Ino) -> FsResult<FileAttr> {
+            self.inner.getattr(ino)
+        }
+        fn readdir(&mut self, dir: Ino) -> FsResult<Vec<DirEntry>> {
+            self.inner.readdir(dir)
+        }
+        fn sync(&mut self) -> FsResult<()> {
+            self.inner.sync()
+        }
+        fn usage(&self) -> FsUsage {
+            self.inner.usage()
+        }
+    }
+
+    /// Write-ahead provenance under a failing log write (§5.6: data
+    /// never reaches the disk without its provenance). The flush ahead
+    /// of a data write used to ignore the lower file system's answer:
+    /// the buffer was dropped, the offset advanced past a hole and the
+    /// data written all the same.
+    #[test]
+    fn failed_log_write_stops_the_data_write_and_is_retried_in_place() {
+        let clock = Clock::new();
+        let model = CostModel::default();
+        let failing_writes = std::rc::Rc::new(std::cell::Cell::new(0));
+        let lower = FlakyFs {
+            inner: BaseFs::new(clock.clone(), model),
+            failing_writes: failing_writes.clone(),
+        };
+        let cfg = LasagnaConfig::new(VolumeId(1));
+        let mut v = Lasagna::new(Box::new(lower), clock, model, cfg).unwrap();
+        let root = v.root();
+        let ino = v.create(root, "f").unwrap();
+        let h = v.handle_for_ino(ino).unwrap();
+        v.pass_write(h, 0, b"before", Bundle::new()).unwrap();
+
+        // The next lower write is the log flush guarding the data.
+        failing_writes.set(1);
+        let err = v.pass_write(h, 0, b"lost!!", Bundle::new()).unwrap_err();
+        assert!(matches!(err, DpapiError::Io(_)), "got {err:?}");
+        assert_eq!(failing_writes.get(), 0, "exactly the log write failed");
+        assert_eq!(v.read(ino, 0, 6).unwrap(), b"before", "no data byte moved");
+        assert_eq!(v.stats().log_write_failures, 1);
+
+        // The fault has cleared: the kept frames go out with the next
+        // flush, at the offset they were due, ahead of the new ones.
+        let mut b = Bundle::new();
+        b.push(h, ProvenanceRecord::new(Attribute::Name, Value::str("f")));
+        let mut txn = dpapi::Txn::new();
+        txn.write(h, 0, b"kept".to_vec(), b).freeze(h);
+        v.pass_commit(txn).unwrap();
+        assert_eq!(v.read(ino, 0, 6).unwrap(), b"keptre");
+        assert_eq!(v.stats().log_write_failures, 1);
+
+        let bytes = raw_log(&mut v);
+        let (entries, tail) = parse_log(&bytes);
+        assert_eq!(tail, LogTail::Clean, "no hole, no torn frame");
+        let shape: Vec<String> = entries
+            .iter()
+            .map(|e| match e {
+                LogEntry::Prov { record, .. } => record.attribute.to_string(),
+                LogEntry::DataWrite { digest, .. } => {
+                    let data: &[&[u8]] = &[b"before", b"lost!!", b"kept"];
+                    let which = data
+                        .iter()
+                        .find(|d| md5(d) == *digest)
+                        .expect("a known write");
+                    format!("DATA {}", String::from_utf8_lossy(which))
+                }
+                LogEntry::TxnBegin { .. } => "BEGIN".to_string(),
+                LogEntry::TxnEnd { .. } => "END".to_string(),
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                "INO",
+                "DATA before",
+                "DATA lost!!",
+                "BEGIN",
+                "NAME",
+                "DATA kept",
+                "FREEZE",
+                "END"
+            ],
+            "every entry exactly once, in the order it was logged"
+        );
     }
 
     #[test]

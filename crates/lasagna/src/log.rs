@@ -16,9 +16,9 @@
 //! corrupt tail terminates parsing and is reported to the recovery
 //! machinery instead of being silently ignored.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use dpapi::wire;
-use dpapi::{DpapiError, ObjectRef, ProvenanceRecord, Result};
+use dpapi::{Attribute, DpapiError, ObjectRef, ProvenanceRecord, Result, Value};
 
 use crate::md5::Digest;
 
@@ -142,21 +142,36 @@ fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
     !crc32_update(crc32_update(CRC_INIT, &[kind]), payload)
 }
 
-/// Writes one CRC-closed frame (`kind`, length, payload, CRC32) whose
-/// payload `fill` appends in place. Errors — leaving `buf` as it was
-/// — when `fill` does, or on a payload the `u32` length prefix cannot
-/// represent (the same silent-truncation class as the fixed `u16`
-/// attribute-name bug, one level up).
-fn put_frame(
-    buf: &mut BytesMut,
+/// A frame being written in place at the end of a buffer: where it
+/// starts, and where its payload does.
+pub(crate) struct OpenFrame {
     kind: u8,
-    fill: impl FnOnce(&mut BytesMut) -> Result<()>,
-) -> Result<()> {
+    start: usize,
+    body: usize,
+}
+
+/// Starts a frame: the kind byte and a length to be patched in by
+/// [`close_frame`]. The payload is appended to `buf` in between.
+fn open_frame(buf: &mut BytesMut, kind: u8) -> OpenFrame {
     let start = buf.len();
     buf.put_u8(kind);
     buf.put_u32_le(0);
-    let body = buf.len();
-    let filled = fill(buf).and_then(|()| {
+    OpenFrame {
+        kind,
+        start,
+        body: buf.len(),
+    }
+}
+
+/// Closes `frame` over the payload appended since it was opened:
+/// patches the length in and appends the CRC32. Errors — leaving
+/// `buf` as it was before the frame was opened — when filling the
+/// payload did (`filled`), or on a payload the `u32` length prefix
+/// cannot represent (the same silent-truncation class as the fixed
+/// `u16` attribute-name bug, one level up).
+pub(crate) fn close_frame(buf: &mut BytesMut, frame: OpenFrame, filled: Result<()>) -> Result<()> {
+    let OpenFrame { kind, start, body } = frame;
+    let len = filled.and_then(|()| {
         u32::try_from(buf.len() - body).map_err(|_| {
             DpapiError::Malformed(format!(
                 "log frame payload of {} bytes exceeds the u32 prefix",
@@ -164,7 +179,7 @@ fn put_frame(
             ))
         })
     });
-    let len = match filled {
+    let len = match len {
         Ok(len) => len,
         Err(e) => {
             buf.truncate(start);
@@ -177,37 +192,88 @@ fn put_frame(
     Ok(())
 }
 
-/// Appends `entry` to `buf` in wire framing.
+/// Writes one CRC-closed frame (`kind`, length, payload, CRC32) whose
+/// payload `fill` appends in place.
+fn put_frame(
+    buf: &mut BytesMut,
+    kind: u8,
+    fill: impl FnOnce(&mut BytesMut) -> Result<()>,
+) -> Result<()> {
+    let frame = open_frame(buf, kind);
+    let filled = fill(buf);
+    close_frame(buf, frame, filled)
+}
+
+/// Writes a `Prov` frame: `attribute = value` about `subject`, from
+/// borrowed parts. On error `buf` is left untouched, as for every
+/// frame writer here.
+pub(crate) fn put_prov(
+    buf: &mut BytesMut,
+    subject: ObjectRef,
+    attribute: &Attribute,
+    value: &Value,
+) -> Result<()> {
+    put_frame(buf, KIND_PROV, |payload| {
+        wire::put_object_ref(payload, subject);
+        wire::put_record_parts(payload, attribute, value)
+    })
+}
+
+/// Writes a `DataWrite` frame.
+pub(crate) fn put_data_write(
+    buf: &mut BytesMut,
+    subject: ObjectRef,
+    offset: u64,
+    len: u32,
+    digest: &Digest,
+) -> Result<()> {
+    put_frame(buf, KIND_DATA, |payload| {
+        wire::put_object_ref(payload, subject);
+        payload.put_u64_le(offset);
+        payload.put_u32_le(len);
+        payload.put_slice(digest);
+        Ok(())
+    })
+}
+
+/// Writes a `TxnBegin` (`begin`) or `TxnEnd` frame.
+pub(crate) fn put_txn_marker(buf: &mut BytesMut, begin: bool, id: u64) -> Result<()> {
+    let kind = if begin { KIND_TXN_BEGIN } else { KIND_TXN_END };
+    put_frame(buf, kind, |payload| {
+        payload.put_u64_le(id);
+        Ok(())
+    })
+}
+
+/// Opens a group frame of `members` entries. The caller appends them
+/// with the frame writers above and then [`close_frame`]s the group,
+/// whose CRC closes over every member.
+pub(crate) fn open_group(buf: &mut BytesMut, members: u32) -> OpenFrame {
+    let frame = open_frame(buf, KIND_GROUP);
+    buf.put_u32_le(members);
+    frame
+}
+
+/// Appends `entry` to `buf` in wire framing, through the frame
+/// writers Lasagna's commit path calls on borrowed records: one
+/// encoder, entered here with an owned entry and there without one.
 ///
 /// On error (a record whose attribute name or payload cannot be
 /// represented — see [`wire::validate_record`]) `buf` is left
 /// untouched, so a failed encode can never emit a partial frame.
 pub fn encode_entry(buf: &mut BytesMut, entry: &LogEntry) -> Result<()> {
     match entry {
-        LogEntry::Prov { subject, record } => put_frame(buf, KIND_PROV, |payload| {
-            wire::put_object_ref(payload, *subject);
-            wire::put_record(payload, record)
-        }),
+        LogEntry::Prov { subject, record } => {
+            put_prov(buf, *subject, &record.attribute, &record.value)
+        }
         LogEntry::DataWrite {
             subject,
             offset,
             len,
             digest,
-        } => put_frame(buf, KIND_DATA, |payload| {
-            wire::put_object_ref(payload, *subject);
-            payload.put_u64_le(*offset);
-            payload.put_u32_le(*len);
-            payload.put_slice(digest);
-            Ok(())
-        }),
-        LogEntry::TxnBegin { id } => put_frame(buf, KIND_TXN_BEGIN, |payload| {
-            payload.put_u64_le(*id);
-            Ok(())
-        }),
-        LogEntry::TxnEnd { id } => put_frame(buf, KIND_TXN_END, |payload| {
-            payload.put_u64_le(*id);
-            Ok(())
-        }),
+        } => put_data_write(buf, *subject, *offset, *len, digest),
+        LogEntry::TxnBegin { id } => put_txn_marker(buf, true, *id),
+        LogEntry::TxnEnd { id } => put_txn_marker(buf, false, *id),
     }
 }
 
@@ -220,10 +286,9 @@ pub fn encode_entry(buf: &mut BytesMut, entry: &LogEntry) -> Result<()> {
 ///
 /// On error (an unrepresentable record) `buf` is left untouched.
 pub fn encode_group(buf: &mut BytesMut, entries: &[LogEntry]) -> Result<()> {
-    put_frame(buf, KIND_GROUP, |payload| {
-        payload.put_u32_le(entries.len() as u32);
-        entries.iter().try_for_each(|e| encode_entry(payload, e))
-    })
+    let group = open_group(buf, entries.len() as u32);
+    let filled = entries.iter().try_for_each(|e| encode_entry(buf, e));
+    close_frame(buf, group, filled)
 }
 
 /// Serialized size of an entry (header + payload + CRC). Errors on
@@ -280,26 +345,27 @@ pub enum LogTail {
 /// members do not parse exactly (bad inner frame, count mismatch) is
 /// reported as corrupt at the group's offset.
 pub fn parse_log(data: &[u8]) -> (Vec<LogEntry>, LogTail) {
-    parse_frames(data, false)
+    let mut entries = Vec::new();
+    let tail = parse_frames(data, false, &mut entries);
+    (entries, tail)
 }
 
-/// The frame walker behind [`parse_log`]. `inside_group` rejects
-/// group frames nested inside a group's payload: the encoder never
-/// produces them, and accepting them would let a crafted log drive
-/// unbounded parser recursion.
-fn parse_frames(data: &[u8], inside_group: bool) -> (Vec<LogEntry>, LogTail) {
-    let mut entries = Vec::new();
+/// The frame walker behind [`parse_log`], pushing what it parses
+/// onto `entries`. `inside_group` rejects group frames nested inside
+/// a group's payload: the encoder never produces them, and accepting
+/// them would let a crafted log drive unbounded parser recursion.
+fn parse_frames(data: &[u8], inside_group: bool, entries: &mut Vec<LogEntry>) -> LogTail {
     let mut at = 0usize;
     while at < data.len() {
         let remaining = data.len() - at;
         if remaining < 5 {
-            return (entries, LogTail::Truncated { at });
+            return LogTail::Truncated { at };
         }
         let kind = data[at];
         let len =
             u32::from_le_bytes([data[at + 1], data[at + 2], data[at + 3], data[at + 4]]) as usize;
         if remaining < 5 + len + 4 {
-            return (entries, LogTail::Truncated { at });
+            return LogTail::Truncated { at };
         }
         let payload = &data[at + 5..at + 5 + len];
         let stored_crc = u32::from_le_bytes([
@@ -308,16 +374,14 @@ fn parse_frames(data: &[u8], inside_group: bool) -> (Vec<LogEntry>, LogTail) {
             data[at + 5 + len + 2],
             data[at + 5 + len + 3],
         ]);
-        if frame_crc(kind, payload) != stored_crc {
-            return (entries, LogTail::Corrupt { at });
-        }
-        match decode_payload(kind, payload, inside_group, &mut entries) {
-            Ok(()) => {}
-            Err(_) => return (entries, LogTail::Corrupt { at }),
+        if frame_crc(kind, payload) != stored_crc
+            || decode_payload(kind, payload, inside_group, entries).is_err()
+        {
+            return LogTail::Corrupt { at };
         }
         at += 5 + len + 4;
     }
-    (entries, LogTail::Clean)
+    LogTail::Clean
 }
 
 /// Decodes one frame's payload, pushing its entry (or, for a group,
@@ -329,7 +393,8 @@ fn decode_payload(
     inside_group: bool,
     out: &mut Vec<LogEntry>,
 ) -> Result<()> {
-    let mut buf = Bytes::copy_from_slice(payload);
+    // The payload is parsed where it lies: the slice is its own cursor.
+    let mut buf = payload;
     match kind {
         KIND_PROV => {
             let subject = wire::get_object_ref(&mut buf)?;
@@ -344,7 +409,7 @@ fn decode_payload(
             let offset = buf.get_u64_le();
             let len = buf.get_u32_le();
             let mut digest = [0u8; 16];
-            digest.copy_from_slice(&buf.split_to(16));
+            digest.copy_from_slice(&buf[..16]);
             out.push(LogEntry::DataWrite {
                 subject,
                 offset,
@@ -376,14 +441,17 @@ fn decode_payload(
                 return Err(DpapiError::Malformed("short group header".into()));
             }
             let n = buf.get_u32_le() as usize;
-            let (members, tail) = parse_frames(&buf, true);
-            if tail != LogTail::Clean || members.len() != n {
+            // Members parse straight onto `out`; a group that does not
+            // parse exactly takes them all back off.
+            let first = out.len();
+            let tail = parse_frames(buf, true, out);
+            let members = out.len() - first;
+            if tail != LogTail::Clean || members != n {
+                out.truncate(first);
                 return Err(DpapiError::Malformed(format!(
-                    "group of {n} entries parsed to {} with tail {tail:?}",
-                    members.len()
+                    "group of {n} entries parsed to {members} with tail {tail:?}"
                 )));
             }
-            out.extend(members);
         }
         other => return Err(DpapiError::Malformed(format!("unknown log kind {other}"))),
     }
@@ -393,7 +461,7 @@ fn decode_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpapi::{Attribute, Pnode, Value, Version, VolumeId};
+    use dpapi::{Pnode, Version, VolumeId};
 
     fn subject(n: u64) -> ObjectRef {
         ObjectRef::new(Pnode::new(VolumeId(1), n), Version(2))

@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 use dpapi::{Attribute, ObjectRef, Value, Version};
 use sim_os::fs::{FileSystem, Ino};
 
-use crate::fs::ino_attribute;
+use crate::fs::INO_ATTRIBUTE;
 use crate::log::{parse_log, LogEntry, LogTail};
 use crate::md5::md5;
 
@@ -87,7 +87,7 @@ pub fn recover(lower: &mut dyn FileSystem, logs: &[Vec<u8>]) -> RecoveryReport {
         match e {
             LogEntry::Prov { subject, record } => {
                 report.max_pnode = report.max_pnode.max(subject.pnode.number);
-                if record.attribute == ino_attribute() {
+                if record.attribute == *INO_ATTRIBUTE {
                     if let Value::Int(ino) = record.value {
                         ino_of.insert(subject.pnode.number, Ino(ino as u64));
                     }

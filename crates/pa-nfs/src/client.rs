@@ -17,12 +17,11 @@
 //!   other state, making crash recovery on either side trivial.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use dpapi::{
-    Attribute, Bundle, Dpapi, DpapiError, Handle, ObjectRef, Pnode, ProvenanceRecord, ReadResult,
-    Value, Version, VolumeId, WriteResult,
+    Attribute, Bundle, Dpapi, DpapiError, Handle, IdMap, ObjectRef, Pnode, ProvenanceRecord,
+    ReadResult, Value, Version, VolumeId, WriteResult,
 };
 use sim_os::clock::Clock;
 use sim_os::cost::NetParams;
@@ -70,13 +69,15 @@ pub struct NfsClient {
     net: NetParams,
     volume: Option<VolumeId>,
     root: Ino,
-    handles: HashMap<u64, WireObj>,
-    handle_of_ino: HashMap<u64, Handle>,
+    // Keyed by handles this client mints and by inode and pnode
+    // numbers the server allocated: see `dpapi::IdHasher`.
+    handles: IdMap<u64, WireObj>,
+    handle_of_ino: IdMap<u64, Handle>,
     next_handle: u64,
     /// Client-side version cache: server version + local freezes.
-    versions: HashMap<u64, Version>,
-    pnode_of_ino: HashMap<u64, Pnode>,
-    app_versions: HashMap<Pnode, Version>,
+    versions: IdMap<u64, Version>,
+    pnode_of_ino: IdMap<u64, Pnode>,
+    app_versions: IdMap<Pnode, Version>,
     stats: ClientStats,
     scope: provscope::Scope,
 }
@@ -95,12 +96,12 @@ impl NfsClient {
             net,
             volume,
             root,
-            handles: HashMap::new(),
-            handle_of_ino: HashMap::new(),
+            handles: IdMap::default(),
+            handle_of_ino: IdMap::default(),
             next_handle: 1,
-            versions: HashMap::new(),
-            pnode_of_ino: HashMap::new(),
-            app_versions: HashMap::new(),
+            versions: IdMap::default(),
+            pnode_of_ino: IdMap::default(),
+            app_versions: IdMap::default(),
             stats: ClientStats::default(),
             scope: provscope::Scope::default(),
         }
@@ -162,13 +163,14 @@ impl NfsClient {
         h
     }
 
-    /// Translates a client-side bundle into wire records, noticing
-    /// freeze records so the local version cache stays correct.
-    fn bundle_to_wire(&mut self, bundle: &Bundle) -> dpapi::Result<Vec<WireRecord>> {
-        let mut out = Vec::new();
-        for (h, rec) in bundle.iter() {
+    /// Translates a client-side bundle into wire records — the
+    /// records move, only their addressing changes — noticing freeze
+    /// records so the local version cache stays correct.
+    fn bundle_to_wire(&mut self, bundle: Bundle) -> dpapi::Result<Vec<WireRecord>> {
+        let mut out = Vec::with_capacity(bundle.record_count());
+        for (h, record) in bundle.into_records() {
             let subject = self.resolve(h)?;
-            if rec.attribute == Attribute::Freeze {
+            if record.attribute == Attribute::Freeze {
                 match subject {
                     WireObj::File(ino) => {
                         let v = self.versions.entry(ino.0).or_insert(Version(0));
@@ -180,10 +182,7 @@ impl NfsClient {
                     }
                 }
             }
-            out.push(WireRecord {
-                subject,
-                record: rec.clone(),
-            });
+            out.push(WireRecord { subject, record });
         }
         Ok(out)
     }
@@ -215,7 +214,7 @@ impl NfsClient {
                     bundle,
                 } => {
                     let obj = self.resolve(handle).map_err(aborted)?;
-                    let records = self.bundle_to_wire(&bundle).map_err(aborted)?;
+                    let records = self.bundle_to_wire(bundle).map_err(aborted)?;
                     shapes.push(match obj {
                         WireObj::File(ino) => Shape::WroteFile(ino),
                         WireObj::App(_) => Shape::Other,
@@ -362,7 +361,7 @@ impl Dpapi for NfsClient {
         bundle: Bundle,
     ) -> dpapi::Result<WriteResult> {
         let subject = self.resolve(h)?;
-        let records = self.bundle_to_wire(&bundle)?;
+        let records = self.bundle_to_wire(bundle)?;
         let ino = match subject {
             WireObj::File(ino) => ino,
             WireObj::App(p) => {

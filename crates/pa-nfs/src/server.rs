@@ -7,10 +7,8 @@
 //! which works precisely because both speak the DPAPI and share one
 //! record representation).
 
-use std::collections::HashMap;
-
 use dpapi::{
-    Attribute, Bundle, DpapiError, OpResult, Pnode, ProvenanceRecord, Txn, Value, Version,
+    Attribute, Bundle, DpapiError, IdMap, OpResult, Pnode, ProvenanceRecord, Txn, Value, Version,
 };
 use lasagna::PASS_DIR;
 use passv2::analyzer::{CycleAvoidance, NodeId};
@@ -51,8 +49,10 @@ pub struct NfsServer {
     fs: Box<dyn FileSystem>,
     next_txn: u64,
     analyzer: CycleAvoidance,
-    nodes: HashMap<WireObj, NodeId>,
-    pnode_nodes: HashMap<Pnode, NodeId>,
+    // Keyed by inode and pnode numbers the export allocated: see
+    // `dpapi::IdHasher`.
+    nodes: IdMap<WireObj, NodeId>,
+    pnode_nodes: IdMap<Pnode, NodeId>,
     next_node: NodeId,
     stats: ServerStats,
     scope: provscope::Scope,
@@ -65,8 +65,8 @@ impl NfsServer {
             fs,
             next_txn: 1,
             analyzer: CycleAvoidance::new(),
-            nodes: HashMap::new(),
-            pnode_nodes: HashMap::new(),
+            nodes: IdMap::default(),
+            pnode_nodes: IdMap::default(),
             next_node: 1,
             stats: ServerStats::default(),
             scope: provscope::Scope::default(),

@@ -77,11 +77,21 @@ impl InotifyTable {
 
     /// Delivers `event` to every watch on `dir`.
     pub fn deliver(&mut self, dir: FileLoc, event: &InotifyEvent) {
-        for w in self.watches.values_mut() {
-            if w.dir == dir {
-                w.queue.push(event.clone());
-            }
+        self.deliver_with(dir, || event.clone());
+    }
+
+    /// Delivers the event `make` builds to every watch on `dir`, and
+    /// builds it (an event owns a `String`) only if there is one.
+    pub fn deliver_with(&mut self, dir: FileLoc, make: impl FnOnce() -> InotifyEvent) {
+        let mut watching = self.watches.values_mut().filter(|w| w.dir == dir);
+        let Some(first) = watching.next() else {
+            return;
+        };
+        let event = make();
+        for w in watching {
+            w.queue.push(event.clone());
         }
+        first.queue.push(event);
     }
 
     /// Drains pending events for `id`.

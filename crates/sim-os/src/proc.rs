@@ -1,6 +1,6 @@
 //! Processes and file descriptors.
 
-use std::collections::HashMap;
+use dpapi::IdMap;
 
 use crate::fs::Ino;
 
@@ -115,8 +115,9 @@ pub struct Process {
     pub argv: Vec<String>,
     /// Environment, set by `execve`.
     pub env: Vec<String>,
-    /// Open descriptors.
-    pub fds: HashMap<Fd, OpenFile>,
+    /// Open descriptors. Keyed by numbers the kernel hands out itself
+    /// (as is the process table): see [`dpapi::IdHasher`].
+    pub fds: IdMap<Fd, OpenFile>,
     /// Next descriptor number to hand out.
     next_fd: u32,
     /// Has the process exited?
@@ -131,7 +132,7 @@ impl Process {
             exe: exe.to_string(),
             argv: vec![exe.to_string()],
             env: Vec::new(),
-            fds: HashMap::new(),
+            fds: IdMap::default(),
             next_fd: 3, // 0..2 reserved, as on a real system
             exited: false,
         }
@@ -149,7 +150,7 @@ impl Process {
 /// The kernel's process table.
 #[derive(Debug, Default)]
 pub struct ProcessTable {
-    procs: HashMap<u32, Process>,
+    procs: IdMap<u32, Process>,
     next_pid: u32,
 }
 
@@ -157,7 +158,7 @@ impl ProcessTable {
     /// Creates an empty table; pids start at 1.
     pub fn new() -> ProcessTable {
         ProcessTable {
-            procs: HashMap::new(),
+            procs: IdMap::default(),
             next_pid: 1,
         }
     }

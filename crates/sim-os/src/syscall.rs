@@ -8,9 +8,7 @@
 //! module so that data and provenance flow together through the DPAPI
 //! of the backing volume.
 
-use std::collections::{HashMap, HashSet};
-
-use dpapi::{Bundle, Handle, Pnode, ReadResult, Version, VolumeId, WriteResult};
+use dpapi::{Bundle, Handle, IdMap, IdSet, Pnode, ReadResult, Version, VolumeId, WriteResult};
 
 use crate::clock::Clock;
 use crate::cost::CostModel;
@@ -108,8 +106,9 @@ pub struct Kernel {
     pipes: PipeTable,
     module: Option<ModuleRef>,
     inotify: InotifyTable,
-    open_counts: HashMap<FileLoc, u32>,
-    unlinked: HashSet<FileLoc>,
+    // Keyed by (mount index, inode number): see `dpapi::IdHasher`.
+    open_counts: IdMap<FileLoc, u32>,
+    unlinked: IdSet<FileLoc>,
     stats: KernelStats,
     scope: provscope::Scope,
 }
@@ -125,8 +124,8 @@ impl Kernel {
             pipes: PipeTable::new(),
             module: None,
             inotify: InotifyTable::new(),
-            open_counts: HashMap::new(),
-            unlinked: HashSet::new(),
+            open_counts: IdMap::default(),
+            unlinked: IdSet::default(),
             stats: KernelStats::default(),
             scope: provscope::Scope::default(),
         }
@@ -217,31 +216,29 @@ impl Kernel {
     // ---- path resolution -------------------------------------------------
 
     /// Finds the mount whose path is the longest prefix of `path` and
-    /// returns the residual path relative to that mount's root.
-    pub fn resolve_mount(&self, path: &str) -> FsResult<(MountId, String)> {
+    /// returns the residual path relative to that mount's root (a
+    /// slice of `path`).
+    pub fn resolve_mount<'p>(&self, path: &'p str) -> FsResult<(MountId, &'p str)> {
         if !path.starts_with('/') {
             return Err(FsError::Invalid(format!("path not absolute: {path}")));
         }
         let mut best: Option<(usize, usize)> = None; // (mount idx, prefix len)
         for (i, m) in self.mounts.iter().enumerate() {
-            let p = &m.path;
-            let matches = if p == "/" {
-                true
-            } else {
-                path == p || path.starts_with(&format!("{p}/"))
-            };
-            if matches {
-                let len = p.len();
-                if best.map(|(_, l)| len > l).unwrap_or(true) {
-                    best = Some((i, len));
-                }
+            let p = m.path.as_str();
+            // A mount point matches whole components only.
+            let matches = p == "/"
+                || path
+                    .strip_prefix(p)
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'));
+            if matches && best.is_none_or(|(_, l)| p.len() > l) {
+                best = Some((i, p.len()));
             }
         }
         let (idx, plen) = best.ok_or_else(|| FsError::NotFound(path.to_string()))?;
         let rest = if self.mounts[idx].path == "/" {
-            path[1..].to_string()
+            &path[1..]
         } else {
-            path[plen..].trim_start_matches('/').to_string()
+            path[plen..].trim_start_matches('/')
         };
         Ok((MountId(idx), rest))
     }
@@ -261,24 +258,22 @@ impl Kernel {
         Ok(dir)
     }
 
-    /// Resolves `path` to its parent directory and final component.
-    fn resolve_parent(&mut self, path: &str) -> FsResult<(MountId, Ino, String)> {
+    /// Resolves `path` to its parent directory and final component (a
+    /// slice of `path`).
+    fn resolve_parent<'p>(&mut self, path: &'p str) -> FsResult<(MountId, Ino, &'p str)> {
         let (m, rest) = self.resolve_mount(path)?;
         if rest.is_empty() {
             return Err(FsError::Invalid(format!("no final component in {path}")));
         }
-        let (dir_part, name) = match rest.rfind('/') {
-            Some(i) => (&rest[..i], &rest[i + 1..]),
-            None => ("", rest.as_str()),
-        };
+        let (dir_part, name) = rest.rsplit_once('/').unwrap_or(("", rest));
         let dir = self.walk_dir(m, dir_part)?;
-        Ok((m, dir, name.to_string()))
+        Ok((m, dir, name))
     }
 
     /// Resolves `path` to a file location.
     pub fn resolve_file(&mut self, path: &str) -> FsResult<FileLoc> {
         let (m, rest) = self.resolve_mount(path)?;
-        let ino = self.walk_dir(m, &rest)?;
+        let ino = self.walk_dir(m, rest)?;
         Ok(FileLoc { mount: m, ino })
     }
 
@@ -319,12 +314,12 @@ impl Kernel {
             .fork(parent)
             .ok_or_else(|| FsError::Invalid(format!("fork of dead {parent}")))?;
         // Duplicate pipe references and open counts.
-        let fds: Vec<OpenFile> = self
+        for f in self
             .procs
             .get(child)
-            .map(|p| p.fds.values().cloned().collect())
-            .unwrap_or_default();
-        for f in fds {
+            .into_iter()
+            .flat_map(|p| p.fds.values())
+        {
             match f.target {
                 FdTarget::Pipe { id, end } => self.pipes.add_ref(id, end == PipeEnd::Write),
                 FdTarget::File(loc) => *self.open_counts.entry(loc).or_insert(0) += 1,
@@ -365,8 +360,6 @@ impl Kernel {
             p.argv = argv.to_vec();
             p.env = env.to_vec();
         }
-        let argv = argv.to_vec();
-        let env = env.to_vec();
         self.with_module(|m, ctx| {
             m.on_execve(
                 ctx,
@@ -375,8 +368,8 @@ impl Kernel {
                     path,
                     loc,
                     identity,
-                    argv: &argv,
-                    env: &env,
+                    argv,
+                    env,
                 },
             )
         });
@@ -386,12 +379,17 @@ impl Kernel {
     /// `exit(2)`: closes all descriptors and retires the process.
     pub fn exit(&mut self, pid: Pid) {
         self.charge_syscall();
-        let open: Vec<(Fd, OpenFile)> = self
+        // Lowest descriptor first, as a kernel walks its fd table: the
+        // order decides the order of close-write events, close-to-open
+        // flushes and `drop_inode` hooks, which must not depend on
+        // where a hash table happened to put each descriptor.
+        let mut open: Vec<Fd> = self
             .procs
             .get(pid)
-            .map(|p| p.fds.iter().map(|(fd, o)| (*fd, o.clone())).collect())
+            .map(|p| p.fds.keys().copied().collect())
             .unwrap_or_default();
-        for (fd, _) in open {
+        open.sort_unstable();
+        for fd in open {
             let _ = self.close(pid, fd);
         }
         self.procs.exit(pid);
@@ -408,14 +406,14 @@ impl Kernel {
         self.barrier();
         let (m, dir, name) = self.resolve_parent(path)?;
         let fs = &mut *self.mounts[m.0].fs;
-        let (ino, created) = match fs.lookup(dir, &name) {
+        let (ino, created) = match fs.lookup(dir, name) {
             Ok(ino) => {
                 if flags.truncate {
                     fs.truncate(ino, 0)?;
                 }
                 (ino, false)
             }
-            Err(FsError::NotFound(_)) if flags.create => (fs.create(dir, &name)?, true),
+            Err(FsError::NotFound(_)) if flags.create => (fs.create(dir, name)?, true),
             Err(e) => return Err(e),
         };
         let loc = FileLoc { mount: m, ino };
@@ -431,7 +429,7 @@ impl Kernel {
             append: flags.append,
             path: path.to_string(),
             parent: Some(parent),
-            name: name.clone(),
+            name: name.to_string(),
             wrote: false,
             readable: flags.read,
             writable: flags.write,
@@ -443,18 +441,19 @@ impl Kernel {
             .alloc_fd(open);
         *self.open_counts.entry(loc).or_insert(0) += 1;
         if created {
-            self.inotify
-                .deliver(parent, &InotifyEvent::Created { name, loc });
+            self.inotify.deliver_with(parent, || InotifyEvent::Created {
+                name: name.to_string(),
+                loc,
+            });
         }
         self.with_module(|m, ctx| m.on_open(ctx, pid, loc, path, created));
         Ok(fd)
     }
 
-    fn get_open(&self, pid: Pid, fd: Fd) -> FsResult<OpenFile> {
+    fn get_open(&self, pid: Pid, fd: Fd) -> FsResult<&OpenFile> {
         self.procs
             .get(pid)
             .and_then(|p| p.fds.get(&fd))
-            .cloned()
             .ok_or_else(|| FsError::Invalid(format!("bad fd {fd:?} for {pid}")))
     }
 
@@ -482,13 +481,11 @@ impl Kernel {
                     self.barrier();
                     let _ = self.mounts[loc.mount.0].fs.close_hint(loc.ino);
                     if let Some(parent) = open.parent {
-                        self.inotify.deliver(
-                            parent,
-                            &InotifyEvent::CloseWrite {
+                        self.inotify
+                            .deliver_with(parent, || InotifyEvent::CloseWrite {
                                 name: open.name.clone(),
                                 loc,
-                            },
-                        );
+                            });
                     }
                 }
                 let count = self.open_counts.entry(loc).or_insert(1);
@@ -512,9 +509,9 @@ impl Kernel {
         if !open.readable {
             return Err(FsError::Invalid("fd not open for reading".into()));
         }
+        let offset = open.offset;
         match open.target {
             FdTarget::File(loc) => {
-                let offset = open.offset;
                 let data = match self.module.clone() {
                     Some(m) => {
                         let mut ctx = HookCtx {
@@ -553,15 +550,16 @@ impl Kernel {
         if !open.writable {
             return Err(FsError::Invalid("fd not open for writing".into()));
         }
+        let (append, offset) = (open.append, open.offset);
         match open.target {
             FdTarget::File(loc) => {
-                let offset = if open.append {
+                let offset = if append {
                     // The append offset is the file size *including*
                     // any deferred writes — flush them first.
                     self.barrier();
                     self.mounts[loc.mount.0].fs.getattr(loc.ino)?.size
                 } else {
-                    open.offset
+                    offset
                 };
                 let n = match self.module.clone() {
                     Some(m) => {
@@ -650,8 +648,7 @@ impl Kernel {
     /// `mmap(2)` (provenance-relevant aspects only).
     pub fn mmap(&mut self, pid: Pid, fd: Fd, writable: bool) -> FsResult<()> {
         self.charge_syscall();
-        let open = self.get_open(pid, fd)?;
-        match open.target {
+        match self.get_open(pid, fd)?.target {
             FdTarget::File(loc) => {
                 self.with_module(|m, ctx| m.on_mmap(ctx, pid, loc, writable));
                 Ok(())
@@ -667,7 +664,7 @@ impl Kernel {
         self.charge_syscall();
         let _ = pid;
         let (m, dir, name) = self.resolve_parent(path)?;
-        self.mounts[m.0].fs.mkdir(dir, &name)
+        self.mounts[m.0].fs.mkdir(dir, name)
     }
 
     /// Creates every missing directory along `path`.
@@ -691,13 +688,13 @@ impl Kernel {
     pub fn unlink(&mut self, pid: Pid, path: &str) -> FsResult<()> {
         self.charge_syscall();
         let (m, dir, name) = self.resolve_parent(path)?;
-        let ino = self.mounts[m.0].fs.lookup(dir, &name)?;
+        let ino = self.mounts[m.0].fs.lookup(dir, name)?;
         let loc = FileLoc { mount: m, ino };
-        self.mounts[m.0].fs.unlink(dir, &name)?;
-        self.inotify.deliver(
-            FileLoc { mount: m, ino: dir },
-            &InotifyEvent::Removed { name: name.clone() },
-        );
+        self.mounts[m.0].fs.unlink(dir, name)?;
+        self.inotify
+            .deliver_with(FileLoc { mount: m, ino: dir }, || InotifyEvent::Removed {
+                name: name.to_string(),
+            });
         self.with_module(|mo, ctx| mo.on_unlink(ctx, pid, loc, path));
         if self.open_counts.get(&loc).copied().unwrap_or(0) == 0 {
             self.with_module(|mo, ctx| mo.on_drop_inode(ctx, loc));
@@ -715,20 +712,18 @@ impl Kernel {
         if m1 != m2 {
             return Err(FsError::Invalid("cross-mount rename".into()));
         }
-        let ino = self.mounts[m1.0].fs.lookup(d1, &n1)?;
+        let ino = self.mounts[m1.0].fs.lookup(d1, n1)?;
         let loc = FileLoc { mount: m1, ino };
-        self.mounts[m1.0].fs.rename(d1, &n1, d2, &n2)?;
-        self.inotify.deliver(
-            FileLoc { mount: m1, ino: d1 },
-            &InotifyEvent::Removed { name: n1.clone() },
-        );
-        self.inotify.deliver(
-            FileLoc { mount: m2, ino: d2 },
-            &InotifyEvent::Created {
-                name: n2.clone(),
+        self.mounts[m1.0].fs.rename(d1, n1, d2, n2)?;
+        self.inotify
+            .deliver_with(FileLoc { mount: m1, ino: d1 }, || InotifyEvent::Removed {
+                name: n1.to_string(),
+            });
+        self.inotify
+            .deliver_with(FileLoc { mount: m2, ino: d2 }, || InotifyEvent::Created {
+                name: n2.to_string(),
                 loc,
-            },
-        );
+            });
         self.with_module(|mo, ctx| mo.on_rename(ctx, pid, loc, from, to));
         Ok(())
     }
@@ -746,8 +741,7 @@ impl Kernel {
     pub fn fsync(&mut self, pid: Pid, fd: Fd) -> FsResult<()> {
         self.charge_syscall();
         self.barrier();
-        let open = self.get_open(pid, fd)?;
-        match open.target {
+        match self.get_open(pid, fd)?.target {
             FdTarget::File(loc) => self.mounts[loc.mount.0].fs.fsync(loc.ino),
             FdTarget::Pipe { .. } => Ok(()),
         }
@@ -920,8 +914,7 @@ impl Kernel {
     /// A user-level DPAPI handle for an open file descriptor.
     pub fn pass_handle_for_fd(&mut self, pid: Pid, fd: Fd) -> FsResult<Handle> {
         self.charge_syscall();
-        let open = self.get_open(pid, fd)?;
-        let loc = match open.target {
+        let loc = match self.get_open(pid, fd)?.target {
             FdTarget::File(loc) => loc,
             FdTarget::Pipe { .. } => {
                 return Err(FsError::Invalid("no DPAPI handle for pipes".into()));
@@ -1106,6 +1099,36 @@ mod tests {
         let _ = rfd;
         k.exit(child);
         assert_eq!(k.procs.live_count(), 0);
+    }
+
+    /// A process exiting with written files open closes them lowest
+    /// descriptor first, so close-write events (and the close-to-open
+    /// flushes and `drop_inode` hooks issued beside them) come in one
+    /// order, not in whatever order a hash table iterates.
+    #[test]
+    fn exit_closes_descriptors_in_ascending_fd_order() {
+        let (mut k, pid) = kernel();
+        k.mkdir_p(pid, "/w").unwrap();
+        let watch = k.inotify_watch("/w").unwrap();
+        let child = k.fork(pid).unwrap();
+        let names: Vec<String> = (0..8).map(|i| format!("f{i}")).collect();
+        for name in &names {
+            let fd = k
+                .open(child, &format!("/w/{name}"), OpenFlags::WRONLY_CREATE)
+                .unwrap();
+            k.write(child, fd, b"x").unwrap();
+        }
+        assert_eq!(k.inotify_poll(watch).len(), 8, "eight files created");
+        k.exit(child);
+        let closed: Vec<String> = k
+            .inotify_poll(watch)
+            .into_iter()
+            .map(|e| match e {
+                InotifyEvent::CloseWrite { name, .. } => name,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(closed, names, "descriptors were opened in this order");
     }
 
     #[test]
