@@ -4,16 +4,16 @@
 //! transaction synchronously.
 //!
 //! `pipeline_invariants` runs before any timing (in `BENCH_QUICK` CI
-//! mode too): at submit depth >= 8 the pipelined path must beat the
-//! synchronous path by >= 1.5x on both RPC count and wire bytes, the
-//! resulting provenance store must be **byte-equal** to the
-//! synchronous one (`Store::segment_images` after ingesting the
-//! drained logs), and the queue's peak occupancy must respect the
-//! configured budget — coalescing must not mean unbounded memory.
-//!
-//! The measured sweep writes `BENCH_pipeline_ingest.json` at the
-//! repository root: throughput and per-transaction virtual latency
-//! versus coalescing depth at batch 1 / 8 / 32.
+//! mode too) and is what CI runs this bench for: at submit depth >= 8
+//! the pipelined path must beat the synchronous path by >= 1.5x on both
+//! RPC count and wire bytes, the resulting provenance store must be
+//! **byte-equal** to the synchronous one (`Store::segment_images` after
+//! ingesting the drained logs), and the queue's peak occupancy must
+//! respect the configured budget — coalescing must not mean unbounded
+//! memory.
+//! The virtual-time sweep over coalescing depth is recorded in
+//! EXPERIMENTS.md; the wall-clock figure is the ledger's
+//! `nfs_pipelined`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpapi::{Attribute, Bundle, Dpapi, ProvenanceRecord, Value, VolumeId};
@@ -23,28 +23,25 @@ use sim_os::cost::CostModel;
 use sim_os::fs::{DpapiVolume, FileSystem};
 use sluice::{BackpressurePolicy, ClientId, Sluice, SluiceConfig};
 use std::hint::black_box;
-use std::time::Instant;
 use waldo::WaldoConfig;
 
 struct Rig {
     server: std::rc::Rc<std::cell::RefCell<pa_nfs::NfsServer>>,
     client: pa_nfs::NfsClient,
     ino: sim_os::fs::Ino,
-    clock: Clock,
 }
 
 fn setup() -> Rig {
     let clock = Clock::new();
     let model = CostModel::default();
     let server = pa_nfs::pa_server(clock.clone(), model, VolumeId(5));
-    let mut client = pa_nfs::client(&server, clock.clone(), model);
+    let mut client = pa_nfs::client(&server, clock, model);
     let root = client.root();
     let ino = client.create(root, "target").unwrap();
     Rig {
         server,
         client,
         ino,
-        clock,
     }
 }
 
@@ -85,30 +82,19 @@ fn store_images(rig: &Rig) -> Vec<Vec<u8>> {
 struct RunCost {
     rpcs: u64,
     wire_bytes: u64,
-    wall_s: f64,
-    /// Virtual nanoseconds elapsed during the run (cost-model time).
-    virtual_ns: u64,
-    /// Mean submit-to-completion virtual latency, pipelined runs only.
-    mean_latency_ns: f64,
 }
 
 fn sync_run(n: usize) -> (RunCost, Vec<Vec<u8>>) {
     let mut rig = setup();
     let base = rig.client.stats();
-    let t0 = rig.clock.now();
-    let w0 = Instant::now();
     for i in 0..n {
         let txn = event_txn(&mut rig.client, rig.ino, i);
         rig.client.pass_commit(txn).unwrap();
     }
-    let wall_s = w0.elapsed().as_secs_f64();
     let s = rig.client.stats();
     let cost = RunCost {
         rpcs: s.rpcs - base.rpcs,
         wire_bytes: (s.bytes_sent + s.bytes_received) - (base.bytes_sent + base.bytes_received),
-        wall_s,
-        virtual_ns: rig.clock.now() - t0,
-        mean_latency_ns: 0.0,
     };
     let images = store_images(&rig);
     (cost, images)
@@ -122,18 +108,13 @@ fn pipelined_run(n: usize, coalesce: usize, queue_budget: usize) -> (RunCost, Ve
         policy: BackpressurePolicy::Block,
         ..SluiceConfig::default()
     });
-    let clock = rig.clock.clone();
-    pipe.set_now(move || clock.now());
     let base = rig.client.stats();
-    let t0 = rig.clock.now();
-    let w0 = Instant::now();
     let mut tickets = Vec::with_capacity(n);
     for i in 0..n {
         let txn = event_txn(&mut rig.client, rig.ino, i);
         tickets.push(pipe.submit(&mut rig.client, ClientId(1), txn).unwrap());
     }
     pipe.drain(&mut rig.client);
-    let wall_s = w0.elapsed().as_secs_f64();
     for t in tickets {
         pipe.take(t).expect("resolved").expect("committed");
     }
@@ -141,9 +122,6 @@ fn pipelined_run(n: usize, coalesce: usize, queue_budget: usize) -> (RunCost, Ve
     let cost = RunCost {
         rpcs: s.rpcs - base.rpcs,
         wire_bytes: (s.bytes_sent + s.bytes_received) - (base.bytes_sent + base.bytes_received),
-        wall_s,
-        virtual_ns: rig.clock.now() - t0,
-        mean_latency_ns: pipe.latency().mean(),
     };
     let mut reg = Registry::new();
     pipe.export_metrics("sluice.", &mut reg);
@@ -195,59 +173,8 @@ fn pipeline_invariants() {
     );
 }
 
-/// The measured sweep: throughput and latency versus coalescing depth,
-/// written to `BENCH_pipeline_ingest.json` at the repository root.
-fn sweep_and_write_json() {
-    let quick = std::env::var_os("BENCH_QUICK").is_some();
-    let (n, runs) = if quick { (96, 1) } else { (384, 3) };
-    let (sync, _) = sync_run(n);
-    let mut rows = Vec::new();
-    for depth in [1usize, 8, 32] {
-        // Best-of-N wall clock to shed scheduler noise; virtual time
-        // and RPC counts are deterministic across repeats.
-        let (cost, _, peak_ops) = (0..runs)
-            .map(|_| pipelined_run(n, depth, depth.max(8) * 2))
-            .min_by(|a, b| a.0.wall_s.total_cmp(&b.0.wall_s))
-            .expect("at least one run");
-        let vthroughput = n as f64 / (cost.virtual_ns as f64 / 1e9);
-        println!(
-            "pipeline_ingest/sweep: depth {depth}: {} rpcs, {:.0} txns/s \
-             (virtual), mean latency {:.0} ns (virtual), peak queue {peak_ops} ops",
-            cost.rpcs, vthroughput, cost.mean_latency_ns
-        );
-        rows.push(format!(
-            "{{\"batch\": {depth}, \"txns\": {n}, \"rpcs\": {}, \
-             \"wire_bytes\": {}, \"virtual_ns\": {}, \
-             \"virtual_txns_per_s\": {vthroughput:.1}, \
-             \"mean_latency_ns\": {:.1}, \"wall_s\": {:.6}, \
-             \"queue_peak_ops\": {peak_ops}}}",
-            cost.rpcs, cost.wire_bytes, cost.virtual_ns, cost.mean_latency_ns, cost.wall_s
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"pipeline_ingest\",\n  \"txns\": {n},\n  \
-         \"baseline\": {{\"mode\": \"synchronous\", \"rpcs\": {}, \
-         \"wire_bytes\": {}, \"virtual_ns\": {}, \"wall_s\": {:.6}}},\n  \
-         \"pipelined\": [{}],\n  \
-         \"gates\": {{\"rpc_amortization\": 1.5, \"wire_amortization\": 1.5, \
-         \"byte_equality\": true, \"bounded_queue\": true}}\n}}\n",
-        sync.rpcs,
-        sync.wire_bytes,
-        sync.virtual_ns,
-        sync.wall_s,
-        rows.join(", "),
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_pipeline_ingest.json"
-    );
-    std::fs::write(path, &json).expect("write BENCH_pipeline_ingest.json");
-    println!("  wrote {path}");
-}
-
 fn bench_pipeline(c: &mut Criterion) {
     pipeline_invariants();
-    sweep_and_write_json();
 
     let mut group = c.benchmark_group("pipeline_ingest");
     for depth in [1usize, 8, 32] {

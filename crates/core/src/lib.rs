@@ -27,5 +27,5 @@ pub mod system;
 
 pub use analyzer::{AnalyzerStats, CycleAvoidance, DepOutcome, GlobalGraph, NodeId, V1Outcome};
 pub use libpass::LibPass;
-pub use module::{ObjKey, ObserverBatchConfig, Pass, PassStats};
+pub use module::{ObjKey, Pass, PassStats};
 pub use system::{ClusterRestartError, System, SystemBuilder};

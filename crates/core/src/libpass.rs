@@ -14,7 +14,7 @@
 //! per call, with no change to applications that don't.
 
 use dpapi::{Bundle, Dpapi, Handle, OpResult, ProvenanceRecord, ReadResult, Txn, WriteResult};
-use sim_os::proc::{Fd, Pid};
+use sim_os::proc::Pid;
 use sim_os::syscall::Kernel;
 
 /// The user-level DPAPI endpoint for one process.
@@ -37,16 +37,6 @@ impl<'k> LibPass<'k> {
     /// Access to the kernel for interleaved ordinary syscalls.
     pub fn kernel(&mut self) -> &mut Kernel {
         self.kernel
-    }
-
-    /// Obtains a DPAPI handle for a file the process has open, so the
-    /// application can `pass_write` data and provenance together to
-    /// it (the "replace `write` with `pass_write`" guideline of
-    /// §6.5).
-    pub fn handle_for_fd(&mut self, fd: Fd) -> dpapi::Result<Handle> {
-        self.kernel
-            .pass_handle_for_fd(self.pid, fd)
-            .map_err(dpapi::DpapiError::from)
     }
 
     /// Convenience: disclose records about one object.

@@ -84,14 +84,6 @@ pub struct PassStats {
     pub txn_commits: u64,
     /// Operations carried by those transactions.
     pub txn_ops: u64,
-    /// Intercepted writes deferred into an observer-side burst instead
-    /// of issuing an immediate `pass_write`.
-    pub observer_batched_ops: u64,
-    /// Observer-side bursts flushed as a single volume transaction.
-    pub observer_batches: u64,
-    /// Burst flushes whose volume commit failed (data already
-    /// acknowledged to the writer; counted, never silently dropped).
-    pub observer_flush_failures: u64,
 }
 
 impl provscope::MetricSource for PassStats {
@@ -102,58 +94,7 @@ impl provscope::MetricSource for PassStats {
         out("dpapi_calls", self.dpapi_calls);
         out("txn_commits", self.txn_commits);
         out("txn_ops", self.txn_ops);
-        out("observer_batched_ops", self.observer_batched_ops);
-        out("observer_batches", self.observer_batches);
-        out("observer_flush_failures", self.observer_flush_failures);
     }
-}
-
-/// Observer-side batching policy: aggregate a process's write burst —
-/// consecutive intercepted writes by one process to one PASS file that
-/// the analyzer classifies as freeze-free duplicates — into a single
-/// volume transaction instead of one `pass_write` RPC per syscall.
-///
-/// Only *pure continuations* are deferred: the first write of a burst
-/// (which carries the freeze record, the ancestry flush and the input
-/// edge) always goes out synchronously, so deferral never reorders
-/// provenance records, only coalesces data writes that would each have
-/// carried an empty bundle. Any observation that could expose the
-/// deferred state — a read, a stat, an fsync, a rename, a directory
-/// listing, a user-level DPAPI call, a log rotation — flushes the
-/// burst first (the kernel's visibility barrier calls
-/// [`PassModule::on_barrier`]); within one `(pid, file)` burst the
-/// volume log order is therefore identical to the synchronous path,
-/// which is what makes the batched store byte-equal to the unbatched
-/// one.
-///
-/// Note that `O_APPEND`-style writes cannot batch: the kernel must
-/// resolve the append offset from the file size, which is itself a
-/// visibility barrier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ObserverBatchConfig {
-    /// Flush the pending burst once it holds this many deferred writes.
-    pub max_ops: usize,
-    /// ... or this many deferred data bytes, whichever comes first.
-    pub max_bytes: usize,
-}
-
-impl Default for ObserverBatchConfig {
-    fn default() -> Self {
-        ObserverBatchConfig {
-            max_ops: 8,
-            max_bytes: 256 * 1024,
-        }
-    }
-}
-
-/// A process's in-flight write burst: deferred `Write` ops for one
-/// `(pid, file)` pair, flushed as one volume `pass_commit`.
-struct PendingBurst {
-    pid: Pid,
-    loc: FileLoc,
-    vol: VolumeId,
-    txn: Txn,
-    bytes: usize,
 }
 
 /// The working sets of [`Inner::flush_nodes`], kept between calls so
@@ -182,12 +123,6 @@ struct Inner {
     flush_scratch: FlushScratch,
     stats: PassStats,
     scope: provscope::Scope,
-    /// Observer-side batching policy; `None` means every intercepted
-    /// write discloses synchronously (the historical behavior).
-    observer_batch: Option<ObserverBatchConfig>,
-    /// The single in-flight write burst (at most one: a write by any
-    /// other `(pid, file)` pair flushes it first).
-    burst: Option<PendingBurst>,
 }
 
 /// The PASSv2 provenance module.
@@ -217,8 +152,6 @@ impl Pass {
                 flush_scratch: FlushScratch::default(),
                 stats: PassStats::default(),
                 scope: provscope::Scope::default(),
-                observer_batch: None,
-                burst: None,
             }),
         }
     }
@@ -240,13 +173,6 @@ impl Pass {
         self.inner.borrow_mut().exempt.insert(pid);
     }
 
-    /// Enables (`Some`) or disables (`None`) observer-side write
-    /// batching. Disabling takes effect for subsequent writes; a burst
-    /// already pending flushes at the next visibility barrier.
-    pub fn set_observer_batch(&self, cfg: Option<ObserverBatchConfig>) {
-        self.inner.borrow_mut().observer_batch = cfg;
-    }
-
     /// Module statistics.
     pub fn stats(&self) -> PassStats {
         self.inner.borrow().stats
@@ -255,12 +181,6 @@ impl Pass {
     /// Analyzer statistics (dedup/freeze counters).
     pub fn analyzer_stats(&self) -> crate::analyzer::AnalyzerStats {
         self.inner.borrow().analyzer.stats()
-    }
-
-    /// The provenance identity of a tracked pnode's node, if any
-    /// (test/inspection helper).
-    pub fn node_of_pnode(&self, p: Pnode) -> Option<NodeId> {
-        self.inner.borrow().pnode_to_node.get(&p).copied()
     }
 }
 
@@ -497,24 +417,6 @@ impl Inner {
     ) -> FsResult<WriteResult> {
         let file_node = self.node_for_file(ctx, loc);
         let out = self.analyzer.add_dependency(file_node, source);
-        self.apply_observed_write(ctx, source, file_node, out, loc, offset, data, extra)
-    }
-
-    /// The volume half of [`provenanced_write`], with the analyzer
-    /// outcome already computed (so the batching path can inspect it
-    /// before deciding whether to defer).
-    #[allow(clippy::too_many_arguments)]
-    fn apply_observed_write(
-        &mut self,
-        ctx: &mut HookCtx<'_>,
-        source: NodeId,
-        file_node: NodeId,
-        out: crate::analyzer::DepOutcome,
-        loc: FileLoc,
-        offset: u64,
-        data: &[u8],
-        extra: Bundle,
-    ) -> FsResult<WriteResult> {
         let volume = ctx.volume_of(loc.mount);
         match volume {
             Some(vol_id) => {
@@ -569,95 +471,6 @@ impl Inner {
                         Version(self.analyzer.version(file_node)),
                     ),
                 })
-            }
-        }
-    }
-
-    /// The intercepted-write path with observer-side batching: defers
-    /// pure continuations (analyzer says duplicate, no freeze — so the
-    /// synchronous path would issue `pass_write` with an empty bundle)
-    /// into the pending burst; everything else flushes the burst and
-    /// falls back to the synchronous path, preserving volume log
-    /// order.
-    fn observed_write(
-        &mut self,
-        ctx: &mut HookCtx<'_>,
-        pid: Pid,
-        loc: FileLoc,
-        offset: u64,
-        data: &[u8],
-    ) -> FsResult<usize> {
-        let source = self.node_for_proc(pid);
-        let Some(cfg) = self.observer_batch else {
-            return Ok(self
-                .provenanced_write(ctx, source, loc, offset, data, Bundle::new())?
-                .written);
-        };
-        // Callers flushed any burst for a different (pid, file) before
-        // per-op work; here the burst, if any, is ours — node_for_file
-        // cannot log a fresh INO identity out of order.
-        let file_node = self.node_for_file(ctx, loc);
-        let out = self.analyzer.add_dependency(file_node, source);
-        let pure = out.duplicate && out.frozen.is_none();
-        let handle = match (pure, ctx.volume_of(loc.mount)) {
-            (true, Some(vol)) => ctx
-                .dpapi(loc.mount)
-                .and_then(|v| v.handle_for_ino(loc.ino).ok())
-                .map(|h| (vol, h)),
-            _ => None,
-        };
-        match handle {
-            Some((vol, h)) => {
-                let burst = self.burst.get_or_insert_with(|| PendingBurst {
-                    pid,
-                    loc,
-                    vol,
-                    txn: Txn::new(),
-                    bytes: 0,
-                });
-                burst.txn.write(h, offset, data.to_vec(), Bundle::new());
-                burst.bytes += data.len();
-                self.stats.observer_batched_ops += 1;
-                if burst.txn.len() >= cfg.max_ops || burst.bytes >= cfg.max_bytes {
-                    self.flush_pending(ctx);
-                }
-                Ok(data.len())
-            }
-            None => {
-                // A freeze or a fresh ancestry flush must not overtake
-                // the data writes already queued for this file.
-                self.flush_pending(ctx);
-                Ok(self
-                    .apply_observed_write(ctx, source, file_node, out, loc, offset, data, {
-                        Bundle::new()
-                    })?
-                    .written)
-            }
-        }
-    }
-
-    /// Commits the pending burst (if any) as one volume transaction.
-    /// Every observation point that could expose the deferred state
-    /// calls this before doing its own work.
-    fn flush_pending(&mut self, ctx: &mut HookCtx<'_>) {
-        let Some(burst) = self.burst.take() else {
-            return;
-        };
-        match ctx.find_volume(burst.vol) {
-            Some(v) => match v.pass_commit(burst.txn) {
-                Ok(_) => self.stats.observer_batches += 1,
-                Err(_) => self.stats.observer_flush_failures += 1,
-            },
-            None => self.stats.observer_flush_failures += 1,
-        }
-    }
-
-    /// Flushes the pending burst unless it belongs to exactly this
-    /// `(pid, file)` pair — the intercepted-write preamble.
-    fn flush_pending_if_other(&mut self, ctx: &mut HookCtx<'_>, pid: Pid, loc: FileLoc) {
-        if let Some(b) = &self.burst {
-            if b.pid != pid || b.loc != loc {
-                self.flush_pending(ctx);
             }
         }
     }
@@ -1080,7 +893,6 @@ impl PassModule for Pass {
         if inner.exempt.contains(&pid) {
             return;
         }
-        inner.flush_pending(ctx);
         let p = inner.node_for_proc(pid);
         inner.cache_record(
             p,
@@ -1117,7 +929,6 @@ impl PassModule for Pass {
         if inner.exempt.remove(&pid) {
             return;
         }
-        inner.flush_pending(ctx);
         let Some(&node) = inner.nodes.get(&ObjKey::Proc(pid)) else {
             return;
         };
@@ -1144,7 +955,6 @@ impl PassModule for Pass {
         if inner.exempt.contains(&pid) {
             return;
         }
-        inner.flush_pending(ctx);
         let node = inner.node_for_file(ctx, loc);
         // Cache the name; it rides the next flush that reaches this
         // node (its own first write, or a reader's materialization).
@@ -1166,14 +976,10 @@ impl PassModule for Pass {
         offset: u64,
         len: usize,
     ) -> FsResult<Vec<u8>> {
-        // Exempt readers (the Waldo daemon tailing the log) observe
-        // eventually-consistent state and deliberately do not force a
-        // burst flush; everyone else is a visibility barrier.
-        if self.inner.borrow().exempt.contains(&pid) {
+        let mut inner = self.inner.borrow_mut();
+        if inner.exempt.contains(&pid) {
             return ctx.fs(loc.mount).read(loc.ino, offset, len);
         }
-        let mut inner = self.inner.borrow_mut();
-        inner.flush_pending(ctx);
         Ok(inner.provenanced_read(ctx, pid, loc, offset, len)?.data)
     }
 
@@ -1186,17 +992,13 @@ impl PassModule for Pass {
         data: &[u8],
     ) -> FsResult<usize> {
         let mut inner = self.inner.borrow_mut();
-        // Before ANY per-op work: a write by a different (pid, file)
-        // ends the burst. This precedes the exempt check because
-        // exempt writes still append log entries (Lasagna logs data
-        // writes on PASS volumes regardless of who writes), and it
-        // precedes node_for_file because binding a fresh file logs its
-        // INO identity — both must stay ordered after the burst.
-        inner.flush_pending_if_other(ctx, pid, loc);
         if inner.exempt.contains(&pid) {
             return ctx.fs(loc.mount).write(loc.ino, offset, data);
         }
-        inner.observed_write(ctx, pid, loc, offset, data)
+        let source = inner.node_for_proc(pid);
+        Ok(inner
+            .provenanced_write(ctx, source, loc, offset, data, Bundle::new())?
+            .written)
     }
 
     fn on_pipe_read(&self, _ctx: &mut HookCtx<'_>, pid: Pid, pipe: u64, _len: usize) {
@@ -1230,7 +1032,6 @@ impl PassModule for Pass {
         if inner.exempt.contains(&pid) {
             return;
         }
-        inner.flush_pending(ctx);
         let file_node = inner.node_for_file(ctx, loc);
         let proc_node = inner.node_for_proc(pid);
         let out = inner.analyzer.add_dependency(proc_node, file_node);
@@ -1253,7 +1054,6 @@ impl PassModule for Pass {
         if inner.exempt.contains(&pid) {
             return;
         }
-        inner.flush_pending(ctx);
         let node = inner.node_for_file(ctx, loc);
         // Record the new name; provenance already follows the pnode.
         inner.cache_record(node, Attribute::Name, CachedValue::Plain(Value::str(to)));
@@ -1274,11 +1074,8 @@ impl PassModule for Pass {
         }
     }
 
-    fn on_drop_inode(&self, ctx: &mut HookCtx<'_>, loc: FileLoc) {
+    fn on_drop_inode(&self, _ctx: &mut HookCtx<'_>, loc: FileLoc) {
         let mut inner = self.inner.borrow_mut();
-        // Deferred writes target the inode being dropped; land them
-        // while its volume handle is still valid.
-        inner.flush_pending(ctx);
         let Some(&node) = inner.nodes.get(&ObjKey::File(loc)) else {
             return;
         };
@@ -1287,12 +1084,6 @@ impl PassModule for Pass {
         // objects.
         inner.analyzer.forget(node);
         inner.nodes.remove(&ObjKey::File(loc));
-    }
-
-    fn on_barrier(&self, ctx: &mut HookCtx<'_>) {
-        // The kernel is about to expose state a deferred write would
-        // falsify (size, data, log contents): make it true first.
-        self.inner.borrow_mut().flush_pending(ctx);
     }
 }
 
@@ -1305,7 +1096,6 @@ impl ProvenanceKernel for Pass {
     ) -> dpapi::Result<Handle> {
         let mut inner = self.inner.borrow_mut();
         inner.stats.dpapi_calls += 1;
-        inner.flush_pending(ctx);
         inner.mkobj_for(ctx, volume)
     }
 
@@ -1318,7 +1108,6 @@ impl ProvenanceKernel for Pass {
     ) -> dpapi::Result<Handle> {
         let mut inner = self.inner.borrow_mut();
         inner.stats.dpapi_calls += 1;
-        inner.flush_pending(ctx);
         inner.revive_for(ctx, pnode, version)
     }
 
@@ -1332,7 +1121,6 @@ impl ProvenanceKernel for Pass {
     ) -> dpapi::Result<ReadResult> {
         let mut inner = self.inner.borrow_mut();
         inner.stats.dpapi_calls += 1;
-        inner.flush_pending(ctx);
         let node = inner.resolve_uhandle(h)?;
         if let Some(loc) = inner.info.get(&node).and_then(|i| i.pass_file) {
             return inner
@@ -1358,7 +1146,6 @@ impl ProvenanceKernel for Pass {
     ) -> dpapi::Result<WriteResult> {
         let mut inner = self.inner.borrow_mut();
         inner.stats.dpapi_calls += 1;
-        inner.flush_pending(ctx);
         let subject = inner.resolve_uhandle(h)?;
         let proc_node = inner.node_for_proc(pid);
 
@@ -1408,7 +1195,6 @@ impl ProvenanceKernel for Pass {
     fn dp_freeze(&self, ctx: &mut HookCtx<'_>, _pid: Pid, h: Handle) -> dpapi::Result<Version> {
         let mut inner = self.inner.borrow_mut();
         inner.stats.dpapi_calls += 1;
-        inner.flush_pending(ctx);
         let node = inner.resolve_uhandle(h)?;
         let new_version = inner.analyzer.freeze(node);
         // Mirror the freeze at the volume if the object lives there.
@@ -1434,7 +1220,6 @@ impl ProvenanceKernel for Pass {
     fn dp_sync(&self, ctx: &mut HookCtx<'_>, _pid: Pid, h: Handle) -> dpapi::Result<()> {
         let mut inner = self.inner.borrow_mut();
         inner.stats.dpapi_calls += 1;
-        inner.flush_pending(ctx);
         let node = inner.resolve_uhandle(h)?;
         let home = inner
             .info
@@ -1473,7 +1258,6 @@ impl ProvenanceKernel for Pass {
     ) -> dpapi::Result<Handle> {
         let mut inner = self.inner.borrow_mut();
         inner.stats.dpapi_calls += 1;
-        inner.flush_pending(ctx);
         let node = inner.node_for_file(ctx, loc);
         Ok(inner.new_uhandle(node))
     }
@@ -1527,7 +1311,6 @@ impl Pass {
         let n_ops = ops.len() as u64;
         let mut inner = self.inner.borrow_mut();
         inner.stats.dpapi_calls += 1;
-        inner.flush_pending(ctx);
         if ops.is_empty() {
             return Ok(Vec::new());
         }

@@ -14,13 +14,13 @@ use dpapi::VolumeId;
 use lasagna::{Lasagna, LasagnaConfig};
 use sim_os::clock::Clock;
 use sim_os::cost::CostModel;
-use sim_os::fs::basefs::{BaseFs, BaseFsConfig};
+use sim_os::fs::basefs::BaseFs;
 use sim_os::proc::{MountId, Pid};
 use sim_os::syscall::Kernel;
 use waldo::cluster::route_volume;
 use waldo::{Cluster, RestartError, Waldo, WaldoConfig};
 
-use crate::module::{ObserverBatchConfig, Pass};
+use crate::module::Pass;
 
 /// Why [`System::try_restart_cluster`] could not bring the fleet
 /// back: the member that failed (so an operator can repair exactly
@@ -70,11 +70,9 @@ pub struct System {
 pub struct SystemBuilder {
     model: CostModel,
     clock: Clock,
-    base_cfg: BaseFsConfig,
     mounts: Vec<(String, Option<VolumeId>)>,
     provenance_enabled: bool,
     waldo_cfg: WaldoConfig,
-    observer_batch: Option<ObserverBatchConfig>,
     recorder: Option<provscope::RecorderConfig>,
 }
 
@@ -84,11 +82,9 @@ impl SystemBuilder {
         SystemBuilder {
             model,
             clock: Clock::new(),
-            base_cfg: BaseFsConfig::default(),
             mounts: Vec::new(),
             provenance_enabled: true,
             waldo_cfg: WaldoConfig::default(),
-            observer_batch: None,
             recorder: None,
         }
     }
@@ -101,22 +97,6 @@ impl SystemBuilder {
     /// every span for the life of the scope.
     pub fn flight_recorder(mut self, cfg: provscope::RecorderConfig) -> Self {
         self.recorder = Some(cfg);
-        self
-    }
-
-    /// Enables observer-side write batching: the module aggregates a
-    /// process's pure write bursts into one volume transaction instead
-    /// of a `pass_write` per intercepted write. The batched store is
-    /// byte-equal to the unbatched one (see
-    /// [`ObserverBatchConfig`]); only the RPC count changes.
-    pub fn observer_batch(mut self, cfg: ObserverBatchConfig) -> Self {
-        self.observer_batch = Some(cfg);
-        self
-    }
-
-    /// Overrides the base file-system configuration.
-    pub fn base_config(mut self, cfg: BaseFsConfig) -> Self {
-        self.base_cfg = cfg;
         self
     }
 
@@ -154,7 +134,7 @@ impl SystemBuilder {
         for (path, vol) in self.mounts {
             match vol {
                 Some(v) if self.provenance_enabled => {
-                    let base = BaseFs::with_config(self.clock.clone(), self.model, self.base_cfg);
+                    let base = BaseFs::new(self.clock.clone(), self.model);
                     let fs = Lasagna::new(
                         Box::new(base),
                         self.clock.clone(),
@@ -166,13 +146,12 @@ impl SystemBuilder {
                     volumes.push((path, m, v));
                 }
                 _ => {
-                    let base = BaseFs::with_config(self.clock.clone(), self.model, self.base_cfg);
+                    let base = BaseFs::new(self.clock.clone(), self.model);
                     kernel.mount(&path, Box::new(base));
                 }
             }
         }
         let pass = Pass::new_shared();
-        pass.set_observer_batch(self.observer_batch);
         if self.provenance_enabled {
             kernel.install_module(pass.clone());
         }
@@ -355,9 +334,6 @@ impl System {
     /// all pending provenance, then returns the rotated log paths per
     /// mount, absolute.
     pub fn rotate_all_logs(&mut self) -> Vec<(MountId, Vec<String>)> {
-        // Visibility barrier: land any observer-side write burst in
-        // the logs before sealing them.
-        self.kernel.barrier();
         let mut out = Vec::new();
         for (path, m, _) in &self.volumes {
             if let Some(d) = self.kernel.dpapi_at(*m) {

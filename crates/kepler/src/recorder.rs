@@ -233,133 +233,6 @@ impl Recorder for DpapiRecorder {
     }
 }
 
-/// [`DpapiRecorder`] through the async disclosure front door: message
-/// and file events — the per-edge chatter a busy workflow generates —
-/// are submitted into an internal [`sluice::Sluice`] as
-/// fire-and-forget transactions and coalesce into group frames;
-/// `workflow_finished` submits the durability syncs and drains the
-/// pipeline to empty, so by the time the director returns the
-/// provenance is exactly what the synchronous recorder would have
-/// disclosed.
-///
-/// Operator objects are still created synchronously at
-/// `workflow_started` (their handles and identities are needed
-/// immediately), and `file_read` still reads the file identity
-/// synchronously.
-pub struct PipelinedDpapiRecorder {
-    handles: Vec<Handle>,
-    /// Identities of the operator objects (exposed for tests).
-    pub identities: Vec<dpapi::ObjectRef>,
-    pipe: sluice::Sluice,
-    client: sluice::ClientId,
-}
-
-impl Default for PipelinedDpapiRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PipelinedDpapiRecorder {
-    /// A pipelined recorder with the default sluice configuration.
-    pub fn new() -> Self {
-        Self::with_pipe(sluice::Sluice::new(sluice::SluiceConfig::default()))
-    }
-
-    /// A pipelined recorder over a caller-configured sluice (queue
-    /// bounds, coalescing window, backpressure policy).
-    pub fn with_pipe(pipe: sluice::Sluice) -> Self {
-        PipelinedDpapiRecorder {
-            handles: Vec::new(),
-            identities: Vec::new(),
-            pipe,
-            client: sluice::ClientId(0),
-        }
-    }
-
-    /// Pipeline statistics (frames, coalesced ops, rejections).
-    pub fn pipe_stats(&self) -> sluice::SluiceStats {
-        self.pipe.stats()
-    }
-
-    fn identity(&self, op: usize) -> Option<dpapi::ObjectRef> {
-        self.identities.get(op).copied()
-    }
-
-    fn submit(&mut self, kernel: &mut Kernel, pid: Pid, txn: dpapi::Txn) {
-        let mut layer = passv2::LibPass::new(kernel, pid);
-        // Fire-and-forget: completion results are dropped, exactly as
-        // the synchronous recorder ignores its pass_write results.
-        let _ = self
-            .pipe
-            .submit_with(&mut layer, self.client, txn, Box::new(|_, _| {}));
-    }
-}
-
-impl Recorder for PipelinedDpapiRecorder {
-    fn workflow_started(&mut self, kernel: &mut Kernel, pid: Pid, wf: &Workflow) {
-        // Same two synchronous commits as DpapiRecorder: handles and
-        // identities must exist before any event references them.
-        let mut sync = DpapiRecorder::new();
-        sync.workflow_started(kernel, pid, wf);
-        self.handles = std::mem::take(&mut sync.handles);
-        self.identities = std::mem::take(&mut sync.identities);
-    }
-
-    fn message(&mut self, kernel: &mut Kernel, pid: Pid, from: usize, to: usize) {
-        let (Some(&to_h), Some(from_id)) = (self.handles.get(to), self.identity(from)) else {
-            return;
-        };
-        let bundle = Bundle::single(to_h, ProvenanceRecord::input(from_id));
-        let mut txn = dpapi::Txn::new();
-        txn.write(to_h, 0, Vec::new(), bundle);
-        self.submit(kernel, pid, txn);
-    }
-
-    fn file_read(&mut self, kernel: &mut Kernel, pid: Pid, op: usize, fd: Fd, _path: &str) {
-        let Some(&op_h) = self.handles.get(op) else {
-            return;
-        };
-        let Ok(file_h) = kernel.pass_handle_for_fd(pid, fd) else {
-            return;
-        };
-        let Ok(r) = kernel.pass_read(pid, file_h, 0, 0) else {
-            return;
-        };
-        let bundle = Bundle::single(op_h, ProvenanceRecord::input(r.identity));
-        let mut txn = dpapi::Txn::new();
-        txn.write(op_h, 0, Vec::new(), bundle);
-        self.submit(kernel, pid, txn);
-    }
-
-    fn file_written(&mut self, kernel: &mut Kernel, pid: Pid, op: usize, fd: Fd, _path: &str) {
-        let Some(op_id) = self.identity(op) else {
-            return;
-        };
-        let Ok(file_h) = kernel.pass_handle_for_fd(pid, fd) else {
-            return;
-        };
-        let bundle = Bundle::single(file_h, ProvenanceRecord::input(op_id));
-        let mut txn = dpapi::Txn::new();
-        txn.write(file_h, 0, Vec::new(), bundle);
-        self.submit(kernel, pid, txn);
-    }
-
-    fn workflow_finished(&mut self, kernel: &mut Kernel, pid: Pid, _wf: &Workflow) {
-        let mut txn = dpapi::Txn::new();
-        for &h in &self.handles {
-            txn.sync(h);
-        }
-        let mut layer = passv2::LibPass::new(kernel, pid);
-        if let Ok(t) = self.pipe.submit(&mut layer, self.client, txn) {
-            // FIFO: waiting on the last ticket drains everything
-            // submitted before it.
-            let _ = self.pipe.wait(&mut layer, t);
-        }
-        self.pipe.drain(&mut layer);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -135,6 +135,10 @@ pub struct LasagnaStats {
     /// Flushes of the log buffer the lower file system failed (or cut
     /// short). The buffer is kept and written again by the next flush.
     pub log_write_failures: u64,
+    /// Handles open on the volume now: one per file or application
+    /// object ever addressed and not yet closed. A level, not a count
+    /// of events, so it is not poured into a registry as a counter.
+    pub open_handles: u64,
 }
 
 impl provscope::MetricSource for LasagnaStats {
@@ -173,6 +177,9 @@ pub struct Lasagna {
 
     handles: IdMap<u64, Obj>,
     handle_of_ino: IdMap<u64, Handle>,
+    /// The handle `pass_reviveobj` gave out for an application object,
+    /// by pnode number: reviving it again returns the same handle.
+    handle_of_pnode: IdMap<u64, Handle>,
     next_handle: u64,
 
     log_dir: Ino,
@@ -222,6 +229,7 @@ impl Lasagna {
             app_objects: IdMap::default(),
             handles: IdMap::default(),
             handle_of_ino: IdMap::default(),
+            handle_of_pnode: IdMap::default(),
             next_handle: 1,
             log_dir,
             log_file,
@@ -239,7 +247,10 @@ impl Lasagna {
 
     /// Volume statistics.
     pub fn stats(&self) -> LasagnaStats {
-        self.stats
+        LasagnaStats {
+            open_handles: self.handles.len() as u64,
+            ..self.stats
+        }
     }
 
     /// Read access to the lower file system (tests, recovery).
@@ -654,7 +665,12 @@ impl Lasagna {
                     if *version > *cur {
                         return Err(DpapiError::UnknownVersion(*pnode, *version));
                     }
-                    return Ok(OpResult::Revived(self.new_handle(Obj::App(*pnode))));
+                    if let Some(h) = self.handle_of_pnode.get(&pnode.number) {
+                        return Ok(OpResult::Revived(*h));
+                    }
+                    let h = self.new_handle(Obj::App(*pnode));
+                    self.handle_of_pnode.insert(pnode.number, h);
+                    return Ok(OpResult::Revived(h));
                 }
                 if let Some(ino) = self.ino_of_pnode.get(&pnode.number).copied() {
                     return Ok(OpResult::Revived(self.new_handle(Obj::File(ino))));
@@ -821,10 +837,12 @@ impl Dpapi for Lasagna {
     fn pass_close(&mut self, h: Handle) -> dpapi::Result<()> {
         let obj = self.resolve(h)?;
         self.handles.remove(&h.raw());
-        if let Obj::File(ino) = obj {
-            if self.handle_of_ino.get(&ino.0) == Some(&h) {
-                self.handle_of_ino.remove(&ino.0);
-            }
+        let (memo, key) = match obj {
+            Obj::File(ino) => (&mut self.handle_of_ino, ino.0),
+            Obj::App(p) => (&mut self.handle_of_pnode, p.number),
+        };
+        if memo.get(&key) == Some(&h) {
+            memo.remove(&key);
         }
         Ok(())
     }

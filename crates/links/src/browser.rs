@@ -229,87 +229,6 @@ impl Session {
         Ok(w.identity)
     }
 
-    /// [`Session::download`] through the async disclosure front door:
-    /// the same visits-plus-write transaction is submitted into `pipe`
-    /// instead of committing synchronously, so a burst of downloads
-    /// coalesces into group frames. Returns the completion ticket;
-    /// resolve it with [`Session::resolve_download`] (or any
-    /// `Sluice::wait`) once the burst is submitted.
-    ///
-    /// History is recorded at admission: a rejected submit
-    /// (backpressure or quota) leaves the session untouched and the
-    /// transaction retriable verbatim.
-    pub fn download_pipelined(
-        &mut self,
-        kernel: &mut Kernel,
-        pipe: &mut sluice::Sluice,
-        client: sluice::ClientId,
-        web: &SimWeb,
-        url: &str,
-        dest: &str,
-    ) -> Result<sluice::Ticket, BrowserError> {
-        let fetched = web.fetch(url);
-        let Fetched::Ok {
-            url: final_url,
-            content,
-            chain,
-        } = fetched
-        else {
-            return Err(BrowserError::NotFound(url.into()));
-        };
-        let fd = kernel
-            .open(self.pid, dest, OpenFlags::WRONLY_CREATE)
-            .map_err(sys)?;
-        let file_h = kernel.pass_handle_for_fd(self.pid, fd).map_err(sys)?;
-        let mut txn = dpapi::Txn::new();
-        let mut visits = Bundle::new();
-        for u in &chain {
-            visits.push(
-                self.handle,
-                ProvenanceRecord::new(Attribute::VisitedUrl, Value::str(u)),
-            );
-        }
-        if !visits.is_empty() {
-            txn.disclose(self.handle, visits);
-        }
-        let mut bundle = Bundle::new();
-        bundle.push(file_h, ProvenanceRecord::input(self.identity));
-        bundle.push(
-            file_h,
-            ProvenanceRecord::new(Attribute::FileUrl, Value::str(&final_url)),
-        );
-        if let Some(cur) = &self.current_url {
-            bundle.push(
-                file_h,
-                ProvenanceRecord::new(Attribute::CurrentUrl, Value::str(cur)),
-            );
-        }
-        txn.write(file_h, 0, content, bundle);
-        let mut layer = passv2::LibPass::new(kernel, self.pid);
-        let ticket = pipe.submit(&mut layer, client, txn).map_err(sys)?;
-        self.history.extend(chain);
-        kernel.close(self.pid, fd).map_err(sys)?;
-        Ok(ticket)
-    }
-
-    /// Blocks on a [`Session::download_pipelined`] ticket and returns
-    /// the downloaded file's identity (the last op of the submitted
-    /// transaction is always its data write).
-    pub fn resolve_download(
-        &self,
-        kernel: &mut Kernel,
-        pipe: &mut sluice::Sluice,
-        ticket: sluice::Ticket,
-    ) -> Result<ObjectRef, BrowserError> {
-        let mut layer = passv2::LibPass::new(kernel, self.pid);
-        let results = pipe.wait(&mut layer, ticket).map_err(sys)?;
-        results
-            .last()
-            .and_then(dpapi::OpResult::as_written)
-            .map(|w| w.identity)
-            .ok_or_else(|| BrowserError::Sys("mismatched commit results".into()))
-    }
-
     /// Ensures the session's provenance is durable even if nothing
     /// was downloaded (e.g. browsing-only sessions).
     pub fn sync(&self, kernel: &mut Kernel) -> Result<(), BrowserError> {

@@ -4,16 +4,21 @@
 //! op's index.
 
 use dpapi::{
-    Attribute, Bundle, Dpapi, DpapiError, Pnode, ProvenanceRecord, Value, Version, VolumeId,
+    Attribute, Bundle, Dpapi, DpapiError, Handle, ObjectRef, OpResult, Pnode, ProvenanceRecord,
+    ReadResult, Value, Version, VolumeId,
 };
-use lasagna::LogEntry;
+use lasagna::{Lasagna, LasagnaConfig, LogEntry};
 use sim_os::clock::Clock;
 use sim_os::cost::CostModel;
-use sim_os::fs::{DpapiVolume, FileSystem};
+use sim_os::fs::basefs::BaseFs;
+use sim_os::fs::{DirEntry, DpapiVolume, FileAttr, FileSystem, FsResult, FsUsage, Ino};
 
-type ServerRc = std::rc::Rc<std::cell::RefCell<pa_nfs::NfsServer>>;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-fn setup(volume: u32) -> (pa_nfs::NfsClient, sim_os::fs::Ino, ServerRc) {
+type ServerRc = Rc<RefCell<pa_nfs::NfsServer>>;
+
+fn setup(volume: u32) -> (pa_nfs::NfsClient, Ino, ServerRc) {
     let clock = Clock::new();
     let model = CostModel::default();
     let server = pa_nfs::pa_server(clock.clone(), model, VolumeId(volume));
@@ -159,4 +164,109 @@ fn batched_mkobj_and_revive_roundtrip() {
     let revived = results[0].as_handle().expect("revive handle");
     let id2 = client.pass_read(revived, 0, 0).unwrap().identity;
     assert_eq!(id.pnode, id2.pnode);
+}
+
+/// A Lasagna export the test keeps a second reference to: the server
+/// boxes its file system away, and the open-handle count is a field of
+/// the concrete volume's stats.
+struct SharedExport(Rc<RefCell<Lasagna>>);
+
+impl FileSystem for SharedExport {
+    fn root(&self) -> Ino {
+        self.0.borrow().root()
+    }
+    fn lookup(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+        self.0.borrow_mut().lookup(dir, name)
+    }
+    fn create(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+        self.0.borrow_mut().create(dir, name)
+    }
+    fn mkdir(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+        self.0.borrow_mut().mkdir(dir, name)
+    }
+    fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()> {
+        self.0.borrow_mut().unlink(dir, name)
+    }
+    fn rename(&mut self, from: Ino, name: &str, to: Ino, to_name: &str) -> FsResult<()> {
+        self.0.borrow_mut().rename(from, name, to, to_name)
+    }
+    fn read(&mut self, ino: Ino, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+        self.0.borrow_mut().read(ino, offset, len)
+    }
+    fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+        self.0.borrow_mut().write(ino, offset, data)
+    }
+    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
+        self.0.borrow_mut().truncate(ino, size)
+    }
+    fn getattr(&mut self, ino: Ino) -> FsResult<FileAttr> {
+        self.0.borrow_mut().getattr(ino)
+    }
+    fn readdir(&mut self, dir: Ino) -> FsResult<Vec<DirEntry>> {
+        self.0.borrow_mut().readdir(dir)
+    }
+    fn sync(&mut self) -> FsResult<()> {
+        self.0.borrow_mut().sync()
+    }
+    fn usage(&self) -> FsUsage {
+        self.0.borrow().usage()
+    }
+    fn as_dpapi(&mut self) -> Option<&mut dyn DpapiVolume> {
+        Some(self)
+    }
+}
+
+impl Dpapi for SharedExport {
+    fn pass_read(&mut self, h: Handle, offset: u64, len: usize) -> dpapi::Result<ReadResult> {
+        self.0.borrow_mut().pass_read(h, offset, len)
+    }
+    fn pass_commit(&mut self, txn: dpapi::Txn) -> dpapi::Result<Vec<OpResult>> {
+        self.0.borrow_mut().pass_commit(txn)
+    }
+    fn pass_close(&mut self, h: Handle) -> dpapi::Result<()> {
+        self.0.borrow_mut().pass_close(h)
+    }
+}
+
+impl DpapiVolume for SharedExport {
+    fn volume(&self) -> VolumeId {
+        self.0.borrow().volume()
+    }
+    fn handle_for_ino(&mut self, ino: Ino) -> dpapi::Result<Handle> {
+        self.0.borrow_mut().handle_for_ino(ino)
+    }
+    fn identity_of_ino(&mut self, ino: Ino) -> dpapi::Result<ObjectRef> {
+        self.0.borrow_mut().identity_of_ino(ino)
+    }
+}
+
+#[test]
+fn describing_one_app_object_again_opens_no_more_export_handles() {
+    let (clock, model) = (Clock::new(), CostModel::default());
+    let export = Lasagna::new(
+        Box::new(BaseFs::new(clock.clone(), model)),
+        clock.clone(),
+        model,
+        LasagnaConfig::new(VolumeId(6)),
+    )
+    .unwrap();
+    let export = Rc::new(RefCell::new(export));
+    let server = Rc::new(RefCell::new(pa_nfs::NfsServer::new(Box::new(
+        SharedExport(export.clone()),
+    ))));
+    let mut client = pa_nfs::client(&server, clock, model);
+    let session = client.pass_mkobj(None).unwrap();
+    // Each commit names the object twice on the wire: as the target of
+    // its write and as the subject of the record the write carries.
+    let mut describe = |i: usize| {
+        let mut txn = dpapi::Txn::new();
+        txn.disclose(session, Bundle::single(session, record(i)));
+        client.pass_commit(txn).unwrap();
+    };
+    describe(0);
+    let after_one = export.borrow().stats().open_handles;
+    for i in 1..=16 {
+        describe(i);
+    }
+    assert_eq!(export.borrow().stats().open_handles, after_one);
 }

@@ -139,9 +139,6 @@ pub struct Interp {
     steps: u64,
     /// Wrapped invocations performed, in order.
     pub invocations: Vec<Invocation>,
-    /// When set, invocation disclosures go through the async front
-    /// door instead of committing synchronously.
-    pipe: Option<(sluice::Sluice, sluice::ClientId)>,
 }
 
 impl Interp {
@@ -155,31 +152,6 @@ impl Interp {
             step_limit: 10_000_000,
             steps: 0,
             invocations: Vec::new(),
-            pipe: None,
-        }
-    }
-
-    /// Routes invocation disclosures through a [`sluice::Sluice`]: a
-    /// call-heavy program submits each invocation's records-plus-sync
-    /// transaction into the pipeline, where consecutive invocations
-    /// coalesce into group frames. [`Interp::run`] drains before
-    /// returning, so the disclosed provenance is identical to the
-    /// synchronous interpreter's. Identities stay immediate: the
-    /// invocation object's pnode is allocated eagerly by `pass_mkobj`.
-    pub fn enable_pipelining(&mut self, pipe: sluice::Sluice) {
-        self.pipe = Some((pipe, sluice::ClientId(0)));
-    }
-
-    /// Pipeline statistics, if pipelining is enabled.
-    pub fn pipe_stats(&self) -> Option<sluice::SluiceStats> {
-        self.pipe.as_ref().map(|(p, _)| p.stats())
-    }
-
-    /// Flushes any queued invocation disclosures to completion.
-    pub fn drain_pipeline(&mut self, kernel: &mut Kernel) {
-        if let Some((pipe, _)) = self.pipe.as_mut() {
-            let mut layer = passv2::LibPass::new(kernel, self.pid);
-            pipe.drain(&mut layer);
         }
     }
 
@@ -196,31 +168,12 @@ impl Interp {
         let prog = parse(src)?;
         let mut scope = HashMap::new();
         for stmt in &prog {
-            match self.exec(kernel, stmt, &mut scope) {
-                Ok(Flow::Return(v)) => {
-                    self.drain_pipeline(kernel);
-                    return Ok(v);
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    self.drain_pipeline(kernel);
-                    return Err(e);
-                }
+            if let Flow::Return(v) = self.exec(kernel, stmt, &mut scope)? {
+                return Ok(v);
             }
         }
         self.globals.extend(scope);
-        self.drain_pipeline(kernel);
         Ok(PValue::none())
-    }
-
-    /// Calls a defined function by name (e.g. from a host test).
-    pub fn call_function(
-        &mut self,
-        kernel: &mut Kernel,
-        name: &str,
-        args: Vec<PValue>,
-    ) -> Result<PValue, PyError> {
-        self.call(kernel, name, args)
     }
 
     fn tick(&mut self) -> Result<(), PyError> {
@@ -471,17 +424,7 @@ impl Interp {
         // syscall instead of two).
         let mut txn = dpapi::Txn::new();
         txn.disclose(h, bundle).sync(h);
-        match self.pipe.as_mut() {
-            Some((pipe, client)) => {
-                let client = *client;
-                let mut layer = passv2::LibPass::new(kernel, self.pid);
-                pipe.submit_with(&mut layer, client, txn, Box::new(|_, _| {}))
-                    .ok()?;
-            }
-            None => {
-                kernel.pass_commit(self.pid, txn).ok()?;
-            }
-        }
+        kernel.pass_commit(self.pid, txn).ok()?;
         let identity = kernel.pass_read(self.pid, h, 0, 0).ok()?.identity;
         let inv = Invocation {
             name: name.to_string(),

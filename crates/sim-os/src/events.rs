@@ -3,8 +3,8 @@
 //! PASSv2's interceptor is "a thin operating system specific layer"
 //! (paper §5.3); in this simulation it is the [`PassModule`] trait.
 //! The kernel invokes the module at each system call it intercepts
-//! (`execve`, `fork`, `exit`, `read`, `readv`, `write`, `writev`,
-//! `mmap`, `open`, `pipe` and the kernel operation `drop_inode`), and
+//! (`execve`, `fork`, `exit`, `read`, `write`, `mmap`, `open`, `pipe`
+//! and the kernel operation `drop_inode`), and
 //! *delegates* the data path of reads and writes so the module can
 //! route them through the DPAPI of the backing volume — keeping data
 //! and provenance together.
@@ -191,16 +191,6 @@ pub trait PassModule {
     /// The kernel dropped the last reference to an inode.
     fn on_drop_inode(&self, ctx: &mut HookCtx<'_>, loc: FileLoc) {
         let _ = (ctx, loc);
-    }
-
-    /// A visibility barrier: the kernel is about to expose file or
-    /// directory state to an observer (`stat`, `readdir`, `fsync`,
-    /// `sync`, an `open` or `execve` path lookup). A module that
-    /// defers work — e.g. batching a burst of observed writes into
-    /// one transaction — must make everything it holds back visible
-    /// before returning.
-    fn on_barrier(&self, ctx: &mut HookCtx<'_>) {
-        let _ = ctx;
     }
 }
 

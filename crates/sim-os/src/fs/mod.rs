@@ -9,7 +9,7 @@ pub mod basefs;
 
 use std::fmt;
 
-use dpapi::{Bundle, Handle, ObjectRef, Pnode, ReadResult, Version, VolumeId, WriteResult};
+use dpapi::{Bundle, Handle, ObjectRef, VolumeId, WriteResult};
 
 /// An inode number within one file system.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -201,7 +201,7 @@ pub trait FileSystem {
 /// the kernel needs: translating inodes to DPAPI handles and asking
 /// for the identity of a file without reading it.
 pub trait DpapiVolume: dpapi::Dpapi {
-    /// The volume's identity, as used inside [`Pnode`]s.
+    /// The volume's identity, as used inside [`dpapi::Pnode`]s.
     fn volume(&self) -> VolumeId;
 
     /// Returns a DPAPI handle for an existing file inode.
@@ -234,51 +234,6 @@ pub trait DpapiVolume: dpapi::Dpapi {
     /// their commit spans in it (and bind the window to the batch
     /// ids they allocate); the default is to ignore tracing.
     fn set_scope(&mut self, _scope: provscope::Scope) {}
-}
-
-/// Convenience: a provenance-aware read through the volume trait.
-///
-/// Provided as a free function so callers holding a `&mut dyn
-/// DpapiVolume` can read by inode without first materializing a
-/// handle.
-pub fn pass_read_ino(
-    vol: &mut dyn DpapiVolume,
-    ino: Ino,
-    offset: u64,
-    len: usize,
-) -> dpapi::Result<ReadResult> {
-    let h = vol.handle_for_ino(ino)?;
-    vol.pass_read(h, offset, len)
-}
-
-/// Convenience: a provenance-aware write through the volume trait.
-pub fn pass_write_ino(
-    vol: &mut dyn DpapiVolume,
-    ino: Ino,
-    offset: u64,
-    data: &[u8],
-    bundle: Bundle,
-) -> dpapi::Result<WriteResult> {
-    let h = vol.handle_for_ino(ino)?;
-    vol.pass_write(h, offset, data, bundle)
-}
-
-/// Convenience: freeze by inode.
-pub fn pass_freeze_ino(vol: &mut dyn DpapiVolume, ino: Ino) -> dpapi::Result<Version> {
-    let h = vol.handle_for_ino(ino)?;
-    vol.pass_freeze(h)
-}
-
-/// Identifies a revivable object for [`dpapi::Dpapi::pass_reviveobj`]
-/// bookkeeping at upper layers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RevivedObject {
-    /// The object's pnode.
-    pub pnode: Pnode,
-    /// The version at which it was revived.
-    pub version: Version,
-    /// The fresh handle.
-    pub handle: Handle,
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! The kernel: mounts, processes, system calls and hook dispatch.
 //!
 //! The kernel intercepts exactly the calls PASSv2's interceptor
-//! handles — `execve`, `fork`, `exit`, `read`, `readv`, `write`,
-//! `writev`, `mmap`, `open`, `pipe` and the kernel operation
-//! `drop_inode` — and reports them to the installed provenance module
-//! (if any). Reads and writes of regular files are *delegated* to the
-//! module so that data and provenance flow together through the DPAPI
-//! of the backing volume.
+//! handles — `execve`, `fork`, `exit`, `read`, `write`, `mmap`,
+//! `open`, `pipe` and the kernel operation `drop_inode` (the paper's
+//! `readv` and `writev` are a `read` or `write` per vector here) — and
+//! reports them to the installed provenance module (if any). Reads and
+//! writes of regular files are *delegated* to the module so that data
+//! and provenance flow together through the DPAPI of the backing
+//! volume.
 
 use dpapi::{Bundle, Handle, IdMap, IdSet, Pnode, ReadResult, Version, VolumeId, WriteResult};
 
@@ -187,11 +188,6 @@ impl Kernel {
         MountId(self.mounts.len() - 1)
     }
 
-    /// Direct access to a mounted file system (for tests and tools).
-    pub fn fs_at(&mut self, m: MountId) -> &mut dyn FileSystem {
-        &mut *self.mounts[m.0].fs
-    }
-
     /// The DPAPI of the volume mounted at `m`, if provenance-aware.
     pub fn dpapi_at(&mut self, m: MountId) -> Option<&mut dyn DpapiVolume> {
         self.mounts[m.0].fs.as_dpapi()
@@ -288,15 +284,11 @@ impl Kernel {
         Some(f(&m, &mut ctx))
     }
 
-    /// A visibility barrier: forces the module to make any deferred
-    /// work (e.g. a batched burst of observed writes) visible. The
-    /// kernel runs this wherever file or directory state becomes
-    /// observable without going through the module's own hooks —
-    /// `stat`, `fsync`, `readdir`, `sync`, and the state reads at the
-    /// top of `open`, `execve` and append-mode `write`.
-    pub fn barrier(&mut self) {
-        self.with_module(|m, ctx| m.on_barrier(ctx));
-    }
+    /// Does nothing: the module discloses every intercepted write
+    /// synchronously, so nothing defers work a barrier would have to
+    /// land. Kept only because the frozen `ledger/src/rig.rs` calls
+    /// it; it goes with the next `[benchmark]` PR.
+    pub fn barrier(&mut self) {}
 
     // ---- process lifecycle -----------------------------------------------
 
@@ -338,8 +330,6 @@ impl Kernel {
         env: &[String],
     ) -> FsResult<()> {
         self.charge_syscall();
-        // The image read below must see every deferred write.
-        self.barrier();
         let loc = self.resolve_file(path).ok();
         // Loading the image costs a read of the binary (up to 256 KB).
         let mut identity = None;
@@ -401,9 +391,6 @@ impl Kernel {
     /// `open(2)`.
     pub fn open(&mut self, pid: Pid, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         self.charge_syscall();
-        // The lookup, O_TRUNC truncate and O_APPEND size read below
-        // must see every deferred write.
-        self.barrier();
         let (m, dir, name) = self.resolve_parent(path)?;
         let fs = &mut *self.mounts[m.0].fs;
         let (ino, created) = match fs.lookup(dir, name) {
@@ -475,10 +462,7 @@ impl Kernel {
             }
             FdTarget::File(loc) => {
                 if open.wrote {
-                    // Close-to-open consistency hook (NFS flush). Any
-                    // deferred writes must be in the file system
-                    // before the flush observes it.
-                    self.barrier();
+                    // Close-to-open consistency hook (NFS flush).
                     let _ = self.mounts[loc.mount.0].fs.close_hint(loc.ino);
                     if let Some(parent) = open.parent {
                         self.inotify
@@ -554,9 +538,6 @@ impl Kernel {
         match open.target {
             FdTarget::File(loc) => {
                 let offset = if append {
-                    // The append offset is the file size *including*
-                    // any deferred writes — flush them first.
-                    self.barrier();
                     self.mounts[loc.mount.0].fs.getattr(loc.ino)?.size
                 } else {
                     offset
@@ -591,29 +572,6 @@ impl Kernel {
                 Ok(n)
             }
         }
-    }
-
-    /// `readv(2)`: one read per iovec length, concatenated.
-    pub fn readv(&mut self, pid: Pid, fd: Fd, lens: &[usize]) -> FsResult<Vec<u8>> {
-        let mut out = Vec::new();
-        for &l in lens {
-            let chunk = self.read(pid, fd, l)?;
-            let done = chunk.len() < l;
-            out.extend(chunk);
-            if done {
-                break;
-            }
-        }
-        Ok(out)
-    }
-
-    /// `writev(2)`: one write per iovec.
-    pub fn writev(&mut self, pid: Pid, fd: Fd, bufs: &[&[u8]]) -> FsResult<usize> {
-        let mut n = 0;
-        for b in bufs {
-            n += self.write(pid, fd, b)?;
-        }
-        Ok(n)
     }
 
     /// `lseek(2)` (absolute positioning only).
@@ -732,7 +690,6 @@ impl Kernel {
     pub fn stat(&mut self, pid: Pid, path: &str) -> FsResult<FileAttr> {
         self.charge_syscall();
         let _ = pid;
-        self.barrier();
         let loc = self.resolve_file(path)?;
         self.mounts[loc.mount.0].fs.getattr(loc.ino)
     }
@@ -740,7 +697,6 @@ impl Kernel {
     /// `fsync(2)`.
     pub fn fsync(&mut self, pid: Pid, fd: Fd) -> FsResult<()> {
         self.charge_syscall();
-        self.barrier();
         match self.get_open(pid, fd)?.target {
             FdTarget::File(loc) => self.mounts[loc.mount.0].fs.fsync(loc.ino),
             FdTarget::Pipe { .. } => Ok(()),
@@ -751,14 +707,12 @@ impl Kernel {
     pub fn readdir(&mut self, pid: Pid, path: &str) -> FsResult<Vec<DirEntry>> {
         self.charge_syscall();
         let _ = pid;
-        self.barrier();
         let loc = self.resolve_file(path)?;
         self.mounts[loc.mount.0].fs.readdir(loc.ino)
     }
 
     /// Flushes every mount.
     pub fn sync_all(&mut self) -> FsResult<()> {
-        self.barrier();
         for m in &mut self.mounts {
             m.fs.sync()?;
         }
@@ -926,20 +880,6 @@ impl Kernel {
             clock: &self.clock,
         };
         Ok(m.dp_handle_for_file(&mut ctx, pid, loc)?)
-    }
-
-    /// Offset of an open descriptor (used by libpass to emulate
-    /// sequential pass_read/pass_write).
-    pub fn fd_offset(&self, pid: Pid, fd: Fd) -> FsResult<u64> {
-        Ok(self.get_open(pid, fd)?.offset)
-    }
-
-    /// The file location behind an open descriptor.
-    pub fn fd_loc(&self, pid: Pid, fd: Fd) -> FsResult<FileLoc> {
-        match self.get_open(pid, fd)?.target {
-            FdTarget::File(loc) => Ok(loc),
-            FdTarget::Pipe { .. } => Err(FsError::Invalid("fd is a pipe".into())),
-        }
     }
 
     /// Reads a whole file by path (convenience for tools/workloads).

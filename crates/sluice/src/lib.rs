@@ -8,9 +8,8 @@
 //! [`Ticket`] back immediately; a drainer coalesces queued
 //! transactions into larger *group frames* and drives `pass_commit`
 //! off the caller's critical path, delivering each transaction's
-//! index-aligned [`OpResult`]s through the ticket (poll with
-//! [`Sluice::poll`]/[`Sluice::take`], or register a completion
-//! callback with [`Sluice::submit_with`]).
+//! index-aligned [`OpResult`]s through the ticket ([`Sluice::poll`],
+//! [`Sluice::take`] or [`Sluice::wait`]).
 //!
 //! # Queue model
 //!
@@ -237,7 +236,6 @@ struct Pending {
 }
 
 type Completion = dpapi::Result<Vec<OpResult>>;
-type Callback = Box<dyn FnOnce(Ticket, Completion)>;
 
 /// The asynchronous disclosure pipeline. See the crate docs for the
 /// queue model, backpressure policy and determinism contract.
@@ -257,7 +255,6 @@ pub struct Sluice {
     quotas: BTreeMap<ClientId, Quota>,
     next_ticket: u64,
     done: BTreeMap<Ticket, Completion>,
-    callbacks: BTreeMap<Ticket, Callback>,
     stats: SluiceStats,
     peak_txns: u64,
     peak_ops: u64,
@@ -367,31 +364,6 @@ impl Sluice {
         client: ClientId,
         txn: Txn,
     ) -> dpapi::Result<Ticket> {
-        self.submit_inner(layer, client, txn, None)
-    }
-
-    /// [`Sluice::submit`], delivering the completion to `cb` instead
-    /// of retaining it: when the transaction resolves, `cb` receives
-    /// the ticket and the owned outcome, and nothing is kept for
-    /// [`Sluice::poll`]/[`Sluice::take`] — the fire-and-forget shape
-    /// whose completion storage cannot grow without bound.
-    pub fn submit_with(
-        &mut self,
-        layer: &mut dyn Dpapi,
-        client: ClientId,
-        txn: Txn,
-        cb: impl FnOnce(Ticket, Completion) + 'static,
-    ) -> dpapi::Result<Ticket> {
-        self.submit_inner(layer, client, txn, Some(Box::new(cb)))
-    }
-
-    fn submit_inner(
-        &mut self,
-        layer: &mut dyn Dpapi,
-        client: ClientId,
-        txn: Txn,
-        cb: Option<Callback>,
-    ) -> dpapi::Result<Ticket> {
         self.stats.submitted += 1;
         let (ops, bytes) = Self::cost_of(&txn);
 
@@ -452,9 +424,6 @@ impl Sluice {
         self.stats.admitted += 1;
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
-        if let Some(cb) = cb {
-            self.callbacks.insert(ticket, cb);
-        }
         let submitted_at = self.now.as_ref().map(|f| f()).unwrap_or(0);
 
         if txn.is_empty() {
@@ -627,16 +596,12 @@ impl Sluice {
             Some(t) => self.scope.open_linked("sluice", "ticket", t),
             None => provscope::SpanHandle::NONE,
         };
-        if let Some(cb) = self.callbacks.remove(&ticket) {
-            cb(ticket, outcome);
-        } else {
-            self.done.insert(ticket, outcome);
-        }
+        self.done.insert(ticket, outcome);
         self.scope.close(span);
     }
 
     /// Where `ticket` stands. `None` for a ticket this sluice never
-    /// issued, already [`Sluice::take`]n, or delivered to a callback.
+    /// issued or already [`Sluice::take`]n.
     pub fn poll(&self, ticket: Ticket) -> Option<TicketStatus> {
         if self.queue.iter().any(|p| p.ticket == ticket) {
             return Some(TicketStatus::Pending);
@@ -654,8 +619,7 @@ impl Sluice {
 
     /// Drains until `ticket` resolves, then returns its completion —
     /// the synchronous escape hatch for a caller that needs its
-    /// results *now*. Errors if the ticket is unknown or was
-    /// delivered to a callback.
+    /// results *now*. Errors if the ticket is unknown.
     pub fn wait(&mut self, layer: &mut dyn Dpapi, ticket: Ticket) -> Completion {
         loop {
             if let Some(c) = self.take(ticket) {
@@ -663,8 +627,7 @@ impl Sluice {
             }
             if !self.drain_one(layer) {
                 return Err(DpapiError::Inconsistent(format!(
-                    "sluice ticket {} is unknown (never issued, already taken, \
-                     or delivered to a callback)",
+                    "sluice ticket {} is unknown (never issued or already taken)",
                     ticket.raw()
                 )));
             }

@@ -314,26 +314,6 @@ fn single_txn_frame_abort_fails_directly_without_split() {
 }
 
 #[test]
-fn callbacks_fire_on_resolution_and_retain_nothing() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    let mut layer = StubLayer::default();
-    let mut s = Sluice::new(SluiceConfig::default());
-    let seen: Rc<RefCell<Vec<(Ticket, usize)>>> = Rc::default();
-    let sink = Rc::clone(&seen);
-    let t = s
-        .submit_with(&mut layer, C, write_txn(1, 4), move |tk, outcome| {
-            sink.borrow_mut().push((tk, outcome.unwrap().len()));
-        })
-        .unwrap();
-    assert!(seen.borrow().is_empty(), "callback waits for the drain");
-    s.drain(&mut layer);
-    assert_eq!(*seen.borrow(), vec![(t, 1)]);
-    assert_eq!(s.poll(t), None, "callback completions are not retained");
-    assert!(s.take(t).is_none());
-}
-
-#[test]
 fn empty_txn_completes_immediately() {
     let mut layer = StubLayer::default();
     let mut s = Sluice::new(SluiceConfig::default());

@@ -178,7 +178,7 @@ pub struct ClusterPollReport {
     /// kept until the next `[benchmark]` PR (see [`ClusterRuntime`]).
     pub member_timings: Vec<MemberTiming>,
     /// The health-rule verdicts for the fleet's metric snapshot taken
-    /// right after this sweep (see [`Cluster::set_health_rules`]).
+    /// right after this sweep ([`provscope::health::standard_rules`]).
     pub health: provscope::HealthReport,
 }
 
@@ -249,18 +249,6 @@ impl Cluster {
         }
     }
 
-    /// Replaces the health rules every
-    /// [`Cluster::poll_volumes_report`] sweep evaluates. Defaults to
-    /// [`provscope::health::standard_rules`].
-    pub fn set_health_rules(&mut self, rules: Vec<provscope::HealthRule>) {
-        self.health_rules = rules;
-    }
-
-    /// The active health rules.
-    pub fn health_rules(&self) -> &[provscope::HealthRule] {
-        &self.health_rules
-    }
-
     /// Does nothing (see [`ClusterRuntime`]); kept for the frozen
     /// `ledger/` benchmark, which calls it.
     pub fn set_runtime(&mut self, _runtime: ClusterRuntime) {}
@@ -298,11 +286,6 @@ impl Cluster {
     /// One member daemon, mutably (e.g. to drive a manual checkpoint).
     pub fn member_mut(&mut self, i: usize) -> &mut Waldo {
         &mut self.members[i]
-    }
-
-    /// Disassembles the cluster back into its members.
-    pub fn into_members(self) -> Vec<Waldo> {
-        self.members
     }
 
     /// The member index `volume` routes to ([`route_volume`] at this

@@ -131,56 +131,6 @@ pub fn disclose_run(
     Ok(identity)
 }
 
-/// [`disclose_run`] for a whole campaign, pipelined: each run's
-/// records-plus-sync transaction is submitted into `pipe` instead of
-/// committing synchronously, so consecutive runs coalesce into group
-/// frames and a campaign of N runs pays far fewer `pass_commit`
-/// round-trips than N. The object handles are minted synchronously
-/// (pnode allocation is cheap server state), which also keeps every
-/// transaction free of the handle-scope rule.
-///
-/// Drains to completion before returning, so the returned identities
-/// are final and the store is byte-equal to the synchronous path.
-pub fn disclose_runs_pipelined(
-    layer: &mut dyn dpapi::Dpapi,
-    pipe: &mut sluice::Sluice,
-    client: sluice::ClientId,
-    runs: &[(&str, RunReport)],
-) -> dpapi::Result<Vec<dpapi::ObjectRef>> {
-    use dpapi::{Attribute, Bundle, ProvenanceRecord, Value};
-    let mut handles = Vec::with_capacity(runs.len());
-    let mut tickets = Vec::with_capacity(runs.len());
-    for (name, report) in runs {
-        let h = layer.pass_mkobj(None)?;
-        let mut bundle = Bundle::new();
-        bundle.push(
-            h,
-            ProvenanceRecord::new(Attribute::Type, Value::str("WORKLOAD")),
-        );
-        bundle.push(h, ProvenanceRecord::new(Attribute::Name, Value::str(*name)));
-        bundle.push(
-            h,
-            ProvenanceRecord::new(
-                Attribute::Other("ELAPSED_NS".into()),
-                Value::Int(report.elapsed_ns as i64),
-            ),
-        );
-        let mut txn = dpapi::Txn::new();
-        txn.disclose(h, bundle).sync(h);
-        tickets.push(pipe.submit(layer, client, txn)?);
-        handles.push(h);
-    }
-    for t in tickets {
-        pipe.wait(layer, t)?;
-    }
-    let mut identities = Vec::with_capacity(handles.len());
-    for h in handles {
-        identities.push(layer.pass_read(h, 0, 0)?.identity);
-        let _ = layer.pass_close(h);
-    }
-    Ok(identities)
-}
-
 /// [`timed_run`] plus a [`disclose_run`] of the result on
 /// provenance-aware systems; on baseline systems (no module, no PASS
 /// volume) the disclosure is skipped silently.

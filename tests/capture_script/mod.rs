@@ -275,10 +275,9 @@ impl Machine {
         }
     }
 
-    /// Seals the volume's log: lands any deferred observer burst, then
-    /// rotates, leaving the closed logs queued for [`Machine::seal`].
+    /// Seals the volume's log: rotates, leaving the closed logs queued
+    /// for [`Machine::seal`].
     pub fn rotate(&mut self) {
-        self.kernel.barrier();
         match &self.remote {
             None => self
                 .kernel
