@@ -4,42 +4,7 @@
 //! ```text
 //! cargo run --release -p bench --bin table2
 //! ```
-//!
-//! Times are virtual seconds from the simulation's cost model; the
-//! paper's numbers are reproduced in *shape* (which workloads hurt,
-//! roughly how much, and how the ordering changes between local and
-//! NFS), not in absolute magnitude.
-
-use bench::{measure, overhead_pct, standard_workloads, Config};
 
 fn main() {
-    println!("Table 2: Elapsed time overheads (virtual seconds)");
-    println!(
-        "{:<20} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "Benchmark", "Ext3", "PASSv2", "Ovhd", "NFS", "PA-NFS", "Ovhd"
-    );
-    println!("{}", "-".repeat(80));
-    for wl in standard_workloads() {
-        let ext3 = measure(Config::Ext3, wl.as_ref());
-        let pass = measure(Config::PassV2, wl.as_ref());
-        let nfs = measure(Config::Nfs, wl.as_ref());
-        let panfs = measure(Config::PaNfs, wl.as_ref());
-        println!(
-            "{:<20} {:>9.2} {:>9.2} {:>8.1}% {:>9.2} {:>9.2} {:>8.1}%",
-            wl.name(),
-            ext3.elapsed_s,
-            pass.elapsed_s,
-            overhead_pct(ext3.elapsed_s, pass.elapsed_s),
-            nfs.elapsed_s,
-            panfs.elapsed_s,
-            overhead_pct(nfs.elapsed_s, panfs.elapsed_s),
-        );
-    }
-    println!();
-    println!("Paper reference (measured on real hardware, 2009):");
-    println!("  Linux Compile     1746 / 2018 (15.6%)   3320 / 3353 (11.0%)");
-    println!("  Postmark           453 /  505 (11.5%)    636 /  743 (16.8%)");
-    println!("  Mercurial Activity 614 /  756 (23.1%)   2842 / 3089 ( 8.7%)");
-    println!("  Blast               69 / 69.5 ( 0.7%)     52 /   53 ( 1.9%)");
-    println!("  PA-Kepler         1246 / 1264 ( 1.4%)    160 /  164 ( 2.5%)");
+    print!("{}", bench::table2());
 }

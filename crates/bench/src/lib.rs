@@ -10,6 +10,9 @@
 //! All timing is virtual: the numbers regenerate the *shape* of
 //! Tables 2 and 3, not the paper's wall-clock seconds.
 
+mod tables;
+pub use tables::{table1, table2, table3, Table3};
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -21,7 +24,7 @@ use sim_os::clock::{Clock, NANOS_PER_SEC};
 use sim_os::cost::CostModel;
 use sim_os::proc::Pid;
 use sim_os::syscall::Kernel;
-use waldo::{CacheStats, CheckpointStats, ProvDb, WaldoConfig};
+use waldo::{CacheStats, CheckpointStats, ProvDb};
 use workloads::{timed_run, Workload};
 
 /// The four evaluated configurations.
@@ -38,16 +41,6 @@ pub enum Config {
 }
 
 impl Config {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Config::Ext3 => "Ext3",
-            Config::PassV2 => "PASSv2",
-            Config::Nfs => "NFS",
-            Config::PaNfs => "PA-NFS",
-        }
-    }
-
     /// True if this configuration collects provenance.
     pub fn is_pass(&self) -> bool {
         matches!(self, Config::PassV2 | Config::PaNfs)
@@ -64,19 +57,10 @@ pub struct Machine {
     pub server: Option<Rc<RefCell<NfsServer>>>,
     /// The driver process.
     pub driver: Pid,
-    /// Storage tuning for the Waldo ingest that sizes the database.
-    pub waldo_cfg: WaldoConfig,
 }
 
-/// Builds a machine for `cfg` with default Waldo storage tuning.
+/// Builds a machine for `cfg`.
 pub fn build(cfg: Config) -> Machine {
-    build_with(cfg, WaldoConfig::default())
-}
-
-/// Builds a machine for `cfg`, threading explicit Waldo storage
-/// tuning through the system so experiments can compare the batched
-/// engine against the record-at-a-time original.
-pub fn build_with(cfg: Config, waldo_cfg: WaldoConfig) -> Machine {
     let model = CostModel::default();
     match cfg {
         Config::Ext3 => {
@@ -90,13 +74,11 @@ pub fn build_with(cfg: Config, waldo_cfg: WaldoConfig) -> Machine {
                 pass: None,
                 server: None,
                 driver,
-                waldo_cfg,
             }
         }
         Config::PassV2 => {
             let mut sys: System = SystemBuilder::new(model)
                 .pass_volume("/", VolumeId(1))
-                .waldo_config(waldo_cfg)
                 .build();
             let driver = sys.spawn("driver");
             Machine {
@@ -104,7 +86,6 @@ pub fn build_with(cfg: Config, waldo_cfg: WaldoConfig) -> Machine {
                 pass: Some(sys.pass),
                 server: None,
                 driver,
-                waldo_cfg,
             }
         }
         Config::Nfs | Config::PaNfs => {
@@ -130,7 +111,6 @@ pub fn build_with(cfg: Config, waldo_cfg: WaldoConfig) -> Machine {
                 pass,
                 server: Some(server),
                 driver,
-                waldo_cfg,
             }
         }
     }
@@ -157,9 +137,8 @@ pub struct WaldoOps {
 
 impl provscope::MetricSource for WaldoOps {
     /// Flattens the run's operational counters into one namespace so
-    /// the table binaries and the cluster bench print through the
-    /// same [`provscope::Registry`] renderer instead of hand-rolled
-    /// column layouts.
+    /// Table 3 prints them through the [`provscope::Registry`]
+    /// renderer instead of a hand-rolled column layout.
     fn record(&self, out: &mut dyn FnMut(&str, u64)) {
         out("shards", self.effective_shards as u64);
         out("cache.hits", self.ancestry_cache.hits);
@@ -190,12 +169,7 @@ pub struct Measurement {
 
 /// Runs `workload` on a fresh machine for `cfg` and measures it.
 pub fn measure(cfg: Config, workload: &dyn Workload) -> Measurement {
-    measure_with(cfg, workload, WaldoConfig::default())
-}
-
-/// Like [`measure`], with explicit Waldo storage tuning.
-pub fn measure_with(cfg: Config, workload: &dyn Workload, waldo_cfg: WaldoConfig) -> Measurement {
-    let mut m = build_with(cfg, waldo_cfg);
+    let mut m = build(cfg);
     let report = timed_run(workload, &mut m.kernel, m.driver, "/").expect("workload run");
     let data_bytes = m.kernel.stats().bytes_written;
 
@@ -208,7 +182,7 @@ pub fn measure_with(cfg: Config, workload: &dyn Workload, waldo_cfg: WaldoConfig
         if let Some(p) = &m.pass {
             p.exempt(waldo_pid);
         }
-        let mut w = waldo::Waldo::with_config(waldo_pid, m.waldo_cfg);
+        let mut w = waldo::Waldo::new(waldo_pid);
         w.attach_db_dir(&mut m.kernel, "/waldo-db")
             .expect("durable Waldo attach; the table labels this run durable");
         if let Some(d) = m.kernel.dpapi_at(sim_os::proc::MountId(0)) {
@@ -219,7 +193,7 @@ pub fn measure_with(cfg: Config, workload: &dyn Workload, waldo_cfg: WaldoConfig
         let ops = ops_report(&w);
         (s.db_bytes, s.index_bytes, ops)
     } else if cfg == Config::PaNfs {
-        let db = ProvDb::with_config(m.waldo_cfg);
+        let db = ProvDb::new();
         if let Some(server) = &m.server {
             for image in server.borrow_mut().drain_provenance_logs() {
                 let (entries, _) = parse_log(&image);
@@ -228,7 +202,7 @@ pub fn measure_with(cfg: Config, workload: &dyn Workload, waldo_cfg: WaldoConfig
         }
         let s = db.size();
         let ops = WaldoOps {
-            effective_shards: m.waldo_cfg.effective_shards(),
+            effective_shards: db.config().effective_shards(),
             ..WaldoOps::default()
         };
         (s.db_bytes, s.index_bytes, ops)
@@ -298,36 +272,11 @@ pub fn standard_workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-/// Wires a [`provscope::Scope`] on the machine's virtual clock
-/// through every layer it has: the kernel (which forwards to its
-/// mounted DPAPI volumes — for PA-NFS that chain reaches the client,
-/// the server and the server's Lasagna export) and the PASS module.
-/// Waldo daemons are spawned later by the caller and get the
-/// returned scope via [`waldo::Waldo::set_scope`].
-pub fn enable_tracing(m: &mut Machine) -> provscope::Scope {
-    enable_tracing_mode(m, TraceMode::Unbounded)
-}
-
-/// [`enable_tracing`] with an explicit retention mode; `TraceMode::Off`
-/// wires a disabled scope (every span operation a no-op).
-pub fn enable_tracing_mode(m: &mut Machine, mode: TraceMode) -> provscope::Scope {
-    let clock = m.kernel.clock();
-    let scope = match mode {
-        TraceMode::Off => provscope::Scope::disabled(),
-        TraceMode::Unbounded => provscope::Scope::enabled(move || clock.now()),
-        TraceMode::Recorder(cfg) => provscope::Scope::recording(move || clock.now(), cfg),
-    };
-    m.kernel.set_scope(scope.clone());
-    if let Some(p) = &m.pass {
-        p.set_scope(scope.clone());
-    }
-    scope
-}
-
 /// How a traced bench run retains spans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceMode {
-    /// No tracing at all — the byte-equality baseline.
+    /// A disabled scope, every span operation a no-op — the
+    /// byte-equality baseline.
     Off,
     /// [`provscope::Scope::enabled`]: every span kept forever.
     Unbounded,
@@ -398,7 +347,20 @@ pub fn traced_postmark_with(batch_ops: usize, mode: TraceMode) -> TracedRun {
         "a disclosure transaction has at least one op"
     );
     let mut m = build(Config::PaNfs);
-    let scope = enable_tracing_mode(&mut m, mode);
+    // One scope on the machine's virtual clock through every layer it
+    // has: the kernel forwards it to its mounted DPAPI volumes (the
+    // client, the server and the server's Lasagna export), the PASS
+    // module takes it directly, and the Waldo daemon below joins it.
+    let clock = m.kernel.clock();
+    let scope = match mode {
+        TraceMode::Off => provscope::Scope::disabled(),
+        TraceMode::Unbounded => provscope::Scope::enabled(move || clock.now()),
+        TraceMode::Recorder(cfg) => provscope::Scope::recording(move || clock.now(), cfg),
+    };
+    m.kernel.set_scope(scope.clone());
+    if let Some(p) = &m.pass {
+        p.set_scope(scope.clone());
+    }
 
     let wl = workloads::Postmark {
         files: 12,
@@ -445,7 +407,7 @@ pub fn traced_postmark_with(batch_ops: usize, mode: TraceMode) -> TracedRun {
     if let Some(p) = &m.pass {
         p.exempt(waldo_pid);
     }
-    let mut w = waldo::Waldo::with_config(waldo_pid, m.waldo_cfg);
+    let mut w = waldo::Waldo::new(waldo_pid);
     w.set_scope(scope.clone());
     let images = m
         .server

@@ -8,11 +8,7 @@
 //! Causality-Based Versioning work) that consults only an object's
 //! local dependency information and prevents cycles by creating new
 //! versions, rather than the PASSv1 approach of maintaining a global
-//! dependency graph and merging the nodes of detected cycles. Both
-//! algorithms are implemented here; the PASSv1 algorithm serves as
-//! the ablation baseline in the benchmark suite.
-
-use std::collections::{HashMap, HashSet};
+//! dependency graph and merging the nodes of detected cycles.
 
 use dpapi::{IdMap, IdSet};
 
@@ -190,239 +186,6 @@ impl CycleAvoidance {
     }
 }
 
-// ---------------------------------------------------------------------------
-// PASSv1 baseline: global graph with explicit cycle detection + merge.
-// ---------------------------------------------------------------------------
-
-/// Outcome of one edge insertion in the PASSv1 baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct V1Outcome {
-    /// A cycle was detected and its nodes were merged into one entity.
-    pub merged: bool,
-    /// The record duplicated an existing edge.
-    pub duplicate: bool,
-}
-
-/// The PASSv1 global-graph analyzer: maintains every dependency edge,
-/// detects cycles with a DFS on insertion, and merges all nodes of a
-/// detected cycle into a single entity (union-find). This was the
-/// approach PASSv2 abandoned ("this proved challenging, and there were
-/// cases where we were not able to do this correctly") — it is kept
-/// as a benchmark baseline.
-#[derive(Debug, Default)]
-pub struct GlobalGraph {
-    parent: HashMap<NodeId, NodeId>,
-    edges: HashMap<NodeId, HashSet<NodeId>>, // canonical target -> canonical sources
-    merges: u64,
-}
-
-impl GlobalGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        GlobalGraph::default()
-    }
-
-    /// Number of merges performed.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// Union-find root with path compression.
-    pub fn find(&mut self, mut n: NodeId) -> NodeId {
-        let mut path = Vec::new();
-        while let Some(&p) = self.parent.get(&n) {
-            if p == n {
-                break;
-            }
-            path.push(n);
-            n = p;
-        }
-        for q in path {
-            self.parent.insert(q, n);
-        }
-        n
-    }
-
-    /// Every canonical node reachable from `from` (excluding itself
-    /// unless on a loop).
-    fn reachable_from(&mut self, from: NodeId) -> Vec<NodeId> {
-        let from = self.find(from);
-        let mut stack = vec![from];
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
-                continue;
-            }
-            if let Some(srcs) = self.edges.get(&n) {
-                for &srcn in srcs.clone().iter() {
-                    let c = self.find(srcn);
-                    if !seen.contains(&c) {
-                        out.push(c);
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Does `from` reach `to` following dependency edges?
-    fn reaches(&mut self, from: NodeId, to: NodeId) -> bool {
-        let from = self.find(from);
-        let to = self.find(to);
-        if from == to {
-            return true;
-        }
-        let mut stack = vec![from];
-        let mut seen = HashSet::new();
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
-                continue;
-            }
-            if let Some(srcs) = self.edges.get(&n) {
-                for &s in srcs.clone().iter() {
-                    let s = self.find(s);
-                    if s == to {
-                        return true;
-                    }
-                    stack.push(s);
-                }
-            }
-        }
-        false
-    }
-
-    /// Adds "`target` depends on `source`", merging any cycle that
-    /// this edge would close.
-    pub fn add_dependency(&mut self, target: NodeId, source: NodeId) -> V1Outcome {
-        let t = self.find(target);
-        let s = self.find(source);
-        if t == s {
-            return V1Outcome {
-                merged: false,
-                duplicate: true,
-            };
-        }
-        if self.edges.get(&t).map(|e| e.contains(&s)).unwrap_or(false) {
-            return V1Outcome {
-                merged: false,
-                duplicate: true,
-            };
-        }
-        // Would close a cycle iff source already reaches target.
-        if self.reaches(s, t) {
-            // Merge every node on the cycle: anything reachable from
-            // `s` that also reaches `t` lies on an s→t path and
-            // becomes part of the loop once the t→s edge is added.
-            let from_s = self.reachable_from(s);
-            let mut on_cycle: Vec<NodeId> = from_s
-                .into_iter()
-                .filter(|&n| n == s || n == t || self.reaches(n, t))
-                .collect();
-            on_cycle.push(s);
-            on_cycle.push(t);
-            on_cycle.sort_unstable();
-            on_cycle.dedup();
-            let root = on_cycle[0];
-            for n in on_cycle {
-                self.merge(root, n);
-            }
-            self.merges += 1;
-            return V1Outcome {
-                merged: true,
-                duplicate: false,
-            };
-        }
-        self.edges.entry(t).or_default().insert(s);
-        V1Outcome {
-            merged: false,
-            duplicate: false,
-        }
-    }
-
-    fn merge(&mut self, a: NodeId, b: NodeId) {
-        let a = self.find(a);
-        let b = self.find(b);
-        if a == b {
-            return;
-        }
-        self.parent.insert(b, a);
-        // Fold b's edges into a, dropping self-loops.
-        if let Some(srcs) = self.edges.remove(&b) {
-            let entry = self.edges.entry(a).or_default();
-            for s in srcs {
-                entry.insert(s);
-            }
-        }
-        let a_root = a;
-        if let Some(e) = self.edges.get_mut(&a_root) {
-            e.remove(&a_root);
-            e.remove(&b);
-        }
-        // Rewrite edges that pointed at b.
-        let targets: Vec<NodeId> = self.edges.keys().copied().collect();
-        for t in targets {
-            if let Some(srcs) = self.edges.get_mut(&t) {
-                if srcs.remove(&b) {
-                    srcs.insert(a_root);
-                }
-                if t == a_root {
-                    srcs.remove(&a_root);
-                }
-            }
-        }
-    }
-
-    /// True if the graph (over canonical nodes) is acyclic. O(V+E);
-    /// used by tests and property checks.
-    pub fn is_acyclic(&mut self) -> bool {
-        // Kahn's algorithm over canonicalized edges.
-        let mut indeg: HashMap<NodeId, usize> = HashMap::new();
-        let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        let edges: Vec<(NodeId, Vec<NodeId>)> = self
-            .edges
-            .iter()
-            .map(|(t, s)| (*t, s.iter().copied().collect()))
-            .collect();
-        for (t, srcs) in edges {
-            let t = self.find(t);
-            indeg.entry(t).or_insert(0);
-            for s in srcs {
-                let s = self.find(s);
-                if s == t {
-                    // An internal edge of a merged entity, not a cycle.
-                    continue;
-                }
-                // Edge t -> s in dependency direction; orientation is
-                // irrelevant for acyclicity as long as it's consistent.
-                adj.entry(t).or_default().push(s);
-                *indeg.entry(s).or_insert(0) += 1;
-                indeg.entry(t).or_insert(0);
-            }
-        }
-        let mut queue: Vec<NodeId> = indeg
-            .iter()
-            .filter(|(_, d)| **d == 0)
-            .map(|(n, _)| *n)
-            .collect();
-        let mut visited = 0usize;
-        while let Some(n) = queue.pop() {
-            visited += 1;
-            if let Some(next) = adj.get(&n) {
-                for &m in next.clone().iter() {
-                    let d = indeg.get_mut(&m).unwrap();
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(m);
-                    }
-                }
-            }
-        }
-        visited == indeg.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,48 +346,5 @@ mod tests {
         an.add_dependency(sort, pipe2);
         let w = an.add_dependency(f, sort);
         assert_eq!(w.frozen, Some(1), "writing back to f must freeze it");
-    }
-
-    // ---- PASSv1 baseline ---------------------------------------------------
-
-    #[test]
-    fn v1_direct_cycle_merges() {
-        let mut g = GlobalGraph::new();
-        assert!(!g.add_dependency(P, A).merged);
-        let out = g.add_dependency(A, P);
-        assert!(out.merged);
-        assert_eq!(g.merges(), 1);
-        // After the merge the two nodes are one entity.
-        assert_eq!(g.find(A), g.find(P));
-        assert!(g.is_acyclic());
-    }
-
-    #[test]
-    fn v1_long_cycle_merges_and_stays_acyclic() {
-        let mut g = GlobalGraph::new();
-        g.add_dependency(P, A);
-        g.add_dependency(B, P);
-        g.add_dependency(Q, B);
-        let out = g.add_dependency(A, Q);
-        assert!(out.merged);
-        assert!(g.is_acyclic());
-    }
-
-    #[test]
-    fn v1_duplicate_edges_detected() {
-        let mut g = GlobalGraph::new();
-        assert!(!g.add_dependency(P, A).duplicate);
-        assert!(g.add_dependency(P, A).duplicate);
-    }
-
-    #[test]
-    fn v1_dag_insertions_never_merge() {
-        let mut g = GlobalGraph::new();
-        for i in 0..100u64 {
-            let out = g.add_dependency(i + 1, i);
-            assert!(!out.merged);
-        }
-        assert!(g.is_acyclic());
-        assert_eq!(g.merges(), 0);
     }
 }

@@ -25,7 +25,7 @@ pub mod libpass;
 pub mod module;
 pub mod system;
 
-pub use analyzer::{AnalyzerStats, CycleAvoidance, DepOutcome, GlobalGraph, NodeId, V1Outcome};
+pub use analyzer::{AnalyzerStats, CycleAvoidance, DepOutcome, NodeId};
 pub use libpass::LibPass;
 pub use module::{ObjKey, Pass, PassStats};
 pub use system::{ClusterRestartError, System, SystemBuilder};

@@ -939,11 +939,17 @@ impl PassModule for Pass {
         let materialized = inner
             .info
             .get(&node)
-            .map(|i| i.pnode.is_some())
-            .unwrap_or(false);
-        if materialized {
-            if let Some(home) = inner.info.get(&node).and_then(|i| i.home) {
-                let _ = inner.flush_nodes(ctx, &[node], home);
+            .filter(|i| i.pnode.is_some())
+            .and_then(|i| i.home.zip(i.home_handle));
+        if let Some((home, vh)) = materialized {
+            // The records homed on the process's own volume come back
+            // as the ride-along bundle; no `pass_write` is coming to
+            // carry them, so disclose them here, as `dp_sync` does.
+            let side = inner.flush_nodes(ctx, &[node], home);
+            if !side.is_empty() {
+                if let Some(v) = ctx.find_volume(home) {
+                    let _ = v.disclose(vh, side);
+                }
             }
         }
         inner.analyzer.forget(node);

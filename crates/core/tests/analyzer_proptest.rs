@@ -1,11 +1,10 @@
 //! Property-based tests for the analyzer's central invariant: no
 //! dependency stream — however adversarial — produces a cycle among
-//! `(object, version)` pairs under cycle avoidance, and the PASSv1
-//! baseline keeps its merged graph acyclic.
+//! `(object, version)` pairs under cycle avoidance.
 
 use std::collections::{HashMap, HashSet};
 
-use passv2::analyzer::{AnalyzerStats, CycleAvoidance, DepOutcome, GlobalGraph, NodeId};
+use passv2::analyzer::{AnalyzerStats, CycleAvoidance, DepOutcome, NodeId};
 use proptest::prelude::*;
 
 /// The analyzer as it was before `add_dependency` was restructured to
@@ -247,19 +246,6 @@ proptest! {
                 prop_assert!(new.depends_on(*n, *src, *v));
             }
         }
-    }
-
-    /// The PASSv1 global graph never reports a cycle among its
-    /// canonical nodes after merges.
-    #[test]
-    fn global_graph_stays_acyclic(
-        stream in proptest::collection::vec((0u64..10, 0u64..10), 1..200)
-    ) {
-        let mut g = GlobalGraph::new();
-        for (t, s) in stream {
-            g.add_dependency(t, s);
-        }
-        prop_assert!(g.is_acyclic());
     }
 
     /// Versions only move forward.

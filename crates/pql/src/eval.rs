@@ -268,10 +268,35 @@ pub(crate) fn column_names(query: &Query) -> Vec<String> {
         .collect()
 }
 
+/// What both evaluators require of a `from` clause: unique binding
+/// names, and every variable-rooted path rooted at a binding of a
+/// *strictly earlier* source (the left-to-right semantics the
+/// planner's reordering must preserve).
+pub(crate) fn check_bindings(query: &Query) -> Result<(), PqlError> {
+    let mut bound: Vec<&str> = Vec::new();
+    for source in &query.from {
+        if let PathRoot::Var(v) = &source.root {
+            if !bound.contains(&v.as_str()) {
+                return Err(PqlError::Eval(format!("unbound variable `{v}`")));
+            }
+        }
+        if bound.contains(&source.binding.as_str()) {
+            return Err(PqlError::Eval(format!(
+                "duplicate binding `{}`",
+                source.binding
+            )));
+        }
+        bound.push(&source.binding);
+    }
+    Ok(())
+}
+
 /// Executes a parsed query against a graph, naively: full cartesian
 /// `from` expansion, then `where`, then projection. This is the
-/// reference evaluator; [`crate::execute`] plans instead.
+/// reference evaluator the tests hold the planner to; nothing at run
+/// time calls it — [`crate::execute`] plans instead.
 pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<ResultSet, PqlError> {
+    check_bindings(query)?;
     let ctx = ExprCtx {
         graph,
         stats: None,
@@ -479,9 +504,7 @@ impl ExprCtx<'_> {
         }
     }
 
-    /// The node `var` is bound to in `row`. A repeated binding name
-    /// shadows the earlier one (only the naive evaluator runs such
-    /// queries), hence the search from the back.
+    /// The node `var` is bound to in `row`.
     pub(crate) fn bound(
         &self,
         row: &[Option<ObjectRef>],
@@ -490,7 +513,6 @@ impl ExprCtx<'_> {
         self.vars
             .iter()
             .zip(row)
-            .rev()
             .find_map(|(name, slot)| slot.filter(|_| *name == var))
             .ok_or_else(|| PqlError::Eval(format!("unbound variable `{var}`")))
     }

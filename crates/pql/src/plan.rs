@@ -31,10 +31,11 @@
 //! *order* is also identical whenever the planner keeps the written
 //! binding order; when it reorders sources, rows come out in the
 //! planned nested-loop order — the same set, possibly permuted
-//! ([`PlanStats::bindings_reordered`] reports this). Queries the
-//! planner cannot reorder soundly (duplicate binding names, a path
-//! rooted at a variable no earlier source binds) fall back to the
-//! naive evaluator wholesale, preserving its behavior exactly.
+//! ([`PlanStats::bindings_reordered`] reports this). Queries neither
+//! evaluator can order soundly (duplicate binding names, a path
+//! rooted at a variable no earlier source binds) are rejected by both
+//! with the same [`PqlError::Eval`]. Nothing at run time calls the
+//! naive evaluator; it is the reference the tests compare against.
 //!
 //! Like any SQL planner, pushdown can change *which* conjunct
 //! rejects a row first, so an evaluation error in a later conjunct
@@ -48,7 +49,8 @@ use dpapi::{ObjectRef, Value};
 
 use crate::ast::*;
 use crate::eval::{
-    column_names, truthy, walk_steps, ExprCtx, GraphSource, OutValue, ResultSet, Row, RowDedup,
+    check_bindings, column_names, truthy, walk_steps, ExprCtx, GraphSource, OutValue, ResultSet,
+    Row, RowDedup,
 };
 use crate::PqlError;
 
@@ -111,8 +113,9 @@ pub struct PlanStats {
     /// True when the planner changed the written binding order (row
     /// order then follows the planned order).
     pub bindings_reordered: bool,
-    /// Queries that bypassed the planner for the naive evaluator
-    /// (irregular binding structure).
+    /// Always 0: nothing falls back to the naive evaluator. The field
+    /// stays because the frozen ledger reads it by name (ROADMAP
+    /// item 1).
     pub naive_fallbacks: u64,
 }
 
@@ -287,17 +290,7 @@ fn execute_accum_traced(
     let span = scope.open("pql", "plan");
     let compiled = compile(query);
     scope.close(span);
-    match compiled {
-        Some(plan) => run(query, &plan, graph, stats, scope),
-        None => {
-            // Irregular binding structure (duplicate binding names, or
-            // a variable-rooted path no earlier source binds): the
-            // naive evaluator's semantics are subtle there, so defer
-            // to it wholesale.
-            stats.borrow_mut().naive_fallbacks += 1;
-            crate::eval::execute(query, graph)
-        }
-    }
+    run(query, &compiled?, graph, stats, scope)
 }
 
 // ---- compilation ----------------------------------------------------------
@@ -370,23 +363,9 @@ fn sargable(expr: &Expr) -> Option<(&str, &str, AttrPredicate)> {
     }
 }
 
-/// Compiles a query, or `None` when its binding structure forces the
-/// naive fallback.
-fn compile(query: &Query) -> Option<CompiledPlan<'_>> {
-    // Regularity: unique binding names, and every variable-rooted
-    // path rooted at a binding of a *strictly earlier* source (the
-    // naive left-to-right semantics reordering must preserve).
-    let mut bound: HashSet<&str> = HashSet::new();
-    for source in &query.from {
-        if let PathRoot::Var(v) = &source.root {
-            if !bound.contains(v.as_str()) {
-                return None;
-            }
-        }
-        if !bound.insert(&source.binding) {
-            return None;
-        }
-    }
+/// Compiles a query, or says why its binding structure is irregular.
+fn compile(query: &Query) -> Result<CompiledPlan<'_>, PqlError> {
+    check_bindings(query)?;
 
     // Split the filter into conjuncts and pick at most one sargable
     // predicate per step-less class-rooted binding; everything else
@@ -449,7 +428,7 @@ fn compile(query: &Query) -> Option<CompiledPlan<'_>> {
                 best = Some((i, rank));
             }
         }
-        let (i, _) = best?; // regularity check above makes this Some
+        let (i, _) = best.expect("check_bindings: every root variable is bound earlier");
         placed[i] = true;
         bound_now.insert(&query.from[i].binding);
         order.push(i);
@@ -498,7 +477,7 @@ fn compile(query: &Query) -> Option<CompiledPlan<'_>> {
         // the single empty row directly (filters_at is unused).
     }
 
-    Some(CompiledPlan {
+    Ok(CompiledPlan {
         steps,
         filters_at,
         reordered,
@@ -898,14 +877,25 @@ mod tests {
     }
 
     #[test]
-    fn irregular_queries_fall_back_to_naive() {
-        // Root variable bound by a *later* source: the naive
-        // evaluator errors; the planner must too (via fallback), not
-        // silently reorder it into something that works.
-        let q = "select A from X.input as A Provenance.file as X";
-        let planned = query_with_stats(q, &Indexed);
-        let naive = crate::eval::execute(&crate::parse(q).unwrap(), &Indexed);
-        assert!(planned.is_err() && naive.is_err());
+    fn irregular_queries_are_rejected_like_the_naive_evaluator_rejects_them() {
+        for (q, why) in [
+            // Root variable bound by a *later* source: the planner
+            // must not silently reorder it into something that works.
+            (
+                "select A from X.input as A Provenance.file as X",
+                "unbound variable `X`",
+            ),
+            (
+                "select F from Provenance.file as F Provenance.obj as F",
+                "duplicate binding `F`",
+            ),
+        ] {
+            let planned = query_with_stats(q, &Indexed).map(|out| out.result);
+            let naive = crate::eval::execute(&crate::parse(q).unwrap(), &Indexed);
+            let expected = Err(PqlError::Eval(why.to_string()));
+            assert_eq!(planned, expected, "{q}");
+            assert_eq!(naive, expected, "{q}");
+        }
     }
 
     /// A selective binding that comes up empty costs later sources

@@ -118,15 +118,15 @@ pub struct CaseReport {
     /// loading into `chrome://tracing` when a cell goes wrong. The
     /// reference twin runs untraced, so the byte-equality oracle
     /// doubles as a continuous check that tracing never participates
-    /// in behavior. Deterministic (virtual clock), so the smoke
-    /// binary's reproducibility assertion covers it too.
+    /// in behavior. Deterministic (virtual clock), so the matrix
+    /// test's reproducibility assertion covers it too.
     pub trace_json: String,
     /// The volume-salted **batch** trace ids the faulted twin's scope
     /// retained, sorted. Batch ids are content-derived, so under a
     /// [`torture_with_recorder`] run with head sampling this set is
-    /// the pure sampled subset of the unbounded run's — the smoke
-    /// binary asserts it, and that same-seed recorder runs retain
-    /// identical sets.
+    /// the pure sampled subset of the unbounded run's —
+    /// `tests/matrix.rs` asserts it, and that same-seed recorder runs
+    /// retain identical sets.
     pub sampled_traces: Vec<u64>,
 }
 
@@ -244,7 +244,7 @@ pub fn torture(w: &dyn Workload, topo: Topology, fault: &Fault, seed: u64) -> Ca
 /// flight recorder instead of unbounded tracing. The oracle is
 /// unchanged — the recorder only decides which completed trace trees
 /// are *retained*, so verdicts must match the unbounded run's
-/// verbatim (the smoke binary asserts this).
+/// verbatim (`tests/matrix.rs` asserts this).
 pub fn torture_with_recorder(
     w: &dyn Workload,
     topo: Topology,

@@ -23,8 +23,8 @@
 //! crashed and cold-restarted, and a two-member cluster crashed and
 //! cold-restarted. Everything is driven by a seed: the same
 //! `(workload, topology, fault, seed)` tuple always produces the
-//! same verdict, byte for byte — asserted by the CI smoke binary,
-//! which runs the matrix twice and diffs the reports.
+//! same verdict, byte for byte — asserted by `tests/matrix.rs`,
+//! which runs the matrix twice and compares the reports.
 //!
 //! The second half of the oracle is ProvMark-style expressiveness
 //! ([`shape`]): the graph each topology records must have the same

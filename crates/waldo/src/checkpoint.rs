@@ -129,7 +129,7 @@ pub enum CheckpointCrash {
     AfterWalTruncate,
 }
 
-/// What a cold restart found, for tests, benches and operators.
+/// What a cold restart found, for tests and operators.
 #[derive(Clone, Debug, Default)]
 pub struct RestartReport {
     /// Sequence of the checkpoint the store was rehydrated from

@@ -332,7 +332,14 @@ mod tests {
                 ]
             })
             .collect();
-        let reference = ProvDb::with_config(WaldoConfig::record_at_a_time());
+        // The original engine: one shard, one commit per record, no
+        // query cache.
+        let reference = ProvDb::with_config(WaldoConfig {
+            shards: 1,
+            ingest_batch: 1,
+            ancestry_cache: 0,
+            ..WaldoConfig::default()
+        });
         for e in &entries {
             reference.ingest(std::slice::from_ref(e));
         }

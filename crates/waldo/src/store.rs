@@ -121,20 +121,6 @@ impl Default for WaldoConfig {
 }
 
 impl WaldoConfig {
-    /// The original engine's behavior: one shard, one commit per
-    /// record, no query cache, no checkpointing. Kept so experiments
-    /// can compare against it.
-    pub fn record_at_a_time() -> WaldoConfig {
-        WaldoConfig {
-            shards: 1,
-            ingest_batch: 1,
-            ancestry_cache: 0,
-            checkpoint_commits: 0,
-            checkpoint_wal_bytes: 0,
-            keep_checkpoints: 2,
-        }
-    }
-
     /// The shard count a store built from this configuration actually
     /// uses: `shards.clamp(1, 64).next_power_of_two()`.
     ///

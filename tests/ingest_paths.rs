@@ -11,7 +11,7 @@
 use provtorture::{run_clean, torture, Fault, GraphShape, Verdict, ALL_TOPOLOGIES};
 use workloads::SelfIngest;
 
-const SEED: u64 = 0x7061_7373_7632; // "passv2", the provtorture smoke seed
+const SEED: u64 = 0x7061_7373_7632; // "passv2", the provtorture matrix seed
 
 fn tiny_build() -> SelfIngest {
     SelfIngest {

@@ -217,3 +217,89 @@ fn transient_processes_are_not_materialized() {
         "read-only process must not persist: {names:?}"
     );
 }
+
+/// A dependency the system observed must be in the recorded ancestry:
+/// a process that is already materialized (it wrote `/a`) and then
+/// reads `/b` still holds that input in the module's cache when it
+/// exits, and `exit` must disclose it, not drop it. The paper's rule
+/// (§5.5: a transient object with no persistent descendant leaves no
+/// trace) still holds for the *un*materialized branch, which
+/// `transient_processes_are_not_materialized` above pins.
+#[test]
+fn materialized_process_discloses_its_trailing_reads_at_exit() {
+    let mut sys = passv2::System::single_volume();
+    let setup = sys.spawn("setup");
+    sys.kernel.write_file(setup, "/b", b"late input").unwrap();
+    let pid = sys.spawn("worker");
+    sys.kernel.write_file(pid, "/a", b"early output").unwrap();
+    let _ = sys.kernel.read_file(pid, "/b").unwrap();
+    sys.kernel.exit(pid);
+
+    let mut w = sys.spawn_waldo();
+    for (_, logs) in sys.rotate_all_logs() {
+        for log in logs {
+            w.ingest_log_file(&mut sys.kernel, &log);
+        }
+    }
+    let b = w.db.find_by_name("/b");
+    assert_eq!(b.len(), 1);
+    let descendants = w.db.descendants(b[0]);
+    // `setup` is an ancestor of /b, not a descendant, so a PROC among
+    // /b's descendants is the worker.
+    let procs = w.db.find_by_type("PROC");
+    assert!(
+        procs
+            .iter()
+            .any(|p| descendants.iter().any(|r| r.pnode == *p)),
+        "the worker read /b before it exited, so it descends from /b: {descendants:?}"
+    );
+}
+
+/// A multi-op disclosure transaction committed at user level must
+/// surface in Waldo as a committed transaction: the batch boundary
+/// flows intact from `pass_commit` through the Lasagna group frame
+/// into the store's group commit. Non-zero batch-path op counters in
+/// kernel, module and daemon — otherwise the stack has silently
+/// regressed to per-record disclosure.
+#[test]
+fn user_pass_commit_reaches_waldo_as_one_committed_transaction() {
+    use dpapi::{Attribute, Bundle, ProvenanceRecord, Value};
+
+    let mut sys = passv2::System::single_volume();
+    let pid = sys.spawn("app");
+    let app = sys.kernel.pass_mkobj(pid, None).unwrap();
+    let mut txn = dpapi::Txn::new();
+    for i in 0..8 {
+        txn.disclose(
+            app,
+            Bundle::single(
+                app,
+                ProvenanceRecord::new(Attribute::Other(format!("STEP{i}")), Value::str("batched")),
+            ),
+        );
+    }
+    txn.sync(app);
+    sys.kernel.pass_commit(pid, txn).unwrap();
+    let kstats = sys.kernel.stats();
+    assert!(
+        kstats.dpapi_txns >= 1 && kstats.dpapi_txn_ops >= 9,
+        "kernel batch counters must be non-zero: {kstats:?}"
+    );
+    let pstats = sys.pass.stats();
+    assert!(
+        pstats.txn_commits >= 1 && pstats.txn_ops >= 9,
+        "module batch counters must be non-zero: {pstats:?}"
+    );
+    let mut waldo = sys.spawn_waldo();
+    let mut total = waldo::IngestStats::default();
+    for (_, logs) in sys.rotate_all_logs() {
+        for log in logs {
+            total += waldo.ingest_log_file(&mut sys.kernel, &log);
+        }
+    }
+    assert!(
+        total.txns_committed >= 1,
+        "the batch boundary must reach Waldo's group commit as a \
+         transaction: {total:?}"
+    );
+}
