@@ -1,9 +1,8 @@
 //! provtop — the operator's one-screen view of a running provenance
 //! pipeline, fed entirely by the observability plane this repo grew:
 //! sluice queue gauges, flight-recorder retention counters, per-layer
-//! self-time quantiles from the span forest, the store's
-//! lock-contention profile, health-rule verdicts and the slow-trace
-//! ring.
+//! self-time quantiles from the span forest, health-rule verdicts and
+//! the slow-trace ring.
 //!
 //! Drives the pipelined PA-NFS disclosure rig (sluice front door →
 //! pa-nfs client/server → lasagna → waldo store) for a few ingest
@@ -17,8 +16,7 @@
 //!
 //! The JSON mode emits a deterministic, hand-rolled snapshot per tick
 //! (sorted keys, virtual-clock timestamps) for dashboards and diff
-//! tests; the wall-clock lock-wait quantiles are the one knowingly
-//! nondeterministic block and are text-mode only.
+//! tests.
 
 use std::collections::BTreeMap;
 
@@ -121,13 +119,12 @@ fn main() {
         pipe.set_now(move || c.now());
     }
 
-    let db = ProvDb::with_config(WaldoConfig::default());
+    let mut db = ProvDb::with_config(WaldoConfig::default());
     let rules = provscope::health::standard_rules();
 
     for tick in 1..=args.ticks {
         // One ingest tick: submit, drain, land the logs in the store,
-        // answer a query burst (the read side the contention profile
-        // watches).
+        // answer a query burst.
         let mut tickets = Vec::with_capacity(args.txns);
         for i in 0..args.txns {
             let h = client.handle_for_ino(ino).expect("handle");
@@ -162,14 +159,12 @@ fn main() {
         let mut reg = Registry::new();
         pipe.export_metrics("sluice.", &mut reg);
         scope.export_metrics(&mut reg);
-        db.export_contention("waldo.", &mut reg);
         reg.absorb("pa-nfs.client.", &client.stats());
         let health = provscope::health::evaluate(&rules, &reg);
         let trace = scope.snapshot();
         let layers = layer_self_histograms(&trace);
         let rec = scope.recorder_stats();
         let slow = scope.slow_traces();
-        let con = db.contention_stats();
         let now = clock.now();
 
         if args.json {
@@ -218,8 +213,6 @@ fn main() {
                  \"recorder\": {{\"spans_live\": {}, \"spans_high_water\": {}, \
                  \"trees_retained\": {}, \"trees_evicted\": {}, \
                  \"trees_sampled_out\": {}, \"slow_trees\": {}, \"spans_shed\": {}}}, \
-                 \"contention\": {{\"epoch_reads\": {}, \"epoch_retries\": {}, \
-                 \"epoch_fallbacks\": {}, \"commit_windows\": {}}}, \
                  \"layers\": [{}], \
                  \"health\": {{\"healthy\": {}, \"rules\": {}, \"violations\": [{}]}}, \
                  \"slow_traces\": [{}]}}",
@@ -236,10 +229,6 @@ fn main() {
                 rec.trees_sampled_out,
                 rec.slow_trees,
                 rec.spans_shed,
-                con.epoch_reads,
-                con.epoch_retries,
-                con.epoch_fallbacks,
-                con.commit_windows,
                 layer_rows.join(", "),
                 health.healthy(),
                 health.rules_evaluated,
@@ -275,18 +264,6 @@ fn main() {
             rec.trees_sampled_out,
             rec.slow_trees,
             rec.spans_shed
-        );
-        println!(
-            "contention  epoch reads {}, retries {}, fallbacks {}, commit windows {}",
-            con.epoch_reads, con.epoch_retries, con.epoch_fallbacks, con.commit_windows
-        );
-        println!(
-            "lock waits  meta p99 {}ns, shard p99 {}ns, cache p99 {}ns, \
-             commit window p99 {}ns (wall clock)",
-            reg_hist_p99(&reg, "waldo.lock.meta_wait_ns"),
-            reg_hist_p99(&reg, "waldo.lock.shard_wait_ns"),
-            reg_hist_p99(&reg, "waldo.lock.cache_wait_ns"),
-            reg_hist_p99(&reg, "waldo.commit_window_ns"),
         );
         println!(
             "{:<10} {:>7} {:>14} {:>14}",
@@ -334,12 +311,4 @@ fn main() {
         }
         println!();
     }
-}
-
-/// p99 of a registry histogram, 0 when absent or empty.
-fn reg_hist_p99(reg: &Registry, key: &str) -> u64 {
-    reg.histograms()
-        .find(|(k, _)| *k == key)
-        .map(|(_, h)| h.quantile(0.99))
-        .unwrap_or(0)
 }

@@ -193,7 +193,7 @@ pub fn measure(cfg: Config, workload: &dyn Workload) -> Measurement {
         let ops = ops_report(&w);
         (s.db_bytes, s.index_bytes, ops)
     } else if cfg == Config::PaNfs {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         if let Some(server) = &m.server {
             for image in server.borrow_mut().drain_provenance_logs() {
                 let (entries, _) = parse_log(&image);

@@ -162,8 +162,8 @@ impl ShardSnapshot {
 
     /// True if every recorded shard is still at its recorded
     /// generation. `current` maps a shard index to its present
-    /// generation (a closure, so the store can answer from its atomic
-    /// per-shard counters without materializing a vector).
+    /// generation (a closure, so the store can answer from its shards
+    /// without materializing a vector).
     pub fn valid(&self, current: impl Fn(usize) -> u64) -> bool {
         self.gens.iter().all(|(s, g)| current(*s as usize) == *g)
     }

@@ -205,7 +205,8 @@ pub(crate) fn write_segments(
     let mut written = 0u64;
     let mut bytes = 0u64;
     for i in 0..store.shard_count() {
-        let gen = store.shard_generation(i);
+        let shard = store.shard(i);
+        let gen = shard.generation;
         if gen == 0 {
             refs.push(SegmentRef {
                 generation: 0,
@@ -220,7 +221,7 @@ pub(crate) fn write_segments(
                 continue;
             }
         }
-        let img = store.with_shard(i, |shard| encode_shard(i as u32, shard, gen));
+        let img = encode_shard(i as u32, shard, gen);
         write_synced(
             kernel,
             pid,
@@ -499,7 +500,7 @@ fn try_load(
     // Replay state and the commit sequence are the manifest's (as of
     // `seq`); shard contents are the base's (as of `base_seq`) until
     // the chain below carries them forward.
-    let store = Store::restore(
+    let mut store = Store::restore(
         cfg,
         shards,
         m.txns.clone(),

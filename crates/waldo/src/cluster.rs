@@ -2,7 +2,7 @@
 //!
 //! The paper's layering argument makes Waldo *just another consumer*
 //! of the DPAPI stream — so nothing stops several Waldo daemons from
-//! consuming distinct volumes concurrently. This module turns that
+//! each consuming their own distinct volumes. This module turns that
 //! observation into a subsystem:
 //!
 //! * **routing** — [`route_volume`] deterministically assigns every
@@ -57,7 +57,7 @@ pub enum ClusterRuntime {
     #[default]
     Sequential,
     /// Formerly a sweep on member threads, which the wall clock showed
-    /// losing to this one (DESIGN.md "Threading model"); now the same
+    /// losing to this one (DESIGN.md "Single-owner store"); now the same
     /// sweep.
     Threaded,
 }
@@ -221,7 +221,7 @@ pub fn route_volume(volume: VolumeId, members: usize) -> usize {
     (crate::store::splitmix64(u64::from(volume.0)) % members as u64) as usize
 }
 
-/// A fleet of Waldo daemons consuming distinct volumes concurrently,
+/// A fleet of Waldo daemons, each consuming its own distinct volumes,
 /// presented as one queryable provenance graph.
 pub struct Cluster {
     members: Vec<Waldo>,
@@ -411,7 +411,7 @@ impl Cluster {
     /// fault harness, operators with forged streams) for whom an
     /// unmergeable member is an outcome to classify, not a bug.
     pub fn try_merged_store(&self) -> Result<Store, MergeError> {
-        let merged = Store::with_config(self.members[0].db.config());
+        let mut merged = Store::with_config(self.members[0].db.config());
         for m in &self.members {
             merged.merge(&m.db)?;
         }

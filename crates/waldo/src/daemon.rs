@@ -320,7 +320,7 @@ impl Waldo {
     /// state of a crashed predecessor). Staged-but-uncommitted entries
     /// are discarded — the next poll replays them from the logs that
     /// were, by design, not yet unlinked.
-    pub fn resume(pid: Pid, db: Store) -> Waldo {
+    pub fn resume(pid: Pid, mut db: Store) -> Waldo {
         db.drop_staged();
         let cfg = db.config();
         let mut w = Waldo::with_config(pid, cfg);

@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn name_and_type_indexes() {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         db.ingest(&[
             prov(r(1, 0), Attribute::Name, Value::str("/data/out.gif")),
             prov(r(1, 0), Attribute::Type, Value::str("FILE")),
@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn ancestry_and_reverse_index() {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         // file(1) <- proc(2) <- file(3): 1 depends on 2 depends on 3.
         db.ingest(&[
             prov(r(1, 0), Attribute::Input, Value::Xref(r(2, 0))),
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn freeze_creates_version_and_implicit_edges() {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         db.ingest(&[
             prov(r(1, 0), Attribute::Input, Value::Xref(r(2, 0))),
             prov(r(1, 0), Attribute::Freeze, Value::Int(1)),
@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn version_specific_reverse_lookups() {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         db.ingest(&[prov(r(1, 0), Attribute::Input, Value::Xref(r(2, 3)))]);
         // Outputs of 2@3 include 1@0; outputs of 2@1 do not.
         assert_eq!(db.outputs_of(r(2, 3)).len(), 1);
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn transactions_buffer_until_end() {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         let stats = db.ingest(&[
             LogEntry::TxnBegin { id: 9 },
             prov(r(1, 0), Attribute::Name, Value::str("x")),
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn orphaned_txns_can_be_discarded() {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         db.ingest(&[
             LogEntry::TxnBegin { id: 5 },
             prov(r(1, 0), Attribute::Name, Value::str("ghost")),
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn size_grows_with_ingestion() {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         let before = db.size();
         db.ingest(&[
             prov(
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn data_writes_accumulate_per_version() {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         db.ingest(&[
             LogEntry::DataWrite {
                 subject: r(1, 0),
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn first_attr_spans_versions() {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         db.ingest(&[
             prov(r(1, 0), Attribute::Freeze, Value::Int(1)),
             prov(r(1, 1), Attribute::Name, Value::str("late-name")),
@@ -334,7 +334,7 @@ mod tests {
             .collect();
         // The original engine: one shard, one commit per record, no
         // query cache.
-        let reference = ProvDb::with_config(WaldoConfig {
+        let mut reference = ProvDb::with_config(WaldoConfig {
             shards: 1,
             ingest_batch: 1,
             ancestry_cache: 0,
@@ -344,7 +344,7 @@ mod tests {
             reference.ingest(std::slice::from_ref(e));
         }
         for shards in [1, 4, 64] {
-            let db = ProvDb::with_config(WaldoConfig {
+            let mut db = ProvDb::with_config(WaldoConfig {
                 shards,
                 ingest_batch: 7,
                 ancestry_cache: 16,
@@ -369,7 +369,7 @@ mod tests {
     /// shard invalidates exactly the affected traversals.
     #[test]
     fn ancestry_cache_hits_and_per_shard_invalidation() {
-        let db = ProvDb::with_config(WaldoConfig {
+        let mut db = ProvDb::with_config(WaldoConfig {
             shards: 8,
             ingest_batch: 64,
             ancestry_cache: 128,
@@ -397,7 +397,7 @@ mod tests {
     /// A query over shards untouched by an ingest stays cached.
     #[test]
     fn unrelated_ingest_keeps_cache_entries() {
-        let db = ProvDb::with_config(WaldoConfig {
+        let mut db = ProvDb::with_config(WaldoConfig {
             shards: 64,
             ingest_batch: 64,
             ancestry_cache: 128,

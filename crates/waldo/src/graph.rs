@@ -138,9 +138,8 @@ impl GraphSource for Store {
     }
 
     fn attr(&self, node: ObjectRef, name: &str) -> Option<Value> {
-        self.with_home(node.pnode, |shard| {
-            with_attr(shard.objects.get(&node.pnode), node, name, |v| v.cloned())
-        })
+        let obj = self.home(node.pnode).objects.get(&node.pnode);
+        with_attr(obj, node, name, |v| v.cloned())
     }
 
     fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
@@ -186,16 +185,15 @@ impl GraphSource for Store {
         let any_class = class.eq_ignore_ascii_case("obj");
         let mut nodes = Vec::new();
         for p in pnodes {
-            self.with_home(p, |shard| {
-                let in_class = any_class
-                    || (shard.type_index.get(&class_upper)).is_some_and(|ps| ps.contains(&p));
-                let Some(obj) = shard.objects.get(&p).filter(|_| in_class) else {
-                    return;
-                };
-                let matching = version_refs(p, obj)
-                    .filter(|r| with_attr(Some(obj), *r, attr, |v| pred.matches(v)));
-                nodes.extend(matching);
-            });
+            let shard = self.home(p);
+            let in_class =
+                any_class || (shard.type_index.get(&class_upper)).is_some_and(|ps| ps.contains(&p));
+            let Some(obj) = shard.objects.get(&p).filter(|_| in_class) else {
+                continue;
+            };
+            let matching = version_refs(p, obj)
+                .filter(|r| with_attr(Some(obj), *r, attr, |v| pred.matches(v)));
+            nodes.extend(matching);
         }
         nodes.sort();
         AttrLookup {
@@ -241,7 +239,7 @@ mod tests {
     }
 
     fn sample_db() -> ProvDb {
-        let db = ProvDb::new();
+        let mut db = ProvDb::new();
         db.ingest(&[
             prov(r(1, 0), Attribute::Name, Value::str("/data/atlas-x.gif")),
             prov(r(1, 0), Attribute::Type, Value::str("FILE")),
@@ -321,7 +319,7 @@ mod tests {
     /// afterwards invalidates only what the commit touched.
     #[test]
     fn repeated_queries_hit_the_closure_cache() {
-        let db = sample_db();
+        let mut db = sample_db();
         let q = "select D from Provenance.file as F F.input~+ as D \
                  where F.name = '/data/anatomy1.img'";
         let first = pql::query(q, &db).unwrap().nodes();

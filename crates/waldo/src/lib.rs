@@ -33,8 +33,8 @@
 //! * [`graph`] — the store as a [`pql::GraphSource`], with cached
 //!   edge expansion and index-backed predicate pushdown
 //!   (`lookup_attr`), the fast path behind [`daemon::Waldo::query`];
-//! * [`cluster`] — the multi-daemon fan-in tier: N daemons consume
-//!   distinct volumes concurrently (deterministic volume→member
+//! * [`cluster`] — the multi-daemon fan-in tier: N daemons each
+//!   consume their own distinct volumes (deterministic volume→member
 //!   routing), consolidate via [`store::Store::merge`], and serve
 //!   scatter-gather PQL through [`cluster::ClusterGraphSource`]
 //!   without materializing the merge.
@@ -83,7 +83,6 @@
 pub mod cache;
 pub mod checkpoint;
 pub mod cluster;
-pub mod contention;
 pub mod daemon;
 pub mod db;
 pub(crate) mod delta;
@@ -100,7 +99,6 @@ pub use cluster::{
     route_volume, Cluster, ClusterCheckpointError, ClusterGraphSource, ClusterMemberError,
     ClusterPollReport, ClusterRuntime, MemberTiming, VolumePoll,
 };
-pub use contention::{AtomicHist, Contention, ContentionStats};
 pub use daemon::{QueryOps, RestartError, Waldo};
 pub use db::{DbSize, IngestStats, ObjectEntry, ProvDb, VersionEntry};
-pub use store::{MergeError, Store, WaldoConfig};
+pub use store::{ContentionStats, MergeError, Store, WaldoConfig};

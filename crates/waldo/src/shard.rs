@@ -8,7 +8,7 @@
 //! descendant queries never leave the ancestor's partition. Shards
 //! never reference each other — the [`crate::store::Store`] facade
 //! routes between them — which is what later lets shards move to
-//! independent backends or threads.
+//! independent backends.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 

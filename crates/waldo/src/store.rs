@@ -26,55 +26,26 @@
 //! exact semantics: point lookups route to one shard, index scans fan
 //! out and merge in pnode order.
 //!
-//! # Concurrency
+//! # Ownership
 //!
-//! The store is `Sync`: every method takes `&self`, and internal
-//! locking is fine-grained so snapshot readers on other threads
-//! proceed *during* commits. The lock hierarchy, outermost first:
-//!
-//! 1. **`meta` mutex** — all writer-owned bookkeeping (staging queue,
-//!    open transactions, replay marks, the durability frame, scratch).
-//!    Writers (`ingest`, `commit_staged`, `merge`) hold it for their
-//!    whole operation, so writers serialize against each other — one
-//!    daemon owns one store, so writer concurrency is not the point.
-//! 2. **per-shard `RwLock`s** — object tables and indexes. Readers
-//!    take brief per-shard read locks; a commit write-locks only the
-//!    shards it touches, one at a time.
-//! 3. **cache mutexes** — the memoized traversal caches.
-//!
-//! Per-shard locks alone would let a reader observe *half* of a
-//! cross-shard transaction (subject effects applied on shard A,
-//! reverse edges not yet on shard B). A store-wide **epoch seqlock**
-//! closes that window: `epoch` is odd while a commit is mutating
-//! shards, and multi-shard readers (`Store::read_consistent`) run
-//! optimistically — wait for an even epoch, read with brief shard
-//! locks, and retry if the epoch moved. After a bounded number of
-//! retries a reader acquires `meta` (blocking new commits, and
-//! waiting out the one in flight) for guaranteed progress. Commits
-//! never block on readers beyond the per-shard lock handoff, and
-//! readers between commits validate in two atomic loads.
-//!
-//! Per-shard **generations** are mirrored into atomics (`gens`) so
-//! cache validation needs no shard lock. Traversals record the
-//! generation of every shard *before* reading its content; a commit
-//! racing the traversal therefore leaves the cached entry
-//! self-invalidating (its recorded generation is stale the moment
-//! the commit publishes), and the epoch retry discards the torn
-//! result itself.
+//! One daemon owns one store (paper §5.6), so the store has one owner
+//! and no locks: every writer (`ingest`, `stage`, `commit_staged`,
+//! `merge`, …) takes `&mut self` and every reader takes `&self`. A
+//! commit therefore excludes all readers for its whole duration — the
+//! borrow checker, not a lock, is why no query can observe half of a
+//! cross-shard group. The three traversal caches are the one piece of
+//! interior mutability: memoizing reads go through `&self`, so the
+//! caches sit in `RefCell`s, and no cache borrow is held across a
+//! call back into the store.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{
-    LockResult, Mutex, MutexGuard, RwLock, RwLockWriteGuard, TryLockError, TryLockResult,
-};
-use std::time::Instant;
 
 use dpapi::{Attribute, ObjectRef, Pnode, Version};
 use lasagna::LogEntry;
 use pql::EdgeLabel;
 
 use crate::cache::{CacheStats, ShardSnapshot, TraversalCache};
-use crate::contention::{AtomicHist, Contention, ContentionStats};
 use crate::db::{DbSize, IngestStats, ObjectEntry};
 use crate::delta::DeltaGroups;
 use crate::shard::{ReverseEdge, Shard};
@@ -254,10 +225,8 @@ pub(crate) enum EdgeKind<'a> {
     Version,
 }
 
-/// Writer-owned bookkeeping, all behind one mutex (level 1 of the
-/// lock hierarchy). One daemon owns one store, so writers contending
-/// here is the exception; what matters is that *readers* never need
-/// this lock outside the bounded-retry fallback.
+/// Writer-owned bookkeeping: everything but the shards that a commit
+/// changes.
 struct StoreMeta {
     /// Open provenance transactions (NFS chunked bundles). Committed
     /// state: mutated only during [`Store::commit_staged`].
@@ -344,45 +313,42 @@ impl StoreMeta {
     }
 }
 
-/// Bounded optimistic retries before a snapshot reader falls back to
-/// blocking new commits via the `meta` mutex.
-const EPOCH_RETRIES: usize = 64;
-
 /// The sharded, batched, cached provenance store.
 pub struct Store {
     cfg: WaldoConfig,
-    shards: Vec<RwLock<Shard>>,
+    shards: Vec<Shard>,
     shard_mask: u64,
-    /// Seqlock word for cross-shard snapshot reads: odd while a
-    /// commit (or merge) is mutating shards.
-    epoch: AtomicU64,
-    /// Per-shard generation mirror, readable without shard locks —
-    /// what cache validation compares against.
-    gens: Vec<AtomicU64>,
     /// Monotonic group-commit sequence number.
-    commit_seq: AtomicU64,
-    /// Writer-owned bookkeeping (lock level 1).
-    meta: Mutex<StoreMeta>,
+    commit_seq: u64,
+    /// Writer-owned bookkeeping.
+    meta: StoreMeta,
     /// Memoized ancestry/descendant closures.
-    ancestry_cache: Mutex<TraversalCache<AncestryKey, Vec<ObjectRef>>>,
+    ancestry_cache: RefCell<TraversalCache<AncestryKey, Vec<ObjectRef>>>,
     /// Memoized per-node labelled edge lists (the PQL hot path).
-    edge_cache: Mutex<TraversalCache<EdgeKey, Vec<ObjectRef>>>,
+    edge_cache: RefCell<TraversalCache<EdgeKey, Vec<ObjectRef>>>,
     /// Memoized whole reachability closures, keyed like edge lists —
     /// what repeated PQL `label*`/`label+` queries hit.
-    closure_cache: Mutex<TraversalCache<EdgeKey, Vec<ObjectRef>>>,
-    /// Lock-contention profiling: seqlock retry/fallback counters and
-    /// per-level wait histograms. See [`crate::contention`].
-    contention: Contention,
+    closure_cache: RefCell<TraversalCache<EdgeKey, Vec<ObjectRef>>>,
+}
+
+/// Always zero (see [`Store::contention_stats`]). Inert, like
+/// [`crate::ClusterRuntime`]: the frozen `ledger/` benchmark reads
+/// these two fields, so the type goes with the next `[benchmark]` PR.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ContentionStats {
+    /// Formerly optimistic read attempts retried.
+    pub epoch_retries: u64,
+    /// Formerly reads that fell back to blocking commits.
+    pub epoch_fallbacks: u64,
 }
 
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let meta = self.lock_meta();
         f.debug_struct("Store")
             .field("cfg", &self.cfg)
             .field("objects", &self.object_count())
-            .field("staged", &meta.staged.len())
-            .field("open_txns", &meta.pending_txns.len())
+            .field("staged", &self.meta.staged.len())
+            .field("open_txns", &self.meta.pending_txns.len())
             .finish()
     }
 }
@@ -402,14 +368,13 @@ impl Store {
     /// Creates an empty store with explicit tuning knobs.
     pub fn with_config(cfg: WaldoConfig) -> Store {
         let n = cfg.effective_shards();
+        let cap = cfg.ancestry_cache.max(1);
         Store {
             cfg,
-            shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
+            shards: (0..n).map(|_| Shard::default()).collect(),
             shard_mask: (n - 1) as u64,
-            epoch: AtomicU64::new(0),
-            gens: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            commit_seq: AtomicU64::new(0),
-            meta: Mutex::new(StoreMeta {
+            commit_seq: 0,
+            meta: StoreMeta {
                 pending_txns: HashMap::new(),
                 commit_txn: None,
                 batch_hw: HashMap::new(),
@@ -422,11 +387,10 @@ impl Store {
                 commit_frame: Vec::new(),
                 bucket_scratch: (0..n).map(|_| Vec::new()).collect(),
                 delta: None,
-            }),
-            ancestry_cache: Mutex::new(TraversalCache::new(cfg.ancestry_cache.max(1))),
-            edge_cache: Mutex::new(TraversalCache::new(cfg.ancestry_cache.max(1))),
-            closure_cache: Mutex::new(TraversalCache::new(cfg.ancestry_cache.max(1))),
-            contention: Contention::default(),
+            },
+            ancestry_cache: RefCell::new(TraversalCache::new(cap)),
+            edge_cache: RefCell::new(TraversalCache::new(cap)),
+            closure_cache: RefCell::new(TraversalCache::new(cap)),
         }
     }
 
@@ -450,145 +414,39 @@ impl Store {
         (mix_pnode(p) & self.shard_mask) as usize
     }
 
-    /// Runs `f` against `p`'s home shard under its read lock. One
-    /// lock acquisition sees one consistent shard, so single-shard
-    /// reads need no epoch validation.
-    pub(crate) fn with_home<R>(&self, p: Pnode, f: impl FnOnce(&Shard) -> R) -> R {
-        f(&self.shards[self.shard_of(p)].read().unwrap())
+    /// `p`'s home shard.
+    pub(crate) fn home(&self, p: Pnode) -> &Shard {
+        &self.shards[self.shard_of(p)]
     }
 
-    /// Runs `f` against shard `i` under its read lock — the
-    /// checkpoint writer's access path.
-    pub(crate) fn with_shard<R>(&self, i: usize, f: impl FnOnce(&Shard) -> R) -> R {
-        f(&self.shards[i].read().unwrap())
+    /// Shard `i` — the checkpoint writer's access path.
+    pub(crate) fn shard(&self, i: usize) -> &Shard {
+        &self.shards[i]
     }
 
-    /// The generation of one shard (bumped per commit touching it).
-    pub fn shard_generation(&self, shard: usize) -> u64 {
-        self.gens[shard].load(Ordering::Acquire)
-    }
-
-    /// Runs a multi-shard read so it observes commits all-or-nothing:
-    /// wait for an even epoch, read (taking brief per-shard locks),
-    /// and retry if a commit moved the epoch meanwhile. After
-    /// [`EPOCH_RETRIES`] failed attempts the reader takes the `meta`
-    /// mutex — blocking *new* commits and waiting out the one in
-    /// flight — so progress is guaranteed under a commit storm.
-    ///
-    /// `f` may run several times; it must not hold any shard lock
-    /// while acquiring `meta` (no `f` does — shard locks are released
-    /// between nodes), and side effects must be idempotent (the cache
-    /// stores are: a retried attempt overwrites its own key).
-    fn read_consistent<R>(&self, f: impl Fn() -> R) -> R {
-        self.contention.epoch_reads.fetch_add(1, Ordering::Relaxed);
-        for _ in 0..EPOCH_RETRIES {
-            let e1 = self.epoch.load(Ordering::Acquire);
-            if e1 & 1 == 1 {
-                self.contention
-                    .epoch_retries
-                    .fetch_add(1, Ordering::Relaxed);
-                std::thread::yield_now();
-                continue;
-            }
-            let r = f();
-            if self.epoch.load(Ordering::Acquire) == e1 {
-                return r;
-            }
-            self.contention
-                .epoch_retries
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.contention
-            .epoch_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        let _writers_held_off = self.lock_meta();
-        f()
-    }
-
-    /// Acquires the meta mutex (lock level 1), recording the wait
-    /// into the contention profile.
-    fn lock_meta(&self) -> MutexGuard<'_, StoreMeta> {
-        acquire(
-            &self.contention.meta_wait,
-            || self.meta.try_lock(),
-            || self.meta.lock(),
-        )
-    }
-
-    /// Acquires shard `i`'s write lock (lock level 2), recording the
-    /// wait into the contention profile. Read locks are deliberately
-    /// unprofiled — the query hot path stays two loads and an
-    /// uncontended lock.
-    fn shard_write(&self, i: usize) -> RwLockWriteGuard<'_, Shard> {
-        acquire(
-            &self.contention.shard_wait,
-            || self.shards[i].try_write(),
-            || self.shards[i].write(),
-        )
-    }
-
-    /// Acquires one of the query-cache mutexes (lock level 3),
-    /// recording the wait into the contention profile.
-    fn lock_cache<'a, T>(&self, cache: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        acquire(
-            &self.contention.cache_wait,
-            || cache.try_lock(),
-            || cache.lock(),
-        )
-    }
-
-    /// Deterministic seqlock counter snapshot — retries, fallbacks
-    /// and commit windows. A [`provscope::MetricSource`]; absorb it
-    /// under a prefix or use [`Store::export_contention`].
+    /// Always zero: the store has no locks to contend on. Kept only
+    /// because the frozen `ledger/` benchmark calls it (see
+    /// [`ContentionStats`]).
     pub fn contention_stats(&self) -> ContentionStats {
-        self.contention.stats()
+        ContentionStats::default()
     }
 
-    /// Exports the full contention profile — the deterministic
-    /// counters under `{prefix}contention.` plus the **wall-clock**
-    /// per-lock-level wait histograms and commit-window durations.
-    /// Opt-in by design: the wall-clock histograms are never part of
-    /// the store's default metric emission, so determinism-asserting
-    /// consumers (byte-equality oracles, trace tests) never see them.
-    pub fn export_contention(&self, prefix: &str, reg: &mut provscope::Registry) {
-        reg.absorb(&format!("{prefix}contention."), &self.contention.stats());
-        reg.absorb_histogram(
-            &format!("{prefix}lock.meta_wait_ns"),
-            &self.contention.meta_wait.snapshot(),
-        );
-        reg.absorb_histogram(
-            &format!("{prefix}lock.shard_wait_ns"),
-            &self.contention.shard_wait.snapshot(),
-        );
-        reg.absorb_histogram(
-            &format!("{prefix}lock.cache_wait_ns"),
-            &self.contention.cache_wait.snapshot(),
-        );
-        reg.absorb_histogram(
-            &format!("{prefix}commit_window_ns"),
-            &self.contention.commit_window.snapshot(),
-        );
-    }
-
-    /// Current per-shard generations as a lookup for cache
-    /// validation.
-    fn gen_of(&self) -> impl Fn(usize) -> u64 + '_ {
-        |i| self.gens[i].load(Ordering::Acquire)
-    }
+    /// Exports nothing (see [`Store::contention_stats`]).
+    pub fn export_contention(&self, _prefix: &str, _reg: &mut provscope::Registry) {}
 
     /// Ancestry-closure cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.lock_cache(&self.ancestry_cache).stats
+        self.ancestry_cache.borrow().stats
     }
 
     /// Edge-list cache counters (the PQL hot path).
     pub fn edge_cache_stats(&self) -> CacheStats {
-        self.lock_cache(&self.edge_cache).stats
+        self.edge_cache.borrow().stats
     }
 
     /// Closure cache counters (repeated PQL `label*`/`label+` steps).
     pub fn closure_cache_stats(&self) -> CacheStats {
-        self.lock_cache(&self.closure_cache).stats
+        self.closure_cache.borrow().stats
     }
 
     // ---- ingestion --------------------------------------------------------
@@ -597,16 +455,13 @@ impl Store {
     /// `ProvDb::ingest` surface — semantics (transaction buffering
     /// across calls, stats) are unchanged — but entries are applied by
     /// reference, without passing through the staging queue.
-    pub fn ingest(&self, entries: &[LogEntry]) -> IngestStats {
+    pub fn ingest(&mut self, entries: &[LogEntry]) -> IngestStats {
         let mut stats = IngestStats::default();
-        let meta = &mut *self.lock_meta();
         // Direct ingest may not reorder around entries a daemon staged
         // earlier: flush them first, as their own commit. Their counts
         // belong to that commit, not to this call's return value.
-        if !meta.staged.is_empty() {
-            let mut flush_stats = IngestStats::default();
-            self.commit_staged_locked(meta, &mut flush_stats);
-        }
+        self.commit_staged(&mut IngestStats::default());
+        let meta = &mut self.meta;
         // A new log image starts a new transaction scope (and closes
         // any replay-skip region: transaction ids never span images).
         meta.commit_txn = None;
@@ -665,10 +520,10 @@ impl Store {
                 PlanItem::Flushed(i) => &flushed[*i],
             })
             .collect();
-        let touched = self.apply_group(meta, &apply, &mut stats);
+        let touched = self.apply_group(&apply, &mut stats);
         if !entries.is_empty() {
             stats.group_commits += 1;
-            self.write_commit_frame(meta, apply.len() as u64, touched);
+            self.write_commit_frame(apply.len() as u64, touched);
         }
         stats
     }
@@ -679,15 +534,15 @@ impl Store {
     /// this when resuming a partially committed file after a crash —
     /// the store's committed transaction context is precisely the
     /// context at the file's high-water mark.
-    pub fn begin_stream(&self) {
-        self.lock_meta().staged.push(Staged::StreamReset);
+    pub fn begin_stream(&mut self) {
+        self.meta.staged.push(Staged::StreamReset);
     }
 
     /// Registers a log file for replay tracking; returns its source
     /// handle and the number of leading entries already committed
     /// (nonzero after a crash between group commits — skip those).
-    pub fn register_source(&self, path: &str) -> (usize, usize) {
-        let meta = &mut *self.lock_meta();
+    pub fn register_source(&mut self, path: &str) -> (usize, usize) {
+        let meta = &mut self.meta;
         if let Some(i) = meta
             .source_files
             .iter()
@@ -713,15 +568,14 @@ impl Store {
 
     /// Stages one entry for the next group commit. No durable state
     /// changes here: transaction routing happens at commit time.
-    pub fn stage(&self, entry: LogEntry, source: Option<usize>) {
-        let meta = &mut *self.lock_meta();
-        meta.staged.push(Staged::Entry { entry, source });
-        meta.staged_entries += 1;
+    pub fn stage(&mut self, entry: LogEntry, source: Option<usize>) {
+        self.meta.staged.push(Staged::Entry { entry, source });
+        self.meta.staged_entries += 1;
     }
 
     /// Number of entries staged for the next commit.
     pub fn staged_len(&self) -> usize {
-        self.lock_meta().staged_entries
+        self.meta.staged_entries
     }
 
     /// Applies every staged entry as one atomic group commit:
@@ -730,12 +584,8 @@ impl Store {
     /// object-table lookup per run), reverse ancestry edges are routed
     /// to their ancestors' shards, source-file marks advance, and each
     /// touched shard's generation is bumped exactly once.
-    pub fn commit_staged(&self, stats: &mut IngestStats) {
-        let meta = &mut *self.lock_meta();
-        self.commit_staged_locked(meta, stats);
-    }
-
-    fn commit_staged_locked(&self, meta: &mut StoreMeta, stats: &mut IngestStats) {
+    pub fn commit_staged(&mut self, stats: &mut IngestStats) {
+        let meta = &mut self.meta;
         if meta.staged.is_empty() {
             return;
         }
@@ -798,7 +648,7 @@ impl Store {
             }
         }
         let refs: Vec<&LogEntry> = apply.iter().collect();
-        let touched = self.apply_group(meta, &refs, stats);
+        let touched = self.apply_group(&refs, stats);
         // A commit that only buffered transaction members (or only
         // consumed markers) still advanced committed state — the
         // pending-transaction buffers and source marks — so its
@@ -807,7 +657,7 @@ impl Store {
         // entries twice.
         if entries_processed > 0 {
             stats.group_commits += 1;
-            self.write_commit_frame(meta, apply.len() as u64, touched);
+            self.write_commit_frame(apply.len() as u64, touched);
         }
     }
 
@@ -815,7 +665,7 @@ impl Store {
     /// skipped wholesale) by the per-volume high-water check — the
     /// "detected" signal for group-frame duplication tampers.
     pub fn replayed_batches(&self) -> u64 {
-        self.lock_meta().replayed_batches
+        self.meta.replayed_batches
     }
 
     /// Applies one commit's entries as an atomic group: entries are
@@ -823,44 +673,35 @@ impl Store {
     /// consecutive same-subject runs, so each run costs one
     /// object-table lookup; reverse ancestry edges are then routed to
     /// their ancestors' shards; finally each touched shard's
-    /// generation is bumped exactly once. The epoch goes odd for the
-    /// duration, so concurrent snapshot readers retry instead of
-    /// seeing half the group. Returns the touched-shard mask; the
-    /// caller finalizes the commit (sequence number, durability
-    /// frame). Caller holds `meta`.
-    fn apply_group(
-        &self,
-        meta: &mut StoreMeta,
-        apply: &[&LogEntry],
-        stats: &mut IngestStats,
-    ) -> u64 {
+    /// generation is bumped exactly once. Returns the touched-shard
+    /// mask; the caller finalizes the commit (sequence number,
+    /// durability frame).
+    fn apply_group(&mut self, apply: &[&LogEntry], stats: &mut IngestStats) -> u64 {
         if apply.is_empty() {
             return 0;
         }
-        if let Some(d) = &mut meta.delta {
+        if let Some(d) = &mut self.meta.delta {
             d.groups.push(apply);
             if d.groups.len() as u64 > d.budget {
-                meta.delta = None;
+                self.meta.delta = None;
             }
         }
         let mut touched: u64 = 0;
         let mut reverse: Vec<ReverseEdge> = Vec::new();
-        let mut buckets = std::mem::take(&mut meta.bucket_scratch);
+        let mut buckets = std::mem::take(&mut self.meta.bucket_scratch);
         for (i, entry) in apply.iter().enumerate() {
             if let Some(p) = subject_of(entry) {
                 let shard = (mix_pnode(p) & self.shard_mask) as usize;
                 buckets[shard].push(i as u32);
             }
         }
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        let window_start = Instant::now();
         let mut run: Vec<&LogEntry> = Vec::new();
         for (i, bucket) in buckets.iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
             touched |= 1 << i;
-            let shard = &mut *self.shard_write(i);
+            let shard = &mut self.shards[i];
             let mut run_start = 0;
             while run_start < bucket.len() {
                 let pnode = subject_of(apply[bucket[run_start] as usize])
@@ -885,26 +726,17 @@ impl Store {
         for bucket in &mut buckets {
             bucket.clear();
         }
-        meta.bucket_scratch = buckets;
+        self.meta.bucket_scratch = buckets;
         for edge in reverse {
             let i = (mix_pnode(edge.0) & self.shard_mask) as usize;
             touched |= 1 << i;
-            self.shard_write(i).add_reverse_edge(edge);
+            self.shards[i].add_reverse_edge(edge);
         }
-        for i in 0..self.shards.len() {
+        for (i, shard) in self.shards.iter_mut().enumerate() {
             if touched & (1 << i) != 0 {
-                let mut shard = self.shard_write(i);
                 shard.generation += 1;
-                self.gens[i].store(shard.generation, Ordering::Release);
             }
         }
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        self.contention
-            .commit_windows
-            .fetch_add(1, Ordering::Relaxed);
-        self.contention
-            .commit_window
-            .observe(window_start.elapsed().as_nanos() as u64);
         touched
     }
 
@@ -913,26 +745,30 @@ impl Store {
     /// Writing and syncing the frame (see `Waldo::attach_db_dir`) is
     /// the per-commit cost that batching amortizes; checkpoints
     /// (`crate::checkpoint`) later truncate frames at or below the
-    /// published sequence. Caller holds `meta`.
-    fn write_commit_frame(&self, meta: &mut StoreMeta, applied: u64, touched: u64) {
-        let seq = self.commit_seq.fetch_add(1, Ordering::AcqRel) + 1;
+    /// published sequence.
+    fn write_commit_frame(&mut self, applied: u64, touched: u64) {
+        self.commit_seq += 1;
         let frame = crate::wal::WalFrame {
-            seq,
+            seq: self.commit_seq,
             applied,
             touched,
-            gens: (0..self.shards.len())
-                .filter(|i| touched & (1 << i) != 0)
-                .map(|i| self.gens[i].load(Ordering::Acquire))
+            gens: self
+                .shards
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| touched & (1 << i) != 0)
+                .map(|(_, s)| s.generation)
                 .collect(),
-            sources: meta
+            sources: self
+                .meta
                 .source_files
                 .iter()
                 .filter(|s| !s.path.is_empty())
                 .map(|s| (lasagna::crc32(s.path.as_bytes()), s.committed_mark as u64))
                 .collect(),
         };
-        meta.commit_frame.clear();
-        crate::wal::encode_frame(&mut meta.commit_frame, &frame);
+        self.meta.commit_frame.clear();
+        crate::wal::encode_frame(&mut self.meta.commit_frame, &frame);
     }
 
     // ---- checkpoint plumbing ----------------------------------------------
@@ -943,10 +779,9 @@ impl Store {
     /// grow by before a base rewrite is due, so a record that could
     /// only be thrown away is not kept. Memory-only stores never call
     /// this and pay nothing.
-    pub(crate) fn track_delta(&self, budget: u64) {
-        let meta = &mut *self.lock_meta();
-        meta.delta = Some(PendingDelta {
-            from_seq: self.commit_seq(),
+    pub(crate) fn track_delta(&mut self, budget: u64) {
+        self.meta.delta = Some(PendingDelta {
+            from_seq: self.commit_seq,
             budget,
             groups: DeltaGroups::default(),
         });
@@ -957,8 +792,8 @@ impl Store {
     /// [`Store::track_delta`] (see `StoreMeta::delta`). Tracking stays
     /// off until the caller re-arms it, so a checkpoint that fails
     /// after taking the record is followed by a full base.
-    pub(crate) fn take_delta(&self) -> Option<PendingDelta> {
-        self.lock_meta().delta.take()
+    pub(crate) fn take_delta(&mut self) -> Option<PendingDelta> {
+        self.meta.delta.take()
     }
 
     /// Re-applies one commit's entries from a delta segment — the
@@ -966,10 +801,9 @@ impl Store {
     /// `apply_group` as the original commit, so shard contents,
     /// reverse edges and generations come out identical; the commit
     /// sequence and replay state come from the manifest instead.
-    pub(crate) fn replay_group(&self, entries: &[LogEntry]) {
-        let meta = &mut *self.lock_meta();
+    pub(crate) fn replay_group(&mut self, entries: &[LogEntry]) {
         let refs: Vec<&LogEntry> = entries.iter().collect();
-        self.apply_group(meta, &refs, &mut IngestStats::default());
+        self.apply_group(&refs, &mut IngestStats::default());
     }
 
     /// The canonical serialized image of every shard. Because the
@@ -992,18 +826,12 @@ impl Store {
     /// interleaves members' edges differently than a single daemon
     /// ingesting the same volumes in sequence). Checkpoint segments on
     /// disk keep the real generations — the manifest binds to them.
-    ///
-    /// The whole image set is taken under one epoch validation, so an
-    /// image captured during concurrent ingest is always some
-    /// commit-boundary state, never half a group.
     pub fn segment_images(&self) -> Vec<Vec<u8>> {
-        self.read_consistent(|| {
-            self.shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| crate::segment::encode_shard(i as u32, &s.read().unwrap(), 0))
-                .collect()
-        })
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| crate::segment::encode_shard(i as u32, s, 0))
+            .collect()
     }
 
     // ---- cluster fan-in ---------------------------------------------------
@@ -1045,24 +873,9 @@ impl Store {
     /// harnesses depend on a clean abort when a forged batch id
     /// collides. Touched shards' generations bump, so cached
     /// traversals against the merged store invalidate exactly as
-    /// after an ingest. Both stores' `meta` locks are taken in
-    /// address order, so concurrent opposite-direction merges cannot
-    /// deadlock.
-    pub fn merge(&self, other: &Store) -> Result<(), MergeError> {
-        assert!(
-            !std::ptr::eq(self, other),
-            "Store::merge: cannot merge a store into itself"
-        );
-        let (mut ours_guard, theirs_guard);
-        if (self as *const Store as usize) < (other as *const Store as usize) {
-            ours_guard = self.lock_meta();
-            theirs_guard = other.lock_meta();
-        } else {
-            theirs_guard = other.lock_meta();
-            ours_guard = self.lock_meta();
-        }
-        let ours = &mut *ours_guard;
-        let theirs = &*theirs_guard;
+    /// after an ingest.
+    pub fn merge(&mut self, other: &Store) -> Result<(), MergeError> {
+        let (ours, theirs) = (&mut self.meta, &other.meta);
         if self.shards.len() != other.shards.len() {
             return Err(MergeError::ShardCountMismatch {
                 ours: self.shards.len(),
@@ -1108,14 +921,10 @@ impl Store {
         ours.replayed_batches += theirs.replayed_batches;
         // Shards change below without passing through `apply_group`.
         ours.delta = None;
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        let window_start = Instant::now();
-        for i in 0..self.shards.len() {
-            let src = &*other.shards[i].read().unwrap();
+        for (dst, src) in self.shards.iter_mut().zip(&other.shards) {
             if src.objects.is_empty() && src.reverse_index.is_empty() {
                 continue;
             }
-            let dst = &mut *self.shard_write(i);
             for (p, obj) in &src.objects {
                 let entry = dst.objects.entry(*p).or_default();
                 entry.current = entry.current.max(obj.current);
@@ -1157,17 +966,8 @@ impl Store {
             dst.size.db_bytes += src.size.db_bytes;
             dst.size.index_bytes += src.size.index_bytes;
             dst.generation += 1;
-            self.gens[i].store(dst.generation, Ordering::Release);
         }
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        self.contention
-            .commit_windows
-            .fetch_add(1, Ordering::Relaxed);
-        self.contention
-            .commit_window
-            .observe(window_start.elapsed().as_nanos() as u64);
-        self.commit_seq
-            .fetch_add(other.commit_seq.load(Ordering::Acquire), Ordering::AcqRel);
+        self.commit_seq += other.commit_seq;
         Ok(())
     }
 
@@ -1176,14 +976,14 @@ impl Store {
     /// store, plus the transaction the committed stream prefix is
     /// inside.
     pub(crate) fn open_txn_state(&self) -> (Vec<(u64, Vec<LogEntry>)>, Option<u64>) {
-        let meta = self.lock_meta();
-        let mut txns: Vec<(u64, Vec<LogEntry>)> = meta
+        let mut txns: Vec<(u64, Vec<LogEntry>)> = self
+            .meta
             .pending_txns
             .iter()
             .map(|(id, buf)| (*id, buf.clone()))
             .collect();
         txns.sort_unstable_by_key(|(id, _)| *id);
-        (txns, meta.commit_txn)
+        (txns, self.meta.commit_txn)
     }
 
     /// Committed batch-replay state, for the checkpoint writer: the
@@ -1191,17 +991,16 @@ impl Store {
     /// replay-skip region (if a crash interrupted one). Restart must
     /// restore both or a replayed group frame could apply twice.
     pub(crate) fn batch_state(&self) -> (Vec<(u32, u64)>, Option<u64>) {
-        let meta = self.lock_meta();
-        let mut hw: Vec<(u32, u64)> = meta.batch_hw.iter().map(|(v, s)| (*v, *s)).collect();
+        let mut hw: Vec<(u32, u64)> = self.meta.batch_hw.iter().map(|(v, s)| (*v, *s)).collect();
         hw.sort_unstable_by_key(|(v, _)| *v);
-        (hw, meta.replay_skip)
+        (hw, self.meta.replay_skip)
     }
 
     /// Source-file replay slots, in slot order: `(path, committed
     /// mark)`, with an empty path marking a free slot. Preserving slot
     /// indices keeps a restored store's handles identical.
     pub(crate) fn source_state(&self) -> Vec<(String, u64)> {
-        self.lock_meta()
+        self.meta
             .source_files
             .iter()
             .map(|s| (s.path.clone(), s.committed_mark as u64))
@@ -1226,13 +1025,9 @@ impl Store {
         let n = shards.len();
         debug_assert!(n.is_power_of_two() && n <= 64);
         let mut store = Store::with_config(WaldoConfig { shards: n, ..cfg });
-        store.gens = shards
-            .iter()
-            .map(|s| AtomicU64::new(s.generation))
-            .collect();
-        store.shards = shards.into_iter().map(RwLock::new).collect();
-        store.commit_seq = AtomicU64::new(commit_seq);
-        let meta = store.meta.get_mut().unwrap();
+        store.shards = shards;
+        store.commit_seq = commit_seq;
+        let meta = &mut store.meta;
         meta.pending_txns = txns.into_iter().collect();
         meta.commit_txn = commit_txn;
         meta.batch_hw = batch_hw.into_iter().collect();
@@ -1255,28 +1050,27 @@ impl Store {
 
     /// The durability frame of the most recent group commit.
     pub fn last_commit_frame(&self) -> Vec<u8> {
-        self.lock_meta().commit_frame.clone()
+        self.meta.commit_frame.clone()
     }
 
     /// Number of group commits performed over the store's lifetime.
     pub fn commit_seq(&self) -> u64 {
-        self.commit_seq.load(Ordering::Acquire)
+        self.commit_seq
     }
 
     /// Discards staged-but-uncommitted items — the state a crash would
     /// lose. Committed state (shards, open-transaction buffers, source
     /// marks) survives, exactly like a database that crashed between
     /// group commits.
-    pub fn drop_staged(&self) {
-        let meta = &mut *self.lock_meta();
-        meta.staged.clear();
-        meta.staged_entries = 0;
+    pub fn drop_staged(&mut self) {
+        self.meta.staged.clear();
+        self.meta.staged_entries = 0;
     }
 
     /// True if every entry of registered source `src` has committed,
     /// given the file held `total` entries.
     pub fn source_fully_committed(&self, src: usize, total: usize) -> bool {
-        self.lock_meta().source_files[src].committed_mark >= total
+        self.meta.source_files[src].committed_mark >= total
     }
 
     /// Forgets replay state for `src` (call after unlinking the file;
@@ -1286,8 +1080,8 @@ impl Store {
     /// no-op, so it can never be pushed onto the free list twice —
     /// a double free would alias two future logs onto one slot and
     /// corrupt their replay marks.
-    pub fn forget_source(&self, src: usize) {
-        let meta = &mut *self.lock_meta();
+    pub fn forget_source(&mut self, src: usize) {
+        let meta = &mut self.meta;
         if meta.source_files[src].path.is_empty() {
             return;
         }
@@ -1300,190 +1094,114 @@ impl Store {
 
     /// Transaction ids currently open (orphans if the stream ended).
     pub fn open_txns(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.lock_meta().pending_txns.keys().copied().collect();
+        let mut v: Vec<u64> = self.meta.pending_txns.keys().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// Drops an orphaned transaction's buffered records (the server
     /// Waldo's garbage collection of §6.1.2).
-    pub fn discard_txn(&self, id: u64) -> usize {
-        let meta = &mut *self.lock_meta();
-        if meta.commit_txn == Some(id) {
-            meta.commit_txn = None;
+    pub fn discard_txn(&mut self, id: u64) -> usize {
+        if self.meta.commit_txn == Some(id) {
+            self.meta.commit_txn = None;
         }
-        meta.pending_txns.remove(&id).map(|v| v.len()).unwrap_or(0)
+        self.meta.pending_txns.remove(&id).map_or(0, |v| v.len())
     }
 
     // ---- queries ----------------------------------------------------------
 
     /// Number of objects known.
     pub fn object_count(&self) -> usize {
-        self.read_consistent(|| {
-            self.shards
-                .iter()
-                .map(|s| s.read().unwrap().objects.len())
-                .sum()
-        })
+        self.shards.iter().map(|s| s.objects.len()).sum()
     }
 
     /// Approximate store footprint (summed over shards).
     pub fn size(&self) -> DbSize {
-        self.read_consistent(|| {
-            let mut total = DbSize::default();
-            for s in &self.shards {
-                let s = s.read().unwrap();
-                total.db_bytes += s.size.db_bytes;
-                total.index_bytes += s.size.index_bytes;
-            }
-            total
-        })
+        let mut total = DbSize::default();
+        for s in &self.shards {
+            total.db_bytes += s.size.db_bytes;
+            total.index_bytes += s.size.index_bytes;
+        }
+        total
     }
 
-    /// Runs `f` against the object entry for `p`, borrowed under its
-    /// home shard's read lock — the read path of every query, so
-    /// nothing is copied that `f` does not copy itself. `f` runs with
-    /// the shard lock held: it must not call back into the store (no
-    /// second shard lock, no cache lock, no `meta`).
+    /// Runs `f` against the object entry for `p`, borrowed from its
+    /// home shard — the read path of every query, so nothing is
+    /// copied that `f` does not copy itself.
     pub fn with_object<R>(&self, p: Pnode, f: impl FnOnce(&ObjectEntry) -> R) -> Option<R> {
-        self.with_home(p, |sh| sh.objects.get(&p).map(f))
+        self.home(p).objects.get(&p).map(f)
     }
 
     /// An owned copy of `p`'s entry, every version and attribute of
     /// it — for tests and the example programs, which hold an entry
-    /// past the lock. No crate's own code calls this; read through
+    /// past the borrow. No crate's own code calls this; read through
     /// [`Store::with_object`] instead.
     pub fn object(&self, p: Pnode) -> Option<ObjectEntry> {
         self.with_object(p, ObjectEntry::clone)
     }
 
-    /// Every known pnode (unordered). The snapshot is
-    /// commit-atomic; the materialized vector is what lets callers
-    /// iterate without holding shard locks.
+    /// Every known pnode (unordered).
     pub fn all_pnodes(&self) -> Vec<Pnode> {
-        self.read_consistent(|| {
-            self.shards
-                .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .unwrap()
-                        .objects
-                        .keys()
-                        .copied()
-                        .collect::<Vec<_>>()
-                })
-                .collect()
-        })
+        self.shards
+            .iter()
+            .flat_map(|s| s.objects.keys().copied())
+            .collect()
+    }
+
+    /// The pnodes `f` picks out of every shard, merged in pnode order
+    /// without duplicates — every index scan's fan-out.
+    fn gather<'a, I>(&'a self, f: impl FnMut(&'a Shard) -> I) -> Vec<Pnode>
+    where
+        I: Iterator<Item = Pnode>,
+    {
+        let mut out: Vec<Pnode> = self.shards.iter().flat_map(f).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Objects that ever bore `name` — exact match, merged across
     /// shards in pnode order.
     pub fn find_by_name(&self, name: &str) -> Vec<Pnode> {
-        self.read_consistent(|| {
-            let mut out: Vec<Pnode> = self
-                .shards
-                .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .unwrap()
-                        .name_index
-                        .get(name)
-                        .map(|ps| ps.iter().copied().collect::<Vec<_>>())
-                        .unwrap_or_default()
-                })
-                .collect();
-            out.sort_unstable();
-            out
-        })
+        self.gather(|s| s.name_index.get(name).into_iter().flatten().copied())
     }
 
     /// Objects whose NAME ends with `suffix` (e.g. a file name without
     /// its directory).
     pub fn find_by_name_suffix(&self, suffix: &str) -> Vec<Pnode> {
-        self.read_consistent(|| {
-            let mut out: Vec<Pnode> = self
-                .shards
+        self.gather(|s| {
+            s.name_index
                 .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .unwrap()
-                        .name_index
-                        .iter()
-                        .filter(|(n, _)| n.ends_with(suffix))
-                        .flat_map(|(_, ps)| ps.iter().copied())
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            out
+                .filter(|(n, _)| n.ends_with(suffix))
+                .flat_map(|(_, ps)| ps.iter().copied())
         })
     }
 
     /// Objects of TYPE `ty`, merged across shards in pnode order.
     pub fn find_by_type(&self, ty: &str) -> Vec<Pnode> {
-        self.read_consistent(|| {
-            let mut out: Vec<Pnode> = self
-                .shards
-                .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .unwrap()
-                        .type_index
-                        .get(ty)
-                        .map(|ps| ps.iter().copied().collect::<Vec<_>>())
-                        .unwrap_or_default()
-                })
-                .collect();
-            out.sort_unstable();
-            out
-        })
+        self.gather(|s| s.type_index.get(ty).into_iter().flatten().copied())
     }
 
     /// Objects whose NAME starts with `prefix` — a range scan over
     /// each shard's ordered name index (no attribute reads), merged
     /// in pnode order. Serves PQL `name like 'prefix*'` pushdown.
     pub fn find_by_name_prefix(&self, prefix: &str) -> Vec<Pnode> {
-        self.read_consistent(|| {
-            let mut out: Vec<Pnode> = self
-                .shards
-                .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .unwrap()
-                        .name_index
-                        .range(prefix.to_string()..)
-                        .take_while(|(k, _)| k.starts_with(prefix))
-                        .flat_map(|(_, ps)| ps.iter().copied())
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            out
+        self.gather(|s| {
+            s.name_index
+                .range(prefix.to_string()..)
+                .take_while(|(k, _)| k.starts_with(prefix))
+                .flat_map(|(_, ps)| ps.iter().copied())
         })
     }
 
     /// Objects whose TYPE starts with `prefix` — range scan over the
     /// ordered type index.
     pub fn find_by_type_prefix(&self, prefix: &str) -> Vec<Pnode> {
-        self.read_consistent(|| {
-            let mut out: Vec<Pnode> = self
-                .shards
-                .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .unwrap()
-                        .type_index
-                        .range(prefix.to_string()..)
-                        .take_while(|(k, _)| k.starts_with(prefix))
-                        .flat_map(|(_, ps)| ps.iter().copied())
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            out
+        self.gather(|s| {
+            s.type_index
+                .range(prefix.to_string()..)
+                .take_while(|(k, _)| k.starts_with(prefix))
+                .flat_map(|(_, ps)| ps.iter().copied())
         })
     }
 
@@ -1493,48 +1211,25 @@ impl Store {
     /// NAME and TYPE have their dedicated indexes
     /// ([`Store::find_by_name`], [`Store::find_by_type`]).
     pub fn find_by_attr(&self, attr: &str, value: &str) -> Vec<Pnode> {
-        self.read_consistent(|| {
-            let mut out: Vec<Pnode> = self
-                .shards
-                .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .unwrap()
-                        .attr_index
-                        .get(attr)
-                        .and_then(|vals| vals.get(value))
-                        .map(|ps| ps.iter().copied().collect::<Vec<_>>())
-                        .unwrap_or_default()
-                })
-                .collect();
-            out.sort_unstable();
-            out
+        self.gather(|s| {
+            s.attr_index
+                .get(attr)
+                .and_then(|vals| vals.get(value))
+                .into_iter()
+                .flatten()
+                .copied()
         })
     }
 
     /// Objects whose string attribute `attr` starts with `prefix`.
     pub fn find_by_attr_prefix(&self, attr: &str, prefix: &str) -> Vec<Pnode> {
-        self.read_consistent(|| {
-            let mut out: Vec<Pnode> = self
-                .shards
-                .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .unwrap()
-                        .attr_index
-                        .get(attr)
-                        .map(|vals| {
-                            vals.range(prefix.to_string()..)
-                                .take_while(|(k, _)| k.starts_with(prefix))
-                                .flat_map(|(_, ps)| ps.iter().copied())
-                                .collect::<Vec<_>>()
-                        })
-                        .unwrap_or_default()
-                })
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            out
+        self.gather(|s| {
+            s.attr_index
+                .get(attr)
+                .into_iter()
+                .flat_map(|vals| vals.range(prefix.to_string()..))
+                .take_while(|(k, _)| k.starts_with(prefix))
+                .flat_map(|(_, ps)| ps.iter().copied())
         })
     }
 
@@ -1542,48 +1237,44 @@ impl Store {
     /// sizes across shards, O(shards). (Pnodes, not version-refs; the
     /// planner uses this as a pruning estimate.)
     pub fn type_index_size(&self, ty: &str) -> usize {
-        self.read_consistent(|| {
-            self.shards
-                .iter()
-                .filter_map(|s| s.read().unwrap().type_index.get(ty).map(|ps| ps.len()))
-                .sum()
-        })
+        self.shards
+            .iter()
+            .filter_map(|s| s.type_index.get(ty).map(|ps| ps.len()))
+            .sum()
     }
 
-    /// Visits the direct edges of one version-ref under its home
-    /// shard's read lock, without copying them: ancestry inputs when
+    /// Visits the direct edges of one version-ref, borrowed from its
+    /// home shard without copying them: ancestry inputs when
     /// `inverse` is false, descendants (version-refs that recorded
     /// `r` as an input) when true — in both directions including the
-    /// implicit edge between consecutive versions of one object. `f`
-    /// runs with the shard lock held (see [`Store::with_object`]).
+    /// implicit edge between consecutive versions of one object.
     pub(crate) fn for_each_edge(
         &self,
         r: ObjectRef,
         inverse: bool,
         mut f: impl FnMut(EdgeKind<'_>, ObjectRef),
     ) {
-        self.with_home(r.pnode, |shard| {
-            let obj = shard.objects.get(&r.pnode);
-            if inverse {
-                for (d, a, av) in shard.reverse_index.get(&r.pnode).into_iter().flatten() {
-                    if *av == r.version {
-                        f(EdgeKind::Recorded(a), *d);
-                    }
-                }
-                let next = r.version.0 + 1;
-                if obj.is_some_and(|o| o.versions.contains_key(&next)) {
-                    f(EdgeKind::Version, ObjectRef::new(r.pnode, Version(next)));
-                }
-            } else if let Some(obj) = obj {
-                for (a, i) in obj.inputs(r.version) {
-                    f(EdgeKind::Recorded(a), *i);
-                }
-                if r.version.0 > 0 {
-                    let prev = Version(r.version.0 - 1);
-                    f(EdgeKind::Version, ObjectRef::new(r.pnode, prev));
+        let shard = self.home(r.pnode);
+        let obj = shard.objects.get(&r.pnode);
+        if inverse {
+            for (d, a, av) in shard.reverse_index.get(&r.pnode).into_iter().flatten() {
+                if *av == r.version {
+                    f(EdgeKind::Recorded(a), *d);
                 }
             }
-        })
+            let next = r.version.0 + 1;
+            if obj.is_some_and(|o| o.versions.contains_key(&next)) {
+                f(EdgeKind::Version, ObjectRef::new(r.pnode, Version(next)));
+            }
+        } else if let Some(obj) = obj {
+            for (a, i) in obj.inputs(r.version) {
+                f(EdgeKind::Recorded(a), *i);
+            }
+            if r.version.0 > 0 {
+                let prev = Version(r.version.0 - 1);
+                f(EdgeKind::Version, ObjectRef::new(r.pnode, prev));
+            }
+        }
     }
 
     fn edges_of(&self, r: ObjectRef, inverse: bool) -> Vec<(Attribute, ObjectRef)> {
@@ -1612,9 +1303,6 @@ impl Store {
 
     /// Labelled edge expansion with memoization — the PQL hot path.
     /// `outgoing` edges are ancestry inputs; incoming are descendants.
-    /// The shard generation is recorded *before* computing, so a
-    /// commit racing the computation leaves a cache entry that is
-    /// already stale by its own snapshot — it can never serve.
     pub(crate) fn edges_cached<F>(
         &self,
         node: ObjectRef,
@@ -1629,16 +1317,14 @@ impl Store {
             return compute();
         }
         let key: EdgeKey = (node, label.clone(), outgoing);
-        if let Some(hit) = self
-            .lock_cache(&self.edge_cache)
-            .lookup(&key, self.gen_of())
-        {
+        if let Some(hit) = self.cache_hit(&self.edge_cache, &key) {
             return hit;
         }
         let mut snapshot = ShardSnapshot::default();
         self.touch_snapshot(&mut snapshot, node.pnode);
         let out = compute();
-        self.lock_cache(&self.edge_cache)
+        self.edge_cache
+            .borrow_mut()
             .store(key, out.clone(), snapshot);
         out
     }
@@ -1660,38 +1346,34 @@ impl Store {
     {
         let cache_on = self.cfg.ancestry_cache > 0;
         let key: EdgeKey = (node, label.clone(), inverse);
-        self.read_consistent(|| {
-            if cache_on {
-                if let Some(hit) = self
-                    .lock_cache(&self.closure_cache)
-                    .lookup(&key, self.gen_of())
-                {
-                    return hit;
+        if cache_on {
+            if let Some(hit) = self.cache_hit(&self.closure_cache, &key) {
+                return hit;
+            }
+        }
+        let mut snapshot = ShardSnapshot::default();
+        let mut seen: HashSet<ObjectRef> = HashSet::new();
+        seen.insert(node);
+        let mut out: Vec<ObjectRef> = Vec::new();
+        let mut frontier = vec![node];
+        let mut next: Vec<ObjectRef> = Vec::new();
+        while let Some(n) = frontier.pop() {
+            self.touch_snapshot(&mut snapshot, n.pnode);
+            expand(n, &mut next);
+            for m in next.drain(..) {
+                if seen.insert(m) {
+                    out.push(m);
+                    frontier.push(m);
                 }
             }
-            let mut snapshot = ShardSnapshot::default();
-            let mut seen: HashSet<ObjectRef> = HashSet::new();
-            seen.insert(node);
-            let mut out: Vec<ObjectRef> = Vec::new();
-            let mut frontier = vec![node];
-            let mut next: Vec<ObjectRef> = Vec::new();
-            while let Some(n) = frontier.pop() {
-                self.touch_snapshot(&mut snapshot, n.pnode);
-                expand(n, &mut next);
-                for m in next.drain(..) {
-                    if seen.insert(m) {
-                        out.push(m);
-                        frontier.push(m);
-                    }
-                }
-            }
-            out.sort();
-            if cache_on {
-                self.lock_cache(&self.closure_cache)
-                    .store(key.clone(), out.clone(), snapshot);
-            }
-            out
-        })
+        }
+        out.sort();
+        if cache_on {
+            self.closure_cache
+                .borrow_mut()
+                .store(key, out.clone(), snapshot);
+        }
+        out
     }
 
     /// Every descendant of `p` at any version — the transitive
@@ -1699,52 +1381,47 @@ impl Store {
     /// Memoized; see the module docs for invalidation.
     pub fn descendants(&self, p: Pnode) -> Vec<ObjectRef> {
         let key: AncestryKey = (p, 0, false);
-        self.read_consistent(|| {
-            if self.cfg.ancestry_cache > 0 {
-                if let Some(hit) = self
-                    .lock_cache(&self.ancestry_cache)
-                    .lookup(&key, self.gen_of())
-                {
-                    return hit;
+        let cache_on = self.cfg.ancestry_cache > 0;
+        if cache_on {
+            if let Some(hit) = self.cache_hit(&self.ancestry_cache, &key) {
+                return hit;
+            }
+        }
+        let mut snapshot = ShardSnapshot::default();
+        self.touch_snapshot(&mut snapshot, p);
+        let mut seen: HashSet<ObjectRef> = HashSet::new();
+        // Roots: every version of p recorded as a subject, plus every
+        // version of p some other object referenced as an ancestor
+        // (objects only ever seen as ancestors have no entry).
+        let home = self.home(p);
+        let recorded = home.objects.get(&p).into_iter();
+        let recorded = recorded.flat_map(|o| o.versions.keys().map(|v| Version(*v)));
+        let referenced = home.reverse_index.get(&p).into_iter().flatten();
+        let roots: HashSet<ObjectRef> = recorded
+            .chain(referenced.map(|(_, _, av)| *av))
+            .map(|v| ObjectRef::new(p, v))
+            .collect();
+        let mut work: Vec<ObjectRef> = roots.iter().copied().collect();
+        while let Some(r) = work.pop() {
+            self.touch_snapshot(&mut snapshot, r.pnode);
+            self.for_each_edge(r, true, |_, d| {
+                if seen.insert(d) {
+                    work.push(d);
                 }
-            }
-            let mut snapshot = ShardSnapshot::default();
-            self.touch_snapshot(&mut snapshot, p);
-            let mut seen: HashSet<ObjectRef> = HashSet::new();
-            // Roots: every version of p recorded as a subject, plus
-            // every version of p some other object referenced as an
-            // ancestor (objects only ever seen as ancestors have no
-            // entry).
-            let roots: HashSet<ObjectRef> = self.with_home(p, |sh| {
-                let recorded = sh.objects.get(&p).into_iter();
-                let recorded = recorded.flat_map(|o| o.versions.keys().map(|v| Version(*v)));
-                let referenced = sh.reverse_index.get(&p).into_iter().flatten();
-                recorded
-                    .chain(referenced.map(|(_, _, av)| *av))
-                    .map(|v| ObjectRef::new(p, v))
-                    .collect()
             });
-            let mut work: Vec<ObjectRef> = roots.iter().copied().collect();
-            while let Some(r) = work.pop() {
-                self.touch_snapshot(&mut snapshot, r.pnode);
-                self.for_each_edge(r, true, |_, d| {
-                    if seen.insert(d) {
-                        work.push(d);
-                    }
-                });
-            }
-            let mut out: Vec<ObjectRef> = seen
-                .iter()
-                .copied()
-                .filter(|r| !roots.contains(r))
-                .collect();
-            out.sort();
-            if self.cfg.ancestry_cache > 0 {
-                self.lock_cache(&self.ancestry_cache)
-                    .store(key, out.clone(), snapshot);
-            }
-            out
-        })
+        }
+        let mut out: Vec<ObjectRef> = seen
+            .iter()
+            .copied()
+            .filter(|r| !roots.contains(r))
+            .collect();
+        out.sort();
+        if cache_on {
+            self.ancestry_cache
+                .borrow_mut()
+                .store(key, out.clone(), snapshot);
+        }
+        out
     }
 
     /// Every ancestor of `r` — transitive closure over inputs (the
@@ -1752,67 +1429,48 @@ impl Store {
     /// for invalidation.
     pub fn ancestors(&self, r: ObjectRef) -> Vec<ObjectRef> {
         let key: AncestryKey = (r.pnode, r.version.0, true);
-        self.read_consistent(|| {
-            if self.cfg.ancestry_cache > 0 {
-                if let Some(hit) = self
-                    .lock_cache(&self.ancestry_cache)
-                    .lookup(&key, self.gen_of())
-                {
-                    return hit;
+        let cache_on = self.cfg.ancestry_cache > 0;
+        if cache_on {
+            if let Some(hit) = self.cache_hit(&self.ancestry_cache, &key) {
+                return hit;
+            }
+        }
+        let mut snapshot = ShardSnapshot::default();
+        let mut seen: HashSet<ObjectRef> = HashSet::new();
+        let mut work = vec![r];
+        while let Some(x) = work.pop() {
+            self.touch_snapshot(&mut snapshot, x.pnode);
+            self.for_each_edge(x, false, |_, a| {
+                if seen.insert(a) {
+                    work.push(a);
                 }
-            }
-            let mut snapshot = ShardSnapshot::default();
-            let mut seen: HashSet<ObjectRef> = HashSet::new();
-            let mut work = vec![r];
-            while let Some(x) = work.pop() {
-                self.touch_snapshot(&mut snapshot, x.pnode);
-                self.for_each_edge(x, false, |_, a| {
-                    if seen.insert(a) {
-                        work.push(a);
-                    }
-                });
-            }
-            let mut out: Vec<ObjectRef> = seen.iter().copied().collect();
-            out.sort();
-            if self.cfg.ancestry_cache > 0 {
-                self.lock_cache(&self.ancestry_cache)
-                    .store(key, out.clone(), snapshot);
-            }
-            out
-        })
+            });
+        }
+        let mut out: Vec<ObjectRef> = seen.iter().copied().collect();
+        out.sort();
+        if cache_on {
+            self.ancestry_cache
+                .borrow_mut()
+                .store(key, out.clone(), snapshot);
+        }
+        out
+    }
+
+    /// A still-valid cached value for `key`. The cache borrow ends
+    /// before this returns, so the caller may compute and store.
+    fn cache_hit<K: Eq + std::hash::Hash + Clone>(
+        &self,
+        cache: &RefCell<TraversalCache<K, Vec<ObjectRef>>>,
+        key: &K,
+    ) -> Option<Vec<ObjectRef>> {
+        cache
+            .borrow_mut()
+            .lookup(key, |i| self.shards[i].generation)
     }
 
     fn touch_snapshot(&self, snapshot: &mut ShardSnapshot, p: Pnode) {
         let i = self.shard_of(p);
-        snapshot.touch(i, self.gens[i].load(Ordering::Acquire));
-    }
-}
-
-/// One profiled lock acquisition: every acquisition adds one
-/// observation to `waits`, but only a contended one reads the clock.
-/// `try_lock` succeeding *is* the measurement that nobody held the
-/// lock, so it is observed as a zero wait; a blocked acquisition
-/// observes its wall-clock wait (at least 1 ns, so the histogram
-/// always tells the two apart).
-fn acquire<G>(
-    waits: &AtomicHist,
-    try_lock: impl FnOnce() -> TryLockResult<G>,
-    lock: impl FnOnce() -> LockResult<G>,
-) -> G {
-    match try_lock() {
-        Ok(guard) => {
-            waits.observe(0);
-            guard
-        }
-        Err(TryLockError::WouldBlock) => {
-            let t = Instant::now();
-            let guard = lock().expect("a thread panicked while holding a store lock");
-            waits.observe((t.elapsed().as_nanos() as u64).max(1));
-            guard
-        }
-        Err(TryLockError::Poisoned(e)) => {
-            panic!("a thread panicked while holding a store lock: {e}")
-        }
+        snapshot.touch(i, self.shards[i].generation);
     }
 }
 
@@ -1838,86 +1496,4 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 /// Stable 64-bit mix of a pnode (splitmix64 over volume and number).
 fn mix_pnode(p: Pnode) -> u64 {
     splitmix64(p.number ^ (u64::from(p.volume.0) << 32))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cell::RefCell;
-
-    /// The exported `lock.*_wait_ns` histograms, as `(count, sum)`.
-    fn waits(store: &Store) -> [(u64, u64); 3] {
-        let mut reg = provscope::Registry::new();
-        store.export_contention("", &mut reg);
-        [
-            "lock.meta_wait_ns",
-            "lock.shard_wait_ns",
-            "lock.cache_wait_ns",
-        ]
-        .map(|name| {
-            let h = reg.histogram(name).expect("every lock level is exported");
-            (h.count(), h.sum())
-        })
-    }
-
-    /// The contention profile keeps its meaning without a clock read
-    /// per acquisition: every acquisition is one observation, and an
-    /// uncontended one is observed as a zero wait.
-    #[test]
-    fn uncontended_acquisitions_are_each_observed_as_a_zero_wait() {
-        let store = Store::new();
-        let [meta, shard, cache] = waits(&store);
-        for i in 0..7 {
-            drop(store.lock_meta());
-            drop(store.shard_write(i % store.shard_count()));
-            drop(store.lock_cache(&store.edge_cache));
-            drop(store.lock_cache(&store.closure_cache));
-        }
-        let after = waits(&store);
-        assert_eq!(after[0], (meta.0 + 7, 0));
-        assert_eq!(after[1], (shard.0 + 7, 0));
-        assert_eq!(after[2], (cache.0 + 14, 0));
-    }
-
-    /// A held lock is observed as a nonzero wait, at every level. The
-    /// holder lets go inside the blocking call itself, so the
-    /// interleaving is forced without a second thread.
-    #[test]
-    fn a_held_lock_is_observed_as_a_nonzero_wait() {
-        let store = Store::new();
-        let before = waits(&store);
-
-        let held = RefCell::new(Some(store.meta.lock().unwrap()));
-        drop(acquire(
-            &store.contention.meta_wait,
-            || store.meta.try_lock(),
-            || {
-                held.take();
-                store.meta.lock()
-            },
-        ));
-        let held = RefCell::new(Some(store.shards[0].read().unwrap()));
-        drop(acquire(
-            &store.contention.shard_wait,
-            || store.shards[0].try_write(),
-            || {
-                held.take();
-                store.shards[0].write()
-            },
-        ));
-        let held = RefCell::new(Some(store.edge_cache.lock().unwrap()));
-        drop(acquire(
-            &store.contention.cache_wait,
-            || store.edge_cache.try_lock(),
-            || {
-                held.take();
-                store.edge_cache.lock()
-            },
-        ));
-
-        for (level, (was, now)) in before.iter().zip(waits(&store)).enumerate() {
-            assert_eq!(now.0, was.0 + 1, "level {level}: one acquisition");
-            assert!(now.1 > was.1, "level {level}: a contended wait is nonzero");
-        }
-    }
 }

@@ -620,7 +620,7 @@ fn merge_then_checkpoint_rewrites_the_base() {
     assert!(waldo.checkpoint(&mut kernel).unwrap());
     assert_eq!(waldo.checkpoint_stats().deltas_written, 1);
 
-    let other = waldo::Store::with_config(cfg);
+    let mut other = waldo::Store::with_config(cfg);
     other.ingest(&file_entries(2, 1));
     waldo.db.merge(&other).unwrap();
     stage_all(&mut waldo.db, &file_entries(1, 14), 8);
@@ -652,7 +652,7 @@ fn by_value_ingest_checkpoints_by_policy_and_survives_a_crash() {
     let pid = kernel.spawn_init("waldo");
     let mut waldo = Waldo::with_config(pid, cfg);
     waldo.attach_db_dir(&mut kernel, "/waldo-db").unwrap();
-    let reference = waldo::Store::with_config(cfg);
+    let mut reference = waldo::Store::with_config(cfg);
     let mut checkpoints = 0;
     for image in 0..3u64 {
         let entries: Vec<LogEntry> = (1..=5)

@@ -80,7 +80,7 @@ fn cfg() -> WaldoConfig {
 fn merge_of_per_volume_stores_matches_single_store() {
     let volumes: Vec<u32> = vec![1, 2, 3, 4];
     // The single-node reference ingests volumes in sequence.
-    let single = Store::with_config(cfg());
+    let mut single = Store::with_config(cfg());
     for &v in &volumes {
         single.ingest(&volume_stream(v, 12));
     }
@@ -88,7 +88,7 @@ fn merge_of_per_volume_stores_matches_single_store() {
     let members: Vec<Store> = volumes
         .iter()
         .map(|&v| {
-            let s = Store::with_config(cfg());
+            let mut s = Store::with_config(cfg());
             s.ingest(&volume_stream(v, 12));
             s
         })
@@ -96,7 +96,7 @@ fn merge_of_per_volume_stores_matches_single_store() {
     // Merge forward and in reverse member order: both must equal the
     // reference (the canonical images erase arrival order).
     for order in [[0usize, 1, 2, 3], [3, 2, 1, 0]] {
-        let merged = Store::with_config(cfg());
+        let mut merged = Store::with_config(cfg());
         for &i in &order {
             merged.merge(&members[i]).unwrap();
         }
@@ -111,12 +111,12 @@ fn merge_of_per_volume_stores_matches_single_store() {
 /// through scattered reverse edges.
 #[test]
 fn merged_store_answers_cross_volume_queries() {
-    let single = Store::with_config(cfg());
-    let merged = Store::with_config(cfg());
+    let mut single = Store::with_config(cfg());
+    let mut merged = Store::with_config(cfg());
     for v in [1u32, 2, 3] {
         let stream = volume_stream(v, 8);
         single.ingest(&stream);
-        let member = Store::with_config(cfg());
+        let mut member = Store::with_config(cfg());
         member.ingest(&stream);
         merged.merge(&member).unwrap();
     }
@@ -170,7 +170,7 @@ fn merge_unions_open_transactions() {
         prov(r(2, 1, 0), Attribute::Name, Value::str("/b")),
     ]);
     close_scope(&mut b);
-    let merged = Store::with_config(cfg());
+    let mut merged = Store::with_config(cfg());
     merged.merge(&a).unwrap();
     merged.merge(&b).unwrap();
     assert_eq!(merged.open_txns().len(), 2);
@@ -191,15 +191,15 @@ fn merge_unions_open_transactions() {
 /// target untouched, so a caller can classify and continue.
 #[test]
 fn merge_rejects_two_mid_commit_streams() {
-    let a = Store::with_config(cfg());
+    let mut a = Store::with_config(cfg());
     a.ingest(&[LogEntry::TxnBegin {
         id: lasagna::batch_txn_id(VolumeId(1), 1),
     }]);
-    let b = Store::with_config(cfg());
+    let mut b = Store::with_config(cfg());
     b.ingest(&[LogEntry::TxnBegin {
         id: lasagna::batch_txn_id(VolumeId(2), 1),
     }]);
-    let merged = Store::with_config(cfg());
+    let mut merged = Store::with_config(cfg());
     merged.merge(&a).unwrap();
     let before = merged.segment_images();
     match merged.merge(&b) {
@@ -219,7 +219,7 @@ fn merge_rejects_two_mid_commit_streams() {
 /// Shard-count mismatches are a routing disagreement, not a merge.
 #[test]
 fn merge_rejects_mismatched_shard_counts() {
-    let a = Store::with_config(WaldoConfig { shards: 4, ..cfg() });
+    let mut a = Store::with_config(WaldoConfig { shards: 4, ..cfg() });
     let b = Store::with_config(WaldoConfig {
         shards: 16,
         ..cfg()
@@ -240,7 +240,7 @@ fn merge_rejects_mismatched_shard_counts() {
 fn merge_rejects_forged_txn_id_collision() {
     let forged = lasagna::batch_txn_id(VolumeId(1), 5);
     let open_with = |id: u64| {
-        let s = Store::with_config(cfg());
+        let mut s = Store::with_config(cfg());
         s.ingest(&[
             LogEntry::TxnBegin { id },
             prov(r(1, 1, 0), Attribute::Name, Value::str("/x")),
@@ -250,7 +250,7 @@ fn merge_rejects_forged_txn_id_collision() {
         s.commit_staged(&mut stats);
         s
     };
-    let merged = Store::with_config(cfg());
+    let mut merged = Store::with_config(cfg());
     merged.merge(&open_with(forged)).unwrap();
     assert_eq!(
         merged.merge(&open_with(forged)),
@@ -263,7 +263,7 @@ fn merge_rejects_forged_txn_id_collision() {
 /// encoding), so two equal stores compare image-for-image.
 #[test]
 fn segment_images_are_ordered_by_shard_id() {
-    let s = Store::with_config(cfg());
+    let mut s = Store::with_config(cfg());
     s.ingest(&volume_stream(1, 16));
     let images = s.segment_images();
     assert_eq!(images.len(), s.shard_count());

@@ -71,7 +71,7 @@ fn stream() -> Vec<LogEntry> {
 }
 
 fn reference_db(entries: &[LogEntry]) -> Store {
-    let db = Store::with_config(WaldoConfig {
+    let mut db = Store::with_config(WaldoConfig {
         shards: 1,
         ingest_batch: 1 << 20,
         ancestry_cache: 0,
@@ -117,7 +117,7 @@ fn crash_mid_batch_recovers_exactly_once() {
             ancestry_cache: 0,
             ..WaldoConfig::default()
         };
-        let db = Store::with_config(cfg);
+        let mut db = Store::with_config(cfg);
         let (src, mark) = db.register_source("vol1/.pass/log.0");
         assert_eq!(mark, 0);
         db.begin_stream();
@@ -265,7 +265,7 @@ fn ingest_log_set(entry: EntryPoint, resume: Option<usize>) -> (Ingested, Store)
         sys.kernel.write_file(pid, path, image).unwrap();
     }
 
-    let db = Store::with_config(cfg);
+    let mut db = Store::with_config(cfg);
     if let Some(committed_prefix) = resume {
         let (path, _, entries) = &logs[0];
         let (src, _) = db.register_source(path);
@@ -932,7 +932,7 @@ fn open_transaction_survives_checkpoint_and_restart() {
     drop(waldo);
     let pid2 = sys.kernel.spawn_init("waldo2");
     sys.pass.exempt(pid2);
-    let restarted = Waldo::restart(pid2, &mut sys.kernel, cfg, "/waldo-db", &[]).unwrap();
+    let mut restarted = Waldo::restart(pid2, &mut sys.kernel, cfg, "/waldo-db", &[]).unwrap();
     assert_eq!(restarted.db.open_txns(), vec![42], "txn buffer restored");
     let (src2, mark) = restarted.db.register_source("/stream-log");
     assert_eq!(mark, split, "restored mark resumes after the prefix");

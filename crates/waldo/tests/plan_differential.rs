@@ -219,7 +219,7 @@ proptest! {
         shards in 1usize..9,
         qi in 0usize..QUERIES.len(),
     ) {
-        let db = ProvDb::with_config(WaldoConfig {
+        let mut db = ProvDb::with_config(WaldoConfig {
             shards,
             ingest_batch: 16,
             ancestry_cache: 64,
@@ -252,7 +252,7 @@ proptest! {
         entries in proptest::collection::vec(arb_entry(), 1..80),
         shards in 1usize..9,
     ) {
-        let db = ProvDb::with_config(WaldoConfig { shards, ..WaldoConfig::default() });
+        let mut db = ProvDb::with_config(WaldoConfig { shards, ..WaldoConfig::default() });
         db.ingest(&entries);
         let snapshot = Snapshot(&db);
         let sorted = |mut refs: Vec<ObjectRef>| {

@@ -92,14 +92,14 @@ proptest! {
         let group1 = batch(volume, 1, &members1);
         let group2 = batch(volume, 2, &members2);
 
-        let reference = small_store(shards, ingest_batch);
+        let mut reference = small_store(shards, ingest_batch);
         reference.ingest(&group1);
         reference.ingest(&group2);
         prop_assert_eq!(reference.replayed_batches(), 0);
 
         // The tampered stream: group1, then `dups` byte-identical
         // replays of it, then the legitimate follow-up batch.
-        let tampered = small_store(shards, ingest_batch);
+        let mut tampered = small_store(shards, ingest_batch);
         tampered.ingest(&group1);
         for _ in 0..dups {
             let stats = tampered.ingest(&group1);
@@ -137,7 +137,7 @@ proptest! {
             keep_checkpoints: 2,
         };
 
-        let reference = small_store(4, ingest_batch);
+        let mut reference = small_store(4, ingest_batch);
         reference.ingest(&prefix);
         reference.ingest(&group1);
         reference.ingest(&group2);

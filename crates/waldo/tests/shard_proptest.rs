@@ -1,17 +1,20 @@
-//! Property tests for shard routing and batching.
+//! Property tests for shard routing, batching and commit order.
 //!
-//! The two invariants the sharded engine rests on:
+//! The three invariants the sharded engine rests on:
 //!
 //! * routing is a pure function of the pnode and the shard count —
 //!   the same pnode always lands on the same shard, regardless of
 //!   ingest order, batch boundaries, or which store instance routes;
 //! * batch granularity is invisible: the same entry stream ingested
 //!   at any batch size (including record-at-a-time) produces an
-//!   identical database.
+//!   identical database;
+//! * disjoint commits commute: complete transactions over disjoint
+//!   subjects, committed in any order, leave byte-equal shards.
 
 use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
 use lasagna::LogEntry;
 use proptest::prelude::*;
+use proptest::sample::Index;
 use waldo::{IngestStats, Store, WaldoConfig};
 
 fn p(volume: u32, n: u64) -> Pnode {
@@ -52,6 +55,28 @@ fn arb_entry() -> impl Strategy<Value = LogEntry> {
     ]
 }
 
+/// Ring transactions in the commit-order property.
+const RINGS: usize = 12;
+/// Subjects per ring transaction.
+const K: u64 = 6;
+
+/// One complete transaction: K subjects, each naming the next in a
+/// ring as its input, so every commit applies on several shards *and*
+/// routes reverse edges to others. Transaction ids are plain (outside
+/// the batch-id space), so replay suppression never triggers.
+fn ring_txn(t: usize) -> Vec<LogEntry> {
+    let id = t as u64 + 1;
+    let node = |j: u64| ObjectRef::new(p(9, 1_000 * id + j % K), Version(0));
+    let mut entries = vec![LogEntry::TxnBegin { id }];
+    for j in 0..K {
+        let ring = Value::str(format!("t{t}"));
+        entries.push(prov(node(j), Attribute::Other("RING".into()), ring));
+        entries.push(prov(node(j), Attribute::Input, Value::Xref(node(j + 1))));
+    }
+    entries.push(LogEntry::TxnEnd { id });
+    entries
+}
+
 proptest! {
     /// The same pnode routes to the same shard on every store with the
     /// same shard count, and every route is in range.
@@ -74,7 +99,7 @@ proptest! {
         prop_assert!(a.shard_of(node) < a.shard_count());
         // Routing does not change as the store ingests (rehash
         // stability): ingest something unrelated and re-route.
-        let c = Store::with_config(cfg);
+        let mut c = Store::with_config(cfg);
         c.ingest(&[prov(
             ObjectRef::new(p(vol, n.wrapping_add(1)), Version(0)),
             Attribute::Name,
@@ -109,7 +134,7 @@ proptest! {
         batch in 1usize..40,
         shards in 1usize..16,
     ) {
-        let whole = Store::with_config(WaldoConfig {
+        let mut whole = Store::with_config(WaldoConfig {
             shards: 1,
             ingest_batch: 1 << 20,
             ancestry_cache: 0,
@@ -117,7 +142,7 @@ proptest! {
         });
         whole.ingest(&entries);
 
-        let batched = Store::with_config(WaldoConfig {
+        let mut batched = Store::with_config(WaldoConfig {
             shards,
             ingest_batch: batch,
             ancestry_cache: 8,
@@ -158,5 +183,32 @@ proptest! {
         }
         prop_assert_eq!(whole.find_by_type("FILE"), batched.find_by_type("FILE"));
         prop_assert_eq!(whole.find_by_type("PROC"), batched.find_by_type("PROC"));
+    }
+
+    /// Commit order is invisible across disjoint transactions: ring
+    /// transactions committed one by one in a shuffled order give the
+    /// same images as all of them ingested in one shot.
+    #[test]
+    fn disjoint_transactions_commit_in_any_order(
+        picks in proptest::collection::vec(any::<Index>(), RINGS..RINGS + 1),
+    ) {
+        let cfg = WaldoConfig {
+            shards: 8,
+            ancestry_cache: 64,
+            ..WaldoConfig::default()
+        };
+        let mut one_shot = Store::with_config(cfg);
+        one_shot.ingest(&(0..RINGS).flat_map(ring_txn).collect::<Vec<_>>());
+
+        // Fisher-Yates over the drawn indices.
+        let mut order: Vec<usize> = (0..RINGS).collect();
+        for i in (1..RINGS).rev() {
+            order.swap(i, picks[i].index(i + 1));
+        }
+        let mut shuffled = Store::with_config(cfg);
+        for t in order {
+            shuffled.ingest(&ring_txn(t));
+        }
+        prop_assert_eq!(shuffled.segment_images(), one_shot.segment_images());
     }
 }

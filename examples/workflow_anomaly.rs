@@ -88,7 +88,7 @@ fn main() {
 
     // Ingest provenance from BOTH servers into one database (the
     // query spans layers and machines).
-    let db = waldo::ProvDb::new();
+    let mut db = waldo::ProvDb::new();
     for server in [&server1, &server2] {
         for image in server.borrow_mut().drain_provenance_logs() {
             let (entries, _) = lasagna::parse_log(&image);

@@ -221,7 +221,7 @@ fn durable_run_across_a_base_rewrite_restarts_equal_to_a_memory_reference() {
         .build();
     let worker = sys.spawn("worker");
     let mut waldo = sys.spawn_waldo_durable("/waldo-db");
-    let reference = waldo::Store::with_config(cfg);
+    let mut reference = waldo::Store::with_config(cfg);
     for round in 0..12 {
         for f in 0..3 {
             let path = format!("/r{round}-f{f}");

@@ -64,7 +64,7 @@ fn run_workflow(rig: &mut Rig) -> Vec<u8> {
 }
 
 fn build_db(rig: &mut Rig) -> waldo::ProvDb {
-    let db = waldo::ProvDb::new();
+    let mut db = waldo::ProvDb::new();
     for server in [&rig.server1, &rig.server2] {
         for image in server.borrow_mut().drain_provenance_logs() {
             let (entries, _) = lasagna::parse_log(&image);

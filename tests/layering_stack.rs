@@ -40,7 +40,7 @@ fn four_layer_stack_produces_one_connected_graph() {
     kernel.exit(pid);
 
     // Everything landed in ONE provenance database at the server.
-    let db = waldo::ProvDb::new();
+    let mut db = waldo::ProvDb::new();
     for image in server.borrow_mut().drain_provenance_logs() {
         let (entries, _) = lasagna::parse_log(&image);
         db.ingest(&entries);

@@ -76,7 +76,7 @@ fn orphaned_transaction_is_garbage_collected() {
 
     // Waldo ingests the logs: the orphaned records stay pending and
     // are discarded, never entering the database.
-    let db = waldo::ProvDb::new();
+    let mut db = waldo::ProvDb::new();
     for image in server.borrow_mut().drain_provenance_logs() {
         let (entries, _) = lasagna::parse_log(&image);
         db.ingest(&entries);
@@ -111,7 +111,7 @@ fn committed_transaction_applies_atomically() {
     client.pass_write(h, 0, b"the data", bundle).unwrap();
     assert!(client.stats().txns >= 1, "the bundle used a transaction");
 
-    let db = waldo::ProvDb::new();
+    let mut db = waldo::ProvDb::new();
     for image in server.borrow_mut().drain_provenance_logs() {
         let (entries, _) = lasagna::parse_log(&image);
         db.ingest(&entries);
@@ -224,7 +224,7 @@ impl WireRig {
     /// not on how the front door framed the stream.
     fn finish(self) -> (u64, u64, Vec<Vec<u8>>) {
         let s = self.client.stats();
-        let db = waldo::ProvDb::with_config(waldo::WaldoConfig {
+        let mut db = waldo::ProvDb::with_config(waldo::WaldoConfig {
             ingest_batch: 1 << 20,
             ..waldo::WaldoConfig::default()
         });
