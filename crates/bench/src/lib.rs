@@ -284,15 +284,11 @@ pub enum TraceMode {
     Recorder(provscope::RecorderConfig),
 }
 
-/// One traced PA-NFS Postmark round: the span forest, the unified
-/// metrics registry, and the store images that pin the
-/// tracing-is-free contract.
+/// One traced PA-NFS Postmark round: the span forest and the store
+/// images that pin the tracing-is-free contract.
 pub struct TracedRun {
     /// The span forest snapshot after ingest and one traced query.
     pub trace: provscope::Trace,
-    /// Every layer's counters, absorbed into one registry
-    /// (`kernel.`, `dpapi.`, `pa-nfs.server.`, `waldo.` prefixes).
-    pub registry: provscope::Registry,
     /// Trace ids of the disclosure batches the run drove (empty for
     /// single-op disclosures, which allocate no batch id).
     pub batch_traces: Vec<provscope::TraceId>,
@@ -325,23 +321,10 @@ pub const TRACED_DISCLOSURES: usize = 4;
 /// resulting span tree crosses kernel → dpapi → pa-nfs → lasagna on
 /// the synchronous commit path and gains the waldo ingest span
 /// asynchronously when the daemon drains that batch's group frame.
-/// With `traced = false` the run is identical except that every span
-/// operation is a no-op — [`TracedRun::segment_images`] must not
-/// notice the difference.
-pub fn traced_postmark(batch_ops: usize, traced: bool) -> TracedRun {
-    traced_postmark_with(
-        batch_ops,
-        if traced {
-            TraceMode::Unbounded
-        } else {
-            TraceMode::Off
-        },
-    )
-}
-
-/// [`traced_postmark`] with an explicit [`TraceMode`] — the rig the
-/// recorder-overhead smoke drives at each retention policy.
-pub fn traced_postmark_with(batch_ops: usize, mode: TraceMode) -> TracedRun {
+/// With [`TraceMode::Off`] the run is identical except that every
+/// span operation is a no-op — [`TracedRun::segment_images`] must
+/// not notice the difference.
+pub fn traced_postmark(batch_ops: usize, mode: TraceMode) -> TracedRun {
     assert!(
         batch_ops >= 1,
         "a disclosure transaction has at least one op"
@@ -421,21 +404,10 @@ pub fn traced_postmark_with(batch_ops: usize, mode: TraceMode) -> TracedRun {
 
     let _ = w.query("select F from Provenance.obj as F where F.name like '*'");
 
-    let mut registry = provscope::Registry::new();
-    registry.absorb("kernel.", &m.kernel.stats());
-    if let Some(p) = &m.pass {
-        registry.absorb("dpapi.", &p.stats());
-    }
-    if let Some(s) = &m.server {
-        registry.absorb("pa-nfs.server.", &s.borrow().stats());
-    }
-    registry.absorb("waldo.", &w);
-
     let trace = scope.snapshot();
     let batch_traces = trace.batch_traces();
     TracedRun {
         trace,
-        registry,
         batch_traces,
         segment_images: w.db.segment_images(),
         elapsed_ns: m.kernel.clock().now(),

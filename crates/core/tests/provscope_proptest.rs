@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use sim_os::cost::CostModel;
 
 /// Every provenance-bearing layer of a local PASS machine (the
-/// PA-NFS layers are exercised by `bench --bin provscope_trace`).
+/// PA-NFS layers are exercised by the root `tests/trace_gates.rs`).
 const LOCAL_LAYERS: [&str; 4] = ["dpapi", "kernel", "lasagna", "waldo"];
 
 /// Drives `rounds` disclosure transactions of `batch_ops` DPAPI ops

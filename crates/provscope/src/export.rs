@@ -180,20 +180,20 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<ChromeEvent>, String> {
 mod tests {
     use super::*;
     use crate::span::{Scope, TraceId};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn sample() -> Trace {
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
-        let s = Scope::enabled(move || t2.load(Ordering::Relaxed));
+        let s = Scope::enabled(move || t2.get());
         let a = s.open("kernel", "pass_commit");
-        t.store(1_500, Ordering::Relaxed);
+        t.set(1_500);
         let b = s.open("dpapi", "dp_commit");
         s.bind_trace(TraceId((1 << 63) | 5));
-        t.store(2_000, Ordering::Relaxed);
+        t.set(2_000);
         s.close(b);
-        t.store(4_321, Ordering::Relaxed);
+        t.set(4_321);
         s.close(a);
         s.snapshot()
     }

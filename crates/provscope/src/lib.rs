@@ -34,10 +34,8 @@
 //! recorder** ([`Scope::recording`], [`RecorderConfig`]) bounds span
 //! memory with whole-tree ring retention, deterministic head
 //! sampling keyed on the volume-salted trace id, and tail-based
-//! slow-trace pinning; the [`health`] module evaluates typed rules
-//! over a [`Registry`] snapshot into a [`HealthReport`]; and
-//! [`Registry::render_prometheus`] exports everything in the
-//! Prometheus text format.
+//! slow-trace pinning; and the [`health`] module evaluates typed
+//! rules over a [`Registry`] snapshot into a [`HealthReport`].
 //!
 //! # Determinism contract
 //!

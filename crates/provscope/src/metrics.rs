@@ -53,33 +53,9 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, v: u64) {
-        self.observe_n(v, 1);
-    }
-
-    /// Records `n` identical observations of `v` — the bulk path for
-    /// mirroring pre-aggregated data (e.g. an atomic histogram
-    /// snapshot) without `n` separate calls.
-    pub fn observe_n(&mut self, v: u64, n: u64) {
-        self.buckets[Self::bucket_of(v)] += n;
-        self.count += n;
-        self.sum += v.wrapping_mul(n);
-    }
-
-    /// Reconstructs a histogram from raw parts — the import path for
-    /// snapshots of externally-maintained bucket arrays (atomic
-    /// mirrors, parsed exports). `count`/`sum` are trusted as given.
-    pub fn from_parts(buckets: [u64; 65], count: u64, sum: u64) -> Histogram {
-        Histogram {
-            buckets,
-            count,
-            sum,
-        }
-    }
-
-    /// The raw log₂ bucket counts (bucket `i` as documented on the
-    /// type).
-    pub fn bucket_counts(&self) -> &[u64; 65] {
-        &self.buckets
+        self.buckets[Self::bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum += v;
     }
 
     /// Number of observations.
@@ -301,69 +277,6 @@ impl Registry {
         }
         out
     }
-
-    /// Renders everything in the Prometheus text exposition format:
-    /// counters and gauges as single samples, histograms as
-    /// cumulative `_bucket{le="…"}` series plus `_sum`/`_count`.
-    ///
-    /// Names are sanitized (every character outside `[A-Za-z0-9_]`
-    /// becomes `_`, so `waldo.wal_errors` → `waldo_wal_errors`).
-    /// Bucket `le` bounds are the *inclusive* integer upper bounds of
-    /// the log₂ buckets — `le="0"` for bucket 0, `le="2^i - 1"` for
-    /// bucket `i`, and a final `le="+Inf"` — and only non-empty
-    /// buckets are emitted (cumulative counts stay correct). Output
-    /// is deterministic: keys render in sorted order.
-    pub fn render_prometheus(&self) -> String {
-        fn sanitize(name: &str) -> String {
-            name.chars()
-                .map(|c| {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        c
-                    } else {
-                        '_'
-                    }
-                })
-                .collect()
-        }
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            let n = sanitize(k);
-            let _ = writeln!(out, "# TYPE {n} counter");
-            let _ = writeln!(out, "{n} {v}");
-        }
-        for (k, v) in &self.gauges {
-            let n = sanitize(k);
-            let _ = writeln!(out, "# TYPE {n} gauge");
-            let _ = writeln!(out, "{n} {v}");
-        }
-        for (k, h) in &self.hists {
-            let n = sanitize(k);
-            let _ = writeln!(out, "# TYPE {n} histogram");
-            let mut cum = 0u64;
-            for (i, b) in h.buckets.iter().enumerate() {
-                if *b == 0 {
-                    continue;
-                }
-                cum += b;
-                // Inclusive integer upper bound of log₂ bucket i:
-                // bucket 0 holds only 0; bucket i holds [2^(i-1),
-                // 2^i), whose largest integer is 2^i - 1 (saturating
-                // for bucket 64, which holds up to u64::MAX).
-                let le = if i == 0 {
-                    0
-                } else if i >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << i) - 1
-                };
-                let _ = writeln!(out, "{n}_bucket{{le=\"{le}\"}} {cum}");
-            }
-            let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count());
-            let _ = writeln!(out, "{n}_sum {}", h.sum());
-            let _ = writeln!(out, "{n}_count {}", h.count());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -415,19 +328,6 @@ mod tests {
             let q = h.quantile(1.0);
             assert!(v < q && q <= 2 * v, "v={v} q={q}");
         }
-    }
-
-    #[test]
-    fn observe_n_and_from_parts_round_trip() {
-        let mut a = Histogram::default();
-        for _ in 0..4 {
-            a.observe(100);
-        }
-        let mut b = Histogram::default();
-        b.observe_n(100, 4);
-        assert_eq!(a, b);
-        let c = Histogram::from_parts(*a.bucket_counts(), a.count(), a.sum());
-        assert_eq!(a, c);
     }
 
     #[test]
@@ -484,108 +384,6 @@ mod tests {
         r.absorb_histogram("lat", &h);
         assert_eq!(r.histogram("lat").unwrap().count(), 3);
         assert_eq!(r.histogram("lat").unwrap().sum(), 35);
-    }
-
-    /// Parses the Prometheus text format back into a Registry — test
-    /// scaffolding proving the export is lossless for our metric
-    /// kinds.
-    fn parse_prometheus(text: &str) -> Registry {
-        let mut kinds: BTreeMap<String, String> = BTreeMap::new();
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split_whitespace();
-                let name = it.next().unwrap().to_string();
-                kinds.insert(name, it.next().unwrap().to_string());
-            }
-        }
-        let mut out = Registry::new();
-        let mut hbuckets: BTreeMap<String, [u64; 65]> = BTreeMap::new();
-        let mut hprev: BTreeMap<String, u64> = BTreeMap::new();
-        let mut hsum: BTreeMap<String, u64> = BTreeMap::new();
-        let mut hcount: BTreeMap<String, u64> = BTreeMap::new();
-        for line in text.lines() {
-            if line.starts_with('#') || line.is_empty() {
-                continue;
-            }
-            let (series, value) = line.rsplit_once(' ').unwrap();
-            let value: u64 = value.parse().unwrap();
-            if let Some((name, rest)) = series.split_once('{') {
-                let base = name.strip_suffix("_bucket").unwrap().to_string();
-                let le = rest
-                    .strip_prefix("le=\"")
-                    .and_then(|r| r.strip_suffix("\"}"))
-                    .unwrap();
-                if le == "+Inf" {
-                    continue; // cumulative total — equals _count
-                }
-                let le: u64 = le.parse().unwrap();
-                // Invert the exporter's bound: le = 2^i - 1, so
-                // le + 1 is a power of two whose trailing zero count
-                // is the bucket index (le = 0 → bucket 0; the
-                // saturated u64::MAX bound is bucket 64).
-                let i = if le == u64::MAX {
-                    64
-                } else {
-                    (le + 1).trailing_zeros() as usize
-                };
-                let prev = hprev.get(&base).copied().unwrap_or(0);
-                hbuckets.entry(base.clone()).or_insert([0; 65])[i] = value - prev;
-                hprev.insert(base, value);
-            } else if let Some(base) = series
-                .strip_suffix("_sum")
-                .filter(|b| kinds.get(*b).map(String::as_str) == Some("histogram"))
-            {
-                hsum.insert(base.to_string(), value);
-            } else if let Some(base) = series
-                .strip_suffix("_count")
-                .filter(|b| kinds.get(*b).map(String::as_str) == Some("histogram"))
-            {
-                hcount.insert(base.to_string(), value);
-            } else {
-                match kinds.get(series).map(String::as_str) {
-                    Some("counter") => out.add(series, value),
-                    Some("gauge") => out.set_gauge(series, value),
-                    other => panic!("unrecognized series {series} ({other:?})"),
-                }
-            }
-        }
-        for (base, count) in hcount {
-            let buckets = hbuckets.remove(&base).unwrap_or([0; 65]);
-            let h = Histogram::from_parts(buckets, count, hsum[&base]);
-            out.absorb_histogram(&base, &h);
-        }
-        out
-    }
-
-    #[test]
-    fn prometheus_export_round_trips() {
-        let mut r = Registry::new();
-        r.add("waldo.wal_errors", 0);
-        r.add("member0.kernel.dpapi_txns", 7);
-        r.set_gauge("sluice.queue.peak_ops", 42);
-        r.observe("waldo.latency_ns", 0);
-        r.observe("waldo.latency_ns", 1);
-        r.observe("waldo.latency_ns", 900);
-        r.observe("waldo.latency_ns", 1u64 << 63); // top bucket
-        r.observe("pql.plan-ns", 17); // '-' sanitizes to '_'
-        let text = r.render_prometheus();
-        assert!(text.contains("# TYPE waldo_wal_errors counter"));
-        assert!(text.contains("# TYPE sluice_queue_peak_ops gauge"));
-        assert!(text.contains("# TYPE waldo_latency_ns histogram"));
-        assert!(text.contains("waldo_latency_ns_bucket{le=\"+Inf\"} 4"));
-        assert!(text.contains("pql_plan_ns_bucket"));
-        let parsed = parse_prometheus(&text);
-        // Re-rendering the parse is byte-identical (sanitization is
-        // idempotent), and the reconstructed histogram answers
-        // quantiles exactly as the original.
-        assert_eq!(parsed.render_prometheus(), text);
-        let h = parsed.histogram("waldo_latency_ns").unwrap();
-        let orig = r.histogram("waldo.latency_ns").unwrap();
-        assert_eq!(h.count(), orig.count());
-        assert_eq!(h.sum(), orig.sum());
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), orig.quantile(q));
-        }
     }
 
     #[test]

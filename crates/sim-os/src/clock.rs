@@ -6,8 +6,8 @@
 //! the *shape* of the paper's overhead tables independent of host
 //! hardware.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Virtual nanoseconds since simulation start.
 pub type Nanos = u64;
@@ -15,12 +15,12 @@ pub type Nanos = u64;
 /// One nanosecond expressed in [`Nanos`].
 pub const NANOS_PER_SEC: Nanos = 1_000_000_000;
 
-/// A shareable, thread-safe virtual clock.
+/// A shareable virtual clock.
 ///
 /// Cloning a `Clock` yields another handle on the same timeline.
 #[derive(Clone, Debug, Default)]
 pub struct Clock {
-    now: Arc<AtomicU64>,
+    now: Rc<Cell<Nanos>>,
 }
 
 impl Clock {
@@ -31,12 +31,14 @@ impl Clock {
 
     /// Current virtual time.
     pub fn now(&self) -> Nanos {
-        self.now.load(Ordering::Relaxed)
+        self.now.get()
     }
 
     /// Advances the clock by `ns` nanoseconds and returns the new time.
     pub fn advance(&self, ns: Nanos) -> Nanos {
-        self.now.fetch_add(ns, Ordering::Relaxed) + ns
+        let now = self.now.get() + ns;
+        self.now.set(now);
+        now
     }
 
     /// Current time in (virtual) seconds as a float, for reporting.

@@ -416,8 +416,6 @@ fn metrics_export_counters_gauges_and_latency() {
 #[test]
 fn tracing_scope_binds_flush_spans_and_links_tickets() {
     use std::cell::Cell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     /// A substrate that, like Lasagna, binds a batch trace while
     /// committing.
@@ -440,9 +438,11 @@ fn tracing_scope_binds_flush_spans_and_links_tickets() {
         }
     }
 
-    let now = Arc::new(AtomicU64::new(0));
-    let n = Arc::clone(&now);
-    let scope = Scope::enabled(move || n.fetch_add(1, Ordering::Relaxed) + 1);
+    let now = Cell::new(0);
+    let scope = Scope::enabled(move || {
+        now.set(now.get() + 1);
+        now.get()
+    });
     let mut layer = BindingLayer {
         scope: scope.clone(),
         next_batch: Cell::new(1),
