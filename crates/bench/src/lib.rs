@@ -237,11 +237,10 @@ fn ops_report(w: &waldo::Waldo) -> WaldoOps {
     let planner = pnodes
         .iter()
         .find_map(|p| {
-            let name =
-                w.db.with_object(*p, |obj| match obj.first_attr(&dpapi::Attribute::Name) {
-                    Some(dpapi::Value::Str(name)) => Some(name.clone()),
-                    _ => None,
-                })??;
+            let obj = w.db.object(*p)?;
+            let Some(dpapi::Value::Str(name)) = obj.first_attr(&dpapi::Attribute::Name) else {
+                return None;
+            };
             if name.contains('\'') {
                 // No escape syntax in PQL string literals; pick
                 // another object rather than emit a broken query.

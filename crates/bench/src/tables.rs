@@ -29,16 +29,14 @@ fn record_types(
     }
     let mut out = BTreeSet::new();
     for p in subjects(&w.db) {
-        w.db.with_object(p, |obj| {
-            for v in obj.versions.values() {
-                for (a, _) in &v.attrs {
-                    out.insert(a.as_str().to_string());
-                }
-                for (a, _) in &v.inputs {
-                    out.insert(a.as_str().to_string());
-                }
+        for v in w.db.object(p).iter().flat_map(|obj| obj.versions.values()) {
+            for (a, _) in &v.attrs {
+                out.insert(a.as_str().to_string());
             }
-        });
+            for (a, _) in &v.inputs {
+                out.insert(a.as_str().to_string());
+            }
+        }
     }
     out
 }

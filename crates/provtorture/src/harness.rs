@@ -128,6 +128,12 @@ pub struct CaseReport {
     /// `tests/matrix.rs` asserts it, and that same-seed recorder runs
     /// retain identical sets.
     pub sampled_traces: Vec<u64>,
+    /// A cycle in the reference twin's stored ancestry
+    /// ([`CleanRun::input_cycle`]). Several analyzers wrote that graph
+    /// — both volumes' PASS modules, the disclosures, on a cluster two
+    /// members' stores — and their union must still be acyclic, so
+    /// the acceptance matrix in `tests/matrix.rs` requires `None`.
+    pub reference_cycle: Option<Vec<dpapi::ObjectRef>>,
 }
 
 impl CaseReport {
@@ -165,6 +171,16 @@ pub enum CleanRun {
 }
 
 impl CleanRun {
+    /// A cycle in the run's stored ancestry, if any
+    /// ([`waldo::Store::input_cycle`]) — for a cluster, in the merged
+    /// store, where the members' graphs meet.
+    pub fn input_cycle(&self) -> Option<Vec<dpapi::ObjectRef>> {
+        match self {
+            CleanRun::Single(w) => w.db.input_cycle(),
+            CleanRun::Cluster(c) => c.merged_store().input_cycle(),
+        }
+    }
+
     /// Rows a PQL query returns against this run's store(s).
     pub fn rows(&mut self, text: &str) -> usize {
         let out = match self {
@@ -277,6 +293,7 @@ pub fn torture_with_recorder(
         signals: faulted.signals,
         byte_equal,
         sampled_traces: faulted.trace.batch_traces().iter().map(|t| t.0).collect(),
+        reference_cycle: reference.survivors.as_ref().and_then(CleanRun::input_cycle),
         trace_json: provscope::chrome_trace_json(&faulted.trace),
     }
 }

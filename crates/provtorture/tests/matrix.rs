@@ -81,6 +81,12 @@ fn full_matrix_detects_or_proves_harmless() {
                 fault.name(),
                 topo.name()
             );
+            assert_eq!(
+                report.reference_cycle,
+                None,
+                "a cycle in the fault-free twin's ancestry under {}",
+                topo.name()
+            );
             let verdict = report.verdict();
             assert_ne!(
                 verdict,
@@ -182,6 +188,25 @@ fn seed_sweep_never_diverges_silently() {
             );
         }
     }
+}
+
+/// An open finding, pinned so that its fix shows: on Postmark the
+/// process that reads a file it wrote is frozen to a new version, but
+/// the read's `INPUT` record is logged against the version it left,
+/// with no FREEZE record, so the store holds `file0@0 → postmark@0 →
+/// file0@0`. The cycle is in what one PASS module logged, not in how
+/// the layers stack. When the capture side logs the read at the frozen
+/// version, this assertion fails and becomes `None`.
+#[test]
+fn postmark_read_after_write_stores_a_cycle() {
+    let wl = Postmark {
+        files: 4,
+        transactions: 6,
+        ..Default::default()
+    };
+    let report = torture(&wl, Topology::SingleDaemon, &Fault::FlipLogBit, SEED);
+    let at = |n| dpapi::ObjectRef::new(dpapi::Pnode::new(dpapi::VolumeId(1), n), dpapi::Version(0));
+    assert_eq!(report.reference_cycle, Some(vec![at(1), at(2)]));
 }
 
 /// The harness is workload-generic: the same contract holds when the

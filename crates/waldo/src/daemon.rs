@@ -51,12 +51,15 @@
 
 use sim_os::fs::FsError;
 use sim_os::proc::{Fd, MountId, Pid};
-use sim_os::syscall::{Kernel, OpenFlags};
+use sim_os::syscall::Kernel;
 
-use crate::checkpoint::{self, CheckpointCrash, CheckpointStats, RestartReport, Retained};
+use crate::checkpoint::{CheckpointStats, RestartReport, Retained};
 use crate::db::{IngestStats, WaldoConfig};
 use crate::manifest::Manifest;
 use crate::store::Store;
+
+mod checkpointing;
+mod restart;
 
 /// Cumulative query-side counters of one daemon: how many PQL
 /// queries it served and what the planner did across all of them —
@@ -316,162 +319,6 @@ impl Waldo {
         self.query_ops
     }
 
-    /// Adopts a database that survived a daemon restart (the committed
-    /// state of a crashed predecessor). Staged-but-uncommitted entries
-    /// are discarded — the next poll replays them from the logs that
-    /// were, by design, not yet unlinked.
-    pub fn resume(pid: Pid, mut db: Store) -> Waldo {
-        db.drop_staged();
-        let cfg = db.config();
-        let mut w = Waldo::with_config(pid, cfg);
-        w.db = db;
-        w
-    }
-
-    /// Cold start after a **machine** crash: nothing survives in
-    /// memory, only `db_dir` (WAL + checkpoints) and the retained
-    /// Lasagna logs on disk. Loads the newest complete checkpoint
-    /// (falling back past damaged ones), validates the surviving WAL
-    /// frames, reattaches the WAL, then replays retained logs from
-    /// the per-log high-water marks by rescanning each mount in
-    /// `mount_paths` (`"/"` or `"/mnt/x"`). The result provably
-    /// equals the store of a daemon that never crashed — see the
-    /// crash matrix in `tests/group_commit.rs`.
-    ///
-    /// With no loadable checkpoint the store starts empty and
-    /// everything is rebuilt from the logs (full replay) — but only
-    /// when the checkpoint directory holds no manifests at all. A
-    /// directory with manifests that are *all* unreadable is
-    /// [`RestartError::NoReadableCheckpoint`], and a `db_dir` that
-    /// does not exist is [`RestartError::MissingDbDir`]: both would
-    /// otherwise masquerade data loss (or tampering) as a clean cold
-    /// start. Other errors mean the durable home could not be
-    /// attached (directories or WAL unusable) — restarting without
-    /// durability would silently unlink replayed logs, so that is
-    /// refused rather than degraded.
-    pub fn restart(
-        pid: Pid,
-        kernel: &mut Kernel,
-        cfg: WaldoConfig,
-        db_dir: &str,
-        mount_paths: &[&str],
-    ) -> Result<Waldo, RestartError> {
-        if kernel.stat(pid, db_dir).is_err() {
-            return Err(RestartError::MissingDbDir {
-                path: db_dir.to_string(),
-            });
-        }
-        let dir = checkpoint::checkpoint_dir(db_dir);
-        let mut report = RestartReport::default();
-        let mut w = Waldo::with_config(pid, cfg);
-        if let Some(loaded) = checkpoint::load_latest(kernel, pid, &dir, cfg) {
-            report.loaded_seq = Some(loaded.manifest.seq);
-            report.checkpoints_skipped = loaded.skipped;
-            report.base_bytes = loaded.manifest.base_bytes();
-            report.chain_bytes = loaded.manifest.chain_bytes();
-            w.db = loaded.store;
-            w.last_manifest = Some(loaded.manifest);
-        } else {
-            let manifests = checkpoint::list_manifests(kernel, pid, &dir).len();
-            if manifests > 0 {
-                return Err(RestartError::NoReadableCheckpoint { manifests });
-            }
-        }
-        let wal = checkpoint::wal_path(db_dir);
-        let wal_data = kernel.read_file(pid, &wal).unwrap_or_default();
-        let (frames, wal_tail) = crate::wal::parse_wal(&wal_data);
-        report.wal_frames = frames.len() as u64;
-        report.wal_tail_torn = wal_tail != crate::wal::WalTail::Clean;
-        let base = report.loaded_seq.unwrap_or(0);
-        report.wal_frames_beyond_checkpoint = frames.iter().filter(|f| f.seq > base).count() as u64;
-        // Reset the WAL before reattaching: frames at or below the
-        // checkpoint are superseded by it, and frames beyond it
-        // describe commits whose in-memory effects died with the
-        // crash — the replay below re-derives them under fresh,
-        // monotonic sequence numbers. Appending onto the stale frames
-        // instead would duplicate sequences and double-count
-        // `wal_len`. Gated on the file's *bytes*, not on parsed
-        // frames: a torn partial frame (a crash mid-append) parses as
-        // zero frames but would corrupt every frame appended after it.
-        if !wal_data.is_empty() {
-            checkpoint::reset_wal_temp(kernel, pid, &wal)?;
-            checkpoint::rename_wal(kernel, pid, &wal)?;
-            w.ckpt_stats.frames_truncated += frames.len() as u64;
-        }
-        // attach_db_dir below also deletes every manifest ahead of the
-        // store's restored history — which here is exactly the set of
-        // damaged manifests load_latest tried and skipped — and the
-        // files only they referenced. They can never load again, and
-        // left on disk they would inflate the retention floor and
-        // shadow fresh checkpoints in GC.
-        w.attach_db_dir(kernel, db_dir)?;
-        // A manifest snapshots source marks *before* covered logs are
-        // unlinked, so it can carry slots for files that no longer
-        // exist; drop those tombstones like the uncrashed daemon did
-        // when it unlinked the files.
-        for (slot, (path, _)) in w.db.source_state().into_iter().enumerate() {
-            if !path.is_empty() && kernel.stat(pid, &path).is_err() {
-                w.db.forget_source(slot);
-            }
-        }
-        let mut replayed = 0usize;
-        for mount in mount_paths {
-            replayed += w.recover_volume(kernel, mount).applied;
-        }
-        report.replayed_entries = replayed;
-        w.restart_report = Some(report);
-        Ok(w)
-    }
-
-    /// What the last [`Waldo::restart`] found (`None` on daemons that
-    /// never cold-started).
-    pub fn restart_report(&self) -> Option<&RestartReport> {
-        self.restart_report.as_ref()
-    }
-
-    /// Attaches the daemon's durable home: `db_dir/wal` becomes the
-    /// durability WAL (opened append, surviving restarts) and
-    /// `db_dir/checkpoints` holds segments and manifests. Enables the
-    /// checkpoint policy in [`WaldoConfig`] and gates log unlinking on
-    /// checkpoint coverage.
-    pub fn attach_db_dir(&mut self, kernel: &mut Kernel, db_dir: &str) -> Result<(), FsError> {
-        kernel.mkdir_p(self.pid, db_dir)?;
-        let ckpt = checkpoint::checkpoint_dir(db_dir);
-        kernel.mkdir_p(self.pid, &ckpt)?;
-        let wal = checkpoint::wal_path(db_dir);
-        let seq_now = self.db.commit_seq();
-        // A WAL holding frames ahead of this store's history (a
-        // foreign incarnation's leftovers) or a torn tail must be
-        // reset before appending: sequence numbers would duplicate,
-        // the size trigger would fire off stale bytes, and truncation
-        // (which drops frames *at or below* the checkpoint sequence)
-        // would never release the stale suffix. Frames are pure
-        // accounting — never recovery state — so a reset loses
-        // nothing.
-        let wal_data = kernel.read_file(self.pid, &wal).unwrap_or_default();
-        if !wal_data.is_empty() {
-            let (frames, tail) = crate::wal::parse_wal(&wal_data);
-            if tail != crate::wal::WalTail::Clean || frames.iter().any(|f| f.seq > seq_now) {
-                checkpoint::reset_wal_temp(kernel, self.pid, &wal)?;
-                checkpoint::rename_wal(kernel, self.pid, &wal)?;
-            }
-        }
-        let fd = kernel.open(self.pid, &wal, OpenFlags::APPEND_CREATE)?;
-        self.db_fd = Some(fd);
-        self.wal_len = kernel.stat(self.pid, &wal).map(|a| a.size).unwrap_or(0);
-        // Manifests ahead of this store's own history are likewise
-        // foreign (a fresh daemon attached to a stale directory — use
-        // `Waldo::restart` to *adopt* checkpoints) or were tried and
-        // found damaged by a restart's loader. They must be deleted,
-        // not merely ignored: counted into the retention floor they
-        // would unlink new, uncheckpointed logs; left on disk, a
-        // future restart would prefer their high sequences over this
-        // daemon's real checkpoints and resurrect the stale store.
-        self.retained = checkpoint::adopt_directory(kernel, self.pid, &ckpt, seq_now);
-        self.db_dir = Some(db_dir.to_string());
-        Ok(())
-    }
-
     /// Persists the latest commit frame if it is not durable yet: one
     /// append plus one fsync on the WAL — the per-commit durability
     /// cost that group commit amortizes. A frame whose persist failed
@@ -576,199 +423,6 @@ impl Waldo {
     /// bit flips.
     pub fn log_tail_errors(&self) -> (u64, u64) {
         (self.log_tails_truncated, self.log_tails_corrupt)
-    }
-
-    // ---- checkpointing ----------------------------------------------------
-
-    /// The retention floor: the sequence of the oldest checkpoint
-    /// that survives garbage collection once a full complement of
-    /// `keep_checkpoints` manifests exists — and 0 (retain
-    /// everything) before then. Unlinking is gated on a *full*
-    /// complement, not merely on the oldest manifest present:
-    /// otherwise the first checkpoint alone would release its logs,
-    /// and one damaged manifest would lose data — the configured
-    /// tolerance is `keep_checkpoints - 1` damaged checkpoints.
-    fn checkpoint_floor(&self) -> u64 {
-        let keep = self.db.config().keep_checkpoints.max(1);
-        if self.retained.len() >= keep {
-            self.retained[self.retained.len() - keep].seq
-        } else {
-            0
-        }
-    }
-
-    /// True when the configured policy asks for a checkpoint.
-    fn should_checkpoint(&self) -> bool {
-        if self.db_dir.is_none() {
-            return false;
-        }
-        let cfg = self.db.config();
-        (cfg.checkpoint_commits > 0 && self.commits_since_checkpoint >= cfg.checkpoint_commits)
-            || (cfg.checkpoint_wal_bytes > 0 && self.wal_len >= cfg.checkpoint_wal_bytes)
-    }
-
-    /// Publishes a checkpoint now (a delta segment or a base rewrite,
-    /// manifest rename, WAL truncation, garbage collection, covered-
-    /// log unlinking). Returns `Ok(true)` if one was published,
-    /// `Ok(false)` if there was nothing new to checkpoint or no
-    /// database directory is attached.
-    pub fn checkpoint(&mut self, kernel: &mut Kernel) -> Result<bool, FsError> {
-        self.checkpoint_inner(kernel, None)
-    }
-
-    /// Crash-injection variant of [`Waldo::checkpoint`] for the crash
-    /// matrix: performs the checkpoint only up to `crash`, then stops
-    /// as a simulated machine crash would.
-    #[doc(hidden)]
-    pub fn checkpoint_crashing_at(
-        &mut self,
-        kernel: &mut Kernel,
-        crash: CheckpointCrash,
-    ) -> Result<(), FsError> {
-        self.checkpoint_inner(kernel, Some(crash)).map(|_| ())
-    }
-
-    fn checkpoint_inner(
-        &mut self,
-        kernel: &mut Kernel,
-        crash: Option<CheckpointCrash>,
-    ) -> Result<bool, FsError> {
-        let span = self.scope.open("waldo", "checkpoint");
-        let r = self.checkpoint_guts(kernel, crash);
-        self.scope.close(span);
-        r
-    }
-
-    fn checkpoint_guts(
-        &mut self,
-        kernel: &mut Kernel,
-        crash: Option<CheckpointCrash>,
-    ) -> Result<bool, FsError> {
-        let Some(db_dir) = self.db_dir.clone() else {
-            return Ok(false);
-        };
-        let seq = self.db.commit_seq();
-        if seq == 0 || self.last_manifest.as_ref().map(|m| m.seq) == Some(seq) {
-            // Nothing new to publish — but a prior attempt may have
-            // errored after publication (a WAL rename failure),
-            // leaving truncation, garbage collection and covered-log
-            // unlinking undone. Finish that work now instead of
-            // holding the WAL and retained logs hostage until new
-            // commits arrive.
-            if self.post_publish_pending {
-                self.finish_checkpoint(kernel, &db_dir, crash)?;
-            }
-            return Ok(false);
-        }
-        let dir = checkpoint::checkpoint_dir(&db_dir);
-        // One delta writer, one full-image writer. The delta applies
-        // when the store recorded the commits since the last manifest;
-        // the store drops its record once the chain would outgrow the
-        // base (the budget armed below), so a missing record is also
-        // how "time to rewrite" arrives.
-        let (base_seq, segments, deltas) = match (&self.last_manifest, self.db.take_delta()) {
-            (Some(last), Some(delta)) if delta.from_seq == last.seq => {
-                let written = checkpoint::write_delta(kernel, self.pid, &dir, &delta, seq)?;
-                self.ckpt_stats.deltas_written += 1;
-                self.ckpt_stats.segment_bytes += written.len;
-                let mut deltas = last.deltas.clone();
-                deltas.push(written);
-                (last.base_seq, last.segments.clone(), deltas)
-            }
-            (last, _) => {
-                let (segments, written, bytes) =
-                    checkpoint::write_segments(kernel, self.pid, &self.db, &dir, last.as_ref())?;
-                self.ckpt_stats.segments_written += written;
-                self.ckpt_stats.segment_bytes += bytes;
-                (seq, segments, Vec::new())
-            }
-        };
-        if crash == Some(CheckpointCrash::AfterSegments) {
-            return Ok(false);
-        }
-        let (txns, commit_txn) = self.db.open_txn_state();
-        let (batch_hw, replay_skip) = self.db.batch_state();
-        let manifest = Manifest {
-            seq,
-            base_seq,
-            segments,
-            deltas,
-            txns,
-            commit_txn,
-            sources: self.db.source_state(),
-            batch_hw,
-            replay_skip,
-        };
-        checkpoint::write_temp_manifest(kernel, self.pid, &dir, &manifest)?;
-        if crash == Some(CheckpointCrash::AfterTempManifest) {
-            return Ok(false);
-        }
-        checkpoint::rename_manifest(kernel, self.pid, &dir, seq)?;
-        self.ckpt_stats.checkpoints += 1;
-        self.retained.push(Retained::of(&manifest));
-        // The chain may grow until its bytes reach the base's: past
-        // that the next checkpoint rewrites the base instead.
-        self.db
-            .track_delta(manifest.base_bytes().saturating_sub(manifest.chain_bytes()));
-        self.last_manifest = Some(manifest);
-        self.commits_since_checkpoint = 0;
-        self.post_publish_pending = true;
-        if crash == Some(CheckpointCrash::AfterPublish) {
-            return Ok(true);
-        }
-        self.finish_checkpoint(kernel, &db_dir, crash)?;
-        Ok(true)
-    }
-
-    /// The post-publication phase of a checkpoint: WAL truncation,
-    /// garbage collection and covered-log unlinking. Idempotent, so a
-    /// failure part-way (or a simulated crash) can be retried by a
-    /// later [`Waldo::checkpoint`] call.
-    fn finish_checkpoint(
-        &mut self,
-        kernel: &mut Kernel,
-        db_dir: &str,
-        crash: Option<CheckpointCrash>,
-    ) -> Result<(), FsError> {
-        let seq = self
-            .last_manifest
-            .as_ref()
-            .map(|m| m.seq)
-            .expect("finish_checkpoint only runs after a publication");
-        let dir = checkpoint::checkpoint_dir(db_dir);
-        // Truncate the WAL: frames at or below the manifest's
-        // sequence are superseded by the checkpoint. Written to a
-        // temporary name and renamed, so a crash leaves either WAL
-        // intact; the open descriptor must be reopened because the
-        // rename replaces the inode.
-        let wal = checkpoint::wal_path(db_dir);
-        let dropped = checkpoint::truncate_wal_temp(kernel, self.pid, &wal, seq)?;
-        if crash == Some(CheckpointCrash::MidWalTruncate) {
-            return Ok(());
-        }
-        if let Some(fd) = self.db_fd.take() {
-            let _ = kernel.close(self.pid, fd);
-        }
-        let renamed = checkpoint::rename_wal(kernel, self.pid, &wal);
-        // Reopen the WAL regardless of the rename's outcome — on
-        // failure the original file still sits at `wal`, and leaving
-        // `db_fd` empty would make `persist_commit` report false
-        // durability ever after.
-        self.db_fd = Some(kernel.open(self.pid, &wal, OpenFlags::APPEND_CREATE)?);
-        renamed?;
-        self.ckpt_stats.frames_truncated += dropped;
-        self.wal_len = kernel.stat(self.pid, &wal).map(|a| a.size).unwrap_or(0);
-        if crash == Some(CheckpointCrash::AfterWalTruncate) {
-            return Ok(());
-        }
-        let keep = self.db.config().keep_checkpoints.max(1);
-        while self.retained.len() > keep {
-            let dropped = self.retained.remove(0);
-            checkpoint::drop_checkpoint(kernel, self.pid, &dir, &dropped, &self.retained);
-        }
-        self.retire_logs(kernel);
-        self.post_publish_pending = false;
-        Ok(())
     }
 
     // ---- ingest -----------------------------------------------------------
@@ -1051,304 +705,5 @@ impl Waldo {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dpapi::{Attribute, Value};
-    use passv2::System;
-
-    /// End-to-end: syscalls → observer → Lasagna log → Waldo → DB.
-    #[test]
-    fn pipeline_from_syscalls_to_database() {
-        let mut sys = System::single_volume();
-        let pid = sys.spawn("/usr/bin/convert");
-        sys.kernel
-            .execve(
-                pid,
-                "/usr/bin/convert",
-                &["convert".into(), "in".into(), "out".into()],
-                &[],
-            )
-            .ok();
-        sys.kernel
-            .write_file(pid, "/in.dat", b"input bytes")
-            .unwrap();
-        let data = sys.kernel.read_file(pid, "/in.dat").unwrap();
-        sys.kernel.write_file(pid, "/out.dat", &data).unwrap();
-        sys.kernel.exit(pid);
-
-        let mut waldo = sys.spawn_waldo();
-        for (mount, logs) in sys.rotate_all_logs() {
-            let _ = mount;
-            for log in logs {
-                waldo.ingest_log_file(&mut sys.kernel, &log);
-            }
-        }
-        assert!(waldo.processed_logs() >= 1);
-
-        // The output file is in the database, named, with an ancestry
-        // that reaches the input file through the process.
-        let outs = waldo.db.find_by_name("/out.dat");
-        assert_eq!(outs.len(), 1, "output file must be indexed by name");
-        let out_obj = waldo.db.object(outs[0]).unwrap();
-        let v = dpapi::Version(out_obj.current);
-        let anc = waldo.db.ancestors(dpapi::ObjectRef::new(outs[0], v));
-        let ins = waldo.db.find_by_name("/in.dat");
-        assert_eq!(ins.len(), 1);
-        assert!(
-            anc.iter().any(|r| r.pnode == ins[0]),
-            "ancestry of /out.dat must include /in.dat; got {anc:?}"
-        );
-        // The process appears as a typed object on the path.
-        let procs = waldo.db.find_by_type("PROC");
-        assert!(
-            !procs.is_empty(),
-            "the writing process must be materialized"
-        );
-        assert!(anc.iter().any(|r| procs.contains(&r.pnode)));
-    }
-
-    #[test]
-    fn poll_volume_drains_rotations_and_removes_logs() {
-        let mut sys = System::single_volume();
-        let pid = sys.spawn("sh");
-        sys.kernel.write_file(pid, "/f", b"x").unwrap();
-        let mut waldo = sys.spawn_waldo();
-
-        let (_, m, _) = sys.volumes[0];
-        // Force rotation through the volume, then poll.
-        sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
-        let stats = waldo.poll_volume(&mut sys.kernel, m, "/");
-        assert!(stats.applied > 0);
-        // The processed log is gone from the log directory.
-        let entries = sys.kernel.readdir(waldo.pid(), "/.pass").unwrap();
-        assert_eq!(
-            entries.iter().filter(|e| e.name == "log.0").count(),
-            0,
-            "processed log must be unlinked"
-        );
-        // Second poll: nothing new.
-        let stats = waldo.poll_volume(&mut sys.kernel, m, "/");
-        assert_eq!(stats.applied, 0);
-    }
-
-    /// With a database directory attached, a fully committed log is
-    /// retained until a checkpoint covers it, then unlinked.
-    #[test]
-    fn durable_daemon_retains_logs_until_checkpoint_covers_them() {
-        let mut sys = System::single_volume();
-        let pid = sys.spawn("sh");
-        sys.kernel.write_file(pid, "/f", b"x").unwrap();
-        let (_, m, _) = sys.volumes[0];
-        sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
-
-        let waldo_pid = sys.kernel.spawn_init("waldo");
-        sys.pass.exempt(waldo_pid);
-        let mut waldo = Waldo::with_config(
-            waldo_pid,
-            WaldoConfig {
-                checkpoint_commits: 0, // manual checkpoints only
-                checkpoint_wal_bytes: 0,
-                // Single-checkpoint retention: the first checkpoint
-                // alone releases covered logs (keep 2, the default,
-                // would hold them until a second one exists).
-                keep_checkpoints: 1,
-                ..WaldoConfig::default()
-            },
-        );
-        waldo.attach_db_dir(&mut sys.kernel, "/waldo-db").unwrap();
-        waldo.poll_volume(&mut sys.kernel, m, "/");
-        // Fully committed, but no checkpoint yet: the log survives.
-        let names = |sys: &mut System| -> Vec<String> {
-            sys.kernel
-                .readdir(waldo_pid, "/.pass")
-                .unwrap()
-                .into_iter()
-                .map(|e| e.name)
-                .collect()
-        };
-        assert!(
-            names(&mut sys).contains(&"log.0".to_string()),
-            "log must be retained until checkpointed"
-        );
-        assert!(waldo.checkpoint(&mut sys.kernel).unwrap());
-        assert!(
-            !names(&mut sys).contains(&"log.0".to_string()),
-            "covered log must be unlinked after the checkpoint"
-        );
-        assert_eq!(waldo.checkpoint_stats().logs_retired, 1);
-        // Nothing new: a second checkpoint is a no-op.
-        assert!(!waldo.checkpoint(&mut sys.kernel).unwrap());
-    }
-
-    /// A fresh daemon attached to a directory holding a foreign
-    /// incarnation's checkpoints deletes them instead of inheriting
-    /// their sequences: otherwise their high retention floor would
-    /// unlink new logs and a later restart would resurrect the stale
-    /// store over the live one.
-    #[test]
-    fn fresh_attach_discards_foreign_checkpoints() {
-        let mut sys = System::single_volume();
-        let pid = sys.kernel.spawn_init("setup");
-        sys.pass.exempt(pid);
-        sys.kernel.mkdir_p(pid, "/waldo-db/checkpoints").unwrap();
-        sys.kernel
-            .write_file(pid, "/waldo-db/checkpoints/manifest.100", b"stale garbage")
-            .unwrap();
-        sys.kernel
-            .write_file(pid, "/waldo-db/wal", b"torn foreign frames")
-            .unwrap();
-
-        let waldo_pid = sys.kernel.spawn_init("waldo");
-        sys.pass.exempt(waldo_pid);
-        let mut waldo = Waldo::with_config(
-            waldo_pid,
-            WaldoConfig {
-                checkpoint_commits: 0,
-                checkpoint_wal_bytes: 0,
-                keep_checkpoints: 1,
-                ..WaldoConfig::default()
-            },
-        );
-        waldo.attach_db_dir(&mut sys.kernel, "/waldo-db").unwrap();
-        let names: Vec<String> = sys
-            .kernel
-            .readdir(waldo_pid, "/waldo-db/checkpoints")
-            .unwrap()
-            .into_iter()
-            .map(|e| e.name)
-            .collect();
-        assert!(
-            !names.contains(&"manifest.100".to_string()),
-            "foreign manifest must be deleted at attach"
-        );
-        assert_eq!(
-            sys.kernel.stat(waldo_pid, "/waldo-db/wal").unwrap().size,
-            0,
-            "foreign/torn WAL must be reset at attach"
-        );
-
-        // The daemon's own first checkpoint proceeds normally and a
-        // cold restart loads it, not the (deleted) foreign one.
-        let worker = sys.spawn("sh");
-        sys.kernel.write_file(worker, "/fresh", b"x").unwrap();
-        let (_, m, _) = sys.volumes[0];
-        sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
-        waldo.poll_volume(&mut sys.kernel, m, "/");
-        assert!(waldo.checkpoint(&mut sys.kernel).unwrap());
-        let images = waldo.db.segment_images();
-        let seq = waldo.db.commit_seq();
-        drop(waldo);
-        let pid2 = sys.kernel.spawn_init("waldo2");
-        sys.pass.exempt(pid2);
-        let cfg = WaldoConfig {
-            checkpoint_commits: 0,
-            checkpoint_wal_bytes: 0,
-            keep_checkpoints: 1,
-            ..WaldoConfig::default()
-        };
-        let restarted = Waldo::restart(pid2, &mut sys.kernel, cfg, "/waldo-db", &["/"]).unwrap();
-        assert_eq!(restarted.restart_report().unwrap().loaded_seq, Some(seq));
-        assert_eq!(restarted.db.segment_images(), images);
-    }
-
-    /// A tiny ingest batch forces commits (and unlinks) that straddle
-    /// log files; the resulting database is identical to a one-shot
-    /// ingest.
-    #[test]
-    fn small_batches_span_files_and_match_one_shot_ingest() {
-        let run = |cfg: WaldoConfig| {
-            let mut sys = System::single_volume();
-            let pid = sys.spawn("sh");
-            for i in 0..10 {
-                sys.kernel
-                    .write_file(pid, &format!("/f{i}"), b"contents")
-                    .unwrap();
-            }
-            let (_, m, _) = sys.volumes[0];
-            sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
-            let waldo_pid = sys.kernel.spawn_init("waldo");
-            sys.pass.exempt(waldo_pid);
-            let mut waldo = Waldo::with_config(waldo_pid, cfg);
-            let stats = waldo.poll_volume(&mut sys.kernel, m, "/");
-            (waldo, stats)
-        };
-        let (batched, bstats) = run(WaldoConfig {
-            shards: 8,
-            ingest_batch: 3,
-            ancestry_cache: 0,
-            ..WaldoConfig::default()
-        });
-        let (oneshot, ostats) = run(WaldoConfig {
-            shards: 1,
-            ingest_batch: 1 << 20,
-            ancestry_cache: 0,
-            ..WaldoConfig::default()
-        });
-        assert_eq!(bstats.applied, ostats.applied);
-        assert!(bstats.group_commits > ostats.group_commits);
-        assert_eq!(batched.db.object_count(), oneshot.db.object_count());
-        assert_eq!(batched.db.size(), oneshot.db.size());
-        for i in 0..10 {
-            assert_eq!(
-                batched.db.find_by_name(&format!("/f{i}")),
-                oneshot.db.find_by_name(&format!("/f{i}")),
-            );
-        }
-    }
-
-    #[test]
-    fn process_records_include_argv_and_name() {
-        let mut sys = System::single_volume();
-        let pid = sys.spawn("init");
-        sys.kernel
-            .write_file(pid, "/bin-tool", b"ELF binary")
-            .unwrap();
-        sys.kernel
-            .execve(
-                pid,
-                "/bin-tool",
-                &["tool".into(), "--flag".into()],
-                &["HOME=/root".into()],
-            )
-            .unwrap();
-        sys.kernel.write_file(pid, "/result", b"out").unwrap();
-        sys.kernel.exit(pid);
-
-        let mut waldo = sys.spawn_waldo();
-        for (_, logs) in sys.rotate_all_logs() {
-            for log in logs {
-                waldo.ingest_log_file(&mut sys.kernel, &log);
-            }
-        }
-        let procs = waldo.db.find_by_type("PROC");
-        let tool = procs
-            .iter()
-            .find(|p| {
-                waldo
-                    .db
-                    .object(**p)
-                    .and_then(|o| o.first_attr(&Attribute::Name).cloned())
-                    .map(|v| v == Value::str("/bin-tool"))
-                    .unwrap_or(false)
-            })
-            .expect("the exec'd process must be recorded with its NAME");
-        let obj = waldo.db.object(*tool).unwrap();
-        let argv = obj.first_attr(&Attribute::Argv).expect("ARGV recorded");
-        assert_eq!(argv, &Value::StrList(vec!["tool".into(), "--flag".into()]));
-        let env = obj.first_attr(&Attribute::Env).expect("ENV recorded");
-        assert_eq!(env, &Value::StrList(vec!["HOME=/root".into()]));
-        // Both the binary file and the process bear the name (a
-        // process's NAME is its executable path, per Table 1); the
-        // file is distinguishable by TYPE.
-        let bins = waldo.db.find_by_name("/bin-tool");
-        let files = waldo.db.find_by_type("FILE");
-        assert!(
-            bins.iter().any(|p| files.contains(p)),
-            "a FILE object named /bin-tool must exist"
-        );
     }
 }

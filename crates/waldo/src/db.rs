@@ -9,8 +9,10 @@
 //! The engine itself lives in two layers: the `shard` module owns one
 //! hash partition's object table and indexes, and
 //! [`crate::store::Store`] is the facade that routes, batches and
-//! caches across shards. This module keeps the storage value types
-//! they share. `ProvDb`, the name the rest of the workspace uses, is
+//! caches across shards. This module keeps the value types they
+//! share: [`ObjectEntry`] and [`VersionEntry`] are the *owned* view of
+//! one object that [`Store::object`] materializes out of a shard's
+//! dense rows. `ProvDb`, the name the rest of the workspace uses, is
 //! the sharded store.
 
 use std::collections::BTreeMap;
@@ -36,7 +38,8 @@ pub struct VersionEntry {
     pub bytes_written: u64,
 }
 
-/// One object (pnode) across all its versions.
+/// One object (pnode) across all its versions, copied out of the
+/// store.
 #[derive(Clone, Debug, Default)]
 pub struct ObjectEntry {
     /// Version-indexed state.
@@ -46,11 +49,6 @@ pub struct ObjectEntry {
 }
 
 impl ObjectEntry {
-    pub(crate) fn at(&mut self, v: Version) -> &mut VersionEntry {
-        self.current = self.current.max(v.0);
-        self.versions.entry(v.0).or_default()
-    }
-
     /// Attributes of a version (empty slice if unknown).
     pub fn attrs(&self, v: Version) -> &[(Attribute, Value)] {
         self.versions

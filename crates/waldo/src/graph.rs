@@ -15,7 +15,7 @@
 use dpapi::{Attribute, ObjectRef, Pnode, Value, Version};
 use pql::{AttrLookup, AttrPredicate, EdgeLabel, GraphSource};
 
-use crate::db::ObjectEntry;
+use crate::shard::{Shard, ValueRef, VersionRow};
 use crate::store::{EdgeKind, Store};
 
 fn edge_matches(label: &EdgeLabel, edge: EdgeKind<'_>) -> bool {
@@ -67,27 +67,39 @@ fn attr_named(name: &str) -> impl Fn(&Attribute) -> bool + '_ {
 }
 
 /// What `node.name` evaluates to against the node's object, borrowed
-/// where it can be: a pseudo-attribute by value, else the value
-/// recorded at the node's exact version, else the first recorded at
-/// any version (names and types are usually recorded once, at
-/// version 0). This is the one copy of attribute semantics — `attr`
-/// and the index verification in `lookup_attr` both read through it.
+/// from its shard where it can be: a pseudo-attribute by value, else
+/// the value recorded at the node's exact version, else the first
+/// recorded at any version (names and types are usually recorded
+/// once, at version 0). This is the one copy of attribute semantics —
+/// `attr` and the index verification in `lookup_attr` both read
+/// through it.
 fn with_attr<R>(
-    obj: Option<&ObjectEntry>,
+    shard: &Shard,
     node: ObjectRef,
     name: &str,
-    f: impl FnOnce(Option<&Value>) -> R,
+    f: impl FnOnce(Option<ValueRef<'_>>) -> R,
 ) -> R {
     if let Some(pseudo) = pseudo_attr(node, name) {
-        return f(Some(&pseudo));
+        return f(Some(ValueRef::Other(&pseudo)));
     }
     let named = attr_named(name);
-    f(obj.and_then(|obj| {
-        let exact = obj.attrs(node.version).iter();
-        let anywhere = obj.versions.values().flat_map(|v| &v.attrs);
-        let mut recorded = exact.chain(anywhere);
+    f(shard.versions(node.pnode).and_then(|versions| {
+        let exact = Shard::find_version(versions, node.version.0).into_iter();
+        let mut recorded = exact.chain(versions).flat_map(|v| shard.attrs(v));
         recorded.find(|(a, _)| named(a)).map(|(_, v)| v)
     }))
+}
+
+/// [`AttrPredicate::matches`] over a borrowed value: a stored string
+/// is compared where it lies instead of being copied into a `Value`.
+fn satisfies(pred: &AttrPredicate, value: Option<ValueRef<'_>>) -> bool {
+    match (pred, value) {
+        (AttrPredicate::Eq(Value::Str(want)), Some(ValueRef::Str(s))) => want == s,
+        (AttrPredicate::LikePrefix(prefix), Some(ValueRef::Str(s))) => s.starts_with(prefix),
+        (_, Some(ValueRef::Str(_))) => false,
+        (_, Some(ValueRef::Other(v))) => pred.matches(Some(v)),
+        (_, None) => pred.matches(None),
+    }
 }
 
 impl Store {
@@ -116,10 +128,8 @@ impl Store {
     }
 }
 
-fn version_refs(p: Pnode, obj: &ObjectEntry) -> impl Iterator<Item = ObjectRef> + '_ {
-    obj.versions
-        .keys()
-        .map(move |v| ObjectRef::new(p, Version(*v)))
+fn version_refs(p: Pnode, versions: &[VersionRow]) -> impl Iterator<Item = ObjectRef> + '_ {
+    (versions.iter()).map(move |v| ObjectRef::new(p, Version(v.number)))
 }
 
 impl GraphSource for Store {
@@ -131,15 +141,21 @@ impl GraphSource for Store {
         };
         let mut out = Vec::new();
         for p in pnodes {
-            self.with_object(p, |obj| out.extend(version_refs(p, obj)));
+            out.extend(
+                self.home(p)
+                    .versions(p)
+                    .into_iter()
+                    .flat_map(|v| version_refs(p, v)),
+            );
         }
         out.sort();
         out
     }
 
     fn attr(&self, node: ObjectRef, name: &str) -> Option<Value> {
-        let obj = self.home(node.pnode).objects.get(&node.pnode);
-        with_attr(obj, node, name, |v| v.cloned())
+        with_attr(self.home(node.pnode), node, name, |v| {
+            v.map(ValueRef::to_value)
+        })
     }
 
     fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
@@ -186,13 +202,13 @@ impl GraphSource for Store {
         let mut nodes = Vec::new();
         for p in pnodes {
             let shard = self.home(p);
-            let in_class =
-                any_class || (shard.type_index.get(&class_upper)).is_some_and(|ps| ps.contains(&p));
-            let Some(obj) = shard.objects.get(&p).filter(|_| in_class) else {
+            let class = shard.type_index.get(class_upper.as_str());
+            let in_class = any_class || class.is_some_and(|ps| shard.lists(ps, p));
+            let Some(versions) = shard.versions(p).filter(|_| in_class) else {
                 continue;
             };
-            let matching = version_refs(p, obj)
-                .filter(|r| with_attr(Some(obj), *r, attr, |v| pred.matches(v)));
+            let matching = version_refs(p, versions)
+                .filter(|r| with_attr(shard, *r, attr, |v| satisfies(pred, v)));
             nodes.extend(matching);
         }
         nodes.sort();

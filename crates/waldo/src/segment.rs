@@ -41,8 +41,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dpapi::{wire, Attribute, DpapiError, Pnode, Result, Version, VolumeId};
 
-use crate::db::{ObjectEntry, VersionEntry};
-use crate::shard::Shard;
+use crate::shard::{current, label_of, Edge, Index, Posting, Shard, ValueRef};
 
 const MAGIC: &[u8; 4] = b"WSEG";
 /// The segment format version, and the supported floor: v2 carries
@@ -84,6 +83,12 @@ fn get_attr(buf: &mut Bytes) -> Result<Attribute> {
     Ok(Attribute::from_name(name))
 }
 
+/// An ancestry edge's attribute, as its label.
+fn get_label(buf: &mut Bytes) -> Result<u8> {
+    label_of(&get_attr(buf)?)
+        .ok_or_else(|| DpapiError::Malformed("segment edge attribute is not ancestry".into()))
+}
+
 fn get_u32(buf: &mut Bytes, what: &str) -> Result<u32> {
     if buf.remaining() < 4 {
         return Err(DpapiError::Malformed(format!("truncated {what}")));
@@ -113,36 +118,55 @@ fn get_str(buf: &mut Bytes, what: &str) -> Result<String> {
         .map_err(|_| DpapiError::Malformed(format!("invalid UTF-8 {what}")))
 }
 
-fn put_index(
-    buf: &mut BytesMut,
-    index: &std::collections::BTreeMap<String, std::collections::BTreeSet<Pnode>>,
-) {
+/// A posting's pnodes in the canonical (ascending) order, into `out`.
+fn sorted_postings(shard: &Shard, posting: &Posting, out: &mut Vec<Pnode>) {
+    out.clear();
+    out.extend(shard.postings(posting));
+    out.sort_unstable();
+}
+
+fn put_index(buf: &mut BytesMut, shard: &Shard, index: &Index) {
     buf.put_u32_le(index.len() as u32);
-    for (key, set) in index {
+    let mut pnodes = Vec::new();
+    for (key, posting) in index {
         put_str(buf, key);
-        buf.put_u32_le(set.len() as u32);
-        for p in set {
+        sorted_postings(shard, posting, &mut pnodes);
+        buf.put_u32_le(pnodes.len() as u32);
+        for p in &pnodes {
             put_pnode(buf, *p);
         }
     }
 }
 
-fn get_index(
-    buf: &mut Bytes,
-) -> Result<std::collections::BTreeMap<String, std::collections::BTreeSet<Pnode>>> {
-    let n = get_u32(buf, "index size")? as usize;
-    let mut index = std::collections::BTreeMap::new();
-    for _ in 0..n {
-        let key = get_str(buf, "index key")?;
-        let k = get_u32(buf, "index entry count")? as usize;
-        let mut set = std::collections::BTreeSet::new();
-        for _ in 0..k {
-            set.insert(get_pnode(buf)?);
-        }
-        index.insert(key, set);
+/// Reads an index section and checks it against `index`, which decode
+/// rebuilt from the objects' attributes: a segment whose index
+/// disagrees with its own objects is damaged or forged.
+fn check_index(buf: &mut Bytes, shard: &Shard, index: &Index) -> Result<()> {
+    let disagrees = || DpapiError::Malformed("segment index disagrees with its objects".into());
+    if get_u32(buf, "index size")? as usize != index.len() {
+        return Err(disagrees());
     }
-    Ok(index)
+    let mut pnodes = Vec::new();
+    for (key, posting) in index {
+        sorted_postings(shard, posting, &mut pnodes);
+        let stored = get_str(buf, "index key")?;
+        let k = get_u32(buf, "index entry count")? as usize;
+        if *stored != **key || k != pnodes.len() {
+            return Err(disagrees());
+        }
+        for p in &pnodes {
+            if get_pnode(buf)? != *p {
+                return Err(disagrees());
+            }
+        }
+    }
+    Ok(())
 }
+
+/// `dpapi::wire`'s tag for a string value: a stored string is written
+/// as the record `wire::put_record_parts` would write, without first
+/// being copied into a `Value`.
+const WIRE_TAG_STR: u8 = 1;
 
 /// Serializes one shard into its canonical segment image.
 ///
@@ -161,51 +185,54 @@ pub(crate) fn encode_shard(shard_index: u32, shard: &Shard, generation: u64) -> 
     buf.put_u64_le(shard.size.db_bytes);
     buf.put_u64_le(shard.size.index_bytes);
 
-    let mut pnodes: Vec<&Pnode> = shard.objects.keys().collect();
-    pnodes.sort_unstable();
-    buf.put_u32_le(pnodes.len() as u32);
-    for p in pnodes {
-        let obj = &shard.objects[p];
-        put_pnode(&mut buf, *p);
-        buf.put_u32_le(obj.current);
-        buf.put_u32_le(obj.versions.len() as u32);
-        for (v, entry) in &obj.versions {
-            buf.put_u32_le(*v);
-            buf.put_u32_le(entry.attrs.len() as u32);
-            for (attr, value) in &entry.attrs {
-                // Stored attributes were parsed from a log image (or
-                // came through validated disclosure), so they are
-                // wire-representable by construction.
-                wire::put_record_parts(&mut buf, attr, value)
-                    .expect("stored records always encode");
+    let objects = shard.sorted_objects();
+    buf.put_u32_le(objects.len() as u32);
+    for (p, versions) in objects {
+        put_pnode(&mut buf, p);
+        buf.put_u32_le(current(versions));
+        buf.put_u32_le(versions.len() as u32);
+        for v in versions {
+            buf.put_u32_le(v.number);
+            buf.put_u32_le(shard.attrs(v).count() as u32);
+            for (attr, value) in shard.attrs(v) {
+                match value {
+                    ValueRef::Str(s) => {
+                        put_attr(&mut buf, attr);
+                        buf.put_u8(WIRE_TAG_STR);
+                        put_str(&mut buf, s);
+                    }
+                    // Stored attributes were parsed from a log image
+                    // (or came through validated disclosure), so they
+                    // are wire-representable by construction.
+                    ValueRef::Other(value) => wire::put_record_parts(&mut buf, attr, value)
+                        .expect("stored records always encode"),
+                }
             }
-            buf.put_u32_le(entry.inputs.len() as u32);
-            for (attr, r) in &entry.inputs {
+            buf.put_u32_le(shard.inputs(v).count() as u32);
+            for (attr, r) in shard.inputs(v) {
                 put_attr(&mut buf, attr);
-                wire::put_object_ref(&mut buf, *r);
+                wire::put_object_ref(&mut buf, r);
             }
-            buf.put_u64_le(entry.writes);
-            buf.put_u64_le(entry.bytes_written);
+            buf.put_u64_le(v.writes);
+            buf.put_u64_le(v.bytes_written);
         }
     }
 
-    put_index(&mut buf, &shard.name_index);
-    put_index(&mut buf, &shard.type_index);
+    put_index(&mut buf, shard, &shard.name_index);
+    put_index(&mut buf, shard, &shard.type_index);
 
-    let mut ancestors: Vec<&Pnode> = shard.reverse_index.keys().collect();
+    let mut ancestors: Vec<Pnode> = shard.ancestors().collect();
     ancestors.sort_unstable();
     buf.put_u32_le(ancestors.len() as u32);
     for a in ancestors {
-        put_pnode(&mut buf, *a);
-        // Reverse-edge list order follows commit grouping in memory
-        // and is unspecified to queries; sort it so the image is
-        // canonical.
-        let mut edges: Vec<&(dpapi::ObjectRef, Attribute, Version)> =
-            shard.reverse_index[a].iter().collect();
-        edges.sort_unstable_by(|x, y| (x.0, x.2, &x.1).cmp(&(y.0, y.2, &y.1)));
+        put_pnode(&mut buf, a);
+        // Reverse-edge order follows commit grouping in memory and is
+        // unspecified to queries; sort it so the image is canonical.
+        let mut edges: Vec<_> = shard.reverse(a).collect();
+        edges.sort_unstable_by(|x, y| (x.0, x.2, x.1).cmp(&(y.0, y.2, y.1)));
         buf.put_u32_le(edges.len() as u32);
         for (descendant, attr, aversion) in edges {
-            wire::put_object_ref(&mut buf, *descendant);
+            wire::put_object_ref(&mut buf, descendant);
             put_attr(&mut buf, attr);
             buf.put_u32_le(aversion.0);
         }
@@ -214,14 +241,7 @@ pub(crate) fn encode_shard(shard_index: u32, shard: &Shard, generation: u64) -> 
     buf.put_u32_le(shard.attr_index.len() as u32);
     for (attr, values) in &shard.attr_index {
         put_str(&mut buf, attr);
-        buf.put_u32_le(values.len() as u32);
-        for (value, set) in values {
-            put_str(&mut buf, value);
-            buf.put_u32_le(set.len() as u32);
-            for p in set {
-                put_pnode(&mut buf, *p);
-            }
-        }
+        put_index(&mut buf, shard, values);
     }
 
     let crc = lasagna::crc32(&buf);
@@ -251,75 +271,84 @@ pub(crate) fn decode_shard(data: &[u8]) -> Result<(u32, Shard)> {
         return Err(DpapiError::Unsupported("segment format version"));
     }
     let shard_index = buf.get_u32_le();
-    let mut shard = Shard {
-        generation: buf.get_u64_le(),
-        ..Shard::default()
-    };
+    let mut shard = Shard::default();
+    shard.generation = buf.get_u64_le();
     shard.size.db_bytes = buf.get_u64_le();
     shard.size.index_bytes = buf.get_u64_le();
 
+    // Objects, versions and reverse edges arrive in canonical
+    // (ascending) order; anything else is not an image this encoder
+    // wrote. The indexes are rebuilt from the attributes, as ingest
+    // builds them, and the stored sections must match.
+    let unordered = |what: &str| DpapiError::Malformed(format!("segment {what} out of order"));
     let n_objects = get_u32(&mut buf, "object count")? as usize;
+    let mut last = None;
     for _ in 0..n_objects {
         let pnode = get_pnode(&mut buf)?;
         let current = get_u32(&mut buf, "current version")?;
+        if last.replace(pnode) >= Some(pnode) {
+            return Err(unordered("objects"));
+        }
         let nv = get_u32(&mut buf, "version count")? as usize;
-        let mut obj = ObjectEntry {
-            current,
-            ..ObjectEntry::default()
-        };
+        let mut last_version = None;
         for _ in 0..nv {
-            let v = get_u32(&mut buf, "version number")?;
-            let mut entry = VersionEntry::default();
+            let number = get_u32(&mut buf, "version number")?;
+            if last_version.replace(number) >= Some(number) {
+                return Err(unordered("versions"));
+            }
+            let (slot, v) = shard.version(pnode, number);
             let na = get_u32(&mut buf, "attr count")? as usize;
             for _ in 0..na {
                 let rec = wire::get_record(&mut buf)?;
-                entry.attrs.push((rec.attribute, rec.value));
+                shard.add_attr(slot, v, &rec.attribute, ValueRef::of(&rec.value));
             }
             let ni = get_u32(&mut buf, "input count")? as usize;
             for _ in 0..ni {
-                let attr = get_attr(&mut buf)?;
-                let r = wire::get_object_ref(&mut buf)?;
-                entry.inputs.push((attr, r));
+                let label = get_label(&mut buf)?;
+                let to = wire::get_object_ref(&mut buf)?;
+                shard.add_input(v, Edge { label, to });
             }
-            entry.writes = get_u64(&mut buf, "writes")?;
-            entry.bytes_written = get_u64(&mut buf, "bytes written")?;
-            obj.versions.insert(v, entry);
+            let writes = get_u64(&mut buf, "writes")?;
+            shard.add_writes(v, writes, get_u64(&mut buf, "bytes written")?);
         }
-        shard.objects.insert(pnode, obj);
+        // Every stored object has a version, and its current one is
+        // the highest.
+        if last_version != Some(current) {
+            return Err(DpapiError::Malformed("segment object versions".into()));
+        }
     }
 
-    shard.name_index = get_index(&mut buf)?;
-    shard.type_index = get_index(&mut buf)?;
+    check_index(&mut buf, &shard, &shard.name_index)?;
+    check_index(&mut buf, &shard, &shard.type_index)?;
 
     let n_reverse = get_u32(&mut buf, "reverse count")? as usize;
+    let mut last = None;
     for _ in 0..n_reverse {
         let ancestor = get_pnode(&mut buf)?;
-        let k = get_u32(&mut buf, "reverse edge count")? as usize;
-        let mut edges = Vec::with_capacity(k.min(4096));
-        for _ in 0..k {
-            let descendant = wire::get_object_ref(&mut buf)?;
-            let attr = get_attr(&mut buf)?;
-            let aversion = Version(get_u32(&mut buf, "ancestor version")?);
-            edges.push((descendant, attr, aversion));
+        if last.replace(ancestor) >= Some(ancestor) {
+            return Err(unordered("reverse edges"));
         }
-        shard.reverse_index.insert(ancestor, edges);
+        let k = get_u32(&mut buf, "reverse edge count")? as usize;
+        if k == 0 {
+            return Err(DpapiError::Malformed("empty segment reverse list".into()));
+        }
+        for _ in 0..k {
+            let to = wire::get_object_ref(&mut buf)?;
+            let label = get_label(&mut buf)?;
+            let aversion = Version(get_u32(&mut buf, "ancestor version")?);
+            shard.push_reverse(ancestor, Edge { label, to }, aversion);
+        }
     }
 
-    let n_attrs = get_u32(&mut buf, "attr index size")? as usize;
-    for _ in 0..n_attrs {
-        let attr = get_str(&mut buf, "attr index name")?;
-        let m = get_u32(&mut buf, "attr value count")? as usize;
-        let mut values = std::collections::BTreeMap::new();
-        for _ in 0..m {
-            let value = get_str(&mut buf, "attr index value")?;
-            let k = get_u32(&mut buf, "attr entry count")? as usize;
-            let mut set = std::collections::BTreeSet::new();
-            for _ in 0..k {
-                set.insert(get_pnode(&mut buf)?);
-            }
-            values.insert(value, set);
+    let disagrees = || DpapiError::Malformed("segment index disagrees with its objects".into());
+    if get_u32(&mut buf, "attr index size")? as usize != shard.attr_index.len() {
+        return Err(disagrees());
+    }
+    for (attr, values) in &shard.attr_index {
+        if get_str(&mut buf, "attr index name")? != *attr {
+            return Err(disagrees());
         }
-        shard.attr_index.insert(attr, values);
+        check_index(&mut buf, &shard, values)?;
     }
 
     if buf.has_remaining() {
@@ -398,10 +427,12 @@ mod tests {
         assert_eq!(idx, 3);
         assert_eq!(back.generation, 7);
         assert_eq!(back.size, shard.size);
-        assert_eq!(back.objects.len(), shard.objects.len());
-        assert_eq!(back.name_index, shard.name_index);
-        assert_eq!(back.type_index, shard.type_index);
-        assert_eq!(back.attr_index, shard.attr_index);
+        assert_eq!(back.object_count(), shard.object_count());
+        let p1 = Pnode::new(VolumeId(1), 10);
+        assert_eq!(
+            format!("{:?}", back.object(p1)),
+            format!("{:?}", shard.object(p1))
+        );
         assert!(
             !back.attr_index.is_empty(),
             "the sample must exercise the attribute index"
@@ -436,7 +467,7 @@ mod tests {
         let img = encode_shard(0, &Shard::default(), 0);
         let (idx, back) = decode_shard(&img).unwrap();
         assert_eq!(idx, 0);
-        assert!(back.objects.is_empty());
+        assert_eq!(back.object_count(), 0);
         assert_eq!(encode_shard(0, &back, 0), img);
     }
 

@@ -1,53 +1,204 @@
-//! One shard of the provenance store.
+//! One shard of the provenance store, in dense form.
 //!
 //! The store partitions objects by a stable hash of their pnode; each
-//! shard owns the object table and secondary indexes for its
-//! partition. A record's *subject-side* effects (attributes, ancestry
-//! inputs, data-write accounting) land in the subject's shard; the
-//! *reverse* ancestry edge lands in the ancestor's shard, so
-//! descendant queries never leave the ancestor's partition. Shards
-//! never reference each other — the [`crate::store::Store`] facade
-//! routes between them — which is what later lets shards move to
-//! independent backends.
+//! shard owns the objects and secondary indexes of its partition. A
+//! record's *subject-side* effects (attributes, ancestry inputs,
+//! data-write accounting) land in the subject's shard; the *reverse*
+//! ancestry edge lands in the ancestor's shard, so descendant queries
+//! never leave the ancestor's partition. Shards never reference each
+//! other — the [`crate::store::Store`] facade routes between them.
+//!
+//! # Layout
+//!
+//! A shard keeps its rows in a few shard-wide arrays, in the order
+//! they arrived, so what one commit (one build step, one library)
+//! wrote sits in neighbouring memory and a query over it reads rows
+//! rather than chasing pointers:
+//!
+//! * `slots` maps a pnode to its object: its slot in `objects`, the
+//!   pnode array in first-seen order, and its versions — a short run
+//!   of `versions`, sorted by number;
+//! * each version owns a run of `attrs` and a run of `inputs`, both in
+//!   record order;
+//! * reverse edges are per-ancestor runs of `reverse_rows`;
+//! * a run that grows after another run was opened behind it moves to
+//!   the end of its array with its capacity doubled ([`push`]), which
+//!   keeps appends amortized O(1); the rows it leaves behind are dead
+//!   and [`Shard::resident_bytes`] counts them;
+//! * attribute names are interned as small ids, and every string
+//!   value — each NAME, TYPE and other string attribute — is stored
+//!   once: the index key it files under and the attribute rows that
+//!   carry it share one allocation.
+//!
+//! The indexes hold slots. They are ordered maps keyed by the interned
+//! strings, so prefix queries stay range scans. None of this reaches
+//! the disk: `crate::segment` writes the same canonical bytes whatever
+//! the layout.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::mem::size_of;
+use std::ops::Bound;
+use std::rc::Rc;
 
 use dpapi::wire::record_wire_size;
 use dpapi::{Attribute, ObjectRef, Pnode, Value, Version};
 use lasagna::LogEntry;
 
-use crate::db::{DbSize, ObjectEntry};
+use crate::db::{DbSize, ObjectEntry, VersionEntry};
 
-/// A reverse ancestry edge bound for an ancestor's shard:
-/// (ancestor, descendant version-ref, edge attribute, ancestor
-/// version).
-pub(crate) type ReverseEdge = (Pnode, ObjectRef, Attribute, Version);
+/// The attributes an ancestry edge can carry, in [`Attribute`] order,
+/// so ordering edges by label orders them by attribute.
+pub(crate) static ANCESTRY: [Attribute; 4] = [
+    Attribute::Input,
+    Attribute::VisitedUrl,
+    Attribute::FileUrl,
+    Attribute::CurrentUrl,
+];
+
+/// An ancestry attribute's label: its index in [`ANCESTRY`].
+pub(crate) fn label_of(attr: &Attribute) -> Option<u8> {
+    ANCESTRY.iter().position(|a| a == attr).map(|i| i as u8)
+}
+
+/// A reverse ancestry edge bound for an ancestor's shard: (ancestor,
+/// descendant version-ref, edge label, ancestor version).
+pub(crate) type ReverseEdge = (Pnode, ObjectRef, u8, Version);
+
+/// One owner's rows in a shard-wide array: `len` used of `cap`
+/// reserved from `start`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Run {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+fn rows<T>(all: &[T], run: Run) -> &[T] {
+    &all[run.start as usize..][..run.len as usize]
+}
+
+/// Appends `row` to `run`: into its reserved room, or in place when
+/// the run ends the array, else by moving the run to the end of the
+/// array with its capacity doubled.
+fn push<T: Clone>(all: &mut Vec<T>, run: &mut Run, row: T) {
+    if run.len == run.cap {
+        if (run.start + run.cap) as usize == all.len() {
+            all.push(row.clone());
+            run.cap += 1;
+        } else {
+            let start = all.len();
+            all.extend_from_within(run.start as usize..(run.start + run.len) as usize);
+            run.cap = (2 * run.cap).max(1);
+            all.resize(start + run.cap as usize, row.clone());
+            run.start = start as u32;
+        }
+        debug_assert!(all.len() <= u32::MAX as usize, "a shard array outgrew u32");
+    }
+    all[(run.start + run.len) as usize] = row;
+    run.len += 1;
+}
+
+/// An object homed on this shard: its slot in `Shard::objects` and
+/// its run of `Shard::versions`.
+#[derive(Clone, Copy, Debug)]
+struct Object {
+    slot: u32,
+    versions: Run,
+}
+
+/// One version of one object.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct VersionRow {
+    pub number: u32,
+    attrs: Run,
+    inputs: Run,
+    pub writes: u64,
+    pub bytes_written: u64,
+}
+
+/// A stored attribute value: an interned string, or an index into
+/// `Shard::values` for every other kind.
+#[derive(Clone, Debug)]
+enum Cell {
+    Str(Rc<str>),
+    Other(u32),
+}
+
+#[derive(Clone, Debug)]
+struct AttrRow {
+    attr: u32,
+    value: Cell,
+}
+
+/// An ancestry edge: its label and the ref at its other end — the
+/// ancestor of an input, the descendant of a reverse edge.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Edge {
+    pub label: u8,
+    pub to: ObjectRef,
+}
+
+/// The slots of the objects an index key lists, ascending.
+pub(crate) type Posting = Vec<u32>;
+
+/// A secondary index: interned string → posting, in string order.
+pub(crate) type Index = BTreeMap<Rc<str>, Posting>;
+
+/// An attribute value borrowed from its shard.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ValueRef<'a> {
+    Str(&'a str),
+    Other(&'a Value),
+}
+
+impl<'a> ValueRef<'a> {
+    pub fn of(value: &'a Value) -> ValueRef<'a> {
+        match value {
+            Value::Str(s) => ValueRef::Str(s),
+            other => ValueRef::Other(other),
+        }
+    }
+
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Other(v) => v.clone(),
+        }
+    }
+}
 
 /// One hash partition of the store.
-///
-/// The secondary indexes are ordered maps (`BTreeMap`): prefix
-/// queries become range scans and checkpoint serialization iterates
-/// them canonically without a sort pass.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
-    /// Objects homed on this shard.
-    pub objects: HashMap<Pnode, ObjectEntry>,
-    /// name -> objects of this shard that bore it (at any version).
-    pub name_index: BTreeMap<String, BTreeSet<Pnode>>,
-    /// type -> objects of this shard.
-    pub type_index: BTreeMap<String, BTreeSet<Pnode>>,
-    /// Generalized attribute index: attribute name -> string value ->
+    /// pnode → its object. The standard hasher: pnodes arrive in
+    /// client-written logs.
+    slots: HashMap<Pnode, Object>,
+    /// The pnodes homed on this shard, by slot: first-seen order.
+    objects: Vec<Pnode>,
+    versions: Vec<VersionRow>,
+    attrs: Vec<AttrRow>,
+    inputs: Vec<Edge>,
+    /// ancestor pnode (homed here) → its run of `reverse_rows`.
+    reverse: HashMap<Pnode, Run>,
+    reverse_rows: Vec<(Edge, Version)>,
+    /// Interned attribute names, by id.
+    attr_names: Vec<Attribute>,
+    attr_ids: HashMap<Attribute, u32>,
+    /// Attribute values that are not strings.
+    values: Vec<Value>,
+    /// NAME → objects of this shard that bore it (at any version).
+    pub name_index: Index,
+    /// TYPE → objects of this shard.
+    pub type_index: Index,
+    /// Generalized attribute index: attribute name → string value →
     /// objects of this shard that bore it (at any version). Covers
     /// every string-valued attribute the dedicated name/type indexes
     /// do not — application attributes foremost — so PQL predicate
     /// pushdown (`GraphSource::lookup_attr`) answers them without a
-    /// volume scan. Maintained on the commit path and persisted in
-    /// checkpoint segments (format v2).
-    pub attr_index: BTreeMap<String, BTreeMap<String, BTreeSet<Pnode>>>,
-    /// ancestor pnode (homed here) -> (descendant version-ref, edge
-    /// attribute, ancestor version).
-    pub reverse_index: HashMap<Pnode, Vec<(ObjectRef, Attribute, Version)>>,
-    /// Approximate footprint of this shard.
+    /// volume scan.
+    pub attr_index: BTreeMap<String, Index>,
+    /// Table 3's footprint model of this shard (not its memory: see
+    /// [`Shard::resident_bytes`]).
     pub size: DbSize,
     /// Bumped once per group commit that touched this shard; the
     /// ancestry cache validates against it.
@@ -56,135 +207,373 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Applies a run of committed entries that all share one subject
-    /// pnode. This is the batched fast path: the object-table lookup
-    /// is done once for the whole run, and the per-version state is
-    /// looked up once per same-version sub-run instead of once per
-    /// record.
+    /// pnode: the batched fast path, which finds the object's version
+    /// row once per same-version stretch instead of once per record.
     pub fn apply_run(
         &mut self,
         pnode: Pnode,
         entries: &[&LogEntry],
         reverse_out: &mut Vec<ReverseEdge>,
     ) {
-        debug_assert!(!entries.is_empty());
-        let mut db_bytes = 0u64;
-        let mut index_bytes = 0u64;
-        // Split borrows: the object entry and the secondary indexes
-        // are distinct fields, so the entry can be taken once up front
-        // while the index maps stay reachable.
-        let obj = self.objects.entry(pnode).or_default();
-        let mut i = 0;
-        while i < entries.len() {
-            // Freeze opens a new version; apply it singly.
-            if let LogEntry::Prov { record, .. } = entries[i] {
-                if let (Attribute::Freeze, Value::Int(v)) = (&record.attribute, &record.value) {
-                    db_bytes += record_wire_size(record) as u64 + 16;
-                    obj.at(Version(*v as u32));
-                    i += 1;
+        let (mut db_bytes, mut index_bytes) = (0, 0);
+        // The version the last entry wrote at: (number, slot, row).
+        let mut at: Option<(u32, u32, usize)> = None;
+        for entry in entries {
+            let (LogEntry::Prov { subject, .. } | LogEntry::DataWrite { subject, .. }) = entry
+            else {
+                continue;
+            };
+            debug_assert_eq!(subject.pnode, pnode);
+            if let LogEntry::Prov { record, .. } = entry {
+                db_bytes += record_wire_size(record) as u64 + 16;
+                if let (Attribute::Freeze, Value::Int(n)) = (&record.attribute, &record.value) {
+                    // Opens a version, which may move the version run.
+                    self.version(pnode, *n as u32);
+                    at = None;
                     continue;
                 }
             }
-            // Sub-run of non-freeze entries at one version: one
-            // version-table lookup for all of them.
-            let ver = subject_version(entries[i]);
-            let mut j = i + 1;
-            while j < entries.len() && subject_version(entries[j]) == ver && !is_freeze(entries[j])
-            {
-                j += 1;
-            }
-            let ve = obj.at(Version(ver));
-            for entry in &entries[i..j] {
-                match entry {
-                    LogEntry::Prov { subject, record } => {
-                        debug_assert_eq!(subject.pnode, pnode);
-                        db_bytes += record_wire_size(record) as u64 + 16;
-                        match (&record.attribute, &record.value) {
-                            (attr, Value::Xref(ancestor)) if attr.is_ancestry() => {
-                                ve.inputs.push((attr.clone(), *ancestor));
-                                reverse_out.push((
-                                    ancestor.pnode,
-                                    *subject,
-                                    attr.clone(),
-                                    ancestor.version,
-                                ));
-                            }
-                            (Attribute::Name, Value::Str(name)) => {
-                                ve.attrs.push((Attribute::Name, record.value.clone()));
-                                let fresh = self
-                                    .name_index
-                                    .entry(name.clone())
-                                    .or_default()
-                                    .insert(pnode);
-                                if fresh {
-                                    index_bytes += name.len() as u64 + 12;
-                                }
-                            }
-                            (Attribute::Type, Value::Str(ty)) => {
-                                ve.attrs.push((Attribute::Type, record.value.clone()));
-                                let fresh =
-                                    self.type_index.entry(ty.clone()).or_default().insert(pnode);
-                                if fresh {
-                                    index_bytes += ty.len() as u64 + 12;
-                                }
-                            }
-                            (attr, Value::Str(s)) => {
-                                ve.attrs
-                                    .push((record.attribute.clone(), record.value.clone()));
-                                let fresh = self
-                                    .attr_index
-                                    .entry(attr.as_str().to_string())
-                                    .or_default()
-                                    .entry(s.clone())
-                                    .or_default()
-                                    .insert(pnode);
-                                if fresh {
-                                    index_bytes += (attr.as_str().len() + s.len()) as u64 + 12;
-                                }
-                            }
-                            _ => {
-                                ve.attrs
-                                    .push((record.attribute.clone(), record.value.clone()));
-                            }
-                        }
+            let number = subject.version.0;
+            let (slot, v) = match at {
+                Some((n, slot, v)) if n == number => (slot, v),
+                _ => self.version(pnode, number),
+            };
+            at = Some((number, slot, v));
+            match entry {
+                LogEntry::Prov { record, .. } => match (label_of(&record.attribute), &record.value)
+                {
+                    (Some(label), Value::Xref(to)) => {
+                        self.add_input(v, Edge { label, to: *to });
+                        reverse_out.push((to.pnode, *subject, label, to.version));
                     }
-                    LogEntry::DataWrite { subject, len, .. } => {
-                        debug_assert_eq!(subject.pnode, pnode);
-                        ve.writes += 1;
-                        ve.bytes_written += u64::from(*len);
-                        db_bytes += 44;
+                    (_, value) => {
+                        let value = ValueRef::of(value);
+                        index_bytes += self.add_attr(slot, v, &record.attribute, value);
                     }
-                    LogEntry::TxnBegin { .. } | LogEntry::TxnEnd { .. } => {}
+                },
+                LogEntry::DataWrite { len, .. } => {
+                    self.add_writes(v, 1, u64::from(*len));
+                    db_bytes += 44;
                 }
+                LogEntry::TxnBegin { .. } | LogEntry::TxnEnd { .. } => {}
             }
-            i = j;
         }
         self.size.db_bytes += db_bytes;
         self.size.index_bytes += index_bytes;
     }
 
     /// Records a reverse ancestry edge whose ancestor is homed here.
-    pub fn add_reverse_edge(&mut self, edge: ReverseEdge) {
-        let (ancestor, descendant, attr, aversion) = edge;
-        self.reverse_index
-            .entry(ancestor)
-            .or_default()
-            .push((descendant, attr, aversion));
+    pub fn add_reverse_edge(&mut self, (ancestor, from, label, aversion): ReverseEdge) {
+        self.push_reverse(ancestor, Edge { label, to: from }, aversion);
         self.size.index_bytes += 36;
     }
-}
 
-/// The subject version an appliable entry writes at.
-fn subject_version(entry: &LogEntry) -> u32 {
-    match entry {
-        LogEntry::Prov { subject, .. } | LogEntry::DataWrite { subject, .. } => subject.version.0,
-        LogEntry::TxnBegin { .. } | LogEntry::TxnEnd { .. } => 0,
+    /// Folds `src` — the same shard of another store — into this one:
+    /// objects merge by pnode, colliding versions extend their
+    /// attribute and input runs in `self`-then-`src` order and sum
+    /// their data-write accounting, the indexes and reverse runs
+    /// union, and the footprints add.
+    pub fn merge_from(&mut self, src: &Shard) {
+        for &p in &src.objects {
+            for row in src.versions(p).unwrap_or_default() {
+                let (slot, v) = self.version(p, row.number);
+                for (attr, value) in src.attrs(row) {
+                    self.add_attr(slot, v, attr, value);
+                }
+                for edge in rows(&src.inputs, row.inputs) {
+                    self.add_input(v, *edge);
+                }
+                self.add_writes(v, row.writes, row.bytes_written);
+            }
+        }
+        for (ancestor, run) in &src.reverse {
+            for (edge, aversion) in rows(&src.reverse_rows, *run) {
+                self.push_reverse(*ancestor, *edge, *aversion);
+            }
+        }
+        self.size.db_bytes += src.size.db_bytes;
+        self.size.index_bytes += src.size.index_bytes;
+    }
+
+    /// The slot of object `pnode` — added in first-seen order if new —
+    /// and the index in `versions` of its version `number`, inserted in
+    /// order if new.
+    pub fn version(&mut self, pnode: Pnode, number: u32) -> (u32, usize) {
+        let next = self.objects.len() as u32;
+        let obj = self.slots.entry(pnode).or_insert(Object {
+            slot: next,
+            versions: Run::default(),
+        });
+        if obj.slot == next {
+            self.objects.push(pnode);
+        }
+        let run = &mut obj.versions;
+        let at = match rows(&self.versions, *run).binary_search_by_key(&number, |v| v.number) {
+            Ok(at) => return (obj.slot, run.start as usize + at),
+            Err(at) => at,
+        };
+        let row = VersionRow {
+            number,
+            ..VersionRow::default()
+        };
+        push(&mut self.versions, run, row);
+        let start = run.start as usize;
+        self.versions[start + at..start + run.len as usize].rotate_right(1);
+        (obj.slot, start + at)
+    }
+
+    /// Appends an ancestry edge to version row `v`.
+    pub fn add_input(&mut self, v: usize, edge: Edge) {
+        let mut run = self.versions[v].inputs;
+        push(&mut self.inputs, &mut run, edge);
+        self.versions[v].inputs = run;
+    }
+
+    pub fn add_writes(&mut self, v: usize, writes: u64, bytes: u64) {
+        self.versions[v].writes += writes;
+        self.versions[v].bytes_written += bytes;
+    }
+
+    /// Appends `attr = value` to version row `v` of `slot`, interning
+    /// the attribute name and a string value — which also files `slot`
+    /// under it in its index. Returns what Table 3 charges the index
+    /// for it: a key/object pair new to its index costs its key bytes
+    /// plus 12.
+    pub fn add_attr(&mut self, slot: u32, v: usize, attr: &Attribute, value: ValueRef<'_>) -> u64 {
+        let name = match self.attr_ids.get(attr) {
+            Some(&id) => id,
+            None => {
+                let id = self.attr_names.len() as u32;
+                self.attr_names.push(attr.clone());
+                self.attr_ids.insert(attr.clone(), id);
+                id
+            }
+        };
+        let (value, index_bytes) = match value {
+            ValueRef::Other(other) => {
+                self.values.push(other.clone());
+                (Cell::Other(self.values.len() as u32 - 1), 0)
+            }
+            ValueRef::Str(s) => {
+                let ((key, fresh), key_bytes) = match attr {
+                    Attribute::Name => (intern(&mut self.name_index, s, slot), 0),
+                    Attribute::Type => (intern(&mut self.type_index, s, slot), 0),
+                    _ => {
+                        let name = attr.as_str();
+                        let interned = match self.attr_index.get_mut(name) {
+                            Some(index) => intern(index, s, slot),
+                            None => {
+                                let mut index = Index::new();
+                                let interned = intern(&mut index, s, slot);
+                                self.attr_index.insert(name.to_owned(), index);
+                                interned
+                            }
+                        };
+                        (interned, name.len())
+                    }
+                };
+                let cost = if fresh {
+                    (key_bytes + s.len()) as u64 + 12
+                } else {
+                    0
+                };
+                (Cell::Str(key), cost)
+            }
+        };
+        let mut run = self.versions[v].attrs;
+        push(&mut self.attrs, &mut run, AttrRow { attr: name, value });
+        self.versions[v].attrs = run;
+        index_bytes
+    }
+
+    /// Appends a reverse edge — `edge.to` is the descendant — to
+    /// `ancestor`'s run.
+    pub fn push_reverse(&mut self, ancestor: Pnode, edge: Edge, aversion: Version) {
+        let run = self.reverse.entry(ancestor).or_default();
+        push(&mut self.reverse_rows, run, (edge, aversion));
+    }
+
+    // ---- reads --------------------------------------------------------
+
+    pub fn object_count(&self) -> usize {
+        self.objects.len()
+    }
+
+    /// Every pnode homed here, in first-seen order.
+    pub fn pnodes(&self) -> impl Iterator<Item = Pnode> + '_ {
+        self.objects.iter().copied()
+    }
+
+    /// `p`'s versions, ascending; `None` if `p` is not homed here.
+    pub fn versions(&self, p: Pnode) -> Option<&[VersionRow]> {
+        Some(rows(&self.versions, self.slots.get(&p)?.versions))
+    }
+
+    /// Every object with its versions, in pnode order.
+    pub fn sorted_objects(&self) -> Vec<(Pnode, &[VersionRow])> {
+        let mut out: Vec<_> = (self.slots.iter())
+            .map(|(p, o)| (*p, rows(&self.versions, o.versions)))
+            .collect();
+        out.sort_unstable_by_key(|o| o.0);
+        out
+    }
+
+    /// Version `number` among `versions`.
+    pub fn find_version(versions: &[VersionRow], number: u32) -> Option<&VersionRow> {
+        let at = versions.binary_search_by_key(&number, |v| v.number).ok()?;
+        Some(&versions[at])
+    }
+
+    /// A version's attributes, in record order.
+    pub fn attrs<'a>(
+        &'a self,
+        v: &VersionRow,
+    ) -> impl Iterator<Item = (&'a Attribute, ValueRef<'a>)> + 'a {
+        rows(&self.attrs, v.attrs).iter().map(|a| {
+            let value = match &a.value {
+                Cell::Str(s) => ValueRef::Str(s),
+                Cell::Other(i) => ValueRef::Other(&self.values[*i as usize]),
+            };
+            (&self.attr_names[a.attr as usize], value)
+        })
+    }
+
+    /// A version's ancestry edges, in record order.
+    pub fn inputs<'a>(
+        &'a self,
+        v: &VersionRow,
+    ) -> impl Iterator<Item = (&'static Attribute, ObjectRef)> + 'a {
+        (rows(&self.inputs, v.inputs).iter()).map(|e| (&ANCESTRY[e.label as usize], e.to))
+    }
+
+    /// Ancestors with reverse edges homed here (unordered).
+    pub fn ancestors(&self) -> impl Iterator<Item = Pnode> + '_ {
+        self.reverse.keys().copied()
+    }
+
+    /// Reverse edges of ancestor `p`: (descendant, edge attribute,
+    /// ancestor version), in arrival order.
+    pub fn reverse(
+        &self,
+        p: Pnode,
+    ) -> impl Iterator<Item = (ObjectRef, &'static Attribute, Version)> + '_ {
+        let run = self.reverse.get(&p).copied().unwrap_or_default();
+        (rows(&self.reverse_rows, run).iter())
+            .map(|(e, aversion)| (e.to, &ANCESTRY[e.label as usize], *aversion))
+    }
+
+    /// The pnodes `index` lists under `key`.
+    pub fn listed<'a>(&'a self, index: &'a Index, key: &str) -> impl Iterator<Item = Pnode> + 'a {
+        index.get(key).into_iter().flat_map(|ps| self.postings(ps))
+    }
+
+    /// The pnodes `index` lists under every key that starts with
+    /// `prefix` — a range scan.
+    pub fn listed_from<'a>(
+        &'a self,
+        index: &'a Index,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = Pnode> + 'a {
+        let keys = index.range::<str, _>((Bound::Included(prefix), Bound::Unbounded));
+        let keys = keys.take_while(move |(k, _)| k.starts_with(prefix));
+        keys.flat_map(|(_, ps)| self.postings(ps))
+    }
+
+    /// The pnodes a posting of this shard lists, in slot order.
+    pub fn postings<'a>(&'a self, posting: &'a Posting) -> impl Iterator<Item = Pnode> + 'a {
+        posting.iter().map(|s| self.objects[*s as usize])
+    }
+
+    /// Whether `posting` lists `p`.
+    pub fn lists(&self, posting: &Posting, p: Pnode) -> bool {
+        (self.slots.get(&p)).is_some_and(|o| posting.binary_search(&o.slot).is_ok())
+    }
+
+    /// An owned copy of `p`'s object, every version and attribute.
+    pub fn object(&self, p: Pnode) -> Option<ObjectEntry> {
+        let rows = self.versions(p)?;
+        let versions = rows.iter().map(|v| {
+            let entry = VersionEntry {
+                attrs: (self.attrs(v))
+                    .map(|(a, x)| (a.clone(), x.to_value()))
+                    .collect(),
+                inputs: (self.inputs(v)).map(|(a, r)| (a.clone(), r)).collect(),
+                writes: v.writes,
+                bytes_written: v.bytes_written,
+            };
+            (v.number, entry)
+        });
+        Some(ObjectEntry {
+            versions: versions.collect(),
+            current: current(rows),
+        })
+    }
+
+    /// Heap bytes this shard holds, counted from lengths and
+    /// capacities: every array (dead rows of moved runs included), the
+    /// string values, the maps' slots and the index entries. A model
+    /// of resident memory that repeats exactly, where reading the OS
+    /// would not; allocator overhead and attribute-name strings are
+    /// left out.
+    pub fn resident_bytes(&self) -> usize {
+        fn vec<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        fn map<K, V>(m: &HashMap<K, V>) -> usize {
+            m.capacity() * (size_of::<(K, V)>() + 1)
+        }
+        // An index key is a string's one copy: its `Rc` allocation is
+        // two counts and the bytes.
+        fn index(index: &Index) -> usize {
+            let entry = size_of::<(Rc<str>, Posting)>();
+            let key = |k: &Rc<str>| 2 * size_of::<usize>() + k.len();
+            index.iter().map(|(k, p)| entry + key(k) + vec(p)).sum()
+        }
+        let rows = vec(&self.objects) + vec(&self.versions) + vec(&self.attrs);
+        let edges = vec(&self.inputs) + vec(&self.reverse_rows);
+        let maps = map(&self.slots) + map(&self.reverse) + map(&self.attr_ids);
+        let names = vec(&self.attr_names);
+        let values = vec(&self.values) + self.values.iter().map(value_heap).sum::<usize>();
+        let attr_index: usize = (self.attr_index.iter())
+            .map(|(name, values)| size_of::<(String, Index)>() + name.capacity() + index(values))
+            .sum();
+        let indexes = index(&self.name_index) + index(&self.type_index) + attr_index;
+        rows + edges + maps + names + values + indexes
     }
 }
 
-/// True for FREEZE records, which open a new version.
-fn is_freeze(entry: &LogEntry) -> bool {
-    matches!(
-        entry,
-        LogEntry::Prov { record, .. } if record.attribute == Attribute::Freeze
-    )
+/// An object's highest version: the last of its sorted run.
+pub(crate) fn current(versions: &[VersionRow]) -> u32 {
+    versions.last().map_or(0, |v| v.number)
+}
+
+/// `s` interned as a key of `index` (added if new), and whether `slot`
+/// is new to its posting.
+fn intern(index: &mut Index, s: &str, slot: u32) -> (Rc<str>, bool) {
+    let exactly = (Bound::Included(s), Bound::Included(s));
+    if let Some((key, posting)) = index.range_mut::<str, _>(exactly).next() {
+        let fresh = match posting.binary_search(&slot) {
+            Ok(_) => false,
+            Err(at) => {
+                posting.insert(at, slot);
+                true
+            }
+        };
+        return (key.clone(), fresh);
+    }
+    let key: Rc<str> = Rc::from(s);
+    index.insert(key.clone(), vec![slot]);
+    (key, true)
+}
+
+/// Heap bytes a non-string value owns.
+fn value_heap(value: &Value) -> usize {
+    match value {
+        Value::Str(s) => s.capacity(),
+        Value::Bytes(b) => b.capacity(),
+        Value::StrList(l) => {
+            l.capacity() * size_of::<String>() + l.iter().map(String::capacity).sum::<usize>()
+        }
+        Value::Int(_) | Value::Bool(_) | Value::Xref(_) => 0,
+    }
 }

@@ -37,16 +37,29 @@
 //! interior mutability: memoizing reads go through `&self`, so the
 //! caches sit in `RefCell`s, and no cache borrow is held across a
 //! call back into the store.
+//!
+//! This file holds routing, staging and group commit. The read API
+//! lives in `store/read.rs`, the memoized traversals in
+//! `store/cached.rs`, and whole-store state in and out — checkpoint
+//! plumbing, restore, [`Store::merge`] — in `store/durable.rs`.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use dpapi::{Attribute, ObjectRef, Pnode, Version};
+use dpapi::{ObjectRef, Pnode};
 use lasagna::LogEntry;
-use pql::EdgeLabel;
 
-use crate::cache::{CacheStats, ShardSnapshot, TraversalCache};
-use crate::db::{DbSize, IngestStats, ObjectEntry};
+mod cached;
+mod durable;
+mod read;
+
+pub use durable::MergeError;
+pub(crate) use read::EdgeKind;
+
+use cached::{AncestryKey, EdgeKey};
+
+use crate::cache::{CacheStats, TraversalCache};
+use crate::db::IngestStats;
 use crate::delta::DeltaGroups;
 use crate::shard::{ReverseEdge, Shard};
 
@@ -107,76 +120,6 @@ impl WaldoConfig {
     }
 }
 
-/// Why [`Store::merge`] refused to consolidate two stores. Every
-/// variant is a *caller* error or evidence of tampering — the
-/// volume-salted batch-id space makes collisions impossible between
-/// honestly produced member stores — so fault-injection harnesses
-/// treat a `MergeError` as the tamper being **detected** rather than
-/// aborting the process.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MergeError {
-    /// The two stores hash pnodes over different shard counts, so
-    /// routing disagrees shard-for-shard.
-    ShardCountMismatch {
-        /// Effective shard count of the merge target.
-        ours: usize,
-        /// Effective shard count of the other store.
-        theirs: usize,
-    },
-    /// The other store still holds staged-but-uncommitted items;
-    /// silently dropping them would break the byte-equivalence oracle
-    /// without a trace.
-    UncommittedStaged {
-        /// Number of staged items that would have been lost.
-        count: usize,
-    },
-    /// Both stores buffer an open transaction under the same id —
-    /// merging would interleave two transactions' records.
-    TxnIdCollision {
-        /// The colliding transaction id.
-        id: u64,
-    },
-    /// Both stores are mid-commit (an open transaction at the very
-    /// end of each committed stream). Only one open-commit marker can
-    /// survive a merge, and dropping the other would route its
-    /// untagged continuation records into the wrong transaction.
-    BothMidCommit {
-        /// The merge target's open-commit transaction id.
-        ours: u64,
-        /// The other store's open-commit transaction id.
-        theirs: u64,
-    },
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeError::ShardCountMismatch { ours, theirs } => write!(
-                f,
-                "Store::merge requires equal effective shard counts \
-                 (routing must agree shard-for-shard): {ours} vs {theirs}"
-            ),
-            MergeError::UncommittedStaged { count } => write!(
-                f,
-                "merge consolidates committed state; commit {count} staged \
-                 entries first"
-            ),
-            MergeError::TxnIdCollision { id } => write!(
-                f,
-                "open-transaction id {id:#x} collides in merge; batch ids \
-                 are volume-salted, so two members may never share one"
-            ),
-            MergeError::BothMidCommit { ours, theirs } => write!(
-                f,
-                "both stores are mid-commit ({ours:#x} vs {theirs:#x}); \
-                 merge after their streams' groups close"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
 /// One staged item, waiting for the next group commit.
 #[derive(Debug)]
 enum Staged {
@@ -206,23 +149,6 @@ struct SourceFile {
     /// Entries of this file whose effects are durably committed (the
     /// replay high-water mark).
     committed_mark: usize,
-}
-
-/// Cache key for memoized ancestry closures: (pnode, version,
-/// is_ancestors). Version is 0 for descendant queries, which are
-/// per-pnode.
-type AncestryKey = (Pnode, u32, bool);
-
-/// Cache key for memoized edge lists: (node, label, is_outgoing).
-type EdgeKey = (ObjectRef, EdgeLabel, bool);
-
-/// What labels one edge [`Store::for_each_edge`] visits.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum EdgeKind<'a> {
-    /// A recorded ancestry record's attribute, borrowed from the shard.
-    Recorded(&'a Attribute),
-    /// The implicit edge between consecutive versions of one object.
-    Version,
 }
 
 /// Writer-owned bookkeeping: everything but the shards that a commit
@@ -771,283 +697,6 @@ impl Store {
         crate::wal::encode_frame(&mut self.meta.commit_frame, &frame);
     }
 
-    // ---- checkpoint plumbing ----------------------------------------------
-
-    /// Starts recording what each group commit applies, from the
-    /// current commit sequence, until the record's group bytes exceed
-    /// `budget` — the daemon passes what the delta chain may still
-    /// grow by before a base rewrite is due, so a record that could
-    /// only be thrown away is not kept. Memory-only stores never call
-    /// this and pay nothing.
-    pub(crate) fn track_delta(&mut self, budget: u64) {
-        self.meta.delta = Some(PendingDelta {
-            from_seq: self.commit_seq,
-            budget,
-            groups: DeltaGroups::default(),
-        });
-    }
-
-    /// Hands over the applied-entry record and stops tracking; `None`
-    /// when the record cannot describe the store's change since
-    /// [`Store::track_delta`] (see `StoreMeta::delta`). Tracking stays
-    /// off until the caller re-arms it, so a checkpoint that fails
-    /// after taking the record is followed by a full base.
-    pub(crate) fn take_delta(&mut self) -> Option<PendingDelta> {
-        self.meta.delta.take()
-    }
-
-    /// Re-applies one commit's entries from a delta segment — the
-    /// restart path (`checkpoint::try_load`). Goes through the same
-    /// `apply_group` as the original commit, so shard contents,
-    /// reverse edges and generations come out identical; the commit
-    /// sequence and replay state come from the manifest instead.
-    pub(crate) fn replay_group(&mut self, entries: &[LogEntry]) {
-        let refs: Vec<&LogEntry> = entries.iter().collect();
-        self.apply_group(&refs, &mut IngestStats::default());
-    }
-
-    /// The canonical serialized image of every shard. Because the
-    /// encoding is canonical (see `crate::segment`), two stores hold
-    /// equal contents **iff** their images are byte-identical; the
-    /// crash-matrix, restart and cluster-merge differential tests use
-    /// this as their byte-equivalence oracle.
-    ///
-    /// The ordering contract is explicit and deterministic: the
-    /// returned vector is **sorted by shard id** — `images[i]` is
-    /// always shard `i`'s image, independent of ingest order, batching
-    /// or merge order — and each image's interior is canonical
-    /// (objects by pnode, index entries by key, reverse-edge lists by
-    /// `(descendant, ancestor version, attribute)`). Two normalizations
-    /// make the oracle insensitive to *how* equal contents were
-    /// reached: generation counters are written as zero (they count
-    /// how commits were grouped, which replay after a crash — or a
-    /// cluster merge — may legitimately do differently), and the
-    /// reverse-edge sort erases arrival order (a merged store
-    /// interleaves members' edges differently than a single daemon
-    /// ingesting the same volumes in sequence). Checkpoint segments on
-    /// disk keep the real generations — the manifest binds to them.
-    pub fn segment_images(&self) -> Vec<Vec<u8>> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| crate::segment::encode_shard(i as u32, s, 0))
-            .collect()
-    }
-
-    // ---- cluster fan-in ---------------------------------------------------
-
-    /// Merges another store's **committed** contents into this one —
-    /// the cluster fan-in path ([`crate::cluster`]): each member
-    /// daemon ingests its routed volumes' logs into its own store, and
-    /// the consolidated graph is the merge of the members.
-    ///
-    /// Semantics, per shard `i` (both stores must have the same
-    /// effective shard count, so pnode routing agrees and `other`'s
-    /// shard `i` lands wholly in ours — the call returns
-    /// [`MergeError::ShardCountMismatch`] otherwise):
-    ///
-    /// * object entries merge by pnode; colliding versions extend
-    ///   attribute/input lists in `self`-then-`other` order and sum
-    ///   the data-write accounting (with members ingesting *distinct
-    ///   volumes* — the cluster invariant — pnodes never collide and
-    ///   this degenerates to a plain union);
-    /// * secondary indexes (name, type, generalized attribute) union;
-    /// * reverse ancestry edge lists concatenate — cross-volume
-    ///   references mean a member holds reverse edges for *foreign*
-    ///   ancestors, so one ancestor's list may gather contributions
-    ///   from several members (queries treat the order as
-    ///   unspecified, and [`Store::segment_images`] sorts it);
-    /// * footprint accounting and the commit sequence add (exact for
-    ///   disjoint members; overlapping contents would double-count);
-    /// * open-transaction buffers union — volume-salted batch ids
-    ///   ([`lasagna::batch_txn_id`]) guarantee members' ids never
-    ///   alias, and the call returns [`MergeError::TxnIdCollision`]
-    ///   rather than silently interleaving two transactions' records;
-    /// * per-volume batch replay high-water marks merge by maximum;
-    /// * staged-but-uncommitted items and per-source replay marks are
-    ///   **not** merged: staging is transient by design, and replay
-    ///   bookkeeping stays with the member daemon that owns the logs.
-    ///
-    /// Every refusal is validated **before** any mutation, so a
-    /// failed merge leaves `self` exactly as it was — fault-injection
-    /// harnesses depend on a clean abort when a forged batch id
-    /// collides. Touched shards' generations bump, so cached
-    /// traversals against the merged store invalidate exactly as
-    /// after an ingest.
-    pub fn merge(&mut self, other: &Store) -> Result<(), MergeError> {
-        let (ours, theirs) = (&mut self.meta, &other.meta);
-        if self.shards.len() != other.shards.len() {
-            return Err(MergeError::ShardCountMismatch {
-                ours: self.shards.len(),
-                theirs: other.shards.len(),
-            });
-        }
-        // A hard check like the others: silently dropping staged
-        // records would break the byte-equivalence oracle without a
-        // trace.
-        if !theirs.staged.is_empty() {
-            return Err(MergeError::UncommittedStaged {
-                count: theirs.staged.len(),
-            });
-        }
-        if let Some(id) = theirs
-            .pending_txns
-            .keys()
-            .find(|id| ours.pending_txns.contains_key(*id))
-        {
-            return Err(MergeError::TxnIdCollision { id: *id });
-        }
-        // The open-commit marker routes *untagged* continuation
-        // records to their transaction; keeping only one side's
-        // marker while both are mid-commit would interleave the other
-        // side's continuation into the wrong transaction on a later
-        // ingest — refuse, like the id collision above.
-        if let (Some(o), Some(t)) = (ours.commit_txn, theirs.commit_txn) {
-            return Err(MergeError::BothMidCommit { ours: o, theirs: t });
-        }
-        for (id, buf) in &theirs.pending_txns {
-            ours.pending_txns.insert(*id, buf.clone());
-        }
-        if ours.commit_txn.is_none() {
-            ours.commit_txn = theirs.commit_txn;
-        }
-        if ours.replay_skip.is_none() {
-            ours.replay_skip = theirs.replay_skip;
-        }
-        for (vol, seq) in &theirs.batch_hw {
-            let hw = ours.batch_hw.entry(*vol).or_insert(0);
-            *hw = (*hw).max(*seq);
-        }
-        ours.replayed_batches += theirs.replayed_batches;
-        // Shards change below without passing through `apply_group`.
-        ours.delta = None;
-        for (dst, src) in self.shards.iter_mut().zip(&other.shards) {
-            if src.objects.is_empty() && src.reverse_index.is_empty() {
-                continue;
-            }
-            for (p, obj) in &src.objects {
-                let entry = dst.objects.entry(*p).or_default();
-                entry.current = entry.current.max(obj.current);
-                for (v, ve) in &obj.versions {
-                    let dv = entry.versions.entry(*v).or_default();
-                    dv.attrs.extend(ve.attrs.iter().cloned());
-                    dv.inputs.extend(ve.inputs.iter().cloned());
-                    dv.writes += ve.writes;
-                    dv.bytes_written += ve.bytes_written;
-                }
-            }
-            for (name, set) in &src.name_index {
-                dst.name_index
-                    .entry(name.clone())
-                    .or_default()
-                    .extend(set.iter().copied());
-            }
-            for (ty, set) in &src.type_index {
-                dst.type_index
-                    .entry(ty.clone())
-                    .or_default()
-                    .extend(set.iter().copied());
-            }
-            for (attr, values) in &src.attr_index {
-                let dst_values = dst.attr_index.entry(attr.clone()).or_default();
-                for (value, set) in values {
-                    dst_values
-                        .entry(value.clone())
-                        .or_default()
-                        .extend(set.iter().copied());
-                }
-            }
-            for (ancestor, edges) in &src.reverse_index {
-                dst.reverse_index
-                    .entry(*ancestor)
-                    .or_default()
-                    .extend(edges.iter().cloned());
-            }
-            dst.size.db_bytes += src.size.db_bytes;
-            dst.size.index_bytes += src.size.index_bytes;
-            dst.generation += 1;
-        }
-        self.commit_seq += other.commit_seq;
-        Ok(())
-    }
-
-    /// Committed open-transaction state, sorted by id: the buffers a
-    /// checkpoint must persist for restart to equal the uncrashed
-    /// store, plus the transaction the committed stream prefix is
-    /// inside.
-    pub(crate) fn open_txn_state(&self) -> (Vec<(u64, Vec<LogEntry>)>, Option<u64>) {
-        let mut txns: Vec<(u64, Vec<LogEntry>)> = self
-            .meta
-            .pending_txns
-            .iter()
-            .map(|(id, buf)| (*id, buf.clone()))
-            .collect();
-        txns.sort_unstable_by_key(|(id, _)| *id);
-        (txns, self.meta.commit_txn)
-    }
-
-    /// Committed batch-replay state, for the checkpoint writer: the
-    /// per-volume high-water marks sorted by volume, plus the open
-    /// replay-skip region (if a crash interrupted one). Restart must
-    /// restore both or a replayed group frame could apply twice.
-    pub(crate) fn batch_state(&self) -> (Vec<(u32, u64)>, Option<u64>) {
-        let mut hw: Vec<(u32, u64)> = self.meta.batch_hw.iter().map(|(v, s)| (*v, *s)).collect();
-        hw.sort_unstable_by_key(|(v, _)| *v);
-        (hw, self.meta.replay_skip)
-    }
-
-    /// Source-file replay slots, in slot order: `(path, committed
-    /// mark)`, with an empty path marking a free slot. Preserving slot
-    /// indices keeps a restored store's handles identical.
-    pub(crate) fn source_state(&self) -> Vec<(String, u64)> {
-        self.meta
-            .source_files
-            .iter()
-            .map(|s| (s.path.clone(), s.committed_mark as u64))
-            .collect()
-    }
-
-    /// Rebuilds a store from checkpointed parts: rehydrated shards,
-    /// open-transaction buffers, source replay slots and the commit
-    /// sequence. `shards.len()` must be the power-of-two count the
-    /// segments were written with; it overrides `cfg.shards`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn restore(
-        cfg: WaldoConfig,
-        shards: Vec<Shard>,
-        txns: Vec<(u64, Vec<LogEntry>)>,
-        commit_txn: Option<u64>,
-        sources: Vec<(String, u64)>,
-        commit_seq: u64,
-        batch_hw: Vec<(u32, u64)>,
-        replay_skip: Option<u64>,
-    ) -> Store {
-        let n = shards.len();
-        debug_assert!(n.is_power_of_two() && n <= 64);
-        let mut store = Store::with_config(WaldoConfig { shards: n, ..cfg });
-        store.shards = shards;
-        store.commit_seq = commit_seq;
-        let meta = &mut store.meta;
-        meta.pending_txns = txns.into_iter().collect();
-        meta.commit_txn = commit_txn;
-        meta.batch_hw = batch_hw.into_iter().collect();
-        meta.replay_skip = replay_skip;
-        meta.free_sources = sources
-            .iter()
-            .enumerate()
-            .filter(|(_, (path, _))| path.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        meta.source_files = sources
-            .into_iter()
-            .map(|(path, mark)| SourceFile {
-                path,
-                committed_mark: mark as usize,
-            })
-            .collect();
-        store
-    }
-
     /// The durability frame of the most recent group commit.
     pub fn last_commit_frame(&self) -> Vec<u8> {
         self.meta.commit_frame.clone()
@@ -1106,371 +755,6 @@ impl Store {
             self.meta.commit_txn = None;
         }
         self.meta.pending_txns.remove(&id).map_or(0, |v| v.len())
-    }
-
-    // ---- queries ----------------------------------------------------------
-
-    /// Number of objects known.
-    pub fn object_count(&self) -> usize {
-        self.shards.iter().map(|s| s.objects.len()).sum()
-    }
-
-    /// Approximate store footprint (summed over shards).
-    pub fn size(&self) -> DbSize {
-        let mut total = DbSize::default();
-        for s in &self.shards {
-            total.db_bytes += s.size.db_bytes;
-            total.index_bytes += s.size.index_bytes;
-        }
-        total
-    }
-
-    /// Runs `f` against the object entry for `p`, borrowed from its
-    /// home shard — the read path of every query, so nothing is
-    /// copied that `f` does not copy itself.
-    pub fn with_object<R>(&self, p: Pnode, f: impl FnOnce(&ObjectEntry) -> R) -> Option<R> {
-        self.home(p).objects.get(&p).map(f)
-    }
-
-    /// An owned copy of `p`'s entry, every version and attribute of
-    /// it — for tests and the example programs, which hold an entry
-    /// past the borrow. No crate's own code calls this; read through
-    /// [`Store::with_object`] instead.
-    pub fn object(&self, p: Pnode) -> Option<ObjectEntry> {
-        self.with_object(p, ObjectEntry::clone)
-    }
-
-    /// Every known pnode (unordered).
-    pub fn all_pnodes(&self) -> Vec<Pnode> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.objects.keys().copied())
-            .collect()
-    }
-
-    /// The pnodes `f` picks out of every shard, merged in pnode order
-    /// without duplicates — every index scan's fan-out.
-    fn gather<'a, I>(&'a self, f: impl FnMut(&'a Shard) -> I) -> Vec<Pnode>
-    where
-        I: Iterator<Item = Pnode>,
-    {
-        let mut out: Vec<Pnode> = self.shards.iter().flat_map(f).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Objects that ever bore `name` — exact match, merged across
-    /// shards in pnode order.
-    pub fn find_by_name(&self, name: &str) -> Vec<Pnode> {
-        self.gather(|s| s.name_index.get(name).into_iter().flatten().copied())
-    }
-
-    /// Objects whose NAME ends with `suffix` (e.g. a file name without
-    /// its directory).
-    pub fn find_by_name_suffix(&self, suffix: &str) -> Vec<Pnode> {
-        self.gather(|s| {
-            s.name_index
-                .iter()
-                .filter(|(n, _)| n.ends_with(suffix))
-                .flat_map(|(_, ps)| ps.iter().copied())
-        })
-    }
-
-    /// Objects of TYPE `ty`, merged across shards in pnode order.
-    pub fn find_by_type(&self, ty: &str) -> Vec<Pnode> {
-        self.gather(|s| s.type_index.get(ty).into_iter().flatten().copied())
-    }
-
-    /// Objects whose NAME starts with `prefix` — a range scan over
-    /// each shard's ordered name index (no attribute reads), merged
-    /// in pnode order. Serves PQL `name like 'prefix*'` pushdown.
-    pub fn find_by_name_prefix(&self, prefix: &str) -> Vec<Pnode> {
-        self.gather(|s| {
-            s.name_index
-                .range(prefix.to_string()..)
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .flat_map(|(_, ps)| ps.iter().copied())
-        })
-    }
-
-    /// Objects whose TYPE starts with `prefix` — range scan over the
-    /// ordered type index.
-    pub fn find_by_type_prefix(&self, prefix: &str) -> Vec<Pnode> {
-        self.gather(|s| {
-            s.type_index
-                .range(prefix.to_string()..)
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .flat_map(|(_, ps)| ps.iter().copied())
-        })
-    }
-
-    /// Objects that ever bore string attribute `attr` (by its
-    /// canonical record name, e.g. `PHASE`) with exactly `value` —
-    /// the generalized attribute index, merged in pnode order.
-    /// NAME and TYPE have their dedicated indexes
-    /// ([`Store::find_by_name`], [`Store::find_by_type`]).
-    pub fn find_by_attr(&self, attr: &str, value: &str) -> Vec<Pnode> {
-        self.gather(|s| {
-            s.attr_index
-                .get(attr)
-                .and_then(|vals| vals.get(value))
-                .into_iter()
-                .flatten()
-                .copied()
-        })
-    }
-
-    /// Objects whose string attribute `attr` starts with `prefix`.
-    pub fn find_by_attr_prefix(&self, attr: &str, prefix: &str) -> Vec<Pnode> {
-        self.gather(|s| {
-            s.attr_index
-                .get(attr)
-                .into_iter()
-                .flat_map(|vals| vals.range(prefix.to_string()..))
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .flat_map(|(_, ps)| ps.iter().copied())
-        })
-    }
-
-    /// Number of objects in the TYPE index under `ty` — summed set
-    /// sizes across shards, O(shards). (Pnodes, not version-refs; the
-    /// planner uses this as a pruning estimate.)
-    pub fn type_index_size(&self, ty: &str) -> usize {
-        self.shards
-            .iter()
-            .filter_map(|s| s.type_index.get(ty).map(|ps| ps.len()))
-            .sum()
-    }
-
-    /// Visits the direct edges of one version-ref, borrowed from its
-    /// home shard without copying them: ancestry inputs when
-    /// `inverse` is false, descendants (version-refs that recorded
-    /// `r` as an input) when true — in both directions including the
-    /// implicit edge between consecutive versions of one object.
-    pub(crate) fn for_each_edge(
-        &self,
-        r: ObjectRef,
-        inverse: bool,
-        mut f: impl FnMut(EdgeKind<'_>, ObjectRef),
-    ) {
-        let shard = self.home(r.pnode);
-        let obj = shard.objects.get(&r.pnode);
-        if inverse {
-            for (d, a, av) in shard.reverse_index.get(&r.pnode).into_iter().flatten() {
-                if *av == r.version {
-                    f(EdgeKind::Recorded(a), *d);
-                }
-            }
-            let next = r.version.0 + 1;
-            if obj.is_some_and(|o| o.versions.contains_key(&next)) {
-                f(EdgeKind::Version, ObjectRef::new(r.pnode, Version(next)));
-            }
-        } else if let Some(obj) = obj {
-            for (a, i) in obj.inputs(r.version) {
-                f(EdgeKind::Recorded(a), *i);
-            }
-            if r.version.0 > 0 {
-                let prev = Version(r.version.0 - 1);
-                f(EdgeKind::Version, ObjectRef::new(r.pnode, prev));
-            }
-        }
-    }
-
-    fn edges_of(&self, r: ObjectRef, inverse: bool) -> Vec<(Attribute, ObjectRef)> {
-        let mut out = Vec::new();
-        self.for_each_edge(r, inverse, |kind, to| {
-            let attr = match kind {
-                EdgeKind::Recorded(attr) => attr.clone(),
-                EdgeKind::Version => Attribute::Other("version".into()),
-            };
-            out.push((attr, to));
-        });
-        out
-    }
-
-    /// Direct ancestry edges of one version, including the implicit
-    /// edge to the previous version of the same object.
-    pub fn inputs_of(&self, r: ObjectRef) -> Vec<(Attribute, ObjectRef)> {
-        self.edges_of(r, false)
-    }
-
-    /// Direct descendants: version-refs that recorded `p` (at the
-    /// given version) as an input, and the object's next version.
-    pub fn outputs_of(&self, r: ObjectRef) -> Vec<(Attribute, ObjectRef)> {
-        self.edges_of(r, true)
-    }
-
-    /// Labelled edge expansion with memoization — the PQL hot path.
-    /// `outgoing` edges are ancestry inputs; incoming are descendants.
-    pub(crate) fn edges_cached<F>(
-        &self,
-        node: ObjectRef,
-        label: &EdgeLabel,
-        outgoing: bool,
-        compute: F,
-    ) -> Vec<ObjectRef>
-    where
-        F: FnOnce() -> Vec<ObjectRef>,
-    {
-        if self.cfg.ancestry_cache == 0 {
-            return compute();
-        }
-        let key: EdgeKey = (node, label.clone(), outgoing);
-        if let Some(hit) = self.cache_hit(&self.edge_cache, &key) {
-            return hit;
-        }
-        let mut snapshot = ShardSnapshot::default();
-        self.touch_snapshot(&mut snapshot, node.pnode);
-        let out = compute();
-        self.edge_cache
-            .borrow_mut()
-            .store(key, out.clone(), snapshot);
-        out
-    }
-
-    /// Memoized labelled reachability closure — what PQL's `label*`
-    /// and `label+` path steps call. `expand` appends one node's
-    /// matching neighbours to a buffer the BFS reuses; the BFS records
-    /// every shard it reads so the cached closure is invalidated only
-    /// by commits that touched one of them.
-    pub(crate) fn closure_cached<F>(
-        &self,
-        node: ObjectRef,
-        label: &EdgeLabel,
-        inverse: bool,
-        expand: F,
-    ) -> Vec<ObjectRef>
-    where
-        F: Fn(ObjectRef, &mut Vec<ObjectRef>),
-    {
-        let cache_on = self.cfg.ancestry_cache > 0;
-        let key: EdgeKey = (node, label.clone(), inverse);
-        if cache_on {
-            if let Some(hit) = self.cache_hit(&self.closure_cache, &key) {
-                return hit;
-            }
-        }
-        let mut snapshot = ShardSnapshot::default();
-        let mut seen: HashSet<ObjectRef> = HashSet::new();
-        seen.insert(node);
-        let mut out: Vec<ObjectRef> = Vec::new();
-        let mut frontier = vec![node];
-        let mut next: Vec<ObjectRef> = Vec::new();
-        while let Some(n) = frontier.pop() {
-            self.touch_snapshot(&mut snapshot, n.pnode);
-            expand(n, &mut next);
-            for m in next.drain(..) {
-                if seen.insert(m) {
-                    out.push(m);
-                    frontier.push(m);
-                }
-            }
-        }
-        out.sort();
-        if cache_on {
-            self.closure_cache
-                .borrow_mut()
-                .store(key, out.clone(), snapshot);
-        }
-        out
-    }
-
-    /// Every descendant of `p` at any version — the transitive
-    /// closure over outputs (the malware-spread query of §3.2).
-    /// Memoized; see the module docs for invalidation.
-    pub fn descendants(&self, p: Pnode) -> Vec<ObjectRef> {
-        let key: AncestryKey = (p, 0, false);
-        let cache_on = self.cfg.ancestry_cache > 0;
-        if cache_on {
-            if let Some(hit) = self.cache_hit(&self.ancestry_cache, &key) {
-                return hit;
-            }
-        }
-        let mut snapshot = ShardSnapshot::default();
-        self.touch_snapshot(&mut snapshot, p);
-        let mut seen: HashSet<ObjectRef> = HashSet::new();
-        // Roots: every version of p recorded as a subject, plus every
-        // version of p some other object referenced as an ancestor
-        // (objects only ever seen as ancestors have no entry).
-        let home = self.home(p);
-        let recorded = home.objects.get(&p).into_iter();
-        let recorded = recorded.flat_map(|o| o.versions.keys().map(|v| Version(*v)));
-        let referenced = home.reverse_index.get(&p).into_iter().flatten();
-        let roots: HashSet<ObjectRef> = recorded
-            .chain(referenced.map(|(_, _, av)| *av))
-            .map(|v| ObjectRef::new(p, v))
-            .collect();
-        let mut work: Vec<ObjectRef> = roots.iter().copied().collect();
-        while let Some(r) = work.pop() {
-            self.touch_snapshot(&mut snapshot, r.pnode);
-            self.for_each_edge(r, true, |_, d| {
-                if seen.insert(d) {
-                    work.push(d);
-                }
-            });
-        }
-        let mut out: Vec<ObjectRef> = seen
-            .iter()
-            .copied()
-            .filter(|r| !roots.contains(r))
-            .collect();
-        out.sort();
-        if cache_on {
-            self.ancestry_cache
-                .borrow_mut()
-                .store(key, out.clone(), snapshot);
-        }
-        out
-    }
-
-    /// Every ancestor of `r` — transitive closure over inputs (the
-    /// anomaly-tracing query of §3.1). Memoized; see the module docs
-    /// for invalidation.
-    pub fn ancestors(&self, r: ObjectRef) -> Vec<ObjectRef> {
-        let key: AncestryKey = (r.pnode, r.version.0, true);
-        let cache_on = self.cfg.ancestry_cache > 0;
-        if cache_on {
-            if let Some(hit) = self.cache_hit(&self.ancestry_cache, &key) {
-                return hit;
-            }
-        }
-        let mut snapshot = ShardSnapshot::default();
-        let mut seen: HashSet<ObjectRef> = HashSet::new();
-        let mut work = vec![r];
-        while let Some(x) = work.pop() {
-            self.touch_snapshot(&mut snapshot, x.pnode);
-            self.for_each_edge(x, false, |_, a| {
-                if seen.insert(a) {
-                    work.push(a);
-                }
-            });
-        }
-        let mut out: Vec<ObjectRef> = seen.iter().copied().collect();
-        out.sort();
-        if cache_on {
-            self.ancestry_cache
-                .borrow_mut()
-                .store(key, out.clone(), snapshot);
-        }
-        out
-    }
-
-    /// A still-valid cached value for `key`. The cache borrow ends
-    /// before this returns, so the caller may compute and store.
-    fn cache_hit<K: Eq + std::hash::Hash + Clone>(
-        &self,
-        cache: &RefCell<TraversalCache<K, Vec<ObjectRef>>>,
-        key: &K,
-    ) -> Option<Vec<ObjectRef>> {
-        cache
-            .borrow_mut()
-            .lookup(key, |i| self.shards[i].generation)
-    }
-
-    fn touch_snapshot(&self, snapshot: &mut ShardSnapshot, p: Pnode) {
-        let i = self.shard_of(p);
-        snapshot.touch(i, self.shards[i].generation);
     }
 }
 

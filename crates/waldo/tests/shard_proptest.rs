@@ -9,13 +9,20 @@
 //!   at any batch size (including record-at-a-time) produces an
 //!   identical database;
 //! * disjoint commits commute: complete transactions over disjoint
-//!   subjects, committed in any order, leave byte-equal shards.
+//!   subjects, committed in any order, leave byte-equal shards;
+//! * the dense layout follows arrival order, and nothing observable
+//!   does: one stream applied as one group, as shuffled groups, through
+//!   checkpoint and restart, or as two merged halves reads the same.
 
 use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
 use lasagna::LogEntry;
 use proptest::prelude::*;
 use proptest::sample::Index;
-use waldo::{IngestStats, Store, WaldoConfig};
+use sim_os::clock::Clock;
+use sim_os::cost::CostModel;
+use sim_os::fs::basefs::BaseFs;
+use sim_os::syscall::Kernel;
+use waldo::{IngestStats, Store, Waldo, WaldoConfig};
 
 fn p(volume: u32, n: u64) -> Pnode {
     Pnode::new(VolumeId(volume), n)
@@ -53,6 +60,62 @@ fn arb_entry() -> impl Strategy<Value = LogEntry> {
             digest: [7u8; 16],
         }),
     ]
+}
+
+/// [`arb_entry`], plus FREEZEs, so objects carry several versions.
+fn arb_versioned_entry() -> impl Strategy<Value = LogEntry> {
+    let freeze = (1u32..4, 1u64..64, 1i64..3).prop_map(|(vol, n, v)| {
+        let subject = ObjectRef::new(p(vol, n), Version(0));
+        prov(subject, Attribute::Freeze, Value::Int(v))
+    });
+    prop_oneof![arb_entry(), arb_entry(), arb_entry(), freeze]
+}
+
+/// The subject groups a stream splits into: entries of one subject
+/// pnode stay in one group, in stream order.
+const GROUPS: u64 = 5;
+
+fn group_of(entry: &LogEntry) -> usize {
+    match entry {
+        LogEntry::Prov { subject, .. } | LogEntry::DataWrite { subject, .. } => {
+            (subject.pnode.number % GROUPS) as usize
+        }
+        LogEntry::TxnBegin { .. } | LogEntry::TxnEnd { .. } => 0,
+    }
+}
+
+/// What [`observed`] returns: images, objects, query answers, and the
+/// ancestry cycle reported, if any.
+type Observed = (
+    Vec<Vec<u8>>,
+    Vec<String>,
+    Vec<Vec<String>>,
+    Option<Vec<ObjectRef>>,
+);
+
+/// Everything a reader can see of a store: its canonical images, every
+/// object's owned view, the answers to an `input*`, an `input~*` and a
+/// `name like` query, and the ancestry cycle it reports.
+fn observed(db: &Store, name: &str) -> Observed {
+    let mut pnodes = db.all_pnodes();
+    pnodes.sort_unstable();
+    let objects = pnodes
+        .iter()
+        .map(|p| format!("{:?}", db.object(*p)))
+        .collect();
+    let queries = [
+        format!("select A from Provenance.obj as F F.input* as A where F.name = '{name}'"),
+        format!("select D from Provenance.obj as F F.input~* as D where F.name = '{name}'"),
+        "select F, F.name from Provenance.obj as F where F.name like '/a*'".to_string(),
+    ];
+    let answers = queries.iter().map(|q| {
+        let rows = pql::query(q, db).unwrap().rows;
+        let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
+    });
+    let cycle = db.input_cycle();
+    (db.segment_images(), objects, answers.collect(), cycle)
 }
 
 /// Ring transactions in the commit-order property.
@@ -210,5 +273,93 @@ proptest! {
             shuffled.ingest(&ring_txn(t));
         }
         prop_assert_eq!(shuffled.segment_images(), one_shot.segment_images());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A store's rows sit in arrival order, and nothing a reader sees
+    /// depends on it: one stream ingested as one group, as disjoint
+    /// subject groups committed in a shuffled order, through a base
+    /// checkpoint, a delta checkpoint and a cold restart, and as two
+    /// halves merged, gives equal images, objects and query answers.
+    #[test]
+    fn layout_does_not_depend_on_arrival_order(
+        entries in proptest::collection::vec(arb_versioned_entry(), 1..150),
+        picks in proptest::collection::vec(any::<Index>(), GROUPS as usize..GROUPS as usize + 1),
+    ) {
+        let cfg = WaldoConfig { ancestry_cache: 64, ..WaldoConfig::default() };
+        let name = entries.iter().find_map(|e| match e {
+            LogEntry::Prov { record, .. } if record.attribute == Attribute::Name => {
+                record.value.as_str().map(str::to_string)
+            }
+            _ => None,
+        }).unwrap_or_default();
+        let mut one_group = Store::with_config(cfg);
+        one_group.ingest(&entries);
+        let want = observed(&one_group, &name);
+
+        let mut groups: Vec<Vec<LogEntry>> = vec![Vec::new(); GROUPS as usize];
+        for e in &entries {
+            groups[group_of(e)].push(e.clone());
+        }
+        for i in (1..groups.len()).rev() {
+            groups.swap(i, picks[i].index(i + 1));
+        }
+        let mut shuffled = Store::with_config(cfg);
+        for g in &groups {
+            shuffled.ingest(g);
+        }
+        prop_assert_eq!(&observed(&shuffled, &name), &want);
+
+        // The same shuffled groups, checkpointed twice (a base, then a
+        // delta) and restarted from disk.
+        let clock = Clock::new();
+        let mut kernel = Kernel::new(clock.clone(), CostModel::default());
+        kernel.mount("/", Box::new(BaseFs::new(clock, CostModel::default())));
+        let pid = kernel.spawn_init("waldo");
+        let mut waldo = Waldo::with_config(pid, cfg);
+        waldo.attach_db_dir(&mut kernel, "/db").unwrap();
+        let (first, rest) = groups.split_at(groups.len() / 2);
+        for part in [first, rest] {
+            for g in part {
+                waldo.db.ingest(g);
+            }
+            waldo.checkpoint(&mut kernel).unwrap();
+        }
+        drop(waldo);
+        let pid = kernel.spawn_init("waldo-restarted");
+        let restarted = Waldo::restart(pid, &mut kernel, cfg, "/db", &[]).unwrap();
+        prop_assert_eq!(&observed(&restarted.db, &name), &want);
+
+        // Two halves by subject, ingested apart and merged.
+        let (mut even, mut odd) = (Store::with_config(cfg), Store::with_config(cfg));
+        for (i, g) in groups.iter().enumerate() {
+            if i % 2 == 0 { even.ingest(g) } else { odd.ingest(g) };
+        }
+        even.merge(&odd).unwrap();
+        prop_assert_eq!(&observed(&even, &name), &want);
+    }
+}
+
+/// A forged cycle is found, and the one reported is a shortest one:
+/// 1 → 2 → 3 → 4 → 1 with the chord 3 → 1 holds the cycle 1 → 2 → 3.
+#[test]
+fn a_forged_cycle_is_found_shortest_first() {
+    let at = |n| ObjectRef::new(p(1, n), Version(0));
+    let edge = |from, to| prov(at(from), Attribute::Input, Value::Xref(at(to)));
+    let mut db = Store::new();
+    db.ingest(&[edge(5, 1), edge(6, 5)]);
+    assert_eq!(db.input_cycle(), None);
+    db.ingest(&[edge(1, 2), edge(2, 3), edge(3, 4), edge(4, 1), edge(3, 1)]);
+    let cycle = db.input_cycle().expect("the forged cycle");
+    assert_eq!(cycle.len(), 3, "{cycle:?}");
+    for (i, r) in cycle.iter().enumerate() {
+        let next = cycle[(i + 1) % cycle.len()];
+        assert!(
+            db.inputs_of(*r).iter().any(|(_, to)| *to == next),
+            "{cycle:?}"
+        );
     }
 }

@@ -71,6 +71,9 @@ fn build_db(rig: &mut Rig) -> waldo::ProvDb {
             db.ingest(&entries);
         }
     }
+    // Two PA-NFS servers' analyzers and the workflow's disclosures:
+    // the stored union must be acyclic.
+    assert_eq!(db.input_cycle(), None, "a cycle in the stored ancestry");
     db
 }
 

@@ -6,6 +6,22 @@
 use pa_python::Interp;
 use passv2::System;
 
+/// The ancestry cycle `Store::input_cycle` reports, as `(pnode number,
+/// version)` pairs on volume 1. Each of these stores holds at least
+/// one, an open capture finding (see `tests/acyclic.rs`): the
+/// interpreter process reads a file it wrote, the analyzer freezes the
+/// process, and the PASS module logs the read against the process's
+/// version 0.
+fn cycle(w: &waldo::Waldo) -> Option<Vec<(u64, u32)>> {
+    let cycle = w.db.input_cycle()?;
+    Some(
+        cycle
+            .iter()
+            .map(|r| (r.pnode.number, r.version.0))
+            .collect(),
+    )
+}
+
 fn ingest(sys: &mut System) -> waldo::Waldo {
     let waldo_pid = sys.kernel.spawn_init("waldo");
     sys.pass.exempt(waldo_pid);
@@ -54,6 +70,7 @@ fn data_origin_reads_all_uses_some() {
     // Two class-A docs used out of six read.
     assert_eq!(interp.invocations.len(), 2);
     let w = ingest(&mut sys);
+    assert_eq!(cycle(&w), Some(vec![(2, 0), (7, 0)]));
     assert_eq!(w.db.find_by_type("FUNCTION").len(), 2);
 }
 
@@ -115,6 +132,7 @@ fn process_validation_library_upgrade() {
     .unwrap();
 
     let w = ingest(&mut sys);
+    assert_eq!(cycle(&w), Some(vec![(2, 0), (4, 0)]));
 
     // The library file object.
     let files = w.db.find_by_type("FILE");
@@ -190,6 +208,7 @@ fn wrapper_blind_spot_is_layer_visible() {
         )
         .unwrap();
     let w = ingest(&mut sys);
+    assert_eq!(cycle(&w), Some(vec![(1, 0), (2, 0)]));
     let files = w.db.find_by_type("FILE");
     let out = *w
         .db
