@@ -11,9 +11,9 @@
 //! against; production queries go through [`crate::query`], which
 //! plans.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use dpapi::{ObjectRef, Value};
 
@@ -70,6 +70,16 @@ pub trait GraphSource {
     /// An attribute of a node. Implementations should also answer the
     /// pseudo-attributes `pnode`, `version` and `volume`.
     fn attr(&self, node: ObjectRef, name: &str) -> Option<Value>;
+
+    /// Appends `attr(n, name)` for every node of `nodes`, in order —
+    /// one column of a projection, which the planner reads in one
+    /// call. The default body is compiled for each source, so the
+    /// column runs as one loop of direct `attr` calls rather than one
+    /// dynamic call per row. An override must answer exactly what
+    /// `attr` answers.
+    fn attr_column(&self, nodes: &[ObjectRef], name: &str, out: &mut Vec<Option<Value>>) {
+        out.extend(nodes.iter().map(|n| self.attr(*n, name)));
+    }
 
     /// Edges from `node` toward its ancestors with the given label.
     fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef>;
@@ -219,19 +229,46 @@ pub(crate) type Row = Vec<Option<ObjectRef>>;
 /// insert and no allocation of its own.
 #[derive(Default)]
 pub(crate) struct RowDedup {
-    first: HashMap<u64, usize>,
+    /// Keys the row digest; fresh random keys per query.
+    state: RandomState,
+    /// Keyed by the digest itself ([`Digest`]): the key is already a
+    /// keyed hash, so hashing it a second time would buy nothing.
+    first: HashMap<u64, usize, BuildHasherDefault<Digest>>,
     /// `(hash, kept index)` of rows whose hash an earlier, different
     /// row already owned.
     overflow: Vec<(u64, usize)>,
 }
 
+/// The map hasher of [`RowDedup`]: a `u64` key hashes to itself. Safe
+/// only because every key is a [`RandomState`] digest, which no input
+/// can steer toward a collision without knowing the per-query keys.
+#[derive(Default)]
+struct Digest(u64);
+
+impl Hasher for Digest {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = (bytes.iter()).fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
 impl RowDedup {
+    /// Room for `additional` more distinct rows without rehashing.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.first.reserve(additional);
+    }
+
     /// True if `row` is new among `kept` (and records it, assuming
     /// the caller pushes it onto `kept` next).
     pub(crate) fn is_new(&mut self, kept: &[Vec<OutValue>], row: &[OutValue]) -> bool {
-        let mut h = DefaultHasher::new();
-        row.hash(&mut h);
-        self.is_new_hashed(kept, row, h.finish())
+        self.is_new_hashed(kept, row, self.state.hash_one(row))
     }
 
     /// [`RowDedup::is_new`] with the row's hash supplied — the seam
@@ -466,8 +503,17 @@ fn apply_step(nodes: &[ObjectRef], step: &PathStep, graph: &dyn GraphSource) -> 
                     }
                     out
                 };
-            match step.quant {
-                Quant::Star => {
+            // `*` prepends the starts. `reached` is filtered even for
+            // one start: a backend's `closure` may return its start,
+            // and a store holding a cycle re-reaches it.
+            match (step.quant, nodes) {
+                (Quant::Star, [start]) => {
+                    let mut out = Vec::with_capacity(reached.len() + 1);
+                    out.push(*start);
+                    out.extend(reached.into_iter().filter(|m| m != start));
+                    out
+                }
+                (Quant::Star, _) => {
                     let starts: HashSet<ObjectRef> = nodes.iter().copied().collect();
                     let mut out = nodes.to_vec();
                     out.extend(reached.into_iter().filter(|m| !starts.contains(m)));

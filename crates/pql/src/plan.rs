@@ -581,7 +581,7 @@ fn run(
             keep = truthy(&runner.ctx.eval(cond, &row, None)?);
         }
         if keep {
-            runner.emit(&row)?;
+            runner.emit(&mut row, None)?;
         }
     } else {
         runner.descend(0, &mut row)?;
@@ -685,41 +685,43 @@ impl Runner<'_> {
                 std::rc::Rc::new(walk_steps(&[start], &step.source.steps, self.graph))
             }
         };
+        // The last step's rows differ only in slot `i`: keep the
+        // endpoints that pass its filters and project them together.
+        let last = i + 1 == self.plan.steps.len();
+        let mut kept = Vec::new();
         for &endpoint in endpoints.iter() {
             row[i] = Some(endpoint);
-            let mut keep = true;
-            if !self.plan.filters_at[i].is_empty() {
-                let span = self.scope.open("pql", "filter");
-                let mut err = None;
-                for filter in &self.plan.filters_at[i] {
-                    match self.check(filter, row) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            keep = false;
-                            self.pruned += 1;
-                            break;
-                        }
-                        Err(e) => {
-                            err = Some(e);
-                            break;
-                        }
-                    }
-                }
-                self.scope.close(span);
-                if let Some(e) = err {
-                    return Err(e);
-                }
+            if !self.passes(i, row)? {
+                continue;
             }
-            if keep {
-                if i + 1 == self.plan.steps.len() {
-                    self.emit(row)?;
-                } else {
-                    self.descend(i + 1, row)?;
-                }
+            if last {
+                kept.push(endpoint);
+            } else {
+                self.descend(i + 1, row)?;
             }
+        }
+        if last && !kept.is_empty() {
+            self.emit(row, Some((i, &kept)))?;
         }
         row[i] = None;
         Ok(())
+    }
+
+    /// Whether `row` passes every filter scheduled after step `i`.
+    fn passes(&mut self, i: usize, row: &[Option<ObjectRef>]) -> Result<bool, PqlError> {
+        if self.plan.filters_at[i].is_empty() {
+            return Ok(true);
+        }
+        let span = self.scope.open("pql", "filter");
+        let outcome = (self.plan.filters_at[i].iter())
+            .map(|filter| self.check(filter, row))
+            .find(|outcome| *outcome != Ok(true))
+            .unwrap_or(Ok(true));
+        self.scope.close(span);
+        if outcome == Ok(false) {
+            self.pruned += 1;
+        }
+        outcome
     }
 
     fn check(&self, filter: &Filter<'_>, row: &[Option<ObjectRef>]) -> Result<bool, PqlError> {
@@ -734,17 +736,71 @@ impl Runner<'_> {
         Ok(truthy(&self.ctx.eval(filter.expr, row, None)?))
     }
 
-    fn emit(&mut self, row: &[Option<ObjectRef>]) -> Result<(), PqlError> {
+    /// Projects a batch of rows a column at a time: `row` with slot
+    /// `i` bound to each of `endpoints` in turn, or `row` alone when
+    /// `batch` is `None` (a query with no sources). A select item that
+    /// is slot `i`'s binding (`A`) is the endpoints themselves; one of
+    /// its attributes (`A.name`) is one [`GraphSource::attr_column`]
+    /// call; any other item is evaluated row by row. Either way a
+    /// column's reads run back to back instead of each waiting behind
+    /// one row's allocation and hashing. Rows are then assembled and
+    /// deduplicated in endpoint order. An item that fails, fails on
+    /// every row (an unbound variable, a bad sub-query), so going
+    /// column by column returns the naive evaluator's first error.
+    fn emit(
+        &mut self,
+        row: &mut Row,
+        batch: Option<(usize, &[ObjectRef])>,
+    ) -> Result<(), PqlError> {
+        let (slot, endpoints) = batch.unzip();
+        let endpoints = endpoints.unwrap_or_default();
+        let n = batch.map_or(1, |_| endpoints.len());
+        let bind = |row: &mut Row, k: usize| {
+            if let Some(i) = slot {
+                row[i] = Some(endpoints[k]);
+            }
+        };
         if self.has_aggregate {
-            self.agg_rows.push(row.to_vec());
+            for k in 0..n {
+                bind(row, k);
+                self.agg_rows.push(row.clone());
+            }
             return Ok(());
         }
-        let mut row_out = Vec::with_capacity(self.query.select.len());
+        let binding = slot.map(|i| self.plan.steps[i].source.binding.as_str());
+        let mut columns = Vec::with_capacity(self.query.select.len());
         for item in &self.query.select {
-            row_out.push(self.ctx.eval(&item.expr, row, None)?);
+            let column: Vec<OutValue> = match &item.expr {
+                Expr::Var(v) if binding == Some(v.as_str()) => {
+                    endpoints.iter().map(|e| OutValue::Node(*e)).collect()
+                }
+                Expr::Attr(v, a) if binding == Some(v.as_str()) => {
+                    let mut cells = Vec::with_capacity(n);
+                    self.graph.attr_column(endpoints, a, &mut cells);
+                    let cell = |c: Option<Value>| c.map_or(OutValue::Null, OutValue::Val);
+                    cells.into_iter().map(cell).collect()
+                }
+                expr => {
+                    let mut column = Vec::with_capacity(n);
+                    for k in 0..n {
+                        bind(row, k);
+                        column.push(self.ctx.eval(expr, row, None)?);
+                    }
+                    column
+                }
+            };
+            columns.push(column.into_iter());
         }
-        if self.dedup.is_new(&self.out_rows, &row_out) {
-            self.out_rows.push(row_out);
+        self.out_rows.reserve(n);
+        self.dedup.reserve(n);
+        for _ in 0..n {
+            let cells = columns.iter_mut().map(|c| c.next());
+            let row_out: Vec<OutValue> = cells
+                .collect::<Option<_>>()
+                .expect("every column holds one cell per row");
+            if self.dedup.is_new(&self.out_rows, &row_out) {
+                self.out_rows.push(row_out);
+            }
         }
         Ok(())
     }
@@ -762,16 +818,21 @@ mod tests {
 
     /// 1(out.gif, FILE) -input-> 2(convert, PROC) -input-> 3(in.dat,
     /// FILE), with a toy name index so lookups report `indexed`.
-    struct Indexed;
+    /// Counts the `(attr, attr_column)` calls a query makes.
+    #[derive(Default)]
+    struct Indexed {
+        calls: std::cell::Cell<(usize, usize)>,
+    }
 
     impl Indexed {
-        fn name_of(n: u64) -> Option<&'static str> {
-            match n {
-                1 => Some("out.gif"),
-                2 => Some("convert"),
-                3 => Some("in.dat"),
-                _ => None,
-            }
+        fn value(node: ObjectRef, name: &str) -> Option<Value> {
+            let value = match node.pnode.number {
+                1 => "out.gif",
+                2 => "convert",
+                3 => "in.dat",
+                _ => return None,
+            };
+            (name == "name").then(|| Value::str(value))
         }
     }
 
@@ -785,9 +846,14 @@ mod tests {
             }
         }
         fn attr(&self, node: ObjectRef, name: &str) -> Option<Value> {
-            (name == "name")
-                .then(|| Self::name_of(node.pnode.number).map(Value::str))
-                .flatten()
+            let (attr, column) = self.calls.get();
+            self.calls.set((attr + 1, column));
+            Self::value(node, name)
+        }
+        fn attr_column(&self, nodes: &[ObjectRef], name: &str, out: &mut Vec<Option<Value>>) {
+            let (attr, column) = self.calls.get();
+            self.calls.set((attr, column + 1));
+            out.extend(nodes.iter().map(|n| Self::value(*n, name)));
         }
         fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
             if !matches!(label, EdgeLabel::Input | EdgeLabel::Any) {
@@ -809,7 +875,7 @@ mod tests {
             let nodes = self
                 .class_members(class)
                 .into_iter()
-                .filter(|n| pred.matches(self.attr(*n, attr).as_ref()))
+                .filter(|n| pred.matches(Self::value(*n, attr).as_ref()))
                 .collect();
             AttrLookup {
                 nodes,
@@ -822,7 +888,7 @@ mod tests {
     }
 
     fn planned(q: &str) -> QueryOutput {
-        query_with_stats(q, &Indexed).unwrap()
+        query_with_stats(q, &Indexed::default()).unwrap()
     }
 
     #[test]
@@ -868,7 +934,7 @@ mod tests {
              where F.name = 'in.dat'",
         )
         .unwrap();
-        let naive = crate::eval::execute(&q, &Indexed).unwrap();
+        let naive = crate::eval::execute(&q, &Indexed::default()).unwrap();
         let mut a = out.result.rows.clone();
         let mut b = naive.rows.clone();
         a.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
@@ -890,8 +956,8 @@ mod tests {
                 "duplicate binding `F`",
             ),
         ] {
-            let planned = query_with_stats(q, &Indexed).map(|out| out.result);
-            let naive = crate::eval::execute(&crate::parse(q).unwrap(), &Indexed);
+            let planned = query_with_stats(q, &Indexed::default()).map(|out| out.result);
+            let naive = crate::eval::execute(&crate::parse(q).unwrap(), &Indexed::default());
             let expected = Err(PqlError::Eval(why.to_string()));
             assert_eq!(planned, expected, "{q}");
             assert_eq!(naive, expected, "{q}");
@@ -939,6 +1005,18 @@ mod tests {
         assert_eq!(out.result.len(), 1);
         // The sub-query's pushdown folds into the same counters.
         assert!(out.stats.index_hits >= 1);
+    }
+
+    /// The last binding projects a column at a time: one
+    /// `attr_column` per parent row (two files), and no `attr` call.
+    #[test]
+    fn projection_reads_a_column_per_parent_row() {
+        let graph = Indexed::default();
+        let q = "select A.name from Provenance.file as F F.input* as A";
+        let out = query_with_stats(q, &graph).unwrap();
+        let names: Vec<_> = out.result.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(names, [Some("out.gif"), Some("convert"), Some("in.dat")]);
+        assert_eq!(graph.calls.get(), (0, 2));
     }
 
     #[test]

@@ -198,7 +198,9 @@ fn arb_query() -> impl Strategy<Value = String> {
         "F.Version = 0",
         "A.Pnode < 4",
     ];
-    const SELECTS: [&str; 8] = [
+    // The last binding's own columns (`A`, `A.name`) are read a column
+    // at a time, anything else row by row: mix the two.
+    const SELECTS: [&str; 11] = [
         "F",
         "A",
         "F.name",
@@ -207,9 +209,18 @@ fn arb_query() -> impl Strategy<Value = String> {
         "A.NAME",
         "F.Type, A.type",
         "A.Version",
+        "A.name, F",
+        "F.name, A.name, A",
+        "A.NAME, A.name",
     ];
-    (0usize..3, 0usize..12, 0usize..8, 0usize..11, 0usize..11).prop_map(
-        |(class, step, select, p1, p2)| {
+    (
+        0usize..3,
+        0usize..12,
+        0..SELECTS.len(),
+        0usize..11,
+        0usize..11,
+    )
+        .prop_map(|(class, step, select, p1, p2)| {
             let (class, step, select) = (CLASSES[class], STEPS[step], SELECTS[select]);
             let (p1, p2) = (PREDS[p1], PREDS[p2]);
             // `A` only exists when the second source does; fall back
@@ -232,8 +243,7 @@ fn arb_query() -> impl Strategy<Value = String> {
                 q.push_str(&parts.join(" and "));
             }
             q
-        },
-    )
+        })
 }
 
 fn canonical(rs: &ResultSet) -> Vec<String> {
@@ -260,6 +270,27 @@ proptest! {
         } else {
             prop_assert_eq!(&planned.result.rows, &naive.rows);
         }
+    }
+
+    /// A select item naming an unbound variable fails on every row, so
+    /// projecting a column at a time fails with the naive evaluator's
+    /// error — and, when no row reaches projection, neither fails.
+    #[test]
+    fn unbound_select_fails_like_the_naive_evaluator(
+        graph in arb_graph(),
+        query in arb_query(),
+        select in 0usize..4,
+    ) {
+        let select = ["Z.name", "F, Z.name", "Z.name, F.name", "F.name, Z"][select];
+        let (_, rest) = query.split_once(" from ").unwrap();
+        let query = format!("select {select} from {rest}");
+        let parsed = pql::parse(&query).unwrap();
+        let naive = pql::execute_naive(&parsed, &graph);
+        let planned = pql::plan::execute(&parsed, &graph).map(|out| out.result);
+        if let Ok(naive) = &naive {
+            prop_assert!(naive.is_empty(), "{query}");
+        }
+        prop_assert_eq!(planned, naive);
     }
 
     /// The same query answers identically whether `lookup_attr` is

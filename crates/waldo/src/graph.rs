@@ -66,15 +66,17 @@ fn attr_named(name: &str) -> impl Fn(&Attribute) -> bool + '_ {
     }
 }
 
-/// What `node.name` evaluates to against the node's object, borrowed
-/// from its shard where it can be: a pseudo-attribute by value, else
-/// the value recorded at the node's exact version, else the first
-/// recorded at any version (names and types are usually recorded
-/// once, at version 0). This is the one copy of attribute semantics —
-/// `attr` and the index verification in `lookup_attr` both read
-/// through it.
+/// What `node.name` evaluates to against the node's object, whose
+/// version run the caller already located on its home shard
+/// (`versions`, `None` if the object is unknown), borrowed from the
+/// shard where it can be: a pseudo-attribute by value, else the value
+/// recorded at the node's exact version, else the first recorded at
+/// any version (names and types are usually recorded once, at version
+/// 0). This is the one copy of attribute semantics — `attr` and the
+/// index verification in `lookup_attr` both read through it.
 fn with_attr<R>(
     shard: &Shard,
+    versions: Option<&[VersionRow]>,
     node: ObjectRef,
     name: &str,
     f: impl FnOnce(Option<ValueRef<'_>>) -> R,
@@ -83,7 +85,7 @@ fn with_attr<R>(
         return f(Some(ValueRef::Other(&pseudo)));
     }
     let named = attr_named(name);
-    f(shard.versions(node.pnode).and_then(|versions| {
+    f(versions.and_then(|versions| {
         let exact = Shard::find_version(versions, node.version.0).into_iter();
         let mut recorded = exact.chain(versions).flat_map(|v| shard.attrs(v));
         recorded.find(|(a, _)| named(a)).map(|(_, v)| v)
@@ -153,9 +155,11 @@ impl GraphSource for Store {
     }
 
     fn attr(&self, node: ObjectRef, name: &str) -> Option<Value> {
-        with_attr(self.home(node.pnode), node, name, |v| {
-            v.map(ValueRef::to_value)
-        })
+        // The pnode → slot probe goes first, so its cache miss is in
+        // flight while `with_attr` resolves the name.
+        let shard = self.home(node.pnode);
+        let versions = shard.versions(node.pnode);
+        with_attr(shard, versions, node, name, |v| v.map(ValueRef::to_value))
     }
 
     fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
@@ -208,7 +212,7 @@ impl GraphSource for Store {
                 continue;
             };
             let matching = version_refs(p, versions)
-                .filter(|r| with_attr(shard, *r, attr, |v| satisfies(pred, v)));
+                .filter(|r| with_attr(shard, Some(versions), *r, attr, |v| satisfies(pred, v)));
             nodes.extend(matching);
         }
         nodes.sort();
