@@ -26,7 +26,8 @@
 //! [`GraphSource`] (class membership, attributes, labelled edges, and
 //! an optionally overridable reachability [`GraphSource::closure`]
 //! used for `label*`/`label+` steps — the Waldo store overrides it
-//! with a generation-validated cache) can serve queries.
+//! with a cache validated against what each commit changed) can serve
+//! queries.
 //!
 //! Queries run through the [`plan`] module: sargable `where`
 //! predicates (equality and prefix-`like`) are pushed down into

@@ -1,21 +1,31 @@
-//! The ancestry-query cache.
+//! The query caches, and what invalidates them.
 //!
 //! Repeated provenance queries are heavily skewed: the same "where did
 //! this file come from" traversal runs again and again as users drill
 //! into a result (§3 of the paper runs the same ancestry query per
 //! object of interest). The store therefore memoizes traversal results
-//! in a small LRU map and invalidates them *per shard*: every group
-//! commit bumps the generation of exactly the shards it touched, and a
-//! cached traversal remembers the generation of every shard it read.
-//! Ingest into shard 3 therefore evicts only traversals that crossed
-//! shard 3.
+//! in small LRU maps and invalidates them by what a commit changed, at
+//! pnode granularity.
+//!
+//! A group commit *dirties* the subject pnode of every entry it applies
+//! and, as a *target* only, the ancestor pnode of every reverse edge it
+//! routes; a `DirtyLog` keeps them per commit. A cached entry goes
+//! stale when a later commit dirtied its key pnode or, for a closure, a
+//! member's pnode: as a subject in the ancestry direction (`ancestors`,
+//! forward closures, `out_edges`), either way in the descendant
+//! direction, which also reads reverse edges. Entries are checked at
+//! hit time against the commits since they were last valid, so ingest
+//! that extends the graph elsewhere keeps them.
 //!
 //! [`LruMap`] follows the `sim_os::lru` idiom — an O(1)
 //! doubly-linked-list-over-`Vec` LRU with a slot free list — extended
 //! from a set to a map so entries can carry values.
 
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+
+use dpapi::{ObjectRef, Pnode, VolumeId};
 
 const NIL: usize = usize::MAX;
 
@@ -87,11 +97,11 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     }
 
     /// Looks `key` up, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    pub fn get(&mut self, key: &K) -> Option<&mut V> {
         let idx = *self.map.get(key)?;
         self.detach(idx);
         self.attach_front(idx);
-        Some(&self.nodes[idx].value)
+        Some(&mut self.nodes[idx].value)
     }
 
     /// Inserts or replaces `key`, evicting the least recently used
@@ -140,40 +150,190 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     }
 }
 
-/// The set of shards a traversal read, with the generation each was at.
-///
-/// Shard counts are capped at 64 so membership is one `u64`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    mask: u64,
-    gens: Vec<(u8, u64)>,
+/// An inclusive pnode range; [`Span::EMPTY`] meets nothing.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    lo: Pnode,
+    hi: Pnode,
 }
 
-impl ShardSnapshot {
-    /// Records that `shard` (at `gen`) was read.
-    pub fn touch(&mut self, shard: usize, gen: u64) {
-        debug_assert!(shard < 64);
-        let bit = 1u64 << shard;
-        if self.mask & bit == 0 {
-            self.mask |= bit;
-            self.gens.push((shard as u8, gen));
+impl Span {
+    const EMPTY: Span = Span {
+        lo: Pnode::new(VolumeId(u32::MAX), u64::MAX),
+        hi: Pnode::new(VolumeId(0), 0),
+    };
+
+    fn widen(&mut self, p: Pnode) {
+        self.lo = self.lo.min(p);
+        self.hi = self.hi.max(p);
+    }
+
+    fn meets(&self, lo: Pnode, hi: Pnode) -> bool {
+        self.lo <= hi && lo <= self.hi
+    }
+}
+
+/// One commit's dirty pnodes: log positions `start..mid` are subjects
+/// and `mid..end` reverse-edge targets, with the span of each part.
+#[derive(Clone, Copy, Debug)]
+struct Commit {
+    start: u64,
+    mid: u64,
+    end: u64,
+    subjects: Span,
+    all: Span,
+}
+
+/// Validation budget per cached row, in commits skipped plus dirty
+/// pnodes searched: past it, recomputing is the cheaper answer.
+const BUDGET_PER_ROW: usize = 64;
+
+/// Log capacity per cache slot, in dirty pnodes.
+const PNODES_PER_SLOT: usize = 16;
+
+/// What each recent group commit changed (see the module docs).
+///
+/// Past [`PNODES_PER_SLOT`] pnodes per cache slot the oldest commits
+/// are dropped, and an entry older than the oldest retained commit is a
+/// miss. A commit records nothing — it flushes the log, making every
+/// entry stale — unless a lookup found a resident entry since the
+/// oldest retained commit, so a store whose caches are not read back
+/// pays nothing per entry.
+#[derive(Debug)]
+pub(crate) struct DirtyLog {
+    /// Dirty pnodes of the retained commits, oldest first, from log
+    /// position `base`.
+    dirty: VecDeque<Pnode>,
+    base: u64,
+    /// `commits[i]` has sequence `floor + 1 + i`, so an entry valid at
+    /// `floor` or later can be checked.
+    commits: VecDeque<Commit>,
+    floor: u64,
+    /// Sequence of the newest commit or flush.
+    seq: u64,
+    bound: usize,
+    /// Sequence at which a lookup last found a resident entry.
+    last_found: Cell<u64>,
+    open: Option<Commit>,
+}
+
+impl DirtyLog {
+    /// An empty log for caches of `slots` entries each.
+    pub fn new(slots: usize) -> DirtyLog {
+        DirtyLog {
+            dirty: VecDeque::new(),
+            base: 0,
+            commits: VecDeque::new(),
+            // `last_found` starts below `floor`: nothing found yet.
+            floor: 1,
+            seq: 1,
+            bound: slots.max(1) * PNODES_PER_SLOT,
+            last_found: Cell::new(0),
+            open: None,
         }
     }
 
-    /// True if every recorded shard is still at its recorded
-    /// generation. `current` maps a shard index to its present
-    /// generation (a closure, so the store can answer from its shards
-    /// without materializing a vector).
-    pub fn valid(&self, current: impl Fn(usize) -> u64) -> bool {
-        self.gens.iter().all(|(s, g)| current(*s as usize) == *g)
+    /// Makes every entry computed so far stale.
+    pub fn flush(&mut self) {
+        self.seq += 1;
+        self.floor = self.seq;
+        self.dirty.clear();
+        self.commits.clear();
+    }
+
+    /// Starts a commit: records it if a lookup found a resident entry
+    /// since the oldest retained commit, else flushes.
+    pub fn begin(&mut self) {
+        if self.last_found.get() < self.floor {
+            self.flush();
+            return;
+        }
+        let at = self.base + self.dirty.len() as u64;
+        self.open = Some(Commit {
+            start: at,
+            mid: at,
+            end: at,
+            subjects: Span::EMPTY,
+            all: Span::EMPTY,
+        });
+    }
+
+    /// The open commit applied entries whose subject is `p`. Every
+    /// subject comes before the first target.
+    pub fn subject(&mut self, p: Pnode) {
+        if let Some(c) = &mut self.open {
+            debug_assert_eq!(c.mid, c.end, "a subject after a target");
+            self.dirty.push_back(p);
+            c.mid += 1;
+            c.end += 1;
+            c.subjects.widen(p);
+            c.all.widen(p);
+        }
+    }
+
+    /// The open commit routed a reverse edge to ancestor `p`.
+    pub fn target(&mut self, p: Pnode) {
+        if let Some(c) = &mut self.open {
+            self.dirty.push_back(p);
+            c.end += 1;
+            c.all.widen(p);
+        }
+    }
+
+    /// Closes the open commit, dropping the oldest past the bound.
+    pub fn end(&mut self) {
+        if let Some(c) = self.open.take() {
+            self.seq += 1;
+            self.commits.push_back(c);
+        }
+        while self.dirty.len() > self.bound {
+            let Some(old) = self.commits.pop_front() else {
+                break;
+            };
+            self.dirty.drain(..(old.end - self.base) as usize);
+            self.base = old.end;
+            self.floor += 1;
+        }
+    }
+
+    /// True if no commit after `valid_at` dirtied `key` or a pnode of
+    /// the sorted `members` (as a subject, or either way if `inverse`),
+    /// and those commits are retained and cheaper to check than redo.
+    fn unchanged(&self, valid_at: u64, key: Pnode, inverse: bool, members: &[ObjectRef]) -> bool {
+        let Some(from) = valid_at.checked_sub(self.floor) else {
+            return false;
+        };
+        let span = members.first().zip(members.last());
+        let member = |p: &Pnode| members.binary_search_by(|r| r.pnode.cmp(p)).is_ok();
+        let mut budget = BUDGET_PER_ROW * (members.len() + 1);
+        for c in self.commits.range(from as usize..) {
+            let (range, end) = if inverse {
+                (c.all, c.end)
+            } else {
+                (c.subjects, c.mid)
+            };
+            let on_members = span.is_some_and(|(lo, hi)| range.meets(lo.pnode, hi.pnode));
+            let read = on_members || range.meets(key, key);
+            let cost = if read { (end - c.start) as usize } else { 1 };
+            let Some(left) = budget.checked_sub(cost) else {
+                return false;
+            };
+            budget = left;
+            let at = (c.start - self.base) as usize..(end - self.base) as usize;
+            if read && (self.dirty.range(at)).any(|p| *p == key || (on_members && member(p))) {
+                return false;
+            }
+        }
+        true
     }
 }
 
-/// One memoized traversal result.
+/// One memoized traversal result and the log sequence it was last
+/// known valid at.
 #[derive(Clone, Debug, Default)]
-pub struct CachedResult<T> {
-    pub value: T,
-    pub snapshot: ShardSnapshot,
+struct Entry {
+    value: Vec<ObjectRef>,
+    valid_at: u64,
 }
 
 /// Hit/miss counters for the ancestry cache, for experiments and
@@ -184,76 +344,103 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to run the traversal.
     pub misses: u64,
-    /// Cached entries discarded because a commit touched one of their
-    /// shards.
+    /// Cached entries discarded at lookup: a later commit changed a
+    /// pnode they watch, the log no longer reached back to them, or
+    /// checking would have cost more than recomputing.
     pub invalidated: u64,
 }
 
-/// A generation-validated LRU cache of traversal results.
-pub struct TraversalCache<K: Eq + Hash + Clone, T> {
-    lru: LruMap<K, CachedResult<T>>,
+/// An LRU cache of traversal results, validated against a
+/// [`DirtyLog`]; a closure cache also watches its values' members.
+pub(crate) struct TraversalCache<K: Eq + Hash + Clone> {
+    lru: LruMap<K, Entry>,
+    closures: bool,
     pub stats: CacheStats,
 }
 
-impl<K: Eq + Hash + Clone, T: Clone + Default> TraversalCache<K, T> {
-    pub fn new(capacity: usize) -> Self {
+impl<K: Eq + Hash + Clone> TraversalCache<K> {
+    pub fn new(capacity: usize, closures: bool) -> Self {
         TraversalCache {
             lru: LruMap::new(capacity),
+            closures,
             stats: CacheStats::default(),
         }
     }
 
-    /// A still-valid cached value for `key`, given the shards'
-    /// current generations. Stale entries are dropped and counted.
-    pub fn lookup(&mut self, key: &K, current_gens: impl Fn(usize) -> u64) -> Option<T> {
-        match self.lru.get(key) {
-            Some(entry) if entry.snapshot.valid(current_gens) => {
-                self.stats.hits += 1;
-                Some(entry.value.clone())
-            }
-            Some(_) => {
+    /// A still-valid cached value for `key`, a traversal from `p` (a
+    /// descendant one if `inv`). Stale entries are dropped and counted.
+    pub fn lookup(
+        &mut self,
+        key: &K,
+        p: Pnode,
+        inv: bool,
+        log: &DirtyLog,
+    ) -> Option<Vec<ObjectRef>> {
+        let Some(entry) = self.lru.get(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        log.last_found.set(log.seq);
+        let members = if self.closures { &entry.value[..] } else { &[] };
+        if entry.valid_at != log.seq {
+            if !log.unchanged(entry.valid_at, p, inv, members) {
                 self.lru.remove(key);
                 self.stats.invalidated += 1;
                 self.stats.misses += 1;
-                None
+                return None;
             }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+            entry.valid_at = log.seq;
         }
+        self.stats.hits += 1;
+        Some(entry.value.clone())
     }
 
-    /// Memoizes a freshly computed value.
-    pub fn store(&mut self, key: K, value: T, snapshot: ShardSnapshot) {
-        self.lru.insert(key, CachedResult { value, snapshot });
-    }
-
-    /// Resident entry count.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
+    /// Memoizes a value computed at the log's current sequence.
+    pub fn store(&mut self, key: K, value: Vec<ObjectRef>, log: &DirtyLog) {
+        let valid_at = log.seq;
+        self.lru.insert(key, Entry { value, valid_at });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpapi::Version;
+
+    fn p(n: u64) -> Pnode {
+        Pnode::new(VolumeId(1), n)
+    }
+
+    fn r(n: u64) -> ObjectRef {
+        ObjectRef::new(p(n), Version(0))
+    }
+
+    /// Marks the log as read now, so its next commit records.
+    fn read(log: &DirtyLog) {
+        log.last_found.set(log.seq);
+    }
+
+    fn commit(log: &mut DirtyLog, subjects: &[u64], targets: &[u64]) {
+        log.begin();
+        for &n in subjects {
+            log.subject(p(n));
+        }
+        for &n in targets {
+            log.target(p(n));
+        }
+        log.end();
+    }
 
     #[test]
     fn lru_map_evicts_in_recency_order() {
         let mut m: LruMap<u32, &str> = LruMap::new(2);
         m.insert(1, "a");
         m.insert(2, "b");
-        assert_eq!(m.get(&1), Some(&"a")); // 2 becomes LRU
+        assert_eq!(m.get(&1).copied(), Some("a")); // 2 becomes LRU
         m.insert(3, "c");
-        assert_eq!(m.get(&2), None);
-        assert_eq!(m.get(&1), Some(&"a"));
-        assert_eq!(m.get(&3), Some(&"c"));
+        assert_eq!(m.get(&2).copied(), None);
+        assert_eq!(m.get(&1).copied(), Some("a"));
+        assert_eq!(m.get(&3).copied(), Some("c"));
         assert_eq!(m.len(), 2);
     }
 
@@ -267,32 +454,99 @@ mod tests {
         assert!(m.nodes.len() <= 3);
     }
 
+    /// A commit whose pnode range misses both the key and the member
+    /// span is skipped without reading its pnodes.
     #[test]
-    fn snapshot_validates_per_shard() {
-        let mut snap = ShardSnapshot::default();
-        snap.touch(0, 5);
-        snap.touch(3, 7);
-        snap.touch(0, 99); // duplicate touch keeps the first generation
-        let at = |gens: [u64; 4]| move |i: usize| gens[i];
-        assert!(snap.valid(at([5, 0, 0, 7])));
-        assert!(!snap.valid(at([5, 0, 0, 8])), "shard 3 moved");
-        assert!(!snap.valid(at([6, 0, 0, 7])), "shard 0 moved");
-        // Shards the traversal never read may move freely.
-        assert!(snap.valid(at([5, 42, 42, 7])));
+    fn dirty_log_skips_commits_out_of_range() {
+        let mut log = DirtyLog::new(64);
+        read(&log);
+        let at = log.seq;
+        commit(&mut log, &[100, 101, 102], &[103]);
+        let members = [r(2), r(5), r(9)];
+        assert!(log.unchanged(at, p(1), true, &members));
+        // Inside the member span but on none of the members: read,
+        // and still clean.
+        commit(&mut log, &[3, 4], &[]);
+        assert!(log.unchanged(at, p(1), true, &members));
+    }
+
+    /// A dirty pnode inside the member span is found by binary search;
+    /// a target counts only in the descendant direction.
+    #[test]
+    fn dirty_log_finds_members_by_binary_search() {
+        let mut log = DirtyLog::new(64);
+        read(&log);
+        let at = log.seq;
+        commit(&mut log, &[4], &[5]);
+        let members = [r(2), r(5), r(9)];
+        assert!(log.unchanged(at, p(1), false, &members), "target only");
+        assert!(!log.unchanged(at, p(1), true, &members));
+        commit(&mut log, &[9], &[]);
+        assert!(!log.unchanged(at, p(1), false, &members));
+        // The key alone, no members watched.
+        assert!(!log.unchanged(at, p(4), false, &[]));
+        assert!(log.unchanged(at, p(7), false, &[]));
+    }
+
+    /// Searching more dirty pnodes than the entry's budget allows is a
+    /// stale verdict, even when none of them matters.
+    #[test]
+    fn dirty_log_budget_exhaustion_is_stale() {
+        let mut log = DirtyLog::new(1 << 10);
+        read(&log);
+        let at = log.seq;
+        let members = [r(1), r(1_000)];
+        let noise: Vec<u64> = (2..2 + 4 * BUDGET_PER_ROW as u64).collect();
+        commit(&mut log, &noise, &[]);
+        assert!(!log.unchanged(at, p(1), true, &members));
+        // The same commit is one step for an entry out of its range.
+        assert!(log.unchanged(at, p(5_000), true, &[r(5_001)]));
+    }
+
+    /// Past the bound the oldest commits go, and an entry older than
+    /// the oldest retained commit is stale.
+    #[test]
+    fn dirty_log_truncation_is_stale() {
+        let mut log = DirtyLog::new(1);
+        read(&log);
+        let at = log.seq;
+        commit(&mut log, &[100], &[]);
+        assert!(log.unchanged(at, p(1), true, &[r(2)]));
+        for n in 0..PNODES_PER_SLOT as u64 {
+            read(&log);
+            commit(&mut log, &[200 + n], &[]);
+        }
+        assert!(log.dirty.len() <= PNODES_PER_SLOT);
+        assert!(!log.unchanged(at, p(1), true, &[r(2)]));
+        assert!(log.unchanged(log.seq, p(1), true, &[r(2)]));
+    }
+
+    /// `flush` makes everything computed before it stale, and a commit
+    /// with no lookup since the oldest retained one flushes instead of
+    /// recording.
+    #[test]
+    fn dirty_log_flush_and_unread_commits() {
+        let mut log = DirtyLog::new(64);
+        read(&log);
+        let at = log.seq;
+        log.flush();
+        assert!(!log.unchanged(at, p(1), true, &[]));
+        let at = log.seq;
+        commit(&mut log, &[100], &[]); // nothing read since the flush
+        assert!(log.commits.is_empty() && log.dirty.is_empty());
+        assert!(!log.unchanged(at, p(1), true, &[]));
     }
 
     #[test]
-    fn traversal_cache_hits_until_shard_moves() {
-        let mut c: TraversalCache<u32, Vec<u32>> = TraversalCache::new(8);
-        let mut gens = [0u64, 0];
-        let mut snap = ShardSnapshot::default();
-        snap.touch(1, 0);
-        c.store(7, vec![1, 2, 3], snap);
-        assert_eq!(c.lookup(&7, |i| gens[i]), Some(vec![1, 2, 3]));
-        gens[0] += 1; // untouched shard: still a hit
-        assert_eq!(c.lookup(&7, |i| gens[i]), Some(vec![1, 2, 3]));
-        gens[1] += 1; // touched shard: invalidated
-        assert_eq!(c.lookup(&7, |i| gens[i]), None);
+    fn traversal_cache_hits_until_a_member_changes() {
+        let mut c: TraversalCache<u32> = TraversalCache::new(8, true);
+        let mut log = DirtyLog::new(8);
+        c.store(7, vec![r(2), r(3)], &log);
+        assert_eq!(c.lookup(&7, p(1), false, &log), Some(vec![r(2), r(3)]));
+        commit(&mut log, &[50], &[3]); // a target: not read forward
+        assert_eq!(c.lookup(&7, p(1), false, &log), Some(vec![r(2), r(3)]));
+        commit(&mut log, &[3], &[]);
+        assert_eq!(c.lookup(&7, p(1), false, &log), None);
         assert_eq!(c.stats.hits, 2);
         assert_eq!(c.stats.invalidated, 1);
         assert_eq!(c.stats.misses, 1);

@@ -3,9 +3,9 @@
 //! Waldo "is also responsible for accessing the database on behalf of
 //! the query engine" (paper §5.6); this module is that access path.
 //! Edge expansions — the query evaluator's hot operation — go through
-//! the store's generation-validated edge cache, so repeating an
-//! ancestry query over an unchanged (or partially changed) database
-//! re-reads only the shards that moved. Planner pushdown
+//! the store's edge cache, validated against the pnodes each commit
+//! changed, so repeating an ancestry query over an unchanged (or
+//! partially changed) database re-reads only the nodes that changed. Planner pushdown
 //! ([`GraphSource::lookup_attr`]) answers sargable `where` predicates
 //! from the per-shard secondary indexes — name, type, and the
 //! generalized string-attribute index — instead of scanning

@@ -19,7 +19,8 @@
 //!   [`store::WaldoConfig::ingest_batch`] entries, with per-log-file
 //!   replay marks for crash recovery), and fan-out queries;
 //! * [`cache`] — LRU caches for ancestry closures and per-node edge
-//!   expansions, invalidated *per shard* via generation counters;
+//!   expansions, validated at hit time against the pnodes each commit
+//!   changed;
 //! * [`daemon::Waldo`] — the polling process that drains rotated logs
 //!   into the store and unlinks each log only once fully committed
 //!   *and* covered by a checkpoint (when durably attached);

@@ -200,8 +200,9 @@ pub(crate) struct Shard {
     /// Table 3's footprint model of this shard (not its memory: see
     /// [`Shard::resident_bytes`]).
     pub size: DbSize,
-    /// Bumped once per group commit that touched this shard; the
-    /// ancestry cache validates against it.
+    /// Bumped once per group commit that touched this shard. The WAL
+    /// frame and the checkpoint bind to it (a base segment is reused
+    /// while it holds); the query caches do not read it.
     pub generation: u64,
 }
 

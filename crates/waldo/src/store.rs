@@ -16,11 +16,11 @@
 //!   mutates only inside [`Store::commit_staged`], so a crash between
 //!   commits loses exactly the staged suffix and a restarted consumer
 //!   can replay a half-ingested log exactly once;
-//! * **query caches** — transitive `ancestors`/`descendants` closures
-//!   and per-node labelled edge lists are memoized in LRU caches
-//!   validated against per-shard generation counters; a commit bumps
-//!   only the shards it touched, so ingest invalidates precisely the
-//!   cached results that read those shards.
+//! * **query caches** — transitive `ancestors`/`descendants` closures,
+//!   labelled reachability closures and per-node edge lists are
+//!   memoized in LRU caches and validated at hit time against a log of
+//!   the pnodes each commit changed (`crate::cache`), so ingest evicts
+//!   only the cached results whose own pnodes it changed.
 //!
 //! Queries that existed on the old single-map `ProvDb` keep their
 //! exact semantics: point lookups route to one shard, index scans fan
@@ -35,8 +35,9 @@
 //! borrow checker, not a lock, is why no query can observe half of a
 //! cross-shard group. The three traversal caches are the one piece of
 //! interior mutability: memoizing reads go through `&self`, so the
-//! caches sit in `RefCell`s, and no cache borrow is held across a
-//! call back into the store.
+//! caches sit in `RefCell`s (and the dirty log's read mark in a
+//! `Cell`), and no cache borrow is held across a call back into the
+//! store.
 //!
 //! This file holds routing, staging and group commit. The read API
 //! lives in `store/read.rs`, the memoized traversals in
@@ -46,7 +47,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use dpapi::{ObjectRef, Pnode};
+use dpapi::Pnode;
 use lasagna::LogEntry;
 
 mod cached;
@@ -58,7 +59,7 @@ pub(crate) use read::EdgeKind;
 
 use cached::{AncestryKey, EdgeKey};
 
-use crate::cache::{CacheStats, TraversalCache};
+use crate::cache::{CacheStats, DirtyLog, TraversalCache};
 use crate::db::IngestStats;
 use crate::delta::DeltaGroups;
 use crate::shard::{ReverseEdge, Shard};
@@ -108,9 +109,9 @@ impl WaldoConfig {
     /// The shard count a store built from this configuration actually
     /// uses: `shards.clamp(1, 64).next_power_of_two()`.
     ///
-    /// The count is clamped to `1..=64` because shard membership must
-    /// fit the caches' one-word bitmask (see
-    /// [`crate::cache::ShardSnapshot`]), and rounded up to a power of
+    /// The count is clamped to `1..=64` because a commit's WAL frame
+    /// names the shards it touched in one `u64` mask (see
+    /// [`crate::wal::WalFrame::touched`]), and rounded up to a power of
     /// two so routing is a mask instead of a modulo. Callers sizing
     /// fleets should call this instead of reading back
     /// [`WaldoConfig::shards`]: asking for 6 shards builds 8, asking
@@ -249,12 +250,14 @@ pub struct Store {
     /// Writer-owned bookkeeping.
     meta: StoreMeta,
     /// Memoized ancestry/descendant closures.
-    ancestry_cache: RefCell<TraversalCache<AncestryKey, Vec<ObjectRef>>>,
+    ancestry_cache: RefCell<TraversalCache<AncestryKey>>,
     /// Memoized per-node labelled edge lists (the PQL hot path).
-    edge_cache: RefCell<TraversalCache<EdgeKey, Vec<ObjectRef>>>,
+    edge_cache: RefCell<TraversalCache<EdgeKey>>,
     /// Memoized whole reachability closures, keyed like edge lists —
     /// what repeated PQL `label*`/`label+` queries hit.
-    closure_cache: RefCell<TraversalCache<EdgeKey, Vec<ObjectRef>>>,
+    closure_cache: RefCell<TraversalCache<EdgeKey>>,
+    /// What recent commits changed, which the caches validate against.
+    dirty: DirtyLog,
 }
 
 /// Always zero (see [`Store::contention_stats`]). Inert, like
@@ -314,9 +317,10 @@ impl Store {
                 bucket_scratch: (0..n).map(|_| Vec::new()).collect(),
                 delta: None,
             },
-            ancestry_cache: RefCell::new(TraversalCache::new(cap)),
-            edge_cache: RefCell::new(TraversalCache::new(cap)),
-            closure_cache: RefCell::new(TraversalCache::new(cap)),
+            ancestry_cache: RefCell::new(TraversalCache::new(cap, true)),
+            edge_cache: RefCell::new(TraversalCache::new(cap, false)),
+            closure_cache: RefCell::new(TraversalCache::new(cap, true)),
+            dirty: DirtyLog::new(cap),
         }
     }
 
@@ -606,6 +610,7 @@ impl Store {
         if apply.is_empty() {
             return 0;
         }
+        self.dirty.begin();
         if let Some(d) = &mut self.meta.delta {
             d.groups.push(apply);
             if d.groups.len() as u64 > d.budget {
@@ -645,6 +650,7 @@ impl Store {
                         .map(|&j| apply[j as usize]),
                 );
                 shard.apply_run(pnode, &run, &mut reverse);
+                self.dirty.subject(pnode);
                 stats.applied += run_end - run_start;
                 run_start = run_end;
             }
@@ -656,8 +662,10 @@ impl Store {
         for edge in reverse {
             let i = (mix_pnode(edge.0) & self.shard_mask) as usize;
             touched |= 1 << i;
+            self.dirty.target(edge.0);
             self.shards[i].add_reverse_edge(edge);
         }
+        self.dirty.end();
         for (i, shard) in self.shards.iter_mut().enumerate() {
             if touched & (1 << i) != 0 {
                 shard.generation += 1;

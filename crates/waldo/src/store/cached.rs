@@ -1,6 +1,6 @@
 //! The store's memoized traversals: per-node edge lists, labelled
 //! reachability closures and the `ancestors` / `descendants` closures,
-//! each validated against the generations of the shards it read.
+//! each validated at hit time against what later commits changed.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -9,7 +9,7 @@ use dpapi::{ObjectRef, Pnode, Version};
 use pql::EdgeLabel;
 
 use super::Store;
-use crate::cache::{ShardSnapshot, TraversalCache};
+use crate::cache::TraversalCache;
 
 /// Cache key for memoized ancestry closures: (pnode, version,
 /// is_ancestors). Version is 0 for descendant queries, which are
@@ -36,23 +36,17 @@ impl Store {
             return compute();
         }
         let key: EdgeKey = (node, label.clone(), outgoing);
-        if let Some(hit) = self.cache_hit(&self.edge_cache, &key) {
+        if let Some(hit) = self.cache_hit(&self.edge_cache, &key, node.pnode, !outgoing) {
             return hit;
         }
-        let mut snapshot = ShardSnapshot::default();
-        self.touch_snapshot(&mut snapshot, node.pnode);
         let out = compute();
-        self.edge_cache
-            .borrow_mut()
-            .store(key, out.clone(), snapshot);
+        (self.edge_cache.borrow_mut()).store(key, out.clone(), &self.dirty);
         out
     }
 
     /// Memoized labelled reachability closure — what PQL's `label*`
     /// and `label+` path steps call. `expand` appends one node's
-    /// matching neighbours to a buffer the BFS reuses; the BFS records
-    /// every shard it reads so the cached closure is invalidated only
-    /// by commits that touched one of them.
+    /// matching neighbours to a buffer the BFS reuses.
     pub(crate) fn closure_cached<F>(
         &self,
         node: ObjectRef,
@@ -66,18 +60,16 @@ impl Store {
         let cache_on = self.cfg.ancestry_cache > 0;
         let key: EdgeKey = (node, label.clone(), inverse);
         if cache_on {
-            if let Some(hit) = self.cache_hit(&self.closure_cache, &key) {
+            if let Some(hit) = self.cache_hit(&self.closure_cache, &key, node.pnode, inverse) {
                 return hit;
             }
         }
-        let mut snapshot = ShardSnapshot::default();
         let mut seen: HashSet<ObjectRef> = HashSet::new();
         seen.insert(node);
         let mut out: Vec<ObjectRef> = Vec::new();
         let mut frontier = vec![node];
         let mut next: Vec<ObjectRef> = Vec::new();
         while let Some(n) = frontier.pop() {
-            self.touch_snapshot(&mut snapshot, n.pnode);
             expand(n, &mut next);
             for m in next.drain(..) {
                 if seen.insert(m) {
@@ -88,9 +80,7 @@ impl Store {
         }
         out.sort();
         if cache_on {
-            self.closure_cache
-                .borrow_mut()
-                .store(key, out.clone(), snapshot);
+            (self.closure_cache.borrow_mut()).store(key, out.clone(), &self.dirty);
         }
         out
     }
@@ -102,12 +92,10 @@ impl Store {
         let key: AncestryKey = (p, 0, false);
         let cache_on = self.cfg.ancestry_cache > 0;
         if cache_on {
-            if let Some(hit) = self.cache_hit(&self.ancestry_cache, &key) {
+            if let Some(hit) = self.cache_hit(&self.ancestry_cache, &key, p, true) {
                 return hit;
             }
         }
-        let mut snapshot = ShardSnapshot::default();
-        self.touch_snapshot(&mut snapshot, p);
         let mut seen: HashSet<ObjectRef> = HashSet::new();
         // Roots: every version of p recorded as a subject, plus every
         // version of p some other object referenced as an ancestor
@@ -121,7 +109,6 @@ impl Store {
             .collect();
         let mut work: Vec<ObjectRef> = roots.iter().copied().collect();
         while let Some(r) = work.pop() {
-            self.touch_snapshot(&mut snapshot, r.pnode);
             self.for_each_edge(r, true, |_, d| {
                 if seen.insert(d) {
                     work.push(d);
@@ -135,9 +122,7 @@ impl Store {
             .collect();
         out.sort();
         if cache_on {
-            self.ancestry_cache
-                .borrow_mut()
-                .store(key, out.clone(), snapshot);
+            (self.ancestry_cache.borrow_mut()).store(key, out.clone(), &self.dirty);
         }
         out
     }
@@ -149,15 +134,13 @@ impl Store {
         let key: AncestryKey = (r.pnode, r.version.0, true);
         let cache_on = self.cfg.ancestry_cache > 0;
         if cache_on {
-            if let Some(hit) = self.cache_hit(&self.ancestry_cache, &key) {
+            if let Some(hit) = self.cache_hit(&self.ancestry_cache, &key, r.pnode, false) {
                 return hit;
             }
         }
-        let mut snapshot = ShardSnapshot::default();
         let mut seen: HashSet<ObjectRef> = HashSet::new();
         let mut work = vec![r];
         while let Some(x) = work.pop() {
-            self.touch_snapshot(&mut snapshot, x.pnode);
             self.for_each_edge(x, false, |_, a| {
                 if seen.insert(a) {
                     work.push(a);
@@ -167,9 +150,7 @@ impl Store {
         let mut out: Vec<ObjectRef> = seen.iter().copied().collect();
         out.sort();
         if cache_on {
-            self.ancestry_cache
-                .borrow_mut()
-                .store(key, out.clone(), snapshot);
+            (self.ancestry_cache.borrow_mut()).store(key, out.clone(), &self.dirty);
         }
         out
     }
@@ -178,16 +159,11 @@ impl Store {
     /// before this returns, so the caller may compute and store.
     fn cache_hit<K: Eq + std::hash::Hash + Clone>(
         &self,
-        cache: &RefCell<TraversalCache<K, Vec<ObjectRef>>>,
+        cache: &RefCell<TraversalCache<K>>,
         key: &K,
+        pnode: Pnode,
+        inverse: bool,
     ) -> Option<Vec<ObjectRef>> {
-        cache
-            .borrow_mut()
-            .lookup(key, |i| self.shards[i].generation)
-    }
-
-    fn touch_snapshot(&self, snapshot: &mut ShardSnapshot, p: Pnode) {
-        let i = self.shard_of(p);
-        snapshot.touch(i, self.shards[i].generation);
+        (cache.borrow_mut()).lookup(key, pnode, inverse, &self.dirty)
     }
 }

@@ -175,9 +175,9 @@ impl Store {
     /// Every refusal is validated **before** any mutation, so a
     /// failed merge leaves `self` exactly as it was — fault-injection
     /// harnesses depend on a clean abort when a forged batch id
-    /// collides. Touched shards' generations bump, so cached
-    /// traversals against the merged store invalidate exactly as
-    /// after an ingest.
+    /// collides. Touched shards' generations bump for the checkpoint
+    /// writer, and the dirty log is flushed: every cached traversal is
+    /// recomputed against the merged store.
     pub fn merge(&mut self, other: &Store) -> Result<(), MergeError> {
         let (ours, theirs) = (&mut self.meta, &other.meta);
         if self.shards.len() != other.shards.len() {
@@ -225,6 +225,7 @@ impl Store {
         ours.replayed_batches += theirs.replayed_batches;
         // Shards change below without passing through `apply_group`.
         ours.delta = None;
+        self.dirty.flush();
         for (dst, src) in self.shards.iter_mut().zip(&other.shards) {
             if src.object_count() == 0 && src.ancestors().next().is_none() {
                 continue;
