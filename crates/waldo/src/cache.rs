@@ -21,7 +21,6 @@
 //! doubly-linked-list-over-`Vec` LRU with a slot free list — extended
 //! from a set to a map so entries can carry values.
 
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
@@ -184,6 +183,19 @@ struct Commit {
     all: Span,
 }
 
+impl Commit {
+    /// An empty commit starting at log position `at`.
+    fn at(at: u64) -> Commit {
+        Commit {
+            start: at,
+            mid: at,
+            end: at,
+            subjects: Span::EMPTY,
+            all: Span::EMPTY,
+        }
+    }
+}
+
 /// Validation budget per cached row, in commits skipped plus dirty
 /// pnodes searched: past it, recomputing is the cheaper answer.
 const BUDGET_PER_ROW: usize = 64;
@@ -195,10 +207,7 @@ const PNODES_PER_SLOT: usize = 16;
 ///
 /// Past [`PNODES_PER_SLOT`] pnodes per cache slot the oldest commits
 /// are dropped, and an entry older than the oldest retained commit is a
-/// miss. A commit records nothing — it flushes the log, making every
-/// entry stale — unless a lookup found a resident entry since the
-/// oldest retained commit, so a store whose caches are not read back
-/// pays nothing per entry.
+/// miss.
 #[derive(Debug)]
 pub(crate) struct DirtyLog {
     /// Dirty pnodes of the retained commits, oldest first, from log
@@ -212,9 +221,8 @@ pub(crate) struct DirtyLog {
     /// Sequence of the newest commit or flush.
     seq: u64,
     bound: usize,
-    /// Sequence at which a lookup last found a resident entry.
-    last_found: Cell<u64>,
-    open: Option<Commit>,
+    /// The commit being recorded, between `begin` and `end`.
+    open: Commit,
 }
 
 impl DirtyLog {
@@ -224,12 +232,10 @@ impl DirtyLog {
             dirty: VecDeque::new(),
             base: 0,
             commits: VecDeque::new(),
-            // `last_found` starts below `floor`: nothing found yet.
-            floor: 1,
-            seq: 1,
+            floor: 0,
+            seq: 0,
             bound: slots.max(1) * PNODES_PER_SLOT,
-            last_found: Cell::new(0),
-            open: None,
+            open: Commit::at(0),
         }
     }
 
@@ -241,51 +247,34 @@ impl DirtyLog {
         self.commits.clear();
     }
 
-    /// Starts a commit: records it if a lookup found a resident entry
-    /// since the oldest retained commit, else flushes.
+    /// Starts recording a commit.
     pub fn begin(&mut self) {
-        if self.last_found.get() < self.floor {
-            self.flush();
-            return;
-        }
-        let at = self.base + self.dirty.len() as u64;
-        self.open = Some(Commit {
-            start: at,
-            mid: at,
-            end: at,
-            subjects: Span::EMPTY,
-            all: Span::EMPTY,
-        });
+        self.open = Commit::at(self.base + self.dirty.len() as u64);
     }
 
     /// The open commit applied entries whose subject is `p`. Every
     /// subject comes before the first target.
     pub fn subject(&mut self, p: Pnode) {
-        if let Some(c) = &mut self.open {
-            debug_assert_eq!(c.mid, c.end, "a subject after a target");
-            self.dirty.push_back(p);
-            c.mid += 1;
-            c.end += 1;
-            c.subjects.widen(p);
-            c.all.widen(p);
-        }
+        let c = &mut self.open;
+        debug_assert_eq!(c.mid, c.end, "a subject after a target");
+        self.dirty.push_back(p);
+        c.mid += 1;
+        c.end += 1;
+        c.subjects.widen(p);
+        c.all.widen(p);
     }
 
     /// The open commit routed a reverse edge to ancestor `p`.
     pub fn target(&mut self, p: Pnode) {
-        if let Some(c) = &mut self.open {
-            self.dirty.push_back(p);
-            c.end += 1;
-            c.all.widen(p);
-        }
+        self.dirty.push_back(p);
+        self.open.end += 1;
+        self.open.all.widen(p);
     }
 
     /// Closes the open commit, dropping the oldest past the bound.
     pub fn end(&mut self) {
-        if let Some(c) = self.open.take() {
-            self.seq += 1;
-            self.commits.push_back(c);
-        }
+        self.seq += 1;
+        self.commits.push_back(self.open);
         while self.dirty.len() > self.bound {
             let Some(old) = self.commits.pop_front() else {
                 break;
@@ -380,7 +369,6 @@ impl<K: Eq + Hash + Clone> TraversalCache<K> {
             self.stats.misses += 1;
             return None;
         };
-        log.last_found.set(log.seq);
         let members = if self.closures { &entry.value[..] } else { &[] };
         if entry.valid_at != log.seq {
             if !log.unchanged(entry.valid_at, p, inv, members) {
@@ -413,11 +401,6 @@ mod tests {
 
     fn r(n: u64) -> ObjectRef {
         ObjectRef::new(p(n), Version(0))
-    }
-
-    /// Marks the log as read now, so its next commit records.
-    fn read(log: &DirtyLog) {
-        log.last_found.set(log.seq);
     }
 
     fn commit(log: &mut DirtyLog, subjects: &[u64], targets: &[u64]) {
@@ -459,7 +442,6 @@ mod tests {
     #[test]
     fn dirty_log_skips_commits_out_of_range() {
         let mut log = DirtyLog::new(64);
-        read(&log);
         let at = log.seq;
         commit(&mut log, &[100, 101, 102], &[103]);
         let members = [r(2), r(5), r(9)];
@@ -475,7 +457,6 @@ mod tests {
     #[test]
     fn dirty_log_finds_members_by_binary_search() {
         let mut log = DirtyLog::new(64);
-        read(&log);
         let at = log.seq;
         commit(&mut log, &[4], &[5]);
         let members = [r(2), r(5), r(9)];
@@ -493,7 +474,6 @@ mod tests {
     #[test]
     fn dirty_log_budget_exhaustion_is_stale() {
         let mut log = DirtyLog::new(1 << 10);
-        read(&log);
         let at = log.seq;
         let members = [r(1), r(1_000)];
         let noise: Vec<u64> = (2..2 + 4 * BUDGET_PER_ROW as u64).collect();
@@ -508,12 +488,10 @@ mod tests {
     #[test]
     fn dirty_log_truncation_is_stale() {
         let mut log = DirtyLog::new(1);
-        read(&log);
         let at = log.seq;
         commit(&mut log, &[100], &[]);
         assert!(log.unchanged(at, p(1), true, &[r(2)]));
         for n in 0..PNODES_PER_SLOT as u64 {
-            read(&log);
             commit(&mut log, &[200 + n], &[]);
         }
         assert!(log.dirty.len() <= PNODES_PER_SLOT);
@@ -521,20 +499,20 @@ mod tests {
         assert!(log.unchanged(log.seq, p(1), true, &[r(2)]));
     }
 
-    /// `flush` makes everything computed before it stale, and a commit
-    /// with no lookup since the oldest retained one flushes instead of
-    /// recording.
+    /// `flush` makes everything computed before it stale, and what is
+    /// computed after it is checked against later commits only.
     #[test]
-    fn dirty_log_flush_and_unread_commits() {
+    fn dirty_log_flush() {
         let mut log = DirtyLog::new(64);
-        read(&log);
         let at = log.seq;
+        commit(&mut log, &[100], &[]);
         log.flush();
-        assert!(!log.unchanged(at, p(1), true, &[]));
-        let at = log.seq;
-        commit(&mut log, &[100], &[]); // nothing read since the flush
         assert!(log.commits.is_empty() && log.dirty.is_empty());
         assert!(!log.unchanged(at, p(1), true, &[]));
+        let at = log.seq;
+        commit(&mut log, &[100], &[]);
+        assert!(log.unchanged(at, p(1), true, &[]));
+        assert!(!log.unchanged(at, p(100), true, &[]));
     }
 
     #[test]

@@ -404,16 +404,13 @@ mod tests {
         });
         db.ingest(&[prov(r(1, 0), Attribute::Input, Value::Xref(r(2, 0)))]);
         let _ = db.ancestors(r(1, 0));
-        // Read again, so the cache counts as in use and the next
-        // commit records what it changed instead of flushing.
-        let _ = db.ancestors(r(1, 0));
         db.ingest(&[
             prov(r(10, 0), Attribute::Name, Value::str("/unrelated")),
             prov(r(10, 0), Attribute::Input, Value::Xref(r(11, 0))),
         ]);
         let _ = db.ancestors(r(1, 0));
         let stats = db.cache_stats();
-        assert_eq!(stats.hits, 2, "unrelated ingest must not invalidate");
+        assert_eq!(stats.hits, 1, "unrelated ingest must not invalidate");
         assert_eq!(stats.invalidated, 0);
     }
 

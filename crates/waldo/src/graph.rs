@@ -4,8 +4,9 @@
 //! the query engine" (paper §5.6); this module is that access path.
 //! Edge expansions — the query evaluator's hot operation — go through
 //! the store's edge cache, validated against the pnodes each commit
-//! changed, so repeating an ancestry query over an unchanged (or
-//! partially changed) database re-reads only the nodes that changed. Planner pushdown
+//! changed, so repeating an ancestry query after ingest elsewhere in
+//! the graph re-reads nothing; a cached result whose own pnodes
+//! changed is recomputed whole. Planner pushdown
 //! ([`GraphSource::lookup_attr`]) answers sargable `where` predicates
 //! from the per-shard secondary indexes — name, type, and the
 //! generalized string-attribute index — instead of scanning

@@ -35,9 +35,8 @@
 //! borrow checker, not a lock, is why no query can observe half of a
 //! cross-shard group. The three traversal caches are the one piece of
 //! interior mutability: memoizing reads go through `&self`, so the
-//! caches sit in `RefCell`s (and the dirty log's read mark in a
-//! `Cell`), and no cache borrow is held across a call back into the
-//! store.
+//! caches sit in `RefCell`s, and no cache borrow is held across a
+//! call back into the store.
 //!
 //! This file holds routing, staging and group commit. The read API
 //! lives in `store/read.rs`, the memoized traversals in
