@@ -50,51 +50,47 @@ const KEYWORDS: &[&str] = &[
 
 /// Tokenizes `input`, returning the token stream or an error message
 /// with the offending position.
+///
+/// Outside string literals the language is ASCII: whitespace is ASCII
+/// whitespace, and any other character — multi-byte ones included —
+/// that starts no token is an error at its byte offset. The cursor
+/// only ever stops on a character boundary, so no slice of `input`
+/// can split a character.
 pub fn lex(input: &str) -> Result<Vec<Token>, (String, usize)> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_whitespace() {
+        let b = bytes[i];
+        if b.is_ascii() && (b as char).is_whitespace() {
             i += 1;
             continue;
         }
         // Comments: `--` to end of line.
-        if c == '-' && bytes.get(i + 1) == Some(&b'-') {
+        if b == b'-' && bytes.get(i + 1) == Some(&b'-') {
             while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
             continue;
         }
         let pos = i;
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-            {
+        if b.is_ascii_alphabetic() || b == b'_' {
+            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            let word = &input[start..i];
-            let lower = word.to_ascii_lowercase();
-            match KEYWORDS.iter().find(|k| **k == lower) {
-                Some(k) => out.push(Token {
-                    kind: TokenKind::Keyword(k),
-                    pos,
-                }),
-                None => out.push(Token {
-                    kind: TokenKind::Ident(word.to_string()),
-                    pos,
-                }),
-            }
+            let word = &input[pos..i];
+            let kind = match KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(word)) {
+                Some(k) => TokenKind::Keyword(k),
+                None => TokenKind::Ident(word.to_string()),
+            };
+            out.push(Token { kind, pos });
             continue;
         }
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
+        if b.is_ascii_digit() {
+            while i < bytes.len() && bytes[i].is_ascii_digit() {
                 i += 1;
             }
-            let n: i64 = input[start..i]
+            let n: i64 = input[pos..i]
                 .parse()
                 .map_err(|_| ("integer overflow".to_string(), pos))?;
             out.push(Token {
@@ -103,62 +99,33 @@ pub fn lex(input: &str) -> Result<Vec<Token>, (String, usize)> {
             });
             continue;
         }
-        if c == '"' || c == '\'' {
-            let quote = c;
-            i += 1;
-            let mut s = String::new();
-            loop {
-                if i >= bytes.len() {
-                    return Err(("unterminated string".to_string(), pos));
-                }
-                let ch = bytes[i] as char;
-                if ch == quote {
-                    i += 1;
-                    break;
-                }
-                if ch == '\\' && i + 1 < bytes.len() {
-                    let next = bytes[i + 1] as char;
-                    s.push(match next {
-                        'n' => '\n',
-                        't' => '\t',
-                        other => other,
-                    });
-                    i += 2;
-                    continue;
-                }
-                s.push(ch);
-                i += 1;
-            }
+        if b == b'"' || b == b'\'' {
+            let (s, end) =
+                string_literal(input, pos).ok_or(("unterminated string".to_string(), pos))?;
             out.push(Token {
                 kind: TokenKind::Str(s),
                 pos,
             });
+            i = end;
             continue;
         }
-        let two = if i + 1 < bytes.len() {
-            &input[i..i + 2]
-        } else {
-            ""
-        };
-        let sym: Option<(&'static str, usize)> = match two {
-            "!=" => Some(("!=", 2)),
-            "<=" => Some(("<=", 2)),
-            ">=" => Some((">=", 2)),
-            _ => match c {
-                '.' => Some((".", 1)),
-                ',' => Some((",", 1)),
-                '(' => Some(("(", 1)),
-                ')' => Some((")", 1)),
-                '*' => Some(("*", 1)),
-                '+' => Some(("+", 1)),
-                '?' => Some(("?", 1)),
-                '~' => Some(("~", 1)),
-                '|' => Some(("|", 1)),
-                '=' => Some(("=", 1)),
-                '<' => Some(("<", 1)),
-                '>' => Some((">", 1)),
-                _ => None,
-            },
+        let sym: Option<(&'static str, usize)> = match (b, bytes.get(i + 1)) {
+            (b'!', Some(b'=')) => Some(("!=", 2)),
+            (b'<', Some(b'=')) => Some(("<=", 2)),
+            (b'>', Some(b'=')) => Some((">=", 2)),
+            (b'.', _) => Some((".", 1)),
+            (b',', _) => Some((",", 1)),
+            (b'(', _) => Some(("(", 1)),
+            (b')', _) => Some((")", 1)),
+            (b'*', _) => Some(("*", 1)),
+            (b'+', _) => Some(("+", 1)),
+            (b'?', _) => Some(("?", 1)),
+            (b'~', _) => Some(("~", 1)),
+            (b'|', _) => Some(("|", 1)),
+            (b'=', _) => Some(("=", 1)),
+            (b'<', _) => Some(("<", 1)),
+            (b'>', _) => Some((">", 1)),
+            _ => None,
         };
         match sym {
             Some((s, n)) => {
@@ -169,6 +136,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, (String, usize)> {
                 i += n;
             }
             None => {
+                let c = input[i..].chars().next().unwrap_or_default();
                 return Err((format!("unexpected character {c:?}"), pos));
             }
         }
@@ -178,6 +146,41 @@ pub fn lex(input: &str) -> Result<Vec<Token>, (String, usize)> {
         pos: input.len(),
     });
     Ok(out)
+}
+
+/// The string literal whose opening quote is at byte `open`: its value
+/// and the offset just past its closing quote, or `None` if the input
+/// ends first. Stretches without escapes are copied as UTF-8 slices;
+/// `\n` and `\t` decode to newline and tab, and a backslash before any
+/// other character stands for that character.
+fn string_literal(input: &str, open: usize) -> Option<(String, usize)> {
+    let bytes = input.as_bytes();
+    let quote = bytes[open];
+    let mut s = String::new();
+    // The start of the stretch not yet copied; quote and backslash
+    // are ASCII, so every cut below falls on a character boundary.
+    let mut from = open + 1;
+    let mut i = from;
+    loop {
+        match *bytes.get(i)? {
+            b if b == quote => {
+                s.push_str(&input[from..i]);
+                return Some((s, i + 1));
+            }
+            b'\\' if i + 1 < bytes.len() => {
+                s.push_str(&input[from..i]);
+                let next = input[i + 1..].chars().next()?;
+                s.push(match next {
+                    'n' => '\n',
+                    't' => '\t',
+                    other => other,
+                });
+                i += 1 + next.len_utf8();
+                from = i;
+            }
+            _ => i += 1,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -244,6 +247,33 @@ where Atlas.name = "atlas-x.gif""#;
     fn comments_are_skipped() {
         let toks = kinds("select -- this is a comment\n x");
         assert_eq!(toks.len(), 3);
+    }
+
+    #[test]
+    fn string_literals_keep_their_utf8() {
+        assert_eq!(
+            kinds(r#"'café' "λ\t中" 'a\é🦀'"#),
+            vec![
+                TokenKind::Str("café".into()),
+                TokenKind::Str("λ\t中".into()),
+                TokenKind::Str("aé🦀".into()),
+                TokenKind::Eof
+            ]
+        );
+    }
+
+    /// A multi-byte character outside a string literal is an error at
+    /// its offset, not a panic on a slice that splits it, and its
+    /// continuation bytes are never read as whitespace.
+    #[test]
+    fn non_ascii_outside_a_string_is_an_error_at_its_offset() {
+        let q = "select F from Provenance.file as F where F.name = 'x' €";
+        assert_eq!(lex(q).unwrap_err(), ("unexpected character '€'".into(), 54));
+        assert_eq!(lex("a !€").unwrap_err().1, 2);
+        assert_eq!(lex("a\u{a0}b").unwrap_err().1, 1);
+        assert_eq!(lex("a\u{85}b").unwrap_err().1, 1);
+        assert!(lex("'é").unwrap_err().0.contains("unterminated"));
+        assert!(lex("'é\\").unwrap_err().0.contains("unterminated"));
     }
 
     #[test]

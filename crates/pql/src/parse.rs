@@ -27,8 +27,14 @@ impl Parser {
         self.toks[self.at].pos
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.toks[self.at].kind.clone();
+    /// Takes the current token and moves past it. The final `Eof` is
+    /// never passed, so taking it leaves it in place.
+    fn bump(&mut self) -> Token {
+        let eof = Token {
+            kind: TokenKind::Eof,
+            pos: self.pos(),
+        };
+        let t = std::mem::replace(&mut self.toks[self.at], eof);
         if self.at + 1 < self.toks.len() {
             self.at += 1;
         }
@@ -70,12 +76,15 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String, PqlError> {
-        match self.peek().clone() {
-            TokenKind::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+        match self.bump() {
+            Token {
+                kind: TokenKind::Ident(s),
+                ..
+            } => Ok(s),
+            Token { kind, pos } => Err(PqlError::Parse {
+                msg: format!("expected identifier, found {kind}"),
+                pos,
+            }),
         }
     }
 
@@ -264,25 +273,13 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, PqlError> {
-        match self.peek().clone() {
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::Lit(Literal::Str(s)))
-            }
-            TokenKind::Int(i) => {
-                self.bump();
-                Ok(Expr::Lit(Literal::Int(i)))
-            }
-            TokenKind::Keyword("true") => {
-                self.bump();
-                Ok(Expr::Lit(Literal::Bool(true)))
-            }
-            TokenKind::Keyword("false") => {
-                self.bump();
-                Ok(Expr::Lit(Literal::Bool(false)))
-            }
+        let Token { kind, pos } = self.bump();
+        match kind {
+            TokenKind::Str(s) => Ok(Expr::Lit(Literal::Str(s))),
+            TokenKind::Int(i) => Ok(Expr::Lit(Literal::Int(i))),
+            TokenKind::Keyword("true") => Ok(Expr::Lit(Literal::Bool(true))),
+            TokenKind::Keyword("false") => Ok(Expr::Lit(Literal::Bool(false))),
             TokenKind::Keyword(f @ ("count" | "min" | "max")) => {
-                self.bump();
                 self.expect_sym("(")?;
                 let arg = self.expr()?;
                 self.expect_sym(")")?;
@@ -292,20 +289,17 @@ impl Parser {
                 })
             }
             TokenKind::Keyword("exists") => {
-                self.bump();
                 self.expect_sym("(")?;
                 let q = self.query()?;
                 self.expect_sym(")")?;
                 Ok(Expr::Exists(Box::new(q)))
             }
             TokenKind::Sym("(") => {
-                self.bump();
                 let e = self.expr()?;
                 self.expect_sym(")")?;
                 Ok(e)
             }
             TokenKind::Ident(name) => {
-                self.bump();
                 if self.eat_sym(".") {
                     let attr = self.expect_ident()?;
                     Ok(Expr::Attr(name, attr))
@@ -313,7 +307,10 @@ impl Parser {
                     Ok(Expr::Var(name))
                 }
             }
-            other => Err(self.err(format!("expected expression, found {other}"))),
+            other => Err(PqlError::Parse {
+                msg: format!("expected expression, found {other}"),
+                pos,
+            }),
         }
     }
 }

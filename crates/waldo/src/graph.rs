@@ -10,8 +10,11 @@
 //! ([`GraphSource::lookup_attr`]) answers sargable `where` predicates
 //! from the per-shard secondary indexes — name, type, and the
 //! generalized string-attribute index — instead of scanning
-//! `class_members`, which is what makes the paper's §5.7
-//! name-equality ancestry query O(result) instead of O(volume).
+//! `class_members`. So the paper's §5.7 name-equality ancestry query
+//! finds its root with one hash of the name into the store's key
+//! filter and one B-tree descent per shard the filter flags, usually
+//! one, instead of reading every object of the class. A TYPE or
+//! prefix lookup descends the index of every shard.
 
 use dpapi::{Attribute, ObjectRef, Pnode, Value, Version};
 use pql::{AttrLookup, AttrPredicate, EdgeLabel, GraphSource};
@@ -333,6 +336,19 @@ mod tests {
         let nodes = rs.nodes();
         assert!(nodes.contains(&r(2, 0)), "proc descends from input");
         assert!(nodes.contains(&r(1, 0)), "output descends transitively");
+    }
+
+    /// A query spells a non-ASCII NAME the way the store holds it:
+    /// the literal's UTF-8 bytes, not one character per byte.
+    #[test]
+    fn point_query_finds_a_non_ascii_name() {
+        let mut db = sample_db();
+        db.ingest(&[
+            prov(r(9, 0), Attribute::Name, Value::str("/data/café.txt")),
+            prov(r(9, 0), Attribute::Type, Value::str("FILE")),
+        ]);
+        let q = "select F from Provenance.file as F where F.name = '/data/café.txt'";
+        assert_eq!(pql::query(q, &db).unwrap().nodes(), vec![r(9, 0)]);
     }
 
     /// Re-running a PQL ancestry query against an unchanged store

@@ -411,7 +411,7 @@ mod tests {
         ];
         let refs: Vec<&LogEntry> = entries.iter().collect();
         let mut reverse = Vec::new();
-        shard.apply_run(p1, &refs, &mut reverse);
+        shard.apply_run(p1, &refs, &mut reverse, &mut |_, _| {});
         for edge in reverse {
             shard.add_reverse_edge(edge);
         }

@@ -210,11 +210,14 @@ impl Shard {
     /// Applies a run of committed entries that all share one subject
     /// pnode: the batched fast path, which finds the object's version
     /// row once per same-version stretch instead of once per record.
+    /// `new_key` hears of each string key new to this shard's indexes,
+    /// for the store's key filter.
     pub fn apply_run(
         &mut self,
         pnode: Pnode,
         entries: &[&LogEntry],
         reverse_out: &mut Vec<ReverseEdge>,
+        new_key: &mut impl FnMut(&Attribute, &str),
     ) {
         let (mut db_bytes, mut index_bytes) = (0, 0);
         // The version the last entry wrote at: (number, slot, row).
@@ -249,7 +252,11 @@ impl Shard {
                     }
                     (_, value) => {
                         let value = ValueRef::of(value);
-                        index_bytes += self.add_attr(slot, v, &record.attribute, value);
+                        let (bytes, fresh) = self.add_attr(slot, v, &record.attribute, value);
+                        index_bytes += bytes;
+                        if let (true, ValueRef::Str(key)) = (fresh, value) {
+                            new_key(&record.attribute, key);
+                        }
                     }
                 },
                 LogEntry::DataWrite { len, .. } => {
@@ -338,9 +345,15 @@ impl Shard {
     /// Appends `attr = value` to version row `v` of `slot`, interning
     /// the attribute name and a string value — which also files `slot`
     /// under it in its index. Returns what Table 3 charges the index
-    /// for it: a key/object pair new to its index costs its key bytes
-    /// plus 12.
-    pub fn add_attr(&mut self, slot: u32, v: usize, attr: &Attribute, value: ValueRef<'_>) -> u64 {
+    /// for it — a key/object pair new to its index costs its key bytes
+    /// plus 12 — and whether the value is a key new to its index.
+    pub fn add_attr(
+        &mut self,
+        slot: u32,
+        v: usize,
+        attr: &Attribute,
+        value: ValueRef<'_>,
+    ) -> (u64, bool) {
         let name = match self.attr_ids.get(attr) {
             Some(&id) => id,
             None => {
@@ -350,13 +363,13 @@ impl Shard {
                 id
             }
         };
-        let (value, index_bytes) = match value {
+        let (value, index_bytes, new_key) = match value {
             ValueRef::Other(other) => {
                 self.values.push(other.clone());
-                (Cell::Other(self.values.len() as u32 - 1), 0)
+                (Cell::Other(self.values.len() as u32 - 1), 0, false)
             }
             ValueRef::Str(s) => {
-                let ((key, fresh), key_bytes) = match attr {
+                let ((key, fresh, new_key), key_bytes) = match attr {
                     Attribute::Name => (intern(&mut self.name_index, s, slot), 0),
                     Attribute::Type => (intern(&mut self.type_index, s, slot), 0),
                     _ => {
@@ -378,13 +391,13 @@ impl Shard {
                 } else {
                     0
                 };
-                (Cell::Str(key), cost)
+                (Cell::Str(key), cost, new_key)
             }
         };
         let mut run = self.versions[v].attrs;
         push(&mut self.attrs, &mut run, AttrRow { attr: name, value });
         self.versions[v].attrs = run;
-        index_bytes
+        (index_bytes, new_key)
     }
 
     /// Appends a reverse edge — `edge.to` is the descendant — to
@@ -548,9 +561,9 @@ pub(crate) fn current(versions: &[VersionRow]) -> u32 {
     versions.last().map_or(0, |v| v.number)
 }
 
-/// `s` interned as a key of `index` (added if new), and whether `slot`
-/// is new to its posting.
-fn intern(index: &mut Index, s: &str, slot: u32) -> (Rc<str>, bool) {
+/// `s` interned as a key of `index` (added if new), whether `slot` is
+/// new to its posting, and whether the key is new to `index`.
+fn intern(index: &mut Index, s: &str, slot: u32) -> (Rc<str>, bool, bool) {
     let exactly = (Bound::Included(s), Bound::Included(s));
     if let Some((key, posting)) = index.range_mut::<str, _>(exactly).next() {
         let fresh = match posting.binary_search(&slot) {
@@ -560,11 +573,11 @@ fn intern(index: &mut Index, s: &str, slot: u32) -> (Rc<str>, bool) {
                 true
             }
         };
-        return (key.clone(), fresh);
+        return (key.clone(), fresh, false);
     }
     let key: Rc<str> = Rc::from(s);
     index.insert(key.clone(), vec![slot]);
-    (key, true)
+    (key, true, true)
 }
 
 /// Heap bytes a non-string value owns.

@@ -24,7 +24,9 @@
 //!
 //! Queries that existed on the old single-map `ProvDb` keep their
 //! exact semantics: point lookups route to one shard, index scans fan
-//! out and merge in pnode order.
+//! out and merge in pnode order. An exact NAME or application-attribute
+//! lookup descends only the shards a one-byte-per-slot key filter
+//! flags (`store/keys.rs`).
 //!
 //! # Ownership
 //!
@@ -46,11 +48,12 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use dpapi::Pnode;
+use dpapi::{Attribute, Pnode};
 use lasagna::LogEntry;
 
 mod cached;
 mod durable;
+mod keys;
 mod read;
 
 pub use durable::MergeError;
@@ -62,6 +65,7 @@ use crate::cache::{CacheStats, DirtyLog, TraversalCache};
 use crate::db::IngestStats;
 use crate::delta::DeltaGroups;
 use crate::shard::{ReverseEdge, Shard};
+use keys::KeyFilter;
 
 /// Tuning knobs for the storage engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,6 +261,8 @@ pub struct Store {
     closure_cache: RefCell<TraversalCache<EdgeKey>>,
     /// What recent commits changed, which the caches validate against.
     dirty: DirtyLog,
+    /// Which shards can hold a NAME or application-attribute key.
+    keys: KeyFilter,
 }
 
 /// Always zero (see [`Store::contention_stats`]). Inert, like
@@ -320,6 +326,7 @@ impl Store {
             edge_cache: RefCell::new(TraversalCache::new(cap, false)),
             closure_cache: RefCell::new(TraversalCache::new(cap, true)),
             dirty: DirtyLog::new(cap),
+            keys: KeyFilter::default(),
         }
     }
 
@@ -351,6 +358,14 @@ impl Store {
     /// Shard `i` — the checkpoint writer's access path.
     pub(crate) fn shard(&self, i: usize) -> &Shard {
         &self.shards[i]
+    }
+
+    /// Test seam: from now on every key hashes to one slot of the key
+    /// filter, so an exact lookup descends every shard that holds any
+    /// key. Answers must not change; only the filter's pruning goes.
+    #[doc(hidden)]
+    pub fn force_key_collisions(&mut self) {
+        self.keys.collide(&self.shards);
     }
 
     /// Always zero: the store has no locks to contend on. Kept only
@@ -600,11 +615,13 @@ impl Store {
     /// Applies one commit's entries as an atomic group: entries are
     /// bucketed by shard (preserving arrival order) and grouped into
     /// consecutive same-subject runs, so each run costs one
-    /// object-table lookup; reverse ancestry edges are then routed to
-    /// their ancestors' shards; finally each touched shard's
+    /// object-table lookup, and every index key new to its shard is
+    /// filed in the key filter; reverse ancestry edges are then routed
+    /// to their ancestors' shards; finally each touched shard's
     /// generation is bumped exactly once. Returns the touched-shard
     /// mask; the caller finalizes the commit (sequence number,
-    /// durability frame).
+    /// durability frame). Commit, [`Store::ingest`] and delta replay
+    /// all apply through here.
     fn apply_group(&mut self, apply: &[&LogEntry], stats: &mut IngestStats) -> u64 {
         if apply.is_empty() {
             return 0;
@@ -632,6 +649,8 @@ impl Store {
             }
             touched |= 1 << i;
             let shard = &mut self.shards[i];
+            let keys = &mut self.keys;
+            let mut new_key = |attr: &Attribute, key: &str| keys.insert(i, attr, key);
             let mut run_start = 0;
             while run_start < bucket.len() {
                 let pnode = subject_of(apply[bucket[run_start] as usize])
@@ -648,7 +667,7 @@ impl Store {
                         .iter()
                         .map(|&j| apply[j as usize]),
                 );
-                shard.apply_run(pnode, &run, &mut reverse);
+                shard.apply_run(pnode, &run, &mut reverse, &mut new_key);
                 self.dirty.subject(pnode);
                 stats.applied += run_end - run_start;
                 run_start = run_end;
@@ -658,6 +677,7 @@ impl Store {
             bucket.clear();
         }
         self.meta.bucket_scratch = buckets;
+        self.keys.grow();
         for edge in reverse {
             let i = (mix_pnode(edge.0) & self.shard_mask) as usize;
             touched |= 1 << i;

@@ -176,8 +176,9 @@ impl Store {
     /// failed merge leaves `self` exactly as it was — fault-injection
     /// harnesses depend on a clean abort when a forged batch id
     /// collides. Touched shards' generations bump for the checkpoint
-    /// writer, and the dirty log is flushed: every cached traversal is
-    /// recomputed against the merged store.
+    /// writer, the dirty log is flushed — every cached traversal is
+    /// recomputed against the merged store — and the key filter is
+    /// rebuilt from the merged indexes.
     pub fn merge(&mut self, other: &Store) -> Result<(), MergeError> {
         let (ours, theirs) = (&mut self.meta, &other.meta);
         if self.shards.len() != other.shards.len() {
@@ -233,6 +234,7 @@ impl Store {
             dst.merge_from(src);
             dst.generation += 1;
         }
+        self.keys.rebuild(&self.shards);
         self.commit_seq += other.commit_seq;
         Ok(())
     }
@@ -275,8 +277,9 @@ impl Store {
 
     /// Rebuilds a store from checkpointed parts: rehydrated shards,
     /// open-transaction buffers, source replay slots and the commit
-    /// sequence. `shards.len()` must be the power-of-two count the
-    /// segments were written with; it overrides `cfg.shards`.
+    /// sequence; the key filter is rebuilt from the shards' indexes.
+    /// `shards.len()` must be the power-of-two count the segments were
+    /// written with; it overrides `cfg.shards`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore(
         cfg: WaldoConfig,
@@ -292,6 +295,7 @@ impl Store {
         debug_assert!(n.is_power_of_two() && n <= 64);
         let mut store = Store::with_config(WaldoConfig { shards: n, ..cfg });
         store.shards = shards;
+        store.keys.rebuild(&store.shards);
         store.commit_seq = commit_seq;
         let meta = &mut store.meta;
         meta.pending_txns = txns.into_iter().collect();

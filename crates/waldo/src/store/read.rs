@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use dpapi::{Attribute, ObjectRef, Pnode, Version};
 
-use super::Store;
+use super::{keys, Store};
 use crate::db::{DbSize, ObjectEntry};
 use crate::shard::Shard;
 
@@ -35,11 +35,13 @@ impl Store {
     }
 
     /// Heap bytes the shards hold — their arrays, interned strings,
-    /// maps and indexes — counted from lengths and capacities, so the
-    /// figure repeats exactly where reading the OS would not. This is
-    /// memory; [`Store::size`] is Table 3's on-disk model.
+    /// maps and indexes — and the key filter, counted from lengths and
+    /// capacities, so the figure repeats exactly where reading the OS
+    /// would not. This is memory; [`Store::size`] is Table 3's on-disk
+    /// model.
     pub fn resident_bytes(&self) -> usize {
-        self.shards.iter().map(Shard::resident_bytes).sum()
+        let shards: usize = self.shards.iter().map(Shard::resident_bytes).sum();
+        shards + self.keys.resident_bytes()
     }
 
     /// An owned copy of `p`'s object, every version and attribute of
@@ -61,16 +63,24 @@ impl Store {
     where
         I: Iterator<Item = Pnode>,
     {
-        let mut out: Vec<Pnode> = self.shards.iter().flat_map(f).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        merged(self.shards.iter().flat_map(f))
     }
 
-    /// Objects that ever bore `name` — exact match, merged across
-    /// shards in pnode order.
+    /// The shards whose index can hold key `attr = value`: those the
+    /// key filter flags, a superset of those that hold it.
+    fn holding<'a>(&'a self, attr: &str, value: &str) -> impl Iterator<Item = &'a Shard> {
+        let bits = self.keys.probe(attr, value);
+        (self.shards.iter().enumerate())
+            .filter(move |(i, _)| bits & (1 << (i % 8)) != 0)
+            .map(|(_, s)| s)
+    }
+
+    /// Objects that ever bore `name` — exact match, merged across the
+    /// shards the key filter flags, in pnode order.
     pub fn find_by_name(&self, name: &str) -> Vec<Pnode> {
-        self.gather(|s| s.listed(&s.name_index, name))
+        merged(
+            (self.holding(keys::NAME.as_str(), name)).flat_map(|s| s.listed(&s.name_index, name)),
+        )
     }
 
     /// Objects whose NAME ends with `suffix` (e.g. a file name without
@@ -104,11 +114,14 @@ impl Store {
 
     /// Objects that ever bore string attribute `attr` (by its
     /// canonical record name, e.g. `PHASE`) with exactly `value` —
-    /// the generalized attribute index, merged in pnode order.
-    /// NAME and TYPE have their dedicated indexes
-    /// ([`Store::find_by_name`], [`Store::find_by_type`]).
+    /// the generalized attribute index of the shards the key filter
+    /// flags, merged in pnode order. NAME and TYPE have their
+    /// dedicated indexes ([`Store::find_by_name`],
+    /// [`Store::find_by_type`]).
     pub fn find_by_attr(&self, attr: &str, value: &str) -> Vec<Pnode> {
-        self.gather(|s| (s.attr_index.get(attr).into_iter()).flat_map(|i| s.listed(i, value)))
+        let shards = self.holding(attr, value);
+        let indexed = shards.filter_map(|s| Some((s, s.attr_index.get(attr)?)));
+        merged(indexed.flat_map(|(s, index)| s.listed(index, value)))
     }
 
     /// Objects whose string attribute `attr` starts with `prefix`.
@@ -279,6 +292,14 @@ impl Store {
         }
         None
     }
+}
+
+/// `pnodes` in pnode order without duplicates.
+fn merged(pnodes: impl Iterator<Item = Pnode>) -> Vec<Pnode> {
+    let mut out: Vec<Pnode> = pnodes.collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// A shortest cycle through the members of one strongly connected

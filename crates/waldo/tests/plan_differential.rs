@@ -13,12 +13,24 @@
 //! in-edges found by scanning every object's inputs instead of the
 //! reverse index — that the naive evaluator runs over as the
 //! reference for what the planned pipeline returns from the store.
+//!
+//! The snapshot finds a class by its TYPE index and a name by reading
+//! every object, so it never consults the store's key filter, which
+//! steers exact NAME and attribute lookups to the shards that can hold
+//! the key. The filter is derived state, rebuilt when shards change
+//! wholesale; stores merged from two halves, restored through a
+//! checkpoint and restart, and forced into total collision hold it to
+//! the snapshot's answers.
 
 use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
 use lasagna::LogEntry;
 use pql::{EdgeLabel, GraphSource};
 use proptest::prelude::*;
-use waldo::{ProvDb, WaldoConfig};
+use sim_os::clock::Clock;
+use sim_os::cost::CostModel;
+use sim_os::fs::basefs::BaseFs;
+use sim_os::syscall::Kernel;
+use waldo::{ProvDb, Waldo, WaldoConfig};
 
 fn p(n: u64) -> Pnode {
     Pnode::new(VolumeId(1), n)
@@ -210,37 +222,123 @@ fn canonical(rs: &pql::ResultSet) -> Vec<String> {
     rows
 }
 
+/// A shard count: every count from 1 to 8, or 64 — the most a store
+/// has, where eight shards share each bit of the key filter.
+fn arb_shards() -> impl Strategy<Value = usize> {
+    (1usize..10).prop_map(|n| if n == 9 { 64 } else { n })
+}
+
+fn config(shards: usize) -> WaldoConfig {
+    WaldoConfig {
+        shards,
+        ingest_batch: 16,
+        ancestry_cache: 64,
+        ..WaldoConfig::default()
+    }
+}
+
+/// `query`'s planned answer from `db` against the naive evaluator's,
+/// over the store and over its [`Snapshot`].
+fn planned_agrees(db: &ProvDb, query: &str) -> Result<(), String> {
+    let parsed = pql::parse(query).unwrap();
+    let naive = pql::execute_naive(&parsed, db).unwrap();
+    let planned = pql::plan::execute(&parsed, db).unwrap();
+    prop_assert_eq!(&planned.result.columns, &naive.columns);
+    if planned.stats.bindings_reordered {
+        prop_assert_eq!(canonical(&planned.result), canonical(&naive));
+    } else {
+        prop_assert_eq!(&planned.result.rows, &naive.rows);
+    }
+    // Edge lists come back in arrival order from the store and in
+    // scan order from the snapshot: the same rows, as a set.
+    let reference = pql::execute_naive(&parsed, &Snapshot(db)).unwrap();
+    prop_assert_eq!(&planned.result.columns, &reference.columns);
+    prop_assert_eq!(canonical(&planned.result), canonical(&reference));
+    Ok(())
+}
+
+/// A store that checkpointed after `entries[..cut]` and again after
+/// the rest, then restarted cold from its database directory: a base,
+/// then a delta or a rewrite, whichever the size rule picks.
+fn restarted(cfg: WaldoConfig, entries: &[LogEntry], cut: usize) -> ProvDb {
+    let clock = Clock::new();
+    let mut kernel = Kernel::new(clock.clone(), CostModel::default());
+    kernel.mount("/", Box::new(BaseFs::new(clock, CostModel::default())));
+    let pid = kernel.spawn_init("waldo");
+    let mut waldo = Waldo::with_config(pid, cfg);
+    waldo.attach_db_dir(&mut kernel, "/waldo-db").unwrap();
+    for part in [&entries[..cut], &entries[cut..]] {
+        waldo.db.ingest(part);
+        waldo.checkpoint(&mut kernel).unwrap();
+    }
+    let images = waldo.db.segment_images();
+    drop(waldo);
+    let pid = kernel.spawn_init("waldo2");
+    let restarted = Waldo::restart(pid, &mut kernel, cfg, "/waldo-db", &[]).unwrap();
+    assert_eq!(restarted.db.segment_images(), images);
+    restarted.db
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn planned_matches_naive_on_the_sharded_store(
         entries in proptest::collection::vec(arb_entry(), 1..80),
-        shards in 1usize..9,
+        shards in arb_shards(),
         qi in 0usize..QUERIES.len(),
     ) {
-        let mut db = ProvDb::with_config(WaldoConfig {
-            shards,
-            ingest_batch: 16,
-            ancestry_cache: 64,
-            ..WaldoConfig::default()
-        });
+        let mut db = ProvDb::with_config(config(shards));
         db.ingest(&entries);
-        let query = QUERIES[qi];
-        let parsed = pql::parse(query).unwrap();
-        let naive = pql::execute_naive(&parsed, &db).unwrap();
-        let planned = pql::plan::execute(&parsed, &db).unwrap();
-        prop_assert_eq!(&planned.result.columns, &naive.columns);
-        if planned.stats.bindings_reordered {
-            prop_assert_eq!(canonical(&planned.result), canonical(&naive));
-        } else {
-            prop_assert_eq!(&planned.result.rows, &naive.rows);
+        planned_agrees(&db, QUERIES[qi])?;
+    }
+
+    /// Every query agrees on the stores whose key filter was rebuilt
+    /// or regrown: merged from two halves, restored through a
+    /// checkpoint and restart, grown through several doublings between
+    /// the halves, and — through the test seam — with every key in one
+    /// slot, before and after more ingest.
+    #[test]
+    fn key_filter_survives_merge_restart_growth_and_collision(
+        entries in proptest::collection::vec(arb_entry(), 1..80),
+        shards in arb_shards(),
+        cut in any::<usize>(),
+    ) {
+        let cfg = config(shards);
+        let cut = cut % (entries.len() + 1);
+        let mut merged = ProvDb::with_config(cfg);
+        merged.ingest(&entries[..cut]);
+        let mut other = ProvDb::with_config(cfg);
+        other.ingest(&entries[cut..]);
+        merged.merge(&other).unwrap();
+        let restored = restarted(cfg, &entries, cut);
+        // 160 application-attribute keys, ten a commit, take an empty
+        // filter's 64 slots through three doublings.
+        let mut grown = ProvDb::with_config(cfg);
+        grown.ingest(&entries[..cut]);
+        for tags in (0..160u64).collect::<Vec<_>>().chunks(10) {
+            let tagged = tags.iter().map(|&t| {
+                let subject = ObjectRef::new(p(1 + t % 23), Version(0));
+                prov(subject, Attribute::Other("TAG".into()), Value::Str(format!("t{t}")))
+            });
+            grown.ingest(&tagged.collect::<Vec<_>>());
         }
-        // Edge lists come back in arrival order from the store and in
-        // scan order from the snapshot: the same rows, as a set.
-        let reference = pql::execute_naive(&parsed, &Snapshot(&db)).unwrap();
-        prop_assert_eq!(&planned.result.columns, &reference.columns);
-        prop_assert_eq!(canonical(&planned.result), canonical(&reference));
+        grown.ingest(&entries[cut..]);
+        let mut collided = ProvDb::with_config(cfg);
+        collided.ingest(&entries[..cut]);
+        collided.force_key_collisions();
+        collided.ingest(&entries[cut..]);
+        let stores = [
+            ("merged", &merged),
+            ("restored", &restored),
+            ("grown", &grown),
+            ("collided", &collided),
+        ];
+        for (what, db) in stores {
+            for query in QUERIES {
+                planned_agrees(db, query).map_err(|e| format!("{what} store, {query}: {e}"))?;
+            }
+        }
     }
 
     /// A label the language has no keyword for reaches the store as
@@ -250,7 +348,7 @@ proptest! {
     #[test]
     fn named_labels_match_edge_names_in_any_case(
         entries in proptest::collection::vec(arb_entry(), 1..80),
-        shards in 1usize..9,
+        shards in arb_shards(),
     ) {
         let mut db = ProvDb::with_config(WaldoConfig { shards, ..WaldoConfig::default() });
         db.ingest(&entries);
