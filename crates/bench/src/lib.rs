@@ -20,6 +20,7 @@ use dpapi::VolumeId;
 use lasagna::parse_log;
 use pa_nfs::NfsServer;
 use passv2::{Pass, System, SystemBuilder};
+use pql::{EdgeLabel, GraphSource};
 use sim_os::clock::{Clock, NANOS_PER_SEC};
 use sim_os::cost::CostModel;
 use sim_os::proc::Pid;
@@ -123,8 +124,8 @@ pub fn build(cfg: Config) -> Machine {
 pub struct WaldoOps {
     /// Effective (normalized) shard count of the store.
     pub effective_shards: usize,
-    /// Ancestry-closure cache counters after the canned query pass.
-    pub ancestry_cache: CacheStats,
+    /// Closure cache counters after the canned query pass.
+    pub closure_cache: CacheStats,
     /// Commit frames that failed to persist to the WAL.
     pub wal_errors: u64,
     /// Checkpoint subsystem counters (segments/bytes written, WAL
@@ -141,8 +142,8 @@ impl provscope::MetricSource for WaldoOps {
     /// renderer instead of a hand-rolled column layout.
     fn record(&self, out: &mut dyn FnMut(&str, u64)) {
         out("shards", self.effective_shards as u64);
-        out("cache.hits", self.ancestry_cache.hits);
-        out("cache.misses", self.ancestry_cache.misses);
+        out("cache.hits", self.closure_cache.hits);
+        out("cache.misses", self.closure_cache.misses);
         out("wal_errors", self.wal_errors);
         provscope::MetricSource::record(&self.checkpoints, &mut |k, v| {
             out(&format!("ckpt.{k}"), v)
@@ -176,7 +177,7 @@ pub fn measure(cfg: Config, workload: &dyn Workload) -> Measurement {
     // Ingest provenance into Waldo to size the database. The PASSv2
     // daemon runs durably (WAL + checkpoints at `/waldo-db`) so the
     // checkpoint counters are real, then answers a canned ancestry
-    // pass twice to exercise the query caches.
+    // pass twice to exercise the closure cache.
     let (db_bytes, index_bytes, ops) = if cfg == Config::PassV2 {
         let waldo_pid = m.kernel.spawn_init("waldo");
         if let Some(p) = &m.pass {
@@ -230,8 +231,9 @@ fn ops_report(w: &waldo::Waldo) -> WaldoOps {
     let mut pnodes: Vec<dpapi::Pnode> = w.db.all_pnodes();
     pnodes.sort_unstable();
     for p in pnodes.iter().take(64) {
+        let root = dpapi::ObjectRef::new(*p, dpapi::Version(0));
         for _ in 0..2 {
-            let _ = w.db.ancestors(dpapi::ObjectRef::new(*p, dpapi::Version(0)));
+            let _ = w.db.closure(root, &EdgeLabel::Any, false);
         }
     }
     let planner = pnodes
@@ -253,7 +255,7 @@ fn ops_report(w: &waldo::Waldo) -> WaldoOps {
         .unwrap_or_default();
     WaldoOps {
         effective_shards: w.db.config().effective_shards(),
-        ancestry_cache: w.db.cache_stats(),
+        closure_cache: w.db.closure_cache_stats(),
         wal_errors: w.wal_errors(),
         checkpoints: w.checkpoint_stats(),
         planner,

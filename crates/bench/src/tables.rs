@@ -273,7 +273,7 @@ pub fn table3() -> Table3 {
     let rest = format!(
         "Operational counters (PASSv2 daemon: durable WAL + checkpoints,
 ancestry of the first 64 objects queried twice to exercise the
-cache; `planner.` rows are one §5.7-style name-equality ancestry
+closure cache; `planner.` rows are one §5.7-style name-equality ancestry
 query per run, root-bound via the attribute index)
 {}
 Paper reference (MB):

@@ -48,52 +48,31 @@ pub enum DpapiError {
         /// Why that operation failed.
         cause: Box<DpapiError>,
     },
-    /// An admission-controlled front door (the sluice) refused the
-    /// submission before any of its operations ran. Unlike
-    /// [`DpapiError::TxnAborted`], a rejection means the transaction
-    /// was never enqueued: nothing was validated, logged or applied,
-    /// and the caller may retry the identical transaction later.
+    /// A bounded front door (the sluice) refused the submission before
+    /// any of its operations ran, because the transaction is larger
+    /// than the whole queue budget. Unlike [`DpapiError::TxnAborted`],
+    /// a rejection means the transaction was never enqueued: nothing
+    /// was validated, logged or applied. Retrying it verbatim against
+    /// the same budget fails the same way.
     Rejected(RejectReason),
 }
 
-/// Why an admission-controlled layer refused a submission.
-///
-/// Backpressure reasons (`QueueFull*`) are transient — capacity frees
-/// as the drainer commits queued work. Quota reasons (`Quota*`) are
-/// per-client: other clients may still be admitted, and the rejected
-/// client regains budget only as its own in-flight work completes.
+/// Which queue budget a refused submission could never fit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RejectReason {
-    /// The shared queue's operation budget is exhausted.
+    /// The transaction holds more operations than the queue's budget.
     QueueFullOps {
         /// Operations currently queued or in flight.
         queued: usize,
         /// The configured ceiling.
         limit: usize,
     },
-    /// The shared queue's byte budget is exhausted.
+    /// The transaction holds more payload bytes than the queue's
+    /// budget.
     QueueFullBytes {
         /// Payload bytes currently queued or in flight.
         queued: usize,
         /// The configured ceiling.
-        limit: usize,
-    },
-    /// The submitting client's per-client operation quota is spent.
-    QuotaOps {
-        /// The client whose quota is exhausted.
-        client: u64,
-        /// That client's operations currently in flight.
-        in_flight: usize,
-        /// That client's configured ceiling.
-        limit: usize,
-    },
-    /// The submitting client's per-client byte quota is spent.
-    QuotaBytes {
-        /// The client whose quota is exhausted.
-        client: u64,
-        /// That client's payload bytes currently in flight.
-        in_flight: usize,
-        /// That client's configured ceiling.
         limit: usize,
     },
 }
@@ -107,22 +86,6 @@ impl fmt::Display for RejectReason {
             RejectReason::QueueFullBytes { queued, limit } => {
                 write!(f, "queue full: {queued} bytes in flight, limit {limit}")
             }
-            RejectReason::QuotaOps {
-                client,
-                in_flight,
-                limit,
-            } => write!(
-                f,
-                "client {client} op quota exhausted: {in_flight} in flight, limit {limit}"
-            ),
-            RejectReason::QuotaBytes {
-                client,
-                in_flight,
-                limit,
-            } => write!(
-                f,
-                "client {client} byte quota exhausted: {in_flight} in flight, limit {limit}"
-            ),
         }
     }
 }
@@ -224,13 +187,12 @@ mod tests {
             "submission rejected: queue full: 64 ops in flight, limit 64"
         );
         assert_eq!(
-            DpapiError::Rejected(RejectReason::QuotaBytes {
-                client: 3,
-                in_flight: 4096,
+            DpapiError::Rejected(RejectReason::QueueFullBytes {
+                queued: 0,
                 limit: 4096
             })
             .to_string(),
-            "submission rejected: client 3 byte quota exhausted: 4096 in flight, limit 4096"
+            "submission rejected: queue full: 0 bytes in flight, limit 4096"
         );
     }
 

@@ -88,11 +88,14 @@ pub trait GraphSource {
     fn in_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef>;
 
     /// Every node reachable from `node` in one or more hops over
-    /// edges matching `label` (`node` itself is excluded; the
-    /// provenance graph is acyclic, so it is never re-reached). The
-    /// evaluator uses this for `label*`/`label+` path steps; the
-    /// default is a plain BFS, and storage backends may override it
-    /// with a memoized implementation. The result is sorted.
+    /// edges matching `label`. `node` itself is excluded even when a
+    /// cycle re-reaches it: the paper's versioning should keep the
+    /// graph acyclic, but a stored graph can hold a read-after-write
+    /// cycle, and then a Waldo store's `ancestors(node)` lists `node`
+    /// where `closure(node, Any, false)` does not. The evaluator uses
+    /// this for `label*`/`label+` path steps; the default is a plain
+    /// BFS, and storage backends may override it with a memoized
+    /// implementation. The result is sorted.
     fn closure(&self, node: ObjectRef, label: &EdgeLabel, inverse: bool) -> Vec<ObjectRef> {
         let mut seen: HashSet<ObjectRef> = HashSet::new();
         seen.insert(node);

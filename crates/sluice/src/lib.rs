@@ -24,27 +24,17 @@
 //! (`tests/differential.rs`) asserts `Store::segment_images`
 //! byte-equality between the pipelined and synchronous paths.
 //!
-//! # Backpressure and admission control
+//! # Backpressure
 //!
-//! Two independent gates protect the pipeline:
-//!
-//! * **Backpressure** bounds what the *queue as a whole* may hold
-//!   ([`SluiceConfig::max_queued_ops`] / `max_queued_bytes`). A
-//!   submission that would overflow either budget blocks
-//!   ([`BackpressurePolicy::Block`]: the submitter drains frames
-//!   inline until its transaction fits — bounded memory, unbounded
-//!   latency) or is refused ([`BackpressurePolicy::Reject`]:
-//!   [`DpapiError::Rejected`] with a
-//!   [`RejectReason::QueueFullOps`]/[`RejectReason::QueueFullBytes`]
-//!   — bounded latency, caller retries).
-//! * **Admission control** bounds what each *client* may have in
-//!   flight ([`Quota`]). Quota exhaustion always rejects (typed
-//!   [`RejectReason::QuotaOps`]/[`RejectReason::QuotaBytes`]),
-//!   regardless of policy: a client over its quota must not be able
-//!   to stall other clients by blocking.
-//!
-//! A transaction bigger than the whole queue budget can never fit and
-//! is rejected under both policies.
+//! The queue as a whole is bounded two ways,
+//! [`SluiceConfig::max_queued_ops`] and `max_queued_bytes`. A
+//! submission that would overflow either budget blocks: the submitter
+//! drains frames inline until its transaction fits, so memory stays
+//! bounded and the caller pays the commit latency. A transaction
+//! bigger than a whole budget can never fit, so it is refused with
+//! [`DpapiError::Rejected`] and a typed
+//! [`RejectReason::QueueFullOps`]/[`RejectReason::QueueFullBytes`]
+//! instead of blocking forever.
 //!
 //! # Abort fallback
 //!
@@ -73,45 +63,22 @@ use std::collections::{BTreeMap, VecDeque};
 use dpapi::{Dpapi, DpapiError, DpapiOp, OpResult, RejectReason, Txn};
 use provscope::{Histogram, MetricSource, Registry, Scope, TraceId};
 
-/// Identifies one submitting client for admission control.
+/// Names the submitting client. Nothing reads it: it is kept only
+/// because the frozen `ledger/` benchmark passes one to
+/// [`Sluice::submit`], and it goes with the next `[benchmark]` change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u64);
 
-/// How [`Sluice::submit`] behaves when the queue budget is exhausted.
+/// What [`Sluice::submit`] does when the queue budget is exhausted:
+/// drain frames inline until the submission fits (see the crate docs).
+/// The one variant is inert, kept like [`ClientId`] for the frozen
+/// `ledger/` benchmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
     /// Drain frames inline until the submission fits. The caller pays
-    /// commit latency but never sees an error; queue memory stays
-    /// bounded.
+    /// commit latency; queue memory stays bounded.
     #[default]
     Block,
-    /// Refuse with [`DpapiError::Rejected`]. The caller decides when
-    /// to retry; submit latency stays bounded.
-    Reject,
-}
-
-/// Per-client in-flight ceilings (ops and payload bytes submitted but
-/// not yet committed).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Quota {
-    /// Maximum operations the client may have in flight.
-    pub max_ops: usize,
-    /// Maximum payload bytes the client may have in flight.
-    pub max_bytes: usize,
-}
-
-impl Quota {
-    /// No per-client limit (the shared queue budget still applies).
-    pub const UNLIMITED: Quota = Quota {
-        max_ops: usize::MAX,
-        max_bytes: usize::MAX,
-    };
-}
-
-impl Default for Quota {
-    fn default() -> Self {
-        Quota::UNLIMITED
-    }
 }
 
 /// Sluice tuning knobs.
@@ -126,10 +93,8 @@ pub struct SluiceConfig {
     /// transaction once it holds this many ops. A single transaction
     /// larger than the ceiling still commits as its own frame.
     pub coalesce_ops: usize,
-    /// What submit does when the queue budget is exhausted.
+    /// Inert (see [`BackpressurePolicy`]).
     pub policy: BackpressurePolicy,
-    /// Quota applied to clients without an explicit [`Sluice::set_quota`].
-    pub default_quota: Quota,
 }
 
 impl Default for SluiceConfig {
@@ -139,7 +104,6 @@ impl Default for SluiceConfig {
             max_queued_bytes: 1 << 20,
             coalesce_ops: 32,
             policy: BackpressurePolicy::Block,
-            default_quota: Quota::UNLIMITED,
         }
     }
 }
@@ -171,7 +135,7 @@ pub enum TicketStatus {
 /// instead, so re-absorbing the stats never double-counts them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SluiceStats {
-    /// Transactions presented to `submit` (including rejected ones).
+    /// Transactions presented to `submit` (including refused ones).
     pub submitted: u64,
     /// Transactions admitted into the queue.
     pub admitted: u64,
@@ -179,14 +143,11 @@ pub struct SluiceStats {
     pub completed: u64,
     /// Tickets resolved with an error.
     pub failed: u64,
-    /// Rejections: shared op budget exhausted.
+    /// Refusals: a transaction with more ops than the whole op budget.
     pub rejected_queue_ops: u64,
-    /// Rejections: shared byte budget exhausted.
+    /// Refusals: a transaction with more payload bytes than the whole
+    /// byte budget.
     pub rejected_queue_bytes: u64,
-    /// Rejections: per-client op quota exhausted.
-    pub rejected_quota_ops: u64,
-    /// Rejections: per-client byte quota exhausted.
-    pub rejected_quota_bytes: u64,
     /// Group frames committed.
     pub frames: u64,
     /// Transactions carried by those frames.
@@ -200,8 +161,7 @@ pub struct SluiceStats {
     pub aborted_frames: u64,
     /// Individual commits performed by the split fallback.
     pub split_commits: u64,
-    /// Submissions that had to drain inline under
-    /// [`BackpressurePolicy::Block`].
+    /// Submissions that had to drain inline to fit the queue budget.
     pub blocked_submits: u64,
 }
 
@@ -213,8 +173,6 @@ impl MetricSource for SluiceStats {
         out("failed", self.failed);
         out("rejected_queue_ops", self.rejected_queue_ops);
         out("rejected_queue_bytes", self.rejected_queue_bytes);
-        out("rejected_quota_ops", self.rejected_quota_ops);
-        out("rejected_quota_bytes", self.rejected_quota_bytes);
         out("frames", self.frames);
         out("frame_txns", self.frame_txns);
         out("frame_ops", self.frame_ops);
@@ -228,7 +186,6 @@ impl MetricSource for SluiceStats {
 /// One queued transaction plus its accounting.
 struct Pending {
     ticket: Ticket,
-    client: ClientId,
     ops: usize,
     bytes: usize,
     submitted_at: u64,
@@ -238,7 +195,7 @@ struct Pending {
 type Completion = dpapi::Result<Vec<OpResult>>;
 
 /// The asynchronous disclosure pipeline. See the crate docs for the
-/// queue model, backpressure policy and determinism contract.
+/// queue model, backpressure and determinism contract.
 ///
 /// The sluice is substrate-agnostic: it drives any `&mut dyn Dpapi` —
 /// a `LibPass` over the simulated kernel, a PA-NFS client, or a raw
@@ -251,8 +208,6 @@ pub struct Sluice {
     queue: VecDeque<Pending>,
     queued_ops: usize,
     queued_bytes: usize,
-    inflight: BTreeMap<ClientId, (usize, usize)>,
-    quotas: BTreeMap<ClientId, Quota>,
     next_ticket: u64,
     done: BTreeMap<Ticket, Completion>,
     stats: SluiceStats,
@@ -291,12 +246,6 @@ impl Sluice {
         self.now = Some(Box::new(now));
     }
 
-    /// Sets `client`'s admission quota (overriding
-    /// [`SluiceConfig::default_quota`]).
-    pub fn set_quota(&mut self, client: ClientId, quota: Quota) {
-        self.quotas.insert(client, quota);
-    }
-
     /// Transactions currently queued.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
@@ -310,11 +259,6 @@ impl Sluice {
     /// Payload bytes currently queued.
     pub fn queued_bytes(&self) -> usize {
         self.queued_bytes
-    }
-
-    /// `client`'s in-flight (ops, bytes).
-    pub fn in_flight_of(&self, client: ClientId) -> (usize, usize) {
-        self.inflight.get(&client).copied().unwrap_or((0, 0))
     }
 
     /// Activity counters.
@@ -340,65 +284,35 @@ impl Sluice {
         (txn.len(), bytes)
     }
 
-    fn quota_of(&self, client: ClientId) -> Quota {
-        self.quotas
-            .get(&client)
-            .copied()
-            .unwrap_or(self.cfg.default_quota)
-    }
-
     /// Submits a transaction for asynchronous commit, returning a
     /// completion ticket to [`Sluice::poll`]/[`Sluice::take`]/
     /// [`Sluice::wait`] on.
     ///
     /// `layer` is the substrate a blocking submission drains into; a
-    /// non-blocking submission does not touch it. Admission control
-    /// and backpressure may refuse with [`DpapiError::Rejected`] (see
-    /// the crate docs); a rejected transaction was never enqueued and
-    /// may be retried verbatim. An empty transaction completes
-    /// immediately (matching `pass_commit`'s no-op contract) without
-    /// consuming queue budget.
+    /// submission that fits the queue budget does not touch it. A
+    /// transaction bigger than a whole budget is refused with
+    /// [`DpapiError::Rejected`] (see the crate docs); it was never
+    /// enqueued. An empty transaction completes immediately (matching
+    /// `pass_commit`'s no-op contract) without consuming queue budget.
+    /// Nothing reads `_client` (see [`ClientId`]).
     pub fn submit(
         &mut self,
         layer: &mut dyn Dpapi,
-        client: ClientId,
+        _client: ClientId,
         txn: Txn,
     ) -> dpapi::Result<Ticket> {
         self.stats.submitted += 1;
         let (ops, bytes) = Self::cost_of(&txn);
-
-        // Admission control: per-client quotas reject regardless of
-        // the backpressure policy — an over-quota client must not
-        // stall others by blocking.
-        let quota = self.quota_of(client);
-        let (cl_ops, cl_bytes) = self.in_flight_of(client);
-        if cl_ops.saturating_add(ops) > quota.max_ops {
-            self.stats.rejected_quota_ops += 1;
-            return Err(DpapiError::Rejected(RejectReason::QuotaOps {
-                client: client.0,
-                in_flight: cl_ops,
-                limit: quota.max_ops,
-            }));
-        }
-        if cl_bytes.saturating_add(bytes) > quota.max_bytes {
-            self.stats.rejected_quota_bytes += 1;
-            return Err(DpapiError::Rejected(RejectReason::QuotaBytes {
-                client: client.0,
-                in_flight: cl_bytes,
-                limit: quota.max_bytes,
-            }));
-        }
 
         // Backpressure: the shared queue budget.
         let mut blocked = false;
         while self.queued_ops.saturating_add(ops) > self.cfg.max_queued_ops
             || self.queued_bytes.saturating_add(bytes) > self.cfg.max_queued_bytes
         {
-            let over_ops = self.queued_ops.saturating_add(ops) > self.cfg.max_queued_ops;
             // A transaction bigger than the whole budget can never
             // fit; draining an empty queue would spin forever.
-            let oversized = self.queue.is_empty();
-            if oversized || self.cfg.policy == BackpressurePolicy::Reject {
+            if self.queue.is_empty() {
+                let over_ops = ops > self.cfg.max_queued_ops;
                 let reason = if over_ops {
                     self.stats.rejected_queue_ops += 1;
                     RejectReason::QueueFullOps {
@@ -429,18 +343,14 @@ impl Sluice {
         if txn.is_empty() {
             // pass_commit of an empty txn is a no-op success; resolve
             // without consuming queue budget.
-            self.resolve(ticket, client, 0, 0, submitted_at, Ok(Vec::new()), None);
+            self.resolve(ticket, submitted_at, Ok(Vec::new()), None);
             return Ok(ticket);
         }
 
         self.queued_ops += ops;
         self.queued_bytes += bytes;
-        let fl = self.inflight.entry(client).or_insert((0, 0));
-        fl.0 += ops;
-        fl.1 += bytes;
         self.queue.push_back(Pending {
             ticket,
-            client,
             ops,
             bytes,
             submitted_at,
@@ -501,29 +411,13 @@ impl Sluice {
                 for p in frame {
                     let slice = results[off..off + p.ops].to_vec();
                     off += p.ops;
-                    self.resolve(
-                        p.ticket,
-                        p.client,
-                        p.ops,
-                        p.bytes,
-                        p.submitted_at,
-                        Ok(slice),
-                        trace,
-                    );
+                    self.resolve(p.ticket, p.submitted_at, Ok(slice), trace);
                 }
             }
             Err(err) if frame.len() == 1 => {
                 self.stats.aborted_frames += 1;
                 let p = frame.pop().expect("single-txn frame");
-                self.resolve(
-                    p.ticket,
-                    p.client,
-                    p.ops,
-                    p.bytes,
-                    p.submitted_at,
-                    Err(err),
-                    trace,
-                );
+                self.resolve(p.ticket, p.submitted_at, Err(err), trace);
             }
             Err(_) => {
                 // The merged frame aborted before applying anything
@@ -533,15 +427,7 @@ impl Sluice {
                 for p in frame {
                     self.stats.split_commits += 1;
                     let (outcome, trace) = self.commit_framed(layer, "flush-split", p.txn);
-                    self.resolve(
-                        p.ticket,
-                        p.client,
-                        p.ops,
-                        p.bytes,
-                        p.submitted_at,
-                        outcome,
-                        trace,
-                    );
+                    self.resolve(p.ticket, p.submitted_at, outcome, trace);
                 }
             }
         }
@@ -564,24 +450,13 @@ impl Sluice {
         (outcome, trace)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn resolve(
         &mut self,
         ticket: Ticket,
-        client: ClientId,
-        ops: usize,
-        bytes: usize,
         submitted_at: u64,
         outcome: Completion,
         trace: Option<TraceId>,
     ) {
-        if let Some(fl) = self.inflight.get_mut(&client) {
-            fl.0 -= ops;
-            fl.1 -= bytes;
-            if *fl == (0, 0) {
-                self.inflight.remove(&client);
-            }
-        }
         match &outcome {
             Ok(_) => self.stats.completed += 1,
             Err(_) => self.stats.failed += 1,

@@ -134,49 +134,6 @@ fn coalesce_ceiling_splits_frames_without_splitting_txns() {
 }
 
 #[test]
-fn reject_policy_refuses_past_capacity_with_typed_errors() {
-    let mut layer = StubLayer::default();
-    let mut s = Sluice::new(SluiceConfig {
-        max_queued_ops: 2,
-        max_queued_bytes: 1 << 20,
-        policy: BackpressurePolicy::Reject,
-        ..SluiceConfig::default()
-    });
-    s.submit(&mut layer, C, write_txn(1, 1)).unwrap();
-    s.submit(&mut layer, C, write_txn(2, 1)).unwrap();
-    let err = s.submit(&mut layer, C, write_txn(3, 1)).unwrap_err();
-    assert_eq!(
-        err,
-        DpapiError::Rejected(RejectReason::QueueFullOps {
-            queued: 2,
-            limit: 2
-        })
-    );
-    assert_eq!(layer.commits, 0, "Reject never drains on the submit path");
-
-    // Byte budget, independently.
-    let mut s = Sluice::new(SluiceConfig {
-        max_queued_ops: 1024,
-        max_queued_bytes: 10,
-        policy: BackpressurePolicy::Reject,
-        ..SluiceConfig::default()
-    });
-    s.submit(&mut layer, C, write_txn(1, 8)).unwrap();
-    let err = s.submit(&mut layer, C, write_txn(2, 8)).unwrap_err();
-    assert_eq!(
-        err,
-        DpapiError::Rejected(RejectReason::QueueFullBytes {
-            queued: 8,
-            limit: 10
-        })
-    );
-    // Capacity frees once the queue drains; the same txn then admits.
-    s.drain(&mut layer);
-    s.submit(&mut layer, C, write_txn(2, 8)).unwrap();
-    assert_eq!(s.stats().rejected_queue_bytes, 1);
-}
-
-#[test]
 fn block_policy_drains_inline_and_never_errors() {
     let mut layer = StubLayer::default();
     let mut s = Sluice::new(SluiceConfig {
@@ -197,83 +154,30 @@ fn block_policy_drains_inline_and_never_errors() {
     assert!(s.take(t3).unwrap().is_ok());
 }
 
+/// A transaction with more ops than the whole budget is refused, not
+/// blocked on. (The name predates `Block` becoming the only policy.)
 #[test]
 fn oversized_txn_is_rejected_under_both_policies() {
     let mut layer = StubLayer::default();
-    for policy in [BackpressurePolicy::Block, BackpressurePolicy::Reject] {
-        let mut s = Sluice::new(SluiceConfig {
-            max_queued_ops: 2,
-            policy,
-            ..SluiceConfig::default()
-        });
-        let mut txn = Txn::new();
-        for j in 0..3 {
-            txn.sync(Handle::from_raw(j));
-        }
-        let err = s.submit(&mut layer, C, txn).unwrap_err();
-        assert_eq!(
-            err,
-            DpapiError::Rejected(RejectReason::QueueFullOps {
-                queued: 0,
-                limit: 2
-            }),
-            "a txn that can never fit must not block forever"
-        );
+    let mut s = Sluice::new(SluiceConfig {
+        max_queued_ops: 2,
+        policy: BackpressurePolicy::Block,
+        ..SluiceConfig::default()
+    });
+    let mut txn = Txn::new();
+    for j in 0..3 {
+        txn.sync(Handle::from_raw(j));
     }
-}
-
-#[test]
-fn quota_exhaustion_rejects_only_the_over_quota_client() {
-    let mut layer = StubLayer::default();
-    let mut s = Sluice::new(SluiceConfig::default());
-    let greedy = ClientId(1);
-    let modest = ClientId(2);
-    s.set_quota(
-        greedy,
-        Quota {
-            max_ops: 2,
-            max_bytes: 100,
-        },
-    );
-    s.submit(&mut layer, greedy, write_txn(1, 1)).unwrap();
-    s.submit(&mut layer, greedy, write_txn(2, 1)).unwrap();
-    let err = s.submit(&mut layer, greedy, write_txn(3, 1)).unwrap_err();
+    let err = s.submit(&mut layer, C, txn).unwrap_err();
     assert_eq!(
         err,
-        DpapiError::Rejected(RejectReason::QuotaOps {
-            client: 1,
-            in_flight: 2,
+        DpapiError::Rejected(RejectReason::QueueFullOps {
+            queued: 0,
             limit: 2
-        })
+        }),
+        "a txn that can never fit must not block forever"
     );
-    // Another client is unaffected.
-    s.submit(&mut layer, modest, write_txn(4, 1)).unwrap();
-    assert_eq!(s.in_flight_of(greedy), (2, 2));
-
-    // Byte quota, typed.
-    s.set_quota(
-        modest,
-        Quota {
-            max_ops: 100,
-            max_bytes: 2,
-        },
-    );
-    let err = s.submit(&mut layer, modest, write_txn(5, 4)).unwrap_err();
-    assert_eq!(
-        err,
-        DpapiError::Rejected(RejectReason::QuotaBytes {
-            client: 2,
-            in_flight: 1,
-            limit: 2
-        })
-    );
-
-    // Quota budget is returned when the client's work commits.
-    s.drain(&mut layer);
-    assert_eq!(s.in_flight_of(greedy), (0, 0));
-    s.submit(&mut layer, greedy, write_txn(6, 1)).unwrap();
-    let st = s.stats();
-    assert_eq!((st.rejected_quota_ops, st.rejected_quota_bytes), (1, 1));
+    assert_eq!(layer.commits, 0);
 }
 
 #[test]

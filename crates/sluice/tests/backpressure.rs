@@ -1,8 +1,7 @@
-//! Backpressure and admission control over a **live machine**: the
-//! sluice's unit tests exercise the policies against a mock layer;
-//! these drive them through `libpass` into a real PASS volume, so
-//! Block-policy inline drains really commit and rejected submissions
-//! really leave no trace in the store.
+//! Backpressure over a **live machine**: the sluice's unit tests
+//! exercise it against a mock layer; these drive it through `libpass`
+//! into a real PASS volume, so inline drains really commit and refused
+//! submissions really leave no trace in the store.
 //!
 //! Everything here is deterministic — the typed [`RejectReason`]
 //! payloads are asserted exactly, not pattern-matched loosely.
@@ -10,7 +9,7 @@
 use dpapi::{Attribute, Bundle, DpapiError, Handle, ProvenanceRecord, RejectReason, Value};
 use passv2::{LibPass, System};
 use sim_os::proc::Pid;
-use sluice::{BackpressurePolicy, ClientId, Quota, Sluice, SluiceConfig, TicketStatus};
+use sluice::{BackpressurePolicy, ClientId, Sluice, SluiceConfig};
 
 struct Fixture {
     sys: System,
@@ -42,138 +41,6 @@ fn one_op_txn(app: Handle, bytes: usize) -> dpapi::Txn {
         txn.write(app, 0, vec![b'x'; bytes], Bundle::new());
     }
     txn
-}
-
-/// Reject policy: submissions past the shared op budget fail with the
-/// exact typed reason, the queue is untouched by the rejection, and a
-/// drain makes room for a resubmit.
-#[test]
-fn reject_policy_returns_exact_queue_full_error() {
-    let mut fx = fixture();
-    let mut pipe = Sluice::new(SluiceConfig {
-        max_queued_ops: 4,
-        coalesce_ops: 100,
-        policy: BackpressurePolicy::Reject,
-        ..SluiceConfig::default()
-    });
-    let client = ClientId(7);
-    let mut tickets = Vec::new();
-    for _ in 0..4 {
-        let mut layer = LibPass::new(&mut fx.sys.kernel, fx.pid);
-        tickets.push(
-            pipe.submit(&mut layer, client, one_op_txn(fx.app, 0))
-                .unwrap(),
-        );
-    }
-    assert_eq!(pipe.queue_depth(), 4);
-
-    // The fifth submission is refused, precisely.
-    let err = {
-        let mut layer = LibPass::new(&mut fx.sys.kernel, fx.pid);
-        pipe.submit(&mut layer, client, one_op_txn(fx.app, 0))
-            .unwrap_err()
-    };
-    assert_eq!(
-        err,
-        DpapiError::Rejected(RejectReason::QueueFullOps {
-            queued: 4,
-            limit: 4
-        })
-    );
-    // Rejection is side-effect free: nothing drained, nothing dropped.
-    assert_eq!(pipe.queue_depth(), 4);
-    assert_eq!(pipe.stats().rejected_queue_ops, 1);
-
-    // Draining clears the budget; a resubmit is admitted and commits.
-    let mut layer = LibPass::new(&mut fx.sys.kernel, fx.pid);
-    assert!(pipe.drain(&mut layer) >= 1);
-    let t = pipe
-        .submit(&mut layer, client, one_op_txn(fx.app, 0))
-        .unwrap();
-    pipe.wait(&mut layer, t).unwrap();
-    for t in tickets {
-        assert_eq!(pipe.poll(t), Some(TicketStatus::Done));
-    }
-}
-
-/// Reject policy, byte budget: the same exactness for payload bytes.
-#[test]
-fn reject_policy_returns_exact_queue_bytes_error() {
-    let mut fx = fixture();
-    let mut pipe = Sluice::new(SluiceConfig {
-        max_queued_ops: 1024,
-        max_queued_bytes: 100,
-        coalesce_ops: 100,
-        policy: BackpressurePolicy::Reject,
-        ..SluiceConfig::default()
-    });
-    let client = ClientId(1);
-    {
-        let mut layer = LibPass::new(&mut fx.sys.kernel, fx.pid);
-        pipe.submit(&mut layer, client, one_op_txn(fx.app, 80))
-            .unwrap();
-    }
-    let err = {
-        let mut layer = LibPass::new(&mut fx.sys.kernel, fx.pid);
-        pipe.submit(&mut layer, client, one_op_txn(fx.app, 40))
-            .unwrap_err()
-    };
-    assert_eq!(
-        err,
-        DpapiError::Rejected(RejectReason::QueueFullBytes {
-            queued: 80,
-            limit: 100
-        })
-    );
-}
-
-/// Quota exhaustion rejects with the typed per-client error — even
-/// under the Block policy — while an unthrottled client sails through.
-#[test]
-fn quota_exhaustion_is_typed_and_per_client() {
-    let mut fx = fixture();
-    let mut pipe = Sluice::new(SluiceConfig {
-        policy: BackpressurePolicy::Block,
-        ..SluiceConfig::default()
-    });
-    let (alice, bob) = (ClientId(1), ClientId(2));
-    pipe.set_quota(
-        alice,
-        Quota {
-            max_ops: 2,
-            max_bytes: usize::MAX,
-        },
-    );
-    for _ in 0..2 {
-        let mut layer = LibPass::new(&mut fx.sys.kernel, fx.pid);
-        pipe.submit(&mut layer, alice, one_op_txn(fx.app, 0))
-            .unwrap();
-    }
-    let err = {
-        let mut layer = LibPass::new(&mut fx.sys.kernel, fx.pid);
-        pipe.submit(&mut layer, alice, one_op_txn(fx.app, 0))
-            .unwrap_err()
-    };
-    assert_eq!(
-        err,
-        DpapiError::Rejected(RejectReason::QuotaOps {
-            client: 1,
-            in_flight: 2,
-            limit: 2
-        })
-    );
-    assert_eq!(pipe.stats().rejected_quota_ops, 1);
-    assert_eq!(pipe.in_flight_of(alice), (2, 0));
-
-    // Bob is unaffected by Alice's quota.
-    let mut layer = LibPass::new(&mut fx.sys.kernel, fx.pid);
-    let t = pipe.submit(&mut layer, bob, one_op_txn(fx.app, 0)).unwrap();
-    pipe.wait(&mut layer, t).unwrap();
-    // Alice's in-flight fell to zero with the drain; she may submit
-    // again.
-    assert_eq!(pipe.in_flight_of(alice), (0, 0));
-    pipe.submit(&mut layer, alice, one_op_txn(fx.app, 0))
-        .unwrap();
 }
 
 /// Block policy: submissions past the budget never error — they drain
@@ -213,18 +80,14 @@ fn block_policy_drains_inline_and_loses_nothing() {
 }
 
 /// A transaction larger than the whole queue budget can never fit:
-/// rejected under Block too, instead of blocking forever.
+/// refused under Block, instead of blocking forever — for the op
+/// budget and for the byte budget, each with its exact payload.
 #[test]
 fn oversized_txn_is_rejected_under_block() {
     let mut fx = fixture();
-    let mut pipe = Sluice::new(SluiceConfig {
-        max_queued_ops: 2,
-        policy: BackpressurePolicy::Block,
-        ..SluiceConfig::default()
-    });
-    let mut txn = dpapi::Txn::new();
+    let mut big_ops = dpapi::Txn::new();
     for _ in 0..3 {
-        txn.disclose(
+        big_ops.disclose(
             fx.app,
             Bundle::single(
                 fx.app,
@@ -232,13 +95,38 @@ fn oversized_txn_is_rejected_under_block() {
             ),
         );
     }
-    let mut layer = LibPass::new(&mut fx.sys.kernel, fx.pid);
-    let err = pipe.submit(&mut layer, ClientId(0), txn).unwrap_err();
-    assert_eq!(
-        err,
-        DpapiError::Rejected(RejectReason::QueueFullOps {
-            queued: 0,
-            limit: 2
-        })
-    );
+    let cases = [
+        (
+            SluiceConfig {
+                max_queued_ops: 2,
+                ..SluiceConfig::default()
+            },
+            big_ops,
+            RejectReason::QueueFullOps {
+                queued: 0,
+                limit: 2,
+            },
+        ),
+        (
+            SluiceConfig {
+                max_queued_bytes: 100,
+                ..SluiceConfig::default()
+            },
+            one_op_txn(fx.app, 101),
+            RejectReason::QueueFullBytes {
+                queued: 0,
+                limit: 100,
+            },
+        ),
+    ];
+    for (cfg, txn, reason) in cases {
+        let mut pipe = Sluice::new(SluiceConfig {
+            policy: BackpressurePolicy::Block,
+            ..cfg
+        });
+        let mut layer = LibPass::new(&mut fx.sys.kernel, fx.pid);
+        let err = pipe.submit(&mut layer, ClientId(0), txn).unwrap_err();
+        assert_eq!(err, DpapiError::Rejected(reason));
+        assert_eq!(pipe.queue_depth(), 0, "a refused txn is never enqueued");
+    }
 }

@@ -1,21 +1,22 @@
-//! The query caches, and what invalidates them.
+//! The query cache, and what invalidates it.
 //!
 //! Repeated provenance queries are heavily skewed: the same "where did
 //! this file come from" traversal runs again and again as users drill
 //! into a result (§3 of the paper runs the same ancestry query per
-//! object of interest). The store therefore memoizes traversal results
-//! in small LRU maps and invalidates them by what a commit changed, at
-//! pnode granularity.
+//! object of interest). The store therefore memoizes the reachability
+//! closures behind PQL's `label*` and `label+` steps in one small LRU
+//! map, and invalidates them by what a commit changed, at pnode
+//! granularity.
 //!
 //! A group commit *dirties* the subject pnode of every entry it applies
 //! and, as a *target* only, the ancestor pnode of every reverse edge it
-//! routes; a `DirtyLog` keeps them per commit. A cached entry goes
-//! stale when a later commit dirtied its key pnode or, for a closure, a
-//! member's pnode: as a subject in the ancestry direction (`ancestors`,
-//! forward closures, `out_edges`), either way in the descendant
-//! direction, which also reads reverse edges. Entries are checked at
-//! hit time against the commits since they were last valid, so ingest
-//! that extends the graph elsewhere keeps them.
+//! routes; a `DirtyLog` keeps them per commit. A cached closure goes
+//! stale when a later commit dirtied its start node's pnode or a
+//! member's pnode: as a subject for a forward (ancestry) closure,
+//! either way for an inverse (descendant) one, which also reads
+//! reverse edges. Entries are checked at hit time against the commits
+//! since they were last valid, so ingest that extends the graph
+//! elsewhere keeps them.
 //!
 //! [`LruMap`] follows the `sim_os::lru` idiom — an O(1)
 //! doubly-linked-list-over-`Vec` LRU with a slot free list — extended
@@ -25,6 +26,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
 use dpapi::{ObjectRef, Pnode, VolumeId};
+use pql::EdgeLabel;
 
 const NIL: usize = usize::MAX;
 
@@ -317,15 +319,15 @@ impl DirtyLog {
     }
 }
 
-/// One memoized traversal result and the log sequence it was last
-/// known valid at.
+/// One memoized closure and the log sequence it was last known valid
+/// at.
 #[derive(Clone, Debug, Default)]
 struct Entry {
     value: Vec<ObjectRef>,
     valid_at: u64,
 }
 
-/// Hit/miss counters for the ancestry cache, for experiments and
+/// Hit/miss counters for the closure cache, for experiments and
 /// tuning.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -339,39 +341,35 @@ pub struct CacheStats {
     pub invalidated: u64,
 }
 
-/// An LRU cache of traversal results, validated against a
-/// [`DirtyLog`]; a closure cache also watches its values' members.
-pub(crate) struct TraversalCache<K: Eq + Hash + Clone> {
-    lru: LruMap<K, Entry>,
-    closures: bool,
+/// What a closure is cached under: its start node, its edge label and
+/// whether it runs inverse (toward descendants).
+pub(crate) type ClosureKey = (ObjectRef, EdgeLabel, bool);
+
+/// An LRU cache of closures, each validated against a [`DirtyLog`] by
+/// its start node and its members.
+pub(crate) struct TraversalCache {
+    lru: LruMap<ClosureKey, Entry>,
     pub stats: CacheStats,
 }
 
-impl<K: Eq + Hash + Clone> TraversalCache<K> {
-    pub fn new(capacity: usize, closures: bool) -> Self {
+impl TraversalCache {
+    pub fn new(capacity: usize) -> Self {
         TraversalCache {
             lru: LruMap::new(capacity),
-            closures,
             stats: CacheStats::default(),
         }
     }
 
-    /// A still-valid cached value for `key`, a traversal from `p` (a
-    /// descendant one if `inv`). Stale entries are dropped and counted.
-    pub fn lookup(
-        &mut self,
-        key: &K,
-        p: Pnode,
-        inv: bool,
-        log: &DirtyLog,
-    ) -> Option<Vec<ObjectRef>> {
+    /// A still-valid cached closure for `key`. Stale entries are
+    /// dropped and counted.
+    pub fn lookup(&mut self, key: &ClosureKey, log: &DirtyLog) -> Option<Vec<ObjectRef>> {
         let Some(entry) = self.lru.get(key) else {
             self.stats.misses += 1;
             return None;
         };
-        let members = if self.closures { &entry.value[..] } else { &[] };
         if entry.valid_at != log.seq {
-            if !log.unchanged(entry.valid_at, p, inv, members) {
+            let (node, _, inverse) = key;
+            if !log.unchanged(entry.valid_at, node.pnode, *inverse, &entry.value) {
                 self.lru.remove(key);
                 self.stats.invalidated += 1;
                 self.stats.misses += 1;
@@ -383,8 +381,8 @@ impl<K: Eq + Hash + Clone> TraversalCache<K> {
         Some(entry.value.clone())
     }
 
-    /// Memoizes a value computed at the log's current sequence.
-    pub fn store(&mut self, key: K, value: Vec<ObjectRef>, log: &DirtyLog) {
+    /// Memoizes a closure computed at the log's current sequence.
+    pub fn store(&mut self, key: ClosureKey, value: Vec<ObjectRef>, log: &DirtyLog) {
         let valid_at = log.seq;
         self.lru.insert(key, Entry { value, valid_at });
     }
@@ -517,14 +515,15 @@ mod tests {
 
     #[test]
     fn traversal_cache_hits_until_a_member_changes() {
-        let mut c: TraversalCache<u32> = TraversalCache::new(8, true);
+        let mut c = TraversalCache::new(8);
         let mut log = DirtyLog::new(8);
-        c.store(7, vec![r(2), r(3)], &log);
-        assert_eq!(c.lookup(&7, p(1), false, &log), Some(vec![r(2), r(3)]));
+        let key = (r(1), EdgeLabel::Any, false);
+        c.store(key.clone(), vec![r(2), r(3)], &log);
+        assert_eq!(c.lookup(&key, &log), Some(vec![r(2), r(3)]));
         commit(&mut log, &[50], &[3]); // a target: not read forward
-        assert_eq!(c.lookup(&7, p(1), false, &log), Some(vec![r(2), r(3)]));
+        assert_eq!(c.lookup(&key, &log), Some(vec![r(2), r(3)]));
         commit(&mut log, &[3], &[]);
-        assert_eq!(c.lookup(&7, p(1), false, &log), None);
+        assert_eq!(c.lookup(&key, &log), None);
         assert_eq!(c.stats.hits, 2);
         assert_eq!(c.stats.invalidated, 1);
         assert_eq!(c.stats.misses, 1);

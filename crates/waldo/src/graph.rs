@@ -2,11 +2,12 @@
 //!
 //! Waldo "is also responsible for accessing the database on behalf of
 //! the query engine" (paper §5.6); this module is that access path.
-//! Edge expansions — the query evaluator's hot operation — go through
-//! the store's edge cache, validated against the pnodes each commit
-//! changed, so repeating an ancestry query after ingest elsewhere in
-//! the graph re-reads nothing; a cached result whose own pnodes
-//! changed is recomputed whole. Planner pushdown
+//! Edge expansions read the rows of the node's home shard directly. A
+//! whole `label*`/`label+` closure goes through the store's closure
+//! cache, validated against the pnodes each commit changed, so
+//! repeating an ancestry query after ingest elsewhere in the graph
+//! re-reads nothing; a cached closure whose own pnodes changed is
+//! recomputed whole. Planner pushdown
 //! ([`GraphSource::lookup_attr`]) answers sargable `where` predicates
 //! from the per-shard secondary indexes — name, type, and the
 //! generalized string-attribute index — instead of scanning
@@ -124,14 +125,6 @@ impl Store {
             }
         });
     }
-
-    fn edges(&self, node: ObjectRef, label: &EdgeLabel, inverse: bool) -> Vec<ObjectRef> {
-        self.edges_cached(node, label, !inverse, || {
-            let mut out = Vec::new();
-            self.neighbours(node, label, inverse, &mut out);
-            out
-        })
-    }
 }
 
 fn version_refs(p: Pnode, versions: &[VersionRow]) -> impl Iterator<Item = ObjectRef> + '_ {
@@ -167,11 +160,15 @@ impl GraphSource for Store {
     }
 
     fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
-        self.edges(node, label, false)
+        let mut out = Vec::new();
+        self.neighbours(node, label, false, &mut out);
+        out
     }
 
     fn in_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
-        self.edges(node, label, true)
+        let mut out = Vec::new();
+        self.neighbours(node, label, true, &mut out);
+        out
     }
 
     fn closure(&self, node: ObjectRef, label: &EdgeLabel, inverse: bool) -> Vec<ObjectRef> {

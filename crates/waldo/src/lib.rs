@@ -18,9 +18,9 @@
 //!   ingestion with **group commit** (one atomic apply per
 //!   [`store::WaldoConfig::ingest_batch`] entries, with per-log-file
 //!   replay marks for crash recovery), and fan-out queries;
-//! * [`cache`] — LRU caches for ancestry closures and per-node edge
-//!   expansions, validated at hit time against the pnodes each commit
-//!   changed;
+//! * [`cache`] — the LRU cache of PQL reachability closures
+//!   (`label*`/`label+` steps), validated at hit time against the
+//!   pnodes each commit changed;
 //! * [`daemon::Waldo`] — the polling process that drains rotated logs
 //!   into the store and unlinks each log only once fully committed
 //!   *and* covered by a checkpoint (when durably attached);
@@ -32,7 +32,7 @@
 //!   truncation and the cold-restart path
 //!   ([`daemon::Waldo::restart`]);
 //! * [`graph`] — the store as a [`pql::GraphSource`], with cached
-//!   edge expansion and index-backed predicate pushdown
+//!   closures and index-backed predicate pushdown
 //!   (`lookup_attr`), the fast path behind [`daemon::Waldo::query`];
 //! * [`cluster`] — the multi-daemon fan-in tier: N daemons each
 //!   consume their own distinct volumes (deterministic volume→member
@@ -48,6 +48,7 @@
 //! ```
 //! use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
 //! use lasagna::LogEntry;
+//! use pql::{EdgeLabel, GraphSource};
 //! use waldo::{ProvDb, WaldoConfig};
 //!
 //! let node = |n: u64| ObjectRef::new(Pnode::new(VolumeId(1), n), Version(0));
@@ -76,9 +77,12 @@
 //! let tainted = db.descendants(input);
 //! assert!(tainted.contains(&node(1)));
 //!
-//! // Repeating a traversal hits the ancestry cache.
-//! let _ = db.ancestors(ObjectRef::new(out, Version(0)));
-//! assert_eq!(db.cache_stats().hits, 1);
+//! // Repeating a `label*` closure, as PQL's `input*` step runs it,
+//! // hits the closure cache.
+//! let start = ObjectRef::new(out, Version(0));
+//! let first = db.closure(start, &EdgeLabel::Any, false);
+//! assert_eq!(db.closure(start, &EdgeLabel::Any, false), first);
+//! assert_eq!(db.closure_cache_stats().hits, 1);
 //! ```
 
 pub mod cache;

@@ -16,11 +16,11 @@
 //!   mutates only inside [`Store::commit_staged`], so a crash between
 //!   commits loses exactly the staged suffix and a restarted consumer
 //!   can replay a half-ingested log exactly once;
-//! * **query caches** — transitive `ancestors`/`descendants` closures,
-//!   labelled reachability closures and per-node edge lists are
-//!   memoized in LRU caches and validated at hit time against a log of
-//!   the pnodes each commit changed (`crate::cache`), so ingest evicts
-//!   only the cached results whose own pnodes it changed.
+//! * **the query cache** — labelled reachability closures (PQL's
+//!   `label*` and `label+` steps) are memoized in one LRU cache and
+//!   validated at hit time against a log of the pnodes each commit
+//!   changed (`crate::cache`), so ingest evicts only the cached
+//!   closures whose own pnodes it changed.
 //!
 //! Queries that existed on the old single-map `ProvDb` keep their
 //! exact semantics: point lookups route to one shard, index scans fan
@@ -35,13 +35,13 @@
 //! `merge`, …) takes `&mut self` and every reader takes `&self`. A
 //! commit therefore excludes all readers for its whole duration — the
 //! borrow checker, not a lock, is why no query can observe half of a
-//! cross-shard group. The three traversal caches are the one piece of
-//! interior mutability: memoizing reads go through `&self`, so the
-//! caches sit in `RefCell`s, and no cache borrow is held across a
-//! call back into the store.
+//! cross-shard group. The closure cache is the one piece of interior
+//! mutability: memoizing reads go through `&self`, so the cache sits
+//! in a `RefCell`, and no cache borrow is held across a call back into
+//! the store.
 //!
 //! This file holds routing, staging and group commit. The read API
-//! lives in `store/read.rs`, the memoized traversals in
+//! lives in `store/read.rs`, the memoized closure in
 //! `store/cached.rs`, and whole-store state in and out — checkpoint
 //! plumbing, restore, [`Store::merge`] — in `store/durable.rs`.
 
@@ -59,8 +59,6 @@ mod read;
 pub use durable::MergeError;
 pub(crate) use read::EdgeKind;
 
-use cached::{AncestryKey, EdgeKey};
-
 use crate::cache::{CacheStats, DirtyLog, TraversalCache};
 use crate::db::IngestStats;
 use crate::delta::DeltaGroups;
@@ -76,8 +74,8 @@ pub struct WaldoConfig {
     /// Entries per group commit while draining logs. `1` reproduces
     /// the record-at-a-time daemon of the original system.
     pub ingest_batch: usize,
-    /// Capacity of each query cache (ancestry closures and edge
-    /// lists); `0` disables caching.
+    /// Capacity of the query cache, in memoized reachability closures
+    /// (PQL `label*`/`label+` steps); `0` disables caching.
     pub ancestry_cache: usize,
     /// Publish a checkpoint every this many group commits (`0`
     /// disables the commit-count trigger). Checkpoints only happen on
@@ -252,14 +250,10 @@ pub struct Store {
     commit_seq: u64,
     /// Writer-owned bookkeeping.
     meta: StoreMeta,
-    /// Memoized ancestry/descendant closures.
-    ancestry_cache: RefCell<TraversalCache<AncestryKey>>,
-    /// Memoized per-node labelled edge lists (the PQL hot path).
-    edge_cache: RefCell<TraversalCache<EdgeKey>>,
-    /// Memoized whole reachability closures, keyed like edge lists —
-    /// what repeated PQL `label*`/`label+` queries hit.
-    closure_cache: RefCell<TraversalCache<EdgeKey>>,
-    /// What recent commits changed, which the caches validate against.
+    /// Memoized whole reachability closures — what repeated PQL
+    /// `label*`/`label+` queries hit.
+    closure_cache: RefCell<TraversalCache>,
+    /// What recent commits changed, which the cache validates against.
     dirty: DirtyLog,
     /// Which shards can hold a NAME or application-attribute key.
     keys: KeyFilter,
@@ -322,9 +316,7 @@ impl Store {
                 bucket_scratch: (0..n).map(|_| Vec::new()).collect(),
                 delta: None,
             },
-            ancestry_cache: RefCell::new(TraversalCache::new(cap, true)),
-            edge_cache: RefCell::new(TraversalCache::new(cap, false)),
-            closure_cache: RefCell::new(TraversalCache::new(cap, true)),
+            closure_cache: RefCell::new(TraversalCache::new(cap)),
             dirty: DirtyLog::new(cap),
             keys: KeyFilter::default(),
         }
@@ -378,14 +370,10 @@ impl Store {
     /// Exports nothing (see [`Store::contention_stats`]).
     pub fn export_contention(&self, _prefix: &str, _reg: &mut provscope::Registry) {}
 
-    /// Ancestry-closure cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.ancestry_cache.borrow().stats
-    }
-
-    /// Edge-list cache counters (the PQL hot path).
+    /// Always zero: edge lists are not cached. Kept only because the
+    /// frozen `ledger/` benchmark calls it (see [`ContentionStats`]).
     pub fn edge_cache_stats(&self) -> CacheStats {
-        self.edge_cache.borrow().stats
+        CacheStats::default()
     }
 
     /// Closure cache counters (repeated PQL `label*`/`label+` steps).

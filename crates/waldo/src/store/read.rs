@@ -199,13 +199,60 @@ impl Store {
         self.edges_of(r, true)
     }
 
+    /// Every ancestor of `r` — transitive closure over inputs (the
+    /// anomaly-tracing query of §3.1), sorted. This is
+    /// `GraphSource::closure(r, &EdgeLabel::Any, false)` plus `r`
+    /// itself when `r` lies on an ancestry cycle (see
+    /// [`Store::input_cycle`]): the closure never lists its start.
+    pub fn ancestors(&self, r: ObjectRef) -> Vec<ObjectRef> {
+        let mut seen: HashSet<ObjectRef> = HashSet::new();
+        let mut work = vec![r];
+        while let Some(x) = work.pop() {
+            self.for_each_edge(x, false, |_, a| {
+                if seen.insert(a) {
+                    work.push(a);
+                }
+            });
+        }
+        let mut out: Vec<ObjectRef> = seen.into_iter().collect();
+        out.sort();
+        out
+    }
+
+    /// Every descendant of `p` at any version — the transitive
+    /// closure over outputs (the malware-spread query of §3.2), sorted.
+    pub fn descendants(&self, p: Pnode) -> Vec<ObjectRef> {
+        let mut seen: HashSet<ObjectRef> = HashSet::new();
+        // Roots: every version of p recorded as a subject, plus every
+        // version of p some other object referenced as an ancestor
+        // (objects only ever seen as ancestors have no entry).
+        let home = self.home(p);
+        let recorded = home.versions(p).unwrap_or_default().iter();
+        let referenced = home.reverse(p).map(|(_, _, av)| av);
+        let roots: HashSet<ObjectRef> = (recorded.map(|v| Version(v.number)))
+            .chain(referenced)
+            .map(|v| ObjectRef::new(p, v))
+            .collect();
+        let mut work: Vec<ObjectRef> = roots.iter().copied().collect();
+        while let Some(r) = work.pop() {
+            self.for_each_edge(r, true, |_, d| {
+                if seen.insert(d) {
+                    work.push(d);
+                }
+            });
+        }
+        let mut out: Vec<ObjectRef> = seen.into_iter().filter(|r| !roots.contains(r)).collect();
+        out.sort();
+        out
+    }
+
     /// A shortest cycle of the ancestry graph, or `None` if it is
-    /// acyclic — as the paper's layering argument says it must be:
-    /// `GraphSource::closure` relies on it, and a version in its own
-    /// ancestry is a causal impossibility. The nodes are the `(pnode,
-    /// version)` refs the shards record and what their edges reach;
-    /// the edges are every recorded ancestry edge plus the implicit one
-    /// from a version to its predecessor, which is what `input*` walks.
+    /// acyclic — as the paper's layering argument says it must be: a
+    /// version in its own ancestry is a causal impossibility. The
+    /// nodes are the `(pnode, version)` refs the shards record and what
+    /// their edges reach; the edges are every recorded ancestry edge
+    /// plus the implicit one from a version to its predecessor, which
+    /// is what `input*` walks.
     /// Tarjan's algorithm finds the first strongly connected component
     /// that holds a cycle, and the cycle returned is a shortest one
     /// through its members, in edge order from its least ref: each ref
