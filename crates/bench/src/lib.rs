@@ -170,6 +170,12 @@ pub struct Measurement {
 
 /// Runs `workload` on a fresh machine for `cfg` and measures it.
 pub fn measure(cfg: Config, workload: &dyn Workload) -> Measurement {
+    measure_with_store(cfg, workload).0
+}
+
+/// [`measure`], also handing back the Waldo store the run built to
+/// size the database (`None` for a configuration without provenance).
+pub fn measure_with_store(cfg: Config, workload: &dyn Workload) -> (Measurement, Option<ProvDb>) {
     let mut m = build(cfg);
     let report = timed_run(workload, &mut m.kernel, m.driver, "/").expect("workload run");
     let data_bytes = m.kernel.stats().bytes_written;
@@ -178,7 +184,7 @@ pub fn measure(cfg: Config, workload: &dyn Workload) -> Measurement {
     // daemon runs durably (WAL + checkpoints at `/waldo-db`) so the
     // checkpoint counters are real, then answers a canned ancestry
     // pass twice to exercise the closure cache.
-    let (db_bytes, index_bytes, ops) = if cfg == Config::PassV2 {
+    let (db_bytes, index_bytes, ops, store) = if cfg == Config::PassV2 {
         let waldo_pid = m.kernel.spawn_init("waldo");
         if let Some(p) = &m.pass {
             p.exempt(waldo_pid);
@@ -192,7 +198,12 @@ pub fn measure(cfg: Config, workload: &dyn Workload) -> Measurement {
         w.poll_volume(&mut m.kernel, sim_os::proc::MountId(0), "/");
         let s = w.db.size();
         let ops = ops_report(&w);
-        (s.db_bytes, s.index_bytes, ops)
+        (
+            s.db_bytes,
+            s.index_bytes,
+            ops,
+            Some(std::mem::take(&mut w.db)),
+        )
     } else if cfg == Config::PaNfs {
         let mut db = ProvDb::new();
         if let Some(server) = &m.server {
@@ -206,18 +217,19 @@ pub fn measure(cfg: Config, workload: &dyn Workload) -> Measurement {
             effective_shards: db.config().effective_shards(),
             ..WaldoOps::default()
         };
-        (s.db_bytes, s.index_bytes, ops)
+        (s.db_bytes, s.index_bytes, ops, Some(db))
     } else {
-        (0, 0, WaldoOps::default())
+        (0, 0, WaldoOps::default(), None)
     };
 
-    Measurement {
+    let measurement = Measurement {
         elapsed_s: report.elapsed_ns as f64 / NANOS_PER_SEC as f64,
         data_bytes,
         db_bytes,
         index_bytes,
         ops,
-    }
+    };
+    (measurement, store)
 }
 
 /// Runs the canned query pass — the ancestry of the first 64 objects

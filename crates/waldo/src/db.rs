@@ -182,7 +182,6 @@ mod tests {
             prov(r(2, 0), Attribute::Type, Value::str("PROC")),
         ]);
         assert_eq!(db.find_by_name("/data/out.gif"), vec![p(1)]);
-        assert_eq!(db.find_by_name_suffix("out.gif"), vec![p(1)]);
         assert_eq!(db.find_by_type("PROC"), vec![p(2)]);
         assert!(db.find_by_name("missing").is_empty());
     }

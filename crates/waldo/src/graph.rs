@@ -15,12 +15,16 @@
 //! finds its root with one hash of the name into the store's key
 //! filter and one B-tree descent per shard the filter flags, usually
 //! one, instead of reading every object of the class. A TYPE or
-//! prefix lookup descends the index of every shard.
+//! prefix lookup descends the index of every shard. The index lists
+//! slots, so the candidates are read where they lie, without a probe
+//! of the pnode map; a projected column
+//! ([`GraphSource::attr_column`]) skips that probe too wherever the
+//! slot after the last one it read on a shard holds the next node.
 
 use dpapi::{Attribute, ObjectRef, Pnode, Value, Version};
 use pql::{AttrLookup, AttrPredicate, EdgeLabel, GraphSource};
 
-use crate::shard::{Shard, ValueRef, VersionRow};
+use crate::shard::{Keyed, Shard, ValueRef, VersionRow};
 use crate::store::{EdgeKind, Store};
 
 fn edge_matches(label: &EdgeLabel, edge: EdgeKind<'_>) -> bool {
@@ -133,19 +137,16 @@ fn version_refs(p: Pnode, versions: &[VersionRow]) -> impl Iterator<Item = Objec
 
 impl GraphSource for Store {
     fn class_members(&self, class: &str) -> Vec<ObjectRef> {
-        let pnodes = if class.eq_ignore_ascii_case("obj") {
-            self.all_pnodes()
-        } else {
-            self.find_by_type(&class.to_ascii_uppercase())
-        };
         let mut out = Vec::new();
-        for p in pnodes {
-            out.extend(
-                self.home(p)
-                    .versions(p)
-                    .into_iter()
-                    .flat_map(|v| version_refs(p, v)),
-            );
+        if class.eq_ignore_ascii_case("obj") {
+            for shard in (0..self.shard_count()).map(|i| self.shard(i)) {
+                out.extend(shard.objects().flat_map(|(p, v)| version_refs(p, v)));
+            }
+        } else {
+            let ty = class.to_ascii_uppercase();
+            self.scan_index(Keyed::Type, &ty, false, |_, shard, slot| {
+                out.extend(version_refs(shard.pnode_at(slot), shard.versions_at(slot)))
+            });
         }
         out.sort();
         out
@@ -157,6 +158,33 @@ impl GraphSource for Store {
         let shard = self.home(node.pnode);
         let versions = shard.versions(node.pnode);
         with_attr(shard, versions, node, name, |v| v.map(ValueRef::to_value))
+    }
+
+    /// [`GraphSource::attr`] down a column, without a map probe where
+    /// a neighbour's slot says where the node's object is. One build
+    /// step's objects get consecutive pnodes and are stored in
+    /// consecutive slots of their shard, so in a sorted column the
+    /// next node homed on a shard is usually the object in the slot
+    /// after the last one read there. The hint is taken only when the
+    /// pnode stored in that slot is the node's
+    /// (`Shard::slot_near`), so an out-of-order column or a forged
+    /// pnode costs a probe, never a wrong row.
+    fn attr_column(&self, nodes: &[ObjectRef], name: &str, out: &mut Vec<Option<Value>>) {
+        // The last slot read on each shard (at most 64).
+        let mut last = [u32::MAX; 64];
+        out.reserve(nodes.len());
+        for &node in nodes {
+            let i = self.shard_of(node.pnode);
+            let shard = self.shard(i);
+            let slot = shard.slot_near(last[i], node.pnode);
+            if let Some(slot) = slot {
+                last[i] = slot;
+            }
+            let versions = slot.map(|s| shard.versions_at(s));
+            out.push(with_attr(shard, versions, node, name, |v| {
+                v.map(ValueRef::to_value)
+            }));
+        }
     }
 
     fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
@@ -180,43 +208,56 @@ impl GraphSource for Store {
     /// Index-backed predicate pushdown: equality and prefix lookups
     /// on NAME, TYPE and any string application attribute answer from
     /// the per-shard secondary indexes instead of scanning
-    /// `class_members`. The narrow candidate set is then verified
-    /// per version-ref against the exact scan semantics (`attr` +
+    /// `class_members`. Each slot the index walk yields is checked
+    /// against the class's posting on its shard and then verified per
+    /// version-ref against the exact scan semantics (`attr` +
     /// predicate), so the result is identical to the default's —
     /// same refs, same sorted order — just without the scan.
     fn lookup_attr(&self, class: &str, attr: &str, pred: &AttrPredicate) -> AttrLookup {
-        let is = |known: &str| attr.eq_ignore_ascii_case(known);
-        // Application attributes are stored (and indexed) under their
-        // canonical upper-case record name.
-        let upper = || attr.to_ascii_uppercase();
-        let pnodes = match pred {
-            AttrPredicate::Eq(Value::Str(s)) if is("name") => self.find_by_name(s),
-            AttrPredicate::Eq(Value::Str(s)) if is("type") => self.find_by_type(s),
-            AttrPredicate::Eq(Value::Str(s)) => self.find_by_attr(&upper(), s),
-            AttrPredicate::LikePrefix(p) if is("name") => self.find_by_name_prefix(p),
-            AttrPredicate::LikePrefix(p) if is("type") => self.find_by_type_prefix(p),
-            AttrPredicate::LikePrefix(p) => self.find_by_attr_prefix(&upper(), p),
+        let (key, prefix) = match pred {
+            AttrPredicate::Eq(Value::Str(s)) => (s, false),
+            AttrPredicate::LikePrefix(p) => (p, true),
             // Non-string equality (pnode/version/volume pseudo-attrs,
             // integer app attributes): no index covers it, so fall
             // back to the trait's scan-based behavior (the one shared
             // copy of the scan semantics).
             AttrPredicate::Eq(_) => return pql::plan::scan_lookup(self, class, attr, pred),
         };
+        let is = |known: &str| attr.eq_ignore_ascii_case(known);
+        // Application attributes are stored (and indexed) under their
+        // canonical upper-case record name.
+        let upper;
+        let keyed = if is("name") {
+            Keyed::Name
+        } else if is("type") {
+            Keyed::Type
+        } else {
+            upper = attr.to_ascii_uppercase();
+            Keyed::Attr(&upper)
+        };
         let class_upper = class.to_ascii_uppercase();
         let any_class = class.eq_ignore_ascii_case("obj");
+        // The class's posting on the shard the scan is in.
+        let mut members = (usize::MAX, None);
         let mut nodes = Vec::new();
-        for p in pnodes {
-            let shard = self.home(p);
-            let class = shard.type_index.get(class_upper.as_str());
-            let in_class = any_class || class.is_some_and(|ps| shard.lists(ps, p));
-            let Some(versions) = shard.versions(p).filter(|_| in_class) else {
-                continue;
-            };
-            let matching = version_refs(p, versions)
+        self.scan_index(keyed, key, prefix, |i, shard, slot| {
+            if !any_class {
+                if members.0 != i {
+                    members = (i, shard.type_index.get(class_upper.as_str()));
+                }
+                let member = members.1.is_some_and(|ps| ps.binary_search(&slot).is_ok());
+                if !member {
+                    return;
+                }
+            }
+            let versions = shard.versions_at(slot);
+            let matching = version_refs(shard.pnode_at(slot), versions)
                 .filter(|r| with_attr(shard, Some(versions), *r, attr, |v| satisfies(pred, v)));
             nodes.extend(matching);
-        }
+        });
+        // An object listed under two matching keys was verified twice.
         nodes.sort();
+        nodes.dedup();
         AttrLookup {
             nodes,
             indexed: true,

@@ -15,9 +15,9 @@
 //! wrote sits in neighbouring memory and a query over it reads rows
 //! rather than chasing pointers:
 //!
-//! * `slots` maps a pnode to its object: its slot in `objects`, the
-//!   pnode array in first-seen order, and its versions — a short run
-//!   of `versions`, sorted by number;
+//! * `objects` holds one row per object, by slot, in first-seen
+//!   order: its pnode and its versions — a short run of `versions`,
+//!   sorted by number — and `slots` maps a pnode to its slot;
 //! * each version owns a run of `attrs` and a run of `inputs`, both in
 //!   record order;
 //! * reverse edges are per-ancestor runs of `reverse_rows`;
@@ -30,7 +30,8 @@
 //!   once: the index key it files under and the attribute rows that
 //!   carry it share one allocation.
 //!
-//! The indexes hold slots. They are ordered maps keyed by the interned
+//! The indexes hold slots, so a reader that holds a slot reads its
+//! object without a probe. They are ordered maps keyed by the interned
 //! strings, so prefix queries stay range scans. None of this reaches
 //! the disk: `crate::segment` writes the same canonical bytes whatever
 //! the layout.
@@ -98,11 +99,11 @@ fn push<T: Clone>(all: &mut Vec<T>, run: &mut Run, row: T) {
     run.len += 1;
 }
 
-/// An object homed on this shard: its slot in `Shard::objects` and
-/// its run of `Shard::versions`.
+/// An object homed on this shard: its pnode and its run of
+/// `Shard::versions`.
 #[derive(Clone, Copy, Debug)]
 struct Object {
-    slot: u32,
+    pnode: Pnode,
     versions: Run,
 }
 
@@ -170,11 +171,11 @@ impl<'a> ValueRef<'a> {
 /// One hash partition of the store.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
-    /// pnode → its object. The standard hasher: pnodes arrive in
-    /// client-written logs.
-    slots: HashMap<Pnode, Object>,
-    /// The pnodes homed on this shard, by slot: first-seen order.
-    objects: Vec<Pnode>,
+    /// pnode → its slot in `objects`. The standard hasher: pnodes
+    /// arrive in client-written logs.
+    slots: HashMap<Pnode, u32>,
+    /// The objects homed on this shard, by slot: first-seen order.
+    objects: Vec<Object>,
     versions: Vec<VersionRow>,
     attrs: Vec<AttrRow>,
     inputs: Vec<Edge>,
@@ -282,8 +283,8 @@ impl Shard {
     /// their data-write accounting, the indexes and reverse runs
     /// union, and the footprints add.
     pub fn merge_from(&mut self, src: &Shard) {
-        for &p in &src.objects {
-            for row in src.versions(p).unwrap_or_default() {
+        for (p, versions) in src.objects() {
+            for row in versions {
                 let (slot, v) = self.version(p, row.number);
                 for (attr, value) in src.attrs(row) {
                     self.add_attr(slot, v, attr, value);
@@ -307,17 +308,17 @@ impl Shard {
     /// and the index in `versions` of its version `number`, inserted in
     /// order if new.
     pub fn version(&mut self, pnode: Pnode, number: u32) -> (u32, usize) {
-        let next = self.objects.len() as u32;
-        let obj = self.slots.entry(pnode).or_insert(Object {
-            slot: next,
-            versions: Run::default(),
+        let objects = &mut self.objects;
+        let slot = *self.slots.entry(pnode).or_insert_with(|| {
+            objects.push(Object {
+                pnode,
+                versions: Run::default(),
+            });
+            objects.len() as u32 - 1
         });
-        if obj.slot == next {
-            self.objects.push(pnode);
-        }
-        let run = &mut obj.versions;
+        let run = &mut objects[slot as usize].versions;
         let at = match rows(&self.versions, *run).binary_search_by_key(&number, |v| v.number) {
-            Ok(at) => return (obj.slot, run.start as usize + at),
+            Ok(at) => return (slot, run.start as usize + at),
             Err(at) => at,
         };
         let row = VersionRow {
@@ -327,7 +328,7 @@ impl Shard {
         push(&mut self.versions, run, row);
         let start = run.start as usize;
         self.versions[start + at..start + run.len as usize].rotate_right(1);
-        (obj.slot, start + at)
+        (slot, start + at)
     }
 
     /// Appends an ancestry edge to version row `v`.
@@ -413,21 +414,48 @@ impl Shard {
         self.objects.len()
     }
 
-    /// Every pnode homed here, in first-seen order.
-    pub fn pnodes(&self) -> impl Iterator<Item = Pnode> + '_ {
-        self.objects.iter().copied()
+    /// Every object homed here with its versions, ascending, in slot
+    /// (first-seen) order.
+    pub fn objects(&self) -> impl Iterator<Item = (Pnode, &[VersionRow])> + '_ {
+        (self.objects.iter()).map(|o| (o.pnode, rows(&self.versions, o.versions)))
+    }
+
+    /// `p`'s slot; `None` if `p` is not homed here.
+    pub fn slot(&self, p: Pnode) -> Option<u32> {
+        self.slots.get(&p).copied()
+    }
+
+    /// `p`'s slot, tried first at `after + 1` — where the next object
+    /// of one build step sits when `after` is the last slot read — and
+    /// taken there only when the pnode stored in it is `p`; otherwise
+    /// probed. The hint never changes the answer, only whether the map
+    /// is probed.
+    pub fn slot_near(&self, after: u32, p: Pnode) -> Option<u32> {
+        let next = after.wrapping_add(1);
+        match self.objects.get(next as usize) {
+            Some(o) if o.pnode == p => Some(next),
+            _ => self.slot(p),
+        }
+    }
+
+    /// The pnode in `slot`.
+    pub fn pnode_at(&self, slot: u32) -> Pnode {
+        self.objects[slot as usize].pnode
+    }
+
+    /// The versions of the object in `slot`, ascending.
+    pub fn versions_at(&self, slot: u32) -> &[VersionRow] {
+        rows(&self.versions, self.objects[slot as usize].versions)
     }
 
     /// `p`'s versions, ascending; `None` if `p` is not homed here.
     pub fn versions(&self, p: Pnode) -> Option<&[VersionRow]> {
-        Some(rows(&self.versions, self.slots.get(&p)?.versions))
+        Some(self.versions_at(self.slot(p)?))
     }
 
     /// Every object with its versions, in pnode order.
     pub fn sorted_objects(&self) -> Vec<(Pnode, &[VersionRow])> {
-        let mut out: Vec<_> = (self.slots.iter())
-            .map(|(p, o)| (*p, rows(&self.versions, o.versions)))
-            .collect();
+        let mut out: Vec<_> = self.objects().collect();
         out.sort_unstable_by_key(|o| o.0);
         out
     }
@@ -476,31 +504,18 @@ impl Shard {
             .map(|(e, aversion)| (e.to, &ANCESTRY[e.label as usize], *aversion))
     }
 
-    /// The pnodes `index` lists under `key`.
-    pub fn listed<'a>(&'a self, index: &'a Index, key: &str) -> impl Iterator<Item = Pnode> + 'a {
-        index.get(key).into_iter().flat_map(|ps| self.postings(ps))
-    }
-
-    /// The pnodes `index` lists under every key that starts with
-    /// `prefix` — a range scan.
-    pub fn listed_from<'a>(
-        &'a self,
-        index: &'a Index,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = Pnode> + 'a {
-        let keys = index.range::<str, _>((Bound::Included(prefix), Bound::Unbounded));
-        let keys = keys.take_while(move |(k, _)| k.starts_with(prefix));
-        keys.flat_map(|(_, ps)| self.postings(ps))
+    /// The index a lookup on `keyed` reads, if this shard has one.
+    pub fn index(&self, keyed: Keyed<'_>) -> Option<&Index> {
+        match keyed {
+            Keyed::Name => Some(&self.name_index),
+            Keyed::Type => Some(&self.type_index),
+            Keyed::Attr(attr) => self.attr_index.get(attr),
+        }
     }
 
     /// The pnodes a posting of this shard lists, in slot order.
     pub fn postings<'a>(&'a self, posting: &'a Posting) -> impl Iterator<Item = Pnode> + 'a {
-        posting.iter().map(|s| self.objects[*s as usize])
-    }
-
-    /// Whether `posting` lists `p`.
-    pub fn lists(&self, posting: &Posting, p: Pnode) -> bool {
-        (self.slots.get(&p)).is_some_and(|o| posting.binary_search(&o.slot).is_ok())
+        posting.iter().map(|s| self.pnode_at(*s))
     }
 
     /// An owned copy of `p`'s object, every version and attribute.
@@ -554,6 +569,35 @@ impl Shard {
         let indexes = index(&self.name_index) + index(&self.type_index) + attr_index;
         rows + edges + maps + names + values + indexes
     }
+}
+
+/// Which index an attribute lookup reads: NAME's, TYPE's, or the
+/// generalized index's entry for an application attribute, by its
+/// canonical record name.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Keyed<'a> {
+    Name,
+    Type,
+    Attr(&'a str),
+}
+
+/// The postings of `index` under `key` — or, for a `prefix` lookup,
+/// under every key that starts with `key` — in key order: one range
+/// scan either way.
+pub(crate) fn postings_under<'a>(
+    index: &'a Index,
+    key: &'a str,
+    prefix: bool,
+) -> impl Iterator<Item = &'a Posting> + 'a {
+    let keys = index.range::<str, _>((Bound::Included(key), Bound::Unbounded));
+    keys.take_while(move |(k, _)| {
+        if prefix {
+            k.starts_with(key)
+        } else {
+            k[..] == *key
+        }
+    })
+    .map(|(_, posting)| posting)
 }
 
 /// An object's highest version: the last of its sorted run.

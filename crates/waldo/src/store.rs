@@ -347,7 +347,8 @@ impl Store {
         &self.shards[self.shard_of(p)]
     }
 
-    /// Shard `i` — the checkpoint writer's access path.
+    /// Shard `i` — the checkpoint writer's and a projected column's
+    /// access path.
     pub(crate) fn shard(&self, i: usize) -> &Shard {
         &self.shards[i]
     }

@@ -7,7 +7,7 @@ use dpapi::{Attribute, ObjectRef, Pnode, Version};
 
 use super::{keys, Store};
 use crate::db::{DbSize, ObjectEntry};
-use crate::shard::Shard;
+use crate::shard::{postings_under, Keyed, Shard};
 
 /// What labels one edge [`Store::for_each_edge`] visits.
 #[derive(Clone, Copy, Debug)]
@@ -54,79 +54,90 @@ impl Store {
 
     /// Every known pnode (unordered).
     pub fn all_pnodes(&self) -> Vec<Pnode> {
-        self.shards.iter().flat_map(Shard::pnodes).collect()
+        let objects = self.shards.iter().flat_map(Shard::objects);
+        objects.map(|(p, _)| p).collect()
     }
 
-    /// The pnodes `f` picks out of every shard, merged in pnode order
-    /// without duplicates — every index scan's fan-out.
-    fn gather<'a, I>(&'a self, f: impl FnMut(&'a Shard) -> I) -> Vec<Pnode>
-    where
-        I: Iterator<Item = Pnode>,
-    {
-        merged(self.shards.iter().flat_map(f))
+    /// Every `(shard index, shard, slot)` the `keyed` index lists
+    /// under `key` — or, for a `prefix` lookup, under every key that
+    /// starts with `key` — shard by shard, in key then slot order, an
+    /// object listed under two matching keys twice. This is the one
+    /// index walk behind every attribute lookup: the planner's
+    /// pushdown verifies the slots where they lie, the `find_by_*`
+    /// lookups project them to pnodes. An exact NAME or
+    /// application-attribute lookup descends only the shards the key
+    /// filter flags; a TYPE or prefix lookup descends every shard.
+    pub(crate) fn scan_index<'a>(
+        &'a self,
+        keyed: Keyed<'_>,
+        key: &str,
+        prefix: bool,
+        mut f: impl FnMut(usize, &'a Shard, u32),
+    ) {
+        let bits = match keyed {
+            _ if prefix => u8::MAX,
+            Keyed::Type => u8::MAX,
+            Keyed::Name => self.keys.probe(keys::NAME.as_str(), key),
+            Keyed::Attr(attr) => self.keys.probe(attr, key),
+        };
+        for (i, shard) in self.shards.iter().enumerate() {
+            let Some(index) = shard.index(keyed).filter(|_| bits & (1 << (i % 8)) != 0) else {
+                continue;
+            };
+            for posting in postings_under(index, key, prefix) {
+                for &slot in posting {
+                    f(i, shard, slot);
+                }
+            }
+        }
     }
 
-    /// The shards whose index can hold key `attr = value`: those the
-    /// key filter flags, a superset of those that hold it.
-    fn holding<'a>(&'a self, attr: &str, value: &str) -> impl Iterator<Item = &'a Shard> {
-        let bits = self.keys.probe(attr, value);
-        (self.shards.iter().enumerate())
-            .filter(move |(i, _)| bits & (1 << (i % 8)) != 0)
-            .map(|(_, s)| s)
+    /// The pnodes [`Store::scan_index`] visits, in pnode order without
+    /// duplicates.
+    fn find(&self, keyed: Keyed<'_>, key: &str, prefix: bool) -> Vec<Pnode> {
+        let mut out = Vec::new();
+        self.scan_index(keyed, key, prefix, |_, shard, slot| {
+            out.push(shard.pnode_at(slot))
+        });
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
-    /// Objects that ever bore `name` — exact match, merged across the
-    /// shards the key filter flags, in pnode order.
+    /// Objects that ever bore `name` — exact match, in pnode order.
     pub fn find_by_name(&self, name: &str) -> Vec<Pnode> {
-        merged(
-            (self.holding(keys::NAME.as_str(), name)).flat_map(|s| s.listed(&s.name_index, name)),
-        )
+        self.find(Keyed::Name, name, false)
     }
 
-    /// Objects whose NAME ends with `suffix` (e.g. a file name without
-    /// its directory).
-    pub fn find_by_name_suffix(&self, suffix: &str) -> Vec<Pnode> {
-        self.gather(|s| {
-            s.name_index
-                .iter()
-                .filter(|(n, _)| n.ends_with(suffix))
-                .flat_map(|(_, ps)| s.postings(ps))
-        })
-    }
-
-    /// Objects of TYPE `ty`, merged across shards in pnode order.
+    /// Objects of TYPE `ty`, in pnode order.
     pub fn find_by_type(&self, ty: &str) -> Vec<Pnode> {
-        self.gather(|s| s.listed(&s.type_index, ty))
+        self.find(Keyed::Type, ty, false)
     }
 
     /// Objects whose NAME starts with `prefix` — a range scan over
-    /// each shard's ordered name index (no attribute reads), merged
-    /// in pnode order. Serves PQL `name like 'prefix*'` pushdown.
+    /// each shard's ordered name index (no attribute reads), in pnode
+    /// order. Serves PQL `name like 'prefix*'` pushdown.
     pub fn find_by_name_prefix(&self, prefix: &str) -> Vec<Pnode> {
-        self.gather(|s| s.listed_from(&s.name_index, prefix))
+        self.find(Keyed::Name, prefix, true)
     }
 
     /// Objects whose TYPE starts with `prefix` — range scan over the
     /// ordered type index.
     pub fn find_by_type_prefix(&self, prefix: &str) -> Vec<Pnode> {
-        self.gather(|s| s.listed_from(&s.type_index, prefix))
+        self.find(Keyed::Type, prefix, true)
     }
 
     /// Objects that ever bore string attribute `attr` (by its
-    /// canonical record name, e.g. `PHASE`) with exactly `value` —
-    /// the generalized attribute index of the shards the key filter
-    /// flags, merged in pnode order. NAME and TYPE have their
-    /// dedicated indexes ([`Store::find_by_name`],
-    /// [`Store::find_by_type`]).
+    /// canonical record name, e.g. `PHASE`) with exactly `value`, in
+    /// pnode order. NAME and TYPE have their dedicated indexes
+    /// ([`Store::find_by_name`], [`Store::find_by_type`]).
     pub fn find_by_attr(&self, attr: &str, value: &str) -> Vec<Pnode> {
-        let shards = self.holding(attr, value);
-        let indexed = shards.filter_map(|s| Some((s, s.attr_index.get(attr)?)));
-        merged(indexed.flat_map(|(s, index)| s.listed(index, value)))
+        self.find(Keyed::Attr(attr), value, false)
     }
 
     /// Objects whose string attribute `attr` starts with `prefix`.
     pub fn find_by_attr_prefix(&self, attr: &str, prefix: &str) -> Vec<Pnode> {
-        self.gather(|s| (s.attr_index.get(attr).into_iter()).flat_map(|i| s.listed_from(i, prefix)))
+        self.find(Keyed::Attr(attr), prefix, true)
     }
 
     /// Number of objects in the TYPE index under `ty` — summed set
@@ -272,8 +283,8 @@ impl Store {
         // depend on the order the records arrived in.
         let mut recorded: Vec<ObjectRef> = Vec::new();
         for shard in &self.shards {
-            for p in shard.pnodes() {
-                for v in shard.versions(p).unwrap_or_default() {
+            for (p, versions) in shard.objects() {
+                for v in versions {
                     recorded.push(ObjectRef::new(p, Version(v.number)));
                 }
             }
@@ -339,14 +350,6 @@ impl Store {
         }
         None
     }
-}
-
-/// `pnodes` in pnode order without duplicates.
-fn merged(pnodes: impl Iterator<Item = Pnode>) -> Vec<Pnode> {
-    let mut out: Vec<Pnode> = pnodes.collect();
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 /// A shortest cycle through the members of one strongly connected

@@ -21,6 +21,15 @@
 //! wholesale; stores merged from two halves, restored through a
 //! checkpoint and restart, and forced into total collision hold it to
 //! the snapshot's answers.
+//!
+//! The store reads a projected column with a slot hint: the next node
+//! on a shard is tried in the slot after the last one read there
+//! before the pnode map is probed. A wrong hint could only show where
+//! slot order differs from pnode order, so
+//! `attr_column_answers_what_attr_answers` holds `attr_column` to one
+//! `attr` per node on shuffled, two-volume, merged and restored
+//! stores, over node lists sorted, shuffled, repeated and salted with
+//! refs the store does not hold.
 
 use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
 use lasagna::LogEntry;
@@ -216,6 +225,40 @@ const QUERIES: [&str; 20] = [
     "select F.type, F.PHASE from Provenance.obj as F",
 ];
 
+/// `entry` with its subject and any referenced ancestor moved to
+/// volume `vol`.
+fn on_volume(entry: LogEntry, vol: u32) -> LogEntry {
+    let moved = |r: ObjectRef| ObjectRef::new(Pnode::new(VolumeId(vol), r.pnode.number), r.version);
+    match entry {
+        LogEntry::Prov { subject, record } => {
+            let value = match record.value {
+                Value::Xref(to) => Value::Xref(moved(to)),
+                other => other,
+            };
+            prov(moved(subject), record.attribute, value)
+        }
+        other => other,
+    }
+}
+
+/// `items` in the order a small xorshift seeded with `seed` deals
+/// them (Fisher–Yates).
+fn dealt<T>(mut items: Vec<T>, mut seed: u64) -> Vec<T> {
+    for i in (1..items.len()).rev() {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        items.swap(i, (seed % (i as u64 + 1)) as usize);
+    }
+    items
+}
+
+/// Attribute names a column can project: stored ones in any case, an
+/// application attribute, the pseudo-attributes and one nobody bore.
+const COLUMNS: [&str; 8] = [
+    "name", "NAME", "type", "Phase", "pnode", "version", "volume", "nope",
+];
+
 fn canonical(rs: &pql::ResultSet) -> Vec<String> {
     let mut rows: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
     rows.sort();
@@ -337,6 +380,99 @@ proptest! {
         for (what, db) in stores {
             for query in QUERIES {
                 planned_agrees(db, query).map_err(|e| format!("{what} store, {query}: {e}"))?;
+            }
+        }
+    }
+
+    /// `attr_column` is `attr` down a column, wherever the slot hint
+    /// lands. The stores: objects minted and stored in pnode order
+    /// followed by random arrival; the same with a second volume's
+    /// stream interleaved; two halves merged; and one restored from a
+    /// checkpoint, whose slots follow pnode order. The columns: the
+    /// store's nodes sorted, dealt at random, each twice in a row and
+    /// the whole list again reversed, and all of that with refs to
+    /// unknown pnodes, unknown versions and a third volume mixed in.
+    #[test]
+    fn attr_column_answers_what_attr_answers(
+        entries in proptest::collection::vec(arb_entry(), 1..80),
+        other in proptest::collection::vec((arb_entry(), any::<bool>()), 0..40),
+        shards in arb_shards(),
+        minted in 0u64..24,
+        cut in any::<usize>(),
+        seed in 1u64..u64::MAX,
+    ) {
+        let cfg = config(shards);
+        let mut stream: Vec<LogEntry> = (1..=minted)
+            .flat_map(|n| {
+                let subject = ObjectRef::new(p(n), Version(0));
+                [
+                    prov(subject, Attribute::Type, Value::str("FILE")),
+                    prov(subject, Attribute::Name, Value::Str(format!("/obj/{n}.o"))),
+                ]
+            })
+            .collect();
+        stream.extend(entries);
+        let mut shuffled = ProvDb::with_config(cfg);
+        shuffled.ingest(&stream);
+        // Entries of volume 2 land between volume 1's where `other`
+        // says so.
+        let mut volumes = Vec::new();
+        let mut second = other.into_iter();
+        for entry in &stream {
+            volumes.push(entry.clone());
+            if let Some((entry, true)) = second.next() {
+                volumes.push(on_volume(entry, 2));
+            }
+        }
+        let mut interleaved = ProvDb::with_config(cfg);
+        interleaved.ingest(&volumes);
+        let cut = cut % (volumes.len() + 1);
+        let mut merged = ProvDb::with_config(cfg);
+        merged.ingest(&volumes[cut..]);
+        let mut half = ProvDb::with_config(cfg);
+        half.ingest(&volumes[..cut]);
+        merged.merge(&half).unwrap();
+        let restored = restarted(cfg, &volumes, cut);
+        let unknown = [
+            ObjectRef::new(p(99), Version(0)),
+            ObjectRef::new(p(1), Version(7)),
+            ObjectRef::new(Pnode::new(VolumeId(3), 2), Version(0)),
+        ];
+        let stores = [
+            ("shuffled", &shuffled),
+            ("interleaved", &interleaved),
+            ("merged", &merged),
+            ("restored", &restored),
+        ];
+        for (what, db) in stores {
+            let sorted = db.class_members("obj");
+            let repeated: Vec<ObjectRef> = (sorted.iter())
+                .flat_map(|n| [*n, *n])
+                .chain(sorted.iter().rev().copied())
+                .collect();
+            let mut salted = repeated.clone();
+            for (i, r) in unknown.iter().enumerate() {
+                salted.insert((seed as usize >> (8 * i)) % (salted.len() + 1), *r);
+            }
+            let columns = [
+                ("sorted", sorted.clone()),
+                ("dealt", dealt(sorted.clone(), seed)),
+                ("repeated", repeated),
+                ("salted", salted.clone()),
+                ("salted and dealt", dealt(salted, seed.rotate_left(17))),
+            ];
+            for (order, nodes) in &columns {
+                for name in COLUMNS {
+                    // An override appends, as the default does.
+                    let mut column = vec![Some(Value::Int(-1))];
+                    db.attr_column(nodes, name, &mut column);
+                    let mut expected = vec![Some(Value::Int(-1))];
+                    expected.extend(nodes.iter().map(|n| db.attr(*n, name)));
+                    prop_assert!(
+                        column == expected,
+                        "{what} store, {order} column, {name}: {column:?} != {expected:?}"
+                    );
+                }
             }
         }
     }
