@@ -69,6 +69,7 @@ pub enum Attribute {
 impl Attribute {
     /// Canonical wire name of the attribute, matching the paper's
     /// record-type spelling where one exists.
+    #[inline]
     pub fn as_str(&self) -> &str {
         match self {
             Attribute::Input => "INPUT",

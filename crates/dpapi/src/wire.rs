@@ -31,6 +31,7 @@ const TAG_STRLIST: u8 = 4;
 const TAG_XREF: u8 = 5;
 
 /// Encodes an [`ObjectRef`] into `buf`.
+#[inline]
 pub fn put_object_ref(buf: &mut BytesMut, r: ObjectRef) {
     buf.put_u32_le(r.pnode.volume.0);
     buf.put_u64_le(r.pnode.number);
@@ -48,6 +49,7 @@ pub fn get_object_ref<B: Buf>(buf: &mut B) -> Result<ObjectRef> {
     Ok(ObjectRef::new(Pnode::new(volume, number), version))
 }
 
+#[inline]
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
@@ -222,6 +224,7 @@ pub fn get_record<B: Buf>(buf: &mut B) -> Result<ProvenanceRecord> {
 }
 
 /// Serialized size of one record in this encoding.
+#[inline]
 pub fn record_wire_size(rec: &ProvenanceRecord) -> usize {
     let name = rec.attribute.as_str().len();
     let value = match &rec.value {

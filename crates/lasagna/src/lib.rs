@@ -10,16 +10,16 @@
 //! inconsistent after a crash, and Waldo consumes rotated logs to
 //! build the query database.
 
+mod crc;
 pub mod fs;
 pub mod log;
 pub mod md5;
 pub mod recovery;
 
+pub use crc::crc32;
 pub use fs::{
     batch_txn_id, batch_txn_parts, ino_attribute, Lasagna, LasagnaConfig, LasagnaStats, PASS_DIR,
 };
-pub use log::{
-    crc32, encode_entry, encode_group, entry_size, group_count, parse_log, LogEntry, LogTail,
-};
+pub use log::{encode_entry, encode_group, entry_size, group_count, parse_log, LogEntry, LogTail};
 pub use md5::{md5, Digest};
 pub use recovery::{recover, Inconsistency, InconsistencyReason, RecoveryReport};

@@ -883,20 +883,25 @@ impl Kernel {
     }
 
     /// Reads a whole file by path (convenience for tools/workloads).
+    /// The descriptor is closed on every path, a failed `stat` or
+    /// `read` included.
     pub fn read_file(&mut self, pid: Pid, path: &str) -> FsResult<Vec<u8>> {
         let fd = self.open(pid, path, OpenFlags::RDONLY)?;
-        let size = self.stat(pid, path)?.size as usize;
-        let data = self.read(pid, fd, size)?;
-        self.close(pid, fd)?;
+        let data = (self.stat(pid, path)).and_then(|attr| self.read(pid, fd, attr.size as usize));
+        let closed = self.close(pid, fd);
+        let data = data?;
+        closed?;
         Ok(data)
     }
 
-    /// Writes a whole file by path (convenience for tools/workloads).
+    /// Writes a whole file by path (convenience for tools/workloads),
+    /// closing the descriptor whether or not the write succeeds.
     pub fn write_file(&mut self, pid: Pid, path: &str, data: &[u8]) -> FsResult<()> {
         let fd = self.open(pid, path, OpenFlags::WRONLY_CREATE)?;
-        self.write(pid, fd, data)?;
-        self.close(pid, fd)?;
-        Ok(())
+        let wrote = self.write(pid, fd, data);
+        let closed = self.close(pid, fd);
+        wrote?;
+        closed
     }
 
     /// A snapshot view of a process, for tests.

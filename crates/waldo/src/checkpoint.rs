@@ -180,12 +180,13 @@ fn delta_name(from_seq: u64, to_seq: u64) -> String {
 }
 
 /// Writes `data` then fsyncs before closing — the discipline every
-/// checkpoint artifact is written with.
+/// checkpoint artifact is written with. The descriptor is closed
+/// whether or not the write and the fsync succeed.
 fn write_synced(kernel: &mut Kernel, pid: Pid, path: &str, data: &[u8]) -> Result<(), FsError> {
     let fd = kernel.open(pid, path, OpenFlags::WRONLY_CREATE)?;
-    kernel.write(pid, fd, data)?;
-    kernel.fsync(pid, fd)?;
-    kernel.close(pid, fd)
+    let synced = (kernel.write(pid, fd, data)).and_then(|_| kernel.fsync(pid, fd));
+    let closed = kernel.close(pid, fd);
+    synced.and(closed)
 }
 
 /// The full-image writer: serializes and writes a base segment for
@@ -246,11 +247,11 @@ pub(crate) fn write_delta(
     kernel: &mut Kernel,
     pid: Pid,
     dir: &str,
-    delta: &PendingDelta,
+    delta: PendingDelta,
     to_seq: u64,
 ) -> Result<DeltaRef, FsError> {
-    let img = encode_delta(delta.from_seq, to_seq, &delta.groups);
     let name = delta_name(delta.from_seq, to_seq);
+    let img = encode_delta(delta.from_seq, to_seq, delta.groups);
     write_synced(kernel, pid, &format!("{dir}/{name}"), &img)?;
     Ok(DeltaRef {
         from_seq: delta.from_seq,
@@ -576,7 +577,7 @@ mod tests {
 
         let mut groups = DeltaGroups::default();
         groups.push(&[&named(50, "/evil-twin")]);
-        let forged = encode_delta(base_seq, seq, &groups);
+        let forged = encode_delta(base_seq, seq, groups);
         assert!(decode_delta(&forged).is_ok());
         let path = format!("{dir}/{}", delta_name(base_seq, seq));
         kernel.write_file(pid, &path, &forged).unwrap();

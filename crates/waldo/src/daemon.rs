@@ -334,8 +334,8 @@ impl Waldo {
         let span = self.scope.open("waldo", "wal_persist");
         let ok = match self.db_fd {
             Some(fd) => {
-                let frame = self.db.last_commit_frame().to_vec();
-                let wrote = kernel.write(self.pid, fd, &frame).is_ok();
+                let frame = self.db.last_commit_frame();
+                let wrote = kernel.write(self.pid, fd, frame).is_ok();
                 if wrote {
                     // The bytes are in the file whether or not the
                     // fsync succeeds — the size trigger must track

@@ -98,7 +98,7 @@ impl Waldo {
         // how "time to rewrite" arrives.
         let (base_seq, segments, deltas) = match (&self.last_manifest, self.db.take_delta()) {
             (Some(last), Some(delta)) if delta.from_seq == last.seq => {
-                let written = checkpoint::write_delta(kernel, self.pid, &dir, &delta, seq)?;
+                let written = checkpoint::write_delta(kernel, self.pid, &dir, delta, seq)?;
                 self.ckpt_stats.deltas_written += 1;
                 self.ckpt_stats.segment_bytes += written.len;
                 let mut deltas = last.deltas.clone();

@@ -33,54 +33,75 @@ const MAGIC: &[u8; 4] = b"WDLT";
 /// Current (and only) delta format version.
 pub const DELTA_VERSION: u16 = 1;
 
+/// Bytes of a delta file's header: magic, version, the two sequence
+/// numbers and the group count.
+const DELTA_HEADER: usize = 4 + 2 + 8 + 8 + 4;
+
 /// Bytes a delta file carries around its groups: header plus CRC.
-pub(crate) const DELTA_OVERHEAD: usize = 4 + 2 + 8 + 8 + 4 + 4;
+pub(crate) const DELTA_OVERHEAD: usize = DELTA_HEADER + 4;
 
 /// The group section of a delta under construction: the store appends
 /// one group per commit and the checkpoint writer closes it into a
-/// file with [`encode_delta`].
-#[derive(Debug, Default)]
+/// file with [`encode_delta`]. The buffer starts with the file's
+/// header reserved, so closing patches it and appends the CRC in
+/// place instead of copying the groups behind a fresh header.
+#[derive(Debug)]
 pub(crate) struct DeltaGroups {
     count: u32,
-    body: BytesMut,
+    /// `DELTA_HEADER` reserved bytes, then the groups.
+    buf: BytesMut,
+}
+
+impl Default for DeltaGroups {
+    fn default() -> DeltaGroups {
+        let mut buf = BytesMut::new();
+        buf.put_slice(&[0; DELTA_HEADER]);
+        DeltaGroups { count: 0, buf }
+    }
 }
 
 impl DeltaGroups {
     /// Appends one commit's applied entries as a group.
     pub fn push(&mut self, entries: &[&LogEntry]) {
-        let header = self.body.len();
-        self.body.put_u32_le(entries.len() as u32);
-        self.body.put_u32_le(0);
-        let start = self.body.len();
+        let header = self.buf.len();
+        self.buf.put_u32_le(entries.len() as u32);
+        self.buf.put_u32_le(0);
+        let start = self.buf.len();
         for e in entries {
             // Applied entries were parsed from a log image (or came
             // through validated disclosure), so they are
             // wire-representable by construction.
-            lasagna::encode_entry(&mut self.body, e).expect("applied log entries always encode");
+            lasagna::encode_entry(&mut self.buf, e).expect("applied log entries always encode");
         }
-        let len = (self.body.len() - start) as u32;
-        self.body[header + 4..start].copy_from_slice(&len.to_le_bytes());
+        let len = (self.buf.len() - start) as u32;
+        self.buf[header + 4..start].copy_from_slice(&len.to_le_bytes());
         self.count += 1;
     }
 
     /// Bytes of the group section so far.
     pub fn len(&self) -> usize {
-        self.body.len()
+        self.buf.len() - DELTA_HEADER
     }
 }
 
-/// Closes a group section into a delta file image.
-pub(crate) fn encode_delta(from_seq: u64, to_seq: u64, groups: &DeltaGroups) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(DELTA_OVERHEAD + groups.body.len());
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(DELTA_VERSION);
-    buf.put_u64_le(from_seq);
-    buf.put_u64_le(to_seq);
-    buf.put_u32_le(groups.count);
-    buf.put_slice(&groups.body);
+/// Closes a group section into a delta file image: patches the
+/// reserved header and appends the CRC, in the section's own buffer.
+pub(crate) fn encode_delta(from_seq: u64, to_seq: u64, groups: DeltaGroups) -> Vec<u8> {
+    let DeltaGroups { count, mut buf } = groups;
+    let mut at = 0;
+    let mut patch = |field: &[u8]| {
+        buf[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    };
+    patch(MAGIC);
+    patch(&DELTA_VERSION.to_le_bytes());
+    patch(&from_seq.to_le_bytes());
+    patch(&to_seq.to_le_bytes());
+    patch(&count.to_le_bytes());
+    debug_assert_eq!(at, DELTA_HEADER);
     let crc = crc32(&buf);
     buf.put_u32_le(crc);
-    buf
+    buf.into()
 }
 
 /// A decoded delta segment.
@@ -176,8 +197,9 @@ mod tests {
         for entries in groups {
             g.push(&entries.iter().collect::<Vec<_>>());
         }
-        let img = encode_delta(from_seq, to_seq, &g);
-        assert_eq!(img.len(), DELTA_OVERHEAD + g.len());
+        let len = g.len();
+        let img = encode_delta(from_seq, to_seq, g);
+        assert_eq!(img.len(), DELTA_OVERHEAD + len);
         img
     }
 
@@ -211,6 +233,35 @@ mod tests {
                 prop_assert!(decode_delta(&img[..at]).is_err(), "{}-byte prefix accepted", at);
             }
         }
+    }
+
+    /// The image closed in place is the format, byte for byte: the
+    /// header, the groups as pushed, and the CRC over both.
+    #[test]
+    fn closed_image_is_header_then_groups_then_crc() {
+        let e = [LogEntry::TxnBegin { id: 7 }, LogEntry::TxnEnd { id: 7 }];
+        let mut g = DeltaGroups::default();
+        g.push(&[&e[0], &e[1]]);
+        g.push(&[&e[1]]);
+        let img = encode_delta(4, 9, g);
+        let mut want = Vec::new();
+        want.put_slice(MAGIC);
+        want.put_u16_le(DELTA_VERSION);
+        want.put_u64_le(4);
+        want.put_u64_le(9);
+        want.put_u32_le(2);
+        for group in [&e[..], &e[1..]] {
+            let mut frames = BytesMut::new();
+            for entry in group {
+                lasagna::encode_entry(&mut frames, entry).unwrap();
+            }
+            want.put_u32_le(group.len() as u32);
+            want.put_u32_le(frames.len() as u32);
+            want.put_slice(&frames);
+        }
+        let crc = crc32(&want);
+        want.put_u32_le(crc);
+        assert_eq!(img, want);
     }
 
     #[test]

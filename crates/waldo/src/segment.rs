@@ -224,14 +224,16 @@ pub(crate) fn encode_shard(shard_index: u32, shard: &Shard, generation: u64) -> 
     let mut ancestors: Vec<Pnode> = shard.ancestors().collect();
     ancestors.sort_unstable();
     buf.put_u32_le(ancestors.len() as u32);
+    let mut edges = Vec::new();
     for a in ancestors {
         put_pnode(&mut buf, a);
         // Reverse-edge order follows commit grouping in memory and is
         // unspecified to queries; sort it so the image is canonical.
-        let mut edges: Vec<_> = shard.reverse(a).collect();
+        edges.clear();
+        edges.extend(shard.reverse(a));
         edges.sort_unstable_by(|x, y| (x.0, x.2, x.1).cmp(&(y.0, y.2, y.1)));
         buf.put_u32_le(edges.len() as u32);
-        for (descendant, attr, aversion) in edges {
+        for &(descendant, attr, aversion) in &edges {
             wire::put_object_ref(&mut buf, descendant);
             put_attr(&mut buf, attr);
             buf.put_u32_le(aversion.0);
@@ -246,7 +248,7 @@ pub(crate) fn encode_shard(shard_index: u32, shard: &Shard, generation: u64) -> 
 
     let crc = lasagna::crc32(&buf);
     buf.put_u32_le(crc);
-    buf.to_vec()
+    buf.into()
 }
 
 /// Deserializes a segment image, validating magic, version and CRC.

@@ -606,18 +606,19 @@ pub(crate) fn current(versions: &[VersionRow]) -> u32 {
 }
 
 /// `s` interned as a key of `index` (added if new), whether `slot` is
-/// new to its posting, and whether the key is new to `index`.
+/// new to its posting, and whether the key is new to `index`. One
+/// descent when `slot` already carries the key, which allocates
+/// nothing; two otherwise (find, then insert into the posting or the
+/// index).
 fn intern(index: &mut Index, s: &str, slot: u32) -> (Rc<str>, bool, bool) {
-    let exactly = (Bound::Included(s), Bound::Included(s));
-    if let Some((key, posting)) = index.range_mut::<str, _>(exactly).next() {
-        let fresh = match posting.binary_search(&slot) {
-            Ok(_) => false,
-            Err(at) => {
-                posting.insert(at, slot);
-                true
-            }
+    if let Some((key, posting)) = index.get_key_value(s) {
+        let key = key.clone();
+        let Err(at) = posting.binary_search(&slot) else {
+            return (key, false, false);
         };
-        return (key.clone(), fresh, false);
+        let posting = index.get_mut(s).expect("the key was just found");
+        posting.insert(at, slot);
+        return (key, true, false);
     }
     let key: Rc<str> = Rc::from(s);
     index.insert(key.clone(), vec![slot]);

@@ -714,8 +714,8 @@ impl Store {
     }
 
     /// The durability frame of the most recent group commit.
-    pub fn last_commit_frame(&self) -> Vec<u8> {
-        self.meta.commit_frame.clone()
+    pub fn last_commit_frame(&self) -> &[u8] {
+        &self.meta.commit_frame
     }
 
     /// Number of group commits performed over the store's lifetime.

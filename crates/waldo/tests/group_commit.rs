@@ -652,6 +652,73 @@ fn a_log_whose_unlink_fails_is_retried_by_the_next_poll() {
     assert_eq!(run(true), run(false));
 }
 
+/// Failed I/O leaves no descriptor behind: a rotated log whose read
+/// fails is retried on every poll, and a checkpoint whose fsync fails
+/// errors out, yet the daemon's descriptor table returns to its size
+/// before either. (`Kernel::read_file` and the checkpoint writer used
+/// to return on the error without closing, one descriptor per retry.)
+#[test]
+fn failed_log_reads_and_checkpoint_fsyncs_close_their_descriptors() {
+    let mut sys = System::single_volume();
+    let fail_reads = Rc::new(Cell::new(0));
+    let base = FlakyFs {
+        inner: BaseFs::new(sys.clock(), CostModel::default()),
+        fail: Rc::default(),
+        fail_reads: fail_reads.clone(),
+        fail_unlinks: Rc::default(),
+    };
+    let cfg = LasagnaConfig::new(VolumeId(2));
+    let fs = Lasagna::new(Box::new(base), sys.clock(), CostModel::default(), cfg).unwrap();
+    let m = sys.kernel.mount("/vol", Box::new(fs));
+    let fail_fsync = Rc::new(Cell::new(false));
+    sys.kernel.mount(
+        "/db",
+        Box::new(FlakyFs {
+            inner: BaseFs::new(sys.clock(), CostModel::default()),
+            fail: fail_fsync.clone(),
+            fail_reads: Rc::default(),
+            fail_unlinks: Rc::default(),
+        }),
+    );
+    let waldo_pid = sys.kernel.spawn_init("waldo");
+    sys.pass.exempt(waldo_pid);
+    let mut waldo = Waldo::with_config(
+        waldo_pid,
+        WaldoConfig {
+            checkpoint_commits: 0, // manual checkpoints only
+            checkpoint_wal_bytes: 0,
+            ..WaldoConfig::default()
+        },
+    );
+    waldo.attach_db_dir(&mut sys.kernel, "/db/waldo").unwrap();
+    let worker = sys.spawn("sh");
+    for i in 0..4 {
+        let path = format!("/vol/f{i}");
+        sys.kernel.write_file(worker, &path, b"payload").unwrap();
+    }
+    sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
+    let fds = |sys: &System| sys.kernel.process(waldo_pid).unwrap().fds.len();
+    let before = fds(&sys);
+
+    for retry in 1..=3 {
+        fail_reads.set(1);
+        let stats = waldo.poll_volume(&mut sys.kernel, m, "/vol");
+        assert_eq!(fail_reads.get(), 0, "the injected read failure was not hit");
+        assert_eq!(stats.applied, 0);
+        assert_eq!(waldo.logs_unreadable(), retry);
+        assert_eq!(fds(&sys), before, "failed log read {retry} leaked");
+    }
+    assert!(waldo.poll_volume(&mut sys.kernel, m, "/vol").applied > 0);
+    assert_eq!(fds(&sys), before);
+
+    fail_fsync.set(true);
+    assert!(waldo.checkpoint(&mut sys.kernel).is_err());
+    assert_eq!(fds(&sys), before, "the failed checkpoint fsync leaked");
+    fail_fsync.set(false);
+    assert!(waldo.checkpoint(&mut sys.kernel).unwrap());
+    assert_eq!(fds(&sys), before);
+}
+
 /// End-to-end daemon crash: a poll is interrupted mid-batch, the
 /// half-ingested log survives on disk (unlink happens only after full
 /// commit), and a resumed daemon rebuilds exactly the crash-free
