@@ -86,17 +86,6 @@ pub struct PassStats {
     pub txn_ops: u64,
 }
 
-impl provscope::MetricSource for PassStats {
-    fn record(&self, out: &mut dyn FnMut(&str, u64)) {
-        out("records_emitted", self.records_emitted);
-        out("records_cached", self.records_cached);
-        out("materializations", self.materializations);
-        out("dpapi_calls", self.dpapi_calls);
-        out("txn_commits", self.txn_commits);
-        out("txn_ops", self.txn_ops);
-    }
-}
-
 /// The working sets of [`Inner::flush_nodes`], kept between calls so
 /// the distributor's flush — one per first write of a version —
 /// allocates nothing once they have grown.

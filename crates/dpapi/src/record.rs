@@ -323,16 +323,6 @@ impl Bundle {
             .iter()
             .flat_map(|e| e.records.iter().map(move |r| (e.handle, r)))
     }
-
-    /// Rough serialized size, used by PA-NFS to decide whether a
-    /// bundle still fits a single wire block or must be chunked into a
-    /// provenance transaction.
-    pub fn approx_wire_size(&self) -> usize {
-        self.iter()
-            .map(|(_, r)| crate::wire::record_wire_size(r))
-            .sum::<usize>()
-            + self.entries.len() * 16
-    }
 }
 
 impl FromIterator<(Handle, ProvenanceRecord)> for Bundle {
@@ -466,6 +456,5 @@ mod tests {
         let b = Bundle::new();
         assert!(b.is_empty());
         assert_eq!(b.record_count(), 0);
-        assert_eq!(b.approx_wire_size(), 0);
     }
 }

@@ -91,14 +91,6 @@ pub struct LasagnaConfig {
     /// Buffer log entries in memory up to this size before appending
     /// to the log file.
     pub log_buf_bytes: usize,
-    /// Bytes of database I/O the live Waldo daemon performs per byte
-    /// of provenance log (the paper's Table 3 shows database plus
-    /// indexes at roughly 2.7x the raw record volume for the
-    /// record-heavy workloads).
-    pub waldo_db_factor: f64,
-    /// One seek charged per this many database blocks written,
-    /// modelling index-update head movement.
-    pub waldo_db_seek_every: u64,
 }
 
 impl LasagnaConfig {
@@ -108,8 +100,6 @@ impl LasagnaConfig {
             volume: v,
             log_max_bytes: 1 << 20, // 1 MB
             log_buf_bytes: 64 << 10,
-            waldo_db_factor: 2.0,
-            waldo_db_seek_every: 4,
         }
     }
 }
@@ -137,21 +127,8 @@ pub struct LasagnaStats {
     pub log_write_failures: u64,
     /// Handles open on the volume now: one per file or application
     /// object ever addressed and not yet closed. A level, not a count
-    /// of events, so it is not poured into a registry as a counter.
+    /// of events.
     pub open_handles: u64,
-}
-
-impl provscope::MetricSource for LasagnaStats {
-    fn record(&self, out: &mut dyn FnMut(&str, u64)) {
-        out("records_logged", self.records_logged);
-        out("data_writes", self.data_writes);
-        out("freezes", self.freezes);
-        out("rotations", self.rotations);
-        out("provenance_bytes", self.provenance_bytes);
-        out("batch_commits", self.batch_commits);
-        out("batched_ops", self.batched_ops);
-        out("log_write_failures", self.log_write_failures);
-    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -397,13 +374,20 @@ impl Lasagna {
         // writes the indexed database on the same disk. Accumulate a
         // byte debt and charge it in bursts (Waldo batches inserts),
         // as transfer time plus periodic index-update seeks.
-        self.db_debt += len as f64 * self.cfg.waldo_db_factor;
+        // Database I/O per byte of log: the paper's Table 3 shows
+        // database plus indexes at roughly 2.7x the raw record volume
+        // for the record-heavy workloads.
+        const DB_FACTOR: f64 = 2.0;
+        // One seek per this many database blocks written, modelling
+        // index-update head movement.
+        const DB_SEEK_EVERY: u64 = 4;
         const DB_BURST: f64 = 262_144.0; // 256 KB
+        self.db_debt += len as f64 * DB_FACTOR;
         if self.db_debt >= DB_BURST {
             let db_bytes = self.db_debt as u64;
             self.db_debt = 0.0;
             let db_blocks = db_bytes.div_ceil(4096).max(1);
-            let seeks = db_blocks.div_ceil(self.cfg.waldo_db_seek_every.max(1));
+            let seeks = db_blocks.div_ceil(DB_SEEK_EVERY);
             let d = self.model.disk;
             self.clock
                 .advance(db_blocks * d.per_block_ns + seeks * (d.seek_ns + d.rotational_ns));

@@ -33,17 +33,6 @@ pub struct ServerStats {
     pub batched_ops: u64,
 }
 
-impl provscope::MetricSource for ServerStats {
-    fn record(&self, out: &mut dyn FnMut(&str, u64)) {
-        out("requests", self.requests);
-        out("txns", self.txns);
-        out("records_accepted", self.records_accepted);
-        out("records_deduped", self.records_deduped);
-        out("batch_requests", self.batch_requests);
-        out("batched_ops", self.batched_ops);
-    }
-}
-
 /// The server.
 pub struct NfsServer {
     fs: Box<dyn FileSystem>,

@@ -2,8 +2,8 @@
 //! snapshot, producing typed verdicts with the offending values.
 //!
 //! A long-running provenance service must monitor *itself* — WAL
-//! write errors, a sluice queue about to reject, ingest latency
-//! drifting from its baseline, the flight recorder shedding spans.
+//! write errors, a sluice queue about to reject, the flight recorder
+//! shedding spans.
 //! Rather than scattering ad-hoc `if` checks through the cluster
 //! poller, rules are data: a [`HealthRule`] names a metric (by
 //! *suffix*, so one rule covers `member0.waldo.wal_errors` and
@@ -45,17 +45,6 @@ pub enum HealthRule {
         /// Threshold percentage.
         percent: u64,
     },
-    /// A histogram's quantile `q` must not exceed `max_ns` (in the
-    /// histogram's unit — ours are virtual nanoseconds). Skipped for
-    /// empty histograms (no data is not slow data).
-    QuantileAtMost {
-        /// Histogram name or suffix.
-        hist: String,
-        /// Quantile in `[0, 1]` (e.g. 0.99).
-        q: f64,
-        /// Inclusive upper bound on the quantile estimate.
-        max_ns: u64,
-    },
 }
 
 /// True when registry key `key` is the rule metric `metric`, exactly
@@ -74,8 +63,7 @@ pub struct HealthViolation {
     pub rule: HealthRule,
     /// The offending registry key.
     pub metric: String,
-    /// The observed value (for `QuantileAtMost`, the quantile
-    /// estimate).
+    /// The observed value.
     pub value: u64,
     /// The effective limit the value broke (for `GaugeBelowPercentOf`,
     /// `budget * percent / 100`).
@@ -151,26 +139,6 @@ pub fn evaluate(rules: &[HealthRule], reg: &Registry) -> HealthReport {
                     }
                 }
             }
-            HealthRule::QuantileAtMost { hist, q, max_ns } => {
-                for (k, h) in reg.histograms().filter(|(k, _)| matches(k, hist)) {
-                    if h.count() == 0 {
-                        continue;
-                    }
-                    let v = h.quantile(*q);
-                    if v > *max_ns {
-                        violations.push(HealthViolation {
-                            rule: rule.clone(),
-                            metric: k.to_string(),
-                            value: v,
-                            limit: *max_ns,
-                            message: format!(
-                                "{k} p{:.0} <= {v}ns exceeds baseline {max_ns}ns",
-                                q * 100.0
-                            ),
-                        });
-                    }
-                }
-            }
         }
     }
     HealthReport {
@@ -204,18 +172,6 @@ pub fn standard_rules() -> Vec<HealthRule> {
             max: 0,
         },
     ]
-}
-
-/// [`standard_rules`] plus a p99 ingest-latency bound of
-/// `baseline_ns` on every `latency_ns` histogram.
-pub fn with_latency_baseline(baseline_ns: u64) -> Vec<HealthRule> {
-    let mut rules = standard_rules();
-    rules.push(HealthRule::QuantileAtMost {
-        hist: "latency_ns".to_string(),
-        q: 0.99,
-        max_ns: baseline_ns,
-    });
-    rules
 }
 
 #[cfg(test)]
@@ -270,19 +226,6 @@ mod tests {
         // A peak with no budget gauge on its prefix is skipped.
         r.set_gauge("lone.queue.peak_ops", 1_000_000);
         assert_eq!(evaluate(&rules, &r).violations.len(), 1);
-    }
-
-    #[test]
-    fn quantile_rule_skips_empty_histograms() {
-        let mut r = Registry::new();
-        r.absorb_histogram("waldo.latency_ns", &crate::metrics::Histogram::default());
-        let rules = with_latency_baseline(1_000);
-        assert!(evaluate(&rules, &r).healthy());
-        r.observe("waldo.latency_ns", 5_000);
-        let rep = evaluate(&rules, &r);
-        assert_eq!(rep.violations.len(), 1);
-        assert!(rep.violations[0].value > 1_000);
-        assert!(rep.violations[0].message.contains("p99"));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   extra log bytes.
 //! * **Metrics** ([`Registry`], [`MetricSource`], [`Histogram`]) —
 //!   named counters and log-bucketed latency histograms that absorb
-//!   the per-layer stats structs (`KernelStats`, `PassStats`,
-//!   `LasagnaStats`, `IngestStats`, `QueryOps`, `PlanStats`, …)
-//!   behind one trait, with prefix labels for cluster members.
+//!   the stats structs of Waldo, the sluice and the PA-NFS client
+//!   (`Waldo`, `QueryOps`, `SluiceStats`, `ClientStats`, …) behind
+//!   one trait, with prefix labels for cluster members.
 //! * **Exports** ([`chrome_trace_json`], [`Trace::layer_latency`],
 //!   [`Registry::render_table`]) — a Chrome `trace_event` JSON
 //!   exporter (loadable in `chrome://tracing` / Perfetto), a plain

@@ -1,15 +1,16 @@
 //! The unified metrics registry: named counters, log-bucketed latency
-//! histograms, and the [`MetricSource`] trait that absorbs the
-//! per-layer stats structs.
+//! histograms, and the [`MetricSource`] trait through which a stats
+//! struct pours its counters in.
 //!
-//! Every layer already keeps a typed stats struct (`KernelStats`,
-//! `PassStats`, `LasagnaStats`, `IngestStats`, `QueryOps`,
-//! `PlanStats`, …) with `AddAssign`/`Sum` roll-ups. Those stay — they
-//! are the typed views code asserts against. What was missing is one
-//! place to *collect* them: a [`Registry`] absorbs any
-//! [`MetricSource`] under a prefix (`"member0."` for cluster
-//! members), merges registries, and renders an aligned text table so
-//! the bench binaries stop hand-rolling their printing.
+//! Every layer keeps a typed stats struct with `AddAssign`/`Sum`
+//! roll-ups; those are the views code asserts against. The structs a
+//! registry actually collects implement [`MetricSource`]: Waldo's
+//! daemon and query counters (`Waldo`, `QueryOps`, with the nested
+//! `CheckpointStats` and `PlanStats`), the sluice's `SluiceStats`, the
+//! PA-NFS `ClientStats` and the bench rig's `WaldoOps`. A [`Registry`]
+//! absorbs one under a prefix (`"member0."` for cluster members),
+//! merges registries, and renders an aligned text table so the bench
+//! binaries stop hand-rolling their printing.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -216,11 +217,6 @@ impl Registry {
     /// Histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.hists.get(name)
-    }
-
-    /// Histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.hists.iter().map(|(k, h)| (k.as_str(), h))
     }
 
     /// Counters in key order.

@@ -55,17 +55,6 @@ impl<'a> HookCtx<'a> {
         self.dpapi(m).map(|d| d.volume())
     }
 
-    /// Every provenance-aware volume currently mounted.
-    pub fn pass_volumes(&mut self) -> Vec<(MountId, VolumeId)> {
-        let mut out = Vec::new();
-        for (i, m) in self.mounts.iter_mut().enumerate() {
-            if let Some(d) = m.fs.as_dpapi() {
-                out.push((MountId(i), d.volume()));
-            }
-        }
-        out
-    }
-
     /// Finds the mounted volume with id `v`.
     pub fn find_volume(&mut self, v: VolumeId) -> Option<&mut dyn DpapiVolume> {
         for m in self.mounts.iter_mut() {
@@ -359,7 +348,6 @@ mod tests {
             mounts: &mut mounts,
             clock: &clock,
         };
-        assert!(ctx.pass_volumes().is_empty());
         assert!(ctx.dpapi(MountId(0)).is_none());
         assert!(ctx.volume_of(MountId(0)).is_none());
         assert!(ctx.find_volume(VolumeId(1)).is_none());

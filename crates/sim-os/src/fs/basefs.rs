@@ -13,7 +13,7 @@ use crate::clock::Clock;
 use crate::cost::{CostModel, BLOCK_SIZE};
 use crate::disk::{Disk, DiskStats};
 use crate::fs::{DirEntry, FileAttr, FileSystem, FileType, FsError, FsResult, FsUsage, Ino};
-use crate::lru::{CacheOutcome, LruSet};
+use crate::lru::LruMap;
 
 /// Journal batching: commit after this many pending metadata ops.
 const JOURNAL_BATCH: u32 = 64;
@@ -64,7 +64,7 @@ pub struct BaseFs {
     journal_at: u64,
     pending_journal: u32,
     page_blocks: HashMap<PageKey, u64>,
-    cache: LruSet<PageKey>,
+    cache: LruMap<PageKey, ()>,
     dirty: HashSet<PageKey>,
     data_bytes: u64,
     prev_sizes: HashMap<u64, u64>,
@@ -102,7 +102,7 @@ impl BaseFs {
             journal_at: journal_start,
             pending_journal: 0,
             page_blocks: HashMap::new(),
-            cache: LruSet::new(cfg.cache_pages),
+            cache: LruMap::new(cfg.cache_pages),
             dirty: HashSet::new(),
             data_bytes: 0,
             prev_sizes: HashMap::new(),
@@ -215,23 +215,22 @@ impl BaseFs {
     }
 
     /// Touches one page in the cache, charging writeback if a dirty
-    /// victim is evicted.
+    /// victim is evicted. True on a hit.
     fn cache_touch(&mut self, key: PageKey, dirty: bool) -> bool {
         if dirty {
             self.dirty.insert(key);
         }
-        match self.cache.touch(key, false) {
-            CacheOutcome::Hit => true,
-            CacheOutcome::Miss => false,
-            CacheOutcome::Evicted(victim, _) => {
-                if self.dirty.remove(&victim) {
-                    if let Some(block) = self.page_blocks.get(&victim).copied() {
-                        self.disk.access(block, 1, true);
-                    }
+        if self.cache.get(&key).is_some() {
+            return true;
+        }
+        if let Some(victim) = self.cache.insert(key, ()) {
+            if self.dirty.remove(&victim) {
+                if let Some(block) = self.page_blocks.get(&victim).copied() {
+                    self.disk.access(block, 1, true);
                 }
-                false
             }
         }
+        false
     }
 
     fn forget_file_pages(&mut self, ino: Ino, from_page: u64) {
@@ -341,12 +340,11 @@ impl FileSystem for BaseFs {
         let mut miss_blocks: Vec<u64> = Vec::new();
         for page in first_page..=last_page {
             let key = (ino.0, page);
-            if !self.cache.contains(&key) {
+            if !self.cache_touch(key, false) {
                 if let Some(b) = self.page_blocks.get(&key).copied() {
                     miss_blocks.push(b);
                 }
             }
-            self.cache_touch(key, false);
         }
         miss_blocks.sort_unstable();
         let mut i = 0;
@@ -656,6 +654,37 @@ mod tests {
         // A second sync with nothing dirty writes nothing new.
         f.sync().unwrap();
         assert_eq!(f.disk_stats().blocks_written, written);
+    }
+
+    /// Writeback on eviction is decided by the file system's own dirty
+    /// set: a dirty victim costs one block write, a victim `sync`
+    /// already wrote costs none.
+    #[test]
+    fn evicting_a_dirty_page_charges_one_block_write() {
+        let mut f = BaseFs::with_config(
+            Clock::new(),
+            CostModel::default(),
+            BaseFsConfig {
+                cache_pages: 4,
+                journal_blocks: 128,
+            },
+        );
+        let root = f.root();
+        let ino = f.create(root, "f").unwrap();
+        let page = |p: u64| p * BLOCK_SIZE as u64;
+        for p in 0..4 {
+            f.write(ino, page(p), b"x").unwrap();
+        }
+        assert_eq!(f.disk_stats().blocks_written, 0, "all four pages cached");
+        f.write(ino, page(4), b"x").unwrap();
+        assert_eq!(f.disk_stats().blocks_written, 1, "dirty page 0 evicted");
+        f.sync().unwrap();
+        // Pages 1-4 and a two-block journal commit; page 0 is clean.
+        assert_eq!(f.disk_stats().blocks_written, 1 + 4 + 2);
+        // Reading page 0 back evicts page 1, which sync wrote.
+        f.read(ino, page(0), 1).unwrap();
+        assert_eq!(f.disk_stats().blocks_read, 1);
+        assert_eq!(f.disk_stats().blocks_written, 7);
     }
 
     #[test]

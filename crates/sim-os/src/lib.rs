@@ -1,12 +1,15 @@
 //! A deterministic operating-system simulation.
 //!
 //! This crate is the substrate beneath the PASSv2 reproduction: a
-//! kernel with processes, file descriptors, a VFS, pipes, `mmap`,
-//! `inotify` and a virtual-time cost model for CPU, disk and network.
-//! The provenance system installs a [`events::PassModule`] to
-//! intercept the same system calls the paper's interceptor handles,
-//! and provenance-aware file systems implement [`fs::DpapiVolume`] so
-//! data and provenance travel together through the DPAPI.
+//! kernel with processes, file descriptors, a VFS, pipes, `mmap` and a
+//! virtual-time cost model for CPU, disk and network, plus the one LRU
+//! map of the workspace ([`lru::LruMap`]). The provenance system
+//! installs a [`events::PassModule`] to intercept the same system
+//! calls the paper's interceptor handles, and provenance-aware file
+//! systems implement [`fs::DpapiVolume`] so data and provenance travel
+//! together through the DPAPI. There is no inotify: a volume's
+//! rotation queue ([`fs::DpapiVolume::take_log_rotations`]) tells
+//! Waldo which logs have closed.
 //!
 //! Nothing in this crate knows *how* provenance is collected; it only
 //! provides the hook points and the timing substrate, mirroring the
@@ -18,7 +21,6 @@ pub mod cost;
 pub mod disk;
 pub mod events;
 pub mod fs;
-pub mod inotify;
 pub mod lru;
 pub mod pipe;
 pub mod proc;
@@ -32,6 +34,5 @@ pub use fs::basefs::{BaseFs, BaseFsConfig};
 pub use fs::{
     DirEntry, DpapiVolume, FileAttr, FileSystem, FileType, FsError, FsResult, FsUsage, Ino,
 };
-pub use inotify::{InotifyEvent, WatchId};
 pub use proc::{Fd, FdTarget, FileLoc, MountId, OpenFile, Pid, PipeEnd};
 pub use syscall::{Kernel, KernelStats, OpenFlags};

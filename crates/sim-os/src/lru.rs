@@ -1,49 +1,39 @@
-//! A compact O(1) LRU set used for page-cache accounting.
+//! The workspace's one O(1) LRU map: a doubly linked list over a
+//! `Vec` of nodes, with a free list of slots.
 //!
-//! The simulator does not store page *contents* in the cache (file
-//! data lives in the inodes for correctness); the cache tracks which
-//! pages are resident so reads can be classified as hits or misses
-//! and evictions of dirty pages can be charged as writebacks.
+//! Two caches share it. The base file system's page cache keeps keys
+//! only (`LruMap<PageKey, ()>`): file data lives in the inodes for
+//! correctness, and the cache says which pages are resident, so a read
+//! is a hit or a miss and an eviction can be charged a writeback (the
+//! file system decides that from its own dirty set). Waldo's closure
+//! cache carries values: the memoized closures.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 const NIL: usize = usize::MAX;
 
-struct Node<K> {
+struct Node<K, V> {
     key: K,
+    value: V,
     prev: usize,
     next: usize,
-    dirty: bool,
 }
 
-/// An LRU set with a dirty bit per entry.
-pub struct LruSet<K: Eq + Hash + Clone> {
+/// An LRU map holding at most a fixed number of entries.
+pub struct LruMap<K: Eq + Hash + Clone, V> {
     map: HashMap<K, usize>,
-    nodes: Vec<Node<K>>,
+    nodes: Vec<Node<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
 }
 
-/// What happened when an entry was inserted or touched.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CacheOutcome<K> {
-    /// The key was already resident.
-    Hit,
-    /// The key was inserted without evicting anything.
-    Miss,
-    /// The key was inserted and the returned key was evicted; the
-    /// boolean reports whether the victim was dirty (requiring
-    /// writeback).
-    Evicted(K, bool),
-}
-
-impl<K: Eq + Hash + Clone> LruSet<K> {
-    /// Creates an LRU set holding at most `capacity` entries.
+impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
+    /// Creates a map holding at most `capacity` entries (at least one).
     pub fn new(capacity: usize) -> Self {
-        LruSet {
+        LruMap {
             map: HashMap::new(),
             nodes: Vec::new(),
             free: Vec::new(),
@@ -61,11 +51,6 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
     /// True if no entries are resident.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// True if `key` is resident (does not touch recency).
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
     }
 
     fn detach(&mut self, idx: usize) {
@@ -94,74 +79,61 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
         }
     }
 
-    /// Touches `key`, inserting it if absent. `dirty` is OR-ed into
-    /// the entry's dirty bit. Returns what happened, including any
-    /// eviction this insertion forced.
-    pub fn touch(&mut self, key: K, dirty: bool) -> CacheOutcome<K> {
+    /// Looks `key` up, marking it most recently used on a hit.
+    pub fn get(&mut self, key: &K) -> Option<&mut V> {
+        let idx = *self.map.get(key)?;
+        self.detach(idx);
+        self.attach_front(idx);
+        Some(&mut self.nodes[idx].value)
+    }
+
+    /// Inserts or replaces `key` as the most recently used entry.
+    /// Inserting into a full map evicts the least recently used entry
+    /// and returns its key.
+    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
         if let Some(&idx) = self.map.get(&key) {
+            self.nodes[idx].value = value;
             self.detach(idx);
             self.attach_front(idx);
-            self.nodes[idx].dirty |= dirty;
-            return CacheOutcome::Hit;
+            return None;
         }
-        let mut outcome = CacheOutcome::Miss;
+        let mut evicted = None;
         if self.map.len() >= self.capacity {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
             self.detach(victim);
             let vkey = self.nodes[victim].key.clone();
-            let vdirty = self.nodes[victim].dirty;
             self.map.remove(&vkey);
             self.free.push(victim);
-            outcome = CacheOutcome::Evicted(vkey, vdirty);
+            evicted = Some(vkey);
         }
+        let node = Node {
+            key: key.clone(),
+            value,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = Node {
-                key: key.clone(),
-                prev: NIL,
-                next: NIL,
-                dirty,
-            };
+            self.nodes[idx] = node;
             idx
         } else {
-            self.nodes.push(Node {
-                key: key.clone(),
-                prev: NIL,
-                next: NIL,
-                dirty,
-            });
+            self.nodes.push(node);
             self.nodes.len() - 1
         };
         self.map.insert(key, idx);
         self.attach_front(idx);
-        outcome
+        evicted
     }
 
-    /// Removes `key` if resident, returning its dirty bit.
-    pub fn remove(&mut self, key: &K) -> Option<bool> {
+    /// Removes `key` if resident, returning its value.
+    pub fn remove(&mut self, key: &K) -> Option<V>
+    where
+        V: Default,
+    {
         let idx = self.map.remove(key)?;
         self.detach(idx);
         self.free.push(idx);
-        Some(self.nodes[idx].dirty)
-    }
-
-    /// Clears the dirty bit of `key` (after writeback).
-    pub fn mark_clean(&mut self, key: &K) {
-        if let Some(&idx) = self.map.get(key) {
-            self.nodes[idx].dirty = false;
-        }
-    }
-
-    /// Returns all dirty keys (unordered) and marks them clean.
-    pub fn take_dirty(&mut self) -> Vec<K> {
-        let mut out = Vec::new();
-        for node in &mut self.nodes {
-            if node.dirty && self.map.contains_key(&node.key) {
-                node.dirty = false;
-                out.push(node.key.clone());
-            }
-        }
-        out
+        Some(std::mem::take(&mut self.nodes[idx].value))
     }
 }
 
@@ -170,70 +142,63 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_miss_and_eviction_order() {
-        let mut lru = LruSet::new(2);
-        assert_eq!(lru.touch(1, false), CacheOutcome::Miss);
-        assert_eq!(lru.touch(2, false), CacheOutcome::Miss);
-        assert_eq!(lru.touch(1, false), CacheOutcome::Hit);
-        // 2 is now least recently used and gets evicted.
-        assert_eq!(lru.touch(3, false), CacheOutcome::Evicted(2, false));
-        assert!(lru.contains(&1));
-        assert!(lru.contains(&3));
-        assert!(!lru.contains(&2));
+    fn evicts_in_recency_order() {
+        let mut m: LruMap<u32, &str> = LruMap::new(2);
+        assert_eq!(m.insert(1, "a"), None);
+        assert_eq!(m.insert(2, "b"), None);
+        assert_eq!(m.get(&1).copied(), Some("a")); // 2 becomes LRU
+        assert_eq!(m.insert(3, "c"), Some(2));
+        assert_eq!(m.get(&2).copied(), None);
+        assert_eq!(m.get(&1).copied(), Some("a"));
+        assert_eq!(m.get(&3).copied(), Some("c"));
+        assert_eq!(m.len(), 2);
+        // Replacing a resident key evicts nothing and refreshes it.
+        assert_eq!(m.insert(1, "a2"), None);
+        assert_eq!(m.insert(4, "d"), Some(3));
+        assert_eq!(m.get(&1).copied(), Some("a2"));
     }
 
     #[test]
-    fn dirty_bit_survives_touches_and_reports_on_eviction() {
-        let mut lru = LruSet::new(1);
-        lru.touch(7, true);
-        lru.touch(7, false); // does not clear dirty
-        match lru.touch(8, false) {
-            CacheOutcome::Evicted(7, true) => {}
-            other => panic!("expected dirty eviction, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn mark_clean_and_take_dirty() {
-        let mut lru = LruSet::new(4);
-        lru.touch("a", true);
-        lru.touch("b", true);
-        lru.touch("c", false);
-        lru.mark_clean(&"a");
-        let mut dirty = lru.take_dirty();
-        dirty.sort();
-        assert_eq!(dirty, vec!["b"]);
-        assert!(lru.take_dirty().is_empty());
-    }
-
-    #[test]
-    fn remove_returns_dirty_state() {
-        let mut lru = LruSet::new(4);
-        lru.touch(1, true);
-        lru.touch(2, false);
-        assert_eq!(lru.remove(&1), Some(true));
-        assert_eq!(lru.remove(&2), Some(false));
-        assert_eq!(lru.remove(&3), None);
-        assert!(lru.is_empty());
-    }
-
-    #[test]
-    fn reuses_slots_after_removal() {
-        let mut lru = LruSet::new(2);
+    fn reuses_slots() {
+        let mut m: LruMap<u32, u32> = LruMap::new(2);
         for i in 0..100 {
-            lru.touch(i, i % 2 == 0);
+            m.insert(i, i);
         }
-        assert_eq!(lru.len(), 2);
-        // Internal node storage should not have grown unboundedly.
-        assert!(lru.nodes.len() <= 3);
+        assert_eq!(m.len(), 2);
+        assert!(m.nodes.len() <= 3);
+        // A removed entry's slot is the next one filled.
+        m.remove(&99);
+        m.insert(100, 100);
+        assert!(m.nodes.len() <= 3);
     }
 
     #[test]
     fn capacity_one_always_evicts_previous() {
-        let mut lru = LruSet::new(1);
-        lru.touch(1, false);
-        assert_eq!(lru.touch(2, false), CacheOutcome::Evicted(1, false));
-        assert_eq!(lru.touch(3, false), CacheOutcome::Evicted(2, false));
-        assert_eq!(lru.len(), 1);
+        let mut m: LruMap<u32, ()> = LruMap::new(1);
+        assert_eq!(m.insert(1, ()), None);
+        assert_eq!(m.insert(2, ()), Some(1));
+        assert_eq!(m.insert(3, ()), Some(2));
+        assert_eq!(m.len(), 1);
+        // Capacity zero is capacity one.
+        let mut z: LruMap<u32, ()> = LruMap::new(0);
+        assert_eq!(z.insert(1, ()), None);
+        assert_eq!(z.insert(2, ()), Some(1));
+    }
+
+    #[test]
+    fn remove_returns_the_value() {
+        let mut m: LruMap<u32, String> = LruMap::new(4);
+        m.insert(1, "one".into());
+        m.insert(2, "two".into());
+        assert_eq!(m.remove(&1).as_deref(), Some("one"));
+        assert_eq!(m.remove(&1), None);
+        assert_eq!(m.remove(&3), None);
+        assert_eq!(m.get(&2).map(|v| v.as_str()), Some("two"));
+        assert_eq!(m.remove(&2).as_deref(), Some("two"));
+        assert!(m.is_empty());
+        // Emptied by removal, the list still links what comes next.
+        m.insert(5, "five".into());
+        m.insert(6, "six".into());
+        assert_eq!(m.get(&5).map(|v| v.as_str()), Some("five"));
     }
 }

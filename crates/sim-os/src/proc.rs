@@ -71,12 +71,6 @@ pub struct OpenFile {
     pub offset: u64,
     /// Opened with append semantics.
     pub append: bool,
-    /// Full path used at open time (empty for pipes).
-    pub path: String,
-    /// Containing directory, for inotify delivery (files only).
-    pub parent: Option<FileLoc>,
-    /// Last path component (files only).
-    pub name: String,
     /// Whether this descriptor has been written.
     pub wrote: bool,
     /// Opened readable.
@@ -92,9 +86,6 @@ impl OpenFile {
             target: FdTarget::Pipe { id, end },
             offset: 0,
             append: false,
-            path: String::new(),
-            parent: None,
-            name: String::new(),
             wrote: false,
             readable: end == PipeEnd::Read,
             writable: end == PipeEnd::Write,
@@ -239,9 +230,6 @@ mod tests {
             target: FdTarget::File(loc),
             offset: 7,
             append: false,
-            path: "/x".into(),
-            parent: None,
-            name: "x".into(),
             wrote: false,
             readable: true,
             writable: false,

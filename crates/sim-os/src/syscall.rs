@@ -15,7 +15,6 @@ use crate::clock::Clock;
 use crate::cost::CostModel;
 use crate::events::{ExecImage, HookCtx, ModuleRef, Mount};
 use crate::fs::{DirEntry, DpapiVolume, FileAttr, FileSystem, FsError, FsResult, FsUsage, Ino};
-use crate::inotify::{InotifyEvent, InotifyTable, WatchId};
 use crate::pipe::PipeTable;
 use crate::proc::{Fd, FdTarget, FileLoc, MountId, OpenFile, Pid, PipeEnd, Process, ProcessTable};
 
@@ -88,16 +87,6 @@ pub struct KernelStats {
     pub dpapi_txn_ops: u64,
 }
 
-impl provscope::MetricSource for KernelStats {
-    fn record(&self, out: &mut dyn FnMut(&str, u64)) {
-        out("syscalls", self.syscalls);
-        out("bytes_read", self.bytes_read);
-        out("bytes_written", self.bytes_written);
-        out("dpapi_txns", self.dpapi_txns);
-        out("dpapi_txn_ops", self.dpapi_txn_ops);
-    }
-}
-
 /// The simulated kernel.
 pub struct Kernel {
     clock: Clock,
@@ -106,7 +95,6 @@ pub struct Kernel {
     procs: ProcessTable,
     pipes: PipeTable,
     module: Option<ModuleRef>,
-    inotify: InotifyTable,
     // Keyed by (mount index, inode number): see `dpapi::IdHasher`.
     open_counts: IdMap<FileLoc, u32>,
     unlinked: IdSet<FileLoc>,
@@ -124,7 +112,6 @@ impl Kernel {
             procs: ProcessTable::new(),
             pipes: PipeTable::new(),
             module: None,
-            inotify: InotifyTable::new(),
             open_counts: IdMap::default(),
             unlinked: IdSet::default(),
             stats: KernelStats::default(),
@@ -404,7 +391,6 @@ impl Kernel {
             Err(e) => return Err(e),
         };
         let loc = FileLoc { mount: m, ino };
-        let parent = FileLoc { mount: m, ino: dir };
         let offset = if flags.append {
             fs.getattr(ino)?.size
         } else {
@@ -414,9 +400,6 @@ impl Kernel {
             target: FdTarget::File(loc),
             offset,
             append: flags.append,
-            path: path.to_string(),
-            parent: Some(parent),
-            name: name.to_string(),
             wrote: false,
             readable: flags.read,
             writable: flags.write,
@@ -427,12 +410,6 @@ impl Kernel {
             .ok_or_else(|| FsError::Invalid(format!("open by dead {pid}")))?
             .alloc_fd(open);
         *self.open_counts.entry(loc).or_insert(0) += 1;
-        if created {
-            self.inotify.deliver_with(parent, || InotifyEvent::Created {
-                name: name.to_string(),
-                loc,
-            });
-        }
         self.with_module(|m, ctx| m.on_open(ctx, pid, loc, path, created));
         Ok(fd)
     }
@@ -464,13 +441,6 @@ impl Kernel {
                 if open.wrote {
                     // Close-to-open consistency hook (NFS flush).
                     let _ = self.mounts[loc.mount.0].fs.close_hint(loc.ino);
-                    if let Some(parent) = open.parent {
-                        self.inotify
-                            .deliver_with(parent, || InotifyEvent::CloseWrite {
-                                name: open.name.clone(),
-                                loc,
-                            });
-                    }
                 }
                 let count = self.open_counts.entry(loc).or_insert(1);
                 *count = count.saturating_sub(1);
@@ -649,10 +619,6 @@ impl Kernel {
         let ino = self.mounts[m.0].fs.lookup(dir, name)?;
         let loc = FileLoc { mount: m, ino };
         self.mounts[m.0].fs.unlink(dir, name)?;
-        self.inotify
-            .deliver_with(FileLoc { mount: m, ino: dir }, || InotifyEvent::Removed {
-                name: name.to_string(),
-            });
         self.with_module(|mo, ctx| mo.on_unlink(ctx, pid, loc, path));
         if self.open_counts.get(&loc).copied().unwrap_or(0) == 0 {
             self.with_module(|mo, ctx| mo.on_drop_inode(ctx, loc));
@@ -673,15 +639,6 @@ impl Kernel {
         let ino = self.mounts[m1.0].fs.lookup(d1, n1)?;
         let loc = FileLoc { mount: m1, ino };
         self.mounts[m1.0].fs.rename(d1, n1, d2, n2)?;
-        self.inotify
-            .deliver_with(FileLoc { mount: m1, ino: d1 }, || InotifyEvent::Removed {
-                name: n1.to_string(),
-            });
-        self.inotify
-            .deliver_with(FileLoc { mount: m2, ino: d2 }, || InotifyEvent::Created {
-                name: n2.to_string(),
-                loc,
-            });
         self.with_module(|mo, ctx| mo.on_rename(ctx, pid, loc, from, to));
         Ok(())
     }
@@ -717,19 +674,6 @@ impl Kernel {
             m.fs.sync()?;
         }
         Ok(())
-    }
-
-    // ---- inotify -----------------------------------------------------------
-
-    /// Watches the directory at `path`.
-    pub fn inotify_watch(&mut self, path: &str) -> FsResult<WatchId> {
-        let loc = self.resolve_file(path)?;
-        Ok(self.inotify.add_watch(loc))
-    }
-
-    /// Drains pending events for `watch`.
-    pub fn inotify_poll(&mut self, watch: WatchId) -> Vec<InotifyEvent> {
-        self.inotify.poll(watch)
     }
 
     // ---- user-level DPAPI (libpass backend) --------------------------------
@@ -1019,22 +963,6 @@ mod tests {
     }
 
     #[test]
-    fn inotify_sees_create_closewrite_remove() {
-        let (mut k, pid) = kernel();
-        k.mkdir_p(pid, "/watched").unwrap();
-        let w = k.inotify_watch("/watched").unwrap();
-        let fd = k.open(pid, "/watched/f", OpenFlags::WRONLY_CREATE).unwrap();
-        k.write(pid, fd, b"x").unwrap();
-        k.close(pid, fd).unwrap();
-        k.unlink(pid, "/watched/f").unwrap();
-        let evs = k.inotify_poll(w);
-        assert_eq!(evs.len(), 3);
-        assert!(matches!(evs[0], InotifyEvent::Created { .. }));
-        assert!(matches!(evs[1], InotifyEvent::CloseWrite { .. }));
-        assert!(matches!(evs[2], InotifyEvent::Removed { .. }));
-    }
-
-    #[test]
     fn exit_closes_descriptors_and_pipe_refs() {
         let (mut k, pid) = kernel();
         let (rfd, _wfd) = k.pipe(pid).unwrap();
@@ -1044,36 +972,6 @@ mod tests {
         let _ = rfd;
         k.exit(child);
         assert_eq!(k.procs.live_count(), 0);
-    }
-
-    /// A process exiting with written files open closes them lowest
-    /// descriptor first, so close-write events (and the close-to-open
-    /// flushes and `drop_inode` hooks issued beside them) come in one
-    /// order, not in whatever order a hash table iterates.
-    #[test]
-    fn exit_closes_descriptors_in_ascending_fd_order() {
-        let (mut k, pid) = kernel();
-        k.mkdir_p(pid, "/w").unwrap();
-        let watch = k.inotify_watch("/w").unwrap();
-        let child = k.fork(pid).unwrap();
-        let names: Vec<String> = (0..8).map(|i| format!("f{i}")).collect();
-        for name in &names {
-            let fd = k
-                .open(child, &format!("/w/{name}"), OpenFlags::WRONLY_CREATE)
-                .unwrap();
-            k.write(child, fd, b"x").unwrap();
-        }
-        assert_eq!(k.inotify_poll(watch).len(), 8, "eight files created");
-        k.exit(child);
-        let closed: Vec<String> = k
-            .inotify_poll(watch)
-            .into_iter()
-            .map(|e| match e {
-                InotifyEvent::CloseWrite { name, .. } => name,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        assert_eq!(closed, names, "descriptors were opened in this order");
     }
 
     #[test]
@@ -1120,6 +1018,13 @@ mod tests {
         }
         fn on_drop_inode(&self, _ctx: &mut HookCtx<'_>, _loc: FileLoc) {
             self.log.borrow_mut().push("drop_inode".into());
+        }
+        fn on_close(&self, _ctx: &mut HookCtx<'_>, pid: Pid, target: &FdTarget) {
+            if let FdTarget::File(loc) = target {
+                self.log
+                    .borrow_mut()
+                    .push(format!("close {pid} {}", loc.ino));
+            }
         }
     }
 
@@ -1203,6 +1108,33 @@ mod tests {
         assert!(log.iter().any(|l| l == "open /out true"));
         assert!(log.iter().any(|l| l == "drop_inode"));
         assert!(log.iter().any(|l| l == "exit pid2"));
+    }
+
+    /// A process exiting with written files open closes them lowest
+    /// descriptor first, so the close hooks (and the close-to-open
+    /// flushes and `drop_inode` hooks issued beside them) come in one
+    /// order, not in whatever order a hash table iterates.
+    #[test]
+    fn exit_closes_descriptors_in_ascending_fd_order() {
+        let (mut k, pid) = kernel();
+        let spy = Rc::new(SpyModule::default());
+        k.install_module(spy.clone());
+        let child = k.fork(pid).unwrap();
+        let mut opened = Vec::new();
+        for i in 0..8 {
+            let path = format!("/f{i}");
+            let fd = k.open(child, &path, OpenFlags::WRONLY_CREATE).unwrap();
+            k.write(child, fd, b"x").unwrap();
+            let ino = k.stat(child, &path).unwrap().ino;
+            opened.push(format!("close {child} {ino}"));
+        }
+        spy.log.borrow_mut().clear();
+        k.exit(child);
+        let closed: Vec<String> = (spy.log.borrow().iter())
+            .filter(|l| l.starts_with("close "))
+            .cloned()
+            .collect();
+        assert_eq!(closed, opened, "descriptors were opened in this order");
     }
 
     #[test]

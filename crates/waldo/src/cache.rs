@@ -18,138 +18,14 @@
 //! since they were last valid, so ingest that extends the graph
 //! elsewhere keeps them.
 //!
-//! [`LruMap`] follows the `sim_os::lru` idiom — an O(1)
-//! doubly-linked-list-over-`Vec` LRU with a slot free list — extended
-//! from a set to a map so entries can carry values.
+//! The LRU is `sim_os::lru::LruMap`, the one the base file system's
+//! page cache uses too.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::VecDeque;
 
 use dpapi::{ObjectRef, Pnode, VolumeId};
 use pql::EdgeLabel;
-
-const NIL: usize = usize::MAX;
-
-struct Node<K, V> {
-    key: K,
-    value: V,
-    prev: usize,
-    next: usize,
-}
-
-/// An O(1) LRU map (the `sim_os::lru::LruSet` layout, carrying
-/// values).
-pub struct LruMap<K: Eq + Hash + Clone, V> {
-    map: HashMap<K, usize>,
-    nodes: Vec<Node<K, V>>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
-    capacity: usize,
-}
-
-impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
-    /// Creates a map holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        LruMap {
-            map: HashMap::new(),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no entries are resident.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn attach_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    /// Looks `key` up, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&mut V> {
-        let idx = *self.map.get(key)?;
-        self.detach(idx);
-        self.attach_front(idx);
-        Some(&mut self.nodes[idx].value)
-    }
-
-    /// Inserts or replaces `key`, evicting the least recently used
-    /// entry if the map is full.
-    pub fn insert(&mut self, key: K, value: V) {
-        if let Some(&idx) = self.map.get(&key) {
-            self.nodes[idx].value = value;
-            self.detach(idx);
-            self.attach_front(idx);
-            return;
-        }
-        if self.map.len() >= self.capacity {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL);
-            self.detach(victim);
-            let vkey = self.nodes[victim].key.clone();
-            self.map.remove(&vkey);
-            self.free.push(victim);
-        }
-        let node = Node {
-            key: key.clone(),
-            value,
-            prev: NIL,
-            next: NIL,
-        };
-        let idx = if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        };
-        self.map.insert(key, idx);
-        self.attach_front(idx);
-    }
-
-    /// Removes `key` if resident.
-    pub fn remove(&mut self, key: &K) -> Option<V>
-    where
-        V: Default,
-    {
-        let idx = self.map.remove(key)?;
-        self.detach(idx);
-        self.free.push(idx);
-        Some(std::mem::take(&mut self.nodes[idx].value))
-    }
-}
+use sim_os::lru::LruMap;
 
 /// An inclusive pnode range; [`Span::EMPTY`] meets nothing.
 #[derive(Clone, Copy, Debug)]
@@ -410,29 +286,6 @@ mod tests {
             log.target(p(n));
         }
         log.end();
-    }
-
-    #[test]
-    fn lru_map_evicts_in_recency_order() {
-        let mut m: LruMap<u32, &str> = LruMap::new(2);
-        m.insert(1, "a");
-        m.insert(2, "b");
-        assert_eq!(m.get(&1).copied(), Some("a")); // 2 becomes LRU
-        m.insert(3, "c");
-        assert_eq!(m.get(&2).copied(), None);
-        assert_eq!(m.get(&1).copied(), Some("a"));
-        assert_eq!(m.get(&3).copied(), Some("c"));
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn lru_map_reuses_slots() {
-        let mut m: LruMap<u32, u32> = LruMap::new(2);
-        for i in 0..100 {
-            m.insert(i, i);
-        }
-        assert_eq!(m.len(), 2);
-        assert!(m.nodes.len() <= 3);
     }
 
     /// A commit whose pnode range misses both the key and the member

@@ -113,19 +113,6 @@ pub struct IngestStats {
     pub tails_corrupt: usize,
 }
 
-impl provscope::MetricSource for IngestStats {
-    fn record(&self, out: &mut dyn FnMut(&str, u64)) {
-        out("applied", self.applied as u64);
-        out("pending", self.pending as u64);
-        out("txns_committed", self.txns_committed as u64);
-        out("group_commits", self.group_commits as u64);
-        out("checkpoints", self.checkpoints as u64);
-        out("replayed_batches", self.replayed_batches as u64);
-        out("tails_truncated", self.tails_truncated as u64);
-        out("tails_corrupt", self.tails_corrupt as u64);
-    }
-}
-
 impl std::ops::AddAssign for IngestStats {
     /// Folds another batch's counters into these — the roll-up the
     /// cluster fan-in and the bench rig use to aggregate per-member

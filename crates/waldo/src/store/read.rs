@@ -121,23 +121,12 @@ impl Store {
         self.find(Keyed::Name, prefix, true)
     }
 
-    /// Objects whose TYPE starts with `prefix` — range scan over the
-    /// ordered type index.
-    pub fn find_by_type_prefix(&self, prefix: &str) -> Vec<Pnode> {
-        self.find(Keyed::Type, prefix, true)
-    }
-
     /// Objects that ever bore string attribute `attr` (by its
     /// canonical record name, e.g. `PHASE`) with exactly `value`, in
     /// pnode order. NAME and TYPE have their dedicated indexes
     /// ([`Store::find_by_name`], [`Store::find_by_type`]).
     pub fn find_by_attr(&self, attr: &str, value: &str) -> Vec<Pnode> {
         self.find(Keyed::Attr(attr), value, false)
-    }
-
-    /// Objects whose string attribute `attr` starts with `prefix`.
-    pub fn find_by_attr_prefix(&self, attr: &str, prefix: &str) -> Vec<Pnode> {
-        self.find(Keyed::Attr(attr), prefix, true)
     }
 
     /// Number of objects in the TYPE index under `ty` — summed set
