@@ -16,14 +16,11 @@
 //! * cluster-wide durability: per-member checkpoint + machine crash +
 //!   `System::restart_cluster` round-trips every member's store.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use dpapi::{Attribute, Bundle, ProvenanceRecord, Value, VolumeId};
 use passv2::{System, SystemBuilder};
 use sim_os::cost::CostModel;
 use sim_os::fs::basefs::BaseFs;
-use sim_os::fs::{DirEntry, FileAttr, FileSystem, FsError, FsResult, FsUsage, Ino};
+use sim_os::fs::{FaultFs, FaultOp};
 use waldo::{Cluster, IngestStats, WaldoConfig};
 
 fn test_cfg() -> WaldoConfig {
@@ -504,63 +501,6 @@ fn set_runtime_selects_nothing() {
     assert_eq!(run(Some(waldo::ClusterRuntime::Threaded)), run(None));
 }
 
-/// A plain file system whose `fsync` fails while `fail` is set.
-struct FlakyFsync {
-    inner: BaseFs,
-    fail: Rc<Cell<bool>>,
-}
-
-impl FileSystem for FlakyFsync {
-    fn root(&self) -> Ino {
-        self.inner.root()
-    }
-    fn lookup(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
-        self.inner.lookup(dir, name)
-    }
-    fn create(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
-        self.inner.create(dir, name)
-    }
-    fn mkdir(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
-        self.inner.mkdir(dir, name)
-    }
-    fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()> {
-        self.inner.unlink(dir, name)
-    }
-    fn rename(&mut self, from: Ino, name: &str, to: Ino, to_name: &str) -> FsResult<()> {
-        self.inner.rename(from, name, to, to_name)
-    }
-    fn read(&mut self, ino: Ino, offset: u64, len: usize) -> FsResult<Vec<u8>> {
-        self.inner.read(ino, offset, len)
-    }
-    fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
-        self.inner.write(ino, offset, data)
-    }
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-        self.inner.truncate(ino, size)
-    }
-    fn getattr(&mut self, ino: Ino) -> FsResult<FileAttr> {
-        self.inner.getattr(ino)
-    }
-    fn readdir(&mut self, dir: Ino) -> FsResult<Vec<DirEntry>> {
-        self.inner.readdir(dir)
-    }
-    fn sync(&mut self) -> FsResult<()> {
-        self.inner.sync()
-    }
-    fn fsync(&mut self, ino: Ino) -> FsResult<()> {
-        if self.fail.get() {
-            return Err(FsError::NoSpace);
-        }
-        self.inner.fsync(ino)
-    }
-    fn close_hint(&mut self, ino: Ino) -> FsResult<()> {
-        self.inner.close_hint(ino)
-    }
-    fn usage(&self) -> FsUsage {
-        self.inner.usage()
-    }
-}
-
 /// One member's database disk fails `fsync` for a whole sweep: the
 /// report must blame *every* volume that member drained (each commit
 /// is persisted where it happens, so each poll sees its own failures)
@@ -573,14 +513,9 @@ fn a_failing_member_wal_is_blamed_on_every_volume_it_serves() {
     const NVOL: u32 = 6;
     let run = |failing: bool| {
         let mut sys = multi_volume_system(NVOL, 6);
-        let fail = Rc::new(Cell::new(false));
-        sys.kernel.mount(
-            "/flaky",
-            Box::new(FlakyFsync {
-                inner: BaseFs::new(sys.clock(), CostModel::default()),
-                fail: fail.clone(),
-            }),
-        );
+        let (flaky, faults) =
+            FaultFs::new(Box::new(BaseFs::new(sys.clock(), CostModel::default())));
+        sys.kernel.mount("/flaky", Box::new(flaky));
         sys.waldo_cfg.keep_checkpoints = 1; // one manual checkpoint covers every log
         let mut cluster = Cluster::new(vec![
             sys.spawn_waldo_durable("/db/member0"),
@@ -595,7 +530,7 @@ fn a_failing_member_wal_is_blamed_on_every_volume_it_serves() {
             "the test needs both members busy, member 1 with several volumes: {on_member_1:?}"
         );
 
-        fail.set(failing);
+        faults.set_failing(FaultOp::Fsync, failing);
         let report = cluster.poll_volumes_report(&mut sys.kernel, &volumes);
         let blamed: Vec<VolumeId> = report.issues().iter().map(|p| p.volume).collect();
         if failing {
@@ -607,7 +542,7 @@ fn a_failing_member_wal_is_blamed_on_every_volume_it_serves() {
         }
 
         // More work, then one clean sweep.
-        fail.set(false);
+        faults.set_failing(FaultOp::Fsync, false);
         let pid = sys.kernel.spawn_init("driver2");
         for (path, m, _) in &volumes {
             sys.kernel

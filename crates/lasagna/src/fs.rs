@@ -398,29 +398,26 @@ impl Lasagna {
         Ok(())
     }
 
-    fn current_log_name(&self) -> String {
-        format!("log.{}", self.log_index)
-    }
-
+    /// Closes the current log and queues it for Waldo — once the next
+    /// log exists. If it cannot be created the current log stays
+    /// open, and the next flush past the size limit (or the next
+    /// forced rotation) tries again.
     fn rotate_log(&mut self) {
-        let closed = format!("{PASS_DIR}/{}", self.current_log_name());
+        let name = format!("log.{}", self.log_index + 1);
+        let next = match self.lower.create(self.log_dir, &name) {
+            Ok(ino) => ino,
+            // Reuse the existing file if it survived a crash.
+            Err(_) => match self.lower.lookup(self.log_dir, &name) {
+                Ok(ino) => ino,
+                Err(_) => return,
+            },
+        };
+        let closed = format!("{PASS_DIR}/log.{}", self.log_index);
         self.rotated.push(closed);
         self.stats.rotations += 1;
         self.log_index += 1;
-        let name = self.current_log_name();
-        match self.lower.create(self.log_dir, &name) {
-            Ok(ino) => {
-                self.log_file = ino;
-                self.log_written = 0;
-            }
-            Err(_) => {
-                // Reuse the existing file if it survived a crash.
-                if let Ok(ino) = self.lower.lookup(self.log_dir, &name) {
-                    self.log_file = ino;
-                    self.log_written = 0;
-                }
-            }
-        }
+        self.log_file = next;
+        self.log_written = 0;
     }
 
     /// Runs `f` with the volume's subject scratch, emptied: the hot
@@ -1054,6 +1051,7 @@ mod tests {
     use super::*;
     use crate::log::{parse_log, LogEntry, LogTail};
     use sim_os::fs::basefs::BaseFs;
+    use sim_os::fs::{FaultFs, FaultOp};
 
     fn volume() -> Lasagna {
         let clock = Clock::new();
@@ -1385,59 +1383,6 @@ mod tests {
         assert_eq!(v.identity_of_ino(ino).unwrap().version, Version(0));
     }
 
-    /// A base file system whose next `budget` writes fail, as a full or
-    /// failing disk would make them; everything else passes through.
-    struct FlakyFs {
-        inner: BaseFs,
-        failing_writes: std::rc::Rc<std::cell::Cell<u32>>,
-    }
-
-    impl FileSystem for FlakyFs {
-        fn root(&self) -> Ino {
-            self.inner.root()
-        }
-        fn lookup(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
-            self.inner.lookup(dir, name)
-        }
-        fn create(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
-            self.inner.create(dir, name)
-        }
-        fn mkdir(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
-            self.inner.mkdir(dir, name)
-        }
-        fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()> {
-            self.inner.unlink(dir, name)
-        }
-        fn rename(&mut self, from: Ino, name: &str, to: Ino, to_name: &str) -> FsResult<()> {
-            self.inner.rename(from, name, to, to_name)
-        }
-        fn read(&mut self, ino: Ino, offset: u64, len: usize) -> FsResult<Vec<u8>> {
-            self.inner.read(ino, offset, len)
-        }
-        fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
-            if self.failing_writes.get() > 0 {
-                self.failing_writes.set(self.failing_writes.get() - 1);
-                return Err(FsError::NoSpace);
-            }
-            self.inner.write(ino, offset, data)
-        }
-        fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-            self.inner.truncate(ino, size)
-        }
-        fn getattr(&mut self, ino: Ino) -> FsResult<FileAttr> {
-            self.inner.getattr(ino)
-        }
-        fn readdir(&mut self, dir: Ino) -> FsResult<Vec<DirEntry>> {
-            self.inner.readdir(dir)
-        }
-        fn sync(&mut self) -> FsResult<()> {
-            self.inner.sync()
-        }
-        fn usage(&self) -> FsUsage {
-            self.inner.usage()
-        }
-    }
-
     /// Write-ahead provenance under a failing log write (§5.6: data
     /// never reaches the disk without its provenance). The flush ahead
     /// of a data write used to ignore the lower file system's answer:
@@ -1447,11 +1392,7 @@ mod tests {
     fn failed_log_write_stops_the_data_write_and_is_retried_in_place() {
         let clock = Clock::new();
         let model = CostModel::default();
-        let failing_writes = std::rc::Rc::new(std::cell::Cell::new(0));
-        let lower = FlakyFs {
-            inner: BaseFs::new(clock.clone(), model),
-            failing_writes: failing_writes.clone(),
-        };
+        let (lower, faults) = FaultFs::new(Box::new(BaseFs::new(clock.clone(), model)));
         let cfg = LasagnaConfig::new(VolumeId(1));
         let mut v = Lasagna::new(Box::new(lower), clock, model, cfg).unwrap();
         let root = v.root();
@@ -1460,10 +1401,14 @@ mod tests {
         v.pass_write(h, 0, b"before", Bundle::new()).unwrap();
 
         // The next lower write is the log flush guarding the data.
-        failing_writes.set(1);
+        faults.fail_next(FaultOp::Write, 1);
         let err = v.pass_write(h, 0, b"lost!!", Bundle::new()).unwrap_err();
         assert!(matches!(err, DpapiError::Io(_)), "got {err:?}");
-        assert_eq!(failing_writes.get(), 0, "exactly the log write failed");
+        assert_eq!(
+            faults.pending(FaultOp::Write),
+            0,
+            "exactly the log write failed"
+        );
         assert_eq!(v.read(ino, 0, 6).unwrap(), b"before", "no data byte moved");
         assert_eq!(v.stats().log_write_failures, 1);
 

@@ -45,6 +45,8 @@ pub struct NfsServer {
     next_node: NodeId,
     stats: ServerStats,
     scope: provscope::Scope,
+    /// Rotated logs not yet drained, oldest first.
+    undrained: Vec<String>,
 }
 
 impl NfsServer {
@@ -59,6 +61,7 @@ impl NfsServer {
             next_node: 1,
             stats: ServerStats::default(),
             scope: provscope::Scope::default(),
+            undrained: Vec::new(),
         }
     }
 
@@ -103,30 +106,42 @@ impl NfsServer {
     }
 
     /// Rotates and drains the provenance logs of the exported volume,
-    /// returning raw log images for the server-side Waldo. Processed
-    /// logs are removed, as Waldo would.
+    /// returning raw log images for the server-side Waldo in rotation
+    /// order. Drained logs are removed, as Waldo would. A log that
+    /// cannot be read stays queued, with every later one, for the
+    /// next drain: one volume's logs must reach Waldo in order.
     pub fn drain_provenance_logs(&mut self) -> Vec<Vec<u8>> {
         let Some(d) = self.fs.as_dpapi() else {
             return Vec::new();
         };
         d.force_log_rotation();
-        let rotated = d.take_log_rotations();
+        self.undrained.extend(d.take_log_rotations());
         let mut out = Vec::new();
         let root = self.fs.root();
         let Ok(dir) = self.fs.lookup(root, PASS_DIR) else {
             return out;
         };
-        for rel in rotated {
-            let name = rel.rsplit('/').next().unwrap_or(&rel).to_string();
-            if let Ok(ino) = self.fs.lookup(dir, &name) {
-                if let Ok(attr) = self.fs.getattr(ino) {
-                    if let Ok(bytes) = self.fs.read(ino, 0, attr.size as usize) {
-                        out.push(bytes);
-                    }
+        let mut drained = 0;
+        for rel in &self.undrained {
+            let name = rel.rsplit('/').next().unwrap_or(rel);
+            let ino = match self.fs.lookup(dir, name) {
+                Ok(ino) => ino,
+                // Gone: nothing left to drain.
+                Err(FsError::NotFound(_)) => {
+                    drained += 1;
+                    continue;
                 }
-                let _ = self.fs.unlink(dir, &name);
-            }
+                Err(_) => break,
+            };
+            let read = self.fs.getattr(ino);
+            let Ok(bytes) = read.and_then(|a| self.fs.read(ino, 0, a.size as usize)) else {
+                break;
+            };
+            out.push(bytes);
+            let _ = self.fs.unlink(dir, name);
+            drained += 1;
         }
+        self.undrained.drain(..drained);
         out
     }
 

@@ -21,7 +21,6 @@ use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version};
 use lasagna::{batch_txn_parts, encode_group, parse_log, LogEntry, LogTail};
 use sim_os::proc::Pid;
 use sim_os::syscall::Kernel;
-use waldo::CheckpointCrash;
 
 use crate::TortureRng;
 
@@ -39,8 +38,8 @@ pub enum Fault {
     /// Re-append the bytes of the last committed `KIND_GROUP` frame —
     /// a literal replay of a real batch.
     ReplayGroup,
-    /// Crash the final checkpoint at a seeded point of the publish
-    /// protocol (torn manifest publish).
+    /// Crash the database volume after a seeded op of the final
+    /// checkpoint (torn manifest publish).
     TearManifestPublish,
     /// Flip one seeded bit of the newest published manifest.
     FlipManifestBit,
@@ -139,19 +138,6 @@ impl Fault {
     /// byte-equality oracle compares like with like.
     pub fn skips_final_checkpoint(&self) -> bool {
         matches!(self, Fault::TruncateWal | Fault::FlipWalBit)
-    }
-
-    /// The crash point for [`Fault::TearManifestPublish`], drawn from
-    /// the case RNG.
-    pub fn crash_point(&self, rng: &mut TortureRng) -> CheckpointCrash {
-        const POINTS: [CheckpointCrash; 5] = [
-            CheckpointCrash::AfterSegments,
-            CheckpointCrash::AfterTempManifest,
-            CheckpointCrash::AfterPublish,
-            CheckpointCrash::MidWalTruncate,
-            CheckpointCrash::AfterWalTruncate,
-        ];
-        POINTS[rng.below(POINTS.len())]
     }
 
     /// Applies a log-targeted fault to one of `logs` (rotated log

@@ -19,6 +19,8 @@
 use dpapi::{Attribute, Bundle, ProvenanceRecord, Value, VolumeId};
 use passv2::SystemBuilder;
 use sim_os::cost::CostModel;
+use sim_os::fs::basefs::BaseFs;
+use sim_os::fs::FaultFs;
 use waldo::{route_volume, Cluster, IngestStats, Waldo, WaldoConfig};
 use workloads::Workload;
 
@@ -229,6 +231,13 @@ const ROUNDS: usize = 2;
 /// reference shape is comparable with the cluster's.
 const VOLUMES: u32 = 2;
 
+/// A torn publish crashes the database volume after op k of the final
+/// checkpoint, k drawn below this bound: the mutating ops of a base
+/// rewrite of [`torture_config`]'s four shards, plus one. A delta
+/// checkpoint makes fewer, and a draw past its last op crashes the
+/// machine after it.
+const CRASH_OPS: usize = 21;
+
 const DB_SINGLE: &str = "/db/waldo";
 const DB_CLUSTER: &str = "/db/cluster";
 
@@ -324,9 +333,7 @@ fn execute(
     recorder: Option<provscope::RecorderConfig>,
 ) -> RunOutput {
     let cfg = torture_config();
-    let mut builder = SystemBuilder::new(CostModel::default())
-        .waldo_config(cfg)
-        .plain_volume("/db");
+    let mut builder = SystemBuilder::new(CostModel::default()).waldo_config(cfg);
     if let Some(rc) = recorder {
         builder = builder.flight_recorder(rc);
     }
@@ -334,6 +341,9 @@ fn execute(
         builder = builder.pass_volume(&format!("/v{v}"), VolumeId(v));
     }
     let mut sys = builder.build();
+    // The database volume, which a torn publish crashes.
+    let (db, db_faults) = FaultFs::new(Box::new(BaseFs::new(sys.clock(), CostModel::default())));
+    sys.kernel.mount("/db", Box::new(db));
     // Trace the faulted twin only: the reference twin stays untraced,
     // so the byte-equality oracle between the twins also re-proves,
     // on every cell, that tracing observes without participating.
@@ -422,21 +432,17 @@ fn execute(
         }
         if !(last && schedule.skip_last_checkpoint) {
             for (i, m) in members.iter_mut().enumerate() {
-                let crash = match fault {
-                    Some(f) if last && i == target && f.is_torn_publish() => {
-                        Some(f.crash_point(rng))
-                    }
-                    _ => None,
-                };
-                match crash {
-                    Some(point) => {
-                        m.checkpoint_crashing_at(&mut sys.kernel, point)
-                            .expect("torn checkpoint publish");
-                        applied = Some(format!("crashed member {i} final checkpoint at {point:?}"));
-                    }
-                    None => {
-                        m.checkpoint(&mut sys.kernel).expect("checkpoint");
-                    }
+                if fault.is_some_and(Fault::is_torn_publish) && last && i == target {
+                    // The machine crashes after op k of the checkpoint:
+                    // the database volume stays frozen until restart.
+                    let k = rng.below(CRASH_OPS) as u64;
+                    db_faults.crash_after(k);
+                    let _ = m.checkpoint(&mut sys.kernel);
+                    applied = Some(format!(
+                        "crashed the database volume after op {k} of member {i}'s final checkpoint"
+                    ));
+                } else {
+                    m.checkpoint(&mut sys.kernel).expect("checkpoint");
                 }
             }
         }
@@ -467,6 +473,7 @@ fn execute(
     }
 
     let trace = scope.snapshot();
+    db_faults.heal();
     match topo {
         Topology::SingleDaemon => {
             let images = members.iter().flat_map(|m| m.db.segment_images()).collect();

@@ -3,9 +3,13 @@
 //! Mounted file systems implement [`FileSystem`]; provenance-aware
 //! file systems (Lasagna, the PA-NFS client) additionally implement
 //! [`DpapiVolume`], which is how the kernel's PASS module reaches the
-//! DPAPI of the volume backing a given file.
+//! DPAPI of the volume backing a given file. [`FaultFs`] wraps any of
+//! them to fail calls on demand.
 
 pub mod basefs;
+mod fault;
+
+pub use fault::{FaultFs, FaultOp, Faults};
 
 use std::fmt;
 

@@ -110,25 +110,6 @@ impl provscope::MetricSource for CheckpointStats {
     }
 }
 
-/// Where a simulated crash interrupts `Waldo::checkpoint` — used by
-/// the crash-matrix tests to prove every interleaving restarts to the
-/// uncrashed store.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckpointCrash {
-    /// Segments (base or delta) written; no manifest yet (checkpoint
-    /// invisible).
-    AfterSegments,
-    /// Temporary manifest written and fsynced, not yet renamed.
-    AfterTempManifest,
-    /// Manifest renamed into place; WAL not yet truncated.
-    AfterPublish,
-    /// Truncated WAL written to its temporary name, not yet renamed.
-    MidWalTruncate,
-    /// WAL truncated; covered logs not yet unlinked, old checkpoints
-    /// not yet collected.
-    AfterWalTruncate,
-}
-
 /// What a cold restart found, for tests and operators.
 #[derive(Clone, Debug, Default)]
 pub struct RestartReport {

@@ -6,7 +6,7 @@ use sim_os::fs::FsError;
 use sim_os::syscall::{Kernel, OpenFlags};
 
 use super::Waldo;
-use crate::checkpoint::{self, CheckpointCrash, Retained};
+use crate::checkpoint::{self, Retained};
 use crate::manifest::Manifest;
 
 impl Waldo {
@@ -43,37 +43,13 @@ impl Waldo {
     /// `Ok(false)` if there was nothing new to checkpoint or no
     /// database directory is attached.
     pub fn checkpoint(&mut self, kernel: &mut Kernel) -> Result<bool, FsError> {
-        self.checkpoint_inner(kernel, None)
-    }
-
-    /// Crash-injection variant of [`Waldo::checkpoint`] for the crash
-    /// matrix: performs the checkpoint only up to `crash`, then stops
-    /// as a simulated machine crash would.
-    #[doc(hidden)]
-    pub fn checkpoint_crashing_at(
-        &mut self,
-        kernel: &mut Kernel,
-        crash: CheckpointCrash,
-    ) -> Result<(), FsError> {
-        self.checkpoint_inner(kernel, Some(crash)).map(|_| ())
-    }
-
-    fn checkpoint_inner(
-        &mut self,
-        kernel: &mut Kernel,
-        crash: Option<CheckpointCrash>,
-    ) -> Result<bool, FsError> {
         let span = self.scope.open("waldo", "checkpoint");
-        let r = self.checkpoint_guts(kernel, crash);
+        let r = self.checkpoint_guts(kernel);
         self.scope.close(span);
         r
     }
 
-    fn checkpoint_guts(
-        &mut self,
-        kernel: &mut Kernel,
-        crash: Option<CheckpointCrash>,
-    ) -> Result<bool, FsError> {
+    fn checkpoint_guts(&mut self, kernel: &mut Kernel) -> Result<bool, FsError> {
         let Some(db_dir) = self.db_dir.clone() else {
             return Ok(false);
         };
@@ -86,7 +62,7 @@ impl Waldo {
             // holding the WAL and retained logs hostage until new
             // commits arrive.
             if self.post_publish_pending {
-                self.finish_checkpoint(kernel, &db_dir, crash)?;
+                self.finish_checkpoint(kernel, &db_dir)?;
             }
             return Ok(false);
         }
@@ -113,9 +89,6 @@ impl Waldo {
                 (seq, segments, Vec::new())
             }
         };
-        if crash == Some(CheckpointCrash::AfterSegments) {
-            return Ok(false);
-        }
         let (txns, commit_txn) = self.db.open_txn_state();
         let (batch_hw, replay_skip) = self.db.batch_state();
         let manifest = Manifest {
@@ -130,9 +103,6 @@ impl Waldo {
             replay_skip,
         };
         checkpoint::write_temp_manifest(kernel, self.pid, &dir, &manifest)?;
-        if crash == Some(CheckpointCrash::AfterTempManifest) {
-            return Ok(false);
-        }
         checkpoint::rename_manifest(kernel, self.pid, &dir, seq)?;
         self.ckpt_stats.checkpoints += 1;
         self.retained.push(Retained::of(&manifest));
@@ -143,23 +113,15 @@ impl Waldo {
         self.last_manifest = Some(manifest);
         self.commits_since_checkpoint = 0;
         self.post_publish_pending = true;
-        if crash == Some(CheckpointCrash::AfterPublish) {
-            return Ok(true);
-        }
-        self.finish_checkpoint(kernel, &db_dir, crash)?;
+        self.finish_checkpoint(kernel, &db_dir)?;
         Ok(true)
     }
 
     /// The post-publication phase of a checkpoint: WAL truncation,
     /// garbage collection and covered-log unlinking. Idempotent, so a
-    /// failure part-way (or a simulated crash) can be retried by a
-    /// later [`Waldo::checkpoint`] call.
-    fn finish_checkpoint(
-        &mut self,
-        kernel: &mut Kernel,
-        db_dir: &str,
-        crash: Option<CheckpointCrash>,
-    ) -> Result<(), FsError> {
+    /// failure part-way can be retried by a later [`Waldo::checkpoint`]
+    /// call.
+    fn finish_checkpoint(&mut self, kernel: &mut Kernel, db_dir: &str) -> Result<(), FsError> {
         let seq = self
             .last_manifest
             .as_ref()
@@ -173,9 +135,6 @@ impl Waldo {
         // rename replaces the inode.
         let wal = checkpoint::wal_path(db_dir);
         let dropped = checkpoint::truncate_wal_temp(kernel, self.pid, &wal, seq)?;
-        if crash == Some(CheckpointCrash::MidWalTruncate) {
-            return Ok(());
-        }
         if let Some(fd) = self.db_fd.take() {
             let _ = kernel.close(self.pid, fd);
         }
@@ -188,9 +147,6 @@ impl Waldo {
         renamed?;
         self.ckpt_stats.frames_truncated += dropped;
         self.wal_len = kernel.stat(self.pid, &wal).map(|a| a.size).unwrap_or(0);
-        if crash == Some(CheckpointCrash::AfterWalTruncate) {
-            return Ok(());
-        }
         let keep = self.db.config().keep_checkpoints.max(1);
         while self.retained.len() > keep {
             let dropped = self.retained.remove(0);

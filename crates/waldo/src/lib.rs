@@ -99,7 +99,7 @@ pub mod store;
 pub mod wal;
 
 pub use cache::CacheStats;
-pub use checkpoint::{CheckpointCrash, CheckpointStats, RestartReport};
+pub use checkpoint::{CheckpointStats, RestartReport};
 pub use cluster::{
     route_volume, Cluster, ClusterCheckpointError, ClusterGraphSource, ClusterMemberError,
     ClusterPollReport, ClusterRuntime, MemberTiming, VolumePoll,

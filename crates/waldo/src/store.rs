@@ -144,6 +144,20 @@ enum PlanItem {
     Flushed(usize),
 }
 
+/// What transaction routing ([`StoreMeta::route`]) does with one
+/// entry.
+enum Route {
+    /// Apply it in this commit.
+    Apply,
+    /// Buffer it in the open transaction with this id.
+    Buffer(u64),
+    /// A `TxnEnd` committed its transaction: apply these buffered
+    /// members in this commit, in order.
+    Flush(Vec<LogEntry>),
+    /// Consumed: a transaction marker, or a replayed batch's member.
+    Consumed,
+}
+
 /// Per-source-file replay bookkeeping.
 #[derive(Clone, Debug)]
 struct SourceFile {
@@ -237,6 +251,62 @@ impl StoreMeta {
         if let Some((vol, seq)) = lasagna::batch_txn_parts(id) {
             let hw = self.batch_hw.entry(vol.0).or_insert(0);
             *hw = (*hw).max(seq);
+        }
+    }
+
+    /// A log-image boundary: transaction ids never span images, so
+    /// the open transaction and any replay-skip region end here.
+    fn reset_stream(&mut self) {
+        self.commit_txn = None;
+        self.replay_skip = None;
+    }
+
+    /// Transaction routing of one entry, in arrival order: the one
+    /// routine behind [`Store::commit_staged`], which owns its
+    /// entries, and [`Store::ingest`], which borrows them. Only a
+    /// [`Route::Buffer`]ed entry needs owning, so the caller decides
+    /// whether to move or clone it, and applies the rest in place.
+    /// Inlined into both per-entry loops, where the two copies it
+    /// replaced lived: left to itself the compiler makes it a call.
+    #[inline(always)]
+    fn route(&mut self, entry: &LogEntry, stats: &mut IngestStats) -> Route {
+        match entry {
+            LogEntry::TxnBegin { id } => {
+                if self.is_replayed_batch(*id) {
+                    self.replay_skip = Some(*id);
+                    self.replayed_batches += 1;
+                    stats.replayed_batches += 1;
+                } else {
+                    self.pending_txns.entry(*id).or_default();
+                    self.commit_txn = Some(*id);
+                }
+                Route::Consumed
+            }
+            LogEntry::TxnEnd { id } => {
+                if self.replay_skip == Some(*id) {
+                    self.replay_skip = None;
+                    return Route::Consumed;
+                }
+                if self.commit_txn == Some(*id) {
+                    self.commit_txn = None;
+                }
+                match self.pending_txns.remove(id) {
+                    Some(buf) => {
+                        stats.txns_committed += 1;
+                        self.advance_batch_hw(*id);
+                        Route::Flush(buf)
+                    }
+                    None => Route::Consumed,
+                }
+            }
+            _ if self.replay_skip.is_some() => Route::Consumed,
+            _ => match self.commit_txn {
+                Some(id) => {
+                    stats.pending += 1;
+                    Route::Buffer(id)
+                }
+                None => Route::Apply,
+            },
         }
     }
 }
@@ -395,55 +465,23 @@ impl Store {
         // belong to that commit, not to this call's return value.
         self.commit_staged(&mut IngestStats::default());
         let meta = &mut self.meta;
-        // A new log image starts a new transaction scope (and closes
-        // any replay-skip region: transaction ids never span images).
-        meta.commit_txn = None;
-        meta.replay_skip = None;
-        // Transaction routing, in arrival order. `plan` records which
-        // entries this commit applies: positions in `entries`, or in
-        // the `flushed` buffers pulled out of completed transactions.
-        // This mirrors the owned-entry routing in `commit_staged` —
-        // kept separate so this path can borrow instead of clone; the
-        // `batching_is_transparent` property test holds the two
-        // equivalent.
+        // A new log image starts a new transaction scope.
+        meta.reset_stream();
+        // `plan` records which entries this commit applies: positions
+        // in `entries`, or in the `flushed` buffers pulled out of
+        // completed transactions. Only buffered entries are cloned.
         let mut flushed: Vec<LogEntry> = Vec::new();
         let mut plan: Vec<PlanItem> = Vec::with_capacity(entries.len());
         for (i, entry) in entries.iter().enumerate() {
-            match entry {
-                LogEntry::TxnBegin { id } => {
-                    if meta.is_replayed_batch(*id) {
-                        meta.replay_skip = Some(*id);
-                        meta.replayed_batches += 1;
-                        stats.replayed_batches += 1;
-                        continue;
-                    }
-                    meta.pending_txns.entry(*id).or_default();
-                    meta.commit_txn = Some(*id);
+            match meta.route(entry, &mut stats) {
+                Route::Apply => plan.push(PlanItem::Input(i)),
+                Route::Buffer(id) => meta.pending_txns.entry(id).or_default().push(entry.clone()),
+                Route::Flush(buf) => {
+                    let start = flushed.len();
+                    flushed.extend(buf);
+                    plan.extend((start..flushed.len()).map(PlanItem::Flushed));
                 }
-                LogEntry::TxnEnd { id } => {
-                    if meta.replay_skip == Some(*id) {
-                        meta.replay_skip = None;
-                        continue;
-                    }
-                    if let Some(buf) = meta.pending_txns.remove(id) {
-                        let start = flushed.len();
-                        flushed.extend(buf);
-                        plan.extend((start..flushed.len()).map(PlanItem::Flushed));
-                        stats.txns_committed += 1;
-                        meta.advance_batch_hw(*id);
-                    }
-                    if meta.commit_txn == Some(*id) {
-                        meta.commit_txn = None;
-                    }
-                }
-                _ if meta.replay_skip.is_some() => {}
-                _ => match meta.commit_txn {
-                    Some(id) => {
-                        meta.pending_txns.entry(id).or_default().push(entry.clone());
-                        stats.pending += 1;
-                    }
-                    None => plan.push(PlanItem::Input(i)),
-                },
+                Route::Consumed => {}
             }
         }
         let apply: Vec<&LogEntry> = plan
@@ -530,14 +568,12 @@ impl Store {
         // list of entries this commit applies. Buffered transaction
         // members are durable once this commit returns (they live in
         // `pending_txns`), so their source marks advance now; their
-        // effects apply when their TxnEnd commits. Mirrors the
-        // borrowed-entry routing in `ingest` (see the note there).
+        // effects apply when their TxnEnd commits.
         let mut apply: Vec<LogEntry> = Vec::with_capacity(staged.len());
         for item in staged {
             let (entry, source) = match item {
                 Staged::StreamReset => {
-                    meta.commit_txn = None;
-                    meta.replay_skip = None;
+                    meta.reset_stream();
                     continue;
                 }
                 Staged::Entry { entry, source } => (entry, source),
@@ -545,39 +581,11 @@ impl Store {
             if let Some(src) = source {
                 meta.source_files[src].committed_mark += 1;
             }
-            match &entry {
-                LogEntry::TxnBegin { id } => {
-                    if meta.is_replayed_batch(*id) {
-                        meta.replay_skip = Some(*id);
-                        meta.replayed_batches += 1;
-                        stats.replayed_batches += 1;
-                        continue;
-                    }
-                    meta.pending_txns.entry(*id).or_default();
-                    meta.commit_txn = Some(*id);
-                }
-                LogEntry::TxnEnd { id } => {
-                    if meta.replay_skip == Some(*id) {
-                        meta.replay_skip = None;
-                        continue;
-                    }
-                    if let Some(buf) = meta.pending_txns.remove(id) {
-                        apply.extend(buf);
-                        stats.txns_committed += 1;
-                        meta.advance_batch_hw(*id);
-                    }
-                    if meta.commit_txn == Some(*id) {
-                        meta.commit_txn = None;
-                    }
-                }
-                _ if meta.replay_skip.is_some() => {}
-                _ => match meta.commit_txn {
-                    Some(id) => {
-                        meta.pending_txns.entry(id).or_default().push(entry);
-                        stats.pending += 1;
-                    }
-                    None => apply.push(entry),
-                },
+            match meta.route(&entry, stats) {
+                Route::Apply => apply.push(entry),
+                Route::Buffer(id) => meta.pending_txns.entry(id).or_default().push(entry),
+                Route::Flush(buf) => apply.extend(buf),
+                Route::Consumed => {}
             }
         }
         let refs: Vec<&LogEntry> = apply.iter().collect();

@@ -8,15 +8,12 @@
 //! the surviving logs from the recorded marks applies each entry
 //! exactly once.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
 use lasagna::{Lasagna, LasagnaConfig, LogEntry};
 use passv2::System;
 use sim_os::cost::CostModel;
 use sim_os::fs::basefs::BaseFs;
-use sim_os::fs::{DirEntry, FileAttr, FileSystem, FsError, FsResult, FsUsage, Ino};
+use sim_os::fs::{FaultFs, FaultOp, Faults};
 use waldo::{Cluster, IngestStats, Store, Waldo, WaldoConfig};
 
 fn r(n: u64, v: u32) -> ObjectRef {
@@ -348,75 +345,10 @@ fn daemon_entry_points_agree(resume: Option<usize>) {
     }
 }
 
-/// A plain file system that fails on demand: `fsync` while `fail` is
-/// set (the database volume of the WAL-failure regression test
-/// below), and the next `fail_reads` reads / `fail_unlinks` unlinks
-/// (the base under the PASS volume of the unreadable-log and
-/// failed-unlink tests).
-struct FlakyFs {
-    inner: BaseFs,
-    fail: Rc<Cell<bool>>,
-    fail_reads: Rc<Cell<u32>>,
-    fail_unlinks: Rc<Cell<u32>>,
-}
-
-impl FileSystem for FlakyFs {
-    fn root(&self) -> Ino {
-        self.inner.root()
-    }
-    fn lookup(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
-        self.inner.lookup(dir, name)
-    }
-    fn create(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
-        self.inner.create(dir, name)
-    }
-    fn mkdir(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
-        self.inner.mkdir(dir, name)
-    }
-    fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()> {
-        if self.fail_unlinks.get() > 0 {
-            self.fail_unlinks.set(self.fail_unlinks.get() - 1);
-            return Err(FsError::Invalid("injected unlink failure".into()));
-        }
-        self.inner.unlink(dir, name)
-    }
-    fn rename(&mut self, from: Ino, name: &str, to: Ino, to_name: &str) -> FsResult<()> {
-        self.inner.rename(from, name, to, to_name)
-    }
-    fn read(&mut self, ino: Ino, offset: u64, len: usize) -> FsResult<Vec<u8>> {
-        if self.fail_reads.get() > 0 {
-            self.fail_reads.set(self.fail_reads.get() - 1);
-            return Err(FsError::Invalid("injected read failure".into()));
-        }
-        self.inner.read(ino, offset, len)
-    }
-    fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
-        self.inner.write(ino, offset, data)
-    }
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-        self.inner.truncate(ino, size)
-    }
-    fn getattr(&mut self, ino: Ino) -> FsResult<FileAttr> {
-        self.inner.getattr(ino)
-    }
-    fn readdir(&mut self, dir: Ino) -> FsResult<Vec<DirEntry>> {
-        self.inner.readdir(dir)
-    }
-    fn sync(&mut self) -> FsResult<()> {
-        self.inner.sync()
-    }
-    fn fsync(&mut self, ino: Ino) -> FsResult<()> {
-        if self.fail.get() {
-            return Err(FsError::NoSpace);
-        }
-        self.inner.fsync(ino)
-    }
-    fn close_hint(&mut self, ino: Ino) -> FsResult<()> {
-        self.inner.close_hint(ino)
-    }
-    fn usage(&self) -> FsUsage {
-        self.inner.usage()
-    }
+/// A plain volume over a [`FaultFs`], and the handle that fails its
+/// calls.
+fn fault_volume(sys: &System) -> (FaultFs, Faults) {
+    FaultFs::new(Box::new(BaseFs::new(sys.clock(), CostModel::default())))
 }
 
 /// Logs fully committed while the WAL could not persist stay queued
@@ -427,16 +359,8 @@ impl FileSystem for FlakyFs {
 #[test]
 fn logs_committed_under_a_failing_wal_retire_at_the_next_persist() {
     let mut sys = System::single_volume();
-    let fail = Rc::new(Cell::new(false));
-    sys.kernel.mount(
-        "/db",
-        Box::new(FlakyFs {
-            inner: BaseFs::new(sys.clock(), CostModel::default()),
-            fail: fail.clone(),
-            fail_reads: Rc::default(),
-            fail_unlinks: Rc::default(),
-        }),
-    );
+    let (db, faults) = fault_volume(&sys);
+    sys.kernel.mount("/db", Box::new(db));
     let waldo_pid = sys.kernel.spawn_init("waldo");
     sys.pass.exempt(waldo_pid);
     let mut waldo = Waldo::with_config(
@@ -469,14 +393,14 @@ fn logs_committed_under_a_failing_wal_retire_at_the_next_persist() {
     // Poll with the WAL failing: everything commits, nothing persists,
     // so nothing may be retired.
     rotate_after_writes(&mut sys, 0);
-    fail.set(true);
+    faults.set_failing(FaultOp::Fsync, true);
     let stats = waldo.poll_volume(&mut sys.kernel, m, "/");
     assert!(stats.applied > 0);
     assert!(waldo.wal_errors() > 0, "the injected failure must be seen");
     assert_eq!(closed_logs(&mut sys), 1, "an unpersisted log must survive");
 
     // Poll again, healthy: the persist succeeds and covers both waves.
-    fail.set(false);
+    faults.set_failing(FaultOp::Fsync, false);
     let errors = waldo.wal_errors();
     rotate_after_writes(&mut sys, 1);
     waldo.poll_volume(&mut sys.kernel, m, "/");
@@ -506,13 +430,7 @@ fn an_unreadable_rotated_log_is_retried_by_the_next_poll() {
     }
     let run = |via: Via, failing: bool| {
         let mut sys = System::single_volume();
-        let fail_reads = Rc::new(Cell::new(0));
-        let base = FlakyFs {
-            inner: BaseFs::new(sys.clock(), CostModel::default()),
-            fail: Rc::default(),
-            fail_reads: fail_reads.clone(),
-            fail_unlinks: Rc::default(),
-        };
+        let (base, faults) = fault_volume(&sys);
         let volume = VolumeId(2);
         let cfg = LasagnaConfig::new(volume);
         let fs = Lasagna::new(Box::new(base), sys.clock(), CostModel::default(), cfg).unwrap();
@@ -545,10 +463,10 @@ fn an_unreadable_rotated_log_is_retried_by_the_next_poll() {
         };
         if failing {
             // The first log's read fails; the second must wait for it.
-            fail_reads.set(1);
+            faults.fail_next(FaultOp::Read, 1);
             let (stats, report) = poll(&mut sys, &mut cluster);
             assert_eq!(
-                fail_reads.get(),
+                faults.pending(FaultOp::Read),
                 0,
                 "{via:?}: the injected failure was not hit"
             );
@@ -603,13 +521,7 @@ fn an_unreadable_rotated_log_is_retried_by_the_next_poll() {
 fn a_log_whose_unlink_fails_is_retried_by_the_next_poll() {
     let run = |failing: bool| {
         let mut sys = System::single_volume();
-        let fail_unlinks = Rc::new(Cell::new(0));
-        let base = FlakyFs {
-            inner: BaseFs::new(sys.clock(), CostModel::default()),
-            fail: Rc::default(),
-            fail_reads: Rc::default(),
-            fail_unlinks: fail_unlinks.clone(),
-        };
+        let (base, faults) = fault_volume(&sys);
         let cfg = LasagnaConfig::new(VolumeId(2));
         let fs = Lasagna::new(Box::new(base), sys.clock(), CostModel::default(), cfg).unwrap();
         let m = sys.kernel.mount("/vol", Box::new(fs));
@@ -623,10 +535,14 @@ fn a_log_whose_unlink_fails_is_retried_by_the_next_poll() {
         }
         sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
 
-        fail_unlinks.set(u32::from(failing));
+        faults.fail_next(FaultOp::Unlink, u32::from(failing));
         let stats = waldo.poll_volume(&mut sys.kernel, m, "/vol");
         assert!(stats.applied > 0);
-        assert_eq!(fail_unlinks.get(), 0, "the injected failure was not hit");
+        assert_eq!(
+            faults.pending(FaultOp::Unlink),
+            0,
+            "the injected failure was not hit"
+        );
         let logs_left = |sys: &mut System| sys.kernel.readdir(waldo_pid, "/vol/.pass").unwrap();
         assert_eq!(
             logs_left(&mut sys).len(),
@@ -652,6 +568,49 @@ fn a_log_whose_unlink_fails_is_retried_by_the_next_poll() {
     assert_eq!(run(true), run(false));
 }
 
+/// A rotation whose `create` of the next log fails keeps the log it
+/// meant to close open, and rotates at the next flush instead: no log
+/// is queued for Waldo while Lasagna still writes it, and none before
+/// it exists. Waldo ends with the store of a run whose create never
+/// failed. (The closed log used to be queued before the create: later
+/// frames went into a log Waldo had already ingested and unlinked,
+/// and the next rotation queued a log that was never created.)
+#[test]
+fn a_rotation_whose_create_fails_switches_logs_at_the_next_flush() {
+    let run = |failing: bool| {
+        let mut sys = System::single_volume();
+        let (base, faults) = fault_volume(&sys);
+        let cfg = LasagnaConfig::new(VolumeId(2));
+        let fs = Lasagna::new(Box::new(base), sys.clock(), CostModel::default(), cfg).unwrap();
+        let m = sys.kernel.mount("/vol", Box::new(fs));
+        let waldo_pid = sys.kernel.spawn_init("waldo");
+        sys.pass.exempt(waldo_pid);
+        let mut waldo = Waldo::new(waldo_pid);
+        let worker = sys.spawn("sh");
+        let mut write_errors = 0;
+        for wave in 0..2u8 {
+            for i in 0..4 {
+                let path = format!("/vol/f{i}");
+                if sys.kernel.write_file(worker, &path, &[wave; 64]).is_err() {
+                    write_errors += 1;
+                }
+            }
+            // The first rotation's create fails: its log stays the
+            // active one, and the second rotation closes it.
+            faults.fail_next(FaultOp::Create, u32::from(failing && wave == 0));
+            sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
+            assert_eq!(faults.pending(FaultOp::Create), 0);
+            waldo.poll_volume(&mut sys.kernel, m, "/vol");
+        }
+        (
+            waldo.db.segment_images(),
+            write_errors,
+            waldo.logs_unreadable(),
+        )
+    };
+    assert_eq!(run(true), run(false));
+}
+
 /// Failed I/O leaves no descriptor behind: a rotated log whose read
 /// fails is retried on every poll, and a checkpoint whose fsync fails
 /// errors out, yet the daemon's descriptor table returns to its size
@@ -660,26 +619,12 @@ fn a_log_whose_unlink_fails_is_retried_by_the_next_poll() {
 #[test]
 fn failed_log_reads_and_checkpoint_fsyncs_close_their_descriptors() {
     let mut sys = System::single_volume();
-    let fail_reads = Rc::new(Cell::new(0));
-    let base = FlakyFs {
-        inner: BaseFs::new(sys.clock(), CostModel::default()),
-        fail: Rc::default(),
-        fail_reads: fail_reads.clone(),
-        fail_unlinks: Rc::default(),
-    };
+    let (base, log_faults) = fault_volume(&sys);
     let cfg = LasagnaConfig::new(VolumeId(2));
     let fs = Lasagna::new(Box::new(base), sys.clock(), CostModel::default(), cfg).unwrap();
     let m = sys.kernel.mount("/vol", Box::new(fs));
-    let fail_fsync = Rc::new(Cell::new(false));
-    sys.kernel.mount(
-        "/db",
-        Box::new(FlakyFs {
-            inner: BaseFs::new(sys.clock(), CostModel::default()),
-            fail: fail_fsync.clone(),
-            fail_reads: Rc::default(),
-            fail_unlinks: Rc::default(),
-        }),
-    );
+    let (db, db_faults) = fault_volume(&sys);
+    sys.kernel.mount("/db", Box::new(db));
     let waldo_pid = sys.kernel.spawn_init("waldo");
     sys.pass.exempt(waldo_pid);
     let mut waldo = Waldo::with_config(
@@ -701,9 +646,13 @@ fn failed_log_reads_and_checkpoint_fsyncs_close_their_descriptors() {
     let before = fds(&sys);
 
     for retry in 1..=3 {
-        fail_reads.set(1);
+        log_faults.fail_next(FaultOp::Read, 1);
         let stats = waldo.poll_volume(&mut sys.kernel, m, "/vol");
-        assert_eq!(fail_reads.get(), 0, "the injected read failure was not hit");
+        assert_eq!(
+            log_faults.pending(FaultOp::Read),
+            0,
+            "the injected read failure was not hit"
+        );
         assert_eq!(stats.applied, 0);
         assert_eq!(waldo.logs_unreadable(), retry);
         assert_eq!(fds(&sys), before, "failed log read {retry} leaked");
@@ -711,10 +660,10 @@ fn failed_log_reads_and_checkpoint_fsyncs_close_their_descriptors() {
     assert!(waldo.poll_volume(&mut sys.kernel, m, "/vol").applied > 0);
     assert_eq!(fds(&sys), before);
 
-    fail_fsync.set(true);
+    db_faults.set_failing(FaultOp::Fsync, true);
     assert!(waldo.checkpoint(&mut sys.kernel).is_err());
     assert_eq!(fds(&sys), before, "the failed checkpoint fsync leaked");
-    fail_fsync.set(false);
+    db_faults.set_failing(FaultOp::Fsync, false);
     assert!(waldo.checkpoint(&mut sys.kernel).unwrap());
     assert_eq!(fds(&sys), before);
 }
@@ -844,13 +793,19 @@ enum Second {
     BaseRewrite,
 }
 
+/// Where [`durable_history`] keeps the database: on a `FaultFs`.
+const DB_DIR: &str = "/db/waldo";
+
 /// One scripted filesystem history shared by the reference run and
 /// every crash run: two waves of writes, with a full checkpoint
-/// between them. Returns the system and a durably-attached daemon
-/// that has ingested everything, with wave-2 logs committed and WAL-
-/// framed but not yet covered by a checkpoint.
-fn durable_history(second: Second, crash: Option<waldo::CheckpointCrash>) -> (System, Waldo) {
+/// between them. Returns the system, the fault handle of its
+/// database volume, and a durably-attached daemon that has ingested
+/// everything, with wave-2 logs committed and WAL-framed but not yet
+/// covered by a checkpoint.
+fn durable_history(second: Second) -> (System, Faults, Waldo) {
     let mut sys = System::single_volume();
+    let (db, faults) = fault_volume(&sys);
+    sys.kernel.mount("/db", Box::new(db));
     let cfg = WaldoConfig {
         shards: 8,
         ingest_batch: 5,
@@ -862,7 +817,7 @@ fn durable_history(second: Second, crash: Option<waldo::CheckpointCrash>) -> (Sy
     let waldo_pid = sys.kernel.spawn_init("waldo");
     sys.pass.exempt(waldo_pid);
     let mut waldo = Waldo::with_config(waldo_pid, cfg);
-    waldo.attach_db_dir(&mut sys.kernel, "/waldo-db").unwrap();
+    waldo.attach_db_dir(&mut sys.kernel, DB_DIR).unwrap();
 
     let (_, m, _) = sys.volumes[0];
     let worker = sys.spawn("sh");
@@ -887,69 +842,80 @@ fn durable_history(second: Second, crash: Option<waldo::CheckpointCrash>) -> (Sy
     }
     sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
     waldo.poll_volume(&mut sys.kernel, m, "/");
-    // The crashing run attempts a second checkpoint and dies at the
-    // injected step; `None` crashes before any publication begins.
-    if let Some(step) = crash {
-        waldo.checkpoint_crashing_at(&mut sys.kernel, step).unwrap();
-        // Every crash point lies after the data files are written.
+    (sys, faults, waldo)
+}
+
+/// Simulated machine crash after every mutating database-volume op of
+/// the second checkpoint — from before its first write to after its
+/// last, through the data files, the manifest publish, the WAL
+/// truncation and the garbage collection: a cold restart always
+/// rebuilds a store **byte-equivalent** to the daemon that never
+/// crashed, with retained logs replayed exactly once.
+#[test]
+fn machine_crash_matrix_restarts_byte_equivalent() {
+    for second in [Second::Delta, Second::BaseRewrite] {
+        // The uncrashed run's second checkpoint bounds the matrix: a
+        // crash after its last op is a crash after the checkpoint.
+        let (mut sys, faults, mut reference) = durable_history(second);
+        let before = faults.mutations();
+        assert!(reference.checkpoint(&mut sys.kernel).unwrap());
+        let ops = faults.mutations() - before;
         assert_eq!(
-            waldo.checkpoint_stats().deltas_written,
+            reference.checkpoint_stats().deltas_written,
             u64::from(second == Second::Delta),
             "{second:?}: wave 2 is sized to pick this writer"
         );
-    }
-    (sys, waldo)
-}
-
-/// Simulated machine crash before, during (each step of), and after
-/// checkpoint publication — and during WAL truncation: a cold restart
-/// always rebuilds a store **byte-equivalent** to the daemon that
-/// never crashed, with retained logs replayed exactly once.
-#[test]
-fn machine_crash_matrix_restarts_byte_equivalent() {
-    use waldo::CheckpointCrash::*;
-    let matrix = [
-        None, // crash with wave 2 only in WAL + logs
-        Some(AfterSegments),
-        Some(AfterTempManifest),
-        Some(AfterPublish),
-        Some(MidWalTruncate),
-        Some(AfterWalTruncate),
-    ];
-    for second in [Second::Delta, Second::BaseRewrite] {
-        let (_, reference) = durable_history(second, None);
+        let new_seq = reference.db.commit_seq();
         let reference_images = reference.db.segment_images();
-        for crash in matrix {
-            let (mut sys, crashed) = durable_history(second, crash);
+        let (mut loaded_new, mut fell_back) = (0, 0);
+        for k in 0..=ops {
+            let (mut sys, faults, mut crashed) = durable_history(second);
+            faults.crash_after(k);
+            // A checkpoint the crash cut short never reports success.
+            let finished = crashed.checkpoint(&mut sys.kernel).is_ok();
+            assert!(faults.crashed(), "{second:?} k={k}");
+            assert!(!finished || k == ops, "{second:?} k={k}");
             let cfg = crashed.db.config();
             // The machine dies: the daemon and its in-memory store are
-            // gone; only the kernel's disks survive.
+            // gone; the next machine sees the disks as the crash left
+            // them.
             drop(crashed);
+            faults.heal();
             let pid = sys.kernel.spawn_init("waldo-restarted");
             sys.pass.exempt(pid);
-            let restarted = Waldo::restart(pid, &mut sys.kernel, cfg, "/waldo-db", &["/"]).unwrap();
+            let restarted = Waldo::restart(pid, &mut sys.kernel, cfg, DB_DIR, &["/"]).unwrap();
             let report = restarted.restart_report().unwrap().clone();
             assert!(
                 report.loaded_seq.is_some(),
-                "{second:?} {crash:?}: a complete checkpoint must load"
+                "{second:?} k={k}: a complete checkpoint must load"
             );
-            assert_eq!(report.checkpoints_skipped, 0, "{second:?} {crash:?}");
+            assert_eq!(report.checkpoints_skipped, 0, "{second:?} k={k}");
             assert_eq!(
                 restarted.db.segment_images(),
                 reference_images,
-                "{second:?} {crash:?}: cold restart must be byte-equivalent"
+                "{second:?} k={k}: cold restart must be byte-equivalent"
             );
             assert_same_db_dyn(&reference.db, &restarted.db);
-            // The published-checkpoint steps rehydrate everything and
-            // replay nothing; the earlier steps fall back to the wave-1
-            // checkpoint and must re-derive wave 2 from retained logs.
-            match crash {
-                Some(AfterPublish) | Some(MidWalTruncate) | Some(AfterWalTruncate) => {
-                    assert_eq!(report.replayed_entries, 0, "{second:?} {crash:?}");
-                }
-                _ => assert!(report.replayed_entries > 0, "{second:?} {crash:?}"),
+            // Once the new manifest is published, restart rehydrates
+            // everything and replays nothing; before that it falls back
+            // to the wave-1 checkpoint and re-derives wave 2 from the
+            // retained logs.
+            let published = report.loaded_seq == Some(new_seq);
+            assert_eq!(
+                report.replayed_entries == 0,
+                published,
+                "{second:?} k={k}: {report:?}"
+            );
+            if published {
+                loaded_new += 1;
+            } else {
+                fell_back += 1;
             }
         }
+        assert!(
+            loaded_new > 0 && fell_back > 0,
+            "{second:?}: {fell_back} crashes fell back, {loaded_new} loaded the new manifest"
+        );
     }
 }
 

@@ -6,7 +6,12 @@
 use dpapi::{Attribute, Bundle, Dpapi, ProvenanceRecord, Value, Version, VolumeId};
 use sim_os::clock::Clock;
 use sim_os::cost::CostModel;
-use sim_os::fs::{DpapiVolume, FileSystem};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use lasagna::{Lasagna, LasagnaConfig};
+use sim_os::fs::basefs::BaseFs;
+use sim_os::fs::{DpapiVolume, FaultFs, FaultOp, FileSystem};
 
 #[test]
 fn two_clients_can_branch_versions() {
@@ -170,6 +175,40 @@ fn plain_and_pa_exports_coexist() {
         c.write(ino, 0, b"data").unwrap();
         assert_eq!(c.read(ino, 0, 4).unwrap(), b"data");
     }
+}
+
+/// A rotated log the server's drain could not read is kept, with the
+/// logs after it, for the next drain instead of being unlinked
+/// unread: after a second drain the store is byte-equal to a twin
+/// whose read never failed.
+#[test]
+fn a_log_the_drain_could_not_read_is_drained_next_time() {
+    let run = |failing: bool| {
+        let clock = Clock::new();
+        let model = CostModel::default();
+        let (lower, faults) = FaultFs::new(Box::new(BaseFs::new(clock.clone(), model)));
+        let cfg = LasagnaConfig::new(VolumeId(12));
+        let export = Lasagna::new(Box::new(lower), clock.clone(), model, cfg).unwrap();
+        let server = Rc::new(RefCell::new(pa_nfs::NfsServer::new(Box::new(export))));
+        let mut client = pa_nfs::client(&server, clock, model);
+        let root = client.root();
+        let ino = client.create(root, "f").unwrap();
+        let h = client.handle_for_ino(ino).unwrap();
+        let mut db = waldo::Store::new();
+        for round in 0..2u8 {
+            let name = ProvenanceRecord::new(Attribute::Name, Value::str(format!("round {round}")));
+            client
+                .pass_write(h, 0, &[round; 32], Bundle::single(h, name))
+                .unwrap();
+            faults.fail_next(FaultOp::Read, u32::from(failing && round == 0));
+            for image in server.borrow_mut().drain_provenance_logs() {
+                db.ingest(&lasagna::parse_log(&image).0);
+            }
+            assert_eq!(faults.pending(FaultOp::Read), 0, "no log was read");
+        }
+        db.segment_images()
+    };
+    assert_eq!(run(true), run(false));
 }
 
 /// One PA export, one client and a file on it, plus the client's
