@@ -202,6 +202,10 @@ fn cluster_fan_in_matches_single_daemon_reference() {
             // Ancestry (the paper's §5.7 shape), crossing volumes.
             "select A from Provenance.obj as F F.input* as A \
              where F.name = '/v2/x0.dat'",
+            // Its names: one column read per run of nodes homed on
+            // one member.
+            "select A.name from Provenance.obj as F F.input* as A \
+             where F.name = '/v2/x0.dat'",
             // Descendants: inverse closure over scattered reverse edges.
             "select D from Provenance.obj as F F.input~+ as D \
              where F.name = '/v1/r0.dat'",

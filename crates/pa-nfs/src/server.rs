@@ -47,6 +47,9 @@ pub struct NfsServer {
     scope: provscope::Scope,
     /// Rotated logs not yet drained, oldest first.
     undrained: Vec<String>,
+    /// Names of drained logs whose unlink failed: removed at the next
+    /// drain, never handed out again.
+    unremoved: Vec<String>,
 }
 
 impl NfsServer {
@@ -62,6 +65,7 @@ impl NfsServer {
             stats: ServerStats::default(),
             scope: provscope::Scope::default(),
             undrained: Vec::new(),
+            unremoved: Vec::new(),
         }
     }
 
@@ -107,9 +111,11 @@ impl NfsServer {
 
     /// Rotates and drains the provenance logs of the exported volume,
     /// returning raw log images for the server-side Waldo in rotation
-    /// order. Drained logs are removed, as Waldo would. A log that
-    /// cannot be read stays queued, with every later one, for the
-    /// next drain: one volume's logs must reach Waldo in order.
+    /// order. Drained logs are removed, as Waldo would; one whose
+    /// unlink fails is unlinked again at the next drain, without its
+    /// bytes being handed out twice. A log that cannot be read stays
+    /// queued, with every later one, for the next drain: one volume's
+    /// logs must reach Waldo in order.
     pub fn drain_provenance_logs(&mut self) -> Vec<Vec<u8>> {
         let Some(d) = self.fs.as_dpapi() else {
             return Vec::new();
@@ -121,6 +127,11 @@ impl NfsServer {
         let Ok(dir) = self.fs.lookup(root, PASS_DIR) else {
             return out;
         };
+        let fs = &mut self.fs;
+        self.unremoved.retain(|name| match fs.unlink(dir, name) {
+            Ok(()) | Err(FsError::NotFound(_)) => false,
+            Err(_) => true,
+        });
         let mut drained = 0;
         for rel in &self.undrained {
             let name = rel.rsplit('/').next().unwrap_or(rel);
@@ -138,7 +149,9 @@ impl NfsServer {
                 break;
             };
             out.push(bytes);
-            let _ = self.fs.unlink(dir, name);
+            if self.fs.unlink(dir, name).is_err() {
+                self.unremoved.push(name.to_string());
+            }
             drained += 1;
         }
         self.undrained.drain(..drained);

@@ -14,6 +14,7 @@
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 use dpapi::{ObjectRef, Value};
 
@@ -71,14 +72,16 @@ pub trait GraphSource {
     /// pseudo-attributes `pnode`, `version` and `volume`.
     fn attr(&self, node: ObjectRef, name: &str) -> Option<Value>;
 
-    /// Appends `attr(n, name)` for every node of `nodes`, in order —
-    /// one column of a projection, which the planner reads in one
-    /// call. The default body is compiled for each source, so the
-    /// column runs as one loop of direct `attr` calls rather than one
-    /// dynamic call per row. An override must answer exactly what
-    /// `attr` answers.
-    fn attr_column(&self, nodes: &[ObjectRef], name: &str, out: &mut Vec<Option<Value>>) {
-        out.extend(nodes.iter().map(|n| self.attr(*n, name)));
+    /// Appends the cell of `attr(n, name)` for every node of `nodes`,
+    /// in order — one column of a projection, which the planner reads
+    /// in one call. The default body is compiled for each source, so
+    /// the column runs as one loop of direct `attr` calls rather than
+    /// one dynamic call per row. An override must answer exactly what
+    /// `attr` answers; a store that interns its strings can push them
+    /// as shared [`OutValue::Str`] cells instead of copying them.
+    fn attr_column(&self, nodes: &[ObjectRef], name: &str, out: &mut Vec<OutValue>) {
+        let cell = |n: &ObjectRef| self.attr(*n, name).map_or(OutValue::Null, OutValue::from);
+        out.extend(nodes.iter().map(cell));
     }
 
     /// Edges from `node` toward its ancestors with the given label.
@@ -141,15 +144,42 @@ pub trait GraphSource {
     }
 }
 
-/// One output cell.
+/// One output cell. A string is an `Rc<str>` — the only string form a
+/// cell has, so equal strings are equal cells and hash alike — which a
+/// store that interns its strings shares instead of copying.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum OutValue {
     /// A graph node.
     Node(ObjectRef),
-    /// A scalar value.
-    Val(Value),
+    /// A string.
+    Str(Rc<str>),
+    /// An integer.
+    Int(i64),
+    /// A boolean.
+    Bool(bool),
+    /// Raw bytes.
+    Bytes(Vec<u8>),
+    /// A list of strings.
+    StrList(Vec<String>),
+    /// A cross-reference held as an attribute value.
+    Xref(ObjectRef),
     /// Missing (attribute not present).
     Null,
+}
+
+impl From<Value> for OutValue {
+    /// The one conversion of a value into a cell: literals and
+    /// attribute values both come through here.
+    fn from(value: Value) -> OutValue {
+        match value {
+            Value::Str(s) => OutValue::Str(Rc::from(s)),
+            Value::Int(i) => OutValue::Int(i),
+            Value::Bool(b) => OutValue::Bool(b),
+            Value::Bytes(b) => OutValue::Bytes(b),
+            Value::StrList(l) => OutValue::StrList(l),
+            Value::Xref(r) => OutValue::Xref(r),
+        }
+    }
 }
 
 impl OutValue {
@@ -164,7 +194,7 @@ impl OutValue {
     /// The string, if this cell holds one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            OutValue::Val(Value::Str(s)) => Some(s),
+            OutValue::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -172,17 +202,22 @@ impl OutValue {
     /// The integer, if this cell holds one.
     pub fn as_int(&self) -> Option<i64> {
         match self {
-            OutValue::Val(Value::Int(i)) => Some(*i),
+            OutValue::Int(i) => Some(*i),
             _ => None,
         }
     }
 }
 
 impl std::fmt::Display for OutValue {
+    /// A value cell prints as the [`Value`] it came from.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            OutValue::Node(r) => write!(f, "{r}"),
-            OutValue::Val(v) => write!(f, "{v}"),
+            OutValue::Node(r) | OutValue::Xref(r) => write!(f, "{r}"),
+            OutValue::Str(s) => write!(f, "{s:?}"),
+            OutValue::Int(i) => write!(f, "{i}"),
+            OutValue::Bool(b) => write!(f, "{b}"),
+            OutValue::Bytes(b) => b.iter().try_for_each(|byte| write!(f, "{byte:02x}")),
+            OutValue::StrList(l) => write!(f, "{l:?}"),
             OutValue::Null => write!(f, "null"),
         }
     }
@@ -194,7 +229,7 @@ pub struct ResultSet {
     /// Column names (aliases or synthesized).
     pub columns: Vec<String>,
     /// Rows, in first-derivation order, without duplicates.
-    pub rows: Vec<Vec<OutValue>>,
+    pub rows: Rows,
 }
 
 impl ResultSet {
@@ -214,6 +249,70 @@ impl ResultSet {
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
+    }
+}
+
+/// Rows of equal width in one row-major buffer: a result costs one
+/// allocation for its cells, however many rows it has.
+#[derive(Clone, PartialEq)]
+pub struct Rows {
+    cells: Vec<OutValue>,
+    width: usize,
+    len: usize,
+}
+
+impl Rows {
+    /// No rows yet, each to be `width` cells wide.
+    pub(crate) fn new(width: usize) -> Rows {
+        Rows {
+            cells: Vec::new(),
+            width,
+            len: 0,
+        }
+    }
+
+    /// Room for `rows` more rows.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        self.cells.reserve(rows * self.width);
+    }
+
+    /// Appends one row, leaving `row` empty.
+    pub(crate) fn push(&mut self, row: &mut Vec<OutValue>) {
+        assert_eq!(row.len(), self.width, "a row is as wide as its result");
+        self.cells.append(row);
+        self.len += 1;
+    }
+
+    /// The rows, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[OutValue]> + '_ {
+        (0..self.len).map(move |i| &self[i])
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl std::ops::Index<usize> for Rows {
+    type Output = [OutValue];
+
+    /// Row `i`. Panics if there is no such row.
+    fn index(&self, i: usize) -> &[OutValue] {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+}
+
+impl std::fmt::Debug for Rows {
+    /// A list of rows, as the `Vec` of rows this replaced printed.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -270,21 +369,21 @@ impl RowDedup {
 
     /// True if `row` is new among `kept` (and records it, assuming
     /// the caller pushes it onto `kept` next).
-    pub(crate) fn is_new(&mut self, kept: &[Vec<OutValue>], row: &[OutValue]) -> bool {
+    pub(crate) fn is_new(&mut self, kept: &Rows, row: &[OutValue]) -> bool {
         self.is_new_hashed(kept, row, self.state.hash_one(row))
     }
 
     /// [`RowDedup::is_new`] with the row's hash supplied — the seam
     /// the forced-collision test drives.
-    fn is_new_hashed(&mut self, kept: &[Vec<OutValue>], row: &[OutValue], hash: u64) -> bool {
+    fn is_new_hashed(&mut self, kept: &Rows, row: &[OutValue], hash: u64) -> bool {
         let first = *self.first.entry(hash).or_insert(kept.len());
         if first == kept.len() {
             // Nobody owned this hash: it now maps to the slot `row`
             // is about to take.
             return true;
         }
-        let seen =
-            kept[first] == row || (self.overflow.iter()).any(|&(h, i)| h == hash && kept[i] == row);
+        let seen = &kept[first] == row
+            || (self.overflow.iter()).any(|&(h, i)| h == hash && &kept[i] == row);
         if !seen {
             self.overflow.push((hash, kept.len()));
         }
@@ -342,19 +441,19 @@ pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<ResultSet, PqlE
         stats: None,
         vars: query.from.iter().map(|s| s.binding.as_str()).collect(),
     };
-    let rows = bind_sources(query, &ctx)?;
-    let rows = match &query.where_clause {
-        Some(cond) => {
-            let mut kept = Vec::new();
-            for row in rows {
-                if truthy(&ctx.eval(cond, &row, None)?) {
-                    kept.push(row);
-                }
+    let mut rows = bind_sources(query, &ctx)?;
+    if let Some(cond) = &query.where_clause {
+        // Filtered in place: the survivors keep their order and the
+        // bound rows' buffer.
+        let mut kept = 0;
+        for i in 0..rows.len() {
+            if truthy(&ctx.eval(cond, &rows[i], None)?) {
+                rows.swap(kept, i);
+                kept += 1;
             }
-            kept
         }
-        None => rows,
-    };
+        rows.truncate(kept);
+    }
 
     let has_aggregate = query
         .select
@@ -362,22 +461,23 @@ pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<ResultSet, PqlE
         .any(|s| matches!(s.expr, Expr::Aggregate { .. }));
 
     let columns = column_names(query);
-    let mut out_rows: Vec<Vec<OutValue>> = Vec::new();
+    let mut out_rows = Rows::new(query.select.len());
     let mut dedup = RowDedup::default();
+    let mut row_out = Vec::with_capacity(query.select.len());
     if has_aggregate {
-        let mut row_out = Vec::new();
         for item in &query.select {
             row_out.push(ctx.eval(&item.expr, &[], Some(&rows))?);
         }
-        out_rows.push(row_out);
+        out_rows.push(&mut row_out);
     } else {
         for row in &rows {
-            let mut row_out = Vec::new();
             for item in &query.select {
                 row_out.push(ctx.eval(&item.expr, row, None)?);
             }
             if dedup.is_new(&out_rows, &row_out) {
-                out_rows.push(row_out);
+                out_rows.push(&mut row_out);
+            } else {
+                row_out.clear();
             }
         }
     }
@@ -508,12 +608,13 @@ fn apply_step(nodes: &[ObjectRef], step: &PathStep, graph: &dyn GraphSource) -> 
                 };
             // `*` prepends the starts. `reached` is filtered even for
             // one start: a backend's `closure` may return its start,
-            // and a store holding a cycle re-reaches it.
+            // and a store holding a cycle re-reaches it. One start is
+            // prepended in place, so the closure is not copied.
             match (step.quant, nodes) {
                 (Quant::Star, [start]) => {
-                    let mut out = Vec::with_capacity(reached.len() + 1);
-                    out.push(*start);
-                    out.extend(reached.into_iter().filter(|m| m != start));
+                    let mut out = reached;
+                    out.retain(|m| m != start);
+                    out.insert(0, *start);
                     out
                 }
                 (Quant::Star, _) => {
@@ -529,7 +630,16 @@ fn apply_step(nodes: &[ObjectRef], step: &PathStep, graph: &dyn GraphSource) -> 
 }
 
 pub(crate) fn truthy(v: &OutValue) -> bool {
-    matches!(v, OutValue::Val(Value::Bool(true)))
+    matches!(v, OutValue::Bool(true))
+}
+
+/// The value a literal denotes.
+pub(crate) fn literal_value(lit: &Literal) -> Value {
+    match lit {
+        Literal::Str(s) => Value::Str(s.clone()),
+        Literal::Int(i) => Value::Int(*i),
+        Literal::Bool(b) => Value::Bool(*b),
+    }
 }
 
 /// Expression evaluation context, shared by the naive evaluator and
@@ -573,39 +683,36 @@ impl ExprCtx<'_> {
         all_rows: Option<&[Row]>,
     ) -> Result<OutValue, PqlError> {
         match expr {
-            Expr::Lit(Literal::Str(s)) => Ok(OutValue::Val(Value::Str(s.clone()))),
-            Expr::Lit(Literal::Int(i)) => Ok(OutValue::Val(Value::Int(*i))),
-            Expr::Lit(Literal::Bool(b)) => Ok(OutValue::Val(Value::Bool(*b))),
+            Expr::Lit(lit) => Ok(OutValue::from(literal_value(lit))),
             Expr::Var(v) => self.bound(row, v).map(OutValue::Node),
             Expr::Attr(v, attr) => Ok(self
                 .graph
                 .attr(self.bound(row, v)?, attr)
-                .map(OutValue::Val)
-                .unwrap_or(OutValue::Null)),
+                .map_or(OutValue::Null, OutValue::from)),
             Expr::Not(e) => {
                 let v = self.eval(e, row, all_rows)?;
-                Ok(OutValue::Val(Value::Bool(!truthy(&v))))
+                Ok(OutValue::Bool(!truthy(&v)))
             }
             Expr::Binary { op, lhs, rhs } => {
                 if op == "and" {
                     let l = self.eval(lhs, row, all_rows)?;
                     if !truthy(&l) {
-                        return Ok(OutValue::Val(Value::Bool(false)));
+                        return Ok(OutValue::Bool(false));
                     }
                     let r = self.eval(rhs, row, all_rows)?;
-                    return Ok(OutValue::Val(Value::Bool(truthy(&r))));
+                    return Ok(OutValue::Bool(truthy(&r)));
                 }
                 if op == "or" {
                     let l = self.eval(lhs, row, all_rows)?;
                     if truthy(&l) {
-                        return Ok(OutValue::Val(Value::Bool(true)));
+                        return Ok(OutValue::Bool(true));
                     }
                     let r = self.eval(rhs, row, all_rows)?;
-                    return Ok(OutValue::Val(Value::Bool(truthy(&r))));
+                    return Ok(OutValue::Bool(truthy(&r)));
                 }
                 let l = self.eval(lhs, row, all_rows)?;
                 let r = self.eval(rhs, row, all_rows)?;
-                Ok(OutValue::Val(Value::Bool(compare(op, &l, &r)?)))
+                Ok(OutValue::Bool(compare(op, &l, &r)?))
             }
             Expr::Aggregate { func, arg } => {
                 let rows = all_rows.ok_or_else(|| {
@@ -620,15 +727,15 @@ impl ExprCtx<'_> {
                                 distinct.insert(v);
                             }
                         }
-                        Ok(OutValue::Val(Value::Int(distinct.len() as i64)))
+                        Ok(OutValue::Int(distinct.len() as i64))
                     }
                     "min" | "max" => {
                         let mut vals: Vec<i64> = Vec::new();
-                        let mut strs: Vec<String> = Vec::new();
+                        let mut strs: Vec<Rc<str>> = Vec::new();
                         for row in rows {
                             match self.eval(arg, row, None)? {
-                                OutValue::Val(Value::Int(i)) => vals.push(i),
-                                OutValue::Val(Value::Str(s)) => strs.push(s),
+                                OutValue::Int(i) => vals.push(i),
+                                OutValue::Str(s) => strs.push(s),
                                 _ => {}
                             }
                         }
@@ -638,14 +745,14 @@ impl ExprCtx<'_> {
                             } else {
                                 vals.into_iter().max()
                             };
-                            Ok(OutValue::Val(Value::Int(v.unwrap())))
+                            Ok(OutValue::Int(v.unwrap()))
                         } else if !strs.is_empty() {
                             let v = if func == "min" {
                                 strs.into_iter().min()
                             } else {
                                 strs.into_iter().max()
                             };
-                            Ok(OutValue::Val(Value::Str(v.unwrap())))
+                            Ok(OutValue::Str(v.unwrap()))
                         } else {
                             Ok(OutValue::Null)
                         }
@@ -657,11 +764,11 @@ impl ExprCtx<'_> {
                 let v = self.eval(expr, row, all_rows)?;
                 let sub = self.subquery(query)?;
                 let found = sub.rows.iter().any(|r| r.first() == Some(&v));
-                Ok(OutValue::Val(Value::Bool(found)))
+                Ok(OutValue::Bool(found))
             }
             Expr::Exists(query) => {
                 let sub = self.subquery(query)?;
-                Ok(OutValue::Val(Value::Bool(!sub.is_empty())))
+                Ok(OutValue::Bool(!sub.is_empty()))
             }
         }
     }
@@ -670,16 +777,16 @@ impl ExprCtx<'_> {
 fn compare(op: &str, l: &OutValue, r: &OutValue) -> Result<bool, PqlError> {
     use std::cmp::Ordering;
     if op == "like" {
-        let (OutValue::Val(Value::Str(s)), OutValue::Val(Value::Str(pat))) = (l, r) else {
+        let (OutValue::Str(s), OutValue::Str(pat)) = (l, r) else {
             return Ok(false);
         };
         return Ok(glob_match(pat, s));
     }
     let ord: Option<Ordering> = match (l, r) {
         (OutValue::Node(a), OutValue::Node(b)) => Some(a.cmp(b)),
-        (OutValue::Val(Value::Int(a)), OutValue::Val(Value::Int(b))) => Some(a.cmp(b)),
-        (OutValue::Val(Value::Str(a)), OutValue::Val(Value::Str(b))) => Some(a.cmp(b)),
-        (OutValue::Val(Value::Bool(a)), OutValue::Val(Value::Bool(b))) => Some(a.cmp(b)),
+        (OutValue::Int(a), OutValue::Int(b)) => Some(a.cmp(b)),
+        (OutValue::Str(a), OutValue::Str(b)) => Some(a.cmp(b)),
+        (OutValue::Bool(a), OutValue::Bool(b)) => Some(a.cmp(b)),
         (OutValue::Null, OutValue::Null) => Some(Ordering::Equal),
         _ => None,
     };
@@ -868,16 +975,17 @@ mod tests {
     /// of any of them — first or chained — is a duplicate.
     #[test]
     fn dedup_survives_a_forced_hash_collision() {
-        let row = |n: i64| vec![OutValue::Val(Value::Int(n))];
+        let row = |n: i64| vec![OutValue::Int(n)];
         let mut dedup = RowDedup::default();
-        let mut kept: Vec<Vec<OutValue>> = Vec::new();
+        let mut kept = Rows::new(1);
         for n in [1, 2, 3, 2, 1, 3, 4] {
             // Every row "hashes" to 7, except row 4.
             let hash = if n == 4 { 8 } else { 7 };
             if dedup.is_new_hashed(&kept, &row(n), hash) {
-                kept.push(row(n));
+                kept.push(&mut row(n));
             }
         }
+        let kept: Vec<&[OutValue]> = kept.iter().collect();
         assert_eq!(kept, [row(1), row(2), row(3), row(4)]);
         assert_eq!(dedup.overflow, [(7, 1), (7, 2)]);
     }

@@ -102,7 +102,9 @@ pub mod plan;
 use std::fmt;
 
 pub use ast::{EdgePattern, Expr, Literal, PathRoot, PathStep, Quant, Query, SelectItem, Source};
-pub use eval::{execute as execute_naive, glob_match, EdgeLabel, GraphSource, OutValue, ResultSet};
+pub use eval::{
+    execute as execute_naive, glob_match, EdgeLabel, GraphSource, OutValue, ResultSet, Rows,
+};
 pub use parse::parse;
 pub use plan::{
     execute_traced, query_traced, query_with_stats, scan_lookup, AttrLookup, AttrPredicate,

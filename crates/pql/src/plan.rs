@@ -49,8 +49,8 @@ use dpapi::{ObjectRef, Value};
 
 use crate::ast::*;
 use crate::eval::{
-    check_bindings, column_names, truthy, walk_steps, ExprCtx, GraphSource, OutValue, ResultSet,
-    Row, RowDedup,
+    check_bindings, column_names, literal_value, truthy, walk_steps, ExprCtx, GraphSource,
+    OutValue, ResultSet, Row, RowDedup, Rows,
 };
 use crate::PqlError;
 
@@ -325,14 +325,6 @@ fn expr_vars(expr: &Expr, out: &mut HashSet<String>) {
     }
 }
 
-fn literal_value(lit: &Literal) -> Value {
-    match lit {
-        Literal::Str(s) => Value::Str(s.clone()),
-        Literal::Int(i) => Value::Int(*i),
-        Literal::Bool(b) => Value::Bool(*b),
-    }
-}
-
 /// The literal prefix of a `like` pattern whose only metacharacter is
 /// one trailing `*` (`'/data/*'` → `/data/`); `None` for anything a
 /// prefix range cannot answer.
@@ -511,8 +503,11 @@ struct Runner<'a> {
     stats: &'a RefCell<PlanStats>,
     root_cache: Vec<RootSlot>,
     has_aggregate: bool,
-    out_rows: Vec<Vec<OutValue>>,
+    out_rows: Rows,
     dedup: RowDedup,
+    /// The row `emit` assembles, reused: its cells move into
+    /// `out_rows`, its buffer stays.
+    scratch: Vec<OutValue>,
     /// Complete bound rows, kept only for aggregate finalization.
     agg_rows: Vec<Row>,
     pruned: u64,
@@ -566,8 +561,9 @@ fn run(
         stats,
         root_cache,
         has_aggregate,
-        out_rows: Vec::new(),
+        out_rows: Rows::new(query.select.len()),
         dedup: RowDedup::default(),
+        scratch: Vec::with_capacity(query.select.len()),
         agg_rows: Vec::new(),
         pruned: 0,
         scope: scope.clone(),
@@ -589,26 +585,20 @@ fn run(
 
     let span = scope.open("pql", "project");
     let columns = column_names(query);
-    let rows = if has_aggregate {
-        let mut row_out = Vec::new();
-        let mut err = None;
+    if has_aggregate {
+        let row_out = &mut runner.scratch;
         for item in &query.select {
             match runner.ctx.eval(&item.expr, &[], Some(&runner.agg_rows)) {
                 Ok(v) => row_out.push(v),
                 Err(e) => {
-                    err = Some(e);
-                    break;
+                    scope.close(span);
+                    return Err(e);
                 }
             }
         }
-        if let Some(e) = err {
-            scope.close(span);
-            return Err(e);
-        }
-        vec![row_out]
-    } else {
-        runner.out_rows
-    };
+        runner.out_rows.push(row_out);
+    }
+    let rows = runner.out_rows;
     scope.close(span);
     stats.borrow_mut().rows_pruned += runner.pruned;
     Ok(ResultSet { columns, rows })
@@ -688,7 +678,7 @@ impl Runner<'_> {
         // The last step's rows differ only in slot `i`: keep the
         // endpoints that pass its filters and project them together.
         let last = i + 1 == self.plan.steps.len();
-        let mut kept = Vec::new();
+        let mut kept = Vec::with_capacity(if last { endpoints.len() } else { 0 });
         for &endpoint in endpoints.iter() {
             row[i] = Some(endpoint);
             if !self.passes(i, row)? {
@@ -777,8 +767,7 @@ impl Runner<'_> {
                 Expr::Attr(v, a) if binding == Some(v.as_str()) => {
                     let mut cells = Vec::with_capacity(n);
                     self.graph.attr_column(endpoints, a, &mut cells);
-                    let cell = |c: Option<Value>| c.map_or(OutValue::Null, OutValue::Val);
-                    cells.into_iter().map(cell).collect()
+                    cells
                 }
                 expr => {
                     let mut column = Vec::with_capacity(n);
@@ -794,12 +783,14 @@ impl Runner<'_> {
         self.out_rows.reserve(n);
         self.dedup.reserve(n);
         for _ in 0..n {
-            let cells = columns.iter_mut().map(|c| c.next());
-            let row_out: Vec<OutValue> = cells
-                .collect::<Option<_>>()
-                .expect("every column holds one cell per row");
-            if self.dedup.is_new(&self.out_rows, &row_out) {
-                self.out_rows.push(row_out);
+            let cells = columns
+                .iter_mut()
+                .map(|c| c.next().expect("one cell per row"));
+            self.scratch.extend(cells);
+            if self.dedup.is_new(&self.out_rows, &self.scratch) {
+                self.out_rows.push(&mut self.scratch);
+            } else {
+                self.scratch.clear();
             }
         }
         Ok(())
@@ -850,10 +841,11 @@ mod tests {
             self.calls.set((attr + 1, column));
             Self::value(node, name)
         }
-        fn attr_column(&self, nodes: &[ObjectRef], name: &str, out: &mut Vec<Option<Value>>) {
+        fn attr_column(&self, nodes: &[ObjectRef], name: &str, out: &mut Vec<OutValue>) {
             let (attr, column) = self.calls.get();
             self.calls.set((attr, column + 1));
-            out.extend(nodes.iter().map(|n| Self::value(*n, name)));
+            let cell = |n: &ObjectRef| Self::value(*n, name).map_or(OutValue::Null, OutValue::from);
+            out.extend(nodes.iter().map(cell));
         }
         fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {
             if !matches!(label, EdgeLabel::Input | EdgeLabel::Any) {
@@ -935,8 +927,8 @@ mod tests {
         )
         .unwrap();
         let naive = crate::eval::execute(&q, &Indexed::default()).unwrap();
-        let mut a = out.result.rows.clone();
-        let mut b = naive.rows.clone();
+        let mut a: Vec<&[OutValue]> = out.result.rows.iter().collect();
+        let mut b: Vec<&[OutValue]> = naive.rows.iter().collect();
         a.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
         b.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
         assert_eq!(a, b);

@@ -37,7 +37,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use dpapi::{ObjectRef, Value, VolumeId};
-use pql::{AttrLookup, AttrPredicate, EdgeLabel, GraphSource};
+use pql::{AttrLookup, AttrPredicate, EdgeLabel, GraphSource, OutValue};
 use sim_os::fs::FsError;
 use sim_os::proc::MountId;
 use sim_os::syscall::Kernel;
@@ -531,6 +531,15 @@ impl GraphSource for ClusterGraphSource<'_> {
 
     fn attr(&self, node: ObjectRef, name: &str) -> Option<Value> {
         self.routed(node.pnode.volume).attr(node, name)
+    }
+
+    /// Each run of nodes routed to one member is that member's column
+    /// read, so the cells share its interned strings.
+    fn attr_column(&self, nodes: &[ObjectRef], name: &str, out: &mut Vec<OutValue>) {
+        let member = |n: &ObjectRef| route_volume(n.pnode.volume, self.stores.len());
+        for run in nodes.chunk_by(|a, b| member(a) == member(b)) {
+            self.stores[member(&run[0])].attr_column(run, name, out);
+        }
     }
 
     fn out_edges(&self, node: ObjectRef, label: &EdgeLabel) -> Vec<ObjectRef> {

@@ -19,10 +19,14 @@
 //! slots, so the candidates are read where they lie, without a probe
 //! of the pnode map; a projected column
 //! ([`GraphSource::attr_column`]) skips that probe too wherever the
-//! slot after the last one it read on a shard holds the next node.
+//! slot after the last one it read on a shard holds the next node,
+//! and its string cells share the shard's interned strings instead of
+//! copying them.
+
+use std::rc::Rc;
 
 use dpapi::{Attribute, ObjectRef, Pnode, Value, Version};
-use pql::{AttrLookup, AttrPredicate, EdgeLabel, GraphSource};
+use pql::{AttrLookup, AttrPredicate, EdgeLabel, GraphSource, OutValue};
 
 use crate::shard::{Keyed, Shard, ValueRef, VersionRow};
 use crate::store::{EdgeKind, Store};
@@ -101,11 +105,21 @@ fn with_attr<R>(
     }))
 }
 
+/// The answer cell of a borrowed value: a string shares the shard's
+/// interned `Rc` instead of being copied.
+fn cell(value: Option<ValueRef<'_>>) -> OutValue {
+    match value {
+        Some(ValueRef::Str(s)) => OutValue::Str(Rc::clone(s)),
+        Some(ValueRef::Other(v)) => OutValue::from(v.clone()),
+        None => OutValue::Null,
+    }
+}
+
 /// [`AttrPredicate::matches`] over a borrowed value: a stored string
 /// is compared where it lies instead of being copied into a `Value`.
 fn satisfies(pred: &AttrPredicate, value: Option<ValueRef<'_>>) -> bool {
     match (pred, value) {
-        (AttrPredicate::Eq(Value::Str(want)), Some(ValueRef::Str(s))) => want == s,
+        (AttrPredicate::Eq(Value::Str(want)), Some(ValueRef::Str(s))) => **want == **s,
         (AttrPredicate::LikePrefix(prefix), Some(ValueRef::Str(s))) => s.starts_with(prefix),
         (_, Some(ValueRef::Str(_))) => false,
         (_, Some(ValueRef::Other(v))) => pred.matches(Some(v)),
@@ -169,7 +183,7 @@ impl GraphSource for Store {
     /// pnode stored in that slot is the node's
     /// (`Shard::slot_near`), so an out-of-order column or a forged
     /// pnode costs a probe, never a wrong row.
-    fn attr_column(&self, nodes: &[ObjectRef], name: &str, out: &mut Vec<Option<Value>>) {
+    fn attr_column(&self, nodes: &[ObjectRef], name: &str, out: &mut Vec<OutValue>) {
         // The last slot read on each shard (at most 64).
         let mut last = [u32::MAX; 64];
         out.reserve(nodes.len());
@@ -181,9 +195,7 @@ impl GraphSource for Store {
                 last[i] = slot;
             }
             let versions = slot.map(|s| shard.versions_at(s));
-            out.push(with_attr(shard, versions, node, name, |v| {
-                v.map(ValueRef::to_value)
-            }));
+            out.push(with_attr(shard, versions, node, name, cell));
         }
     }
 

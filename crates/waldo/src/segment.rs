@@ -302,7 +302,7 @@ pub(crate) fn decode_shard(data: &[u8]) -> Result<(u32, Shard)> {
             let na = get_u32(&mut buf, "attr count")? as usize;
             for _ in 0..na {
                 let rec = wire::get_record(&mut buf)?;
-                shard.add_attr(slot, v, &rec.attribute, ValueRef::of(&rec.value));
+                shard.add_attr(slot, v, &rec.attribute, &rec.value);
             }
             let ni = get_u32(&mut buf, "input count")? as usize;
             for _ in 0..ni {

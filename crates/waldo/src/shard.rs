@@ -145,24 +145,18 @@ pub(crate) type Posting = Vec<u32>;
 /// A secondary index: interned string → posting, in string order.
 pub(crate) type Index = BTreeMap<Rc<str>, Posting>;
 
-/// An attribute value borrowed from its shard.
+/// An attribute value borrowed from its shard: a string as the
+/// shard's interned `Rc`, which a query answer may share.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ValueRef<'a> {
-    Str(&'a str),
+    Str(&'a Rc<str>),
     Other(&'a Value),
 }
 
-impl<'a> ValueRef<'a> {
-    pub fn of(value: &'a Value) -> ValueRef<'a> {
-        match value {
-            Value::Str(s) => ValueRef::Str(s),
-            other => ValueRef::Other(other),
-        }
-    }
-
+impl ValueRef<'_> {
     pub fn to_value(self) -> Value {
         match self {
-            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Str(s) => Value::Str(String::from(&**s)),
             ValueRef::Other(v) => v.clone(),
         }
     }
@@ -252,10 +246,9 @@ impl Shard {
                         reverse_out.push((to.pnode, *subject, label, to.version));
                     }
                     (_, value) => {
-                        let value = ValueRef::of(value);
                         let (bytes, fresh) = self.add_attr(slot, v, &record.attribute, value);
                         index_bytes += bytes;
-                        if let (true, ValueRef::Str(key)) = (fresh, value) {
+                        if let (true, Value::Str(key)) = (fresh, value) {
                             new_key(&record.attribute, key);
                         }
                     }
@@ -286,8 +279,10 @@ impl Shard {
         for (p, versions) in src.objects() {
             for row in versions {
                 let (slot, v) = self.version(p, row.number);
+                // Owned: a string is interned again in this shard's
+                // index.
                 for (attr, value) in src.attrs(row) {
-                    self.add_attr(slot, v, attr, value);
+                    self.add_attr(slot, v, attr, &value.to_value());
                 }
                 for edge in rows(&src.inputs, row.inputs) {
                     self.add_input(v, *edge);
@@ -353,7 +348,7 @@ impl Shard {
         slot: u32,
         v: usize,
         attr: &Attribute,
-        value: ValueRef<'_>,
+        value: &Value,
     ) -> (u64, bool) {
         let name = match self.attr_ids.get(attr) {
             Some(&id) => id,
@@ -365,11 +360,7 @@ impl Shard {
             }
         };
         let (value, index_bytes, new_key) = match value {
-            ValueRef::Other(other) => {
-                self.values.push(other.clone());
-                (Cell::Other(self.values.len() as u32 - 1), 0, false)
-            }
-            ValueRef::Str(s) => {
+            Value::Str(s) => {
                 let ((key, fresh, new_key), key_bytes) = match attr {
                     Attribute::Name => (intern(&mut self.name_index, s, slot), 0),
                     Attribute::Type => (intern(&mut self.type_index, s, slot), 0),
@@ -393,6 +384,10 @@ impl Shard {
                     0
                 };
                 (Cell::Str(key), cost, new_key)
+            }
+            other => {
+                self.values.push(other.clone());
+                (Cell::Other(self.values.len() as u32 - 1), 0, false)
             }
         };
         let mut run = self.versions[v].attrs;

@@ -33,7 +33,7 @@
 
 use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
 use lasagna::LogEntry;
-use pql::{EdgeLabel, GraphSource};
+use pql::{EdgeLabel, GraphSource, OutValue};
 use proptest::prelude::*;
 use sim_os::clock::Clock;
 use sim_os::cost::CostModel;
@@ -464,10 +464,11 @@ proptest! {
             for (order, nodes) in &columns {
                 for name in COLUMNS {
                     // An override appends, as the default does.
-                    let mut column = vec![Some(Value::Int(-1))];
+                    let mut column = vec![OutValue::Int(-1)];
                     db.attr_column(nodes, name, &mut column);
-                    let mut expected = vec![Some(Value::Int(-1))];
-                    expected.extend(nodes.iter().map(|n| db.attr(*n, name)));
+                    let mut expected = vec![OutValue::Int(-1)];
+                    let cell = |n: &ObjectRef| db.attr(*n, name).map_or(OutValue::Null, OutValue::from);
+                    expected.extend(nodes.iter().map(cell));
                     prop_assert!(
                         column == expected,
                         "{what} store, {order} column, {name}: {column:?} != {expected:?}"

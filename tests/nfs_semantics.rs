@@ -211,6 +211,56 @@ fn a_log_the_drain_could_not_read_is_drained_next_time() {
     assert_eq!(run(true), run(false));
 }
 
+/// A drained log whose unlink failed is unlinked at the next drain,
+/// and its bytes are not handed out again: after the second drain
+/// `.pass` holds only the live log, and every image delivered, the
+/// store built from them and the export's data bytes equal a twin's
+/// whose unlink never failed.
+#[test]
+fn a_log_the_drain_could_not_unlink_is_removed_next_time() {
+    let run = |failing: bool| {
+        let clock = Clock::new();
+        let model = CostModel::default();
+        let (lower, faults) = FaultFs::new(Box::new(BaseFs::new(clock.clone(), model)));
+        let cfg = LasagnaConfig::new(VolumeId(12));
+        let export = Lasagna::new(Box::new(lower), clock.clone(), model, cfg).unwrap();
+        let server = Rc::new(RefCell::new(pa_nfs::NfsServer::new(Box::new(export))));
+        let mut client = pa_nfs::client(&server, clock, model);
+        let root = client.root();
+        let ino = client.create(root, "f").unwrap();
+        let h = client.handle_for_ino(ino).unwrap();
+        let mut delivered = Vec::new();
+        for round in 0..2u8 {
+            let name = ProvenanceRecord::new(Attribute::Name, Value::str(format!("round {round}")));
+            client
+                .pass_write(h, 0, &[round; 32], Bundle::single(h, name))
+                .unwrap();
+            faults.fail_next(FaultOp::Unlink, u32::from(failing && round == 0));
+            delivered.push(server.borrow_mut().drain_provenance_logs());
+            assert_eq!(faults.pending(FaultOp::Unlink), 0, "no log was unlinked");
+        }
+        let mut db = waldo::Store::new();
+        for image in delivered.iter().flatten() {
+            db.ingest(&lasagna::parse_log(image).0);
+        }
+        let mut server = server.borrow_mut();
+        let data_bytes = server.fs_usage().data_bytes;
+        let fs = server.fs_mut();
+        let root = fs.root();
+        let dir = fs.lookup(root, lasagna::PASS_DIR).unwrap();
+        let logs: Vec<String> = fs
+            .readdir(dir)
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        (logs, delivered, db.segment_images(), data_bytes)
+    };
+    let (logs, delivered, images, data_bytes) = run(true);
+    assert_eq!(logs.len(), 1, "only the live log is left: {logs:?}");
+    assert_eq!((logs, delivered, images, data_bytes), run(false));
+}
+
 /// One PA export, one client and a file on it, plus the client's
 /// counters before any disclosure: the fixture both sides of the
 /// sluice gate below start from.
