@@ -11,6 +11,7 @@
 //! against; production queries go through [`crate::query`], which
 //! plans.
 
+use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -44,16 +45,24 @@ pub enum EdgeLabel {
 }
 
 impl EdgeLabel {
-    /// Maps a query-text label to an edge label.
+    /// Maps a query-text label, in any ASCII case, to an edge label.
+    /// Only an application label allocates: its canonical upper-case
+    /// record name.
     pub fn from_name(name: &str) -> EdgeLabel {
-        match name.to_ascii_lowercase().as_str() {
-            "input" => EdgeLabel::Input,
-            "version" => EdgeLabel::Version,
-            "visited_url" => EdgeLabel::VisitedUrl,
-            "file_url" => EdgeLabel::FileUrl,
-            "current_url" => EdgeLabel::CurrentUrl,
-            "any" => EdgeLabel::Any,
-            other => EdgeLabel::Named(other.to_ascii_uppercase()),
+        const KNOWN: [(&str, EdgeLabel); 6] = [
+            ("input", EdgeLabel::Input),
+            ("version", EdgeLabel::Version),
+            ("visited_url", EdgeLabel::VisitedUrl),
+            ("file_url", EdgeLabel::FileUrl),
+            ("current_url", EdgeLabel::CurrentUrl),
+            ("any", EdgeLabel::Any),
+        ];
+        match KNOWN
+            .iter()
+            .find(|(known, _)| name.eq_ignore_ascii_case(known))
+        {
+            Some((_, label)) => label.clone(),
+            None => EdgeLabel::Named(name.to_ascii_uppercase()),
         }
     }
 }
@@ -276,11 +285,36 @@ impl Rows {
         self.cells.reserve(rows * self.width);
     }
 
-    /// Appends one row, leaving `row` empty.
-    pub(crate) fn push(&mut self, row: &mut Vec<OutValue>) {
-        assert_eq!(row.len(), self.width, "a row is as wide as its result");
-        self.cells.append(row);
+    /// Writes a row's cells after the last row, not yet counted as
+    /// one, and returns where they start.
+    fn stage(&mut self, cells: impl IntoIterator<Item = OutValue>) -> usize {
+        let start = self.len * self.width;
+        self.cells.extend(cells);
+        let width = self.cells.len() - start;
+        assert_eq!(width, self.width, "a row is as wide as its result");
+        start
+    }
+
+    /// Appends the row made of `cells`.
+    pub(crate) fn push(&mut self, cells: impl IntoIterator<Item = OutValue>) {
+        self.stage(cells);
         self.len += 1;
+    }
+
+    /// Appends the row made of `cells` unless `dedup` has seen it. The
+    /// cells go straight into the buffer and are cut off again if the
+    /// row is a duplicate, so no row is assembled anywhere else.
+    pub(crate) fn push_distinct(
+        &mut self,
+        cells: impl IntoIterator<Item = OutValue>,
+        dedup: &mut RowDedup,
+    ) {
+        let start = self.stage(cells);
+        if dedup.is_new(self, &self.cells[start..]) {
+            self.len += 1;
+        } else {
+            self.cells.truncate(start);
+        }
     }
 
     /// The rows, in order.
@@ -392,17 +426,15 @@ impl RowDedup {
 }
 
 /// The output column names a query projects.
-pub(crate) fn column_names(query: &Query) -> Vec<String> {
+pub(crate) fn column_names(query: &Query<'_>) -> Vec<String> {
     query
         .select
         .iter()
         .enumerate()
-        .map(|(i, s)| {
-            s.alias.clone().unwrap_or_else(|| match &s.expr {
-                Expr::Var(v) => v.clone(),
-                Expr::Attr(v, a) => format!("{v}.{a}"),
-                _ => format!("col{i}"),
-            })
+        .map(|(i, s)| match (s.alias, &s.expr) {
+            (Some(alias), _) | (None, &Expr::Var(alias)) => alias.to_string(),
+            (None, Expr::Attr(v, a)) => [*v, ".", *a].concat(),
+            (None, _) => format!("col{i}"),
         })
         .collect()
 }
@@ -411,21 +443,21 @@ pub(crate) fn column_names(query: &Query) -> Vec<String> {
 /// names, and every variable-rooted path rooted at a binding of a
 /// *strictly earlier* source (the left-to-right semantics the
 /// planner's reordering must preserve).
-pub(crate) fn check_bindings(query: &Query) -> Result<(), PqlError> {
-    let mut bound: Vec<&str> = Vec::new();
-    for source in &query.from {
-        if let PathRoot::Var(v) = &source.root {
-            if !bound.contains(&v.as_str()) {
+pub(crate) fn check_bindings(query: &Query<'_>) -> Result<(), PqlError> {
+    for (i, source) in query.from.iter().enumerate() {
+        let earlier = &query.from[..i];
+        let bound = |name: &str| earlier.iter().any(|s| s.binding == name);
+        if let PathRoot::Var(v) = source.root {
+            if !bound(v) {
                 return Err(PqlError::Eval(format!("unbound variable `{v}`")));
             }
         }
-        if bound.contains(&source.binding.as_str()) {
+        if bound(source.binding) {
             return Err(PqlError::Eval(format!(
                 "duplicate binding `{}`",
                 source.binding
             )));
         }
-        bound.push(&source.binding);
     }
     Ok(())
 }
@@ -434,13 +466,10 @@ pub(crate) fn check_bindings(query: &Query) -> Result<(), PqlError> {
 /// `from` expansion, then `where`, then projection. This is the
 /// reference evaluator the tests hold the planner to; nothing at run
 /// time calls it — [`crate::execute`] plans instead.
-pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<ResultSet, PqlError> {
+pub fn execute(query: &Query<'_>, graph: &dyn GraphSource) -> Result<ResultSet, PqlError> {
     check_bindings(query)?;
-    let ctx = ExprCtx {
-        graph,
-        stats: None,
-        vars: query.from.iter().map(|s| s.binding.as_str()).collect(),
-    };
+    let slot_of = |var: &str| query.from.iter().position(|s| s.binding == var);
+    let ctx = ExprCtx::new(graph, None, &slot_of);
     let mut rows = bind_sources(query, &ctx)?;
     if let Some(cond) = &query.where_clause {
         // Filtered in place: the survivors keep their order and the
@@ -468,17 +497,13 @@ pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<ResultSet, PqlE
         for item in &query.select {
             row_out.push(ctx.eval(&item.expr, &[], Some(&rows))?);
         }
-        out_rows.push(&mut row_out);
+        out_rows.push(row_out);
     } else {
         for row in &rows {
             for item in &query.select {
                 row_out.push(ctx.eval(&item.expr, row, None)?);
             }
-            if dedup.is_new(&out_rows, &row_out) {
-                out_rows.push(&mut row_out);
-            } else {
-                row_out.clear();
-            }
+            out_rows.push_distinct(row_out.drain(..), &mut dedup);
         }
     }
     Ok(ResultSet {
@@ -489,12 +514,12 @@ pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<ResultSet, PqlE
 
 /// Expands the `from` clause left to right into bound rows: source
 /// `i` binds slot `i`.
-fn bind_sources(query: &Query, ctx: &ExprCtx<'_>) -> Result<Vec<Row>, PqlError> {
+fn bind_sources(query: &Query<'_>, ctx: &ExprCtx<'_>) -> Result<Vec<Row>, PqlError> {
     let mut rows: Vec<Row> = vec![vec![None; query.from.len()]];
     for (slot, source) in query.from.iter().enumerate() {
         let mut next: Vec<Row> = Vec::new();
         for row in &rows {
-            let starts: Vec<ObjectRef> = match &source.root {
+            let starts: Vec<ObjectRef> = match source.root {
                 // Sorted by the `class_members` contract.
                 PathRoot::Class(c) => ctx.graph.class_members(c),
                 PathRoot::Var(v) => vec![ctx.bound(row, v)?],
@@ -516,31 +541,21 @@ pub(crate) fn walk_steps(
     steps: &[PathStep],
     graph: &dyn GraphSource,
 ) -> Vec<ObjectRef> {
-    let mut current: Vec<ObjectRef> = starts.to_vec();
-    for step in steps {
+    let Some((first, rest)) = steps.split_first() else {
+        return starts.to_vec();
+    };
+    let mut current = apply_step(starts, first, graph);
+    for step in rest {
         current = apply_step(&current, step, graph);
     }
     current
 }
 
-/// The parsed edge labels of one step, resolved once — `one_hop` used
-/// to re-parse the label string for every node × pattern.
-fn step_labels(step: &PathStep) -> Vec<(EdgeLabel, bool)> {
-    step.edges
-        .iter()
-        .map(|pat| (EdgeLabel::from_name(&pat.label), pat.inverse))
-        .collect()
-}
-
-fn one_hop(
-    nodes: &[ObjectRef],
-    labels: &[(EdgeLabel, bool)],
-    graph: &dyn GraphSource,
-) -> Vec<ObjectRef> {
+fn one_hop(nodes: &[ObjectRef], edges: &[EdgePattern], graph: &dyn GraphSource) -> Vec<ObjectRef> {
     let mut out = Vec::new();
     let mut seen = HashSet::new();
     for &n in nodes {
-        for (label, inverse) in labels {
+        for EdgePattern { label, inverse } in edges {
             let next = if *inverse {
                 graph.in_edges(n, label)
             } else {
@@ -557,13 +572,13 @@ fn one_hop(
 }
 
 fn apply_step(nodes: &[ObjectRef], step: &PathStep, graph: &dyn GraphSource) -> Vec<ObjectRef> {
-    let labels = step_labels(step);
+    let labels = step.edges.as_slice();
     match step.quant {
-        Quant::One => one_hop(nodes, &labels, graph),
+        Quant::One => one_hop(nodes, labels, graph),
         Quant::Opt => {
             let mut out: Vec<ObjectRef> = nodes.to_vec();
             let mut seen: HashSet<ObjectRef> = nodes.iter().copied().collect();
-            for m in one_hop(nodes, &labels, graph) {
+            for m in one_hop(nodes, labels, graph) {
                 if seen.insert(m) {
                     out.push(m);
                 }
@@ -579,7 +594,7 @@ fn apply_step(nodes: &[ObjectRef], step: &PathStep, graph: &dyn GraphSource) -> 
             // traversals. Multi-start sets keep the shared BFS: one
             // pass over the union instead of k independent closures.
             let reached: Vec<ObjectRef> =
-                if let ([(label, inverse)], [start]) = (labels.as_slice(), nodes) {
+                if let ([EdgePattern { label, inverse }], [start]) = (labels, nodes) {
                     graph.closure(*start, label, *inverse)
                 } else {
                     // Shared BFS over the union of labels and starts.
@@ -593,7 +608,7 @@ fn apply_step(nodes: &[ObjectRef], step: &PathStep, graph: &dyn GraphSource) -> 
                     let mut frontier: Vec<ObjectRef> = nodes.to_vec();
                     let mut out: Vec<ObjectRef> = Vec::new();
                     while !frontier.is_empty() {
-                        let next = one_hop(&frontier, &labels, graph);
+                        let next = one_hop(&frontier, labels, graph);
                         frontier = Vec::new();
                         for m in next {
                             if seen.insert(m) {
@@ -634,9 +649,9 @@ pub(crate) fn truthy(v: &OutValue) -> bool {
 }
 
 /// The value a literal denotes.
-pub(crate) fn literal_value(lit: &Literal) -> Value {
+pub(crate) fn literal_value(lit: &Literal<'_>) -> Value {
     match lit {
-        Literal::Str(s) => Value::Str(s.clone()),
+        Literal::Str(s) => Value::Str(s.to_string()),
         Literal::Int(i) => Value::Int(*i),
         Literal::Bool(b) => Value::Bool(*b),
     }
@@ -647,16 +662,39 @@ pub(crate) fn literal_value(lit: &Literal) -> Value {
 /// two is how sub-queries run: with `stats` attached they go back
 /// through the planner (accumulating into the same counters), without
 /// it they recurse into the naive [`execute`].
+///
+/// Evaluating a row allocates nothing of its own: an attribute is
+/// read as the store's shared cell, and a string literal becomes a
+/// cell once per query, which every row then shares.
 pub(crate) struct ExprCtx<'a> {
     pub graph: &'a dyn GraphSource,
     pub stats: Option<&'a std::cell::RefCell<PlanStats>>,
-    /// Binding names in slot order, borrowed from the query: what a
-    /// [`Row`]'s slots mean.
-    pub vars: Vec<&'a str>,
+    /// The slot of a [`Row`] a binding name occupies: `from` order in
+    /// the naive evaluator, planned order in [`crate::plan`].
+    slot_of: &'a dyn Fn(&str) -> Option<usize>,
+    /// The cells of the string literals evaluated so far, each keyed
+    /// by its literal's place in the query.
+    literals: RefCell<Vec<(&'a Literal<'a>, OutValue)>>,
+    /// The buffer an attribute cell is read into, reused row to row.
+    cell: RefCell<Vec<OutValue>>,
 }
 
-impl ExprCtx<'_> {
-    fn subquery(&self, query: &Query) -> Result<ResultSet, PqlError> {
+impl<'a> ExprCtx<'a> {
+    pub(crate) fn new(
+        graph: &'a dyn GraphSource,
+        stats: Option<&'a std::cell::RefCell<PlanStats>>,
+        slot_of: &'a dyn Fn(&str) -> Option<usize>,
+    ) -> ExprCtx<'a> {
+        ExprCtx {
+            graph,
+            stats,
+            slot_of,
+            literals: RefCell::default(),
+            cell: RefCell::default(),
+        }
+    }
+
+    fn subquery(&self, query: &Query<'_>) -> Result<ResultSet, PqlError> {
         match self.stats {
             Some(stats) => crate::plan::execute_accum(query, self.graph, stats),
             None => execute(query, self.graph),
@@ -669,57 +707,71 @@ impl ExprCtx<'_> {
         row: &[Option<ObjectRef>],
         var: &str,
     ) -> Result<ObjectRef, PqlError> {
-        self.vars
-            .iter()
-            .zip(row)
-            .find_map(|(name, slot)| slot.filter(|_| *name == var))
+        (self.slot_of)(var)
+            .and_then(|slot| row.get(slot).copied().flatten())
             .ok_or_else(|| PqlError::Eval(format!("unbound variable `{var}`")))
+    }
+
+    /// The cell of a literal: a string's is made on first use and
+    /// shared after.
+    fn literal(&self, lit: &'a Literal<'a>) -> OutValue {
+        let Literal::Str(s) = lit else {
+            return OutValue::from(literal_value(lit));
+        };
+        let mut literals = self.literals.borrow_mut();
+        if let Some((_, cell)) = literals.iter().find(|(at, _)| std::ptr::eq(*at, lit)) {
+            return cell.clone();
+        }
+        let cell = OutValue::Str(Rc::from(&**s));
+        literals.push((lit, cell.clone()));
+        cell
+    }
+
+    /// `var.name` on `row`, read as one cell of a column: a string is
+    /// the store's shared one, not a copy.
+    fn attr(&self, row: &[Option<ObjectRef>], var: &str, name: &str) -> Result<OutValue, PqlError> {
+        let node = self.bound(row, var)?;
+        let mut cell = self.cell.borrow_mut();
+        self.graph.attr_column(&[node], name, &mut cell);
+        Ok(cell.pop().unwrap_or(OutValue::Null))
     }
 
     pub(crate) fn eval(
         &self,
-        expr: &Expr,
+        expr: &'a Expr<'a>,
         row: &[Option<ObjectRef>],
         all_rows: Option<&[Row]>,
     ) -> Result<OutValue, PqlError> {
         match expr {
-            Expr::Lit(lit) => Ok(OutValue::from(literal_value(lit))),
+            Expr::Lit(lit) => Ok(self.literal(lit)),
             Expr::Var(v) => self.bound(row, v).map(OutValue::Node),
-            Expr::Attr(v, attr) => Ok(self
-                .graph
-                .attr(self.bound(row, v)?, attr)
-                .map_or(OutValue::Null, OutValue::from)),
+            Expr::Attr(v, attr) => self.attr(row, v, attr),
             Expr::Not(e) => {
                 let v = self.eval(e, row, all_rows)?;
                 Ok(OutValue::Bool(!truthy(&v)))
             }
             Expr::Binary { op, lhs, rhs } => {
-                if op == "and" {
-                    let l = self.eval(lhs, row, all_rows)?;
-                    if !truthy(&l) {
-                        return Ok(OutValue::Bool(false));
-                    }
-                    let r = self.eval(rhs, row, all_rows)?;
-                    return Ok(OutValue::Bool(truthy(&r)));
-                }
-                if op == "or" {
-                    let l = self.eval(lhs, row, all_rows)?;
-                    if truthy(&l) {
-                        return Ok(OutValue::Bool(true));
-                    }
-                    let r = self.eval(rhs, row, all_rows)?;
-                    return Ok(OutValue::Bool(truthy(&r)));
-                }
                 let l = self.eval(lhs, row, all_rows)?;
+                let short = match op {
+                    BinOp::And => (!truthy(&l)).then_some(false),
+                    BinOp::Or => truthy(&l).then_some(true),
+                    _ => None,
+                };
+                if let Some(short) = short {
+                    return Ok(OutValue::Bool(short));
+                }
                 let r = self.eval(rhs, row, all_rows)?;
-                Ok(OutValue::Bool(compare(op, &l, &r)?))
+                Ok(OutValue::Bool(match op {
+                    BinOp::And | BinOp::Or => truthy(&r),
+                    _ => compare(*op, &l, &r),
+                }))
             }
             Expr::Aggregate { func, arg } => {
                 let rows = all_rows.ok_or_else(|| {
                     PqlError::Eval("aggregate outside of select context".to_string())
                 })?;
-                match func.as_str() {
-                    "count" => {
+                match func {
+                    AggFunc::Count => {
                         let mut distinct = HashSet::new();
                         for row in rows {
                             let v = self.eval(arg, row, None)?;
@@ -729,7 +781,7 @@ impl ExprCtx<'_> {
                         }
                         Ok(OutValue::Int(distinct.len() as i64))
                     }
-                    "min" | "max" => {
+                    AggFunc::Min | AggFunc::Max => {
                         let mut vals: Vec<i64> = Vec::new();
                         let mut strs: Vec<Rc<str>> = Vec::new();
                         for row in rows {
@@ -739,15 +791,16 @@ impl ExprCtx<'_> {
                                 _ => {}
                             }
                         }
+                        let min = *func == AggFunc::Min;
                         if !vals.is_empty() {
-                            let v = if func == "min" {
+                            let v = if min {
                                 vals.into_iter().min()
                             } else {
                                 vals.into_iter().max()
                             };
                             Ok(OutValue::Int(v.unwrap()))
                         } else if !strs.is_empty() {
-                            let v = if func == "min" {
+                            let v = if min {
                                 strs.into_iter().min()
                             } else {
                                 strs.into_iter().max()
@@ -757,7 +810,6 @@ impl ExprCtx<'_> {
                             Ok(OutValue::Null)
                         }
                     }
-                    other => Err(PqlError::Eval(format!("unknown aggregate `{other}`"))),
                 }
             }
             Expr::InSubquery { expr, query } => {
@@ -774,13 +826,15 @@ impl ExprCtx<'_> {
     }
 }
 
-fn compare(op: &str, l: &OutValue, r: &OutValue) -> Result<bool, PqlError> {
+/// What comparison `op` (any operator but `and` and `or`) says of two
+/// cells.
+fn compare(op: BinOp, l: &OutValue, r: &OutValue) -> bool {
     use std::cmp::Ordering;
-    if op == "like" {
+    if op == BinOp::Like {
         let (OutValue::Str(s), OutValue::Str(pat)) = (l, r) else {
-            return Ok(false);
+            return false;
         };
-        return Ok(glob_match(pat, s));
+        return glob_match(pat, s);
     }
     let ord: Option<Ordering> = match (l, r) {
         (OutValue::Node(a), OutValue::Node(b)) => Some(a.cmp(b)),
@@ -790,18 +844,16 @@ fn compare(op: &str, l: &OutValue, r: &OutValue) -> Result<bool, PqlError> {
         (OutValue::Null, OutValue::Null) => Some(Ordering::Equal),
         _ => None,
     };
-    Ok(match (op, ord) {
-        ("=", Some(Ordering::Equal)) => true,
-        ("=", _) => false,
-        ("!=", Some(Ordering::Equal)) => false,
-        ("!=", Some(_)) => true,
-        ("!=", None) => true,
-        ("<", Some(o)) => o == Ordering::Less,
-        ("<=", Some(o)) => o != Ordering::Greater,
-        (">", Some(o)) => o == Ordering::Greater,
-        (">=", Some(o)) => o != Ordering::Less,
+    match (op, ord) {
+        (BinOp::Eq, Some(o)) => o == Ordering::Equal,
+        (BinOp::Ne, Some(o)) => o != Ordering::Equal,
+        (BinOp::Ne, None) => true,
+        (BinOp::Lt, Some(o)) => o == Ordering::Less,
+        (BinOp::Le, Some(o)) => o != Ordering::Greater,
+        (BinOp::Gt, Some(o)) => o == Ordering::Greater,
+        (BinOp::Ge, Some(o)) => o != Ordering::Less,
         _ => false,
-    })
+    }
 }
 
 /// Glob matching with `*` (any run) and `?` (any one character).
@@ -982,7 +1034,7 @@ mod tests {
             // Every row "hashes" to 7, except row 4.
             let hash = if n == 4 { 8 } else { 7 };
             if dedup.is_new_hashed(&kept, &row(n), hash) {
-                kept.push(&mut row(n));
+                kept.push(row(n));
             }
         }
         let kept: Vec<&[OutValue]> = kept.iter().collect();

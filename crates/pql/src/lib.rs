@@ -101,7 +101,10 @@ pub mod plan;
 
 use std::fmt;
 
-pub use ast::{EdgePattern, Expr, Literal, PathRoot, PathStep, Quant, Query, SelectItem, Source};
+pub use ast::{
+    AggFunc, BinOp, EdgePattern, Expr, Literal, PathRoot, PathStep, Quant, Query, SelectItem,
+    Source,
+};
 pub use eval::{
     execute as execute_naive, glob_match, EdgeLabel, GraphSource, OutValue, ResultSet, Rows,
 };
@@ -141,7 +144,7 @@ impl std::error::Error for PqlError {}
 /// Use [`plan::execute`] to keep them, or [`eval::execute`]
 /// (re-exported as [`execute_naive`]) for the naive reference
 /// evaluator.
-pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<ResultSet, PqlError> {
+pub fn execute(query: &Query<'_>, graph: &dyn GraphSource) -> Result<ResultSet, PqlError> {
     plan::execute(query, graph).map(|out| out.result)
 }
 

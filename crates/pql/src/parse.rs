@@ -1,66 +1,66 @@
 //! The PQL recursive-descent parser.
 
+use std::mem;
+
 use crate::ast::*;
-use crate::lex::{lex, Token, TokenKind};
+use crate::eval::EdgeLabel;
+use crate::lex::{LexError, Lexer, Token, TokenKind};
 use crate::PqlError;
 
-struct Parser {
-    toks: Vec<Token>,
-    at: usize,
+/// The parser's state: the lexer and the one token of lookahead.
+struct Parser<'q> {
+    lexer: Lexer<'q>,
+    tok: Token<'q>,
 }
 
-/// Parses a query string into an AST.
-pub fn parse(input: &str) -> Result<Query, PqlError> {
-    let toks = lex(input).map_err(|(msg, pos)| PqlError::Parse { msg, pos })?;
-    let mut p = Parser { toks, at: 0 };
+/// Parses a query string into an AST that borrows it.
+pub fn parse(input: &str) -> Result<Query<'_>, PqlError> {
+    let mut lexer = Lexer::new(input);
+    let tok = lexer.next_token().map_err(lex_error)?;
+    let mut p = Parser { lexer, tok };
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.toks[self.at].kind
+fn lex_error((msg, pos): LexError) -> PqlError {
+    PqlError::Parse { msg, pos }
+}
+
+impl<'q> Parser<'q> {
+    fn peek(&self) -> &TokenKind<'q> {
+        &self.tok.kind
     }
 
     fn pos(&self) -> usize {
-        self.toks[self.at].pos
+        self.tok.pos
     }
 
-    /// Takes the current token and moves past it. The final `Eof` is
-    /// never passed, so taking it leaves it in place.
-    fn bump(&mut self) -> Token {
-        let eof = Token {
-            kind: TokenKind::Eof,
-            pos: self.pos(),
-        };
-        let t = std::mem::replace(&mut self.toks[self.at], eof);
-        if self.at + 1 < self.toks.len() {
-            self.at += 1;
-        }
-        t
+    /// Takes the current token and lexes the next one. Past the end
+    /// the lexer answers `Eof` again, so taking it leaves it in place.
+    fn bump(&mut self) -> Result<Token<'q>, PqlError> {
+        let next = self.lexer.next_token().map_err(lex_error)?;
+        Ok(mem::replace(&mut self.tok, next))
     }
 
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), TokenKind::Keyword(k) if *k == kw) {
-            self.bump();
-            true
-        } else {
-            false
+    fn eat_kw(&mut self, kw: &str) -> Result<bool, PqlError> {
+        let found = matches!(self.peek(), TokenKind::Keyword(k) if *k == kw);
+        if found {
+            self.bump()?;
         }
+        Ok(found)
     }
 
-    fn eat_sym(&mut self, sym: &str) -> bool {
-        if matches!(self.peek(), TokenKind::Sym(s) if *s == sym) {
-            self.bump();
-            true
-        } else {
-            false
+    fn eat_sym(&mut self, sym: &str) -> Result<bool, PqlError> {
+        let found = matches!(self.peek(), TokenKind::Sym(s) if *s == sym);
+        if found {
+            self.bump()?;
         }
+        Ok(found)
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), PqlError> {
-        if self.eat_kw(kw) {
+        if self.eat_kw(kw)? {
             Ok(())
         } else {
             Err(self.err(format!("expected `{kw}`, found {}", self.peek())))
@@ -68,23 +68,20 @@ impl Parser {
     }
 
     fn expect_sym(&mut self, sym: &str) -> Result<(), PqlError> {
-        if self.eat_sym(sym) {
+        if self.eat_sym(sym)? {
             Ok(())
         } else {
             Err(self.err(format!("expected `{sym}`, found {}", self.peek())))
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, PqlError> {
-        match self.bump() {
-            Token {
-                kind: TokenKind::Ident(s),
-                ..
-            } => Ok(s),
-            Token { kind, pos } => Err(PqlError::Parse {
-                msg: format!("expected identifier, found {kind}"),
-                pos,
-            }),
+    fn expect_ident(&mut self) -> Result<&'q str, PqlError> {
+        match *self.peek() {
+            TokenKind::Ident(s) => {
+                self.bump()?;
+                Ok(s)
+            }
+            ref kind => Err(self.err(format!("expected identifier, found {kind}"))),
         }
     }
 
@@ -104,28 +101,27 @@ impl Parser {
     }
 
     // query := SELECT items FROM sources (WHERE expr)?
-    fn query(&mut self) -> Result<Query, PqlError> {
+    fn query(&mut self) -> Result<Query<'q>, PqlError> {
         self.expect_kw("select")?;
-        let mut select = vec![self.select_item()?];
-        while self.eat_sym(",") {
+        // Grown from empty, so a second item or source finds room.
+        let mut select = Vec::new();
+        loop {
             select.push(self.select_item()?);
+            if !self.eat_sym(",")? {
+                break;
+            }
         }
         self.expect_kw("from")?;
-        let mut from = vec![self.source()?];
+        let mut from = Vec::new();
         loop {
+            from.push(self.source()?);
             // Sources may be comma-separated or juxtaposed (as in the
             // paper's sample query).
-            if self.eat_sym(",") {
-                from.push(self.source()?);
-                continue;
+            if !(self.eat_sym(",")? || matches!(self.peek(), TokenKind::Ident(_))) {
+                break;
             }
-            if matches!(self.peek(), TokenKind::Ident(_)) {
-                from.push(self.source()?);
-                continue;
-            }
-            break;
         }
-        let where_clause = if self.eat_kw("where") {
+        let where_clause = if self.eat_kw("where")? {
             Some(self.expr()?)
         } else {
             None
@@ -137,9 +133,9 @@ impl Parser {
         })
     }
 
-    fn select_item(&mut self) -> Result<SelectItem, PqlError> {
+    fn select_item(&mut self) -> Result<SelectItem<'q>, PqlError> {
         let expr = self.expr()?;
-        let alias = if self.eat_kw("as") {
+        let alias = if self.eat_kw("as")? {
             Some(self.expect_ident()?)
         } else {
             None
@@ -148,7 +144,7 @@ impl Parser {
     }
 
     // source := root ('.' step)* AS ident
-    fn source(&mut self) -> Result<Source, PqlError> {
+    fn source(&mut self) -> Result<Source<'q>, PqlError> {
         let first = self.expect_ident()?;
         let root = if first == "Provenance" {
             self.expect_sym(".")?;
@@ -157,7 +153,7 @@ impl Parser {
             PathRoot::Var(first)
         };
         let mut steps = Vec::new();
-        while self.eat_sym(".") {
+        while self.eat_sym(".")? {
             steps.push(self.path_step()?);
         }
         self.expect_kw("as")?;
@@ -173,9 +169,9 @@ impl Parser {
     // edge_alt := edge | '(' edge ('|' edge)* ')'
     // edge := ident '~'?
     fn path_step(&mut self) -> Result<PathStep, PqlError> {
-        let edges = if self.eat_sym("(") {
+        let edges = if self.eat_sym("(")? {
             let mut v = vec![self.edge_pattern()?];
-            while self.eat_sym("|") {
+            while self.eat_sym("|")? {
                 v.push(self.edge_pattern()?);
             }
             self.expect_sym(")")?;
@@ -183,135 +179,136 @@ impl Parser {
         } else {
             vec![self.edge_pattern()?]
         };
-        let quant = if self.eat_sym("*") {
-            Quant::Star
-        } else if self.eat_sym("+") {
-            Quant::Plus
-        } else if self.eat_sym("?") {
-            Quant::Opt
-        } else {
-            Quant::One
+        let quant = match *self.peek() {
+            TokenKind::Sym("*") => Quant::Star,
+            TokenKind::Sym("+") => Quant::Plus,
+            TokenKind::Sym("?") => Quant::Opt,
+            _ => {
+                return Ok(PathStep {
+                    edges,
+                    quant: Quant::One,
+                })
+            }
         };
+        self.bump()?;
         Ok(PathStep { edges, quant })
     }
 
     fn edge_pattern(&mut self) -> Result<EdgePattern, PqlError> {
-        let label = self.expect_ident()?;
-        let inverse = self.eat_sym("~");
+        let label = EdgeLabel::from_name(self.expect_ident()?);
+        let inverse = self.eat_sym("~")?;
         Ok(EdgePattern { label, inverse })
     }
 
     // Standard precedence: or < and < not < comparison < primary.
-    fn expr(&mut self) -> Result<Expr, PqlError> {
+    fn expr(&mut self) -> Result<Expr<'q>, PqlError> {
         self.or_expr()
     }
 
-    fn or_expr(&mut self) -> Result<Expr, PqlError> {
+    fn or_expr(&mut self) -> Result<Expr<'q>, PqlError> {
         let mut lhs = self.and_expr()?;
-        while self.eat_kw("or") {
+        while self.eat_kw("or")? {
             let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: "or".into(),
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = binary(BinOp::Or, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, PqlError> {
+    fn and_expr(&mut self) -> Result<Expr<'q>, PqlError> {
         let mut lhs = self.not_expr()?;
-        while self.eat_kw("and") {
+        while self.eat_kw("and")? {
             let rhs = self.not_expr()?;
-            lhs = Expr::Binary {
-                op: "and".into(),
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = binary(BinOp::And, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn not_expr(&mut self) -> Result<Expr, PqlError> {
-        if self.eat_kw("not") {
+    fn not_expr(&mut self) -> Result<Expr<'q>, PqlError> {
+        if self.eat_kw("not")? {
             Ok(Expr::Not(Box::new(self.not_expr()?)))
         } else {
             self.comparison()
         }
     }
 
-    fn comparison(&mut self) -> Result<Expr, PqlError> {
+    fn comparison(&mut self) -> Result<Expr<'q>, PqlError> {
         let lhs = self.primary()?;
-        for op in ["=", "!=", "<=", ">=", "<", ">"] {
-            if self.eat_sym(op) {
-                let rhs = self.primary()?;
-                return Ok(Expr::Binary {
-                    op: op.into(),
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
+        let op = match *self.peek() {
+            TokenKind::Sym("=") => BinOp::Eq,
+            TokenKind::Sym("!=") => BinOp::Ne,
+            TokenKind::Sym("<=") => BinOp::Le,
+            TokenKind::Sym(">=") => BinOp::Ge,
+            TokenKind::Sym("<") => BinOp::Lt,
+            TokenKind::Sym(">") => BinOp::Gt,
+            TokenKind::Keyword("like") => BinOp::Like,
+            TokenKind::Keyword("in") => {
+                self.bump()?;
+                let query = self.subquery()?;
+                return Ok(Expr::InSubquery {
+                    expr: Box::new(lhs),
+                    query,
                 });
             }
-        }
-        if self.eat_kw("like") {
-            let rhs = self.primary()?;
-            return Ok(Expr::Binary {
-                op: "like".into(),
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            });
-        }
-        if self.eat_kw("in") {
-            self.expect_sym("(")?;
-            let q = self.query()?;
-            self.expect_sym(")")?;
-            return Ok(Expr::InSubquery {
-                expr: Box::new(lhs),
-                query: Box::new(q),
-            });
-        }
-        Ok(lhs)
+            _ => return Ok(lhs),
+        };
+        self.bump()?;
+        let rhs = self.primary()?;
+        Ok(binary(op, lhs, rhs))
     }
 
-    fn primary(&mut self) -> Result<Expr, PqlError> {
-        let Token { kind, pos } = self.bump();
-        match kind {
-            TokenKind::Str(s) => Ok(Expr::Lit(Literal::Str(s))),
-            TokenKind::Int(i) => Ok(Expr::Lit(Literal::Int(i))),
-            TokenKind::Keyword("true") => Ok(Expr::Lit(Literal::Bool(true))),
-            TokenKind::Keyword("false") => Ok(Expr::Lit(Literal::Bool(false))),
-            TokenKind::Keyword(f @ ("count" | "min" | "max")) => {
-                self.expect_sym("(")?;
-                let arg = self.expr()?;
-                self.expect_sym(")")?;
-                Ok(Expr::Aggregate {
-                    func: f.to_string(),
-                    arg: Box::new(arg),
-                })
-            }
-            TokenKind::Keyword("exists") => {
-                self.expect_sym("(")?;
-                let q = self.query()?;
-                self.expect_sym(")")?;
-                Ok(Expr::Exists(Box::new(q)))
-            }
+    /// `( query )`, the opening parenthesis next.
+    fn subquery(&mut self) -> Result<Box<Query<'q>>, PqlError> {
+        self.expect_sym("(")?;
+        let q = self.query()?;
+        self.expect_sym(")")?;
+        Ok(Box::new(q))
+    }
+
+    fn primary(&mut self) -> Result<Expr<'q>, PqlError> {
+        let Token { kind, pos } = self.bump()?;
+        let func = match kind {
+            TokenKind::Str(s) => return Ok(Expr::Lit(Literal::Str(s))),
+            TokenKind::Int(i) => return Ok(Expr::Lit(Literal::Int(i))),
+            TokenKind::Keyword("true") => return Ok(Expr::Lit(Literal::Bool(true))),
+            TokenKind::Keyword("false") => return Ok(Expr::Lit(Literal::Bool(false))),
+            TokenKind::Keyword("count") => AggFunc::Count,
+            TokenKind::Keyword("min") => AggFunc::Min,
+            TokenKind::Keyword("max") => AggFunc::Max,
+            TokenKind::Keyword("exists") => return Ok(Expr::Exists(self.subquery()?)),
             TokenKind::Sym("(") => {
                 let e = self.expr()?;
                 self.expect_sym(")")?;
-                Ok(e)
+                return Ok(e);
             }
             TokenKind::Ident(name) => {
-                if self.eat_sym(".") {
-                    let attr = self.expect_ident()?;
-                    Ok(Expr::Attr(name, attr))
+                return Ok(if self.eat_sym(".")? {
+                    Expr::Attr(name, self.expect_ident()?)
                 } else {
-                    Ok(Expr::Var(name))
-                }
+                    Expr::Var(name)
+                });
             }
-            other => Err(PqlError::Parse {
-                msg: format!("expected expression, found {other}"),
-                pos,
-            }),
-        }
+            other => {
+                return Err(PqlError::Parse {
+                    msg: format!("expected expression, found {other}"),
+                    pos,
+                })
+            }
+        };
+        self.expect_sym("(")?;
+        let arg = self.expr()?;
+        self.expect_sym(")")?;
+        Ok(Expr::Aggregate {
+            func,
+            arg: Box::new(arg),
+        })
+    }
+}
+
+fn binary<'q>(op: BinOp, lhs: Expr<'q>, rhs: Expr<'q>) -> Expr<'q> {
+    Expr::Binary {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
     }
 }
 
@@ -330,9 +327,9 @@ mod tests {
         .unwrap();
         assert_eq!(q.select.len(), 1);
         assert_eq!(q.from.len(), 2);
-        assert_eq!(q.from[0].root, PathRoot::Class("file".into()));
+        assert_eq!(q.from[0].root, PathRoot::Class("file"));
         assert_eq!(q.from[0].binding, "Atlas");
-        assert_eq!(q.from[1].root, PathRoot::Var("Atlas".into()));
+        assert_eq!(q.from[1].root, PathRoot::Var("Atlas"));
         assert_eq!(q.from[1].steps.len(), 1);
         assert_eq!(q.from[1].steps[0].quant, Quant::Star);
         assert!(q.where_clause.is_some());
@@ -358,7 +355,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.select.len(), 2);
-        assert_eq!(q.select[0].alias.as_deref(), Some("filename"));
+        assert_eq!(q.select[0].alias, Some("filename"));
         assert!(matches!(q.select[1].expr, Expr::Aggregate { .. }));
     }
 
@@ -372,9 +369,9 @@ mod tests {
         // or(a, and(b, not(<))) — and binds tighter than or.
         match q.where_clause.unwrap() {
             Expr::Binary { op, rhs, .. } => {
-                assert_eq!(op, "or");
+                assert_eq!(op, BinOp::Or);
                 match *rhs {
-                    Expr::Binary { op, .. } => assert_eq!(op, "and"),
+                    Expr::Binary { op, .. } => assert_eq!(op, BinOp::And),
                     other => panic!("expected and, got {other:?}"),
                 }
             }

@@ -43,7 +43,6 @@
 //! left-to-right short-circuit would have rejected earlier.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 
 use dpapi::{ObjectRef, Value};
 
@@ -196,10 +195,22 @@ pub struct QueryOutput {
 
 /// One binding in planned execution order.
 struct BindingStep<'q> {
-    source: &'q Source,
+    source: &'q Source<'q>,
+    /// The source's position in the written `from` clause.
+    written: usize,
     /// Pushed predicate: `(attribute name, predicate)`. Only for
     /// step-less class roots; the originating conjunct is consumed.
     pushed: Option<(&'q str, AttrPredicate)>,
+    /// For a variable root, the planned step that binds it: the path
+    /// is walked per row from the node in that slot.
+    root_slot: Option<usize>,
+    /// A class root's candidates. Class-rooted paths are
+    /// row-independent, so their lookup or scan and step walk resolve
+    /// once — but only when the first row reaches the step, so an
+    /// earlier binding that produces zero rows costs later sources
+    /// nothing (the naive evaluator also does no work for sources past
+    /// an empty row set). Taken out while the step's rows run.
+    candidates: RefCell<Option<Vec<ObjectRef>>>,
 }
 
 impl BindingStep<'_> {
@@ -209,12 +220,27 @@ impl BindingStep<'_> {
             .iter()
             .any(|s| matches!(s.quant, Quant::Star | Quant::Plus))
     }
+
+    /// The greedy order's key: pushed-index candidates first, plain
+    /// class roots next, closure walks last; fewer steps, then the
+    /// written order, break ties.
+    fn rank(&self) -> (bool, bool, usize, usize) {
+        let steps = self.source.steps.len();
+        (
+            self.pushed.is_none(),
+            self.has_closure(),
+            steps,
+            self.written,
+        )
+    }
 }
 
 /// A residual `where` conjunct scheduled at the earliest binding step
 /// where every variable it mentions is bound.
 struct Filter<'q> {
-    expr: &'q Expr,
+    expr: &'q Expr<'q>,
+    /// The planned step after which the conjunct runs.
+    at: usize,
     /// Memoized outcome for conjuncts that mention no binding at all
     /// (they are row-independent, but must still only be evaluated if
     /// some row reaches them — matching the naive evaluator, which
@@ -224,12 +250,18 @@ struct Filter<'q> {
 
 struct CompiledPlan<'q> {
     steps: Vec<BindingStep<'q>>,
-    /// `filters_at[i]` run right after binding step `i` completes for
-    /// a row. With no sources at all, every filter lands in
-    /// `filters_at[0]`... which doesn't exist; the zero-source case is
-    /// handled by the executor directly.
-    filters_at: Vec<Vec<Filter<'q>>>,
+    /// Every residual conjunct, each with the step it runs after.
+    /// Empty with no sources at all: the executor then applies the
+    /// whole `where` to the single empty row.
+    filters: Vec<Filter<'q>>,
     reordered: bool,
+}
+
+impl CompiledPlan<'_> {
+    /// The filters scheduled after planned step `i`.
+    fn filters_at(&self, i: usize) -> impl Iterator<Item = &Filter<'_>> {
+        self.filters.iter().filter(move |f| f.at == i)
+    }
 }
 
 /// Parses and executes `text` with the planner, returning rows plus
@@ -253,13 +285,13 @@ pub fn query_traced(
 }
 
 /// Executes a parsed query through the planned pipeline.
-pub fn execute(query: &Query, graph: &dyn GraphSource) -> Result<QueryOutput, PqlError> {
+pub fn execute(query: &Query<'_>, graph: &dyn GraphSource) -> Result<QueryOutput, PqlError> {
     execute_traced(query, graph, &provscope::Scope::disabled())
 }
 
 /// [`execute`] with span tracing (see [`query_traced`]).
 pub fn execute_traced(
-    query: &Query,
+    query: &Query<'_>,
     graph: &dyn GraphSource,
     scope: &provscope::Scope,
 ) -> Result<QueryOutput, PqlError> {
@@ -274,7 +306,7 @@ pub fn execute_traced(
 /// Planned execution accumulating into shared counters (used for
 /// sub-queries, whose planner work folds into the parent's stats).
 pub(crate) fn execute_accum(
-    query: &Query,
+    query: &Query<'_>,
     graph: &dyn GraphSource,
     stats: &RefCell<PlanStats>,
 ) -> Result<ResultSet, PqlError> {
@@ -282,7 +314,7 @@ pub(crate) fn execute_accum(
 }
 
 fn execute_accum_traced(
-    query: &Query,
+    query: &Query<'_>,
     graph: &dyn GraphSource,
     stats: &RefCell<PlanStats>,
     scope: &provscope::Scope,
@@ -294,33 +326,37 @@ fn execute_accum_traced(
 }
 
 // ---- compilation ----------------------------------------------------------
+//
+// A query has a handful of bindings and conjuncts, so compilation finds
+// them by scanning slices: no map or set is built per query.
 
-/// Splits an expression into its top-level conjuncts.
-fn conjuncts<'q>(expr: &'q Expr, out: &mut Vec<&'q Expr>) {
-    if let Expr::Binary { op, lhs, rhs } = expr {
-        if op == "and" {
-            conjuncts(lhs, out);
-            conjuncts(rhs, out);
-            return;
+/// Calls `f` on each top-level conjunct of an expression.
+fn for_each_conjunct<'q>(expr: &'q Expr<'q>, f: &mut impl FnMut(&'q Expr<'q>)) {
+    match expr {
+        Expr::Binary {
+            op: BinOp::And,
+            lhs,
+            rhs,
+        } => {
+            for_each_conjunct(lhs, f);
+            for_each_conjunct(rhs, f);
         }
+        _ => f(expr),
     }
-    out.push(expr);
 }
 
-/// Variables an expression mentions. Sub-query interiors are skipped:
-/// PQL sub-queries are uncorrelated (their own scope), only the
-/// tested expression of `in (…)` sees the outer row.
-fn expr_vars(expr: &Expr, out: &mut HashSet<String>) {
+/// Calls `f` on every variable an expression mentions. Sub-query
+/// interiors are skipped: PQL sub-queries are uncorrelated (their own
+/// scope), only the tested expression of `in (…)` sees the outer row.
+fn for_each_var<'q>(expr: &Expr<'q>, f: &mut impl FnMut(&'q str)) {
     match expr {
-        Expr::Var(v) | Expr::Attr(v, _) => {
-            out.insert(v.clone());
-        }
-        Expr::Not(e) | Expr::Aggregate { arg: e, .. } => expr_vars(e, out),
+        Expr::Var(v) | Expr::Attr(v, _) => f(v),
+        Expr::Not(e) | Expr::Aggregate { arg: e, .. } => for_each_var(e, f),
         Expr::Binary { lhs, rhs, .. } => {
-            expr_vars(lhs, out);
-            expr_vars(rhs, out);
+            for_each_var(lhs, f);
+            for_each_var(rhs, f);
         }
-        Expr::InSubquery { expr, .. } => expr_vars(expr, out),
+        Expr::InSubquery { expr, .. } => for_each_var(expr, f),
         Expr::Lit(_) | Expr::Exists(_) => {}
     }
 }
@@ -328,186 +364,135 @@ fn expr_vars(expr: &Expr, out: &mut HashSet<String>) {
 /// The literal prefix of a `like` pattern whose only metacharacter is
 /// one trailing `*` (`'/data/*'` → `/data/`); `None` for anything a
 /// prefix range cannot answer.
-fn like_prefix(pattern: &str) -> Option<String> {
+fn like_prefix(pattern: &str) -> Option<&str> {
     let prefix = pattern.strip_suffix('*')?;
-    (!prefix.is_empty() && !prefix.contains(['*', '?'])).then(|| prefix.to_string())
+    (!prefix.is_empty() && !prefix.contains(['*', '?'])).then_some(prefix)
 }
 
 /// `(variable, attribute, predicate)` if this conjunct is sargable.
-fn sargable(expr: &Expr) -> Option<(&str, &str, AttrPredicate)> {
+fn sargable<'q>(expr: &'q Expr<'q>) -> Option<(&'q str, &'q str, AttrPredicate)> {
     let Expr::Binary { op, lhs, rhs } = expr else {
         return None;
     };
-    match op.as_str() {
-        "=" => match (lhs.as_ref(), rhs.as_ref()) {
-            (Expr::Attr(v, a), Expr::Lit(l)) | (Expr::Lit(l), Expr::Attr(v, a)) => {
-                Some((v, a, AttrPredicate::Eq(literal_value(l))))
-            }
-            _ => None,
-        },
-        "like" => match (lhs.as_ref(), rhs.as_ref()) {
-            (Expr::Attr(v, a), Expr::Lit(Literal::Str(pat))) => {
-                like_prefix(pat).map(|p| (v.as_str(), a.as_str(), AttrPredicate::LikePrefix(p)))
-            }
-            _ => None,
-        },
+    match (op, lhs.as_ref(), rhs.as_ref()) {
+        (BinOp::Eq, Expr::Attr(v, a), Expr::Lit(l))
+        | (BinOp::Eq, Expr::Lit(l), Expr::Attr(v, a)) => {
+            Some((v, a, AttrPredicate::Eq(literal_value(l))))
+        }
+        (BinOp::Like, Expr::Attr(v, a), Expr::Lit(Literal::Str(pat))) => {
+            let prefix = like_prefix(pat)?.to_string();
+            Some((v, a, AttrPredicate::LikePrefix(prefix)))
+        }
         _ => None,
     }
 }
 
 /// Compiles a query, or says why its binding structure is irregular.
-fn compile(query: &Query) -> Result<CompiledPlan<'_>, PqlError> {
+fn compile<'q>(query: &'q Query<'q>) -> Result<CompiledPlan<'q>, PqlError> {
     check_bindings(query)?;
-
-    // Split the filter into conjuncts and pick at most one sargable
-    // predicate per step-less class-rooted binding; everything else
-    // stays a residual filter.
-    let mut residual: Vec<&Expr> = Vec::new();
-    let mut pushed: HashMap<&str, (&str, AttrPredicate)> = HashMap::new();
-    if let Some(cond) = &query.where_clause {
-        let mut parts = Vec::new();
-        conjuncts(cond, &mut parts);
-        for part in parts {
-            if let Some((var, attr, pred)) = sargable(part) {
-                let pushable = query.from.iter().any(|s| {
-                    s.binding == var && s.steps.is_empty() && matches!(s.root, PathRoot::Class(_))
-                });
-                // At most one predicate is pushed per binding (the
-                // first sargable conjunct, which is as good as any —
-                // both shapes are highly selective); the rest stay
-                // residual filters on the narrowed candidate set.
-                if pushable && !pushed.contains_key(var) {
-                    pushed.insert(var, (attr, pred));
-                    continue;
-                }
-            }
-            residual.push(part);
-        }
-    }
-
-    // Order bindings: pushed-index candidates first, plain class
-    // roots next, closure walks last — greedily, among sources whose
-    // root variable is already bound.
     let n = query.from.len();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut placed = vec![false; n];
-    let mut bound_now: HashSet<&str> = HashSet::new();
-    while order.len() < n {
-        let mut best: Option<(usize, (u8, u8, usize, usize))> = None;
-        for (i, source) in query.from.iter().enumerate() {
-            if placed[i] {
-                continue;
-            }
-            let available = match &source.root {
-                PathRoot::Class(_) => true,
-                PathRoot::Var(v) => bound_now.contains(v.as_str()),
-            };
-            if !available {
-                continue;
-            }
-            let has_push = pushed.contains_key(source.binding.as_str());
-            let has_closure = source
-                .steps
-                .iter()
-                .any(|s| matches!(s.quant, Quant::Star | Quant::Plus));
-            let rank = (
-                if has_push { 0u8 } else { 1 },
-                if has_closure { 1u8 } else { 0 },
-                source.steps.len(),
-                i,
-            );
-            if best.map(|(_, r)| rank < r).unwrap_or(true) {
-                best = Some((i, rank));
-            }
-        }
-        let (i, _) = best.expect("check_bindings: every root variable is bound earlier");
-        placed[i] = true;
-        bound_now.insert(&query.from[i].binding);
-        order.push(i);
-    }
-    let reordered = order.iter().enumerate().any(|(pos, &i)| pos != i);
-
-    let steps: Vec<BindingStep<'_>> = order
-        .iter()
-        .map(|&i| {
-            let source = &query.from[i];
-            BindingStep {
-                source,
-                pushed: pushed.remove(source.binding.as_str()),
-            }
+    let mut steps: Vec<BindingStep<'q>> = (query.from.iter().enumerate())
+        .map(|(written, source)| BindingStep {
+            source,
+            written,
+            pushed: None,
+            root_slot: None,
+            candidates: RefCell::new(None),
         })
         .collect();
+
+    // Split the filter into conjuncts and push at most one sargable
+    // predicate into each step-less class-rooted binding (the first
+    // sargable conjunct, which is as good as any — both shapes are
+    // highly selective); the rest stay residual filters on the
+    // narrowed candidate set.
+    let mut filters = Vec::new();
+    if let Some(cond) = &query.where_clause {
+        for_each_conjunct(cond, &mut |part| {
+            if let Some((var, attr, pred)) = sargable(part) {
+                let target = steps.iter_mut().find(|s| {
+                    s.source.binding == var
+                        && s.source.steps.is_empty()
+                        && matches!(s.source.root, PathRoot::Class(_))
+                });
+                if let Some(step @ BindingStep { pushed: None, .. }) = target {
+                    step.pushed = Some((attr, pred));
+                    return;
+                }
+            }
+            filters.push(Filter {
+                expr: part,
+                at: 0,
+                memo: None,
+            });
+        });
+    }
+
+    // Order bindings greedily by rank, among sources whose root
+    // variable is already bound.
+    for placed in 0..n {
+        let (bound, rest) = steps.split_at(placed);
+        let available = |s: &BindingStep<'_>| match s.source.root {
+            PathRoot::Class(_) => true,
+            PathRoot::Var(v) => bound.iter().any(|b| b.source.binding == v),
+        };
+        let best = (rest.iter().enumerate())
+            .filter(|(_, s)| available(s))
+            .min_by_key(|(_, s)| s.rank())
+            .map(|(i, _)| placed + i)
+            .expect("check_bindings: every root variable is bound earlier");
+        steps.swap(placed, best);
+        if let PathRoot::Var(v) = steps[placed].source.root {
+            steps[placed].root_slot = steps[..placed].iter().position(|b| b.source.binding == v);
+        }
+    }
+    let reordered = steps.iter().enumerate().any(|(pos, s)| pos != s.written);
 
     // Schedule each residual conjunct at the earliest planned step
     // after which all its variables are bound; conjuncts mentioning
     // unknown variables run last (they error per-row, like the naive
     // evaluator does — but only if a row reaches them).
-    let mut filters_at: Vec<Vec<Filter<'_>>> = (0..n).map(|_| Vec::new()).collect();
-    let position: HashMap<&str, usize> = steps
-        .iter()
-        .enumerate()
-        .map(|(pos, s)| (s.source.binding.as_str(), pos))
-        .collect();
-    for expr in residual {
-        let mut vars = HashSet::new();
-        expr_vars(expr, &mut vars);
-        let known: Vec<usize> = vars
-            .iter()
-            .filter_map(|v| position.get(v.as_str()).copied())
-            .collect();
-        let unknown = known.len() < vars.len();
-        let at = if unknown {
-            n.saturating_sub(1)
-        } else {
-            known.into_iter().max().unwrap_or(0)
-        };
-        let memo = vars.is_empty().then(|| RefCell::new(None));
-        if n > 0 {
-            filters_at[at].push(Filter { expr, memo });
-        }
-        // n == 0: zero sources; the executor applies every filter to
-        // the single empty row directly (filters_at is unused).
+    for filter in &mut filters {
+        let (mut last, mut vars, mut unknown) = (0, false, false);
+        for_each_var(filter.expr, &mut |v| {
+            vars = true;
+            match steps.iter().position(|s| s.source.binding == v) {
+                Some(pos) => last = last.max(pos),
+                None => unknown = true,
+            }
+        });
+        filter.at = if unknown { n.saturating_sub(1) } else { last };
+        filter.memo = (!vars).then(|| RefCell::new(None));
+    }
+    if n == 0 {
+        // Zero sources: the executor applies the whole `where` to the
+        // single empty row directly.
+        filters.clear();
     }
 
     Ok(CompiledPlan {
         steps,
-        filters_at,
+        filters,
         reordered,
     })
 }
 
 // ---- execution ------------------------------------------------------------
 
-/// One step's root-candidate slot: class-rooted paths are
-/// row-independent, so their (lookup or scan + step walk) resolves
-/// once — but only when the first row actually reaches the step, so
-/// an earlier binding that produces zero rows costs later sources
-/// nothing (matching the streaming claim; the naive evaluator also
-/// does no work for sources past an empty row set).
-enum RootSlot {
-    /// Class root, not reached yet.
-    Lazy,
-    /// Class root, resolved on first use. Behind `Rc` so every
-    /// subsequent parent row shares the list instead of cloning it.
-    Cached(std::rc::Rc<Vec<ObjectRef>>),
-    /// Variable root: walked per row in `descend`, from the node in
-    /// this slot of the row.
-    PerRow(usize),
-}
-
 struct Runner<'a> {
     plan: &'a CompiledPlan<'a>,
-    query: &'a Query,
+    query: &'a Query<'a>,
     graph: &'a dyn GraphSource,
     ctx: ExprCtx<'a>,
     stats: &'a RefCell<PlanStats>,
-    root_cache: Vec<RootSlot>,
     has_aggregate: bool,
     out_rows: Rows,
     dedup: RowDedup,
-    /// The row `emit` assembles, reused: its cells move into
-    /// `out_rows`, its buffer stays.
-    scratch: Vec<OutValue>,
+    /// The cells `emit` projects, a column after another, before they
+    /// are dealt into rows; reused, so its buffer stays.
+    columns: Vec<OutValue>,
+    /// The last step's endpoints that passed its filters; reused.
+    kept: Vec<ObjectRef>,
     /// Complete bound rows, kept only for aggregate finalization.
     agg_rows: Vec<Row>,
     pruned: u64,
@@ -518,7 +503,7 @@ struct Runner<'a> {
 }
 
 fn run(
-    query: &Query,
+    query: &Query<'_>,
     plan: &CompiledPlan<'_>,
     graph: &dyn GraphSource,
     stats: &RefCell<PlanStats>,
@@ -528,42 +513,21 @@ fn run(
         .select
         .iter()
         .any(|s| matches!(s.expr, Expr::Aggregate { .. }));
-
-    let root_cache: Vec<RootSlot> = plan
-        .steps
-        .iter()
-        .map(|step| match &step.source.root {
-            PathRoot::Class(_) => RootSlot::Lazy,
-            PathRoot::Var(v) => RootSlot::PerRow(
-                plan.steps
-                    .iter()
-                    .position(|s| s.source.binding == *v)
-                    .expect("compile() orders a variable-rooted source after its binder"),
-            ),
-        })
-        .collect();
     stats.borrow_mut().bindings_reordered |= plan.reordered;
 
+    // Planned step `i` binds slot `i` of every row.
+    let slot_of = |var: &str| plan.steps.iter().position(|s| s.source.binding == var);
     let mut runner = Runner {
         plan,
         query,
         graph,
-        // Planned step `i` binds slot `i` of every row.
-        ctx: ExprCtx {
-            graph,
-            stats: Some(stats),
-            vars: plan
-                .steps
-                .iter()
-                .map(|s| s.source.binding.as_str())
-                .collect(),
-        },
+        ctx: ExprCtx::new(graph, Some(stats), &slot_of),
         stats,
-        root_cache,
         has_aggregate,
         out_rows: Rows::new(query.select.len()),
         dedup: RowDedup::default(),
-        scratch: Vec::with_capacity(query.select.len()),
+        columns: Vec::new(),
+        kept: Vec::new(),
         agg_rows: Vec::new(),
         pruned: 0,
         scope: scope.clone(),
@@ -586,7 +550,7 @@ fn run(
     let span = scope.open("pql", "project");
     let columns = column_names(query);
     if has_aggregate {
-        let row_out = &mut runner.scratch;
+        let row_out = &mut runner.columns;
         for item in &query.select {
             match runner.ctx.eval(&item.expr, &[], Some(&runner.agg_rows)) {
                 Ok(v) => row_out.push(v),
@@ -596,7 +560,7 @@ fn run(
                 }
             }
         }
-        runner.out_rows.push(row_out);
+        runner.out_rows.push(row_out.drain(..));
     }
     let rows = runner.out_rows;
     scope.close(span);
@@ -604,7 +568,7 @@ fn run(
     Ok(ResultSet { columns, rows })
 }
 
-impl Runner<'_> {
+impl<'a> Runner<'a> {
     /// Resolves a class-rooted step's candidates (pushed lookup or
     /// class scan, then its step walk), charging the planner counters
     /// once.
@@ -629,15 +593,9 @@ impl Runner<'_> {
                 if let Some(size) = self.graph.class_size(class) {
                     let pruned = size.saturating_sub(lookup.nodes.len()) as u64;
                     st.rows_pruned += pruned;
-                    let downstream_closures = self
-                        .plan
-                        .steps
-                        .iter()
-                        .filter(|s| {
-                            matches!(&s.source.root, PathRoot::Var(v)
-                                     if *v == step.source.binding)
-                                && s.has_closure()
-                        })
+                    let binding = step.source.binding;
+                    let downstream_closures = (self.plan.steps.iter())
+                        .filter(|s| s.source.root == PathRoot::Var(binding) && s.has_closure())
                         .count() as u64;
                     st.closure_calls_saved += pruned * downstream_closures;
                 }
@@ -659,51 +617,69 @@ impl Runner<'_> {
 
     fn descend(&mut self, i: usize, row: &mut Row) -> Result<(), PqlError> {
         let step = &self.plan.steps[i];
-        if matches!(self.root_cache[i], RootSlot::Lazy) {
-            let PathRoot::Class(class) = &step.source.root else {
-                unreachable!("only class roots are lazy");
-            };
-            self.root_cache[i] =
-                RootSlot::Cached(std::rc::Rc::new(self.resolve_class_root(step, class)));
-        }
-        let endpoints: std::rc::Rc<Vec<ObjectRef>> = match &self.root_cache[i] {
-            // Shares the cached list (Rc clone), no per-row copy.
-            RootSlot::Cached(cached) => cached.clone(),
-            RootSlot::Lazy => unreachable!("resolved above"),
-            RootSlot::PerRow(root) => {
-                let start = row[*root].expect("an earlier step bound the root's slot");
-                std::rc::Rc::new(walk_steps(&[start], &step.source.steps, self.graph))
+        let endpoints = match (step.root_slot, step.source.root) {
+            (Some(root), _) => {
+                let start = row[root].expect("an earlier step bound the root's slot");
+                walk_steps(&[start], &step.source.steps, self.graph)
             }
+            (None, PathRoot::Class(class)) => match step.candidates.take() {
+                Some(cached) => cached,
+                None => self.resolve_class_root(step, class),
+            },
+            (None, PathRoot::Var(_)) => unreachable!("compile() gives a variable root its slot"),
         };
-        // The last step's rows differ only in slot `i`: keep the
-        // endpoints that pass its filters and project them together.
-        let last = i + 1 == self.plan.steps.len();
-        let mut kept = Vec::with_capacity(if last { endpoints.len() } else { 0 });
-        for &endpoint in endpoints.iter() {
-            row[i] = Some(endpoint);
-            if !self.passes(i, row)? {
-                continue;
-            }
-            if last {
-                kept.push(endpoint);
-            } else {
-                self.descend(i + 1, row)?;
-            }
-        }
-        if last && !kept.is_empty() {
-            self.emit(row, Some((i, &kept)))?;
+        let done = self.expand(i, row, &endpoints);
+        if step.root_slot.is_none() {
+            step.candidates.replace(Some(endpoints));
         }
         row[i] = None;
+        done
+    }
+
+    /// Binds slot `i` of `row` to each of `endpoints` in turn and
+    /// carries the rows that pass its filters on, into the next step.
+    /// The last step's rows differ only in slot `i`, so the endpoints
+    /// that pass go into one projection together.
+    fn expand(&mut self, i: usize, row: &mut Row, endpoints: &[ObjectRef]) -> Result<(), PqlError> {
+        let plan = self.plan;
+        if i + 1 < plan.steps.len() {
+            for &endpoint in endpoints {
+                row[i] = Some(endpoint);
+                if self.passes(i, row)? {
+                    self.descend(i + 1, row)?;
+                }
+            }
+            return Ok(());
+        }
+        if plan.filters_at(i).next().is_none() {
+            return match endpoints {
+                [] => Ok(()),
+                _ => self.emit(row, Some((i, endpoints))),
+            };
+        }
+        let mut kept = std::mem::take(&mut self.kept);
+        for &endpoint in endpoints {
+            row[i] = Some(endpoint);
+            if self.passes(i, row)? {
+                kept.push(endpoint);
+            }
+        }
+        if !kept.is_empty() {
+            self.emit(row, Some((i, &kept)))?;
+        }
+        kept.clear();
+        self.kept = kept;
         Ok(())
     }
 
     /// Whether `row` passes every filter scheduled after step `i`.
     fn passes(&mut self, i: usize, row: &[Option<ObjectRef>]) -> Result<bool, PqlError> {
-        if self.plan.filters_at[i].is_empty() {
+        let mut filters = self.plan.filters_at(i).peekable();
+        if filters.peek().is_none() {
             return Ok(true);
         }
         let span = self.scope.open("pql", "filter");
-        let outcome = (self.plan.filters_at[i].iter())
+        let outcome = filters
             .map(|filter| self.check(filter, row))
             .find(|outcome| *outcome != Ok(true))
             .unwrap_or(Ok(true));
@@ -714,7 +690,7 @@ impl Runner<'_> {
         outcome
     }
 
-    fn check(&self, filter: &Filter<'_>, row: &[Option<ObjectRef>]) -> Result<bool, PqlError> {
+    fn check(&self, filter: &'a Filter<'a>, row: &[Option<ObjectRef>]) -> Result<bool, PqlError> {
         if let Some(memo) = &filter.memo {
             if let Some(cached) = memo.borrow().as_ref() {
                 return cached.clone();
@@ -733,10 +709,11 @@ impl Runner<'_> {
     /// its attributes (`A.name`) is one [`GraphSource::attr_column`]
     /// call; any other item is evaluated row by row. Either way a
     /// column's reads run back to back instead of each waiting behind
-    /// one row's allocation and hashing. Rows are then assembled and
-    /// deduplicated in endpoint order. An item that fails, fails on
-    /// every row (an unbound variable, a bad sub-query), so going
-    /// column by column returns the naive evaluator's first error.
+    /// one row's allocation and hashing. Rows are then dealt from the
+    /// columns and deduplicated in endpoint order. An item that fails,
+    /// fails on every row (an unbound variable, a bad sub-query), so
+    /// going column by column returns the naive evaluator's first
+    /// error.
     fn emit(
         &mut self,
         row: &mut Row,
@@ -757,41 +734,33 @@ impl Runner<'_> {
             }
             return Ok(());
         }
-        let binding = slot.map(|i| self.plan.steps[i].source.binding.as_str());
-        let mut columns = Vec::with_capacity(self.query.select.len());
+        let binding = slot.map(|i| self.plan.steps[i].source.binding);
+        // Column `c`'s cells are `columns[c * n..(c + 1) * n]`.
+        let columns = &mut self.columns;
+        columns.clear();
         for item in &self.query.select {
-            let column: Vec<OutValue> = match &item.expr {
-                Expr::Var(v) if binding == Some(v.as_str()) => {
-                    endpoints.iter().map(|e| OutValue::Node(*e)).collect()
+            match &item.expr {
+                Expr::Var(v) if binding == Some(*v) => {
+                    columns.extend(endpoints.iter().map(|e| OutValue::Node(*e)))
                 }
-                Expr::Attr(v, a) if binding == Some(v.as_str()) => {
-                    let mut cells = Vec::with_capacity(n);
-                    self.graph.attr_column(endpoints, a, &mut cells);
-                    cells
+                Expr::Attr(v, a) if binding == Some(*v) => {
+                    self.graph.attr_column(endpoints, a, columns)
                 }
                 expr => {
-                    let mut column = Vec::with_capacity(n);
                     for k in 0..n {
                         bind(row, k);
-                        column.push(self.ctx.eval(expr, row, None)?);
+                        columns.push(self.ctx.eval(expr, row, None)?);
                     }
-                    column
                 }
-            };
-            columns.push(column.into_iter());
+            }
         }
+        let width = self.query.select.len();
         self.out_rows.reserve(n);
         self.dedup.reserve(n);
-        for _ in 0..n {
-            let cells = columns
-                .iter_mut()
-                .map(|c| c.next().expect("one cell per row"));
-            self.scratch.extend(cells);
-            if self.dedup.is_new(&self.out_rows, &self.scratch) {
-                self.out_rows.push(&mut self.scratch);
-            } else {
-                self.scratch.clear();
-            }
+        for k in 0..n {
+            let cells =
+                (0..width).map(|c| std::mem::replace(&mut columns[c * n + k], OutValue::Null));
+            self.out_rows.push_distinct(cells, &mut self.dedup);
         }
         Ok(())
     }
@@ -1013,7 +982,7 @@ mod tests {
 
     #[test]
     fn like_prefix_extraction() {
-        assert_eq!(like_prefix("/data/*"), Some("/data/".to_string()));
+        assert_eq!(like_prefix("/data/*"), Some("/data/"));
         assert_eq!(like_prefix("*"), None);
         assert_eq!(like_prefix("*.gif"), None);
         assert_eq!(like_prefix("a?b*"), None);

@@ -2,7 +2,10 @@
 //! `pql::parse` must answer any string — arbitrary Unicode, or one of
 //! the benchmark's five query shapes with characters inserted, deleted
 //! or replaced — with a query or a `PqlError::Parse` whose position
-//! is a character boundary of the input. It must never panic.
+//! is a character boundary of the input. It must never panic. And the
+//! keyword recognizer must not care how a keyword is cased or how the
+//! tokens are spaced: each shape, respelled, parses to the AST of its
+//! canonical text.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -81,6 +84,75 @@ fn parses_or_refuses(text: &str) -> Result<(), String> {
     }
 }
 
+/// The tokens of a shape: words, quoted literals and single
+/// punctuation characters (the shapes use no two-character operator).
+fn tokens(shape: &str) -> Vec<&str> {
+    let bytes = shape.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        match bytes[i] {
+            b' ' => {
+                i += 1;
+                continue;
+            }
+            b'\'' => {
+                i += 1 + shape[i + 1..].find('\'').unwrap() + 1;
+            }
+            b if b.is_ascii_alphanumeric() || b == b'_' => {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
+                }
+            }
+            _ => i += 1,
+        }
+        out.push(&shape[start..i]);
+    }
+    out
+}
+
+fn is_word(token: &str) -> bool {
+    token
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || b == b'_')
+}
+
+/// What may separate two tokens: nothing (unless both are words),
+/// ASCII whitespace, or a comment.
+const GAPS: [&str; 7] = ["", " ", "\t", "\n", "\r\n  ", " \x0b\x0c", " -- note\n"];
+
+/// `shape` with every keyword's letters in the case `case` picks, bit
+/// by bit, and `gaps` cycled between its tokens.
+fn respell(shape: &str, case: u64, gaps: &[usize]) -> String {
+    const KEYWORDS: [&str; 5] = ["select", "from", "as", "where", "like"];
+    let mut out = String::new();
+    let mut bit = 0;
+    let mut prev: Option<&str> = None;
+    for (k, token) in tokens(shape).into_iter().enumerate() {
+        if let Some(prev) = prev {
+            let gap = GAPS[gaps[k % gaps.len()]];
+            let gap = if gap.is_empty() && is_word(prev) && is_word(token) {
+                " "
+            } else {
+                gap
+            };
+            out.push_str(gap);
+        }
+        if KEYWORDS.contains(&token) {
+            for c in token.chars() {
+                let upper = case >> (bit % 64) & 1 == 1;
+                bit += 1;
+                out.push(if upper { c.to_ascii_uppercase() } else { c });
+            }
+        } else {
+            out.push_str(token);
+        }
+        prev = Some(token);
+    }
+    out
+}
+
 #[test]
 fn the_five_shapes_parse() {
     for shape in SHAPES {
@@ -95,6 +167,18 @@ proptest! {
     fn arbitrary_text_parses_or_is_refused(chars in proptest::collection::vec(arb_char(), 0..48)) {
         let text: String = chars.into_iter().collect();
         parses_or_refuses(&text)?;
+    }
+
+    #[test]
+    fn respelled_shapes_parse_to_the_canonical_ast(
+        shape in 0usize..SHAPES.len(),
+        case in any::<u64>(),
+        gaps in proptest::collection::vec(0..GAPS.len(), 1..8),
+    ) {
+        let text = respell(SHAPES[shape], case, &gaps);
+        let canonical = pql::parse(SHAPES[shape]).unwrap();
+        let parsed = pql::parse(&text);
+        prop_assert!(parsed == Ok(canonical), "{text:?} parsed to {parsed:?}");
     }
 
     #[test]

@@ -60,6 +60,37 @@ fn pseudo_attr(node: ObjectRef, name: &str) -> Option<Value> {
     Some(Value::Int(n))
 }
 
+/// A name in ASCII upper case — the spelling the store keys classes
+/// and application attributes under — folded into a stack buffer, so
+/// a query's class or attribute name costs no allocation unless it is
+/// longer than the buffer.
+enum Upper {
+    Inline([u8; 32], usize),
+    Heap(String),
+}
+
+impl Upper {
+    fn new(s: &str) -> Upper {
+        let mut buf = [0u8; 32];
+        match buf.get_mut(..s.len()) {
+            Some(upper) => {
+                upper.copy_from_slice(s.as_bytes());
+                upper.make_ascii_uppercase();
+                Upper::Inline(buf, s.len())
+            }
+            None => Upper::Heap(s.to_ascii_uppercase()),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            // Changing the case of ASCII bytes keeps UTF-8 valid.
+            Upper::Inline(buf, len) => std::str::from_utf8(&buf[..*len]).expect("folded UTF-8"),
+            Upper::Heap(s) => s,
+        }
+    }
+}
+
 /// Whether a record attribute is the one a query spells `name`,
 /// decided without allocating: the well-known attributes match in
 /// any case; any other name denotes an application attribute, stored
@@ -157,8 +188,8 @@ impl GraphSource for Store {
                 out.extend(shard.objects().flat_map(|(p, v)| version_refs(p, v)));
             }
         } else {
-            let ty = class.to_ascii_uppercase();
-            self.scan_index(Keyed::Type, &ty, false, |_, shard, slot| {
+            let ty = Upper::new(class);
+            self.scan_index(Keyed::Type, ty.as_str(), false, |_, shard, slot| {
                 out.extend(version_refs(shard.pnode_at(slot), shard.versions_at(slot)))
             });
         }
@@ -244,10 +275,10 @@ impl GraphSource for Store {
         } else if is("type") {
             Keyed::Type
         } else {
-            upper = attr.to_ascii_uppercase();
-            Keyed::Attr(&upper)
+            upper = Upper::new(attr);
+            Keyed::Attr(upper.as_str())
         };
-        let class_upper = class.to_ascii_uppercase();
+        let class_upper = Upper::new(class);
         let any_class = class.eq_ignore_ascii_case("obj");
         // The class's posting on the shard the scan is in.
         let mut members = (usize::MAX, None);
@@ -285,7 +316,7 @@ impl GraphSource for Store {
         Some(if class.eq_ignore_ascii_case("obj") {
             self.object_count()
         } else {
-            self.type_index_size(&class.to_ascii_uppercase())
+            self.type_index_size(Upper::new(class).as_str())
         })
     }
 }

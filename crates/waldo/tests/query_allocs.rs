@@ -130,20 +130,70 @@ fn deep_query(units: usize) -> String {
     )
 }
 
-/// Allocator calls of one planned deep query, after a warm-up run
-/// that fills the closure cache; and the number of rows it answered.
-fn counted(db: &Store, units: usize) -> (u64, usize) {
-    let text = deep_query(units);
-    let warm = pql::query(&text, db).unwrap();
+/// The deep query with a residual filter on every row it answers.
+fn filtered_query(units: usize) -> String {
+    format!(
+        "select A.name from Provenance.file as F F.input* as A \
+         where F.name = '/lib/l-{units}.a' and A.name != 'zzz'"
+    )
+}
+
+/// One query of each class the `query_static` benchmark runs, over
+/// the 64-unit library, with the allocator calls pinned for the whole
+/// query and for its `pql::parse`. These are ratchets: a count may
+/// fall, and then its pin falls with it; it may not rise.
+const CLASSES: [(&str, &str, u64, u64); 5] = [
+    (
+        "point",
+        "select F.name from Provenance.file as F where F.name = '/obj/u64-7.o'",
+        13,
+        4,
+    ),
+    (
+        "shallow",
+        "select A.name from Provenance.file as F F.input* as A where F.name = '/obj/u64-7.o'",
+        17,
+        6,
+    ),
+    (
+        "deep",
+        "select A.name from Provenance.file as F F.input* as A where F.name = '/lib/l-64.a'",
+        17,
+        6,
+    ),
+    (
+        "descendants",
+        "select D.name from Provenance.file as F F.input~* as D where F.name = '/src/u64-7.c'",
+        17,
+        6,
+    ),
+    (
+        "prefix",
+        "select F.name from Provenance.file as F where F.name like '/obj/u64-1*'",
+        15,
+        4,
+    ),
+];
+
+/// Allocator calls of `f`, and what it returned.
+fn calls<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = CALLS.get();
-    let rows = pql::query_with_stats(&text, db).unwrap().result.len();
-    let calls = CALLS.get() - before;
+    let out = f();
+    (CALLS.get() - before, out)
+}
+
+/// Allocator calls of one planned query from its text to its dropped
+/// answer, after a warm-up run that fills the closure cache; and the
+/// number of rows it answered.
+fn counted(db: &Store, text: &str) -> (u64, usize) {
+    let warm = pql::query(text, db).unwrap();
+    let (calls, rows) = calls(|| pql::query_with_stats(text, db).unwrap().result.len());
     assert_eq!(rows, warm.len());
     (calls, rows)
 }
 
 #[test]
-fn a_deep_answer_allocates_per_query_not_per_row() {
+fn a_query_allocates_per_query_not_per_row() {
     let mut e = Emitter {
         entries: Vec::new(),
         next: 0,
@@ -156,20 +206,42 @@ fn a_deep_answer_allocates_per_query_not_per_row() {
     let mut db = Store::new();
     db.ingest(&e.entries);
 
-    let (small, small_rows) = counted(&db, SMALL);
-    let (large, large_rows) = counted(&db, LARGE);
-    println!(
-        "deep query: {small} allocator calls for {small_rows} rows, \
-         {large} for {large_rows} rows"
-    );
-    // Each unit's three objects, the library and its link step, and
-    // the headers the units compiled against.
-    assert_eq!(small_rows, 3 * SMALL + 2 + HEADERS);
-    assert_eq!(large_rows, 3 * LARGE + 2 + HEADERS);
+    for (what, query) in [
+        ("deep", deep_query as fn(usize) -> String),
+        ("filtered", filtered_query),
+    ] {
+        let (small, small_rows) = counted(&db, &query(SMALL));
+        let (large, large_rows) = counted(&db, &query(LARGE));
+        println!(
+            "{what} query: {small} allocator calls for {small_rows} rows, \
+             {large} for {large_rows} rows"
+        );
+        // Each unit's three objects, the library and its link step,
+        // and the headers the units compiled against.
+        assert_eq!(small_rows, 3 * SMALL + 2 + HEADERS);
+        assert_eq!(large_rows, 3 * LARGE + 2 + HEADERS);
+        assert!(
+            large <= small + DOUBLING_SLACK,
+            "{what}: {large} allocator calls for {large_rows} rows against {small} for \
+             {small_rows}: something allocates per row"
+        );
+    }
+
+    let mut over = Vec::new();
+    for (class, text, pin, parse_pin) in CLASSES {
+        let (total, rows) = counted(&db, text);
+        let (parse, _) = calls(|| pql::parse(text).map(drop));
+        println!("{class}: {total} allocator calls ({parse} in pql::parse) for {rows} rows");
+        assert!(rows > 0, "{class}: no answer");
+        if total > pin || parse > parse_pin {
+            over.push(format!(
+                "{class}: {total} (pin {pin}), parse {parse} (pin {parse_pin})"
+            ));
+        }
+    }
     assert!(
-        large <= small + DOUBLING_SLACK,
-        "{large} allocator calls for {large_rows} rows against {small} for {small_rows}: \
-         something allocates per row"
+        over.is_empty(),
+        "allocator calls above their pins: {over:?}"
     );
 
     // Two answers name one node with one allocation: the shard's.
