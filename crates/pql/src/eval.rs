@@ -524,7 +524,7 @@ fn bind_sources(query: &Query<'_>, ctx: &ExprCtx<'_>) -> Result<Vec<Row>, PqlErr
                 PathRoot::Class(c) => ctx.graph.class_members(c),
                 PathRoot::Var(v) => vec![ctx.bound(row, v)?],
             };
-            for e in walk_steps(&starts, &source.steps, ctx.graph) {
+            for e in walk_steps(&starts, &source.steps, ctx.graph).into_vec() {
                 let mut r = row.clone();
                 r[slot] = Some(e);
                 next.push(r);
@@ -535,20 +535,47 @@ fn bind_sources(query: &Query<'_>, ctx: &ExprCtx<'_>) -> Result<Vec<Row>, PqlErr
     Ok(rows)
 }
 
+/// A path's endpoints, in order: `head`, then `tail`. A `*` step from
+/// one start keeps that start as the head, so the closure a store
+/// handed out becomes the tail as it is, not shifted one place to
+/// make room.
+pub(crate) struct Endpoints {
+    pub head: Option<ObjectRef>,
+    pub tail: Vec<ObjectRef>,
+}
+
+impl Endpoints {
+    /// The endpoints in one `Vec`.
+    pub(crate) fn into_vec(self) -> Vec<ObjectRef> {
+        let mut out = self.tail;
+        if let Some(head) = self.head {
+            out.insert(0, head);
+        }
+        out
+    }
+}
+
+impl From<Vec<ObjectRef>> for Endpoints {
+    fn from(tail: Vec<ObjectRef>) -> Endpoints {
+        Endpoints { head: None, tail }
+    }
+}
+
 /// Applies a sequence of path steps to a start set.
 pub(crate) fn walk_steps(
     starts: &[ObjectRef],
     steps: &[PathStep],
     graph: &dyn GraphSource,
-) -> Vec<ObjectRef> {
-    let Some((first, rest)) = steps.split_first() else {
-        return starts.to_vec();
+) -> Endpoints {
+    let Some((last, init)) = steps.split_last() else {
+        return starts.to_vec().into();
     };
-    let mut current = apply_step(starts, first, graph);
-    for step in rest {
-        current = apply_step(&current, step, graph);
+    let mut current = None;
+    for step in init {
+        let nodes = current.as_deref().unwrap_or(starts);
+        current = Some(apply_step(nodes, step, graph).into_vec());
     }
-    current
+    apply_step(current.as_deref().unwrap_or(starts), last, graph)
 }
 
 fn one_hop(nodes: &[ObjectRef], edges: &[EdgePattern], graph: &dyn GraphSource) -> Vec<ObjectRef> {
@@ -571,10 +598,10 @@ fn one_hop(nodes: &[ObjectRef], edges: &[EdgePattern], graph: &dyn GraphSource) 
     out
 }
 
-fn apply_step(nodes: &[ObjectRef], step: &PathStep, graph: &dyn GraphSource) -> Vec<ObjectRef> {
+fn apply_step(nodes: &[ObjectRef], step: &PathStep, graph: &dyn GraphSource) -> Endpoints {
     let labels = step.edges.as_slice();
     match step.quant {
-        Quant::One => one_hop(nodes, labels, graph),
+        Quant::One => one_hop(nodes, labels, graph).into(),
         Quant::Opt => {
             let mut out: Vec<ObjectRef> = nodes.to_vec();
             let mut seen: HashSet<ObjectRef> = nodes.iter().copied().collect();
@@ -583,7 +610,7 @@ fn apply_step(nodes: &[ObjectRef], step: &PathStep, graph: &dyn GraphSource) -> 
                     out.push(m);
                 }
             }
-            out
+            out.into()
         }
         Quant::Star | Quant::Plus => {
             // Closure. For `*` the start nodes are included; for `+`
@@ -621,24 +648,27 @@ fn apply_step(nodes: &[ObjectRef], step: &PathStep, graph: &dyn GraphSource) -> 
                     }
                     out
                 };
-            // `*` prepends the starts. `reached` is filtered even for
+            // `*` puts the starts first. `reached` is filtered even for
             // one start: a backend's `closure` may return its start,
-            // and a store holding a cycle re-reaches it. One start is
-            // prepended in place, so the closure is not copied.
+            // and a store holding a cycle re-reaches it. One start
+            // becomes the head, so the closure is neither copied nor
+            // shifted.
             match (step.quant, nodes) {
                 (Quant::Star, [start]) => {
-                    let mut out = reached;
-                    out.retain(|m| m != start);
-                    out.insert(0, *start);
-                    out
+                    let mut tail = reached;
+                    tail.retain(|m| m != start);
+                    Endpoints {
+                        head: Some(*start),
+                        tail,
+                    }
                 }
                 (Quant::Star, _) => {
                     let starts: HashSet<ObjectRef> = nodes.iter().copied().collect();
                     let mut out = nodes.to_vec();
                     out.extend(reached.into_iter().filter(|m| !starts.contains(m)));
-                    out
+                    out.into()
                 }
-                _ => reached,
+                _ => reached.into(),
             }
         }
     }
@@ -677,6 +707,11 @@ pub(crate) struct ExprCtx<'a> {
     literals: RefCell<Vec<(&'a Literal<'a>, OutValue)>>,
     /// The buffer an attribute cell is read into, reused row to row.
     cell: RefCell<Vec<OutValue>>,
+    /// The first cells of each `in (select …)` sub-query's answer,
+    /// keyed by its place in the query. A sub-query cannot see the
+    /// outer row, so it runs once per execution however many rows test
+    /// it.
+    subqueries: RefCell<Vec<(&'a Query<'a>, HashSet<OutValue>)>>,
 }
 
 impl<'a> ExprCtx<'a> {
@@ -691,6 +726,7 @@ impl<'a> ExprCtx<'a> {
             slot_of,
             literals: RefCell::default(),
             cell: RefCell::default(),
+            subqueries: RefCell::default(),
         }
     }
 
@@ -814,8 +850,16 @@ impl<'a> ExprCtx<'a> {
             }
             Expr::InSubquery { expr, query } => {
                 let v = self.eval(expr, row, all_rows)?;
+                let known = self.subqueries.borrow();
+                if let Some((_, cells)) = known.iter().find(|(at, _)| std::ptr::eq(*at, &**query)) {
+                    return Ok(OutValue::Bool(cells.contains(&v)));
+                }
+                drop(known);
                 let sub = self.subquery(query)?;
-                let found = sub.rows.iter().any(|r| r.first() == Some(&v));
+                let cells: HashSet<OutValue> =
+                    sub.rows.iter().filter_map(|r| r.first().cloned()).collect();
+                let found = cells.contains(&v);
+                self.subqueries.borrow_mut().push((&**query, cells));
                 Ok(OutValue::Bool(found))
             }
             Expr::Exists(query) => {

@@ -611,7 +611,7 @@ impl<'a> Runner<'a> {
         if step.source.steps.is_empty() {
             starts
         } else {
-            walk_steps(&starts, &step.source.steps, self.graph)
+            walk_steps(&starts, &step.source.steps, self.graph).into_vec()
         }
     }
 
@@ -625,25 +625,33 @@ impl<'a> Runner<'a> {
             (None, PathRoot::Class(class)) => match step.candidates.take() {
                 Some(cached) => cached,
                 None => self.resolve_class_root(step, class),
-            },
+            }
+            .into(),
             (None, PathRoot::Var(_)) => unreachable!("compile() gives a variable root its slot"),
         };
-        let done = self.expand(i, row, &endpoints);
+        let head = endpoints.head.as_slice();
+        let done = self.expand(i, row, head, &endpoints.tail);
         if step.root_slot.is_none() {
-            step.candidates.replace(Some(endpoints));
+            step.candidates.replace(Some(endpoints.tail));
         }
         row[i] = None;
         done
     }
 
-    /// Binds slot `i` of `row` to each of `endpoints` in turn and
-    /// carries the rows that pass its filters on, into the next step.
-    /// The last step's rows differ only in slot `i`, so the endpoints
-    /// that pass go into one projection together.
-    fn expand(&mut self, i: usize, row: &mut Row, endpoints: &[ObjectRef]) -> Result<(), PqlError> {
+    /// Binds slot `i` of `row` to each endpoint, `head` then `tail`,
+    /// in turn and carries the rows that pass its filters on, into the
+    /// next step. The last step's rows differ only in slot `i`, so the
+    /// endpoints that pass go into one projection together.
+    fn expand(
+        &mut self,
+        i: usize,
+        row: &mut Row,
+        head: &[ObjectRef],
+        tail: &[ObjectRef],
+    ) -> Result<(), PqlError> {
         let plan = self.plan;
         if i + 1 < plan.steps.len() {
-            for &endpoint in endpoints {
+            for &endpoint in head.iter().chain(tail) {
                 row[i] = Some(endpoint);
                 if self.passes(i, row)? {
                     self.descend(i + 1, row)?;
@@ -652,20 +660,20 @@ impl<'a> Runner<'a> {
             return Ok(());
         }
         if plan.filters_at(i).next().is_none() {
-            return match endpoints {
-                [] => Ok(()),
-                _ => self.emit(row, Some((i, endpoints))),
+            return match (head, tail) {
+                ([], []) => Ok(()),
+                _ => self.emit(row, Some((i, head, tail))),
             };
         }
         let mut kept = std::mem::take(&mut self.kept);
-        for &endpoint in endpoints {
+        for &endpoint in head.iter().chain(tail) {
             row[i] = Some(endpoint);
             if self.passes(i, row)? {
                 kept.push(endpoint);
             }
         }
         if !kept.is_empty() {
-            self.emit(row, Some((i, &kept)))?;
+            self.emit(row, Some((i, &[], &kept)))?;
         }
         kept.clear();
         self.kept = kept;
@@ -703,28 +711,31 @@ impl<'a> Runner<'a> {
     }
 
     /// Projects a batch of rows a column at a time: `row` with slot
-    /// `i` bound to each of `endpoints` in turn, or `row` alone when
-    /// `batch` is `None` (a query with no sources). A select item that
-    /// is slot `i`'s binding (`A`) is the endpoints themselves; one of
-    /// its attributes (`A.name`) is one [`GraphSource::attr_column`]
-    /// call; any other item is evaluated row by row. Either way a
-    /// column's reads run back to back instead of each waiting behind
-    /// one row's allocation and hashing. Rows are then dealt from the
-    /// columns and deduplicated in endpoint order. An item that fails,
-    /// fails on every row (an unbound variable, a bad sub-query), so
-    /// going column by column returns the naive evaluator's first
-    /// error.
+    /// `i` bound to each endpoint, `head` then `tail`, in turn, or
+    /// `row` alone when `batch` is `None` (a query with no sources). A
+    /// select item that is slot `i`'s binding (`A`) is the endpoints
+    /// themselves; one of its attributes (`A.name`) is one
+    /// [`GraphSource::attr_column`] call for the head, if any, and one
+    /// for the tail; any other item is evaluated row by row. Either
+    /// way a column's reads run back to back instead of each waiting
+    /// behind one row's allocation and hashing. Rows are then dealt
+    /// from the columns and deduplicated in endpoint order. An item
+    /// that fails, fails on every row (an unbound variable, a bad
+    /// sub-query), so going column by column returns the naive
+    /// evaluator's first error.
     fn emit(
         &mut self,
         row: &mut Row,
-        batch: Option<(usize, &[ObjectRef])>,
+        batch: Option<(usize, &[ObjectRef], &[ObjectRef])>,
     ) -> Result<(), PqlError> {
-        let (slot, endpoints) = batch.unzip();
-        let endpoints = endpoints.unwrap_or_default();
-        let n = batch.map_or(1, |_| endpoints.len());
+        let (slot, head, tail) = match batch {
+            Some((i, head, tail)) => (Some(i), head, tail),
+            None => (None, &[][..], &[][..]),
+        };
+        let n = batch.map_or(1, |_| head.len() + tail.len());
         let bind = |row: &mut Row, k: usize| {
             if let Some(i) = slot {
-                row[i] = Some(endpoints[k]);
+                row[i] = Some(head.get(k).copied().unwrap_or_else(|| tail[k - head.len()]));
             }
         };
         if self.has_aggregate {
@@ -736,15 +747,22 @@ impl<'a> Runner<'a> {
         }
         let binding = slot.map(|i| self.plan.steps[i].source.binding);
         // Column `c`'s cells are `columns[c * n..(c + 1) * n]`.
+        let width = self.query.select.len();
         let columns = &mut self.columns;
         columns.clear();
+        // Once for every column, so a head's and a tail's cells land in
+        // one allocation.
+        columns.reserve(width * n);
         for item in &self.query.select {
             match &item.expr {
                 Expr::Var(v) if binding == Some(*v) => {
-                    columns.extend(endpoints.iter().map(|e| OutValue::Node(*e)))
+                    columns.extend(head.iter().chain(tail).map(|e| OutValue::Node(*e)))
                 }
                 Expr::Attr(v, a) if binding == Some(*v) => {
-                    self.graph.attr_column(endpoints, a, columns)
+                    if !head.is_empty() {
+                        self.graph.attr_column(head, a, columns);
+                    }
+                    self.graph.attr_column(tail, a, columns)
                 }
                 expr => {
                     for k in 0..n {
@@ -754,7 +772,6 @@ impl<'a> Runner<'a> {
                 }
             }
         }
-        let width = self.query.select.len();
         self.out_rows.reserve(n);
         self.dedup.reserve(n);
         for k in 0..n {
@@ -968,8 +985,57 @@ mod tests {
         assert!(out.stats.index_hits >= 1);
     }
 
-    /// The last binding projects a column at a time: one
-    /// `attr_column` per parent row (two files), and no `attr` call.
+    /// A hundred files, `f1` to `f100`, with no edges and no index:
+    /// every lookup scans the class. Counts its class scans.
+    #[derive(Default)]
+    struct Files {
+        scans: std::cell::Cell<usize>,
+    }
+
+    impl GraphSource for Files {
+        fn class_members(&self, class: &str) -> Vec<ObjectRef> {
+            self.scans.set(self.scans.get() + 1);
+            match class {
+                "file" | "obj" => (1..=100).map(|n| r(n, 0)).collect(),
+                _ => vec![],
+            }
+        }
+        fn attr(&self, node: ObjectRef, name: &str) -> Option<Value> {
+            (name == "name").then(|| Value::Str(format!("f{}", node.pnode.number)))
+        }
+        fn out_edges(&self, _: ObjectRef, _: &EdgeLabel) -> Vec<ObjectRef> {
+            vec![]
+        }
+        fn in_edges(&self, _: ObjectRef, _: &EdgeLabel) -> Vec<ObjectRef> {
+            vec![]
+        }
+    }
+
+    /// An `in (select …)` sub-query cannot see the outer row, so it
+    /// runs once per execution, not once per row it tests: one scan
+    /// for the outer binding and one for the sub-query, in the planner
+    /// and in the naive evaluator alike.
+    #[test]
+    fn a_subquery_runs_once_per_execution() {
+        let q = "select F from Provenance.file as F \
+                 where F.name in (select G.name from Provenance.file as G where G.name like 'f1*')";
+        let graph = Files::default();
+        let out = query_with_stats(q, &graph).unwrap();
+        // f1, f10–f19 and f100.
+        assert_eq!(out.result.len(), 12);
+        assert_eq!(graph.scans.get(), 2);
+        assert_eq!(out.stats.scan_bindings, 2);
+
+        let graph = Files::default();
+        let naive = crate::eval::execute(&crate::parse(q).unwrap(), &graph).unwrap();
+        assert_eq!(naive.rows, out.result.rows);
+        assert_eq!(graph.scans.get(), 2);
+    }
+
+    /// The last binding projects a column at a time, however many
+    /// rows: per parent row (two files), one `attr_column` for the
+    /// `*` step's start and one for the closure behind it, and no
+    /// `attr` call.
     #[test]
     fn projection_reads_a_column_per_parent_row() {
         let graph = Indexed::default();
@@ -977,7 +1043,7 @@ mod tests {
         let out = query_with_stats(q, &graph).unwrap();
         let names: Vec<_> = out.result.rows.iter().map(|r| r[0].as_str()).collect();
         assert_eq!(names, [Some("out.gif"), Some("convert"), Some("in.dat")]);
-        assert_eq!(graph.calls.get(), (0, 2));
+        assert_eq!(graph.calls.get(), (0, 4));
     }
 
     #[test]

@@ -32,16 +32,21 @@
 //!
 //! The encoding is **canonical**: objects sort by pnode, index entries
 //! by key, and reverse-edge lists by `(descendant, ancestor version,
-//! attribute)`. Per-subject state is already deterministic (entries of
-//! one subject apply in arrival order regardless of batching), so two
-//! stores with equal contents — e.g. a restarted store and the store
-//! that never crashed — encode to **identical bytes**, which is what
-//! the crash-matrix tests assert.
+//! attribute)`. NAME's and TYPE's indexes are ordered in memory and
+//! are walked as they lie; an application attribute's is hashed, so
+//! the encoder and the decoder's check both sort its keys first, and
+//! no hash order reaches the bytes. Per-subject state is already
+//! deterministic (entries of one subject apply in arrival order
+//! regardless of batching), so two stores with equal contents — e.g.
+//! a restarted store and the store that never crashed — encode to
+//! **identical bytes**, which is what the crash-matrix tests assert.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dpapi::{wire, Attribute, DpapiError, Pnode, Result, Version, VolumeId};
 
-use crate::shard::{current, label_of, Edge, Index, Posting, Shard, ValueRef};
+use std::rc::Rc;
+
+use crate::shard::{current, label_of, AttrIndex, Edge, Posting, Shard, ValueRef};
 
 const MAGIC: &[u8; 4] = b"WSEG";
 /// The segment format version, and the supported floor: v2 carries
@@ -125,7 +130,18 @@ fn sorted_postings(shard: &Shard, posting: &Posting, out: &mut Vec<Pnode>) {
     out.sort_unstable();
 }
 
-fn put_index(buf: &mut BytesMut, shard: &Shard, index: &Index) {
+/// An application attribute's hashed index in key order.
+fn in_key_order(index: &AttrIndex) -> Vec<(&Rc<str>, &Posting)> {
+    let mut entries: Vec<_> = index.iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    entries
+}
+
+fn put_index<'a>(
+    buf: &mut BytesMut,
+    shard: &Shard,
+    index: impl ExactSizeIterator<Item = (&'a Rc<str>, &'a Posting)>,
+) {
     buf.put_u32_le(index.len() as u32);
     let mut pnodes = Vec::new();
     for (key, posting) in index {
@@ -138,10 +154,14 @@ fn put_index(buf: &mut BytesMut, shard: &Shard, index: &Index) {
     }
 }
 
-/// Reads an index section and checks it against `index`, which decode
-/// rebuilt from the objects' attributes: a segment whose index
-/// disagrees with its own objects is damaged or forged.
-fn check_index(buf: &mut Bytes, shard: &Shard, index: &Index) -> Result<()> {
+/// Reads an index section and checks it against `index`, in key
+/// order, which decode rebuilt from the objects' attributes: a segment
+/// whose index disagrees with its own objects is damaged or forged.
+fn check_index<'a>(
+    buf: &mut Bytes,
+    shard: &Shard,
+    index: impl ExactSizeIterator<Item = (&'a Rc<str>, &'a Posting)>,
+) -> Result<()> {
     let disagrees = || DpapiError::Malformed("segment index disagrees with its objects".into());
     if get_u32(buf, "index size")? as usize != index.len() {
         return Err(disagrees());
@@ -218,8 +238,8 @@ pub(crate) fn encode_shard(shard_index: u32, shard: &Shard, generation: u64) -> 
         }
     }
 
-    put_index(&mut buf, shard, &shard.name_index);
-    put_index(&mut buf, shard, &shard.type_index);
+    put_index(&mut buf, shard, shard.name_index.iter());
+    put_index(&mut buf, shard, shard.type_index.iter());
 
     let mut ancestors: Vec<Pnode> = shard.ancestors().collect();
     ancestors.sort_unstable();
@@ -243,7 +263,7 @@ pub(crate) fn encode_shard(shard_index: u32, shard: &Shard, generation: u64) -> 
     buf.put_u32_le(shard.attr_index.len() as u32);
     for (attr, values) in &shard.attr_index {
         put_str(&mut buf, attr);
-        put_index(&mut buf, shard, values);
+        put_index(&mut buf, shard, in_key_order(values).into_iter());
     }
 
     let crc = lasagna::crc32(&buf);
@@ -320,8 +340,8 @@ pub(crate) fn decode_shard(data: &[u8]) -> Result<(u32, Shard)> {
         }
     }
 
-    check_index(&mut buf, &shard, &shard.name_index)?;
-    check_index(&mut buf, &shard, &shard.type_index)?;
+    check_index(&mut buf, &shard, shard.name_index.iter())?;
+    check_index(&mut buf, &shard, shard.type_index.iter())?;
 
     let n_reverse = get_u32(&mut buf, "reverse count")? as usize;
     let mut last = None;
@@ -350,7 +370,7 @@ pub(crate) fn decode_shard(data: &[u8]) -> Result<(u32, Shard)> {
         if get_str(&mut buf, "attr index name")? != *attr {
             return Err(disagrees());
         }
-        check_index(&mut buf, &shard, values)?;
+        check_index(&mut buf, &shard, in_key_order(values).into_iter())?;
     }
 
     if buf.has_remaining() {

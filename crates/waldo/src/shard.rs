@@ -31,10 +31,14 @@
 //!   carry it share one allocation.
 //!
 //! The indexes hold slots, so a reader that holds a slot reads its
-//! object without a probe. They are ordered maps keyed by the interned
-//! strings, so prefix queries stay range scans. None of this reaches
-//! the disk: `crate::segment` writes the same canonical bytes whatever
-//! the layout.
+//! object without a probe. NAME's and TYPE's are ordered maps keyed by
+//! the interned strings, so a NAME prefix query stays a range scan.
+//! Each application attribute's is a hash map, so filing a value is
+//! one probe rather than a B-tree descent whose every compare reads a
+//! string out of cache; a prefix lookup on one filters its keys and
+//! sorts the matches. None of this reaches the disk: `crate::segment`
+//! walks every index in key order and writes the same canonical bytes
+//! whatever the layout.
 
 use std::collections::{BTreeMap, HashMap};
 use std::mem::size_of;
@@ -142,8 +146,16 @@ pub(crate) struct Edge {
 /// The slots of the objects an index key lists, ascending.
 pub(crate) type Posting = Vec<u32>;
 
-/// A secondary index: interned string → posting, in string order.
+/// NAME's and TYPE's index: interned string → posting, in string
+/// order, so a prefix is a range scan.
 pub(crate) type Index = BTreeMap<Rc<str>, Posting>;
+
+/// An application attribute's index: interned string → posting,
+/// hashed, so filing a value is one probe. Whatever needs key order —
+/// the segment codec, a prefix lookup — sorts the keys it reads. Each
+/// map draws its own keys from std's `RandomState`: attribute values
+/// are client strings.
+pub(crate) type AttrIndex = HashMap<Rc<str>, Posting>;
 
 /// An attribute value borrowed from its shard: a string as the
 /// shard's interned `Rc`, which a query answer may share.
@@ -191,7 +203,7 @@ pub(crate) struct Shard {
     /// do not — application attributes foremost — so PQL predicate
     /// pushdown (`GraphSource::lookup_attr`) answers them without a
     /// volume scan.
-    pub attr_index: BTreeMap<String, Index>,
+    pub attr_index: BTreeMap<String, AttrIndex>,
     /// Table 3's footprint model of this shard (not its memory: see
     /// [`Shard::resident_bytes`]).
     pub size: DbSize,
@@ -369,7 +381,7 @@ impl Shard {
                         let interned = match self.attr_index.get_mut(name) {
                             Some(index) => intern(index, s, slot),
                             None => {
-                                let mut index = Index::new();
+                                let mut index = AttrIndex::default();
                                 let interned = intern(&mut index, s, slot);
                                 self.attr_index.insert(name.to_owned(), index);
                                 interned
@@ -499,13 +511,45 @@ impl Shard {
             .map(|(e, aversion)| (e.to, &ANCESTRY[e.label as usize], *aversion))
     }
 
-    /// The index a lookup on `keyed` reads, if this shard has one.
-    pub fn index(&self, keyed: Keyed<'_>) -> Option<&Index> {
-        match keyed {
-            Keyed::Name => Some(&self.name_index),
-            Keyed::Type => Some(&self.type_index),
-            Keyed::Attr(attr) => self.attr_index.get(attr),
-        }
+    /// Visits the postings the `keyed` index files under `key` — or,
+    /// for a `prefix` lookup, under every key that starts with `key` —
+    /// in key order. On NAME and TYPE either is one range scan. On an
+    /// application attribute's hashed index an exact key is one probe,
+    /// and a prefix reads every key of the index and sorts the ones
+    /// that match.
+    pub fn for_each_posting(
+        &self,
+        keyed: Keyed<'_>,
+        key: &str,
+        prefix: bool,
+        mut f: impl FnMut(&Posting),
+    ) {
+        let index = match keyed {
+            Keyed::Name => &self.name_index,
+            Keyed::Type => &self.type_index,
+            Keyed::Attr(attr) => {
+                let Some(index) = self.attr_index.get(attr) else {
+                    return;
+                };
+                if !prefix {
+                    index.get(key).into_iter().for_each(f);
+                    return;
+                }
+                let mut hits: Vec<_> = (index.iter()).filter(|(k, _)| k.starts_with(key)).collect();
+                hits.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                hits.into_iter().for_each(|(_, posting)| f(posting));
+                return;
+            }
+        };
+        let keys = index.range::<str, _>((Bound::Included(key), Bound::Unbounded));
+        let hits = keys.take_while(|(k, _)| {
+            if prefix {
+                k.starts_with(key)
+            } else {
+                k[..] == *key
+            }
+        });
+        hits.for_each(|(_, posting)| f(posting));
     }
 
     /// The pnodes a posting of this shard lists, in slot order.
@@ -548,10 +592,12 @@ impl Shard {
         }
         // An index key is a string's one copy: its `Rc` allocation is
         // two counts and the bytes.
+        fn filed<'a>(keys: impl Iterator<Item = (&'a Rc<str>, &'a Posting)>) -> usize {
+            keys.map(|(k, p)| 2 * size_of::<usize>() + k.len() + vec(p))
+                .sum()
+        }
         fn index(index: &Index) -> usize {
-            let entry = size_of::<(Rc<str>, Posting)>();
-            let key = |k: &Rc<str>| 2 * size_of::<usize>() + k.len();
-            index.iter().map(|(k, p)| entry + key(k) + vec(p)).sum()
+            index.len() * size_of::<(Rc<str>, Posting)>() + filed(index.iter())
         }
         let rows = vec(&self.objects) + vec(&self.versions) + vec(&self.attrs);
         let edges = vec(&self.inputs) + vec(&self.reverse_rows);
@@ -559,7 +605,12 @@ impl Shard {
         let names = vec(&self.attr_names);
         let values = vec(&self.values) + self.values.iter().map(value_heap).sum::<usize>();
         let attr_index: usize = (self.attr_index.iter())
-            .map(|(name, values)| size_of::<(String, Index)>() + name.capacity() + index(values))
+            .map(|(name, values)| {
+                size_of::<(String, AttrIndex)>()
+                    + name.capacity()
+                    + map(values)
+                    + filed(values.iter())
+            })
             .sum();
         let indexes = index(&self.name_index) + index(&self.type_index) + attr_index;
         rows + edges + maps + names + values + indexes
@@ -576,47 +627,54 @@ pub(crate) enum Keyed<'a> {
     Attr(&'a str),
 }
 
-/// The postings of `index` under `key` — or, for a `prefix` lookup,
-/// under every key that starts with `key` — in key order: one range
-/// scan either way.
-pub(crate) fn postings_under<'a>(
-    index: &'a Index,
-    key: &'a str,
-    prefix: bool,
-) -> impl Iterator<Item = &'a Posting> + 'a {
-    let keys = index.range::<str, _>((Bound::Included(key), Bound::Unbounded));
-    keys.take_while(move |(k, _)| {
-        if prefix {
-            k.starts_with(key)
-        } else {
-            k[..] == *key
-        }
-    })
-    .map(|(_, posting)| posting)
-}
-
 /// An object's highest version: the last of its sorted run.
 pub(crate) fn current(versions: &[VersionRow]) -> u32 {
     versions.last().map_or(0, |v| v.number)
 }
 
+/// The map calls [`intern`] makes, on an ordered index or a hashed
+/// one.
+trait Keys {
+    fn find(&self, s: &str) -> Option<(&Rc<str>, &Posting)>;
+    fn posting_mut(&mut self, s: &str) -> Option<&mut Posting>;
+    fn file(&mut self, key: Rc<str>, posting: Posting);
+}
+
+macro_rules! keys {
+    ($($map:ty),*) => {$(
+        impl Keys for $map {
+            fn find(&self, s: &str) -> Option<(&Rc<str>, &Posting)> {
+                self.get_key_value(s)
+            }
+            fn posting_mut(&mut self, s: &str) -> Option<&mut Posting> {
+                self.get_mut(s)
+            }
+            fn file(&mut self, key: Rc<str>, posting: Posting) {
+                self.insert(key, posting);
+            }
+        }
+    )*};
+}
+keys!(Index, AttrIndex);
+
 /// `s` interned as a key of `index` (added if new), whether `slot` is
 /// new to its posting, and whether the key is new to `index`. One
-/// descent when `slot` already carries the key, which allocates
+/// lookup when `slot` already carries the key, which allocates
 /// nothing; two otherwise (find, then insert into the posting or the
-/// index).
-fn intern(index: &mut Index, s: &str, slot: u32) -> (Rc<str>, bool, bool) {
-    if let Some((key, posting)) = index.get_key_value(s) {
+/// index). On a hashed index a lookup is one probe; on an ordered one
+/// it is a descent.
+fn intern(index: &mut impl Keys, s: &str, slot: u32) -> (Rc<str>, bool, bool) {
+    if let Some((key, posting)) = index.find(s) {
         let key = key.clone();
         let Err(at) = posting.binary_search(&slot) else {
             return (key, false, false);
         };
-        let posting = index.get_mut(s).expect("the key was just found");
+        let posting = index.posting_mut(s).expect("the key was just found");
         posting.insert(at, slot);
         return (key, true, false);
     }
     let key: Rc<str> = Rc::from(s);
-    index.insert(key.clone(), vec![slot]);
+    index.file(key.clone(), vec![slot]);
     (key, true, true)
 }
 

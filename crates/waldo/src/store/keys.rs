@@ -5,11 +5,12 @@
 //! can sit in any shard's index. [`KeyFilter`] keeps one byte per
 //! slot. A key hashes to one slot, and that byte holds the OR of
 //! `1 << (shard % 8)` for every shard whose index holds a key hashed
-//! there. An exact lookup descends only the B-trees of the shards the
-//! byte flags. A collision, or a shard past the eighth sharing a bit,
-//! can flag a shard that lacks the key — a false positive its B-tree
-//! answers with nothing — but a shard that holds the key is always
-//! flagged.
+//! there. An exact lookup reads only the indexes of the shards the
+//! byte flags: a descent of NAME's B-tree, or one probe of an
+//! application attribute's hash map. A collision, or a shard past the
+//! eighth sharing a bit, can flag a shard that lacks the key — a false
+//! positive its index answers with nothing — but a shard that holds
+//! the key is always flagged.
 //!
 //! The filter is derived state; nothing of it reaches the disk. It
 //! keeps each filed key's hash beside the bytes, four bytes a key, so

@@ -7,7 +7,7 @@ use dpapi::{Attribute, ObjectRef, Pnode, Version};
 
 use super::{keys, Store};
 use crate::db::{DbSize, ObjectEntry};
-use crate::shard::{postings_under, Keyed, Shard};
+use crate::shard::{Keyed, Shard};
 
 /// What labels one edge [`Store::for_each_edge`] visits.
 #[derive(Clone, Copy, Debug)]
@@ -65,8 +65,11 @@ impl Store {
     /// index walk behind every attribute lookup: the planner's
     /// pushdown verifies the slots where they lie, the `find_by_*`
     /// lookups project them to pnodes. An exact NAME or
-    /// application-attribute lookup descends only the shards the key
-    /// filter flags; a TYPE or prefix lookup descends every shard.
+    /// application-attribute lookup reads only the shards the key
+    /// filter flags; a TYPE or prefix lookup reads every shard. An
+    /// application attribute's index is hashed: an exact lookup is one
+    /// probe per flagged shard, a prefix lookup reads each shard's keys
+    /// of that attribute and sorts the matches.
     pub(crate) fn scan_index<'a>(
         &'a self,
         keyed: Keyed<'_>,
@@ -81,14 +84,14 @@ impl Store {
             Keyed::Attr(attr) => self.keys.probe(attr, key),
         };
         for (i, shard) in self.shards.iter().enumerate() {
-            let Some(index) = shard.index(keyed).filter(|_| bits & (1 << (i % 8)) != 0) else {
+            if bits & (1 << (i % 8)) == 0 {
                 continue;
-            };
-            for posting in postings_under(index, key, prefix) {
+            }
+            shard.for_each_posting(keyed, key, prefix, |posting| {
                 for &slot in posting {
                     f(i, shard, slot);
                 }
-            }
+            });
         }
     }
 

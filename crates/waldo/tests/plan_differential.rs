@@ -173,11 +173,11 @@ fn arb_entry() -> impl Strategy<Value = LogEntry> {
         (subject.clone(), 0u32..2).prop_map(|(s, t)| {
             prov(s, Attribute::Type, Value::str(["FILE", "PROC"][t as usize]))
         }),
-        (subject.clone(), 0u32..2).prop_map(|(s, i)| {
+        (subject.clone(), 0u32..3).prop_map(|(s, i)| {
             prov(
                 s,
                 Attribute::Other("PHASE".into()),
-                Value::str(["align", "slice"][i as usize]),
+                Value::str(["align", "slice", "alloc"][i as usize]),
             )
         }),
         (1u64..24, 0u32..3, 1u64..24, 0u32..3, 0u32..4).prop_map(|(n, v, a, av, kind)| {
@@ -197,7 +197,7 @@ fn arb_entry() -> impl Strategy<Value = LogEntry> {
     ]
 }
 
-const QUERIES: [&str; 20] = [
+const QUERIES: [&str; 22] = [
     "select A from Provenance.file as F F.input* as A where F.name = '/data/a.gif'",
     "select A from Provenance.file as F F.input+ as A where F.name like '/data/*'",
     "select F.name from Provenance.file as F where F.name like '*.gif'",
@@ -223,6 +223,9 @@ const QUERIES: [&str; 20] = [
     "select f.Pnode, f.NAME, f.Volume from Provenance.FILE as f where f.Type = 'FILE'",
     "select A.name from Provenance.obj as F F.INPUT* as A where F.Phase = 'align'",
     "select F.type, F.PHASE from Provenance.obj as F",
+    // A prefix on an application attribute's hashed index.
+    "select F, F.phase from Provenance.obj as F where F.phase like 'al*'",
+    "select A.phase from Provenance.file as F F.input* as A where F.phase like 'all*'",
 ];
 
 /// `entry` with its subject and any referenced ancestor moved to
@@ -320,6 +323,45 @@ fn restarted(cfg: WaldoConfig, entries: &[LogEntry], cut: usize) -> ProvDb {
     let restarted = Waldo::restart(pid, &mut kernel, cfg, "/waldo-db", &[]).unwrap();
     assert_eq!(restarted.db.segment_images(), images);
     restarted.db
+}
+
+/// Exact and `like` lookups on an application attribute, whose
+/// per-shard indexes are hashed, answer what the naive evaluator does
+/// when the matching keys lie on several shards, in one class or in
+/// any.
+#[test]
+fn application_lookups_across_shards_match_naive() {
+    let mut db = ProvDb::with_config(config(8));
+    let mut entries = Vec::new();
+    for n in 1..=64u64 {
+        let subject = ObjectRef::new(p(n), Version(0));
+        let ty = if n % 3 == 0 { "PROC" } else { "FILE" };
+        entries.push(prov(subject, Attribute::Type, Value::str(ty)));
+        let phase = Value::Str(format!("stage-{n}"));
+        entries.push(prov(subject, Attribute::Other("PHASE".into()), phase));
+        let other = Value::Str(format!("other-{}", n % 5));
+        entries.push(prov(subject, Attribute::Other("PHASE".into()), other));
+    }
+    db.ingest(&entries);
+    let like = "select F, F.phase from Provenance.obj as F where F.phase like 'stage-1*'";
+    let shards: std::collections::HashSet<usize> = (pql::query(like, &db).unwrap().rows.iter())
+        .map(|row| match row[0] {
+            OutValue::Node(r) => db.shard_of(r.pnode),
+            ref cell => panic!("not a node: {cell:?}"),
+        })
+        .collect();
+    assert!(shards.len() > 1, "the prefix's matches lie on one shard");
+    for query in [
+        like,
+        "select F from Provenance.file as F where F.phase like 'stage-2*'",
+        "select F from Provenance.obj as F where F.phase like 'other-'",
+        "select F.phase from Provenance.obj as F where F.phase like 'zzz*'",
+        "select F from Provenance.obj as F where F.phase = 'stage-17'",
+        "select F from Provenance.file as F where F.phase = 'other-3'",
+        "select F from Provenance.proc as F where F.phase = 'stage-17'",
+    ] {
+        planned_agrees(&db, query).unwrap_or_else(|e| panic!("{query}: {e}"));
+    }
 }
 
 proptest! {

@@ -46,6 +46,10 @@ fn arb_entry() -> impl Strategy<Value = LogEntry> {
             let ty = ["FILE", "PROC", "PIPE"][t as usize];
             prov(s, Attribute::Type, Value::str(ty))
         }),
+        // Application string attributes, filed in hashed indexes.
+        (subject.clone(), 0u32..3, "[a-c]{1,3}").prop_map(|(s, k, value)| {
+            prov(s, Attribute::Other(format!("NOTE{k}")), Value::Str(value))
+        }),
         (subject.clone(), 1u64..64, 0u32..3).prop_map(|(s, n, v)| {
             prov(
                 s,
@@ -94,8 +98,9 @@ type Observed = (
 );
 
 /// Everything a reader can see of a store: its canonical images, every
-/// object's owned view, the answers to an `input*`, an `input~*` and a
-/// `name like` query, and the ancestry cycle it reports.
+/// object's owned view, the answers to an `input*`, an `input~*`, a
+/// `name like` and an application attribute's `like` and `=` query,
+/// and the ancestry cycle it reports.
 fn observed(db: &Store, name: &str) -> Observed {
     let mut pnodes = db.all_pnodes();
     pnodes.sort_unstable();
@@ -107,6 +112,8 @@ fn observed(db: &Store, name: &str) -> Observed {
         format!("select A from Provenance.obj as F F.input* as A where F.name = '{name}'"),
         format!("select D from Provenance.obj as F F.input~* as D where F.name = '{name}'"),
         "select F, F.name from Provenance.obj as F where F.name like '/a*'".to_string(),
+        "select F, F.note1 from Provenance.obj as F where F.note1 like 'a*'".to_string(),
+        "select F from Provenance.obj as F where F.note0 = 'b'".to_string(),
     ];
     let answers = queries.iter().map(|q| {
         let rows = pql::query(q, db).unwrap().rows;
@@ -341,6 +348,81 @@ proptest! {
         even.merge(&odd).unwrap();
         prop_assert_eq!(&observed(&even, &name), &want);
     }
+}
+
+/// Many application-attribute values — more keys per hashed index
+/// than a few, so two indexes' hash orders differ — encode to the same
+/// images whether they arrive in one group, in small staged commits,
+/// or through a base checkpoint, a delta checkpoint and a cold
+/// restart: every index is written in key order, never in hash order.
+#[test]
+fn application_values_encode_in_key_order_whatever_the_batching() {
+    let cfg = WaldoConfig {
+        shards: 4,
+        ..WaldoConfig::default()
+    };
+    let mut entries = Vec::new();
+    for n in 0..400u64 {
+        let subject = ObjectRef::new(p(1, n), Version(0));
+        entries.push(prov(
+            subject,
+            Attribute::Name,
+            Value::Str(format!("/o/{n}")),
+        ));
+        for k in 0..3u64 {
+            let value = Value::Str(format!("v{}-{}", (n * 7 + k) % 150, k));
+            entries.push(prov(subject, Attribute::Other(format!("EVENT{k}")), value));
+        }
+        entries.push(prov(
+            subject,
+            Attribute::Params,
+            Value::Str(format!("-j{n}")),
+        ));
+    }
+
+    let mut whole = Store::with_config(cfg);
+    whole.ingest(&entries);
+    let want = whole.segment_images();
+
+    let mut staged = Store::with_config(cfg);
+    let mut stats = IngestStats::default();
+    staged.begin_stream();
+    for e in entries.iter().cloned() {
+        staged.stage(e, None);
+        if staged.staged_len() >= 7 {
+            staged.commit_staged(&mut stats);
+        }
+    }
+    staged.commit_staged(&mut stats);
+    assert!(
+        staged.segment_images() == want,
+        "staged commits moved bytes"
+    );
+
+    let clock = Clock::new();
+    let mut kernel = Kernel::new(clock.clone(), CostModel::default());
+    kernel.mount("/", Box::new(BaseFs::new(clock, CostModel::default())));
+    let pid = kernel.spawn_init("waldo");
+    let mut waldo = Waldo::with_config(pid, cfg);
+    waldo.attach_db_dir(&mut kernel, "/db").unwrap();
+    let (first, rest) = entries.split_at(entries.len() - 40);
+    for part in [first, rest] {
+        waldo.db.ingest(part);
+        waldo.checkpoint(&mut kernel).unwrap();
+    }
+    assert!(
+        waldo.checkpoint_stats().deltas_written > 0,
+        "no delta was written"
+    );
+    drop(waldo);
+    let pid = kernel.spawn_init("waldo-restarted");
+    let restarted = Waldo::restart(pid, &mut kernel, cfg, "/db", &[]).unwrap();
+    assert!(restarted.db.segment_images() == want, "restart moved bytes");
+    assert_eq!(
+        restarted.db.find_by_attr("EVENT1", "v8-1"),
+        whole.find_by_attr("EVENT1", "v8-1")
+    );
+    assert_eq!(whole.find_by_attr("EVENT1", "v8-1").len(), 3);
 }
 
 /// A forged cycle is found, and the one reported is a shortest one:
